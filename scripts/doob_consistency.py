@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import copsurv as cs
+from copsurv.censoring import diagnostic_rows
 from copsurv.dataio import write_rows
 from copsurv.parametric import ConjugateModel, doob_demo, ig_posterior_quantile, tune_a0
 
@@ -53,7 +54,9 @@ def main():
                zip(qs, ig_posterior_quantile(result.state, qs)))
     write_rows(args.out / "diagnostics.csv",
                ["step", "ess", "unique_particles", "resampled"],
-               result.ensemble.diagnostic_rows())
+               diagnostic_rows(result.ensemble.ess_trace,
+                               result.ensemble.unique_trace,
+                               result.ensemble.resample_steps))
     print(f"wrote {args.out}/")
 
 

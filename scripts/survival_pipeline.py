@@ -12,12 +12,12 @@ Example (PBC-style file with columns time,status):
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 import copsurv as cs
+from copsurv.censoring import diagnostic_rows
 from copsurv.dataio import unscale_times, write_rows
 from copsurv.resampling import (
     default_grid,
+    log_grid,
     martingale_posterior,
     weighted_mean,
     weighted_quantiles,
@@ -55,9 +55,7 @@ def main():
           f"{len(ensemble.resample_steps)} resampling events")
 
     if args.grid_max is not None:
-        top = args.grid_max * data.scale_factor
-        grid = cs.GridSpec(np.concatenate(
-            [[0.0], np.geomspace(top * 1e-4, top, args.grid_size - 1)]))
+        grid = log_grid(args.grid_max * data.scale_factor, args.grid_size)
     else:
         grid = default_grid(data, args.grid_size)
     draws = martingale_posterior(ensemble, args.n_extra, grid, seed=args.seed)
@@ -75,7 +73,8 @@ def main():
                    draws.weights))
     write_rows(args.out / "diagnostics.csv",
                ["step", "ess", "unique_particles", "resampled"],
-               ensemble.diagnostic_rows())
+               diagnostic_rows(ensemble.ess_trace, ensemble.unique_trace,
+                               ensemble.resample_steps))
     med = weighted_mean(draws.medians, draws.weights)
     print(f"posterior mean of median survival time: "
           f"{unscale_times(med, data.scale_factor):.4g} (input units)")

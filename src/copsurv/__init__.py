@@ -10,12 +10,9 @@ hyperparameters by marginal likelihood.
 """
 
 from .censoring import (
-    Particle,
     ParticleEnsemble,
     ess,
     impute_smc,
-    log_marginal_likelihood,
-    systematic_resample,
 )
 from .copulas import (
     ClaytonFamily,
@@ -71,10 +68,8 @@ from .predictive import (
     prequential_log_lik,
 )
 from .resampling import (
-    CovariateResampler,
     GridSpec,
     PosteriorDraws,
-    bootstrap_covariate,
     default_grid,
     martingale_posterior,
     median_from_cdf,

@@ -29,21 +29,19 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import copulas, rng
-from .copulas import CopulaFamily, alpha_regression, alpha_schedule
+from .copulas import CopulaFamily
 from .dataio import SurvivalDataset
 from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError, DegeneracyError
-from .predictive import PredictiveFit
+from .predictive import propagate, step_weights
 
 __all__ = [
-    "Particle",
     "ParticleEnsemble",
     "impute_smc",
     "ess",
     "ess_from_log_weights",
     "systematic_indices",
-    "systematic_resample",
-    "log_marginal_likelihood",
+    "diagnostic_rows",
 ]
 
 
@@ -89,26 +87,25 @@ def systematic_indices(weights, offset: float) -> np.ndarray:
     return np.searchsorted(cumulative, positions, side="right").clip(0, b - 1)
 
 
+def diagnostic_rows(ess_trace, unique_trace, resample_steps):
+    """(step, ess, unique_particles, resampled) per processed record,
+    1-based, from a pass's traces and 0-based resampling steps."""
+    fired = set(resample_steps)
+    return [(i + 1, float(ess_trace[i]), int(unique_trace[i]), i in fired)
+            for i in range(len(ess_trace))]
+
+
 # ---------------------------------------------------------------------------
 # Ensemble containers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Particle:
-    """Single-particle view: its fitted predictive state, unnormalized
-    log weight, and the u drawn for each censored record index."""
-
-    fit: PredictiveFit
-    log_weight: float
-    imputed_u: dict
-
 
 @dataclass
 class ParticleEnsemble:
     """Weighted particle system after one full pass over the data.
 
     `v_matrix[i, j]` is particle j's propagation value for record i, so a
-    column is exactly the `vseq` of that particle's `PredictiveFit`.
+    column is exactly the `vseq` of that particle's `PredictiveFit`, and
+    `imputed[i][j]` the u it drew for censored record i.
     Traces are per processed record: the ESS of the weights after the
     record's update, and the number of distinct surviving ancestries.
     """
@@ -146,63 +143,6 @@ class ParticleEnsemble:
     @property
     def final_ess(self) -> float:
         return ess_from_log_weights(self.log_weights)
-
-    def diagnostic_rows(self):
-        """(step, ess, unique_particles, resampled) per record, 1-based."""
-        fired = set(self.resample_steps)
-        return [
-            (i + 1, float(self.ess_trace[i]), int(self.unique_trace[i]), i in fired)
-            for i in range(self.n_records)
-        ]
-
-    def particle(self, j: int) -> Particle:
-        fit = PredictiveFit(
-            family=self.family,
-            base=self.base,
-            vseq=self.v_matrix[:, j].copy(),
-            xseq=self.covariates if self.rho_x is not None else None,
-            rho_x=self.rho_x,
-            perm=self.perm,
-        )
-        drawn = {i: float(u[j]) for i, u in self.imputed.items()}
-        return Particle(fit=fit, log_weight=float(self.log_weights[j]),
-                        imputed_u=drawn)
-
-    @property
-    def particles(self) -> list:
-        return [self.particle(j) for j in range(self.n_particles)]
-
-
-def log_marginal_likelihood(ensemble) -> float:
-    """Marginal-likelihood estimate accumulated during the pass: the sum
-    over resampling segments of log-mean unnormalized weight."""
-    return float(ensemble.log_z)
-
-
-def systematic_resample(ensemble: ParticleEnsemble, seed_or_rng) -> ParticleEnsemble:
-    """One systematic-resampling pass over a finished ensemble: draws a
-    single offset, reindexes the particles, and resets weights to uniform."""
-    gen = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else np.random.default_rng(seed_or_rng))
-    idx = systematic_indices(ensemble.weights, gen.random())
-    return ParticleEnsemble(
-        family=ensemble.family,
-        base=ensemble.base,
-        rho_x=ensemble.rho_x,
-        times=ensemble.times,
-        status=ensemble.status,
-        covariates=ensemble.covariates,
-        perm=ensemble.perm,
-        v_matrix=ensemble.v_matrix[:, idx].copy(),
-        log_weights=np.zeros(ensemble.n_particles),
-        ess_trace=ensemble.ess_trace,
-        unique_trace=ensemble.unique_trace,
-        resample_steps=list(ensemble.resample_steps),
-        log_z=ensemble.log_z,
-        imputed={i: u[idx].copy() for i, u in ensemble.imputed.items()},
-        seed=ensemble.seed,
-        ess_frac=ensemble.ess_frac,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +182,6 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     resample_steps: list = []
     imputed: dict = {}
 
-    def _diag_rows(upto):
-        fired = set(resample_steps)
-        return [(i + 1, float(ess_trace[i]), int(unique_trace[i]), i in fired)
-                for i in range(upto)]
-
     for i in range(n):
         t = float(times[i])
         dens, cdf = engine.eval_at(i, t)
@@ -271,7 +206,8 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
         if not np.isfinite(m):
             raise DegeneracyError(
                 f"all {b} particle weights vanished at record {i + 1}",
-                diagnostics=_diag_rows(i),
+                diagnostics=diagnostic_rows(ess_trace[:i], unique_trace[:i],
+                                            resample_steps),
             )
         ess_trace[i] = ess_from_log_weights(log_w)
         if ess_trace[i] < ess_frac * b:
@@ -308,28 +244,13 @@ class _CopulaEngine:
         self.v = np.empty((n_records, n_particles))
         self.steps = 0
 
-    def _alphas(self, x_eval):
-        out = []
-        for j in range(self.steps):
-            alpha = float(alpha_schedule(j + 1))
-            if self.rho_x is not None:
-                alpha = alpha_regression(alpha, x_eval, self.covariates[j],
-                                         self.rho_x)
-            out.append(alpha)
-        return out
-
     def eval_at(self, i, t):
-        dens = float(base_pdf(t, self.base))
-        u = float(base_cdf(t, self.base))
+        b = self.v.shape[1]
         x_eval = self.covariates[i] if self.rho_x is not None else None
-        dens = np.full(self.v.shape[1], dens)
-        u = np.full(self.v.shape[1], u)
-        for j, alpha in enumerate(self._alphas(x_eval)):
-            v = self.v[j]
-            d, i_part = self.joint_fn(u, v)
-            dens = dens * ((1.0 - alpha) + alpha * d)
-            u = (1.0 - alpha) * u + alpha * i_part
-        return dens, u
+        alphas = step_weights(self.steps, x_eval, self.covariates, self.rho_x)
+        return propagate(np.full(b, float(base_pdf(t, self.base))),
+                         np.full(b, float(base_cdf(t, self.base))),
+                         self.v[: self.steps], alphas, self.joint_fn)
 
     def _absorb(self, values):
         self.v[self.steps] = np.clip(values, copulas.CLAMP_EPS,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, parametric, resampling, tune
-from .censoring import impute_smc
+from .censoring import diagnostic_rows, impute_smc
 from .copulas import ClaytonFamily, GaussianFamily
 from .errors import (
     ConfigurationError,
@@ -31,7 +31,7 @@ from .errors import (
     GridCoverageError,
     TuningError,
 )
-from .resampling import GridSpec, weighted_mean, weighted_quantiles
+from .resampling import weighted_mean, weighted_quantiles
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -254,15 +254,10 @@ def _resolve_regress_family(cfg, data):
 
 def _eval_grid(cfg, data, family):
     include_zero = isinstance(family, ClaytonFamily)
-    if cfg.get("grid_max") is not None:
-        top = cfg["grid_max"] * data.scale_factor  # to standardized units
-        size = cfg["grid_size"]
-        if include_zero:
-            pts = np.concatenate([[0.0], np.geomspace(top * 1e-4, top, size - 1)])
-        else:
-            pts = np.geomspace(top * 1e-4, top, size)
-        return GridSpec(points=pts)
-    return resampling.default_grid(data, cfg["grid_size"], include_zero)
+    if cfg.get("grid_max") is None:
+        return resampling.default_grid(data, cfg["grid_size"], include_zero)
+    top = cfg["grid_max"] * data.scale_factor  # to standardized units
+    return resampling.log_grid(top, cfg["grid_size"], include_zero)
 
 
 def _family_meta(family, rho_x):
@@ -303,7 +298,8 @@ def _write_diagnostics(outdir, ensemble, name="diagnostics.csv"):
     dataio.write_rows(
         outdir / name,
         ["step", "ess", "unique_particles", "resampled"],
-        ensemble.diagnostic_rows(),
+        diagnostic_rows(ensemble.ess_trace, ensemble.unique_trace,
+                        ensemble.resample_steps),
     )
 
 

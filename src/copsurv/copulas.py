@@ -39,8 +39,6 @@ __all__ = [
     "gaussian_partial",
     "alpha_schedule",
     "alpha_regression",
-    "family_density",
-    "family_partial",
     "default_base",
     "check_family_base",
 ]
@@ -232,22 +230,6 @@ def family_joint(family: CopulaFamily):
         return lambda u, v: clayton_density_and_partial(u, v, a)
     rho = family.rho
     return lambda u, v: gaussian_density_and_partial(u, v, rho)
-
-
-def family_density(family: CopulaFamily):
-    if isinstance(family, ClaytonFamily):
-        a = family.bandwidth
-        return lambda u, v: clayton_density(u, v, a)
-    rho = family.rho
-    return lambda u, v: gaussian_density(u, v, rho)
-
-
-def family_partial(family: CopulaFamily):
-    if isinstance(family, ClaytonFamily):
-        a = family.bandwidth
-        return lambda u, v: clayton_partial(u, v, a)
-    rho = family.rho
-    return lambda u, v: gaussian_partial(u, v, rho)
 
 
 def default_base(family: CopulaFamily):

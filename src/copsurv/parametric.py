@@ -205,13 +205,6 @@ class ConjugateEnsemble:
     def final_ess(self) -> float:
         return ess_from_log_weights(self.log_weights)
 
-    def diagnostic_rows(self):
-        fired = set(self.resample_steps)
-        return [
-            (i + 1, float(self.ess_trace[i]), int(self.unique_trace[i]), i in fired)
-            for i in range(self.ess_trace.size)
-        ]
-
 
 def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
                   n_particles: int = 2000, ess_frac: float = 0.5,

@@ -10,9 +10,11 @@ CDF at a point y are recovered jointly in one O(i) sweep,
 
 starting from the base measure's (pdf, cdf) at y, where a_j is the update
 weight for step j (covariate-modulated in the regression variant).
-Storing only v values is what lets censored-data imputation and forward
-predictive resampling share this code path: both simply supply u values
-drawn in CDF space.
+`update` is the only implementation of this step and `propagate` the only
+loop over an absorbed history: the sequential fit, censored-data
+imputation and forward predictive resampling all run through them, the
+latter two simply supplying u values drawn in CDF space.  `step_weights`
+gives the weights a_1..a_n of an absorbed history.
 
 `PredictiveFit` is immutable; `absorb` returns an extended copy, and
 evaluation is pure, so fits can be shared freely across threads.
@@ -32,7 +34,8 @@ from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError
 
 __all__ = ["EvalPoint", "PredictiveFit", "new_fit", "absorb", "evaluate",
-           "fit_uncensored", "prequential_log_lik"]
+           "fit_uncensored", "prequential_log_lik", "update", "propagate",
+           "step_weights"]
 
 
 class EvalPoint(NamedTuple):
@@ -78,25 +81,28 @@ def new_fit(family: CopulaFamily, base=None, rho_x: float | None = None,
                          xseq=xseq, rho_x=rho_x, perm=perm)
 
 
-def _alphas_for(fit: PredictiveFit, x) -> list:
-    """Per-step update weights for evaluating at covariate x (or None)."""
-    idx = np.arange(1, fit.n + 1)
-    if fit.rho_x is None:
-        return list(alpha_schedule(idx)) if fit.n else []
-    if x is None:
-        raise ConfigurationError("this fit conditions on covariates; pass x")
-    base_alpha = alpha_schedule(idx) if fit.n else np.empty(0)
-    return [alpha_regression(base_alpha[j], x, fit.xseq[j], fit.rho_x)
-            for j in range(fit.n)]
+def update(dens, u, v, alpha, joint):
+    """One step of the recursion: absorb propagation value(s) v with
+    weight alpha into the running (density, cdf); shapes broadcast."""
+    d, i_part = joint(u, v)
+    return dens * ((1.0 - alpha) + alpha * d), (1.0 - alpha) * u + alpha * i_part
 
 
-def _propagate(dens, u, vseq, alphas, joint_fn):
-    """Run the joint (density, cdf) recursion; shapes broadcast freely."""
-    for v, alpha in zip(vseq, alphas):
-        d, i_part = joint_fn(u, v)
-        dens = dens * ((1.0 - alpha) + alpha * d)
-        u = (1.0 - alpha) * u + alpha * i_part
+def propagate(dens, u, v_rows, alphas, joint):
+    """Run `update` over an absorbed history, one (v row, alpha) per step."""
+    for v, alpha in zip(v_rows, alphas):
+        dens, u = update(dens, u, v, alpha, joint)
     return dens, u
+
+
+def step_weights(n: int, x_eval, xseq, rho_x) -> np.ndarray:
+    """Update weights a_1..a_n for evaluating at covariate x_eval; with
+    rho_x set, step j is weighted by its covariate row xseq[j]."""
+    alphas = alpha_schedule(np.arange(1, n + 1))
+    if rho_x is None:
+        return alphas
+    return np.array([alpha_regression(a, x_eval, xseq[j], rho_x)
+                     for j, a in enumerate(alphas)])
 
 
 def evaluate(fit: PredictiveFit, y, x=None) -> EvalPoint:
@@ -106,10 +112,11 @@ def evaluate(fit: PredictiveFit, y, x=None) -> EvalPoint:
     """
     if x is not None and fit.rho_x is None:
         raise ConfigurationError("fit has no covariate structure; drop x")
-    dens = base_pdf(y, fit.base)
-    u = base_cdf(y, fit.base)
-    dens, u = _propagate(dens, u, fit.vseq, _alphas_for(fit, x),
-                         copulas.family_joint(fit.family))
+    if x is None and fit.rho_x is not None:
+        raise ConfigurationError("this fit conditions on covariates; pass x")
+    dens, u = propagate(base_pdf(y, fit.base), base_cdf(y, fit.base),
+                        fit.vseq, step_weights(fit.n, x, fit.xseq, fit.rho_x),
+                        copulas.family_joint(fit.family))
     return EvalPoint(density=dens, cdf=u)
 
 
@@ -162,9 +169,7 @@ def _fit_and_log_lik(data: SurvivalDataset, family: CopulaFamily, base, rho_x):
             alpha = alpha_regression(alpha, data.covariates[j], data.covariates,
                                      rho_x)
         v = np.clip(vseq[j], copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        d, i_part = joint_fn(u, v)
-        dens = dens * ((1.0 - alpha) + alpha * d)
-        u = (1.0 - alpha) * u + alpha * i_part
+        dens, u = update(dens, u, v, alpha, joint_fn)
     vclip = np.clip(vseq, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
     fit = PredictiveFit(family=family, base=base, vseq=vclip,
                         xseq=data.covariates if use_cov else None,

@@ -31,14 +31,13 @@ from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
 from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError, GridCoverageError
-from .predictive import PredictiveFit
+from .predictive import PredictiveFit, propagate, step_weights, update
 
 __all__ = [
     "GridSpec",
+    "log_grid",
     "default_grid",
     "PosteriorDraws",
-    "CovariateResampler",
-    "bootstrap_covariate",
     "predictive_resample",
     "martingale_posterior",
     "median_from_cdf",
@@ -75,14 +74,12 @@ class GridSpec:
         return float(self.points[-1] - self.points[0])
 
 
-def default_grid(data: SurvivalDataset, size: int = 100,
-                 include_zero: bool = True) -> GridSpec:
-    """Log-spaced grid out to 1.5x the largest recorded time.
+def log_grid(top: float, size: int = 100, include_zero: bool = True) -> GridSpec:
+    """`size` points log-spaced from top * 1e-4 to `top`.
 
-    `include_zero` prepends the origin (skip it for the log-normal base,
-    whose density lives on the open half-line).
+    `include_zero` makes the origin the first point (skip it for the
+    log-normal base, whose density lives on the open half-line).
     """
-    top = 1.5 * float(data.times.max())
     if include_zero:
         pts = np.concatenate([[0.0], np.geomspace(top * 1e-4, top, size - 1)])
     else:
@@ -90,28 +87,10 @@ def default_grid(data: SurvivalDataset, size: int = 100,
     return GridSpec(points=pts)
 
 
-@dataclass(frozen=True)
-class CovariateResampler:
-    """Pool of observed covariate rows for generating future covariates."""
-
-    pool: np.ndarray  # (n, d)
-
-    def __post_init__(self):
-        pool = np.atleast_2d(np.asarray(self.pool, dtype=float))
-        if pool.size == 0:
-            raise ConfigurationError("covariate pool is empty")
-        object.__setattr__(self, "pool", pool)
-
-
-def bootstrap_covariate(resampler: CovariateResampler, seed_or_rng):
-    """One future covariate row: Dirichlet(1, ..., 1) weights over the
-    pool (the chain-level weights), then a single weighted pick."""
-    gen = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else np.random.default_rng(seed_or_rng))
-    n = resampler.pool.shape[0]
-    weights = gen.dirichlet(np.ones(n))
-    idx = int(np.searchsorted(np.cumsum(weights), gen.random(), side="right"))
-    return resampler.pool[min(idx, n - 1)]
+def default_grid(data: SurvivalDataset, size: int = 100,
+                 include_zero: bool = True) -> GridSpec:
+    """`log_grid` out to 1.5x the largest recorded time."""
+    return log_grid(1.5 * float(data.times.max()), size, include_zero)
 
 
 def _bootstrap_picks(pool: np.ndarray, n_chains: int, n_steps: int,
@@ -235,22 +214,15 @@ def weighted_quantiles(values, weights, qs):
 def _start_rows(family, base, rho_x, v_matrix, xmat, points, x_target):
     """Propagate the base (density, cdf) values at `points` through the
     absorbed history of every particle: returns (B, len(points)) arrays."""
-    joint_fn = copulas.family_joint(family)
     n_steps, n_chains = v_matrix.shape
     points = np.atleast_1d(np.asarray(points, dtype=float))
     dens = np.tile(np.asarray(base_pdf(points, base), dtype=float),
                    (n_chains, 1))
     u = np.tile(np.asarray(base_cdf(points, base), dtype=float),
                 (n_chains, 1))
-    for j in range(n_steps):
-        alpha = float(alpha_schedule(j + 1))
-        if rho_x is not None:
-            alpha = alpha_regression(alpha, x_target, xmat[j], rho_x)
-        v = v_matrix[j][:, None]
-        d, i_part = joint_fn(u, v)
-        dens = dens * ((1.0 - alpha) + alpha * d)
-        u = (1.0 - alpha) * u + alpha * i_part
-    return dens, u
+    return propagate(dens, u, v_matrix[:, :, None],
+                     step_weights(n_steps, x_target, xmat, rho_x),
+                     copulas.family_joint(family))
 
 
 def _forward(family, rho_x, dens, u, n_absorbed, n_extra, grid, seed,
@@ -274,9 +246,7 @@ def _forward(family, rho_x, dens, u, n_absorbed, n_extra, grid, seed,
             alpha = alpha_regression(alpha, x_target, x_drawn, rho_x)[:, None]
         v = rng.uniforms(seed, rng.STREAM_FORWARD, t, n_chains)
         v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)[:, None]
-        d, i_part = joint_fn(u, v)
-        dens = dens * ((1.0 - alpha) + alpha * d)
-        u = (1.0 - alpha) * u + alpha * i_part
+        dens, u = update(dens, u, v, alpha, joint_fn)
         w1[:, t + 1] = wasserstein1(u, start, grid)
     return dens, u, w1
 

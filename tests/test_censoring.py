@@ -5,12 +5,11 @@ from scipy.integrate import quad
 
 import copsurv as cs
 from copsurv.censoring import (
+    diagnostic_rows,
     ess,
     ess_from_log_weights,
     impute_smc,
-    log_marginal_likelihood,
     systematic_indices,
-    systematic_resample,
 )
 from copsurv.copulas import ClaytonFamily, alpha_schedule
 from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
@@ -20,6 +19,11 @@ from copsurv.predictive import prequential_log_lik
 from conftest import make_dataset
 
 FAMILY = ClaytonFamily(1.0)
+
+
+def _rows(ensemble):
+    return diagnostic_rows(ensemble.ess_trace, ensemble.unique_trace,
+                           ensemble.resample_steps)
 
 
 class TestEss:
@@ -68,12 +72,14 @@ class TestSystematicResample:
             counts += np.bincount(idx, minlength=b)
         assert_allclose(counts / reps, b * w, rtol=0.01)
 
-    def test_public_wrapper_resets_weights(self, censored_exp50):
-        ensemble = impute_smc(censored_exp50, FAMILY, n_particles=64, seed=1)
-        res = systematic_resample(ensemble, np.random.default_rng(0))
-        assert np.all(res.log_weights == 0.0)
-        assert res.final_ess == 64.0
-        assert res.v_matrix.shape == ensemble.v_matrix.shape
+    def test_final_resample_resets_weights(self, censored_exp50):
+        # ess_frac = 1 resamples after the last record too
+        ensemble = impute_smc(censored_exp50, FAMILY, n_particles=64,
+                              ess_frac=1.0, seed=1)
+        assert ensemble.resample_steps[-1] == censored_exp50.n - 1
+        assert np.all(ensemble.log_weights == 0.0)
+        assert ensemble.final_ess == 64.0
+        assert ensemble.v_matrix.shape == (censored_exp50.n, 64)
 
 
 class TestFullyObservedCollapse:
@@ -83,7 +89,7 @@ class TestFullyObservedCollapse:
         assert_allclose(ensemble.ess_trace, b, rtol=1e-12)
         assert ensemble.resample_steps == []
         preq = prequential_log_lik(uncensored_exp50, FAMILY)
-        assert abs(log_marginal_likelihood(ensemble) - preq) < 1e-12
+        assert abs(ensemble.log_z - preq) < 1e-12
         # all particles identical
         assert np.all(ensemble.v_matrix == ensemble.v_matrix[:, :1])
 
@@ -94,7 +100,7 @@ class TestSingleCensoredRecord:
         data = make_dataset([c], [0])
         ensemble = impute_smc(data, FAMILY, n_particles=256, seed=5)
         p0c = float(lomax_cdf(c, LomaxParams(1.0, 1.0)))
-        assert_allclose(log_marginal_likelihood(ensemble), np.log1p(-p0c),
+        assert_allclose(ensemble.log_z, np.log1p(-p0c),
                         rtol=1e-12)
         assert ensemble.final_ess == 256.0
         assert np.all(ensemble.imputed[0] > p0c)
@@ -120,7 +126,7 @@ class TestQuadratureOracle:
 
         data = make_dataset([c, y2], [0, 1])
         ensemble = impute_smc(data, FAMILY, n_particles=40_000, seed=11)
-        z_smc = np.exp(log_marginal_likelihood(ensemble))
+        z_smc = np.exp(ensemble.log_z)
         assert_allclose(z_smc, z_exact, rtol=0.02)
 
     def test_observed_then_censored_is_deterministic(self):
@@ -136,20 +142,20 @@ class TestQuadratureOracle:
         p1c = (1 - alpha1) * float(lomax_cdf(c, base)) \
             + alpha1 * cs.clayton_partial(float(lomax_cdf(c, base)), v1, a)
         expected = np.log(lomax_pdf(y1, base)) + np.log1p(-p1c)
-        assert_allclose(log_marginal_likelihood(ensemble), expected, rtol=1e-12)
+        assert_allclose(ensemble.log_z, expected, rtol=1e-12)
 
 
 class TestResamplingBehaviour:
     def test_fires_exactly_below_threshold(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=200, seed=4)
         b = 200
-        for step, ess_val, _unique, resampled in ensemble.diagnostic_rows():
+        for step, ess_val, _unique, resampled in _rows(ensemble):
             assert resampled == (ess_val < 0.5 * b)
 
     def test_ess_frac_one_resamples_when_below_b(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=50,
                               ess_frac=1.0, seed=4)
-        for step, ess_val, _unique, resampled in ensemble.diagnostic_rows():
+        for step, ess_val, _unique, resampled in _rows(ensemble):
             assert resampled == (ess_val < 50.0)
         assert len(ensemble.resample_steps) > 0
 
@@ -179,24 +185,25 @@ class TestResamplingBehaviour:
 class TestImputedDraws:
     def test_strictly_exceed_censoring_cdf(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=64, seed=13)
-        # replay: rebuild each particle's P_{i-1}(c_i) from its own fit
+        # replay: rebuild each particle's P_{i-1}(c_i) from its own column
         for j in (0, 17, 51):
-            particle = ensemble.particle(j)
-            for rec_idx, u in particle.imputed_u.items():
+            for rec_idx, draws in ensemble.imputed.items():
                 head = cs.PredictiveFit(
                     family=ensemble.family, base=ensemble.base,
-                    vseq=particle.fit.vseq[:rec_idx],
+                    vseq=ensemble.v_matrix[:rec_idx, j],
                 )
                 cdf_at_c = cs.evaluate(head, ensemble.times[rec_idx]).cdf
-                assert u > cdf_at_c
+                assert draws[j] > cdf_at_c
 
     def test_particle_views_consistent(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=16, seed=13)
-        particles = ensemble.particles
-        assert len(particles) == 16
-        assert particles[3].fit.n == censored_exp50.n
+        assert ensemble.n_particles == 16
+        fit = cs.PredictiveFit(family=ensemble.family, base=ensemble.base,
+                               vseq=ensemble.v_matrix[:, 3])
+        assert fit.n == censored_exp50.n
         censored_idx = set(np.nonzero(censored_exp50.status == 0)[0])
-        assert set(particles[0].imputed_u) == censored_idx
+        assert set(ensemble.imputed) == censored_idx
+        assert all(u.shape == (16,) for u in ensemble.imputed.values())
 
 
 class TestDegeneracy:

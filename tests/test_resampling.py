@@ -4,13 +4,26 @@ from numpy.testing import assert_allclose
 
 import copsurv as cs
 from copsurv.censoring import impute_smc
-from copsurv.copulas import ClaytonFamily, GaussianFamily
+from copsurv.copulas import (
+    ClaytonFamily,
+    GaussianFamily,
+    alpha_regression,
+    alpha_schedule,
+    family_joint,
+)
+from copsurv.distributions import base_cdf, base_pdf
 from copsurv.errors import ConfigurationError, GridCoverageError
-from copsurv.predictive import evaluate, fit_uncensored
+from copsurv.predictive import (
+    PredictiveFit,
+    evaluate,
+    fit_uncensored,
+    new_fit,
+    propagate,
+    step_weights,
+)
 from copsurv.resampling import (
-    CovariateResampler,
     GridSpec,
-    bootstrap_covariate,
+    _bootstrap_picks,
     default_grid,
     ensemble_eval,
     ensemble_grid_rows,
@@ -91,13 +104,15 @@ class TestMedianFromCdf:
 
 class TestBootstrapCovariate:
     def test_single_row_pool(self):
-        pool = CovariateResampler(np.array([[3.0, 1.0]]))
-        row = bootstrap_covariate(pool, np.random.default_rng(0))
-        assert np.array_equal(row, [3.0, 1.0])
+        pool = np.array([[3.0, 1.0]])
+        picks = _bootstrap_picks(pool, n_chains=5, n_steps=4, seed=0)
+        assert np.array_equal(pool[picks], np.broadcast_to(pool[0], (4, 5, 2)))
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CovariateResampler(np.empty((0, 2)))
+        fit = new_fit(GaussianFamily(0.5), rho_x=0.5)
+        grid = GridSpec(np.geomspace(0.01, 4.0, 8))
+        with pytest.raises(ConfigurationError, match="pool is empty"):
+            predictive_resample(fit, 3, grid, x_target=np.array([0.0]), seed=0)
 
     def test_chain_weights_sum_to_one(self):
         from copsurv.rng import STREAM_BOOTSTRAP_DIR, dirichlet_uniform
@@ -107,8 +122,6 @@ class TestBootstrapCovariate:
         assert np.all(w >= 0)
 
     def test_marginal_uniformity(self):
-        from copsurv.resampling import _bootstrap_picks
-
         pool = np.arange(4.0)[:, None]
         picks = _bootstrap_picks(pool, n_chains=100_000, n_steps=1, seed=3)
         freq = np.bincount(picks[0], minlength=4) / 100_000
@@ -150,9 +163,10 @@ class TestMartingalePosterior:
         draws = martingale_posterior(ensemble, 100, grid, seed=3)
         assert_allclose(draws.weights, 1.0 / 32, rtol=1e-12)
         # chain 0 must equal a single-fit forward run with the same seed
-        fit = ensemble.particle(0).fit
+        fit = PredictiveFit(family=ensemble.family, base=ensemble.base,
+                            vseq=ensemble.v_matrix[:, 0])
         single = predictive_resample(fit, 100, grid, seed=3)
-        assert_allclose(draws.cdf_draws[0], single.cdf, rtol=1e-12)
+        assert np.array_equal(draws.cdf_draws[0], single.cdf)
 
     def test_forward_mean_preserves_start(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=500, seed=3)
@@ -231,3 +245,72 @@ class TestWeightedHelpers:
     def test_weighted_mean_constant_exact(self):
         w = np.random.default_rng(1).random(999)
         assert weighted_mean(np.ones(999), w) == 1.0
+
+
+def reference_grid_rows(ensemble, points, x_target):
+    """The recursion written out step by step, one scalar weight per step:
+    the reference that `propagate` with `step_weights` must reproduce."""
+    joint_fn = family_joint(ensemble.family)
+    n_steps, n_chains = ensemble.v_matrix.shape
+    dens = np.tile(base_pdf(points, ensemble.base), (n_chains, 1))
+    u = np.tile(base_cdf(points, ensemble.base), (n_chains, 1))
+    for j in range(n_steps):
+        alpha = float(alpha_schedule(j + 1))
+        if ensemble.rho_x is not None:
+            alpha = alpha_regression(alpha, x_target, ensemble.covariates[j],
+                                     ensemble.rho_x)
+        v = ensemble.v_matrix[j][:, None]
+        d, i_part = joint_fn(u, v)
+        dens = dens * ((1.0 - alpha) + alpha * d)
+        u = (1.0 - alpha) * u + alpha * i_part
+    return dens, u
+
+
+@pytest.fixture
+def clayton_case(censored_exp50):
+    ensemble = impute_smc(censored_exp50, FAMILY, n_particles=64, seed=5)
+    grid = GridSpec(np.concatenate([[0.0], np.geomspace(0.01, 8.0, 15)]))
+    return ensemble, grid, None
+
+
+@pytest.fixture
+def gaussian_case():
+    rng = np.random.default_rng(4)
+    n = 30
+    x = rng.normal(size=(n, 1))
+    y = np.exp(0.4 * x[:, 0]) * rng.exponential(1.0, n)
+    s = (rng.random(n) > 0.3).astype(int)
+    data = cs.permute(cs.standardize(make_dataset(y, s, covariates=x)), 4)
+    ensemble = impute_smc(data, GaussianFamily(0.5), rho_x=0.6,
+                          n_particles=48, seed=4)
+    grid = GridSpec(np.geomspace(0.01, 8.0, 15))
+    return ensemble, grid, np.array([-1.3])
+
+
+@pytest.mark.parametrize("case", ["clayton_case", "gaussian_case"])
+class TestOneFitIsOneColumn:
+    def test_column_fit_matches_grid_row(self, case, request):
+        ensemble, grid, x = request.getfixturevalue(case)
+        dens_rows, cdf_rows = ensemble_grid_rows(ensemble, grid, x)
+        xseq = ensemble.covariates if ensemble.rho_x is not None else None
+        for j in (0, 7, ensemble.n_particles - 1):
+            fit = PredictiveFit(family=ensemble.family, base=ensemble.base,
+                                vseq=ensemble.v_matrix[:, j], xseq=xseq,
+                                rho_x=ensemble.rho_x)
+            point = evaluate(fit, grid.points, x)
+            assert np.array_equal(point.density, dens_rows[j])
+            assert np.array_equal(point.cdf, cdf_rows[j])
+
+    def test_propagate_matches_reference_loop(self, case, request):
+        ensemble, grid, x = request.getfixturevalue(case)
+        ref_dens, ref_cdf = reference_grid_rows(ensemble, grid.points, x)
+        n_steps, n_chains = ensemble.v_matrix.shape
+        dens, cdf = propagate(
+            np.tile(base_pdf(grid.points, ensemble.base), (n_chains, 1)),
+            np.tile(base_cdf(grid.points, ensemble.base), (n_chains, 1)),
+            ensemble.v_matrix[:, :, None],
+            step_weights(n_steps, x, ensemble.covariates, ensemble.rho_x),
+            family_joint(ensemble.family),
+        )
+        assert np.array_equal(dens, ref_dens)
+        assert np.array_equal(cdf, ref_cdf)
