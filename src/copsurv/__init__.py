@@ -58,22 +58,13 @@ from .parametric import (
     posterior_update,
     tune_a0,
 )
-from .predictive import (
-    EvalPoint,
-    PredictiveFit,
-    absorb,
-    evaluate,
-    fit_uncensored,
-    new_fit,
-    prequential_log_lik,
-)
+from .predictive import prequential_log_lik
 from .resampling import (
     GridSpec,
     PosteriorDraws,
     default_grid,
     martingale_posterior,
     median_from_cdf,
-    predictive_resample,
     wasserstein1,
 )
 from .tune import TuneGrid, TuneResult, grid_search

@@ -16,14 +16,15 @@ log-likelihood when there is no censoring at all.
 
 The loop is generic over a small particle-state "engine" so that the exact
 conjugate predictive (see `parametric`) runs through the identical code
-path as the copula predictive.  All randomness comes from counter-based
-streams keyed by (seed, stream, record index), so results are bit-identical
-regardless of execution order or worker count.
+path as the copula predictive; both ensembles extend the pass result
+`SmcPass` with their own particle state.  All randomness comes from
+counter-based streams keyed by (seed, stream, record index), so a pass is
+a pure function of (data, particle count, seed) and reruns bit-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -36,6 +37,7 @@ from .errors import ConfigurationError, DegeneracyError
 from .predictive import propagate, step_weights
 
 __all__ = [
+    "SmcPass",
     "ParticleEnsemble",
     "impute_smc",
     "ess",
@@ -96,71 +98,63 @@ def diagnostic_rows(ess_trace, unique_trace, resample_steps):
 
 
 # ---------------------------------------------------------------------------
-# Ensemble containers
+# Pass results
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ParticleEnsemble:
-    """Weighted particle system after one full pass over the data.
+class SmcPass:
+    """Weights and traces of one SMC pass over the records.
 
-    `v_matrix[i, j]` is particle j's propagation value for record i, so a
-    column is exactly the `vseq` of that particle's `PredictiveFit`, and
-    `imputed[i][j]` the u it drew for censored record i.
     Traces are per processed record: the ESS of the weights after the
     record's update, and the number of distinct surviving ancestries.
+    `imputed[i]` holds each particle's u draw for censored record i.
     """
 
-    family: CopulaFamily
-    base: object
-    rho_x: float | None
-    times: np.ndarray
-    status: np.ndarray
-    covariates: np.ndarray | None
-    perm: np.ndarray | None
-    v_matrix: np.ndarray  # (n, B)
     log_weights: np.ndarray  # (B,)
+    log_z: float
     ess_trace: np.ndarray  # (n,)
     unique_trace: np.ndarray  # (n,)
-    resample_steps: list = field(default_factory=list)
-    log_z: float = 0.0
-    imputed: dict = field(default_factory=dict)  # record index -> (B,) draws
-    seed: int = 0
-    ess_frac: float = 0.5
+    resample_steps: list
+    imputed: dict  # record index -> (B,) draws
 
     @property
     def n_particles(self) -> int:
-        return self.v_matrix.shape[1]
-
-    @property
-    def n_records(self) -> int:
-        return self.v_matrix.shape[0]
+        return self.log_weights.size
 
     @property
     def weights(self) -> np.ndarray:
-        lw = self.log_weights - logsumexp(self.log_weights)
-        return np.exp(lw)
+        return np.exp(self.log_weights - logsumexp(self.log_weights))
 
     @property
     def final_ess(self) -> float:
         return ess_from_log_weights(self.log_weights)
 
 
+@dataclass
+class ParticleEnsemble(SmcPass):
+    """Weighted copula particle system after one full pass over the data.
+
+    `v_matrix[i, j]` is particle j's propagation value for record i, so a
+    column is one fitted predictive: a single fit is a one-column
+    ensemble with unit weight.
+    """
+
+    family: CopulaFamily
+    rho_x: float | None
+    covariates: np.ndarray | None
+    v_matrix: np.ndarray  # (n, B)
+
+    @property
+    def n_records(self) -> int:
+        return self.v_matrix.shape[0]
+
+
 # ---------------------------------------------------------------------------
 # Generic SMC loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _LoopResult:
-    log_weights: np.ndarray
-    log_z: float
-    ess_trace: np.ndarray
-    unique_trace: np.ndarray
-    resample_steps: list
-    imputed: dict
-
-
 def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
-                 seed: int) -> _LoopResult:
+                 seed: int) -> SmcPass:
     """Drive an engine through the records with IS weighting and
     ESS-triggered systematic resampling.
 
@@ -223,9 +217,9 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
             resample_steps.append(i)
         unique_trace[i] = np.unique(ancestry).size
     log_z += logsumexp(log_w) - np.log(b)
-    return _LoopResult(log_weights=log_w, log_z=float(log_z),
-                       ess_trace=ess_trace, unique_trace=unique_trace,
-                       resample_steps=resample_steps, imputed=imputed)
+    return SmcPass(log_weights=log_w, log_z=float(log_z),
+                   ess_trace=ess_trace, unique_trace=unique_trace,
+                   resample_steps=resample_steps, imputed=imputed)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +230,9 @@ class _CopulaEngine:
     """Vectorized particle state for the copula predictive: one shared
     covariate table, per-particle propagation values."""
 
-    def __init__(self, family, base, rho_x, covariates, n_records, n_particles):
+    def __init__(self, family, rho_x, covariates, n_records, n_particles):
         self.joint_fn = copulas.family_joint(family)
-        self.base = base
+        self.base = copulas.default_base(family)
         self.rho_x = rho_x
         self.covariates = covariates
         self.v = np.empty((n_records, n_particles))
@@ -267,7 +261,7 @@ class _CopulaEngine:
         self.v[: self.steps] = self.v[: self.steps][:, idx]
 
 
-def impute_smc(data: SurvivalDataset, family: CopulaFamily, base=None,
+def impute_smc(data: SurvivalDataset, family: CopulaFamily,
                rho_x: float | None = None, n_particles: int = 2000,
                ess_frac: float = 0.5, seed: int = 0) -> ParticleEnsemble:
     """Impute right-censored records under the copula predictive.
@@ -277,29 +271,11 @@ def impute_smc(data: SurvivalDataset, family: CopulaFamily, base=None,
     resampling step indices, and the accumulated marginal-likelihood
     estimate.
     """
-    if base is None:
-        base = copulas.default_base(family)
     if rho_x is not None and data.covariates is None:
         raise ConfigurationError("rho_x given but the dataset has no covariates")
-    engine = _CopulaEngine(family, base, rho_x, data.covariates, data.n,
-                           n_particles)
+    engine = _CopulaEngine(family, rho_x, data.covariates, data.n, n_particles)
     result = run_smc_loop(engine, data.times, data.status, n_particles,
                           ess_frac, seed)
-    return ParticleEnsemble(
-        family=family,
-        base=base,
-        rho_x=rho_x,
-        times=data.times,
-        status=data.status,
-        covariates=data.covariates,
-        perm=data.perm,
-        v_matrix=engine.v,
-        log_weights=result.log_weights,
-        ess_trace=result.ess_trace,
-        unique_trace=result.unique_trace,
-        resample_steps=result.resample_steps,
-        log_z=result.log_z,
-        imputed=result.imputed,
-        seed=seed,
-        ess_frac=ess_frac,
-    )
+    return ParticleEnsemble(family=family, rho_x=rho_x,
+                            covariates=data.covariates, v_matrix=engine.v,
+                            **vars(result))

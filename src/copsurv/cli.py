@@ -68,8 +68,6 @@ class Opt:
 
 COMMON_OPTS = [
     Opt("seed", int, required=True, help="master seed (mandatory; no wall-clock default)"),
-    Opt("threads", int, default=1,
-        help="worker-parallelism cap; results are independent of its value"),
     Opt("output-dir", str, default=".", help="directory for all output files"),
 ]
 
@@ -267,12 +265,12 @@ def _family_meta(family, rho_x):
 
 
 def _write_meta(outdir, command, cfg, extra):
-    # threads and output-dir are execution details, not result config:
-    # with them excluded, reruns into fresh directories stay byte-identical.
-    skip = ("threads", "output_dir")
+    # output-dir is an execution detail, not result config: with it
+    # excluded, reruns into fresh directories stay byte-identical.
     meta = {
         "command": command,
-        "config": {k: _jsonable(v) for k, v in cfg.items() if k not in skip},
+        "config": {k: _jsonable(v) for k, v in cfg.items()
+                   if k != "output_dir"},
         **{k: _jsonable(v) for k, v in extra.items()},
     }
     path = outdir / "run_meta.json"

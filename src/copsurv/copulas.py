@@ -40,7 +40,6 @@ __all__ = [
     "alpha_schedule",
     "alpha_regression",
     "default_base",
-    "check_family_base",
 ]
 
 # Single global clamping constant so density and partial stay consistent.
@@ -239,9 +238,3 @@ def default_base(family: CopulaFamily):
         return LomaxParams(shape=family.bandwidth, scale=1.0)
     return LogNormalBaseParams(rho=family.rho)
 
-
-def check_family_base(family: CopulaFamily, base):
-    if isinstance(family, ClaytonFamily) and not isinstance(base, LomaxParams):
-        raise ConfigurationError("Clayton kernel requires a Lomax base measure")
-    if isinstance(family, GaussianFamily) and not isinstance(base, LogNormalBaseParams):
-        raise ConfigurationError("Gaussian kernel requires a log-normal base measure")

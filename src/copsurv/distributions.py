@@ -1,9 +1,8 @@
 """Closed-form distributions backing the predictive updates.
 
-Only the four families the method actually needs: Lomax (Pareto II) as the
-base measure and conjugate posterior predictive on the positive reals, the
-heavy log-normal base for the Gaussian-kernel variant, the standard normal
-CDF/quantile pair, and the exponential used by simulation and oracles.
+Only the two families the method actually needs: Lomax (Pareto II) as the
+base measure and conjugate posterior predictive on the positive reals, and
+the heavy log-normal base for the Gaussian-kernel variant.
 
 Parameter containers accept scalars or numpy arrays, so the same formulas
 serve both a single fitted state and a whole particle ensemble.
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import ConfigurationError
 
@@ -26,14 +25,8 @@ __all__ = [
     "lomax_inv_cdf",
     "lognormal_base_pdf",
     "lognormal_base_cdf",
-    "lognormal_base_inv_cdf",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "exponential_pdf",
-    "exponential_survival",
     "base_pdf",
     "base_cdf",
-    "base_inv_cdf",
 ]
 
 
@@ -117,40 +110,6 @@ def lognormal_base_cdf(y, p: LogNormalBaseParams):
     return ndtr(z)
 
 
-def lognormal_base_inv_cdf(u, p: LogNormalBaseParams):
-    return np.exp(p.log_sd * std_normal_quantile(u))
-
-
-# ---------------------------------------------------------------------------
-# Standard normal
-# ---------------------------------------------------------------------------
-
-def std_normal_cdf(z):
-    """Phi(z) via scipy's Cephes ndtr (abs error well below 1e-9)."""
-    return ndtr(np.asarray(z, dtype=float))
-
-
-def std_normal_quantile(u):
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1):
-        raise ValueError("u must lie in (0, 1)")
-    return ndtri(u)
-
-
-# ---------------------------------------------------------------------------
-# Exponential (simulation and conjugate oracle)
-# ---------------------------------------------------------------------------
-
-def exponential_pdf(y, rate):
-    y = _check_nonneg(y)
-    return rate * np.exp(-rate * y)
-
-
-def exponential_survival(y, rate):
-    y = _check_nonneg(y)
-    return np.exp(-rate * y)
-
-
 # ---------------------------------------------------------------------------
 # Base-measure dispatch used by the predictive recursion
 # ---------------------------------------------------------------------------
@@ -177,8 +136,3 @@ def base_cdf(y, base: BaseMeasure):
         return lomax_cdf(y, base)
     return lognormal_base_cdf(y, base)
 
-
-def base_inv_cdf(u, base: BaseMeasure):
-    if isinstance(base, LomaxParams):
-        return lomax_inv_cdf(u, base)
-    return lognormal_base_inv_cdf(u, base)

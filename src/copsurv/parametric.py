@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln, logsumexp
+from scipy.special import gammaincc, gammainccinv, gammaln
 
 from . import rng
-from .censoring import ess_from_log_weights, run_smc_loop
+from .censoring import SmcPass, run_smc_loop
 from .dataio import SurvivalDataset
 from .distributions import LomaxParams
 from .errors import ConfigurationError
@@ -178,32 +178,15 @@ class _ConjugateEngine:
 
 
 @dataclass
-class ConjugateEnsemble:
-    """Weighted conjugate-posterior particles after the imputation pass."""
+class ConjugateEnsemble(SmcPass):
+    """Weighted conjugate-posterior particles after the imputation pass;
+    `imputed_times[i]` maps each particle's u draw for censored record i
+    to its time."""
 
     model: ConjugateModel
     a: np.ndarray  # (B,)
     b: np.ndarray  # (B,)
-    log_weights: np.ndarray
-    ess_trace: np.ndarray
-    unique_trace: np.ndarray
-    resample_steps: list
-    log_z: float
-    imputed_u: dict
     imputed_times: dict
-    seed: int
-
-    @property
-    def n_particles(self) -> int:
-        return self.a.size
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights - logsumexp(self.log_weights))
-
-    @property
-    def final_ess(self) -> float:
-        return ess_from_log_weights(self.log_weights)
 
 
 def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
@@ -213,19 +196,9 @@ def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
     engine = _ConjugateEngine(model, n_particles)
     result = run_smc_loop(engine, data.times, data.status, n_particles,
                           ess_frac, seed)
-    return ConjugateEnsemble(
-        model=model,
-        a=engine.a,
-        b=engine.b,
-        log_weights=result.log_weights,
-        ess_trace=result.ess_trace,
-        unique_trace=result.unique_trace,
-        resample_steps=result.resample_steps,
-        log_z=result.log_z,
-        imputed_u=result.imputed,
-        imputed_times=engine.imputed_times,
-        seed=seed,
-    )
+    return ConjugateEnsemble(model=model, a=engine.a, b=engine.b,
+                             imputed_times=engine.imputed_times,
+                             **vars(result))
 
 
 # ---------------------------------------------------------------------------

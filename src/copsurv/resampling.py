@@ -13,15 +13,14 @@ sample.
 Convergence is tracked by the Wasserstein-1 distance between the running
 and starting CDF rows, which settles to a constant as the future grows.
 
-Chains are conceptually independent and parallel; the implementation
-vectorizes them, drawing every chain's step-t uniform from the same
-counter-based stream, so results never depend on worker count.
+Chains are conceptually independent; the implementation vectorizes
+them, drawing chain j's step-t uniform as element j of one counter-based
+stream, so a chain's draw does not depend on how many other chains run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +30,13 @@ from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
 from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError, GridCoverageError
-from .predictive import PredictiveFit, propagate, step_weights, update
+from .predictive import propagate, step_weights, update
 
 __all__ = [
     "GridSpec",
     "log_grid",
     "default_grid",
     "PosteriorDraws",
-    "predictive_resample",
     "martingale_posterior",
     "median_from_cdf",
     "wasserstein1",
@@ -140,12 +138,6 @@ def median_from_cdf(cdf_row, grid: GridSpec) -> float:
     return float(pts[j - 1] + (0.5 - c0) * (pts[j] - pts[j - 1]) / (c1 - c0))
 
 
-class ForwardDraw(NamedTuple):
-    cdf: np.ndarray
-    density: np.ndarray
-    w1_trajectory: np.ndarray
-
-
 @dataclass
 class PosteriorDraws:
     """Weighted martingale-posterior sample of grid-evaluated functionals.
@@ -211,38 +203,38 @@ def weighted_quantiles(values, weights, qs):
 # Vectorized forward core
 # ---------------------------------------------------------------------------
 
-def _start_rows(family, base, rho_x, v_matrix, xmat, points, x_target):
+def _start_rows(ensemble: ParticleEnsemble, points, x_target):
     """Propagate the base (density, cdf) values at `points` through the
     absorbed history of every particle: returns (B, len(points)) arrays."""
-    n_steps, n_chains = v_matrix.shape
+    base = copulas.default_base(ensemble.family)
+    n_steps, n_chains = ensemble.v_matrix.shape
     points = np.atleast_1d(np.asarray(points, dtype=float))
     dens = np.tile(np.asarray(base_pdf(points, base), dtype=float),
                    (n_chains, 1))
     u = np.tile(np.asarray(base_cdf(points, base), dtype=float),
                 (n_chains, 1))
-    return propagate(dens, u, v_matrix[:, :, None],
-                     step_weights(n_steps, x_target, xmat, rho_x),
-                     copulas.family_joint(family))
+    return propagate(dens, u, ensemble.v_matrix[:, :, None],
+                     step_weights(n_steps, x_target, ensemble.covariates,
+                                  ensemble.rho_x),
+                     copulas.family_joint(ensemble.family))
 
 
-def _forward(family, rho_x, dens, u, n_absorbed, n_extra, grid, seed,
-             cov_pool, x_target):
+def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
+             x_target):
     """Advance every chain n_extra steps; mutates and returns the rows
     plus the per-chain Wasserstein-1 trajectory."""
-    joint_fn = copulas.family_joint(family)
+    joint_fn = copulas.family_joint(ensemble.family)
+    rho_x = ensemble.rho_x
     n_chains = dens.shape[0]
     start = u.copy()
     w1 = np.zeros((n_chains, n_extra + 1))
-    picks = None
     if rho_x is not None and n_extra > 0:
-        if cov_pool is None or cov_pool.shape[0] == 0:
-            raise ConfigurationError("covariate pool is empty")
-        picks = _bootstrap_picks(cov_pool, n_chains, n_extra, seed)
+        picks = _bootstrap_picks(ensemble.covariates, n_chains, n_extra, seed)
     for t in range(n_extra):
-        step_index = n_absorbed + t + 1
+        step_index = ensemble.n_records + t + 1
         alpha = float(alpha_schedule(step_index))
         if rho_x is not None:
-            x_drawn = cov_pool[picks[t]]
+            x_drawn = ensemble.covariates[picks[t]]
             alpha = alpha_regression(alpha, x_target, x_drawn, rho_x)[:, None]
         v = rng.uniforms(seed, rng.STREAM_FORWARD, t, n_chains)
         v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)[:, None]
@@ -257,18 +249,14 @@ def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
     grid, shape (B, G) each; the importance-weighted mixture of these is
     the point predictive."""
     _check_target(ensemble.rho_x, x_target)
-    return _start_rows(ensemble.family, ensemble.base, ensemble.rho_x,
-                       ensemble.v_matrix, ensemble.covariates, grid.points,
-                       x_target)
+    return _start_rows(ensemble, grid.points, x_target)
 
 
 def ensemble_eval(ensemble: ParticleEnsemble, y: float, x_target=None):
     """Per-particle (density, cdf) of the fitted predictive at one time,
     shape (B,) each."""
     _check_target(ensemble.rho_x, x_target)
-    dens, u = _start_rows(ensemble.family, ensemble.base, ensemble.rho_x,
-                          ensemble.v_matrix, ensemble.covariates, [y],
-                          x_target)
+    dens, u = _start_rows(ensemble, [y], x_target)
     return dens[:, 0], u[:, 0]
 
 
@@ -291,26 +279,6 @@ def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
     return float(total / test.n)
 
 
-def predictive_resample(fit: PredictiveFit, n_extra: int, grid: GridSpec,
-                        x_target=None, seed: int = 0) -> ForwardDraw:
-    """One forward chain from a fitted predictive.
-
-    Returns the grid rows of the final (cdf, density) and the
-    Wasserstein-1 trajectory against the starting CDF.  n_extra = 0
-    returns the fitted rows unchanged with a zero trajectory.
-    """
-    if n_extra < 0:
-        raise ConfigurationError("n_extra must be nonnegative")
-    _check_target(fit.rho_x, x_target)
-    v_matrix = fit.vseq[:, None]
-    dens, u = _start_rows(fit.family, fit.base, fit.rho_x, v_matrix, fit.xseq,
-                          grid.points, x_target)
-    pool = fit.xseq if fit.rho_x is not None else None
-    dens, u, w1 = _forward(fit.family, fit.rho_x, dens, u, fit.n, n_extra,
-                           grid, seed, pool, x_target)
-    return ForwardDraw(cdf=u[0], density=dens[0], w1_trajectory=w1[0])
-
-
 def _check_target(rho_x, x_target):
     if (x_target is not None) and rho_x is None:
         raise ConfigurationError("fit has no covariate structure; drop x_target")
@@ -326,8 +294,8 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
 
     `n_extra = None` picks the standard horizon (2000 without covariates,
     10000 with).  Chains are driven by counter-based streams, so the
-    result is bit-identical for a given (seed, ensemble) regardless of
-    parallelism.
+    result is bit-identical for a given (seed, ensemble), and a chain's
+    draw does not depend on how many other chains run.
     """
     _check_target(ensemble.rho_x, x_target)
     if n_extra is None:
@@ -335,13 +303,8 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
                    else DEFAULT_N_EXTRA)
     if n_extra < 0:
         raise ConfigurationError("n_extra must be nonnegative")
-    dens, u = _start_rows(ensemble.family, ensemble.base, ensemble.rho_x,
-                          ensemble.v_matrix, ensemble.covariates, grid.points,
-                          x_target)
-    pool = ensemble.covariates if ensemble.rho_x is not None else None
-    dens, u, w1 = _forward(ensemble.family, ensemble.rho_x, dens, u,
-                           ensemble.n_records, n_extra, grid, seed, pool,
-                           x_target)
+    dens, u = _start_rows(ensemble, grid.points, x_target)
+    dens, u, w1 = _forward(ensemble, dens, u, n_extra, grid, seed, x_target)
     medians = np.array([median_from_cdf(u[j], grid) for j in range(u.shape[0])])
     return PosteriorDraws(
         grid=grid,

@@ -3,8 +3,8 @@
 Every stochastic step of the samplers draws from a Philox generator keyed
 by (master seed, stream tag, step index); within a stream the counter
 enumerates particles/chains.  A draw therefore depends only on those three
-integers, never on execution order or worker count, which is what makes
-ensemble runs bit-reproducible under any degree of parallelism.
+integers and its position in the stream, so runs are bit-reproducible and
+a chain's draw does not depend on how many other chains run.
 """
 
 from __future__ import annotations

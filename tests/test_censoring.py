@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,10 +13,11 @@ from copsurv.censoring import (
     impute_smc,
     systematic_indices,
 )
-from copsurv.copulas import ClaytonFamily, alpha_schedule
+from copsurv.copulas import ClaytonFamily, GaussianFamily, alpha_schedule
 from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError, DegeneracyError
 from copsurv.predictive import prequential_log_lik
+from copsurv.resampling import ensemble_eval
 
 from conftest import make_dataset
 
@@ -82,16 +85,31 @@ class TestSystematicResample:
         assert ensemble.v_matrix.shape == (censored_exp50.n, 64)
 
 
+def _assert_collapses_to_prequential(data, family, rho_x=None):
+    b = 100
+    ensemble = impute_smc(data, family, rho_x=rho_x, n_particles=b, seed=3)
+    assert_allclose(ensemble.ess_trace, b, rtol=1e-12)
+    assert ensemble.resample_steps == []
+    preq = prequential_log_lik(data, family, rho_x=rho_x)
+    assert abs(ensemble.log_z - preq) < 1e-12
+    # all particles identical
+    assert np.all(ensemble.v_matrix == ensemble.v_matrix[:, :1])
+
+
 class TestFullyObservedCollapse:
     def test_ess_b_no_resample_logz_equals_prequential(self, uncensored_exp50):
-        b = 100
-        ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=b, seed=3)
-        assert_allclose(ensemble.ess_trace, b, rtol=1e-12)
-        assert ensemble.resample_steps == []
-        preq = prequential_log_lik(uncensored_exp50, FAMILY)
-        assert abs(ensemble.log_z - preq) < 1e-12
-        # all particles identical
-        assert np.all(ensemble.v_matrix == ensemble.v_matrix[:, :1])
+        _assert_collapses_to_prequential(uncensored_exp50, FAMILY)
+
+    @pytest.mark.parametrize("family", [FAMILY, GaussianFamily(0.5)],
+                             ids=["clayton", "gaussian"])
+    def test_covariate_logz_equals_prequential(self, family):
+        # the prequential score passes the absorbed row first to
+        # alpha_regression, the SMC engine the evaluated one
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(40, 1))
+        y = np.exp(0.5 * x[:, 0]) * rng.exponential(1.0, 40)
+        data = cs.standardize(make_dataset(y, np.ones(40), covariates=x))
+        _assert_collapses_to_prequential(data, family, rho_x=0.6)
 
 
 class TestSingleCensoredRecord:
@@ -188,19 +206,16 @@ class TestImputedDraws:
         # replay: rebuild each particle's P_{i-1}(c_i) from its own column
         for j in (0, 17, 51):
             for rec_idx, draws in ensemble.imputed.items():
-                head = cs.PredictiveFit(
-                    family=ensemble.family, base=ensemble.base,
-                    vseq=ensemble.v_matrix[:rec_idx, j],
-                )
-                cdf_at_c = cs.evaluate(head, ensemble.times[rec_idx]).cdf
-                assert draws[j] > cdf_at_c
+                head = dataclasses.replace(
+                    ensemble, v_matrix=ensemble.v_matrix[:rec_idx, [j]],
+                    log_weights=np.zeros(1))
+                _, cdf_at_c = ensemble_eval(head, censored_exp50.times[rec_idx])
+                assert draws[j] > cdf_at_c[0]
 
     def test_particle_views_consistent(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=16, seed=13)
         assert ensemble.n_particles == 16
-        fit = cs.PredictiveFit(family=ensemble.family, base=ensemble.base,
-                               vseq=ensemble.v_matrix[:, 3])
-        assert fit.n == censored_exp50.n
+        assert ensemble.n_records == censored_exp50.n
         censored_idx = set(np.nonzero(censored_exp50.status == 0)[0])
         assert set(ensemble.imputed) == censored_idx
         assert all(u.shape == (16,) for u in ensemble.imputed.values())

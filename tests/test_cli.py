@@ -130,6 +130,14 @@ class TestPosterior:
         lines = (out / "medians.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 128
 
+    def test_rerun_byte_identical(self, mild_csv, tmp_path):
+        for name in ("p1", "p2"):
+            assert run("posterior", "--seed", 7, "--input", mild_csv,
+                       "--bandwidth", 1.0, "--n-particles", 64,
+                       "--n-extra", 100, "--grid-size", 25,
+                       "--output-dir", tmp_path / name) == 0
+        assert dir_bytes(tmp_path / "p1") == dir_bytes(tmp_path / "p2")
+
 
 class TestRegress:
     @pytest.fixture
@@ -289,16 +297,3 @@ class TestUnitRoundTrip:
         assert_allclose(b[:, 0] / theta_hat, a[:, 0], rtol=1e-10)
         assert_allclose(b[:, 1] * theta_hat, a[:, 1], rtol=1e-10, atol=1e-300)
         assert_allclose(b[:, 2:], a[:, 2:], rtol=1e-10, atol=1e-15)
-
-
-class TestThreadIndependence:
-    def test_byte_identical_across_threads(self, mild_csv, tmp_path):
-        outs = []
-        for threads in (1, 4):
-            out = tmp_path / f"t{threads}"
-            assert run("posterior", "--seed", 7, "--input", mild_csv,
-                       "--bandwidth", 1.0, "--n-particles", 64,
-                       "--n-extra", 100, "--grid-size", 25,
-                       "--threads", threads, "--output-dir", out) == 0
-            outs.append(dir_bytes(out))
-        assert outs[0] == outs[1]

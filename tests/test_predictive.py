@@ -1,20 +1,36 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
+from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily, GaussianFamily, alpha_schedule
 from copsurv.distributions import LomaxParams, lomax_cdf, lomax_inv_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError
-from copsurv.predictive import (
-    absorb,
-    evaluate,
-    fit_uncensored,
-    new_fit,
-    prequential_log_lik,
-)
+from copsurv.predictive import prequential_log_lik
+from copsurv.resampling import GridSpec, ensemble_eval, ensemble_grid_rows
 
 from conftest import make_dataset
+
+
+def fit(data, family, rho_x=None):
+    """Sequential fit of fully observed data: an uncensored pass carries
+    the same deterministic fit in every particle."""
+    return impute_smc(data, family, rho_x=rho_x, n_particles=2, seed=0)
+
+
+def rows(ensemble, points, x=None):
+    """Row 0 (density, cdf) of the fit at increasing times."""
+    dens, cdf = ensemble_grid_rows(ensemble, GridSpec(points), x)
+    return dens[0], cdf[0]
+
+
+def at(ensemble, y, x=None):
+    """Row 0 (density, cdf) of the fit at one time."""
+    dens, cdf = ensemble_eval(ensemble, y, x)
+    return dens[0], cdf[0]
 
 
 # -- independent scalar oracle: the plain-formula recursion, no log space --
@@ -60,88 +76,74 @@ def oracle_two_step(y_grid, y1, y2, a):
 
 class TestAbsorbEvaluate:
     def test_empty_fit_is_base_measure(self):
-        fit = new_fit(ClaytonFamily(1.2))
-        point = evaluate(fit, 0.7)
+        empty = fit(make_dataset([0.4], [1]), ClaytonFamily(1.2))
+        empty = dataclasses.replace(empty, v_matrix=empty.v_matrix[:0])
+        dens, cdf = at(empty, 0.7)
         base = LomaxParams(1.2, 1.0)
-        assert point.density == lomax_pdf(0.7, base)
-        assert point.cdf == lomax_cdf(0.7, base)
+        assert dens == lomax_pdf(0.7, base)
+        assert cdf == lomax_cdf(0.7, base)
 
     def test_single_absorb_density_formula(self):
         a = 2.0
-        fit = absorb(new_fit(ClaytonFamily(a)), 0.5)
         base = LomaxParams(a, 1.0)
         y1 = float(lomax_inv_cdf(0.5, base))
+        one = fit(make_dataset([y1], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
         expected = (1 - alpha1 + alpha1 * cs.clayton_density(0.5, 0.5, a)) \
             * lomax_pdf(y1, base)
-        assert_allclose(evaluate(fit, y1).density, expected, rtol=1e-12)
+        assert_allclose(at(one, y1)[0], expected, rtol=1e-12)
 
     def test_single_absorb_cdf_formula(self):
         a = 1.5
-        fit = absorb(new_fit(ClaytonFamily(a)), 0.5)
         base = LomaxParams(a, 1.0)
         median = float(lomax_inv_cdf(0.5, base))
+        one = fit(make_dataset([median], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
         expected = (1 - alpha1) * 0.5 + alpha1 * cs.clayton_partial(0.5, 0.5, a)
-        assert_allclose(evaluate(fit, median).cdf, expected, rtol=1e-12)
+        assert_allclose(at(one, median)[1], expected, rtol=1e-12)
 
     def test_cdf_approaches_one(self):
         data = make_dataset([0.5, 1.2, 0.9], [1, 1, 1])
-        fit = fit_uncensored(data, ClaytonFamily(1.0))
-        assert evaluate(fit, 1e12).cdf >= 1.0 - 1e-6
+        assert at(fit(data, ClaytonFamily(1.0)), 1e12)[1] >= 1.0 - 1e-6
 
     def test_two_absorbs_match_hand_recursion(self):
         a = 1.3
         y1, y2 = 0.6, 1.7
         data = make_dataset([y1, y2], [1, 1])
-        fit = fit_uncensored(data, ClaytonFamily(a))
         grid = np.array([0.3, 1.0, 2.5])
-        point = evaluate(fit, grid)
+        dens, cdf = rows(fit(data, ClaytonFamily(a)), grid)
         dens_oracle, cdf_oracle = oracle_two_step(grid, y1, y2, a)
-        assert_allclose(point.density, dens_oracle, rtol=1e-10)
-        assert_allclose(point.cdf, cdf_oracle, rtol=1e-10)
-
-    def test_absorb_validates_u(self):
-        fit = new_fit(ClaytonFamily(1.0))
-        with pytest.raises(ConfigurationError):
-            absorb(fit, 1.0)
-
-    def test_covariate_config_mismatch(self):
-        fit = new_fit(ClaytonFamily(1.0))
-        with pytest.raises(ConfigurationError):
-            absorb(fit, 0.5, x_new=np.array([1.0]))
-        cond = new_fit(GaussianFamily(0.5), rho_x=0.5)
-        with pytest.raises(ConfigurationError):
-            absorb(cond, 0.5)
+        assert_allclose(dens, dens_oracle, rtol=1e-10)
+        assert_allclose(cdf, cdf_oracle, rtol=1e-10)
 
 
 class TestFitUncensored:
     def test_single_point_vseq(self):
         data = make_dataset([0.8], [1])
-        fit = fit_uncensored(data, ClaytonFamily(1.1))
-        assert fit.n == 1
-        assert_allclose(fit.vseq[0], lomax_cdf(0.8, LomaxParams(1.1, 1.0)))
+        vseq = fit(data, ClaytonFamily(1.1)).v_matrix[:, 0]
+        assert vseq.size == 1
+        assert_allclose(vseq[0], lomax_cdf(0.8, LomaxParams(1.1, 1.0)))
 
     def test_identical_points_second_v_is_updated_cdf(self):
         a = 1.0
         y = 0.9
         data = make_dataset([y, y], [1, 1])
-        fit = fit_uncensored(data, ClaytonFamily(a))
+        vseq = fit(data, ClaytonFamily(a)).v_matrix[:, 0]
         base = LomaxParams(a, 1.0)
         v1 = float(lomax_cdf(y, base))
         alpha1 = float(alpha_schedule(1))
         v2_expected = (1 - alpha1) * v1 + alpha1 * oracle_clayton_partial(v1, v1, a)
-        assert_allclose(fit.vseq, [v1, v2_expected], rtol=1e-12)
+        assert_allclose(vseq, [v1, v2_expected], rtol=1e-12)
 
     def test_censored_record_rejected(self):
         data = make_dataset([1.0, 2.0], [1, 0])
         with pytest.raises(ConfigurationError):
-            fit_uncensored(data, ClaytonFamily(1.0))
+            prequential_log_lik(data, ClaytonFamily(1.0))
 
     def test_deterministic(self, uncensored_exp50):
-        f1 = fit_uncensored(uncensored_exp50, ClaytonFamily(0.8))
-        f2 = fit_uncensored(uncensored_exp50, ClaytonFamily(0.8))
-        assert np.array_equal(f1.vseq, f2.vseq)
+        f1 = fit(uncensored_exp50, ClaytonFamily(0.8))
+        f2 = fit(uncensored_exp50, ClaytonFamily(0.8))
+        assert np.array_equal(f1.v_matrix[:, 0], f2.v_matrix[:, 0])
 
 
 class TestPrequential:
@@ -157,8 +159,7 @@ class TestPrequential:
         head = make_dataset(data.times[:-1], data.status[:-1])
         full = prequential_log_lik(data, family)
         partial = prequential_log_lik(head, family)
-        fit_head = fit_uncensored(head, family)
-        last_term = float(np.log(evaluate(fit_head, data.times[-1]).density))
+        last_term = float(np.log(at(fit(head, family), data.times[-1])[0]))
         assert_allclose(full, partial + last_term, rtol=1e-10)
 
     def test_finite_and_reproducible(self, uncensored_exp50):
@@ -171,39 +172,39 @@ class TestDensityProperties:
     def test_density_normalizes(self, uncensored_exp50):
         head = make_dataset(uncensored_exp50.times[:20],
                             uncensored_exp50.status[:20])
-        fit = fit_uncensored(head, ClaytonFamily(1.0))
         grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e5, 4000)])
-        point = evaluate(fit, grid)
-        mass = np.trapezoid(point.density, grid)
+        dens, _ = rows(fit(head, ClaytonFamily(1.0)), grid)
+        mass = np.trapezoid(dens, grid)
         assert_allclose(mass, 1.0, atol=1e-3)
 
     def test_cdf_monotone_density_nonnegative(self, uncensored_exp50):
-        fit = fit_uncensored(uncensored_exp50, ClaytonFamily(0.7))
         grid = np.geomspace(1e-3, 50, 300)
-        point = evaluate(fit, grid)
-        assert np.all(np.diff(point.cdf) >= 0)
-        assert np.all(point.density >= 0)
+        dens, cdf = rows(fit(uncensored_exp50, ClaytonFamily(0.7)), grid)
+        assert np.all(np.diff(cdf) >= 0)
+        assert np.all(dens >= 0)
 
     def test_cdf_density_finite_difference(self, uncensored_exp50):
-        fit = fit_uncensored(uncensored_exp50, ClaytonFamily(1.1))
+        one = fit(uncensored_exp50, ClaytonFamily(1.1))
         for y in np.linspace(0.2, 3.0, 10):
             h = 1e-5 * max(1.0, y)
-            numeric = (evaluate(fit, y + h).cdf - evaluate(fit, y - h).cdf) / (2 * h)
-            assert_allclose(numeric, evaluate(fit, y).density, rtol=1e-3)
+            dens, cdf = rows(one, [y - h, y, y + h])
+            assert_allclose((cdf[2] - cdf[0]) / (2 * h), dens[1], rtol=1e-3)
 
     def test_martingale_unbiasedness(self, uncensored_exp50):
         # absorbing one draw from the current predictive leaves the CDF
         # unchanged in expectation
         head = make_dataset(uncensored_exp50.times[:15],
                             uncensored_exp50.status[:15])
-        fit = fit_uncensored(head, ClaytonFamily(1.0))
+        one = fit(head, ClaytonFamily(1.0))
         grid = np.array([0.3, 0.7, 1.2, 2.0, 3.5])
-        before = np.asarray(evaluate(fit, grid).cdf)
-        rng = np.random.default_rng(77)
-        draws = rng.random(10_000)
-        after = np.empty((draws.size, grid.size))
-        for idx, u in enumerate(draws):
-            after[idx] = evaluate(absorb(fit, float(u)), grid).cdf
+        _, before = rows(one, grid)
+        draws = np.random.default_rng(77).random(10_000)
+        # column k: the fitted history, then draw k as record 16
+        history = np.vstack([np.repeat(one.v_matrix[:, [0]], draws.size, axis=1),
+                             draws[None, :]])
+        extended = dataclasses.replace(one, v_matrix=history,
+                                       log_weights=np.zeros(draws.size))
+        _, after = ensemble_grid_rows(extended, GridSpec(grid))
         mc_mean = after.mean(axis=0)
         mc_se = after.std(axis=0, ddof=1) / np.sqrt(draws.size)
         assert np.all(np.abs(mc_mean - before) <= 3 * mc_se)
@@ -215,11 +216,9 @@ class TestConditionalVariant:
         x = rng.normal(size=(25, 2))
         data = make_dataset(rng.exponential(1.0, 25), np.ones(25), covariates=x)
         fam = GaussianFamily(0.6)
-        plain = fit_uncensored(data, fam)
-        cond = fit_uncensored(data, fam, rho_x=0.0)
         grid = np.geomspace(0.05, 5.0, 40)
-        d_plain = np.asarray(evaluate(plain, grid).density)
-        d_cond = np.asarray(evaluate(cond, grid, x=np.array([0.2, -1.0])).density)
+        d_plain, _ = rows(fit(data, fam), grid)
+        d_cond, _ = rows(fit(data, fam, rho_x=0.0), grid, x=np.array([0.2, -1.0]))
         assert_allclose(d_cond, d_plain, rtol=1e-10)
 
     def test_conditional_density_depends_on_x(self):
@@ -227,16 +226,16 @@ class TestConditionalVariant:
         x = rng.normal(size=(25, 1))
         y = np.exp(0.8 * x[:, 0]) * rng.exponential(1.0, 25)
         data = make_dataset(y, np.ones(25), covariates=x)
-        fit = fit_uncensored(data, GaussianFamily(0.6), rho_x=0.8)
+        cond = fit(data, GaussianFamily(0.6), rho_x=0.8)
         grid = np.geomspace(0.05, 5.0, 40)
-        lo = np.asarray(evaluate(fit, grid, x=np.array([-1.5])).density)
-        hi = np.asarray(evaluate(fit, grid, x=np.array([1.5])).density)
+        lo, _ = rows(cond, grid, x=np.array([-1.5]))
+        hi, _ = rows(cond, grid, x=np.array([1.5]))
         assert np.max(np.abs(lo - hi)) > 1e-3
 
     def test_missing_x_rejected(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(10, 1))
         data = make_dataset(rng.exponential(1.0, 10), np.ones(10), covariates=x)
-        fit = fit_uncensored(data, GaussianFamily(0.5), rho_x=0.5)
+        cond = fit(data, GaussianFamily(0.5), rho_x=0.5)
         with pytest.raises(ConfigurationError):
-            evaluate(fit, 1.0)
+            ensemble_eval(cond, 1.0)

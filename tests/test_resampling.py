@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,18 +11,12 @@ from copsurv.copulas import (
     GaussianFamily,
     alpha_regression,
     alpha_schedule,
+    default_base,
     family_joint,
 )
 from copsurv.distributions import base_cdf, base_pdf
 from copsurv.errors import ConfigurationError, GridCoverageError
-from copsurv.predictive import (
-    PredictiveFit,
-    evaluate,
-    fit_uncensored,
-    new_fit,
-    propagate,
-    step_weights,
-)
+from copsurv.predictive import propagate, step_weights
 from copsurv.resampling import (
     GridSpec,
     _bootstrap_picks,
@@ -29,7 +25,6 @@ from copsurv.resampling import (
     ensemble_grid_rows,
     martingale_posterior,
     median_from_cdf,
-    predictive_resample,
     wasserstein1,
     weighted_mean,
     weighted_quantiles,
@@ -38,6 +33,12 @@ from copsurv.resampling import (
 from conftest import make_dataset
 
 FAMILY = ClaytonFamily(1.0)
+
+
+def column(ensemble, j):
+    """Particle j as a fit of its own: a one-column ensemble, unit weight."""
+    return dataclasses.replace(ensemble, v_matrix=ensemble.v_matrix[:, [j]],
+                               log_weights=np.zeros(1))
 
 
 class TestGridSpec:
@@ -108,12 +109,6 @@ class TestBootstrapCovariate:
         picks = _bootstrap_picks(pool, n_chains=5, n_steps=4, seed=0)
         assert np.array_equal(pool[picks], np.broadcast_to(pool[0], (4, 5, 2)))
 
-    def test_empty_pool_rejected(self):
-        fit = new_fit(GaussianFamily(0.5), rho_x=0.5)
-        grid = GridSpec(np.geomspace(0.01, 4.0, 8))
-        with pytest.raises(ConfigurationError, match="pool is empty"):
-            predictive_resample(fit, 3, grid, x_target=np.array([0.0]), seed=0)
-
     def test_chain_weights_sum_to_one(self):
         from copsurv.rng import STREAM_BOOTSTRAP_DIR, dirichlet_uniform
 
@@ -128,32 +123,36 @@ class TestBootstrapCovariate:
         assert np.all(np.abs(freq - 0.25) < 0.02)
 
 
+@pytest.fixture
+def uncensored_fit(uncensored_exp50):
+    """The sequential fit of the uncensored sample, as one column."""
+    return column(impute_smc(uncensored_exp50, FAMILY, n_particles=2, seed=0), 0)
+
+
 class TestPredictiveResample:
-    def test_zero_steps_identity(self, uncensored_exp50):
-        fit = fit_uncensored(uncensored_exp50, FAMILY)
+    def test_zero_steps_identity(self, uncensored_fit):
         grid = GridSpec(np.linspace(0.0, 4.0, 25))
-        out = predictive_resample(fit, 0, grid, seed=1)
-        point = evaluate(fit, grid.points)
-        assert_allclose(out.cdf, point.cdf, rtol=1e-12)
-        assert_allclose(out.density, point.density, rtol=1e-12)
-        assert np.all(out.w1_trajectory == 0.0)
+        out = martingale_posterior(uncensored_fit, 0, grid, seed=1)
+        dens, cdf = ensemble_grid_rows(uncensored_fit, grid)
+        assert np.array_equal(out.cdf_draws, cdf)
+        assert np.array_equal(out.density_draws, dens)
+        assert np.all(out.w1_trace == 0.0)
 
-    def test_rows_stay_monotone_probabilities(self, uncensored_exp50):
-        fit = fit_uncensored(uncensored_exp50, FAMILY)
+    def test_rows_stay_monotone_probabilities(self, uncensored_fit):
         grid = GridSpec(np.linspace(0.0, 4.0, 25))
-        out = predictive_resample(fit, 2000, grid, seed=99)
-        assert np.all(np.diff(out.cdf) >= 0)
-        assert np.all((out.cdf >= 0) & (out.cdf <= 1))
-        assert np.all(out.density >= 0)
+        out = martingale_posterior(uncensored_fit, 2000, grid, seed=99)
+        cdf, dens = out.cdf_draws[0], out.density_draws[0]
+        assert np.all(np.diff(cdf) >= 0)
+        assert np.all((cdf >= 0) & (cdf <= 1))
+        assert np.all(dens >= 0)
 
-    def test_deterministic_in_seed(self, uncensored_exp50):
-        fit = fit_uncensored(uncensored_exp50, FAMILY)
+    def test_deterministic_in_seed(self, uncensored_fit):
         grid = GridSpec(np.linspace(0.0, 4.0, 10))
-        a = predictive_resample(fit, 50, grid, seed=7)
-        b = predictive_resample(fit, 50, grid, seed=7)
-        c = predictive_resample(fit, 50, grid, seed=8)
-        assert np.array_equal(a.cdf, b.cdf)
-        assert not np.array_equal(a.cdf, c.cdf)
+        a = martingale_posterior(uncensored_fit, 50, grid, seed=7)
+        b = martingale_posterior(uncensored_fit, 50, grid, seed=7)
+        c = martingale_posterior(uncensored_fit, 50, grid, seed=8)
+        assert np.array_equal(a.cdf_draws, b.cdf_draws)
+        assert not np.array_equal(a.cdf_draws, c.cdf_draws)
 
 
 class TestMartingalePosterior:
@@ -163,10 +162,8 @@ class TestMartingalePosterior:
         draws = martingale_posterior(ensemble, 100, grid, seed=3)
         assert_allclose(draws.weights, 1.0 / 32, rtol=1e-12)
         # chain 0 must equal a single-fit forward run with the same seed
-        fit = PredictiveFit(family=ensemble.family, base=ensemble.base,
-                            vseq=ensemble.v_matrix[:, 0])
-        single = predictive_resample(fit, 100, grid, seed=3)
-        assert np.array_equal(draws.cdf_draws[0], single.cdf)
+        single = martingale_posterior(column(ensemble, 0), 100, grid, seed=3)
+        assert np.array_equal(draws.cdf_draws[0], single.cdf_draws[0])
 
     def test_forward_mean_preserves_start(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=500, seed=3)
@@ -201,6 +198,8 @@ class TestMartingalePosterior:
         assert np.array_equal(d1.cdf_draws, d2.cdf_draws)
         assert np.array_equal(d1.medians, d2.medians)
         assert np.array_equal(d1.w1_trace, d2.w1_trace)
+        d3 = martingale_posterior(ensemble, 40, grid, seed=8)
+        assert not np.array_equal(d1.cdf_draws, d3.cdf_draws)
 
     def test_medians_within_grid(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=32, seed=3)
@@ -251,9 +250,10 @@ def reference_grid_rows(ensemble, points, x_target):
     """The recursion written out step by step, one scalar weight per step:
     the reference that `propagate` with `step_weights` must reproduce."""
     joint_fn = family_joint(ensemble.family)
+    base = default_base(ensemble.family)
     n_steps, n_chains = ensemble.v_matrix.shape
-    dens = np.tile(base_pdf(points, ensemble.base), (n_chains, 1))
-    u = np.tile(base_cdf(points, ensemble.base), (n_chains, 1))
+    dens = np.tile(base_pdf(points, base), (n_chains, 1))
+    u = np.tile(base_cdf(points, base), (n_chains, 1))
     for j in range(n_steps):
         alpha = float(alpha_schedule(j + 1))
         if ensemble.rho_x is not None:
@@ -292,22 +292,19 @@ class TestOneFitIsOneColumn:
     def test_column_fit_matches_grid_row(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
         dens_rows, cdf_rows = ensemble_grid_rows(ensemble, grid, x)
-        xseq = ensemble.covariates if ensemble.rho_x is not None else None
         for j in (0, 7, ensemble.n_particles - 1):
-            fit = PredictiveFit(family=ensemble.family, base=ensemble.base,
-                                vseq=ensemble.v_matrix[:, j], xseq=xseq,
-                                rho_x=ensemble.rho_x)
-            point = evaluate(fit, grid.points, x)
-            assert np.array_equal(point.density, dens_rows[j])
-            assert np.array_equal(point.cdf, cdf_rows[j])
+            dens, cdf = ensemble_grid_rows(column(ensemble, j), grid, x)
+            assert np.array_equal(dens[0], dens_rows[j])
+            assert np.array_equal(cdf[0], cdf_rows[j])
 
     def test_propagate_matches_reference_loop(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
         ref_dens, ref_cdf = reference_grid_rows(ensemble, grid.points, x)
         n_steps, n_chains = ensemble.v_matrix.shape
+        base = default_base(ensemble.family)
         dens, cdf = propagate(
-            np.tile(base_pdf(grid.points, ensemble.base), (n_chains, 1)),
-            np.tile(base_cdf(grid.points, ensemble.base), (n_chains, 1)),
+            np.tile(base_pdf(grid.points, base), (n_chains, 1)),
+            np.tile(base_cdf(grid.points, base), (n_chains, 1)),
             ensemble.v_matrix[:, :, None],
             step_weights(n_steps, x, ensemble.covariates, ensemble.rho_x),
             family_joint(ensemble.family),
