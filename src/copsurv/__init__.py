@@ -20,10 +20,6 @@ from .copulas import (
     GaussianFamily,
     alpha_regression,
     alpha_schedule,
-    clayton_density,
-    clayton_partial,
-    gaussian_density,
-    gaussian_partial,
 )
 from .dataio import (
     SurvivalDataset,

@@ -17,9 +17,12 @@ log-likelihood when there is no censoring at all.
 The loop is generic over a small particle-state "engine" so that the exact
 conjugate predictive (see `parametric`) runs through the identical code
 path as the copula predictive; both ensembles extend the pass result
-`SmcPass` with their own particle state.  All randomness comes from
-counter-based streams keyed by (seed, stream, record index), so a pass is
-a pure function of (data, particle count, seed) and reruns bit-identically.
+`SmcPass` with their own particle state.  The engine's state is the only
+copy of each particle's history: a censored record's draw lives on only
+as the value the engine absorbed, and resampling re-indexes that state
+and the ancestry, nothing else.  All randomness comes from counter-based
+streams keyed by (seed, stream, record index), so a pass is a pure
+function of (data, particle count, seed) and reruns bit-identically.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class SmcPass:
 
     Traces are per processed record: the ESS of the weights after the
     record's update, and the number of distinct surviving ancestries.
-    `imputed[i]` holds each particle's u draw for censored record i.
+    The particles themselves are the engine's state, kept by the
+    ensembles that extend this class.
     """
 
     log_weights: np.ndarray  # (B,)
@@ -115,7 +119,6 @@ class SmcPass:
     ess_trace: np.ndarray  # (n,)
     unique_trace: np.ndarray  # (n,)
     resample_steps: list
-    imputed: dict  # record index -> (B,) draws
 
     @property
     def n_particles(self) -> int:
@@ -136,7 +139,8 @@ class ParticleEnsemble(SmcPass):
 
     `v_matrix[i, j]` is particle j's propagation value for record i, so a
     column is one fitted predictive: a single fit is a one-column
-    ensemble with unit weight.
+    ensemble with unit weight.  For a censored record the value is the
+    particle's draw above P(c), clipped to [CLAMP_EPS, 1 - CLAMP_EPS].
     """
 
     family: CopulaFamily
@@ -158,9 +162,12 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     """Drive an engine through the records with IS weighting and
     ESS-triggered systematic resampling.
 
-    The engine contract: eval_at(i, t) -> (density, cdf) arrays of shape
-    (B,); absorb_observed(i, t, cdf); absorb_censored(i, c, u, cdf);
-    select(idx) reindexes particle state.
+    The engine contract, with i the 0-based record index and every array
+    of shape (B,): eval_at(i, t) -> (density, cdf), the predictive at t
+    given records 0..i-1; absorb_observed(i, t, cdf) takes record i as
+    observed at t, where the predictive CDF was `cdf`; absorb_censored(i, u)
+    takes it as censored, with each particle's draw u above P(c) in CDF
+    space; select(idx) re-indexes the particle state by ancestor indices.
     """
     if n_particles < 2:
         raise ConfigurationError("need at least 2 particles")
@@ -174,7 +181,6 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     ess_trace = np.empty(n)
     unique_trace = np.empty(n, dtype=int)
     resample_steps: list = []
-    imputed: dict = {}
 
     for i in range(n):
         t = float(times[i])
@@ -194,8 +200,7 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
             u = np.where(dead, 1.0 - 1e-12, u)
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_w += np.where(dead, -np.inf, np.log1p(-np.minimum(cdf, 1.0)))
-            imputed[i] = u
-            engine.absorb_censored(i, t, u, cdf)
+            engine.absorb_censored(i, u)
         m = np.max(log_w)
         if not np.isfinite(m):
             raise DegeneracyError(
@@ -211,15 +216,13 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
             idx = systematic_indices(shifted, offset)
             engine.select(idx)
             ancestry = ancestry[idx]
-            for key in imputed:
-                imputed[key] = imputed[key][idx]
             log_w = np.zeros(b)
             resample_steps.append(i)
         unique_trace[i] = np.unique(ancestry).size
     log_z += logsumexp(log_w) - np.log(b)
     return SmcPass(log_weights=log_w, log_z=float(log_z),
                    ess_trace=ess_trace, unique_trace=unique_trace,
-                   resample_steps=resample_steps, imputed=imputed)
+                   resample_steps=resample_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +239,26 @@ class _CopulaEngine:
         self.rho_x = rho_x
         self.covariates = covariates
         self.v = np.empty((n_records, n_particles))
-        self.steps = 0
 
     def eval_at(self, i, t):
         b = self.v.shape[1]
         x_eval = self.covariates[i] if self.rho_x is not None else None
-        alphas = step_weights(self.steps, x_eval, self.covariates, self.rho_x)
+        alphas = step_weights(i, x_eval, self.covariates, self.rho_x)
         return propagate(np.full(b, float(base_pdf(t, self.base))),
                          np.full(b, float(base_cdf(t, self.base))),
-                         self.v[: self.steps], alphas, self.joint_fn)
-
-    def _absorb(self, values):
-        self.v[self.steps] = np.clip(values, copulas.CLAMP_EPS,
-                                     1.0 - copulas.CLAMP_EPS)
-        self.steps += 1
+                         self.v[:i], alphas, self.joint_fn)
 
     def absorb_observed(self, i, t, cdf):
-        self._absorb(cdf)
+        # an observed record's propagation value is its predictive CDF
+        self.absorb_censored(i, cdf)
 
-    def absorb_censored(self, i, c, u, cdf):
-        self._absorb(u)
+    def absorb_censored(self, i, u):
+        self.v[i] = np.clip(u, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
 
     def select(self, idx):
-        self.v[: self.steps] = self.v[: self.steps][:, idx]
+        # rows not yet absorbed hold nothing that is read before they
+        # are written
+        self.v = self.v[:, idx]
 
 
 def impute_smc(data: SurvivalDataset, family: CopulaFamily,

@@ -51,15 +51,25 @@ def _comma_names(text):
     return tuple(v.strip() for v in str(text).split(",") if v.strip())
 
 
+# Range checks, as (predicate, what the value must be); `_resolve`
+# applies them before any input is read.
+AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
+NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+POSITIVE = (lambda v: v > 0, "positive")
+IN_CLOSED_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+IN_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+
+
 class Opt:
     def __init__(self, name, type, default=None, help="", required=False,
-                 repeatable=False):
+                 repeatable=False, bounds=None):
         self.name = name
         self.type = type
         self.default = default
         self.help = help
         self.required = required
         self.repeatable = repeatable
+        self.bounds = bounds
 
     @property
     def dest(self):
@@ -79,12 +89,13 @@ FIT_CORE_OPTS = [
     Opt("bandwidth", float, help="fixed kernel bandwidth (a, or rho for gaussian)"),
     Opt("bandwidth-grid", _comma_floats,
         help="comma list; triggers marginal-likelihood tuning"),
-    Opt("n-particles", int, default=2000),
-    Opt("ess-frac", float, default=0.5,
+    Opt("n-particles", int, default=2000, bounds=AT_LEAST_2),
+    Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT,
         help="resample when ESS < ess_frac * n_particles; 0 disables"),
-    Opt("tune-particles", int, default=1000),
-    Opt("grid-size", int, default=100),
-    Opt("grid-max", float, help="grid upper end in input units (default 1.5x max time)"),
+    Opt("tune-particles", int, default=1000, bounds=AT_LEAST_2),
+    Opt("grid-size", int, default=100, bounds=AT_LEAST_2),
+    Opt("grid-max", float, bounds=POSITIVE,
+        help="grid upper end in input units (default 1.5x max time)"),
 ]
 
 SUBCOMMANDS = {
@@ -96,8 +107,8 @@ SUBCOMMANDS = {
     ],
     "fit": FIT_CORE_OPTS,
     "posterior": FIT_CORE_OPTS + [
-        Opt("n-extra", int, default=2000),
-        Opt("trace-chains", int, default=20,
+        Opt("n-extra", int, default=2000, bounds=NONNEGATIVE),
+        Opt("trace-chains", int, default=20, bounds=NONNEGATIVE,
             help="chains whose full W1 trajectory is written"),
     ],
     "regress": FIT_CORE_OPTS + [
@@ -106,9 +117,10 @@ SUBCOMMANDS = {
             help="covariate vector (comma list); repeatable"),
         Opt("rho-x", float, help="fixed covariate-kernel correlation"),
         Opt("rho-x-grid", _comma_floats),
-        Opt("test-split", float,
+        Opt("test-split", float, bounds=IN_OPEN_UNIT,
             help="held-out fraction; censored test records score log survival mass"),
-        Opt("n-extra", int, help="if set, full posterior bands per x-target"),
+        Opt("n-extra", int, bounds=NONNEGATIVE,
+            help="if set, full posterior bands per x-target"),
     ],
     "doob": [
         Opt("input", str, required=True),
@@ -116,9 +128,9 @@ SUBCOMMANDS = {
         Opt("status-col", str, default="status"),
         Opt("a0", float, help="prior shape; tuned by marginal likelihood if omitted"),
         Opt("b0", float, default=1.0),
-        Opt("n-particles", int, default=2000),
-        Opt("n-extra", int, default=2000),
-        Opt("ess-frac", float, default=0.5),
+        Opt("n-particles", int, default=2000, bounds=AT_LEAST_2),
+        Opt("n-extra", int, default=2000, bounds=NONNEGATIVE),
+        Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT),
     ],
     "tune": [
         Opt("input", str, required=True),
@@ -128,7 +140,7 @@ SUBCOMMANDS = {
         Opt("bandwidth-grid", _comma_floats),
         Opt("rho-x-grid", _comma_floats),
         Opt("covariate-cols", _comma_names, default=()),
-        Opt("tune-particles", int, default=1000),
+        Opt("tune-particles", int, default=1000, bounds=AT_LEAST_2),
     ],
 }
 
@@ -169,7 +181,8 @@ def _read_config_file(path):
 
 
 def _resolve(args, opts):
-    """Merge flag values, config-file values, and defaults."""
+    """Merge flag values, config-file values, and defaults, and check
+    each value against its option's range."""
     file_values = _read_config_file(args.config) if args.config else {}
     known = {opt.name: opt for opt in opts}
     for key in file_values:
@@ -188,6 +201,11 @@ def _resolve(args, opts):
             value = opt.default
         if value is None and opt.required:
             raise ConfigurationError(f"--{opt.name} is required")
+        if value is not None and opt.bounds is not None:
+            in_range, rule = opt.bounds
+            if not in_range(value):
+                raise ConfigurationError(
+                    f"--{opt.name} must be {rule}, got {value!r}")
         resolved[opt.dest] = value
     return resolved
 

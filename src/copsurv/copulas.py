@@ -2,8 +2,8 @@
 
 Two families drive the sequential predictive update: the Clayton-mixture
 kernel d_a / I_a on positive-support data and the Gaussian kernel
-c_rho / H_rho paired with the log-normal base.  Each family exposes the
-copula density and its partial integral in u,
+c_rho / H_rho paired with the log-normal base.  Each family's kernel
+returns the copula density together with its partial integral in u,
 
     I(u, v) = int_0^u density(u', v) du',
 
@@ -33,10 +33,8 @@ __all__ = [
     "ClaytonFamily",
     "GaussianFamily",
     "CopulaFamily",
-    "clayton_density",
-    "clayton_partial",
-    "gaussian_density",
-    "gaussian_partial",
+    "clayton_density_and_partial",
+    "gaussian_density_and_partial",
     "alpha_schedule",
     "alpha_regression",
     "default_base",
@@ -91,29 +89,6 @@ def _log_clayton_s(gu, gv):
     return m + np.log(np.exp(gu - m) + np.exp(gv - m) - np.exp(-m))
 
 
-def clayton_density(u, v, a: float):
-    """d_a(u, v); equals (a+1)/a exactly at the origin."""
-    if not a > 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {a}")
-    gu = -np.log1p(-_clamp_upper(u)) / a
-    gv = -np.log1p(-_clamp_upper(v)) / a
-    log_s = _log_clayton_s(gu, gv)
-    return ((a + 1.0) / a) * np.exp((a + 1.0) * (gu + gv) - (a + 2.0) * log_s)
-
-
-def clayton_partial(u, v, a: float):
-    """I_a(u, v) = 1 - (1-v)^(-(a+1)/a) / s^(a+1); maps u = 0 -> 0, 1 -> 1."""
-    if not a > 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {a}")
-    u = np.asarray(u, dtype=float)
-    gu = -np.log1p(-_clamp_upper(u)) / a
-    gv = -np.log1p(-_clamp_upper(v)) / a
-    log_s = _log_clayton_s(gu, gv)
-    # log_s >= gv always, so the exponent is <= 0 and the result in [0, 1].
-    inner = -np.expm1((a + 1.0) * (gv - log_s))
-    return np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
-
-
 def _gaussian_log_density_z(zu, zv, rho: float):
     """log c_rho as a function of the normal scores."""
     r2 = rho * rho
@@ -127,22 +102,39 @@ def _check_rho(rho: float):
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
 
 
-def gaussian_density(u, v, rho: float):
-    """c_rho(u, v); rho = 0 gives the independence copula (exactly 1)."""
-    _check_rho(rho)
-    zu = ndtri(_clamp(u))
-    zv = ndtri(_clamp(v))
-    return np.exp(_gaussian_log_density_z(zu, zv, rho))
+def clayton_density_and_partial(u, v, a: float):
+    """(d_a(u, v), I_a(u, v)) from one set of log transforms.
+
+    d_a equals (a+1)/a exactly at the origin; I_a(u, v) =
+    1 - (1-v)^(-(a+1)/a) / s^(a+1) maps u = 0 -> 0 and u = 1 -> 1.
+    """
+    if not a > 0:
+        raise ConfigurationError(f"bandwidth must be positive, got {a}")
+    u = np.asarray(u, dtype=float)
+    gu = -np.log1p(-_clamp_upper(u)) / a
+    gv = -np.log1p(-_clamp_upper(v)) / a
+    log_s = _log_clayton_s(gu, gv)
+    density = ((a + 1.0) / a) * np.exp((a + 1.0) * (gu + gv) - (a + 2.0) * log_s)
+    # log_s >= gv always, so the exponent is <= 0 and the partial in [0, 1].
+    inner = -np.expm1((a + 1.0) * (gv - log_s))
+    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
+    return density, partial
 
 
-def gaussian_partial(u, v, rho: float):
-    """H_rho(u, v) = Phi({Phi^-1(u) - rho Phi^-1(v)} / sqrt(1 - rho^2))."""
+def gaussian_density_and_partial(u, v, rho: float):
+    """(c_rho(u, v), H_rho(u, v)) from one pair of normal scores.
+
+    H_rho(u, v) = Phi({Phi^-1(u) - rho Phi^-1(v)} / sqrt(1 - rho^2)); rho = 0
+    gives the independence copula (density exactly 1).
+    """
     _check_rho(rho)
     u = np.asarray(u, dtype=float)
     zu = ndtri(_clamp(u))
     zv = ndtri(_clamp(v))
+    density = np.exp(_gaussian_log_density_z(zu, zv, rho))
     inner = ndtr((zu - rho * zv) / np.sqrt(1.0 - rho * rho))
-    return np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
+    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
+    return density, partial
 
 
 # ---------------------------------------------------------------------------
@@ -193,34 +185,6 @@ def alpha_regression(alpha_i, x, x_prime, rho_x: float):
 # ---------------------------------------------------------------------------
 # Family dispatch
 # ---------------------------------------------------------------------------
-
-def clayton_density_and_partial(u, v, a: float):
-    """Fused (d_a, I_a) evaluation sharing the log transforms; bitwise
-    identical to the separate functions but roughly half the work on the
-    sampler hot paths."""
-    if not a > 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {a}")
-    u = np.asarray(u, dtype=float)
-    gu = -np.log1p(-_clamp_upper(u)) / a
-    gv = -np.log1p(-_clamp_upper(v)) / a
-    log_s = _log_clayton_s(gu, gv)
-    density = ((a + 1.0) / a) * np.exp((a + 1.0) * (gu + gv) - (a + 2.0) * log_s)
-    inner = -np.expm1((a + 1.0) * (gv - log_s))
-    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
-    return density, partial
-
-
-def gaussian_density_and_partial(u, v, rho: float):
-    """Fused (c_rho, H_rho) evaluation sharing the normal scores."""
-    _check_rho(rho)
-    u = np.asarray(u, dtype=float)
-    zu = ndtri(_clamp(u))
-    zv = ndtri(_clamp(v))
-    density = np.exp(_gaussian_log_density_z(zu, zv, rho))
-    inner = ndtr((zu - rho * zv) / np.sqrt(1.0 - rho * rho))
-    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
-    return density, partial
-
 
 def family_joint(family: CopulaFamily):
     """Fused (density, partial) evaluator for the update recursion."""

@@ -115,14 +115,14 @@ def load_csv(path, time_col="time", status_col="status", covariate_cols=()):
     return SurvivalDataset(np.asarray(times), np.asarray(status), covariates)
 
 
-def standardize(data: SurvivalDataset, scale_covariates: bool = True) -> SurvivalDataset:
+def standardize(data: SurvivalDataset) -> SurvivalDataset:
     """Rescale times so the exponential-rate MLE equals one exactly.
 
     Times are multiplied by theta_hat = (number observed) / (sum of all
     recorded times); the factor is recorded in `scale_factor` so outputs
     can be reported in original units.  Covariates are z-scored per
-    column by default (constant columns get sd 1), with the (mean, sd)
-    pairs recorded for back-transformation.
+    column (constant columns get sd 1), with the (mean, sd) pairs
+    recorded for back-transformation.
     """
     k = data.n_observed
     if k < 1:
@@ -130,7 +130,7 @@ def standardize(data: SurvivalDataset, scale_covariates: bool = True) -> Surviva
     theta_hat = k / float(data.times.sum())
     covariates = data.covariates
     shift_scale = data.covariate_shift_scale
-    if covariates is not None and scale_covariates:
+    if covariates is not None:
         mean = covariates.mean(axis=0)
         sd = covariates.std(axis=0)
         sd = np.where(sd > 0, sd, 1.0)

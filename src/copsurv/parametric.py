@@ -153,7 +153,6 @@ class _ConjugateEngine:
     def __init__(self, model: ConjugateModel, n_particles: int):
         self.a = np.full(n_particles, float(model.a0))
         self.b = np.full(n_particles, float(model.b0))
-        self.imputed_times: dict = {}
 
     def eval_at(self, i, t):
         dens = (self.a / self.b) * np.exp(-(self.a + 1.0) * np.log1p(t / self.b))
@@ -164,29 +163,28 @@ class _ConjugateEngine:
         self.a += 1.0
         self.b += t
 
-    def absorb_censored(self, i, c, u, cdf):
+    def absorb_censored(self, i, u):
         y = self.b * np.expm1(-np.log1p(-u) / self.a)
-        self.imputed_times[i] = y
         self.a += 1.0
         self.b += y
 
     def select(self, idx):
         self.a = self.a[idx]
         self.b = self.b[idx]
-        for key in self.imputed_times:
-            self.imputed_times[key] = self.imputed_times[key][idx]
 
 
 @dataclass
 class ConjugateEnsemble(SmcPass):
-    """Weighted conjugate-posterior particles after the imputation pass;
-    `imputed_times[i]` maps each particle's u draw for censored record i
-    to its time."""
+    """Weighted conjugate-posterior particles after the imputation pass.
+
+    Particle j's posterior is IG(a[j], b[j]): `a` counts a0 plus every
+    record, and `b` sums b0, the observed times and the particle's own
+    imputed times for the censored records, which are kept nowhere else.
+    """
 
     model: ConjugateModel
     a: np.ndarray  # (B,)
     b: np.ndarray  # (B,)
-    imputed_times: dict
 
 
 def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
@@ -197,7 +195,6 @@ def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
     result = run_smc_loop(engine, data.times, data.status, n_particles,
                           ess_frac, seed)
     return ConjugateEnsemble(model=model, a=engine.a, b=engine.b,
-                             imputed_times=engine.imputed_times,
                              **vars(result))
 
 

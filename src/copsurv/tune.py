@@ -84,10 +84,12 @@ def grid_search(data: SurvivalDataset, family_kind: str,
     """
     censored = bool(np.any(data.status == 0))
     rho_x_grid = grid.rho_x_values if grid.rho_x_values is not None else (None,)
+    # every cell's family is checked before the first one is scored
+    families = [(bandwidth, _make_family(family_kind, bandwidth))
+                for bandwidth in sorted(grid.bandwidths)]
     table: list = []
     best = None
-    for bandwidth in sorted(grid.bandwidths):
-        family = _make_family(family_kind, bandwidth)
+    for bandwidth, family in families:
         for rho_x in rho_x_grid:
             if not censored:
                 score = prequential_log_lik(data, family, rho_x=rho_x)

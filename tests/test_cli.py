@@ -234,6 +234,37 @@ class TestConfigAndErrors:
                    "--bandwidth", 1.0, "--output-dir", tmp_path)
         assert code == 3
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("fit", "--n-particles", 1),
+        ("fit", "--tune-particles", 1),
+        ("fit", "--ess-frac", 2),
+        ("fit", "--ess-frac", -0.1),
+        ("fit", "--ess-frac", "nan"),
+        ("fit", "--grid-size", 1),
+        ("fit", "--grid-max", 0),
+        ("posterior", "--n-extra", -1),
+        ("posterior", "--trace-chains", -5),
+        ("regress", "--test-split", 0),
+        ("regress", "--test-split", 1),
+        ("regress", "--n-extra", -1),
+        ("doob", "--n-particles", 1),
+        ("doob", "--n-extra", -1),
+        ("doob", "--ess-frac", 1.5),
+        ("tune", "--tune-particles", 1),
+    ])
+    def test_out_of_range_value_fails_before_input_is_read(
+            self, tmp_path, capsys, command, flag, value):
+        # the input file does not exist, so reading it first would exit 3
+        args = [command, "--seed", 1, "--input", tmp_path / "nope.csv",
+                flag, value, "--output-dir", tmp_path / "out"]
+        if command == "regress":
+            args += ["--covariate-cols", "x"]
+        assert run(*args) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert flag in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_run_exit_code(self, tmp_path):
         # the conjugate pipeline works on raw times, so an absurd
         # censoring time kills every particle's weight

@@ -11,12 +11,10 @@ from copsurv.copulas import (
     GaussianFamily,
     alpha_regression,
     alpha_schedule,
-    clayton_density,
-    clayton_partial,
     default_base,
-    gaussian_density,
-    gaussian_partial,
 )
+from copsurv.copulas import clayton_density_and_partial as clayton
+from copsurv.copulas import gaussian_density_and_partial as gaussian
 from copsurv.distributions import LogNormalBaseParams, LomaxParams
 from copsurv.errors import ConfigurationError
 
@@ -27,46 +25,47 @@ bandwidths = st.floats(0.2, 3.0)
 class TestClayton:
     def test_origin_identity_exact(self):
         for a in (0.5, 1.0, 2.0, 3.7):
-            assert clayton_density(0.0, 0.0, a) == (a + 1.0) / a
+            density, partial = clayton(0.0, 0.0, a)
+            assert density == (a + 1.0) / a
+            assert partial == 0.0
 
     def test_symmetry_spot(self):
-        assert_allclose(clayton_density(0.3, 0.7, 1.1),
-                        clayton_density(0.7, 0.3, 1.1), rtol=1e-14)
+        assert_allclose(clayton(0.3, 0.7, 1.1)[0], clayton(0.7, 0.3, 1.1)[0],
+                        rtol=1e-14)
 
     def test_marginal_uniformity(self):
-        mass, _ = quad(lambda u: clayton_density(u, 0.4, 1.2), 0, 1,
-                       limit=200)
+        mass, _ = quad(lambda u: clayton(u, 0.4, 1.2)[0], 0, 1, limit=200)
         assert_allclose(mass, 1.0, atol=1e-6)
 
     def test_partial_endpoints_exact(self):
-        assert clayton_partial(0.0, 0.3, 0.8) == 0.0
-        assert clayton_partial(1.0, 0.3, 0.8) == 1.0
+        assert clayton(0.0, 0.3, 0.8)[1] == 0.0
+        assert clayton(1.0, 0.3, 0.8)[1] == 1.0
 
     def test_partial_matches_density_derivative(self):
         u, v, a = 0.5, 0.3, 0.8
         h = 1e-6
-        numeric = (clayton_partial(u + h, v, a) - clayton_partial(u - h, v, a)) / (2 * h)
-        assert_allclose(numeric, clayton_density(u, v, a), rtol=1e-4)
+        numeric = (clayton(u + h, v, a)[1] - clayton(u - h, v, a)[1]) / (2 * h)
+        assert_allclose(numeric, clayton(u, v, a)[0], rtol=1e-4)
 
     def test_small_bandwidth_stays_finite(self):
-        vals = clayton_density(np.array([1e-9, 0.5, 1 - 1e-9]), 0.999, 0.06)
-        assert np.all(np.isfinite(vals))
+        density, partial = clayton(np.array([1e-9, 0.5, 1 - 1e-9]), 0.999, 0.06)
+        assert np.all(np.isfinite(density))
+        assert np.all(np.isfinite(partial))
 
     def test_bad_bandwidth(self):
         with pytest.raises(ConfigurationError):
-            clayton_density(0.5, 0.5, 0.0)
+            clayton(0.5, 0.5, 0.0)
 
     @given(probs, probs, bandwidths)
     @settings(max_examples=200, deadline=None)
     def test_symmetry(self, u, v, a):
-        assert_allclose(clayton_density(u, v, a), clayton_density(v, u, a),
-                        rtol=1e-12)
+        assert_allclose(clayton(u, v, a)[0], clayton(v, u, a)[0], rtol=1e-12)
 
     @given(probs, bandwidths)
     @settings(max_examples=100, deadline=None)
     def test_partial_monotone_in_u(self, v, a):
         us = np.linspace(0.0, 1.0, 101)
-        vals = clayton_partial(us, v, a)
+        vals = clayton(us, v, a)[1]
         assert np.all(np.diff(vals) >= 0)
         assert vals[0] == 0.0 and vals[-1] == 1.0
 
@@ -74,64 +73,58 @@ class TestClayton:
 class TestGaussian:
     def test_independence_exact(self):
         u, v = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.05, 0.95, 7))
-        assert np.all(gaussian_density(u, v, 0.0) == 1.0)
+        assert np.all(gaussian(u, v, 0.0)[0] == 1.0)
 
     def test_partial_at_independence(self):
-        assert_allclose(gaussian_partial(0.37, 0.8, 0.0), 0.37, rtol=1e-12)
+        assert_allclose(gaussian(0.37, 0.8, 0.0)[1], 0.37, rtol=1e-12)
 
     def test_partial_matches_density_derivative(self):
         u, v, rho = 0.6, 0.2, 0.7
         h = 1e-6
-        numeric = (gaussian_partial(u + h, v, rho) - gaussian_partial(u - h, v, rho)) / (2 * h)
-        assert_allclose(numeric, gaussian_density(u, v, rho), rtol=1e-4)
+        numeric = (gaussian(u + h, v, rho)[1] - gaussian(u - h, v, rho)[1]) / (2 * h)
+        assert_allclose(numeric, gaussian(u, v, rho)[0], rtol=1e-4)
 
     def test_marginal_uniformity(self):
-        mass, _ = quad(lambda u: gaussian_density(u, 0.4, 0.6), 0, 1, limit=200)
+        mass, _ = quad(lambda u: gaussian(u, 0.4, 0.6)[0], 0, 1, limit=200)
         assert_allclose(mass, 1.0, atol=1e-6)
 
     def test_rho_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            gaussian_density(0.5, 0.5, 1.0)
+            gaussian(0.5, 0.5, 1.0)
 
     def test_partial_endpoints(self):
-        assert gaussian_partial(0.0, 0.4, 0.7) == 0.0
-        assert gaussian_partial(1.0, 0.4, 0.7) == 1.0
+        assert gaussian(0.0, 0.4, 0.7)[1] == 0.0
+        assert gaussian(1.0, 0.4, 0.7)[1] == 1.0
 
     @given(probs, probs, st.floats(0.05, 0.95))
     @settings(max_examples=200, deadline=None)
     def test_symmetry(self, u, v, rho):
-        assert_allclose(gaussian_density(u, v, rho),
-                        gaussian_density(v, u, rho), rtol=1e-10)
+        assert_allclose(gaussian(u, v, rho)[0], gaussian(v, u, rho)[0],
+                        rtol=1e-10)
 
 
 @pytest.mark.parametrize("v", [0.1, 0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize(
-    "density",
-    [lambda u, v: clayton_density(u, v, 0.9),
-     lambda u, v: gaussian_density(u, v, 0.55)],
+    "kernel",
+    [lambda u, v: clayton(u, v, 0.9), lambda u, v: gaussian(u, v, 0.55)],
     ids=["clayton", "gaussian"],
 )
-def test_uniform_marginals_at_fixed_v(density, v):
-    mass, _ = quad(lambda u: density(u, v), 0, 1, limit=200)
+def test_uniform_marginals_at_fixed_v(kernel, v):
+    mass, _ = quad(lambda u: kernel(u, v)[0], 0, 1, limit=200)
     assert_allclose(mass, 1.0, atol=1e-5)
 
 
 @pytest.mark.parametrize(
-    "density, partial",
-    [
-        (lambda u, v: clayton_density(u, v, 1.4),
-         lambda u, v: clayton_partial(u, v, 1.4)),
-        (lambda u, v: gaussian_density(u, v, 0.45),
-         lambda u, v: gaussian_partial(u, v, 0.45)),
-    ],
+    "kernel",
+    [lambda u, v: clayton(u, v, 1.4), lambda u, v: gaussian(u, v, 0.45)],
     ids=["clayton", "gaussian"],
 )
-def test_density_partial_consistency_grid(density, partial):
+def test_density_partial_consistency_grid(kernel):
     h = 1e-6
     for u in (0.2, 0.5, 0.8):
         for v in (0.15, 0.5, 0.85):
-            numeric = (partial(u + h, v) - partial(u - h, v)) / (2 * h)
-            assert_allclose(numeric, density(u, v), rtol=1e-4)
+            numeric = (kernel(u + h, v)[1] - kernel(u - h, v)[1]) / (2 * h)
+            assert_allclose(numeric, kernel(u, v)[0], rtol=1e-4)
 
 
 class TestAlphaSchedule:

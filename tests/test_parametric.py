@@ -158,7 +158,8 @@ class TestConjugateSmc:
         data = make_dataset([y1, c, y3], [1, 0, 1])
         model = ConjugateModel(1.2, 1.0)
         ensemble = conjugate_smc(model, data, n_particles=10_000, seed=7)
-        draws = ensemble.imputed_times[1]
+        # b sums b0, the observed times and the particle's imputed time
+        draws = ensemble.b - (model.b0 + y1 + y3)
         others = posterior_predictive(
             posterior_update(model, make_dataset([y1, y3], [1, 1]))
         )
@@ -171,10 +172,24 @@ class TestConjugateSmc:
         assert ks <= 0.05
 
     def test_imputed_times_exceed_censoring(self, censored_exp50):
+        # without resampling particles keep their identity, and the draws
+        # are keyed by record index, so the growth of b between the prefix
+        # runs before and through a censored record is its imputed time
         model = ConjugateModel(1.2, 1.0)
-        ensemble = conjugate_smc(model, censored_exp50, n_particles=64, seed=3)
-        for idx, values in ensemble.imputed_times.items():
-            assert np.all(values > censored_exp50.times[idx])
+        data = censored_exp50
+
+        def b_through(k):
+            if k == 0:
+                return np.full(64, model.b0)
+            prefix = make_dataset(data.times[:k], data.status[:k])
+            return conjugate_smc(model, prefix, n_particles=64, ess_frac=0.0,
+                                 seed=3).b
+
+        censored_idx = np.nonzero(data.status == 0)[0]
+        assert censored_idx.size > 0
+        for idx in censored_idx:
+            values = b_through(idx + 1) - b_through(idx)
+            assert np.all(values > data.times[idx])
 
 
 class TestDoobDemo:

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import copsurv as cs
 from copsurv.censoring import impute_smc
-from copsurv.copulas import ClaytonFamily, GaussianFamily, alpha_schedule
+from copsurv.copulas import (
+    ClaytonFamily,
+    GaussianFamily,
+    alpha_schedule,
+    clayton_density_and_partial,
+)
 from copsurv.distributions import LomaxParams, lomax_cdf, lomax_inv_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError
 from copsurv.predictive import prequential_log_lik
@@ -89,8 +93,8 @@ class TestAbsorbEvaluate:
         y1 = float(lomax_inv_cdf(0.5, base))
         one = fit(make_dataset([y1], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
-        expected = (1 - alpha1 + alpha1 * cs.clayton_density(0.5, 0.5, a)) \
-            * lomax_pdf(y1, base)
+        density, _ = clayton_density_and_partial(0.5, 0.5, a)
+        expected = (1 - alpha1 + alpha1 * density) * lomax_pdf(y1, base)
         assert_allclose(at(one, y1)[0], expected, rtol=1e-12)
 
     def test_single_absorb_cdf_formula(self):
@@ -99,7 +103,8 @@ class TestAbsorbEvaluate:
         median = float(lomax_inv_cdf(0.5, base))
         one = fit(make_dataset([median], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
-        expected = (1 - alpha1) * 0.5 + alpha1 * cs.clayton_partial(0.5, 0.5, a)
+        _, partial = clayton_density_and_partial(0.5, 0.5, a)
+        expected = (1 - alpha1) * 0.5 + alpha1 * partial
         assert_allclose(at(one, median)[1], expected, rtol=1e-12)
 
     def test_cdf_approaches_one(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import copsurv as cs
+from copsurv import tune
 from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily
 from copsurv.errors import ConfigurationError
@@ -32,6 +33,16 @@ class TestGridSearch:
             direct = impute_smc(data, ClaytonFamily(cell.bandwidth),
                                 n_particles=200, seed=5)
             assert cell.score == direct.log_z
+
+    def test_bad_cell_rejected_before_any_scoring(self, censored_exp50,
+                                                  monkeypatch):
+        def score(*args, **kwargs):
+            raise AssertionError("a cell was scored")
+
+        monkeypatch.setattr(tune, "impute_smc", score)
+        grid = TuneGrid(bandwidths=(0.5, 1.2), n_particles=100, seed=1)
+        with pytest.raises(ConfigurationError):
+            grid_search(cs.standardize(censored_exp50), "gaussian", grid)
 
     def test_bit_reproducible(self, censored_exp50):
         data = cs.standardize(censored_exp50)
