@@ -20,9 +20,15 @@ path as the copula predictive; both ensembles extend the pass result
 `SmcPass` with their own particle state.  The engine's state is the only
 copy of each particle's history: a censored record's draw lives on only
 as the value the engine absorbed, and resampling re-indexes that state
-and the ancestry, nothing else.  All randomness comes from counter-based
-streams keyed by (seed, stream, record index), so a pass is a pure
-function of (data, particle count, seed) and reruns bit-identically.
+and the ancestry, nothing else.  Besides that history the copula engine
+carries, per particle, the running predictive (density, cdf) of every
+record at its own time, so evaluating a record reads its row, and
+absorbing one updates the rows of the records after it, in blocks of
+rows: the recursion costs one kernel evaluation per (pending record,
+particle, absorbed record), not a kernel call per pair of records.  All
+randomness comes from counter-based streams keyed by (seed, stream,
+record index), so a pass is a pure function of (data, particle count,
+seed) and reruns bit-identically.
 """
 
 from __future__ import annotations
@@ -33,11 +39,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import copulas, rng
-from .copulas import CopulaFamily
+from .copulas import CopulaFamily, alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
 from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError, DegeneracyError
-from .predictive import propagate, step_weights
+from .predictive import row_blocks, update
 
 __all__ = [
     "SmcPass",
@@ -168,6 +174,9 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     observed at t, where the predictive CDF was `cdf`; absorb_censored(i, u)
     takes it as censored, with each particle's draw u above P(c) in CDF
     space; select(idx) re-indexes the particle state by ancestor indices.
+    Records are visited in order, each evaluated once and then absorbed,
+    so an engine may keep the predictive of the records still to come
+    and return it as a view; the loop only reads what eval_at returns.
     """
     if n_particles < 2:
         raise ConfigurationError("need at least 2 particles")
@@ -231,22 +240,33 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
 
 class _CopulaEngine:
     """Vectorized particle state for the copula predictive: one shared
-    covariate table, per-particle propagation values."""
+    covariate table, per-particle propagation values `v`, and the running
+    predictive (density, cdf) of every record at its own time.
 
-    def __init__(self, family, rho_x, covariates, n_records, n_particles):
+    Row k of `dens` and `u` starts at the base measure at times[k] and
+    takes one `update` for each record j < k as record j is absorbed,
+    with weight a_{j+1} (with covariates, `alpha_regression` of record k
+    as the evaluation point and record j as the absorbed one).  Evaluating
+    record i therefore reads row i, and a pass over n records costs one
+    sweep over the pending rows per record, in blocks of rows, not a
+    re-propagation of every record through the whole absorbed history.
+    The weights are computed per block as the record is absorbed, so no
+    (n, n) weight table is held.
+    """
+
+    def __init__(self, family, rho_x, covariates, times, n_particles):
         self.joint_fn = copulas.family_joint(family)
-        self.base = copulas.default_base(family)
+        base = copulas.default_base(family)
+        n = len(times)
+        self.v = np.empty((n, n_particles))
+        self.dens = np.tile(base_pdf(times, base)[:, None], n_particles)
+        self.u = np.tile(base_cdf(times, base)[:, None], n_particles)
         self.rho_x = rho_x
         self.covariates = covariates
-        self.v = np.empty((n_records, n_particles))
 
     def eval_at(self, i, t):
-        b = self.v.shape[1]
-        x_eval = self.covariates[i] if self.rho_x is not None else None
-        alphas = step_weights(i, x_eval, self.covariates, self.rho_x)
-        return propagate(np.full(b, float(base_pdf(t, self.base))),
-                         np.full(b, float(base_cdf(t, self.base))),
-                         self.v[:i], alphas, self.joint_fn)
+        # t is times[i], whose running predictive is row i
+        return self.dens[i], self.u[i]
 
     def absorb_observed(self, i, t, cdf):
         # an observed record's propagation value is its predictive CDF
@@ -254,11 +274,23 @@ class _CopulaEngine:
 
     def absorb_censored(self, i, u):
         self.v[i] = np.clip(u, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
+        n, b = self.v.shape
+        a = alpha_schedule(i + 1)
+        for blk in row_blocks(i + 1, n, b):
+            alpha = a
+            if self.rho_x is not None:
+                # the pending records are the evaluation points
+                alpha = alpha_regression(a, self.covariates[blk],
+                                         self.covariates[i], self.rho_x)[:, None]
+            self.dens[blk], self.u[blk] = update(
+                self.dens[blk], self.u[blk], self.v[i], alpha, self.joint_fn)
 
     def select(self, idx):
-        # rows not yet absorbed hold nothing that is read before they
-        # are written
+        # rows of v not yet absorbed, and rows of dens/u already absorbed,
+        # are never read, so re-indexing them too is harmless
         self.v = self.v[:, idx]
+        self.dens = self.dens[:, idx]
+        self.u = self.u[:, idx]
 
 
 def impute_smc(data: SurvivalDataset, family: CopulaFamily,
@@ -273,7 +305,8 @@ def impute_smc(data: SurvivalDataset, family: CopulaFamily,
     """
     if rho_x is not None and data.covariates is None:
         raise ConfigurationError("rho_x given but the dataset has no covariates")
-    engine = _CopulaEngine(family, rho_x, data.covariates, data.n, n_particles)
+    engine = _CopulaEngine(family, rho_x, data.covariates, data.times,
+                           n_particles)
     result = run_smc_loop(engine, data.times, data.status, n_particles,
                           ess_frac, seed)
     return ParticleEnsemble(family=family, rho_x=rho_x,

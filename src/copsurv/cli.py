@@ -52,12 +52,13 @@ def _comma_names(text):
 
 
 # Range checks, as (predicate, what the value must be); `_resolve`
-# applies them before any input is read.
+# applies them before any input is read, to every element of a comma list.
 AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
 NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 POSITIVE = (lambda v: v > 0, "positive")
 IN_CLOSED_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 IN_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+IN_HALF_OPEN_UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 class Opt:
@@ -115,8 +116,9 @@ SUBCOMMANDS = {
         Opt("covariate-cols", _comma_names, required=True),
         Opt("x-target", _comma_floats, repeatable=True,
             help="covariate vector (comma list); repeatable"),
-        Opt("rho-x", float, help="fixed covariate-kernel correlation"),
-        Opt("rho-x-grid", _comma_floats),
+        Opt("rho-x", float, bounds=IN_HALF_OPEN_UNIT,
+            help="fixed covariate-kernel correlation"),
+        Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT),
         Opt("test-split", float, bounds=IN_OPEN_UNIT,
             help="held-out fraction; censored test records score log survival mass"),
         Opt("n-extra", int, bounds=NONNEGATIVE,
@@ -138,7 +140,7 @@ SUBCOMMANDS = {
         Opt("status-col", str, default="status"),
         Opt("family", str, default="clayton"),
         Opt("bandwidth-grid", _comma_floats),
-        Opt("rho-x-grid", _comma_floats),
+        Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT),
         Opt("covariate-cols", _comma_names, default=()),
         Opt("tune-particles", int, default=1000, bounds=AT_LEAST_2),
     ],
@@ -203,7 +205,8 @@ def _resolve(args, opts):
             raise ConfigurationError(f"--{opt.name} is required")
         if value is not None and opt.bounds is not None:
             in_range, rule = opt.bounds
-            if not in_range(value):
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(in_range(v) for v in items):
                 raise ConfigurationError(
                     f"--{opt.name} must be {rule}, got {value!r}")
         resolved[opt.dest] = value
@@ -496,20 +499,24 @@ def cmd_regress(cfg, outdir):
         x = np.asarray(x_orig, dtype=float)
         if shift is not None:
             x = (x - shift[:, 0]) / shift[:, 1]
-        dens_rows, cdf_rows = resampling.ensemble_grid_rows(ensemble, grid, x)
-        w = ensemble.weights
-        cdf = weighted_mean(cdf_rows, w)
+        draws = None
+        if cfg.get("n_extra") is not None:
+            # the draws carry the fitted predictive of their start rows
+            draws = resampling.martingale_posterior(
+                ensemble, cfg["n_extra"], grid, x_target=x, seed=cfg["seed"]
+            )
+            density, cdf = draws.predictive_density, draws.predictive_cdf
+        else:
+            dens_rows, cdf_rows = resampling.ensemble_grid_rows(ensemble, grid, x)
+            w = ensemble.weights
+            density, cdf = weighted_mean(dens_rows, w), weighted_mean(cdf_rows, w)
         dataio.write_rows(
             outdir / f"conditional_x{idx}.csv",
             ["time", "density", "cdf", "survival"],
             zip(dataio.unscale_times(grid.points, scale),
-                dataio.unscale_density(weighted_mean(dens_rows, w), scale),
-                cdf, 1.0 - cdf),
+                dataio.unscale_density(density, scale), cdf, 1.0 - cdf),
         )
-        if cfg.get("n_extra") is not None:
-            draws = resampling.martingale_posterior(
-                ensemble, cfg["n_extra"], grid, x_target=x, seed=cfg["seed"]
-            )
+        if draws is not None:
             _write_posterior_summaries(outdir, draws, scale,
                                        prefix=f"posterior_x{idx}_")
 

@@ -84,9 +84,13 @@ def _clamp(u):
 
 
 def _log_clayton_s(gu, gv):
-    """log{(1-u)^(-1/a) + (1-v)^(-1/a) - 1} from g = -log(1-u)/a terms."""
+    """log{(1-u)^(-1/a) + (1-v)^(-1/a) - 1} from g = -log(1-u)/a terms.
+
+    Shifted by m = max(gu, gv): one of exp(gu - m) and exp(gv - m) is
+    exp(0) = 1 and the other is exp(-|gu - gv|), bit for bit.
+    """
     m = np.maximum(gu, gv)
-    return m + np.log(np.exp(gu - m) + np.exp(gv - m) - np.exp(-m))
+    return m + np.log(1.0 + np.exp(-np.abs(gu - gv)) - np.exp(-m))
 
 
 def _gaussian_log_density_z(zu, zv, rho: float):
@@ -162,24 +166,27 @@ def alpha_regression(alpha_i, x, x_prime, rho_x: float):
     directly.  Returns alpha_i K / (1 - alpha_i + alpha_i K), in (0, 1)
     whenever alpha_i is.  rho_x = 0 returns alpha_i unchanged.
 
-    `x_prime` may be a matrix of row vectors, giving one weight per row.
+    The last axis of `x` and `x_prime` is the covariate dimension; leading
+    axes stack row vectors and broadcast against each other and against
+    `alpha_i`, giving one weight per pair.  Two single vectors give a
+    float.
     """
     _check_rho(rho_x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    xp = np.asarray(x_prime, dtype=float)
-    single = xp.ndim <= 1
-    xp = np.atleast_2d(xp)
-    if x.shape[0] != xp.shape[1]:
+    xp = np.atleast_1d(np.asarray(x_prime, dtype=float))
+    if x.shape[-1] != xp.shape[-1]:
         raise ValueError(
-            f"covariate dimension mismatch: {x.shape[0]} vs {xp.shape[1]}"
+            f"covariate dimension mismatch: {x.shape[-1]} vs {xp.shape[-1]}"
         )
-    if x.shape[0] == 0 or rho_x == 0.0:
+    if x.shape[-1] == 0 or rho_x == 0.0:
         # K = 1: the weight is unchanged (independence limit).
-        return float(alpha_i) if single else np.full(xp.shape[0], float(alpha_i))
-    log_k = _gaussian_log_density_z(x[None, :], xp, rho_x).sum(axis=1)
-    k = np.exp(log_k)
-    out = alpha_i * k / (1.0 - alpha_i + alpha_i * k)
-    return float(out[0]) if single else out
+        shape = np.broadcast_shapes(np.shape(alpha_i), x.shape[:-1],
+                                    xp.shape[:-1])
+        out = np.full(shape, alpha_i, dtype=float)
+    else:
+        k = np.exp(_gaussian_log_density_z(x, xp, rho_x).sum(axis=-1))
+        out = alpha_i * k / (1.0 - alpha_i + alpha_i * k)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ loop over an absorbed history: the prequential score, censored-data
 imputation and forward predictive resampling all run through them, the
 latter two simply supplying u values drawn in CDF space.  `step_weights`
 gives the weights a_1..a_n of an absorbed history.
+
+Every propagation over many rows (the SMC pass's pending records, the
+start rows and the forward pass over chains) runs in blocks of whole
+rows from `row_blocks`, sized so that each temporary the recursion
+allocates holds at most `BLOCK_ELEMS` float64 values (64 KiB).  That
+keeps temporaries below glibc's 128 KiB mmap threshold: larger ones are
+mapped and page-faulted in afresh on every call, which costs more than
+the arithmetic.  The recursion is elementwise, so blocking changes no
+output bit.
 """
 
 from __future__ import annotations
@@ -29,6 +38,21 @@ from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError
 
 __all__ = ["prequential_log_lik", "update", "propagate", "step_weights"]
+
+# Elements per propagation block: 64 KiB of float64 per temporary.
+BLOCK_ELEMS = 8192
+
+
+def block_rows(row_elems: int) -> int:
+    """Rows of `row_elems` elements that fit one block (at least one)."""
+    return max(1, BLOCK_ELEMS // max(1, row_elems))
+
+
+def row_blocks(start: int, stop: int, row_elems: int) -> list:
+    """Slices covering rows start..stop-1, `block_rows(row_elems)` rows
+    each (the last may be shorter)."""
+    step = block_rows(row_elems)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 
 def update(dens, u, v, alpha, joint):
@@ -47,12 +71,18 @@ def propagate(dens, u, v_rows, alphas, joint):
 
 def step_weights(n: int, x_eval, xseq, rho_x) -> np.ndarray:
     """Update weights a_1..a_n for evaluating at covariate x_eval; with
-    rho_x set, step j is weighted by its covariate row xseq[j]."""
+    rho_x set, step j is weighted by its covariate row xseq[j].
+
+    `x_eval` may stack K evaluation rows, shape (K, d), giving a (K, n)
+    matrix: row k holds the weights for evaluating at x_eval[k].  The
+    evaluation point stays `alpha_regression`'s first covariate argument
+    and the absorbed record its second; swapping them moves the last bit.
+    """
     alphas = alpha_schedule(np.arange(1, n + 1))
     if rho_x is None:
         return alphas
-    return np.array([alpha_regression(a, x_eval, xseq[j], rho_x)
-                     for j, a in enumerate(alphas)])
+    x = np.asarray(x_eval, dtype=float)
+    return alpha_regression(alphas, x[..., None, :], xseq[:n], rho_x)
 
 
 def prequential_log_lik(data: SurvivalDataset, family: CopulaFamily,

@@ -30,7 +30,7 @@ from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
 from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError, GridCoverageError
-from .predictive import propagate, step_weights, update
+from .predictive import block_rows, propagate, row_blocks, step_weights, update
 
 __all__ = [
     "GridSpec",
@@ -92,19 +92,23 @@ def default_grid(data: SurvivalDataset, size: int = 100,
 
 
 def _bootstrap_picks(pool: np.ndarray, n_chains: int, n_steps: int,
-                     seed: int) -> np.ndarray:
-    """(n_steps, n_chains) pool indices; one Dirichlet weight vector per
-    chain, then per-step categorical picks, all from keyed streams."""
+                     chunk: int, seed: int):
+    """Yield (steps, n_chains) pool indices, `chunk` steps at a time; one
+    Dirichlet weight vector per chain, then per-step categorical picks,
+    all from keyed streams.  The picks do not depend on `chunk`: the
+    chunks are consecutive draws of one stream."""
     n = pool.shape[0]
     weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
                                     (n_chains, n))
     cumulative = np.cumsum(weights, axis=1)
     cumulative[:, -1] = 1.0
-    u = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK).random((n_steps, n_chains))
-    picks = np.empty((n_steps, n_chains), dtype=np.int64)
-    for j in range(n_chains):
-        picks[:, j] = np.searchsorted(cumulative[j], u[:, j], side="right")
-    return picks.clip(0, n - 1)
+    draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK)
+    for t0 in range(0, n_steps, chunk):
+        u = draws.random((min(chunk, n_steps - t0), n_chains))
+        picks = np.empty(u.shape, dtype=np.int64)
+        for j in range(n_chains):
+            picks[:, j] = np.searchsorted(cumulative[j], u[:, j], side="right")
+        yield picks.clip(0, n - 1)
 
 
 def wasserstein1(cdf_a, cdf_b, grid: GridSpec):
@@ -143,7 +147,9 @@ class PosteriorDraws:
     """Weighted martingale-posterior sample of grid-evaluated functionals.
 
     `w1_trace[j, t]` is chain j's Wasserstein-1 distance from its starting
-    CDF after t forward steps.
+    CDF after t forward steps.  `predictive_density` and `predictive_cdf`
+    are the weighted means of the starting rows: the fitted predictive on
+    the grid, before any forward step.
     """
 
     grid: GridSpec
@@ -152,6 +158,8 @@ class PosteriorDraws:
     medians: np.ndarray  # (B,)
     weights: np.ndarray  # (B,), normalized
     w1_trace: np.ndarray  # (B, n_extra + 1)
+    predictive_density: np.ndarray  # (G,)
+    predictive_cdf: np.ndarray  # (G,)
 
     @property
     def n_draws(self) -> int:
@@ -205,42 +213,79 @@ def weighted_quantiles(values, weights, qs):
 
 def _start_rows(ensemble: ParticleEnsemble, points, x_target):
     """Propagate the base (density, cdf) values at `points` through the
-    absorbed history of every particle: returns (B, len(points)) arrays."""
+    absorbed history of every particle: returns (B, len(points)) arrays.
+
+    `x_target` is None, one covariate vector, or one covariate row per
+    point ((len(points), d)).  Chains run in blocks of rows with all n
+    steps inside, so every temporary fits one block.  With one covariate
+    row per point, the points go in blocks of `block_rows(n)` too, so
+    their (steps, points) weight table and its covariate temporaries
+    stay bounded instead of growing with n times the number of points.
+    """
     base = copulas.default_base(ensemble.family)
+    joint_fn = copulas.family_joint(ensemble.family)
     n_steps, n_chains = ensemble.v_matrix.shape
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    dens = np.tile(np.asarray(base_pdf(points, base), dtype=float),
-                   (n_chains, 1))
-    u = np.tile(np.asarray(base_cdf(points, base), dtype=float),
-                (n_chains, 1))
-    return propagate(dens, u, ensemble.v_matrix[:, :, None],
-                     step_weights(n_steps, x_target, ensemble.covariates,
-                                  ensemble.rho_x),
-                     copulas.family_joint(ensemble.family))
+    pdf0 = np.asarray(base_pdf(points, base), dtype=float)
+    cdf0 = np.asarray(base_cdf(points, base), dtype=float)
+    per_point = ensemble.rho_x is not None and np.ndim(x_target) == 2
+    columns = (row_blocks(0, points.size, n_steps) if per_point
+               else [slice(None)])
+    dens = np.empty((n_chains, points.size))
+    u = np.empty((n_chains, points.size))
+    for col in columns:
+        # step j's weight: a scalar, or a row of one weight per point
+        x = x_target[col] if per_point else x_target
+        alphas = step_weights(n_steps, x, ensemble.covariates,
+                              ensemble.rho_x).T
+        for blk in row_blocks(0, n_chains, pdf0[col].size):
+            dens[blk, col], u[blk, col] = propagate(
+                pdf0[col], cdf0[col], ensemble.v_matrix[:, blk, None],
+                alphas, joint_fn)
+    return dens, u
 
 
 def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
              x_target):
-    """Advance every chain n_extra steps; mutates and returns the rows
-    plus the per-chain Wasserstein-1 trajectory."""
+    """Advance every chain n_extra steps, overwriting the rows in place;
+    returns the per-chain Wasserstein-1 trajectory.
+
+    Steps go in chunks: each chunk draws its uniforms (and, with
+    covariates, its per-chain weights) for all chains into buffers of
+    `chunk` steps, then runs every block of chains through the chunk's
+    steps, so a block stays in cache and no buffer spans all n_extra
+    steps.  `chunk` is chosen so that a block's (steps, chains) slice of
+    a buffer fits one block.  Chain j's step-t uniform is still element
+    j of stream (seed, t), whatever the block and chunk sizes.
+    """
     joint_fn = copulas.family_joint(ensemble.family)
     rho_x = ensemble.rho_x
-    n_chains = dens.shape[0]
+    n_chains, g = u.shape
     start = u.copy()
     w1 = np.zeros((n_chains, n_extra + 1))
-    if rho_x is not None and n_extra > 0:
-        picks = _bootstrap_picks(ensemble.covariates, n_chains, n_extra, seed)
-    for t in range(n_extra):
-        step_index = ensemble.n_records + t + 1
-        alpha = float(alpha_schedule(step_index))
+    chunk = block_rows(block_rows(g))
+    if rho_x is not None:
+        picks = _bootstrap_picks(ensemble.covariates, n_chains, n_extra,
+                                 chunk, seed)
+    for t0 in range(0, n_extra, chunk):
+        steps = range(t0, min(t0 + chunk, n_extra))
+        v = np.stack([rng.uniforms(seed, rng.STREAM_FORWARD, t, n_chains)
+                      for t in steps])
+        v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
+        step_index = ensemble.n_records + 1 + np.arange(t0, steps.stop)
+        alpha = alpha_schedule(step_index)[:, None]
         if rho_x is not None:
-            x_drawn = ensemble.covariates[picks[t]]
-            alpha = alpha_regression(alpha, x_target, x_drawn, rho_x)[:, None]
-        v = rng.uniforms(seed, rng.STREAM_FORWARD, t, n_chains)
-        v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)[:, None]
-        dens, u = update(dens, u, v, alpha, joint_fn)
-        w1[:, t + 1] = wasserstein1(u, start, grid)
-    return dens, u, w1
+            alpha = alpha_regression(alpha, x_target,
+                                     ensemble.covariates[next(picks)], rho_x)
+        alpha = np.broadcast_to(alpha, v.shape)
+        for blk in row_blocks(0, n_chains, g):
+            d, c = dens[blk], u[blk]
+            for k, t in enumerate(steps):
+                d, c = update(d, c, v[k, blk, None], alpha[k, blk, None],
+                              joint_fn)
+                w1[blk, t + 1] = wasserstein1(c, start[blk], grid)
+            dens[blk], u[blk] = d, c
+    return w1
 
 
 def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
@@ -266,16 +311,18 @@ def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
 
     `test` must already be on the training scale (times multiplied by the
     training scale factor, covariates z-scored with training statistics).
+    All records are evaluated in one propagation, each at its own time
+    and covariate row.
     """
+    x = test.covariates if ensemble.rho_x is not None else None
+    dens, cdf = _start_rows(ensemble, test.times, x)
     w = ensemble.weights
     total = 0.0
     for i in range(test.n):
-        x = test.covariates[i] if ensemble.rho_x is not None else None
-        dens, cdf = ensemble_eval(ensemble, float(test.times[i]), x)
         if test.status[i] == 1:
-            total += np.log(weighted_mean(dens, w))
+            total += np.log(weighted_mean(dens[:, i], w))
         else:
-            total += np.log(weighted_mean(1.0 - cdf, w))
+            total += np.log(weighted_mean(1.0 - cdf[:, i], w))
     return float(total / test.n)
 
 
@@ -303,14 +350,19 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
                    else DEFAULT_N_EXTRA)
     if n_extra < 0:
         raise ConfigurationError("n_extra must be nonnegative")
+    weights = ensemble.weights
     dens, u = _start_rows(ensemble, grid.points, x_target)
-    dens, u, w1 = _forward(ensemble, dens, u, n_extra, grid, seed, x_target)
+    predictive_density = weighted_mean(dens, weights)
+    predictive_cdf = weighted_mean(u, weights)
+    w1 = _forward(ensemble, dens, u, n_extra, grid, seed, x_target)
     medians = np.array([median_from_cdf(u[j], grid) for j in range(u.shape[0])])
     return PosteriorDraws(
         grid=grid,
         cdf_draws=u,
         density_draws=dens,
         medians=medians,
-        weights=ensemble.weights,
+        weights=weights,
         w1_trace=w1,
+        predictive_density=predictive_density,
+        predictive_cdf=predictive_cdf,
     )

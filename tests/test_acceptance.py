@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import copsurv as cs
+from copsurv import predictive
 from copsurv.censoring import impute_smc
 from copsurv.cli import main as cli_main
 from copsurv.copulas import (
@@ -290,27 +291,42 @@ def test_criterion_9_conditional_real_data():
     print(f"\n[criterion 9] INFO - {'; '.join(messages)} ({elapsed:.1f}s)")
 
 
-def test_criterion_10_process_determinism(tmp_path):
-    """The same doob config run in this process and in a fresh interpreter
-    with a different hash seed writes byte-identical directories."""
+def test_criterion_10_process_determinism(tmp_path, monkeypatch):
+    """The same doob and posterior configs, each run in this process, in a
+    fresh interpreter with a different hash seed, and in this process with
+    one-row propagation blocks, write byte-identical directories."""
     start = time.time()
     sim_dir = tmp_path / "sim"
     assert cli_main(["simulate", "--seed", str(SIM_SEED), "--n", "50",
                      "--output-dir", str(sim_dir)]) == 0
-    args = ["doob", "--seed", "99", "--input", str(sim_dir / "data.csv"),
-            "--n-particles", "2000", "--n-extra", "2000", "--output-dir"]
-    in_process, fresh = tmp_path / "in_process", tmp_path / "fresh"
-    assert cli_main(args + [str(in_process)]) == 0
+    data = str(sim_dir / "data.csv")
+    configs = {
+        "doob": ["doob", "--seed", "99", "--input", data,
+                 "--n-particles", "2000", "--n-extra", "2000"],
+        "posterior": ["posterior", "--seed", "99", "--input", data,
+                      "--bandwidth", "0.9", "--n-particles", "200",
+                      "--n-extra", "50", "--grid-max", "1000"],
+    }
     src = str(Path(cs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED="12345",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "copsurv.cli", *args, str(fresh)],
-                   env=env, check=True, capture_output=True)
-    outputs = [{p.name: p.read_bytes() for p in sorted(out.iterdir())}
-               for out in (in_process, fresh)]
-    identical = outputs[0] == outputs[1]
+    identical = True
+    for name, args in configs.items():
+        runs = [tmp_path / name / kind
+                for kind in ("in_process", "fresh", "one_row")]
+        assert cli_main(args + ["--output-dir", str(runs[0])]) == 0
+        subprocess.run([sys.executable, "-m", "copsurv.cli", *args,
+                        "--output-dir", str(runs[1])],
+                       env=env, check=True, capture_output=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(predictive, "BLOCK_ELEMS", 1)
+            assert cli_main(args + ["--output-dir", str(runs[2])]) == 0
+        outputs = [{p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                   for out in runs]
+        identical &= outputs[0] == outputs[1] == outputs[2]
     elapsed = time.time() - start
     report(10, identical and elapsed < 120.0,
-           "doob pipeline outputs byte-identical in-process and in a fresh "
-           "interpreter (PYTHONHASHSEED=12345)", elapsed)
+           "doob and posterior outputs byte-identical in-process, in a fresh "
+           "interpreter (PYTHONHASHSEED=12345) and at one-row blocks",
+           elapsed)

@@ -139,19 +139,21 @@ class TestPosterior:
         assert dir_bytes(tmp_path / "p1") == dir_bytes(tmp_path / "p2")
 
 
-class TestRegress:
-    @pytest.fixture
-    def reg_csv(self, tmp_path):
-        rng = np.random.default_rng(5)
-        n = 60
-        x = rng.normal(2.0, 1.0, size=n)
-        y = np.exp(0.3 * (x - 2.0)) * rng.exponential(1.0, n)
-        c = rng.exponential(2.0, n)
-        path = tmp_path / "reg.csv"
-        write_rows(path, ["time", "status", "thick"],
-                   zip(np.minimum(y, c), (y < c).astype(int), x))
-        return path
+@pytest.fixture
+def reg_csv(tmp_path):
+    """Censored times with one covariate column, `thick`."""
+    rng = np.random.default_rng(5)
+    n = 60
+    x = rng.normal(2.0, 1.0, size=n)
+    y = np.exp(0.3 * (x - 2.0)) * rng.exponential(1.0, n)
+    c = rng.exponential(2.0, n)
+    path = tmp_path / "reg.csv"
+    write_rows(path, ["time", "status", "thick"],
+               zip(np.minimum(y, c), (y < c).astype(int), x))
+    return path
 
+
+class TestRegress:
     def test_three_targets_three_files(self, reg_csv, tmp_path):
         out = tmp_path / "reg"
         assert run("regress", "--seed", 3, "--input", reg_csv,
@@ -247,6 +249,9 @@ class TestConfigAndErrors:
         ("regress", "--test-split", 0),
         ("regress", "--test-split", 1),
         ("regress", "--n-extra", -1),
+        ("regress", "--rho-x", 1.0),
+        ("regress", "--rho-x-grid", "0.3,1.5"),
+        ("tune", "--rho-x-grid", "0.3,-0.1"),
         ("doob", "--n-particles", 1),
         ("doob", "--n-extra", -1),
         ("doob", "--ess-frac", 1.5),
@@ -264,6 +269,18 @@ class TestConfigAndErrors:
         assert err["error"] == "config"
         assert flag in err["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_bad_rho_x_grid_fails_before_any_cell_is_scored(
+            self, reg_csv, tmp_path, monkeypatch):
+        def score(*args, **kwargs):
+            raise AssertionError("a grid cell was scored")
+
+        monkeypatch.setattr("copsurv.tune.impute_smc", score)
+        out = tmp_path / "out"
+        assert run("tune", "--seed", 1, "--input", reg_csv,
+                   "--covariate-cols", "thick", "--rho-x-grid", "0.3,1.5",
+                   "--output-dir", out) == 2
+        assert not out.exists()
 
     def test_degenerate_run_exit_code(self, tmp_path):
         # the conjugate pipeline works on raw times, so an absurd

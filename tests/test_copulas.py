@@ -13,6 +13,7 @@ from copsurv.copulas import (
     alpha_schedule,
     default_base,
 )
+from copsurv.copulas import _clamp_upper, _log_clayton_s
 from copsurv.copulas import clayton_density_and_partial as clayton
 from copsurv.copulas import gaussian_density_and_partial as gaussian
 from copsurv.distributions import LogNormalBaseParams, LomaxParams
@@ -68,6 +69,24 @@ class TestClayton:
         vals = clayton(us, v, a)[1]
         assert np.all(np.diff(vals) >= 0)
         assert vals[0] == 0.0 and vals[-1] == 1.0
+
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=64),
+           st.floats(0.05, 5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_log_s_matches_two_exp_form_bitwise(self, pairs, a):
+        # _log_clayton_s writes the shifted exp(gu - m) + exp(gv - m) as
+        # 1 + exp(-|gu - gv|); clamp ends and u = v are always included
+        top = 1.0 - 1e-10
+        edges = [(0.0, 0.0), (0.0, top), (top, 0.0), (top, top), (1.0, 0.3),
+                 (0.3, 1.0), (0.3, 0.3)]
+        u, v = np.array(pairs + edges).T
+        gu = -np.log1p(-_clamp_upper(u)) / a
+        gv = -np.log1p(-_clamp_upper(v)) / a
+        m = np.maximum(gu, gv)
+        two_exp = m + np.log(np.exp(gu - m) + np.exp(gv - m) - np.exp(-m))
+        assert np.array_equal(_log_clayton_s(gu, gv), two_exp)
 
 
 class TestGaussian:

@@ -106,7 +106,8 @@ class TestMedianFromCdf:
 class TestBootstrapCovariate:
     def test_single_row_pool(self):
         pool = np.array([[3.0, 1.0]])
-        picks = _bootstrap_picks(pool, n_chains=5, n_steps=4, seed=0)
+        picks = np.concatenate(list(_bootstrap_picks(pool, n_chains=5, n_steps=4,
+                                                     chunk=3, seed=0)))
         assert np.array_equal(pool[picks], np.broadcast_to(pool[0], (4, 5, 2)))
 
     def test_chain_weights_sum_to_one(self):
@@ -118,7 +119,8 @@ class TestBootstrapCovariate:
 
     def test_marginal_uniformity(self):
         pool = np.arange(4.0)[:, None]
-        picks = _bootstrap_picks(pool, n_chains=100_000, n_steps=1, seed=3)
+        picks = next(_bootstrap_picks(pool, n_chains=100_000, n_steps=1,
+                                      chunk=1, seed=3))
         freq = np.bincount(picks[0], minlength=4) / 100_000
         assert np.all(np.abs(freq - 0.25) < 0.02)
 
