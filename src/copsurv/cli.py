@@ -60,6 +60,10 @@ IN_CLOSED_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 IN_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 IN_HALF_OPEN_UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
 
+# Chains whose whole W1 trajectory is written: `posterior --trace-chains`
+# defaults to it, and `regress`, which has no such option, uses it.
+DEFAULT_TRACE_CHAINS = 20
+
 
 class Opt:
     def __init__(self, name, type, default=None, help="", required=False,
@@ -109,7 +113,8 @@ SUBCOMMANDS = {
     "fit": FIT_CORE_OPTS,
     "posterior": FIT_CORE_OPTS + [
         Opt("n-extra", int, default=2000, bounds=NONNEGATIVE),
-        Opt("trace-chains", int, default=20, bounds=NONNEGATIVE,
+        Opt("trace-chains", int, default=DEFAULT_TRACE_CHAINS,
+            bounds=NONNEGATIVE,
             help="chains whose full W1 trajectory is written"),
     ],
     "regress": FIT_CORE_OPTS + [
@@ -383,8 +388,7 @@ def cmd_fit(cfg, outdir):
     return 0
 
 
-def _write_posterior_summaries(outdir, draws, scale, prefix="",
-                               trace_chains=20):
+def _write_posterior_summaries(outdir, draws, scale, prefix=""):
     grid_orig = dataio.unscale_times(draws.grid.points, scale)
     w = draws.weights
     surv = 1.0 - draws.cdf_draws
@@ -406,10 +410,9 @@ def _write_posterior_summaries(outdir, draws, scale, prefix="",
         ["median", "weight"],
         zip(dataio.unscale_times(draws.medians, scale), w),
     )
-    n_chains = min(trace_chains, draws.n_draws)
     rows = []
-    for j in range(n_chains):
-        for t, value in enumerate(draws.w1_trace[j]):
+    for j, trajectory in enumerate(draws.w1_trace):
+        for t, value in enumerate(trajectory):
             rows.append((j, t, value / scale))
     dataio.write_rows(outdir / f"{prefix}w1_trace.csv",
                       ["chain", "step", "w1"], rows)
@@ -423,10 +426,10 @@ def _write_posterior_summaries(outdir, draws, scale, prefix="",
 def cmd_posterior(cfg, outdir):
     data, family, tuned, ensemble = _run_fit(cfg)
     grid = _eval_grid(cfg, data, family)
-    draws = resampling.martingale_posterior(ensemble, cfg["n_extra"], grid,
-                                            seed=cfg["seed"])
-    _write_posterior_summaries(outdir, draws, data.scale_factor,
-                               trace_chains=cfg["trace_chains"])
+    draws = resampling.martingale_posterior(
+        ensemble, cfg["n_extra"], grid, seed=cfg["seed"],
+        trace_chains=cfg["trace_chains"])
+    _write_posterior_summaries(outdir, draws, data.scale_factor)
     _write_diagnostics(outdir, ensemble)
     extra = {
         "log_marginal_likelihood": ensemble.log_z,
@@ -503,8 +506,8 @@ def cmd_regress(cfg, outdir):
         if cfg.get("n_extra") is not None:
             # the draws carry the fitted predictive of their start rows
             draws = resampling.martingale_posterior(
-                ensemble, cfg["n_extra"], grid, x_target=x, seed=cfg["seed"]
-            )
+                ensemble, cfg["n_extra"], grid, x_target=x, seed=cfg["seed"],
+                trace_chains=DEFAULT_TRACE_CHAINS)
             density, cdf = draws.predictive_density, draws.predictive_cdf
         else:
             dens_rows, cdf_rows = resampling.ensemble_grid_rows(ensemble, grid, x)

@@ -83,14 +83,27 @@ def _clamp(u):
     return np.clip(np.asarray(u, dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-def _log_clayton_s(gu, gv):
-    """log{(1-u)^(-1/a) + (1-v)^(-1/a) - 1} from g = -log(1-u)/a terms.
+def _log_clayton_s(gu, gv, out, work):
+    """log{(1-u)^(-1/a) + (1-v)^(-1/a) - 1} from g = -log(1-u)/a terms,
+    written into `out`; `work` is a pair of scratch arrays.  All three
+    have the broadcast shape of gu and gv.
 
     Shifted by m = max(gu, gv): one of exp(gu - m) and exp(gv - m) is
-    exp(0) = 1 and the other is exp(-|gu - gv|), bit for bit.
+    exp(0) = 1 and the other is exp(-|gu - gv|), bit for bit, and
+    -|gu - gv| is min(gu, gv) - m, also bit for bit.
     """
-    m = np.maximum(gu, gv)
-    return m + np.log(1.0 + np.exp(-np.abs(gu - gv)) - np.exp(-m))
+    m, e = work
+    np.maximum(gu, gv, out=m)
+    np.minimum(gu, gv, out=out)
+    out -= m
+    np.exp(out, out=out)
+    out += 1.0
+    np.negative(m, out=e)
+    np.exp(e, out=e)
+    out -= e
+    np.log(out, out=out)
+    out += m
+    return out
 
 
 def _gaussian_log_density_z(zu, zv, rho: float):
@@ -106,22 +119,46 @@ def _check_rho(rho: float):
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
 
 
+def _clayton_g(p, a: float):
+    """-log(1-p)/a of the upper-clamped p, as a new array."""
+    g = np.asarray(_clamp_upper(p))  # clip returns a fresh array
+    np.negative(g, out=g)
+    np.log1p(g, out=g)
+    g /= -a
+    return g
+
+
 def clayton_density_and_partial(u, v, a: float):
     """(d_a(u, v), I_a(u, v)) from one set of log transforms.
 
     d_a equals (a+1)/a exactly at the origin; I_a(u, v) =
     1 - (1-v)^(-(a+1)/a) / s^(a+1) maps u = 0 -> 0 and u = 1 -> 1.
+
+    The kernel is bound by array passes, not by its transcendentals, so
+    every step after the g transforms runs in place in three arrays of
+    the broadcast shape: the two results and log s.
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
     u = np.asarray(u, dtype=float)
-    gu = -np.log1p(-_clamp_upper(u)) / a
-    gv = -np.log1p(-_clamp_upper(v)) / a
-    log_s = _log_clayton_s(gu, gv)
-    density = ((a + 1.0) / a) * np.exp((a + 1.0) * (gu + gv) - (a + 2.0) * log_s)
+    gu = _clayton_g(u, a)
+    gv = _clayton_g(v, a)
+    shape = np.broadcast_shapes(gu.shape, gv.shape)
+    density, partial, log_s = np.empty(shape), np.empty(shape), np.empty(shape)
+    _log_clayton_s(gu, gv, log_s, (density, partial))
     # log_s >= gv always, so the exponent is <= 0 and the partial in [0, 1].
-    inner = -np.expm1((a + 1.0) * (gv - log_s))
-    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
+    np.subtract(gv, log_s, out=partial)
+    partial *= a + 1.0
+    np.expm1(partial, out=partial)
+    np.negative(partial, out=partial)
+    np.copyto(partial, 0.0, where=u <= 0.0)
+    np.copyto(partial, 1.0, where=u >= 1.0)
+    np.add(gu, gv, out=density)
+    density *= a + 1.0
+    log_s *= a + 2.0
+    density -= log_s
+    np.exp(density, out=density)
+    density *= (a + 1.0) / a
     return density, partial
 
 

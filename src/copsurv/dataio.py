@@ -222,9 +222,17 @@ def _format_cell(value) -> str:
 
 
 def write_rows(path, header, rows) -> None:
-    """Write a CSV with deterministic shortest-roundtrip float formatting."""
+    """Write a CSV with deterministic shortest-roundtrip float formatting.
+
+    A row that is a float64 ndarray (a row of a float matrix) is written
+    as the joined reprs of its values: the same bytes as the per-cell
+    path, since no float repr needs quoting, at about half the cost.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+            if isinstance(row, np.ndarray) and row.dtype == np.float64:
+                handle.write(",".join(map(repr, row.tolist())) + "\r\n")
+            else:
+                writer.writerow([_format_cell(v) for v in row])

@@ -11,7 +11,10 @@ imputation run and carrying their weights gives the weighted posterior
 sample.
 
 Convergence is tracked by the Wasserstein-1 distance between the running
-and starting CDF rows, which settles to a constant as the future grows.
+and starting CDF rows, which settles to a constant as the future grows
+(Fong, Holmes & Walker 2023).  It is computed only where it is read: the
+whole trajectory of the first `trace_chains` chains, and every chain's
+last `W1_TAIL_STEPS` steps.
 
 Chains are conceptually independent; the implementation vectorizes
 them, drawing chain j's step-t uniform as element j of one counter-based
@@ -47,10 +50,13 @@ __all__ = [
     "heldout_mean_log_lik",
     "DEFAULT_N_EXTRA",
     "DEFAULT_N_EXTRA_REGRESSION",
+    "W1_TAIL_STEPS",
 ]
 
 DEFAULT_N_EXTRA = 2000
 DEFAULT_N_EXTRA_REGRESSION = 10000
+# Forward steps at the end of every chain whose W1 is kept (`w1_tail`).
+W1_TAIL_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,23 @@ def wasserstein1(cdf_a, cdf_b, grid: GridSpec):
     b = np.asarray(cdf_b, dtype=float)
     if a.shape[-1] != grid.points.size or b.shape[-1] != grid.points.size:
         raise ValueError("rows must match the grid size")
-    return np.trapezoid(np.abs(a - b), grid.points, axis=-1)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return _w1_rows(a, b, np.diff(grid.points), np.empty(shape),
+                    np.empty(shape[:-1] + (shape[-1] - 1,)))
+
+
+def _w1_rows(a, b, dx, gap, terms):
+    """`wasserstein1` of rows a and b given dx = np.diff(grid.points),
+    with its temporaries in `gap` (the shape of a - b) and `terms` (one
+    column less, C-contiguous).  The arithmetic is np.trapezoid's,
+    (dx * (y[1:] + y[:-1]) / 2).sum() on y = |a - b|, so the bits match
+    np.trapezoid(np.abs(a - b), grid.points, axis=-1)."""
+    np.subtract(a, b, out=gap)
+    np.abs(gap, out=gap)
+    np.add(gap[..., 1:], gap[..., :-1], out=terms)
+    terms *= dx
+    terms /= 2.0
+    return terms.sum(axis=-1)
 
 
 def median_from_cdf(cdf_row, grid: GridSpec) -> float:
@@ -147,9 +169,13 @@ class PosteriorDraws:
     """Weighted martingale-posterior sample of grid-evaluated functionals.
 
     `w1_trace[j, t]` is chain j's Wasserstein-1 distance from its starting
-    CDF after t forward steps.  `predictive_density` and `predictive_cdf`
-    are the weighted means of the starting rows: the fitted predictive on
-    the grid, before any forward step.
+    CDF after t forward steps, for the first k = min(trace_chains, B)
+    chains.  `w1_tail[j, s]` is that distance for every chain j over the
+    last min(n_extra, W1_TAIL_STEPS) + 1 steps, so its last column is
+    step n_extra, and `w1_trace[:, -w1_tail.shape[1]:]` equals
+    `w1_tail[:k]`.  `predictive_density` and `predictive_cdf` are the
+    weighted means of the starting rows: the fitted predictive on the
+    grid, before any forward step.
     """
 
     grid: GridSpec
@@ -157,7 +183,8 @@ class PosteriorDraws:
     density_draws: np.ndarray  # (B, G)
     medians: np.ndarray  # (B,)
     weights: np.ndarray  # (B,), normalized
-    w1_trace: np.ndarray  # (B, n_extra + 1)
+    w1_trace: np.ndarray  # (min(trace_chains, B), n_extra + 1)
+    w1_tail: np.ndarray  # (B, min(n_extra, W1_TAIL_STEPS) + 1)
     predictive_density: np.ndarray  # (G,)
     predictive_cdf: np.ndarray  # (G,)
 
@@ -246,9 +273,13 @@ def _start_rows(ensemble: ParticleEnsemble, points, x_target):
 
 
 def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
-             x_target):
+             x_target, trace_chains):
     """Advance every chain n_extra steps, overwriting the rows in place;
-    returns the per-chain Wasserstein-1 trajectory.
+    returns the Wasserstein-1 distances from the starting rows that are
+    read: (trace, tail), the whole trajectory of the first
+    min(trace_chains, B) chains and every chain's last
+    min(n_extra, W1_TAIL_STEPS) + 1 steps (see `PosteriorDraws`).  No
+    other step pays for a W1.
 
     Steps go in chunks: each chunk draws its uniforms (and, with
     covariates, its per-chain weights) for all chains into buffers of
@@ -262,8 +293,15 @@ def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
     rho_x = ensemble.rho_x
     n_chains, g = u.shape
     start = u.copy()
-    w1 = np.zeros((n_chains, n_extra + 1))
-    chunk = block_rows(block_rows(g))
+    n_traced = min(trace_chains, n_chains)
+    trace = np.zeros((n_traced, n_extra + 1))
+    tail = np.zeros((n_chains, min(n_extra, W1_TAIL_STEPS) + 1))
+    tail_start = n_extra + 1 - tail.shape[1]  # step of tail column 0
+    dx = np.diff(grid.points)
+    rows = block_rows(g)
+    gap = np.empty((min(rows, n_chains), g))
+    terms = np.empty((gap.shape[0], g - 1))
+    chunk = block_rows(rows)
     if rho_x is not None:
         picks = _bootstrap_picks(ensemble.covariates, n_chains, n_extra,
                                  chunk, seed)
@@ -279,13 +317,21 @@ def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
                                      ensemble.covariates[next(picks)], rho_x)
         alpha = np.broadcast_to(alpha, v.shape)
         for blk in row_blocks(0, n_chains, g):
-            d, c = dens[blk], u[blk]
+            d, c, c0 = dens[blk], u[blk], start[blk]
+            # leading rows of this block whose whole trajectory is read
+            traced = max(0, min(blk.stop, n_traced) - blk.start)
             for k, t in enumerate(steps):
                 d, c = update(d, c, v[k, blk, None], alpha[k, blk, None],
                               joint_fn)
-                w1[blk, t + 1] = wasserstein1(c, start[blk], grid)
+                in_tail = t + 1 >= tail_start
+                r = c.shape[0] if in_tail else traced
+                if r:
+                    w1 = _w1_rows(c[:r], c0[:r], dx, gap[:r], terms[:r])
+                    trace[blk.start:blk.start + traced, t + 1] = w1[:traced]
+                    if in_tail:
+                        tail[blk, t + 1 - tail_start] = w1
             dens[blk], u[blk] = d, c
-    return w1
+    return trace, tail
 
 
 def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
@@ -334,15 +380,17 @@ def _check_target(rho_x, x_target):
 
 
 def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
-                         grid: GridSpec, x_target=None,
-                         seed: int = 0) -> PosteriorDraws:
+                         grid: GridSpec, x_target=None, seed: int = 0,
+                         trace_chains: int = 0) -> PosteriorDraws:
     """Posterior draws: one forward chain per particle, carrying its
     normalized weight.
 
     `n_extra = None` picks the standard horizon (2000 without covariates,
     10000 with).  Chains are driven by counter-based streams, so the
     result is bit-identical for a given (seed, ensemble), and a chain's
-    draw does not depend on how many other chains run.
+    draw does not depend on how many other chains run.  The first
+    `trace_chains` chains keep their whole W1 trajectory (`w1_trace`);
+    every chain keeps its last W1_TAIL_STEPS steps (`w1_tail`).
     """
     _check_target(ensemble.rho_x, x_target)
     if n_extra is None:
@@ -354,7 +402,8 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
     dens, u = _start_rows(ensemble, grid.points, x_target)
     predictive_density = weighted_mean(dens, weights)
     predictive_cdf = weighted_mean(u, weights)
-    w1 = _forward(ensemble, dens, u, n_extra, grid, seed, x_target)
+    trace, tail = _forward(ensemble, dens, u, n_extra, grid, seed, x_target,
+                           trace_chains)
     medians = np.array([median_from_cdf(u[j], grid) for j in range(u.shape[0])])
     return PosteriorDraws(
         grid=grid,
@@ -362,7 +411,8 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
         density_draws=dens,
         medians=medians,
         weights=weights,
-        w1_trace=w1,
+        w1_trace=trace,
+        w1_tail=tail,
         predictive_density=predictive_density,
         predictive_cdf=predictive_cdf,
     )

@@ -201,7 +201,7 @@ def test_criterion_7_ordering_effect():
 def test_criterion_8_convergence_diagnostic(unbiasedness_run):
     run = unbiasedness_run
     draws, grid = run["draws"], run["grid"]
-    increments = np.abs(np.diff(draws.w1_trace[:, -101:], axis=1))
+    increments = np.abs(np.diff(draws.w1_tail, axis=1))
     frac = float(np.mean((increments < 1e-3 * grid.span).all(axis=1)))
     report(8, frac >= 0.95,
            f"{frac:.1%} of chains have every last-100-step W1 increment "

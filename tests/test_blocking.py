@@ -5,7 +5,8 @@ Every propagation over many rows runs in blocks of rows sized by
 `predictive.BLOCK_ELEMS`.  Each pipeline stage below is run at a one-row
 block, at a block of a few rows (partial last blocks, several step chunks)
 and with the whole array as one block, and the results are compared with
-`np.array_equal`.
+`np.array_equal`.  That includes the forward pass's W1 split: the whole
+trajectory of the traced chains and every chain's tail window.
 """
 
 import tracemalloc
@@ -25,6 +26,7 @@ from copsurv.copulas import (
 from copsurv.predictive import step_weights
 from copsurv.resampling import (
     GridSpec,
+    W1_TAIL_STEPS,
     ensemble_eval,
     ensemble_grid_rows,
     heldout_mean_log_lik,
@@ -37,6 +39,11 @@ from conftest import make_dataset
 ONE_ROW = 1
 FEW_ROWS = 200  # 12 rows of a 16-point grid, 3 rows of 64 particles
 WHOLE = 10**12
+# Traced chains: 17 straddles the second 12-row chain block at FEW_ROWS.
+TRACE_CHAINS = 17
+# Forward horizons: below W1_TAIL_STEPS the tail is the whole run; at 130
+# it starts at step 30, inside the 16-step chunk 16..31 at FEW_ROWS.
+N_EXTRA = (30, 130)
 
 
 def covariate_data(n, seed):
@@ -67,19 +74,36 @@ def run_stages(case, block_elems, monkeypatch):
                      ess_frac=0.95, seed=5)
     assert ens.resample_steps
     start = ensemble_grid_rows(ens, grid, x_target)
-    draws = martingale_posterior(ens, 30, grid, x_target, seed=7)
-    return {
+    stages = {
         "v_matrix": ens.v_matrix, "log_weights": ens.log_weights,
         "log_z": ens.log_z, "ess_trace": ens.ess_trace,
         "unique_trace": ens.unique_trace,
         "resample_steps": ens.resample_steps,
         "start_density": start[0], "start_cdf": start[1],
-        "cdf_draws": draws.cdf_draws, "density_draws": draws.density_draws,
-        "w1_trace": draws.w1_trace, "medians": draws.medians,
-        "predictive_density": draws.predictive_density,
-        "predictive_cdf": draws.predictive_cdf,
         "heldout": heldout_mean_log_lik(ens, data),
     }
+    for n_extra in N_EXTRA:
+        draws = martingale_posterior(ens, n_extra, grid, x_target, seed=7,
+                                     trace_chains=TRACE_CHAINS)
+        check_w1_split(draws, start[1], n_extra)
+        for name in ("cdf_draws", "density_draws", "medians", "w1_trace",
+                     "w1_tail", "predictive_density", "predictive_cdf"):
+            stages[f"{name}@{n_extra}"] = getattr(draws, name)
+    return stages
+
+
+def check_w1_split(draws, start_cdf, n_extra):
+    """The traced chains' trajectories end in their tail windows, and the
+    tail's last column is np.trapezoid of the final rows, bit for bit."""
+    tail_cols = min(n_extra, W1_TAIL_STEPS) + 1
+    assert draws.w1_trace.shape == (TRACE_CHAINS, n_extra + 1)
+    assert draws.w1_tail.shape == (draws.n_draws, tail_cols)
+    assert np.array_equal(draws.w1_trace[:, -tail_cols:],
+                          draws.w1_tail[:TRACE_CHAINS])
+    final = np.trapezoid(np.abs(draws.cdf_draws - start_cdf),
+                         draws.grid.points, axis=-1)
+    assert np.array_equal(draws.w1_tail[:, -1], final)
+    assert np.all(draws.w1_trace[:, 0] == 0.0)
 
 
 def test_block_size_changes_no_bit(case, monkeypatch):
@@ -182,3 +206,23 @@ def test_covariate_pass_and_heldout_hold_no_pairwise_table():
         tracemalloc.stop()
     assert smc_peak < table_bytes
     assert heldout_peak < table_bytes
+
+
+def test_forward_pass_holds_no_full_w1_buffer():
+    """W1 is kept only where it is read: at B = 400 chains and 2000
+    forward steps, the posterior's peak allocation stays below one
+    (B, n_extra + 1) float64 trace."""
+    data = cs.permute(cs.standardize(
+        cs.simulate_censored_exponential(20, 1.0, 2.0, seed=3)), 3)
+    ens = impute_smc(data, ClaytonFamily(0.9), n_particles=400, seed=1)
+    grid = GridSpec(np.concatenate([[0.0], np.geomspace(0.01, 1e3, 15)]))
+    n_extra = 2000
+    tracemalloc.start()
+    try:
+        draws = martingale_posterior(ens, n_extra, grid, seed=2,
+                                     trace_chains=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.w1_tail.shape == (400, W1_TAIL_STEPS + 1)
+    assert peak < 8 * 400 * (n_extra + 1)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
 from copsurv.copulas import (
+    CLAMP_EPS,
     ClaytonFamily,
     GaussianFamily,
     alpha_regression,
@@ -21,6 +22,37 @@ from copsurv.errors import ConfigurationError
 
 probs = st.floats(0.01, 0.99)
 bandwidths = st.floats(0.2, 3.0)
+
+# Kernel inputs with the exact ends and the clamp edge, at bandwidths down
+# to 0.02, where (1-u)^(-1/a) pushes float64 to its limits near u = 1.
+EDGE_PROBS = [0.0, 1.0, 1.0 - CLAMP_EPS, 1.0 - 2 * CLAMP_EPS, 0.5, 1e-17,
+              5e-324]
+kernel_probs = st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0.0, 1.0))
+kernel_bandwidths = st.one_of(st.floats(0.02, 0.1), st.floats(0.02, 5.0))
+
+
+def reference_clayton(u, v, a):
+    """The log-space kernel as written before its passes were fused into
+    in-place steps, kept as the reference for bitwise equality."""
+    def clamp_upper(p):
+        return np.clip(np.asarray(p, dtype=float), 0.0, 1.0 - CLAMP_EPS)
+
+    u = np.asarray(u, dtype=float)
+    gu = -np.log1p(-clamp_upper(u)) / a
+    gv = -np.log1p(-clamp_upper(v)) / a
+    m = np.maximum(gu, gv)
+    log_s = m + np.log(1.0 + np.exp(-np.abs(gu - gv)) - np.exp(-m))
+    density = ((a + 1.0) / a) * np.exp((a + 1.0) * (gu + gv) - (a + 2.0) * log_s)
+    inner = -np.expm1((a + 1.0) * (gv - log_s))
+    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
+    return density, partial
+
+
+def assert_matches_reference(u, v, a):
+    got, want = clayton(u, v, a), reference_clayton(u, v, a)
+    for name, g, w in zip(("density", "partial"), got, want):
+        assert np.shape(g) == np.shape(w), name
+        assert np.array_equal(g, w), (name, a)
 
 
 class TestClayton:
@@ -86,7 +118,42 @@ class TestClayton:
         gv = -np.log1p(-_clamp_upper(v)) / a
         m = np.maximum(gu, gv)
         two_exp = m + np.log(np.exp(gu - m) + np.exp(gv - m) - np.exp(-m))
-        assert np.array_equal(_log_clayton_s(gu, gv), two_exp)
+        out, work = np.empty(u.shape), (np.empty(u.shape), np.empty(u.shape))
+        assert np.array_equal(_log_clayton_s(gu, gv, out, work), two_exp)
+
+
+class TestClaytonMatchesReference:
+    """The in-place kernel equals the reference bit for bit, in the three
+    layouts the recursion calls it with: scalars (the prequential score),
+    a (G,) grid row against a (rows, 1) column of propagation values (the
+    first start-row step) and (rows, B) running values against a (B,)
+    row (the SMC pass)."""
+
+    @given(st.data(), kernel_bandwidths,
+           st.sampled_from(["scalar", "grid_vs_rows", "rows_vs_particles"]))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise(self, data, a, layout):
+        rows = data.draw(st.integers(1, 6))
+        cols = data.draw(st.integers(1, 9))
+
+        def draw(shape):
+            n = int(np.prod(shape))
+            cells = data.draw(st.lists(kernel_probs, min_size=n, max_size=n))
+            return np.array(cells, dtype=float).reshape(shape)
+
+        if layout == "scalar":
+            u, v = data.draw(kernel_probs), data.draw(kernel_probs)
+        elif layout == "grid_vs_rows":
+            u, v = draw((cols,)), draw((rows, 1))
+        else:
+            u, v = draw((rows, cols)), draw((cols,))
+        assert_matches_reference(u, v, a)
+
+    @pytest.mark.parametrize("a", [0.02, 0.05, 0.09, 0.5, 1.0, 5.0])
+    def test_every_edge_pair(self, a):
+        edges = np.array(EDGE_PROBS)
+        assert_matches_reference(edges, edges[:, None], a)
+        assert_matches_reference(edges[:, None], edges, a)
 
 
 class TestGaussian:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from copsurv import dataio
 from copsurv.dataio import (
     SurvivalDataset,
     load_csv,
@@ -195,6 +196,66 @@ class TestSimulate:
             simulate_censored_exponential(0)
         with pytest.raises(ConfigurationError):
             simulate_censored_exponential(5, rate_y=-1.0)
+
+
+class TestWriteRows:
+    SPECIALS = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, np.inf, -np.inf, np.nan]
+
+    def matrix(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(5, len(self.SPECIALS))) * 10.0 ** rng.integers(
+            -300, 300, size=(5, len(self.SPECIALS)))
+        m[0] = self.SPECIALS
+        return m
+
+    def test_float_matrix_matches_per_cell_path(self, tmp_path):
+        """A float64 matrix (fast path) writes the same bytes as its rows
+        given cell by cell, as numpy scalars or as Python floats."""
+        m = self.matrix()
+        header = ["w"] + [f"c{j}" for j in range(m.shape[1] - 1)]
+        variants = {"matrix": m, "rows": iter(list(m)),
+                    "np_cells": [tuple(r) for r in m], "floats": m.tolist()}
+        written = {}
+        for name, rows in variants.items():
+            write_rows(tmp_path / f"{name}.csv", header, rows)
+            written[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert len(set(written.values())) == 1
+        first = written["matrix"].split(b"\r\n")[1]
+        assert first == b"-0.0,5e-324,1e+300,0.1,3.0,-2.0,inf,-inf,nan"
+
+    def test_float_matrix_round_trips(self, tmp_path):
+        m = self.matrix()
+        write_rows(tmp_path / "m.csv", [str(j) for j in range(m.shape[1])], m)
+        back = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(back, m, equal_nan=True)
+        assert np.signbit(back[0, 0])
+
+    def test_line_terminator_is_crlf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, ["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        write_rows(tmp_path / "u.csv", ["a", "b"], [(1, 2.5)])
+        assert path.read_bytes() == b"a,b\r\n1.0,2.0\r\n3.0,4.0\r\n"
+        assert (tmp_path / "u.csv").read_bytes() == b"a,b\r\n1,2.5\r\n"
+
+    def test_mixed_rows_go_through_format_cell(self, tmp_path, monkeypatch):
+        cells = []
+        format_cell = dataio._format_cell
+
+        def counted(value):
+            cells.append(value)
+            return format_cell(value)
+
+        monkeypatch.setattr(dataio, "_format_cell", counted)
+        path = tmp_path / "mixed.csv"
+        write_rows(path, ["k", "x", "flag"],
+                   [(1, 0.5, True), (np.int64(2), np.float64(1e-7), "s"),
+                    np.array([3, 4, 5])])
+        assert len(cells) == 9
+        assert path.read_bytes() == (b"k,x,flag\r\n1,0.5,1\r\n2,1e-07,s\r\n"
+                                     b"3,4,5\r\n")
+        cells.clear()
+        write_rows(path, ["a", "b"], np.ones((4, 2)))
+        assert cells == []
 
 
 class TestDatasetValidation:

@@ -134,11 +134,14 @@ def uncensored_fit(uncensored_exp50):
 class TestPredictiveResample:
     def test_zero_steps_identity(self, uncensored_fit):
         grid = GridSpec(np.linspace(0.0, 4.0, 25))
-        out = martingale_posterior(uncensored_fit, 0, grid, seed=1)
+        out = martingale_posterior(uncensored_fit, 0, grid, seed=1,
+                                   trace_chains=1)
         dens, cdf = ensemble_grid_rows(uncensored_fit, grid)
         assert np.array_equal(out.cdf_draws, cdf)
         assert np.array_equal(out.density_draws, dens)
+        assert out.w1_trace.shape == out.w1_tail.shape == (1, 1)
         assert np.all(out.w1_trace == 0.0)
+        assert np.all(out.w1_tail == 0.0)
 
     def test_rows_stay_monotone_probabilities(self, uncensored_fit):
         grid = GridSpec(np.linspace(0.0, 4.0, 25))
@@ -195,11 +198,13 @@ class TestMartingalePosterior:
     def test_determinism_and_seed_sensitivity(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=16, seed=3)
         grid = GridSpec(np.linspace(0.0, 4.0, 6))
-        d1 = martingale_posterior(ensemble, 40, grid, seed=4)
-        d2 = martingale_posterior(ensemble, 40, grid, seed=4)
+        d1 = martingale_posterior(ensemble, 40, grid, seed=4, trace_chains=16)
+        d2 = martingale_posterior(ensemble, 40, grid, seed=4, trace_chains=16)
         assert np.array_equal(d1.cdf_draws, d2.cdf_draws)
         assert np.array_equal(d1.medians, d2.medians)
+        assert d1.w1_trace.shape == d1.w1_tail.shape == (16, 41)
         assert np.array_equal(d1.w1_trace, d2.w1_trace)
+        assert np.array_equal(d1.w1_tail, d2.w1_tail)
         d3 = martingale_posterior(ensemble, 40, grid, seed=8)
         assert not np.array_equal(d1.cdf_draws, d3.cdf_draws)
 
