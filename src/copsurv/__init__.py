@@ -33,7 +33,6 @@ from .distributions import (
     LogNormalBaseParams,
     LomaxParams,
     lomax_cdf,
-    lomax_inv_cdf,
     lomax_pdf,
 )
 from .errors import (
@@ -50,11 +49,9 @@ from .parametric import (
     conjugate_smc,
     doob_demo,
     exact_log_marginal,
-    posterior_predictive,
     posterior_update,
     tune_a0,
 )
-from .predictive import prequential_log_lik
 from .resampling import (
     GridSpec,
     PosteriorDraws,

@@ -11,8 +11,10 @@ ensemble is systematically resampled and weights reset to uniform.
 Weights are accumulated in log space (products of hundreds of densities
 underflow otherwise).  The running marginal-likelihood estimate is the sum
 over resampling segments of log-mean unnormalized weight, which reduces to
-a single log-mean when no resampling fires, and to the prequential
-log-likelihood when there is no censoring at all.
+a single log-mean when no resampling fires.  With no censored record
+every particle carries the same history, so one particle suffices: its
+estimate is the prequential log-likelihood sum(log p_{i-1}(y_i)), exact,
+and it is how the tuning grid scores fully observed data.
 
 The loop is generic over a small particle-state "engine" so that the exact
 conjugate predictive (see `parametric`) runs through the identical code
@@ -177,9 +179,15 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     Records are visited in order, each evaluated once and then absorbed,
     so an engine may keep the predictive of the records still to come
     and return it as a view; the loop only reads what eval_at returns.
+
+    One particle is enough when no record is censored (the pass is then
+    deterministic); imputing a censored record needs at least two.
     """
-    if n_particles < 2:
-        raise ConfigurationError("need at least 2 particles")
+    if n_particles < 1:
+        raise ConfigurationError("need at least 1 particle")
+    if n_particles < 2 and np.any(status == 0):
+        raise ConfigurationError(
+            "need at least 2 particles to impute censored records")
     if not 0.0 <= ess_frac <= 1.0:
         raise ConfigurationError("ess_frac must lie in [0, 1]")
     b = n_particles

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dataio, parametric, resampling, tune
 from .censoring import diagnostic_rows, impute_smc
-from .copulas import ClaytonFamily, GaussianFamily
+from .copulas import ClaytonFamily, make_family
 from .errors import (
     ConfigurationError,
     CopsurvError,
@@ -59,6 +59,7 @@ POSITIVE = (lambda v: v > 0, "positive")
 IN_CLOSED_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 IN_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 IN_HALF_OPEN_UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
+COPULA_FAMILY = (lambda v: v in ("clayton", "gaussian"), "clayton or gaussian")
 
 # Chains whose whole W1 trajectory is written: `posterior --trace-chains`
 # defaults to it, and `regress`, which has no such option, uses it.
@@ -90,7 +91,8 @@ FIT_CORE_OPTS = [
     Opt("input", str, required=True, help="input CSV path"),
     Opt("time-col", str, default="time"),
     Opt("status-col", str, default="status"),
-    Opt("family", str, default="clayton", help="copula kernel: clayton or gaussian"),
+    Opt("family", str, default="clayton", bounds=COPULA_FAMILY,
+        help="copula kernel: clayton or gaussian"),
     Opt("bandwidth", float, help="fixed kernel bandwidth (a, or rho for gaussian)"),
     Opt("bandwidth-grid", _comma_floats,
         help="comma list; triggers marginal-likelihood tuning"),
@@ -143,7 +145,7 @@ SUBCOMMANDS = {
         Opt("input", str, required=True),
         Opt("time-col", str, default="time"),
         Opt("status-col", str, default="status"),
-        Opt("family", str, default="clayton"),
+        Opt("family", str, default="clayton", bounds=COPULA_FAMILY),
         Opt("bandwidth-grid", _comma_floats),
         Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT),
         Opt("covariate-cols", _comma_names, default=()),
@@ -222,11 +224,14 @@ def _resolve(args, opts):
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
+def _default_bandwidths(kind):
+    return (tune.DEFAULT_CLAYTON_GRID if kind == "clayton"
+            else tune.DEFAULT_RHO_GRID)
+
+
 def _resolve_family(cfg, data):
     """Fixed bandwidth, or grid tuning when a grid was supplied."""
     kind = cfg["family"]
-    if kind not in ("clayton", "gaussian"):
-        raise ConfigurationError("--family must be clayton or gaussian")
     rho_x = cfg.get("rho_x")
     tuned = None
     if cfg.get("bandwidth_grid"):
@@ -241,12 +246,9 @@ def _resolve_family(cfg, data):
         if tuned.rho_x is not None:
             rho_x = tuned.rho_x
     elif cfg.get("bandwidth") is not None:
-        family = (ClaytonFamily(cfg["bandwidth"]) if kind == "clayton"
-                  else GaussianFamily(cfg["bandwidth"]))
+        family = make_family(kind, cfg["bandwidth"])
     else:
-        default = 1.0 if kind == "clayton" else 0.5
-        family = (ClaytonFamily(default) if kind == "clayton"
-                  else GaussianFamily(default))
+        family = make_family(kind, 1.0 if kind == "clayton" else 0.5)
     return family, rho_x, tuned
 
 
@@ -255,17 +257,12 @@ def _resolve_regress_family(cfg, data):
     anything not pinned by a flag is tuned on its grid (defaults per
     family)."""
     kind = cfg["family"]
-    if kind not in ("clayton", "gaussian"):
-        raise ConfigurationError("--family must be clayton or gaussian")
-    make = ClaytonFamily if kind == "clayton" else GaussianFamily
     bandwidth = cfg.get("bandwidth")
     rho_x = cfg.get("rho_x")
     if bandwidth is not None and rho_x is not None:
-        return make(bandwidth), rho_x, None
+        return make_family(kind, bandwidth), rho_x, None
     bandwidths = cfg.get("bandwidth_grid") or (
-        (bandwidth,) if bandwidth is not None
-        else (tune.DEFAULT_CLAYTON_GRID if kind == "clayton"
-              else tune.DEFAULT_RHO_GRID)
+        (bandwidth,) if bandwidth is not None else _default_bandwidths(kind)
     )
     rho_x_values = cfg.get("rho_x_grid") or (
         (rho_x,) if rho_x is not None else tune.DEFAULT_RHO_GRID
@@ -318,6 +315,38 @@ def _jsonable(value):
     return value
 
 
+def _fit_meta(ensemble, data, family, rho_x, tuned):
+    """The `run_meta.json` entries common to fit, posterior and regress."""
+    meta = {
+        "log_marginal_likelihood": ensemble.log_z,
+        "final_ess": ensemble.final_ess,
+        "permutation": data.perm,
+        "scale_factor": data.scale_factor,
+        **_family_meta(family, rho_x),
+    }
+    if tuned is not None:
+        meta["tuned_score"] = tuned.score
+    return meta
+
+
+def _point_predictive(ensemble, grid, x_target=None):
+    """Importance-weighted mixture (density, cdf) of the fit on the grid."""
+    dens_rows, cdf_rows = resampling.ensemble_grid_rows(ensemble, grid,
+                                                        x_target)
+    w = ensemble.weights
+    return weighted_mean(dens_rows, w), weighted_mean(cdf_rows, w)
+
+
+def _write_predictive(path, grid, density, cdf, scale):
+    """A point predictive on the grid, in input units."""
+    dataio.write_rows(
+        path,
+        ["time", "density", "cdf", "survival"],
+        zip(dataio.unscale_times(grid.points, scale),
+            dataio.unscale_density(density, scale), cdf, 1.0 - cdf),
+    )
+
+
 def _write_diagnostics(outdir, ensemble, name="diagnostics.csv"):
     dataio.write_rows(
         outdir / name,
@@ -361,29 +390,14 @@ def _run_fit(cfg):
 def cmd_fit(cfg, outdir):
     data, family, tuned, ensemble = _run_fit(cfg)
     grid = _eval_grid(cfg, data, family)
-    dens_rows, cdf_rows = resampling.ensemble_grid_rows(ensemble, grid)
-    w = ensemble.weights
-    density = weighted_mean(dens_rows, w)
-    cdf = weighted_mean(cdf_rows, w)
-    scale = data.scale_factor
-    dataio.write_rows(
-        outdir / "predictive.csv",
-        ["time", "density", "cdf", "survival"],
-        zip(dataio.unscale_times(grid.points, scale),
-            dataio.unscale_density(density, scale), cdf, 1.0 - cdf),
-    )
+    density, cdf = _point_predictive(ensemble, grid)
+    _write_predictive(outdir / "predictive.csv", grid, density, cdf,
+                      data.scale_factor)
     _write_diagnostics(outdir, ensemble)
-    extra = {
-        "log_marginal_likelihood": ensemble.log_z,
-        "final_ess": ensemble.final_ess,
+    _write_meta(outdir, "fit", cfg, {
+        **_fit_meta(ensemble, data, family, None, tuned),
         "resample_steps": [s + 1 for s in ensemble.resample_steps],
-        "permutation": data.perm,
-        "scale_factor": scale,
-        **_family_meta(family, None),
-    }
-    if tuned is not None:
-        extra["tuned_score"] = tuned.score
-    _write_meta(outdir, "fit", cfg, extra)
+    })
     print(f"log marginal likelihood: {ensemble.log_z!r}")
     return 0
 
@@ -431,16 +445,8 @@ def cmd_posterior(cfg, outdir):
         trace_chains=cfg["trace_chains"])
     _write_posterior_summaries(outdir, draws, data.scale_factor)
     _write_diagnostics(outdir, ensemble)
-    extra = {
-        "log_marginal_likelihood": ensemble.log_z,
-        "final_ess": ensemble.final_ess,
-        "permutation": data.perm,
-        "scale_factor": data.scale_factor,
-        **_family_meta(family, None),
-    }
-    if tuned is not None:
-        extra["tuned_score"] = tuned.score
-    _write_meta(outdir, "posterior", cfg, extra)
+    _write_meta(outdir, "posterior", cfg,
+                _fit_meta(ensemble, data, family, None, tuned))
     return 0
 
 
@@ -510,28 +516,14 @@ def cmd_regress(cfg, outdir):
                 trace_chains=DEFAULT_TRACE_CHAINS)
             density, cdf = draws.predictive_density, draws.predictive_cdf
         else:
-            dens_rows, cdf_rows = resampling.ensemble_grid_rows(ensemble, grid, x)
-            w = ensemble.weights
-            density, cdf = weighted_mean(dens_rows, w), weighted_mean(cdf_rows, w)
-        dataio.write_rows(
-            outdir / f"conditional_x{idx}.csv",
-            ["time", "density", "cdf", "survival"],
-            zip(dataio.unscale_times(grid.points, scale),
-                dataio.unscale_density(density, scale), cdf, 1.0 - cdf),
-        )
+            density, cdf = _point_predictive(ensemble, grid, x)
+        _write_predictive(outdir / f"conditional_x{idx}.csv", grid, density,
+                          cdf, scale)
         if draws is not None:
             _write_posterior_summaries(outdir, draws, scale,
                                        prefix=f"posterior_x{idx}_")
 
-    extra = {
-        "log_marginal_likelihood": ensemble.log_z,
-        "final_ess": ensemble.final_ess,
-        "permutation": train.perm,
-        "scale_factor": scale,
-        **_family_meta(family, rho_x),
-    }
-    if tuned is not None:
-        extra["tuned_score"] = tuned.score
+    extra = _fit_meta(ensemble, train, family, rho_x, tuned)
     if test is not None:
         scaled_test = _apply_train_scaling(test, train)
         heldout = resampling.heldout_mean_log_lik(ensemble, scaled_test)
@@ -582,10 +574,7 @@ def cmd_tune(cfg, outdir):
     cols = cfg["covariate_cols"]
     data = _prepared_dataset(cfg, cols)
     kind = cfg["family"]
-    bandwidths = cfg.get("bandwidth_grid")
-    if not bandwidths:
-        bandwidths = (tune.DEFAULT_CLAYTON_GRID if kind == "clayton"
-                      else tune.DEFAULT_RHO_GRID)
+    bandwidths = cfg.get("bandwidth_grid") or _default_bandwidths(kind)
     grid = tune.TuneGrid(bandwidths=bandwidths,
                          rho_x_values=cfg.get("rho_x_grid"),
                          n_particles=cfg["tune_particles"], seed=cfg["seed"])

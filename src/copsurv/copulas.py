@@ -33,6 +33,7 @@ __all__ = [
     "ClaytonFamily",
     "GaussianFamily",
     "CopulaFamily",
+    "make_family",
     "clayton_density_and_partial",
     "gaussian_density_and_partial",
     "alpha_schedule",
@@ -229,6 +230,16 @@ def alpha_regression(alpha_i, x, x_prime, rho_x: float):
 # ---------------------------------------------------------------------------
 # Family dispatch
 # ---------------------------------------------------------------------------
+
+def make_family(kind: str, bandwidth: float) -> CopulaFamily:
+    """The family named `kind` ("clayton" or "gaussian"); `bandwidth` is
+    a for the Clayton kernel and rho for the Gaussian one."""
+    if kind == "clayton":
+        return ClaytonFamily(bandwidth=bandwidth)
+    if kind == "gaussian":
+        return GaussianFamily(rho=bandwidth)
+    raise ConfigurationError(f"unknown copula family {kind!r}")
+
 
 def family_joint(family: CopulaFamily):
     """Fused (density, partial) evaluator for the update recursion."""

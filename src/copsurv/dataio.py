@@ -23,7 +23,6 @@ __all__ = [
     "standardize",
     "permute",
     "observed_first_order",
-    "original_order",
     "simulate_censored_exponential",
     "unscale_times",
     "unscale_density",
@@ -167,15 +166,6 @@ def observed_first_order(data: SurvivalDataset) -> SurvivalDataset:
     (stable within each group)."""
     order = np.argsort(1 - data.status, kind="stable")
     return _reorder(data, order)
-
-
-def original_order(data: SurvivalDataset) -> SurvivalDataset:
-    """Undo any recorded permutation."""
-    if data.perm is None:
-        return data
-    inverse = np.argsort(data.perm)
-    restored = _reorder(data, inverse)
-    return replace(restored, perm=None)
 
 
 def simulate_censored_exponential(n, rate_y=1.0, rate_c=2.0, seed=0) -> SurvivalDataset:

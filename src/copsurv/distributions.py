@@ -22,7 +22,6 @@ __all__ = [
     "LogNormalBaseParams",
     "lomax_pdf",
     "lomax_cdf",
-    "lomax_inv_cdf",
     "lognormal_base_pdf",
     "lognormal_base_cdf",
     "base_pdf",
@@ -80,15 +79,6 @@ def lomax_cdf(y, p: LomaxParams):
     y = _check_nonneg(y)
     a, b = p.shape, p.scale
     return -np.expm1(-a * np.log1p(y / b))
-
-
-def lomax_inv_cdf(u, p: LomaxParams):
-    """Exact inverse of `lomax_cdf`; u = 1 is rejected (infinite time)."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0) or np.any(u >= 1):
-        raise ValueError("u must lie in [0, 1)")
-    a, b = p.shape, p.scale
-    return b * np.expm1(-np.log1p(-u) / a)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,12 @@ from scipy.special import gammaincc, gammainccinv, gammaln
 from . import rng
 from .censoring import SmcPass, run_smc_loop
 from .dataio import SurvivalDataset
-from .distributions import LomaxParams
 from .errors import ConfigurationError
 
 __all__ = [
     "ConjugateModel",
     "ConjugateState",
     "posterior_update",
-    "posterior_predictive",
     "exact_log_marginal",
     "tune_a0",
     "ig_posterior_cdf",
@@ -74,10 +72,6 @@ def posterior_update(model: ConjugateModel, data: SurvivalDataset) -> ConjugateS
         a_n=model.a0 + data.n_observed,
         b_n=model.b0 + float(data.times.sum()),
     )
-
-
-def posterior_predictive(state: ConjugateState) -> LomaxParams:
-    return LomaxParams(shape=state.a_n, scale=state.b_n)
 
 
 def exact_log_marginal(model: ConjugateModel, data: SurvivalDataset) -> float:

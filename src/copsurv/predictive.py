@@ -11,11 +11,12 @@ sweep,
 
 starting from the base measure's (pdf, cdf) at y, where a_j is the update
 weight for step j (covariate-modulated in the regression variant).
-`update` is the only implementation of this step and `propagate` the only
-loop over an absorbed history: the prequential score, censored-data
-imputation and forward predictive resampling all run through them, the
-latter two simply supplying u values drawn in CDF space.  `step_weights`
-gives the weights a_1..a_n of an absorbed history.
+`update` is the only implementation of this step: the SMC pass (which
+also gives the prequential score of fully observed data, see
+`censoring`), the start rows and forward predictive resampling all run
+through it, the latter supplying u values drawn in CDF space.
+`propagate` runs it over an absorbed history, and `step_weights` gives
+the weights a_1..a_n of that history.
 
 Every propagation over many rows (the SMC pass's pending records, the
 start rows and the forward pass over chains) runs in blocks of whole
@@ -31,13 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import copulas
-from .copulas import CopulaFamily, alpha_regression, alpha_schedule
-from .dataio import SurvivalDataset
-from .distributions import base_cdf, base_pdf
-from .errors import ConfigurationError
+from .copulas import alpha_regression, alpha_schedule
 
-__all__ = ["prequential_log_lik", "update", "propagate", "step_weights"]
+__all__ = ["update", "propagate", "step_weights"]
 
 # Elements per propagation block: 64 KiB of float64 per temporary.
 BLOCK_ELEMS = 8192
@@ -83,33 +80,3 @@ def step_weights(n: int, x_eval, xseq, rho_x) -> np.ndarray:
         return alphas
     x = np.asarray(x_eval, dtype=float)
     return alpha_regression(alphas, x[..., None, :], xseq[:n], rho_x)
-
-
-def prequential_log_lik(data: SurvivalDataset, family: CopulaFamily,
-                        rho_x: float | None = None) -> float:
-    """One-step-ahead predictive score sum(log p_{i-1}(y_i)) of fully
-    observed data under the dataset's fixed ordering.
-
-    O(n^2) in n numpy calls: each absorbed datum updates the running
-    (density, cdf) of every record at once.
-    """
-    if np.any(data.status == 0):
-        raise ConfigurationError(
-            "dataset has censored records; use the imputation sampler"
-        )
-    if rho_x is not None and data.covariates is None:
-        raise ConfigurationError("rho_x given but the dataset has no covariates")
-    base = copulas.default_base(family)
-    joint_fn = copulas.family_joint(family)
-    dens = np.asarray(base_pdf(data.times, base), dtype=float)
-    u = np.asarray(base_cdf(data.times, base), dtype=float)
-    log_lik = 0.0
-    for j in range(data.n):
-        log_lik += float(np.log(dens[j]))
-        alpha = float(alpha_schedule(j + 1))
-        if rho_x is not None:
-            alpha = alpha_regression(alpha, data.covariates[j], data.covariates,
-                                     rho_x)
-        v = np.clip(u[j], copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        dens, u = update(dens, u, v, alpha, joint_fn)
-    return log_lik

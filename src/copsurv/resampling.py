@@ -46,7 +46,6 @@ __all__ = [
     "weighted_mean",
     "weighted_quantiles",
     "ensemble_grid_rows",
-    "ensemble_eval",
     "heldout_mean_log_lik",
     "DEFAULT_N_EXTRA",
     "DEFAULT_N_EXTRA_REGRESSION",
@@ -341,14 +340,6 @@ def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
     the point predictive."""
     _check_target(ensemble.rho_x, x_target)
     return _start_rows(ensemble, grid.points, x_target)
-
-
-def ensemble_eval(ensemble: ParticleEnsemble, y: float, x_target=None):
-    """Per-particle (density, cdf) of the fitted predictive at one time,
-    shape (B,) each."""
-    _check_target(ensemble.rho_x, x_target)
-    dens, u = _start_rows(ensemble, [y], x_target)
-    return dens[:, 0], u[:, 0]
 
 
 def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:

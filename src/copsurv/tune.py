@@ -1,11 +1,11 @@
 """Grid search for the copula hyperparameters.
 
-The score of a cell is the marginal-likelihood estimate of the data under
-that cell's kernel: the exact prequential log-likelihood when nothing is
-censored (deterministic), otherwise the SMC estimate from the imputation
-sampler.  All cells share one seed (common random numbers), which strips
-most of the Monte Carlo noise out of the argmax comparison.  Ties break
-toward the smallest bandwidth.
+The score of a cell is the imputation sampler's marginal-likelihood
+estimate of the data under that cell's kernel.  When nothing is censored
+the sampler runs one particle, and the score is the exact prequential
+log-likelihood (deterministic).  All cells share one seed (common random
+numbers), which strips most of the Monte Carlo noise out of the argmax
+comparison.  Ties break toward the smallest bandwidth.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .censoring import impute_smc
-from .copulas import ClaytonFamily, CopulaFamily, GaussianFamily
+from .copulas import ClaytonFamily, CopulaFamily, make_family
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError, DegeneracyError, TuningError
-from .predictive import prequential_log_lik
 
 __all__ = ["TuneGrid", "TuneCell", "TuneResult", "grid_search",
            "DEFAULT_CLAYTON_GRID", "DEFAULT_RHO_GRID"]
@@ -68,51 +67,38 @@ class TuneResult:
                 else self.family.rho)
 
 
-def _make_family(kind: str, bandwidth: float) -> CopulaFamily:
-    if kind == "clayton":
-        return ClaytonFamily(bandwidth=bandwidth)
-    if kind == "gaussian":
-        return GaussianFamily(rho=bandwidth)
-    raise ConfigurationError(f"unknown copula family {kind!r}")
-
-
 def grid_search(data: SurvivalDataset, family_kind: str,
                 grid: TuneGrid) -> TuneResult:
     """Score every grid cell and return the argmax with the full table.
 
     Raises TuningError (carrying the table) if every cell degenerates.
     """
-    censored = bool(np.any(data.status == 0))
+    # fully observed data is scored exactly by one particle
+    n_particles = grid.n_particles if np.any(data.status == 0) else 1
     rho_x_grid = grid.rho_x_values if grid.rho_x_values is not None else (None,)
     # every cell's family is checked before the first one is scored
-    families = [(bandwidth, _make_family(family_kind, bandwidth))
+    families = [(bandwidth, make_family(family_kind, bandwidth))
                 for bandwidth in sorted(grid.bandwidths)]
     table: list = []
     best = None
     for bandwidth, family in families:
         for rho_x in rho_x_grid:
-            if not censored:
-                score = prequential_log_lik(data, family, rho_x=rho_x)
-                final_ess = float(grid.n_particles)
-            else:
-                try:
-                    ensemble = impute_smc(
-                        data, family, rho_x=rho_x,
-                        n_particles=grid.n_particles, seed=grid.seed,
-                    )
-                except DegeneracyError:
-                    table.append(TuneCell(bandwidth, rho_x, -np.inf, 0.0))
-                    continue
-                score = ensemble.log_z
-                final_ess = ensemble.final_ess
-            cell = TuneCell(bandwidth, rho_x, float(score), final_ess)
+            try:
+                ensemble = impute_smc(data, family, rho_x=rho_x,
+                                      n_particles=n_particles, seed=grid.seed)
+            except DegeneracyError:
+                table.append(TuneCell(bandwidth, rho_x, -np.inf, 0.0))
+                continue
+            cell = TuneCell(bandwidth, rho_x, ensemble.log_z,
+                            ensemble.final_ess)
             table.append(cell)
-            if np.isfinite(score) and (best is None or score > best.score):
+            if np.isfinite(cell.score) and (best is None
+                                            or cell.score > best.score):
                 best = cell
     if best is None:
         raise TuningError("every grid cell degenerated", table=table)
     return TuneResult(
-        family=_make_family(family_kind, best.bandwidth),
+        family=make_family(family_kind, best.bandwidth),
         rho_x=best.rho_x,
         score=best.score,
         table=table,

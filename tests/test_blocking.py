@@ -27,7 +27,7 @@ from copsurv.predictive import step_weights
 from copsurv.resampling import (
     GridSpec,
     W1_TAIL_STEPS,
-    ensemble_eval,
+    _start_rows,
     ensemble_grid_rows,
     heldout_mean_log_lik,
     martingale_posterior,
@@ -116,13 +116,13 @@ def test_block_size_changes_no_bit(case, monkeypatch):
 
 def test_heldout_matches_per_record_evaluation(case):
     """The one-pass held-out score equals scoring each record through its
-    own `ensemble_eval`, bit for bit."""
+    own propagation, bit for bit."""
     data, family, rho_x, _, _ = case
     ens = impute_smc(data, family, rho_x=rho_x, n_particles=64, seed=5)
     total = 0.0
     for i in range(data.n):
         x = data.covariates[i] if rho_x is not None else None
-        dens, cdf = ensemble_eval(ens, float(data.times[i]), x)
+        dens, cdf = (r[:, 0] for r in _start_rows(ens, [data.times[i]], x))
         mass = dens if data.status[i] == 1 else 1.0 - cdf
         total += np.log(weighted_mean(mass, ens.weights))
     assert heldout_mean_log_lik(ens, data) == float(total / data.n)
@@ -141,7 +141,7 @@ def test_running_state_matches_repropagation(case):
         head = cs.ParticleEnsemble(**{**vars(ens),
                                       "v_matrix": ens.v_matrix[:i]})
         x = data.covariates[i] if rho_x is not None else None
-        dens, cdf = ensemble_eval(head, float(data.times[i]), x)
+        dens, cdf = (r[:, 0] for r in _start_rows(head, [data.times[i]], x))
         with np.errstate(divide="ignore"):
             if data.status[i] == 1:
                 log_w += np.log(dens)

@@ -21,10 +21,9 @@ from copsurv.copulas import (
 )
 from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError, DegeneracyError
-from copsurv.predictive import prequential_log_lik
 from copsurv.resampling import (
     GridSpec,
-    ensemble_eval,
+    _start_rows,
     ensemble_grid_rows,
     weighted_mean,
 )
@@ -100,7 +99,9 @@ def _assert_collapses_to_prequential(data, family, rho_x=None):
     ensemble = impute_smc(data, family, rho_x=rho_x, n_particles=b, seed=3)
     assert_allclose(ensemble.ess_trace, b, rtol=1e-12)
     assert ensemble.resample_steps == []
-    preq = prequential_log_lik(data, family, rho_x=rho_x)
+    # one particle scores fully observed data exactly; B particles add
+    # log(B) inside logsumexp and take it away again
+    preq = impute_smc(data, family, rho_x=rho_x, n_particles=1, seed=3).log_z
     assert abs(ensemble.log_z - preq) < 1e-12
     # all particles identical
     assert np.all(ensemble.v_matrix == ensemble.v_matrix[:, :1])
@@ -113,8 +114,6 @@ class TestFullyObservedCollapse:
     @pytest.mark.parametrize("family", [FAMILY, GaussianFamily(0.5)],
                              ids=["clayton", "gaussian"])
     def test_covariate_logz_equals_prequential(self, family):
-        # the prequential score passes the absorbed row first to
-        # alpha_regression, the SMC engine the evaluated one
         rng = np.random.default_rng(12)
         x = rng.normal(size=(40, 1))
         y = np.exp(0.5 * x[:, 0]) * rng.exponential(1.0, 40)
@@ -220,8 +219,9 @@ class TestImputedDraws:
                 head = dataclasses.replace(
                     ensemble, v_matrix=ensemble.v_matrix[:rec_idx, [j]],
                     log_weights=np.zeros(1))
-                _, cdf_at_c = ensemble_eval(head, censored_exp50.times[rec_idx])
-                assert ensemble.v_matrix[rec_idx, j] > cdf_at_c[0]
+                _, cdf_at_c = _start_rows(head, [censored_exp50.times[rec_idx]],
+                                          None)
+                assert ensemble.v_matrix[rec_idx, j] > cdf_at_c[0, 0]
 
     def test_particle_views_consistent(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=16, seed=13)

@@ -175,7 +175,8 @@ class TestRegress:
 
     def test_constant_covariate_matches_unconditional(self, tmp_path):
         """With a constant covariate and the degenerate rho_x = 0, the
-        conditional pipeline must reproduce the no-covariate pipeline."""
+        conditional pipeline reproduces the no-covariate pipeline byte for
+        byte."""
         data = cs.simulate_censored_exponential(40, 1.0, 0.5, seed=9)
         path = tmp_path / "const.csv"
         write_rows(path, ["time", "status", "z"],
@@ -190,11 +191,10 @@ class TestRegress:
         assert run("fit", "--seed", 2, "--input", path, "--bandwidth", 1.0,
                    "--n-particles", 100, "--grid-size", 30,
                    "--output-dir", out_plain) == 0
-        cond = np.loadtxt(out_cond / "conditional_x0.csv", delimiter=",",
-                          skiprows=1)
-        plain = np.loadtxt(out_plain / "predictive.csv", delimiter=",",
-                           skiprows=1)
-        assert_allclose(cond, plain, rtol=1e-8)
+        assert ((out_cond / "conditional_x0.csv").read_bytes()
+                == (out_plain / "predictive.csv").read_bytes())
+        assert ((out_cond / "diagnostics.csv").read_bytes()
+                == (out_plain / "diagnostics.csv").read_bytes())
 
 
 class TestDoob:
@@ -256,6 +256,8 @@ class TestConfigAndErrors:
         ("doob", "--n-extra", -1),
         ("doob", "--ess-frac", 1.5),
         ("tune", "--tune-particles", 1),
+        ("fit", "--family", "frank"),
+        ("tune", "--family", "frank"),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):

@@ -7,7 +7,6 @@ from copsurv.dataio import (
     SurvivalDataset,
     load_csv,
     observed_first_order,
-    original_order,
     permute,
     simulate_censored_exponential,
     standardize,
@@ -150,18 +149,11 @@ class TestPermute:
         for count in counts.values():
             assert abs(count / trials - 1 / 6) < 0.02
 
-    def test_original_order_restores(self):
-        raw = simulate_censored_exponential(40, seed=8)
-        shuffled = permute(raw, 9)
-        restored = original_order(shuffled)
-        assert np.array_equal(restored.times, raw.times)
-        assert np.array_equal(restored.status, raw.status)
-
     def test_composition_tracks_source_order(self):
         raw = simulate_censored_exponential(40, seed=8)
         twice = permute(permute(raw, 1), 2)
         assert np.array_equal(twice.times, raw.times[twice.perm])
-        assert np.array_equal(original_order(twice).times, raw.times)
+        assert np.array_equal(twice.status, raw.status[twice.perm])
 
     def test_observed_first(self):
         raw = simulate_censored_exponential(40, seed=8)
@@ -169,7 +161,7 @@ class TestPermute:
         k = ordered.n_observed
         assert np.all(ordered.status[:k] == 1)
         assert np.all(ordered.status[k:] == 0)
-        assert np.array_equal(original_order(ordered).times, raw.times)
+        assert np.array_equal(ordered.times, raw.times[ordered.perm])
 
 
 class TestSimulate:

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import gammaln
+from scipy.stats import lomax
 
 import copsurv as cs
-from copsurv.distributions import LomaxParams, lomax_cdf, lomax_inv_cdf, lomax_pdf
+from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError
 from copsurv.parametric import (
     ConjugateModel,
@@ -15,7 +16,6 @@ from copsurv.parametric import (
     exact_log_marginal,
     ig_posterior_cdf,
     ig_posterior_quantile,
-    posterior_predictive,
     posterior_update,
     tune_a0,
     weighted_ks,
@@ -44,24 +44,26 @@ class TestPosteriorUpdate:
 
 
 class TestPosteriorPredictive:
+    """The posterior predictive of state IG(a_n, b_n) is Lomax(a_n, b_n)."""
+
     def test_unit_state(self):
-        params = posterior_predictive(ConjugateState(1.0, 1.0))
-        assert params == LomaxParams(1.0, 1.0)
-        assert lomax_pdf(0.0, params) == 1.0
+        state = ConjugateState(1.0, 1.0)
+        assert lomax_pdf(0.0, LomaxParams(state.a_n, state.b_n)) == 1.0
 
     def test_mean_matches_quadrature(self):
         state = ConjugateState(3.0, 2.0)
-        params = posterior_predictive(state)
+        params = LomaxParams(state.a_n, state.b_n)
         mean, _ = quad(lambda y: y * lomax_pdf(y, params), 0, np.inf)
         assert_allclose(mean, state.b_n / (state.a_n - 1.0), rtol=1e-8)
 
     def test_cdf_monotone_and_invertible(self):
-        params = posterior_predictive(ConjugateState(2.2, 1.7))
+        state = ConjugateState(2.2, 1.7)
+        params = LomaxParams(state.a_n, state.b_n)
         grid = np.linspace(0.0, 20.0, 200)
         vals = lomax_cdf(grid, params)
         assert np.all(np.diff(vals) >= 0)
-        assert_allclose(lomax_inv_cdf(lomax_cdf(1.3, params), params), 1.3,
-                        rtol=1e-10)
+        assert_allclose(lomax.ppf(lomax_cdf(1.3, params), c=state.a_n,
+                                  scale=state.b_n), 1.3, rtol=1e-10)
 
 
 class TestExactLogMarginal:
@@ -160,9 +162,8 @@ class TestConjugateSmc:
         ensemble = conjugate_smc(model, data, n_particles=10_000, seed=7)
         # b sums b0, the observed times and the particle's imputed time
         draws = ensemble.b - (model.b0 + y1 + y3)
-        others = posterior_predictive(
-            posterior_update(model, make_dataset([y1, y3], [1, 1]))
-        )
+        state = posterior_update(model, make_dataset([y1, y3], [1, 1]))
+        others = LomaxParams(state.a_n, state.b_n)
         tail = 1.0 - lomax_cdf(c, others)
 
         def oracle_cdf(y):

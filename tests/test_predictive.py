@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import lomax
 
 from copsurv.censoring import impute_smc
 from copsurv.copulas import (
@@ -11,18 +12,21 @@ from copsurv.copulas import (
     alpha_schedule,
     clayton_density_and_partial,
 )
-from copsurv.distributions import LomaxParams, lomax_cdf, lomax_inv_cdf, lomax_pdf
+from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError
-from copsurv.predictive import prequential_log_lik
-from copsurv.resampling import GridSpec, ensemble_eval, ensemble_grid_rows
+from copsurv.resampling import (
+    GridSpec,
+    _start_rows,
+    ensemble_grid_rows,
+    martingale_posterior,
+)
 
 from conftest import make_dataset
 
 
 def fit(data, family, rho_x=None):
-    """Sequential fit of fully observed data: an uncensored pass carries
-    the same deterministic fit in every particle."""
-    return impute_smc(data, family, rho_x=rho_x, n_particles=2, seed=0)
+    """Sequential fit of fully observed data: a one-particle pass."""
+    return impute_smc(data, family, rho_x=rho_x, n_particles=1, seed=0)
 
 
 def rows(ensemble, points, x=None):
@@ -33,8 +37,8 @@ def rows(ensemble, points, x=None):
 
 def at(ensemble, y, x=None):
     """Row 0 (density, cdf) of the fit at one time."""
-    dens, cdf = ensemble_eval(ensemble, y, x)
-    return dens[0], cdf[0]
+    dens, cdf = _start_rows(ensemble, [y], x)
+    return dens[0, 0], cdf[0, 0]
 
 
 # -- independent scalar oracle: the plain-formula recursion, no log space --
@@ -90,7 +94,7 @@ class TestAbsorbEvaluate:
     def test_single_absorb_density_formula(self):
         a = 2.0
         base = LomaxParams(a, 1.0)
-        y1 = float(lomax_inv_cdf(0.5, base))
+        y1 = float(lomax.ppf(0.5, c=a, scale=1.0))
         one = fit(make_dataset([y1], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
         density, _ = clayton_density_and_partial(0.5, 0.5, a)
@@ -100,7 +104,7 @@ class TestAbsorbEvaluate:
     def test_single_absorb_cdf_formula(self):
         a = 1.5
         base = LomaxParams(a, 1.0)
-        median = float(lomax_inv_cdf(0.5, base))
+        median = float(lomax.ppf(0.5, c=a, scale=1.0))
         one = fit(make_dataset([median], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
         _, partial = clayton_density_and_partial(0.5, 0.5, a)
@@ -140,11 +144,6 @@ class TestFitUncensored:
         v2_expected = (1 - alpha1) * v1 + alpha1 * oracle_clayton_partial(v1, v1, a)
         assert_allclose(vseq, [v1, v2_expected], rtol=1e-12)
 
-    def test_censored_record_rejected(self):
-        data = make_dataset([1.0, 2.0], [1, 0])
-        with pytest.raises(ConfigurationError):
-            prequential_log_lik(data, ClaytonFamily(1.0))
-
     def test_deterministic(self, uncensored_exp50):
         f1 = fit(uncensored_exp50, ClaytonFamily(0.8))
         f2 = fit(uncensored_exp50, ClaytonFamily(0.8))
@@ -152,24 +151,26 @@ class TestFitUncensored:
 
 
 class TestPrequential:
+    """A one-particle pass over fully observed data scores it exactly:
+    log_z is the prequential sum(log p_{i-1}(y_i))."""
+
     def test_single_point(self):
         data = make_dataset([1.4], [1])
-        got = prequential_log_lik(data, ClaytonFamily(0.9))
-        assert_allclose(got, np.log(lomax_pdf(1.4, LomaxParams(0.9, 1.0))),
-                        rtol=1e-14)
+        got = fit(data, ClaytonFamily(0.9)).log_z
+        assert got == np.log(lomax_pdf(1.4, LomaxParams(0.9, 1.0)))
 
     def test_additivity(self, uncensored_exp50):
         family = ClaytonFamily(1.0)
         data = uncensored_exp50
         head = make_dataset(data.times[:-1], data.status[:-1])
-        full = prequential_log_lik(data, family)
-        partial = prequential_log_lik(head, family)
+        full = fit(data, family).log_z
+        partial = fit(head, family).log_z
         last_term = float(np.log(at(fit(head, family), data.times[-1])[0]))
-        assert_allclose(full, partial + last_term, rtol=1e-10)
+        assert full == partial + last_term
 
     def test_finite_and_reproducible(self, uncensored_exp50):
-        v1 = prequential_log_lik(uncensored_exp50, ClaytonFamily(1.2))
-        v2 = prequential_log_lik(uncensored_exp50, ClaytonFamily(1.2))
+        v1 = fit(uncensored_exp50, ClaytonFamily(1.2)).log_z
+        v2 = fit(uncensored_exp50, ClaytonFamily(1.2)).log_z
         assert np.isfinite(v1) and v1 == v2
 
 
@@ -222,9 +223,28 @@ class TestConditionalVariant:
         data = make_dataset(rng.exponential(1.0, 25), np.ones(25), covariates=x)
         fam = GaussianFamily(0.6)
         grid = np.geomspace(0.05, 5.0, 40)
+        x0 = np.array([0.2, -1.0])
         d_plain, _ = rows(fit(data, fam), grid)
-        d_cond, _ = rows(fit(data, fam, rho_x=0.0), grid, x=np.array([0.2, -1.0]))
-        assert_allclose(d_cond, d_plain, rtol=1e-10)
+        d_cond, _ = rows(fit(data, fam, rho_x=0.0), grid, x=x0)
+        assert np.array_equal(d_cond, d_plain)
+        # with a third of the records censored: the SMC pass and the
+        # martingale posterior under x0 equal the plain run bit for bit
+        censored = dataclasses.replace(
+            data, status=(rng.random(25) < 0.7).astype(int))
+        plain = impute_smc(censored, fam, n_particles=40, seed=5)
+        cond = impute_smc(censored, fam, rho_x=0.0, n_particles=40, seed=5)
+        assert plain.log_z == cond.log_z
+        assert np.array_equal(plain.v_matrix, cond.v_matrix)
+        assert np.array_equal(plain.log_weights, cond.log_weights)
+        spec = GridSpec(grid)
+        post_plain = martingale_posterior(plain, 60, spec, seed=5,
+                                          trace_chains=3)
+        post_cond = martingale_posterior(cond, 60, spec, x_target=x0, seed=5,
+                                         trace_chains=3)
+        for field in ("cdf_draws", "density_draws", "medians", "w1_trace",
+                      "w1_tail"):
+            assert np.array_equal(getattr(post_plain, field),
+                                  getattr(post_cond, field)), field
 
     def test_conditional_density_depends_on_x(self):
         rng = np.random.default_rng(4)
@@ -243,4 +263,4 @@ class TestConditionalVariant:
         data = make_dataset(rng.exponential(1.0, 10), np.ones(10), covariates=x)
         cond = fit(data, GaussianFamily(0.5), rho_x=0.5)
         with pytest.raises(ConfigurationError):
-            ensemble_eval(cond, 1.0)
+            ensemble_grid_rows(cond, GridSpec([0.5, 1.0]))

@@ -20,8 +20,8 @@ from copsurv.predictive import propagate, step_weights
 from copsurv.resampling import (
     GridSpec,
     _bootstrap_picks,
+    _start_rows,
     default_grid,
-    ensemble_eval,
     ensemble_grid_rows,
     martingale_posterior,
     median_from_cdf,
@@ -236,9 +236,9 @@ class TestEnsembleEval:
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=16, seed=3)
         grid = GridSpec(np.array([0.5, 1.5]))
         dens_rows, cdf_rows = ensemble_grid_rows(ensemble, grid)
-        dens, cdf = ensemble_eval(ensemble, 1.5)
-        assert_allclose(dens, dens_rows[:, 1], rtol=1e-14)
-        assert_allclose(cdf, cdf_rows[:, 1], rtol=1e-14)
+        dens, cdf = _start_rows(ensemble, [1.5], None)
+        assert np.array_equal(dens[:, 0], dens_rows[:, 1])
+        assert np.array_equal(cdf[:, 0], cdf_rows[:, 1])
 
 
 class TestWeightedHelpers:

@@ -5,7 +5,6 @@ from copsurv import tune
 from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily
 from copsurv.errors import ConfigurationError
-from copsurv.predictive import prequential_log_lik
 from copsurv.tune import TuneGrid, grid_search
 
 
@@ -18,12 +17,15 @@ class TestGridSearch:
         assert len(result.table) == 1
 
     def test_uncensored_scores_are_prequential(self, uncensored_exp50):
+        # fully observed data is scored exactly by a one-particle pass
         grid = TuneGrid(bandwidths=(0.6, 1.0, 1.4), n_particles=100, seed=1)
         result = grid_search(uncensored_exp50, "clayton", grid)
         for cell in result.table:
-            expected = prequential_log_lik(uncensored_exp50,
-                                           ClaytonFamily(cell.bandwidth))
-            assert cell.score == expected
+            expected = impute_smc(uncensored_exp50,
+                                  ClaytonFamily(cell.bandwidth),
+                                  n_particles=1, seed=1)
+            assert cell.score == expected.log_z
+            assert cell.final_ess == 1.0
 
     def test_scores_match_direct_smc_call(self, censored_exp50):
         data = cs.standardize(censored_exp50)
