@@ -22,7 +22,7 @@ from copsurv.resampling import (
     weighted_mean,
     weighted_quantiles,
 )
-from copsurv.tune import DEFAULT_CLAYTON_GRID, TuneGrid, grid_search
+from copsurv.tune import TuneGrid, grid_search
 
 
 def main():
@@ -43,7 +43,7 @@ def main():
 
     tuned = grid_search(
         data, "clayton",
-        TuneGrid(bandwidths=DEFAULT_CLAYTON_GRID, n_particles=1000,
+        TuneGrid(bandwidths=cs.ClaytonFamily.tuning_grid, n_particles=1000,
                  seed=args.seed),
     )
     print(f"selected bandwidth {tuned.bandwidth:g} "

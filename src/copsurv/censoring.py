@@ -43,7 +43,6 @@ from scipy.special import logsumexp
 from . import copulas, rng
 from .copulas import CopulaFamily, alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
-from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError, DegeneracyError
 from .predictive import row_blocks, update
 
@@ -263,12 +262,12 @@ class _CopulaEngine:
     """
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
-        self.joint_fn = copulas.family_joint(family)
-        base = copulas.default_base(family)
+        self.joint = family.joint
+        pdf0, cdf0 = family.base_at(times)
         n = len(times)
         self.v = np.empty((n, n_particles))
-        self.dens = np.tile(base_pdf(times, base)[:, None], n_particles)
-        self.u = np.tile(base_cdf(times, base)[:, None], n_particles)
+        self.dens = np.tile(pdf0[:, None], n_particles)
+        self.u = np.tile(cdf0[:, None], n_particles)
         self.rho_x = rho_x
         self.covariates = covariates
 
@@ -291,7 +290,7 @@ class _CopulaEngine:
                 alpha = alpha_regression(a, self.covariates[blk],
                                          self.covariates[i], self.rho_x)[:, None]
             self.dens[blk], self.u[blk] = update(
-                self.dens[blk], self.u[blk], self.v[i], alpha, self.joint_fn)
+                self.dens[blk], self.u[blk], self.v[i], alpha, self.joint)
 
     def select(self, idx):
         # rows of v not yet absorbed, and rows of dens/u already absorbed,

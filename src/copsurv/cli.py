@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dataio, parametric, resampling, tune
 from .censoring import diagnostic_rows, impute_smc
-from .copulas import ClaytonFamily, make_family
+from .copulas import DEFAULT_RHO_GRID, FAMILIES, make_family
 from .errors import (
     ConfigurationError,
     CopsurvError,
@@ -59,7 +59,7 @@ POSITIVE = (lambda v: v > 0, "positive")
 IN_CLOSED_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 IN_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 IN_HALF_OPEN_UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
-COPULA_FAMILY = (lambda v: v in ("clayton", "gaussian"), "clayton or gaussian")
+COPULA_FAMILY = (lambda v: v in FAMILIES, " or ".join(FAMILIES))
 
 # Chains whose whole W1 trajectory is written: `posterior --trace-chains`
 # defaults to it, and `regress`, which has no such option, uses it.
@@ -92,7 +92,7 @@ FIT_CORE_OPTS = [
     Opt("time-col", str, default="time"),
     Opt("status-col", str, default="status"),
     Opt("family", str, default="clayton", bounds=COPULA_FAMILY,
-        help="copula kernel: clayton or gaussian"),
+        help=f"copula kernel: {COPULA_FAMILY[1]}"),
     Opt("bandwidth", float, help="fixed kernel bandwidth (a, or rho for gaussian)"),
     Opt("bandwidth-grid", _comma_floats,
         help="comma list; triggers marginal-likelihood tuning"),
@@ -191,7 +191,8 @@ def _read_config_file(path):
 
 def _resolve(args, opts):
     """Merge flag values, config-file values, and defaults, and check
-    each value against its option's range."""
+    each value against its option's range and each bandwidth against
+    its family's."""
     file_values = _read_config_file(args.config) if args.config else {}
     known = {opt.name: opt for opt in opts}
     for key in file_values:
@@ -217,6 +218,16 @@ def _resolve(args, opts):
                 raise ConfigurationError(
                     f"--{opt.name} must be {rule}, got {value!r}")
         resolved[opt.dest] = value
+    # a bandwidth's range depends on the family, which checks it
+    for name in ("bandwidth", "bandwidth-grid"):
+        value = resolved.get(name.replace("-", "_"))
+        if value is None:
+            continue
+        try:
+            for b in value if isinstance(value, tuple) else (value,):
+                make_family(resolved["family"], b)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--{name}: {exc}") from None
     return resolved
 
 
@@ -224,32 +235,19 @@ def _resolve(args, opts):
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _default_bandwidths(kind):
-    return (tune.DEFAULT_CLAYTON_GRID if kind == "clayton"
-            else tune.DEFAULT_RHO_GRID)
-
-
 def _resolve_family(cfg, data):
     """Fixed bandwidth, or grid tuning when a grid was supplied."""
     kind = cfg["family"]
-    rho_x = cfg.get("rho_x")
-    tuned = None
     if cfg.get("bandwidth_grid"):
-        grid = tune.TuneGrid(
-            bandwidths=cfg["bandwidth_grid"],
-            rho_x_values=cfg.get("rho_x_grid"),
-            n_particles=cfg["tune_particles"],
-            seed=cfg["seed"],
-        )
+        grid = tune.TuneGrid(bandwidths=cfg["bandwidth_grid"],
+                             n_particles=cfg["tune_particles"],
+                             seed=cfg["seed"])
         tuned = tune.grid_search(data, kind, grid)
-        family = tuned.family
-        if tuned.rho_x is not None:
-            rho_x = tuned.rho_x
-    elif cfg.get("bandwidth") is not None:
-        family = make_family(kind, cfg["bandwidth"])
-    else:
-        family = make_family(kind, 1.0 if kind == "clayton" else 0.5)
-    return family, rho_x, tuned
+        return tuned.family, tuned
+    bandwidth = cfg.get("bandwidth")
+    if bandwidth is None:
+        bandwidth = FAMILIES[kind].default_bandwidth
+    return make_family(kind, bandwidth), None
 
 
 def _resolve_regress_family(cfg, data):
@@ -262,10 +260,10 @@ def _resolve_regress_family(cfg, data):
     if bandwidth is not None and rho_x is not None:
         return make_family(kind, bandwidth), rho_x, None
     bandwidths = cfg.get("bandwidth_grid") or (
-        (bandwidth,) if bandwidth is not None else _default_bandwidths(kind)
+        (bandwidth,) if bandwidth is not None else FAMILIES[kind].tuning_grid
     )
     rho_x_values = cfg.get("rho_x_grid") or (
-        (rho_x,) if rho_x is not None else tune.DEFAULT_RHO_GRID
+        (rho_x,) if rho_x is not None else DEFAULT_RHO_GRID
     )
     grid = tune.TuneGrid(bandwidths=bandwidths, rho_x_values=rho_x_values,
                          n_particles=cfg["tune_particles"], seed=cfg["seed"])
@@ -274,17 +272,11 @@ def _resolve_regress_family(cfg, data):
 
 
 def _eval_grid(cfg, data, family):
-    include_zero = isinstance(family, ClaytonFamily)
     if cfg.get("grid_max") is None:
-        return resampling.default_grid(data, cfg["grid_size"], include_zero)
+        return resampling.default_grid(data, cfg["grid_size"],
+                                       family.grid_from_zero)
     top = cfg["grid_max"] * data.scale_factor  # to standardized units
-    return resampling.log_grid(top, cfg["grid_size"], include_zero)
-
-
-def _family_meta(family, rho_x):
-    if isinstance(family, ClaytonFamily):
-        return {"family": "clayton", "bandwidth": family.bandwidth, "rho_x": rho_x}
-    return {"family": "gaussian", "bandwidth": family.rho, "rho_x": rho_x}
+    return resampling.log_grid(top, cfg["grid_size"], family.grid_from_zero)
 
 
 def _write_meta(outdir, command, cfg, extra):
@@ -322,7 +314,9 @@ def _fit_meta(ensemble, data, family, rho_x, tuned):
         "final_ess": ensemble.final_ess,
         "permutation": data.perm,
         "scale_factor": data.scale_factor,
-        **_family_meta(family, rho_x),
+        "family": family.kind,
+        "bandwidth": family.bandwidth,
+        "rho_x": rho_x,
     }
     if tuned is not None:
         meta["tuned_score"] = tuned.score
@@ -381,7 +375,7 @@ def cmd_simulate(cfg, outdir):
 
 def _run_fit(cfg):
     data = _prepared_dataset(cfg)
-    family, rho_x, tuned = _resolve_family(cfg, data)
+    family, tuned = _resolve_family(cfg, data)
     ensemble = impute_smc(data, family, n_particles=cfg["n_particles"],
                           ess_frac=cfg["ess_frac"], seed=cfg["seed"])
     return data, family, tuned, ensemble
@@ -574,7 +568,7 @@ def cmd_tune(cfg, outdir):
     cols = cfg["covariate_cols"]
     data = _prepared_dataset(cfg, cols)
     kind = cfg["family"]
-    bandwidths = cfg.get("bandwidth_grid") or _default_bandwidths(kind)
+    bandwidths = cfg.get("bandwidth_grid") or FAMILIES[kind].tuning_grid
     grid = tune.TuneGrid(bandwidths=bandwidths,
                          rho_x_values=cfg.get("rho_x_grid"),
                          n_particles=cfg["tune_particles"], seed=cfg["seed"])

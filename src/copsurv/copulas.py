@@ -9,6 +9,12 @@ returns the copula density together with its partial integral in u,
 
 which is what propagates the predictive CDF.
 
+`ClaytonFamily` and `GaussianFamily` are the only code that knows a
+family: its bandwidth, kernel (`joint`), base measure (`base_at`) and
+defaults; `FAMILIES` maps each `kind` name to its class.  `joint` looks
+its kernel up in this module's globals at each call, so a wrapper put
+there (perfbench's tracer) sees every kernel call.
+
 Numerics: the Clayton kernel is evaluated in log space, since
 (1 - u)^(-1/a) explodes for small bandwidths as u -> 1.  Probability
 arguments are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before use, except
@@ -25,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .distributions import LogNormalBaseParams, LomaxParams
+from .distributions import (
+    LogNormalBaseParams,
+    LomaxParams,
+    lognormal_base_cdf,
+    lognormal_base_pdf,
+    lomax_cdf,
+    lomax_pdf,
+)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -33,21 +46,27 @@ __all__ = [
     "ClaytonFamily",
     "GaussianFamily",
     "CopulaFamily",
+    "FAMILIES",
+    "DEFAULT_RHO_GRID",
     "make_family",
     "clayton_density_and_partial",
     "gaussian_density_and_partial",
     "alpha_schedule",
     "alpha_regression",
-    "default_base",
 ]
 
 # Single global clamping constant so density and partial stay consistent.
 CLAMP_EPS = 1e-10
 
+# Standard search grid for a correlation: the Gaussian kernel's rho and
+# the covariate kernel's rho_x, 0.1..0.9 step 0.1.
+DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
+
 
 @dataclass(frozen=True)
 class ClaytonFamily:
-    """Clayton-mixture kernel; smaller bandwidth = sharper updates.
+    """Clayton-mixture kernel with the Lomax(a, 1) base; smaller
+    bandwidth = sharper updates.
 
     Any positive bandwidth is accepted; below roughly 0.05 the kernel's
     (1-u)^(-1/a) terms push float64 to its limits near u = 1.
@@ -55,20 +74,56 @@ class ClaytonFamily:
 
     bandwidth: float  # a > 0
 
+    kind = "clayton"
+    default_bandwidth = 1.0
+    tuning_grid = tuple(np.round(np.arange(0.5, 1.51, 0.1), 10))
+    grid_from_zero = True
+
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth}")
 
+    def joint(self, u, v):
+        """(density, partial) of the kernel, for the update recursion."""
+        return clayton_density_and_partial(u, v, self.bandwidth)
+
+    def base_at(self, y):
+        """(pdf, cdf) of the base measure at times y."""
+        base = LomaxParams(shape=self.bandwidth, scale=1.0)
+        return lomax_pdf(y, base), lomax_cdf(y, base)
+
 
 @dataclass(frozen=True)
 class GaussianFamily:
-    """Gaussian kernel; rho in (0, 1), larger rho = sharper updates."""
+    """Gaussian kernel with the log-normal(0, 1/(1-rho)) base; larger
+    rho = sharper updates."""
 
-    rho: float
+    bandwidth: float  # the correlation rho, in (0, 1)
+
+    kind = "gaussian"
+    default_bandwidth = 0.5
+    tuning_grid = DEFAULT_RHO_GRID
+    grid_from_zero = False
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigurationError(f"rho must lie in (0, 1), got {self.rho}")
+        if not 0.0 < self.bandwidth < 1.0:
+            raise ConfigurationError(f"rho must lie in (0, 1), got {self.bandwidth}")
+
+    def joint(self, u, v):
+        """(density, partial) of the kernel, for the update recursion."""
+        return gaussian_density_and_partial(u, v, self.bandwidth)
+
+    def base_at(self, y):
+        """(pdf, cdf) of the base measure at times y >= 0.  The pdf takes
+        its continuous limit 0 at y = 0, so evaluation grids may start at
+        the origin; y < 0 raises ValueError."""
+        base = LogNormalBaseParams(self.bandwidth)
+        y = np.asarray(y, dtype=float)
+        cdf = lognormal_base_cdf(y, base)
+        pdf = np.zeros(y.shape)
+        pos = y > 0
+        pdf[pos] = lognormal_base_pdf(y[pos], base)
+        return pdf, cdf
 
 
 CopulaFamily = ClaytonFamily | GaussianFamily
@@ -228,32 +283,15 @@ def alpha_regression(alpha_i, x, x_prime, rho_x: float):
 
 
 # ---------------------------------------------------------------------------
-# Family dispatch
+# Family table
 # ---------------------------------------------------------------------------
 
+FAMILIES = {cls.kind: cls for cls in (ClaytonFamily, GaussianFamily)}
+
+
 def make_family(kind: str, bandwidth: float) -> CopulaFamily:
-    """The family named `kind` ("clayton" or "gaussian"); `bandwidth` is
-    a for the Clayton kernel and rho for the Gaussian one."""
-    if kind == "clayton":
-        return ClaytonFamily(bandwidth=bandwidth)
-    if kind == "gaussian":
-        return GaussianFamily(rho=bandwidth)
-    raise ConfigurationError(f"unknown copula family {kind!r}")
-
-
-def family_joint(family: CopulaFamily):
-    """Fused (density, partial) evaluator for the update recursion."""
-    if isinstance(family, ClaytonFamily):
-        a = family.bandwidth
-        return lambda u, v: clayton_density_and_partial(u, v, a)
-    rho = family.rho
-    return lambda u, v: gaussian_density_and_partial(u, v, rho)
-
-
-def default_base(family: CopulaFamily):
-    """Base measure matched to the kernel: Lomax(a, 1) for Clayton,
-    log-normal(0, 1/(1-rho)) for Gaussian."""
-    if isinstance(family, ClaytonFamily):
-        return LomaxParams(shape=family.bandwidth, scale=1.0)
-    return LogNormalBaseParams(rho=family.rho)
-
+    """The family named `kind`, a key of FAMILIES, at `bandwidth`: a for
+    the Clayton kernel and rho for the Gaussian one."""
+    if kind not in FAMILIES:
+        raise ConfigurationError(f"unknown copula family {kind!r}")
+    return FAMILIES[kind](bandwidth)

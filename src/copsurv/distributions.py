@@ -2,7 +2,9 @@
 
 Only the two families the method actually needs: Lomax (Pareto II) as the
 base measure and conjugate posterior predictive on the positive reals, and
-the heavy log-normal base for the Gaussian-kernel variant.
+the heavy log-normal base for the Gaussian-kernel variant.  Which base
+goes with which copula kernel is the copula family's business
+(`copulas.ClaytonFamily.base_at` and `copulas.GaussianFamily.base_at`).
 
 Parameter containers accept scalars or numpy arrays, so the same formulas
 serve both a single fitted state and a whole particle ensemble.
@@ -24,8 +26,6 @@ __all__ = [
     "lomax_cdf",
     "lognormal_base_pdf",
     "lognormal_base_cdf",
-    "base_pdf",
-    "base_cdf",
 ]
 
 
@@ -98,31 +98,4 @@ def lognormal_base_cdf(y, p: LogNormalBaseParams):
     y = _check_nonneg(y)
     z = np.where(y > 0, np.log(np.maximum(y, 1e-300)) / p.log_sd, -np.inf)
     return ndtr(z)
-
-
-# ---------------------------------------------------------------------------
-# Base-measure dispatch used by the predictive recursion
-# ---------------------------------------------------------------------------
-
-BaseMeasure = LomaxParams | LogNormalBaseParams
-
-
-def base_pdf(y, base: BaseMeasure):
-    """Base density, taking the continuous limit 0 at y = 0 for the
-    log-normal family so evaluation grids may start at the origin."""
-    if isinstance(base, LomaxParams):
-        return lomax_pdf(y, base)
-    arr = _check_nonneg(y)
-    flat = np.atleast_1d(arr)
-    out = np.zeros_like(flat)
-    pos = flat > 0
-    if pos.any():
-        out[pos] = lognormal_base_pdf(flat[pos], base)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def base_cdf(y, base: BaseMeasure):
-    if isinstance(base, LomaxParams):
-        return lomax_cdf(y, base)
-    return lognormal_base_cdf(y, base)
 

@@ -21,6 +21,7 @@ from scipy.special import gammaincc, gammainccinv, gammaln
 from . import rng
 from .censoring import SmcPass, run_smc_loop
 from .dataio import SurvivalDataset
+from .distributions import LomaxParams, lomax_cdf, lomax_pdf
 from .errors import ConfigurationError
 
 __all__ = [
@@ -136,6 +137,14 @@ def ig_posterior_quantile(state: ConjugateState, q):
 # Conjugate particle engine (same SMC loop as the copula sampler)
 # ---------------------------------------------------------------------------
 
+def _absorb_lomax_draw(a, b, u):
+    """Absorb the Lomax(a, b) inverse-CDF draw y = b((1-u)^(-1/a) - 1) at
+    uniforms u into the per-particle state, in place: a += 1, b += y."""
+    y = b * np.expm1(-np.log1p(-u) / a)
+    a += 1.0
+    b += y
+
+
 class _ConjugateEngine:
     """Per-particle (a, b) state under the Lomax posterior predictive.
 
@@ -149,18 +158,15 @@ class _ConjugateEngine:
         self.b = np.full(n_particles, float(model.b0))
 
     def eval_at(self, i, t):
-        dens = (self.a / self.b) * np.exp(-(self.a + 1.0) * np.log1p(t / self.b))
-        cdf = -np.expm1(-self.a * np.log1p(t / self.b))
-        return dens, cdf
+        predictive = LomaxParams(self.a, self.b)
+        return lomax_pdf(t, predictive), lomax_cdf(t, predictive)
 
     def absorb_observed(self, i, t, cdf):
         self.a += 1.0
         self.b += t
 
     def absorb_censored(self, i, u):
-        y = self.b * np.expm1(-np.log1p(-u) / self.a)
-        self.a += 1.0
-        self.b += y
+        _absorb_lomax_draw(self.a, self.b, u)
 
     def select(self, idx):
         self.a = self.a[idx]
@@ -233,9 +239,7 @@ def doob_demo(model: ConjugateModel, data: SurvivalDataset, n_particles: int,
         trace[:, 0] = b[:trace_chains] / (a[:trace_chains] - 1.0)
     for step in range(n_extra):
         u = rng.uniforms(seed, rng.STREAM_FORWARD, step, n_particles)
-        y = b * np.expm1(-np.log1p(-u) / a)
-        a += 1.0
-        b += y
+        _absorb_lomax_draw(a, b, u)
         if trace is not None:
             trace[:, step + 1] = b[:trace_chains] / (a[:trace_chains] - 1.0)
     theta_bar = b / (a - 1.0)

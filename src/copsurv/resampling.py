@@ -31,7 +31,6 @@ from . import copulas, rng
 from .censoring import ParticleEnsemble
 from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
-from .distributions import base_cdf, base_pdf
 from .errors import ConfigurationError, GridCoverageError
 from .predictive import block_rows, propagate, row_blocks, step_weights, update
 
@@ -248,12 +247,9 @@ def _start_rows(ensemble: ParticleEnsemble, points, x_target):
     their (steps, points) weight table and its covariate temporaries
     stay bounded instead of growing with n times the number of points.
     """
-    base = copulas.default_base(ensemble.family)
-    joint_fn = copulas.family_joint(ensemble.family)
     n_steps, n_chains = ensemble.v_matrix.shape
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    pdf0 = np.asarray(base_pdf(points, base), dtype=float)
-    cdf0 = np.asarray(base_cdf(points, base), dtype=float)
+    pdf0, cdf0 = ensemble.family.base_at(points)
     per_point = ensemble.rho_x is not None and np.ndim(x_target) == 2
     columns = (row_blocks(0, points.size, n_steps) if per_point
                else [slice(None)])
@@ -267,7 +263,7 @@ def _start_rows(ensemble: ParticleEnsemble, points, x_target):
         for blk in row_blocks(0, n_chains, pdf0[col].size):
             dens[blk, col], u[blk, col] = propagate(
                 pdf0[col], cdf0[col], ensemble.v_matrix[:, blk, None],
-                alphas, joint_fn)
+                alphas, ensemble.family.joint)
     return dens, u
 
 
@@ -288,7 +284,7 @@ def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
     a buffer fits one block.  Chain j's step-t uniform is still element
     j of stream (seed, t), whatever the block and chunk sizes.
     """
-    joint_fn = copulas.family_joint(ensemble.family)
+    joint = ensemble.family.joint
     rho_x = ensemble.rho_x
     n_chains, g = u.shape
     start = u.copy()
@@ -321,7 +317,7 @@ def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
             traced = max(0, min(blk.stop, n_traced) - blk.start)
             for k, t in enumerate(steps):
                 d, c = update(d, c, v[k, blk, None], alpha[k, blk, None],
-                              joint_fn)
+                              joint)
                 in_tail = t + 1 >= tail_start
                 r = c.shape[0] if in_tail else traced
                 if r:

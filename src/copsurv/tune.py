@@ -16,17 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .censoring import impute_smc
-from .copulas import ClaytonFamily, CopulaFamily, make_family
+from .copulas import CopulaFamily, make_family
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError, DegeneracyError, TuningError
 
-__all__ = ["TuneGrid", "TuneCell", "TuneResult", "grid_search",
-           "DEFAULT_CLAYTON_GRID", "DEFAULT_RHO_GRID"]
-
-# Standard search grids: bandwidth 0.5..1.5 step 0.1 for the Clayton
-# kernel, 0.1..0.9 step 0.1 for rho and rho_x.
-DEFAULT_CLAYTON_GRID = tuple(np.round(np.arange(0.5, 1.51, 0.1), 10))
-DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
+__all__ = ["TuneGrid", "TuneCell", "TuneResult", "grid_search"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,7 @@ class TuneResult:
 
     @property
     def bandwidth(self) -> float:
-        return (self.family.bandwidth if isinstance(self.family, ClaytonFamily)
-                else self.family.rho)
+        return self.family.bandwidth
 
 
 def grid_search(data: SurvivalDataset, family_kind: str,

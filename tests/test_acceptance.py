@@ -39,7 +39,7 @@ from copsurv.resampling import (
     heldout_mean_log_lik,
     martingale_posterior,
 )
-from copsurv.tune import DEFAULT_CLAYTON_GRID, TuneGrid, grid_search
+from copsurv.tune import TuneGrid, grid_search
 
 SIM_SEED = 106  # simulated regime draw with censoring fraction in-band
 
@@ -134,7 +134,7 @@ def test_criterion_4_predictive_normalization():
     data = cs.simulate_censored_exponential(50, 1.0, 1e-12, seed=21)
     data = cs.permute(cs.standardize(data), 21)
     tuned = grid_search(data, "clayton",
-                        TuneGrid(bandwidths=DEFAULT_CLAYTON_GRID, seed=0))
+                        TuneGrid(bandwidths=ClaytonFamily.tuning_grid, seed=0))
     # uncensored: every particle carries the same sequential fit
     fit = impute_smc(data, tuned.family, n_particles=2, seed=0)
     grid = GridSpec(np.concatenate([[0.0], np.geomspace(1e-8, 1e5, 4000)]))

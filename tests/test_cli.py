@@ -258,13 +258,22 @@ class TestConfigAndErrors:
         ("tune", "--tune-particles", 1),
         ("fit", "--family", "frank"),
         ("tune", "--family", "frank"),
+        # a bandwidth out of its family's range
+        ("fit", "--bandwidth", -1),
+        ("fit --family gaussian", "--bandwidth", 1.5),
+        ("tune", "--bandwidth-grid", "0,1"),
+        ("regress --family gaussian --rho-x 0.5 --x-target 1",
+         "--bandwidth", 2),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):
+        # `command` is the subcommand and any options the value needs;
         # the input file does not exist, so reading it first would exit 3
-        args = [command, "--seed", 1, "--input", tmp_path / "nope.csv",
+        subcommand, *options = command.split()
+        args = [subcommand, *options, "--seed", 1,
+                "--input", tmp_path / "nope.csv",
                 flag, value, "--output-dir", tmp_path / "out"]
-        if command == "regress":
+        if subcommand == "regress":
             args += ["--covariate-cols", "x"]
         assert run(*args) == 2
         err = json.loads(capsys.readouterr().err.strip())

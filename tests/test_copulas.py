@@ -6,19 +6,29 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
+from copsurv import cli
 from copsurv.copulas import (
     CLAMP_EPS,
+    FAMILIES,
     ClaytonFamily,
     GaussianFamily,
     alpha_regression,
     alpha_schedule,
-    default_base,
+    make_family,
 )
 from copsurv.copulas import _clamp_upper, _log_clayton_s
 from copsurv.copulas import clayton_density_and_partial as clayton
 from copsurv.copulas import gaussian_density_and_partial as gaussian
-from copsurv.distributions import LogNormalBaseParams, LomaxParams
+from copsurv.distributions import (
+    LogNormalBaseParams,
+    LomaxParams,
+    lognormal_base_cdf,
+    lognormal_base_pdf,
+    lomax_cdf,
+    lomax_pdf,
+)
 from copsurv.errors import ConfigurationError
+from copsurv.resampling import log_grid
 
 probs = st.floats(0.01, 0.99)
 bandwidths = st.floats(0.2, 3.0)
@@ -267,9 +277,47 @@ class TestAlphaRegression:
         assert 0.0 < out < 1.0
 
 
-def test_default_base_pairing():
-    assert default_base(ClaytonFamily(1.3)) == LomaxParams(1.3, 1.0)
-    assert default_base(GaussianFamily(0.4)) == LogNormalBaseParams(0.4)
+def test_base_at_pairing():
+    # Lomax(a, 1) with the Clayton kernel, log-normal(0, 1/(1-rho)) with
+    # the Gaussian one
+    y = np.array([0.0, 0.5, 1.0, 3.0])
+    lomax = LomaxParams(1.3, 1.0)
+    pdf, cdf = ClaytonFamily(1.3).base_at(y)
+    assert np.array_equal(pdf, lomax_pdf(y, lomax))
+    assert np.array_equal(cdf, lomax_cdf(y, lomax))
+    lognormal = LogNormalBaseParams(0.4)
+    pdf, cdf = GaussianFamily(0.4).base_at(y)
+    assert np.array_equal(pdf[1:], lognormal_base_pdf(y[1:], lognormal))
+    assert np.array_equal(cdf, lognormal_base_cdf(y, lognormal))
+    # grids may include the origin: the log-normal density limit is 0
+    assert pdf[0] == 0.0
+    assert GaussianFamily(0.4).base_at(0.0)[0] == 0.0
+    with pytest.raises(ValueError):
+        GaussianFamily(0.4).base_at(-1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_table(kind):
+    cls = FAMILIES[kind]
+    assert cls.kind == kind
+    for bandwidth in (cls.default_bandwidth, *cls.tuning_grid):
+        assert make_family(kind, bandwidth).bandwidth == bandwidth
+    grid = log_grid(5.0, 50, cls.grid_from_zero)
+    pdf, cdf = cls(cls.default_bandwidth).base_at(grid.points)
+    assert np.all(np.isfinite(pdf) & (pdf >= 0))
+    assert np.all((cdf >= 0) & (cdf <= 1))
+
+
+def test_cli_family_bound_is_the_table():
+    family_opts = [opt for opts in cli.SUBCOMMANDS.values() for opt in opts
+                   if opt.name == "family"]
+    assert family_opts
+    for opt in family_opts:
+        in_range, _ = opt.bounds
+        assert all(in_range(kind) for kind in FAMILIES)
+        assert not any(in_range(kind) for kind in ("frank", "Clayton", ""))
+    with pytest.raises(ConfigurationError):
+        make_family("frank", 1.0)
 
 
 def test_family_validation():

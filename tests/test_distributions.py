@@ -9,8 +9,6 @@ from scipy.stats import lognorm, lomax
 from copsurv.distributions import (
     LogNormalBaseParams,
     LomaxParams,
-    base_cdf,
-    base_pdf,
     lognormal_base_cdf,
     lognormal_base_pdf,
     lomax_cdf,
@@ -117,13 +115,3 @@ def test_cdf_monotone(cdf, params):
     vals = np.array([cdf(y, params) for y in grid])
     assert np.all(np.diff(vals) >= 0)
 
-
-def test_base_dispatch_matches_families():
-    lom = LomaxParams(1.5, 1.0)
-    logn = LogNormalBaseParams(0.5)
-    assert base_pdf(1.0, lom) == lomax_pdf(1.0, lom)
-    assert base_cdf(1.0, logn) == lognormal_base_cdf(1.0, logn)
-    # grids may include the origin: the log-normal density limit is 0
-    assert base_pdf(0.0, logn) == 0.0
-    assert_allclose(base_pdf(np.array([0.0, 1.0]), logn)[1],
-                    lognormal_base_pdf(1.0, logn))

@@ -11,10 +11,7 @@ from copsurv.copulas import (
     GaussianFamily,
     alpha_regression,
     alpha_schedule,
-    default_base,
-    family_joint,
 )
-from copsurv.distributions import base_cdf, base_pdf
 from copsurv.errors import ConfigurationError, GridCoverageError
 from copsurv.predictive import propagate, step_weights
 from copsurv.resampling import (
@@ -256,18 +253,18 @@ class TestWeightedHelpers:
 def reference_grid_rows(ensemble, points, x_target):
     """The recursion written out step by step, one scalar weight per step:
     the reference that `propagate` with `step_weights` must reproduce."""
-    joint_fn = family_joint(ensemble.family)
-    base = default_base(ensemble.family)
+    family = ensemble.family
     n_steps, n_chains = ensemble.v_matrix.shape
-    dens = np.tile(base_pdf(points, base), (n_chains, 1))
-    u = np.tile(base_cdf(points, base), (n_chains, 1))
+    pdf0, cdf0 = family.base_at(points)
+    dens = np.tile(pdf0, (n_chains, 1))
+    u = np.tile(cdf0, (n_chains, 1))
     for j in range(n_steps):
         alpha = float(alpha_schedule(j + 1))
         if ensemble.rho_x is not None:
             alpha = alpha_regression(alpha, x_target, ensemble.covariates[j],
                                      ensemble.rho_x)
         v = ensemble.v_matrix[j][:, None]
-        d, i_part = joint_fn(u, v)
+        d, i_part = family.joint(u, v)
         dens = dens * ((1.0 - alpha) + alpha * d)
         u = (1.0 - alpha) * u + alpha * i_part
     return dens, u
@@ -308,13 +305,13 @@ class TestOneFitIsOneColumn:
         ensemble, grid, x = request.getfixturevalue(case)
         ref_dens, ref_cdf = reference_grid_rows(ensemble, grid.points, x)
         n_steps, n_chains = ensemble.v_matrix.shape
-        base = default_base(ensemble.family)
+        pdf0, cdf0 = ensemble.family.base_at(grid.points)
         dens, cdf = propagate(
-            np.tile(base_pdf(grid.points, base), (n_chains, 1)),
-            np.tile(base_cdf(grid.points, base), (n_chains, 1)),
+            np.tile(pdf0, (n_chains, 1)),
+            np.tile(cdf0, (n_chains, 1)),
             ensemble.v_matrix[:, :, None],
             step_weights(n_steps, x, ensemble.covariates, ensemble.rho_x),
-            family_joint(ensemble.family),
+            ensemble.family.joint,
         )
         assert np.array_equal(dens, ref_dens)
         assert np.array_equal(cdf, ref_cdf)
