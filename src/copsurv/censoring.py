@@ -22,11 +22,12 @@ path as the copula predictive; both ensembles extend the pass result
 `SmcPass` with their own particle state.  The engine's state is the only
 copy of each particle's history: a censored record's draw lives on only
 as the value the engine absorbed, and resampling re-indexes that state
-and the ancestry, nothing else.  Besides that history the copula engine
-carries, per particle, the running predictive (density, cdf) of every
-record at its own time, so evaluating a record reads its row, and
-absorbing one updates the rows of the records after it, in blocks of
-rows: the recursion costs one kernel evaluation per (pending record,
+and the ancestry, nothing else.  The copula engine is a
+`predictive.RunningPredictive` over the records' own times: besides that
+history it carries, per particle, the running predictive (density, cdf)
+of every record at its own time, so evaluating a record reads its row,
+and absorbing one updates the rows of the records after it, in blocks
+of rows: the recursion costs one kernel evaluation per (pending record,
 particle, absorbed record), not a kernel call per pair of records.  All
 randomness comes from counter-based streams keyed by (seed, stream,
 record index), so a pass is a pure function of (data, particle count,
@@ -41,10 +42,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import copulas, rng
-from .copulas import CopulaFamily, alpha_regression, alpha_schedule
+from .copulas import CopulaFamily
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError, DegeneracyError
-from .predictive import row_blocks, update
+from .predictive import RunningPredictive
 
 __all__ = [
     "SmcPass",
@@ -194,6 +195,7 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     log_w = np.zeros(b)
     log_z = 0.0
     ancestry = np.arange(b)
+    unique = b
     ess_trace = np.empty(n)
     unique_trace = np.empty(n, dtype=int)
     resample_steps: list = []
@@ -232,9 +234,10 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
             idx = systematic_indices(shifted, offset)
             engine.select(idx)
             ancestry = ancestry[idx]
+            unique = np.unique(ancestry).size
             log_w = np.zeros(b)
             resample_steps.append(i)
-        unique_trace[i] = np.unique(ancestry).size
+        unique_trace[i] = unique
     log_z += logsumexp(log_w) - np.log(b)
     return SmcPass(log_weights=log_w, log_z=float(log_z),
                    ess_trace=ess_trace, unique_trace=unique_trace,
@@ -245,31 +248,22 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
 # Copula particle engine
 # ---------------------------------------------------------------------------
 
-class _CopulaEngine:
-    """Vectorized particle state for the copula predictive: one shared
-    covariate table, per-particle propagation values `v`, and the running
-    predictive (density, cdf) of every record at its own time.
+class _CopulaEngine(RunningPredictive):
+    """Vectorized particle state for the copula predictive: per-particle
+    propagation values `v`, and the running predictive (density, cdf) of
+    every record at its own time, with the records' own covariate rows
+    as both the evaluation points and the absorbed records.
 
-    Row k of `dens` and `u` starts at the base measure at times[k] and
-    takes one `update` for each record j < k as record j is absorbed,
-    with weight a_{j+1} (with covariates, `alpha_regression` of record k
-    as the evaluation point and record j as the absorbed one).  Evaluating
-    record i therefore reads row i, and a pass over n records costs one
-    sweep over the pending rows per record, in blocks of rows, not a
-    re-propagation of every record through the whole absorbed history.
-    The weights are computed per block as the record is absorbed, so no
-    (n, n) weight table is held.
+    Evaluating record i reads row i, and absorbing it updates only the
+    rows of the records after it, so a pass over n records costs one
+    sweep over the pending rows per record, not a re-propagation of
+    every record through the whole absorbed history.
     """
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
-        self.joint = family.joint
-        pdf0, cdf0 = family.base_at(times)
-        n = len(times)
-        self.v = np.empty((n, n_particles))
-        self.dens = np.tile(pdf0[:, None], n_particles)
-        self.u = np.tile(cdf0[:, None], n_particles)
-        self.rho_x = rho_x
-        self.covariates = covariates
+        super().__init__(family, rho_x, times, covariates, covariates,
+                         n_particles)
+        self.v = np.empty((len(times), n_particles))
 
     def eval_at(self, i, t):
         # t is times[i], whose running predictive is row i
@@ -281,16 +275,7 @@ class _CopulaEngine:
 
     def absorb_censored(self, i, u):
         self.v[i] = np.clip(u, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        n, b = self.v.shape
-        a = alpha_schedule(i + 1)
-        for blk in row_blocks(i + 1, n, b):
-            alpha = a
-            if self.rho_x is not None:
-                # the pending records are the evaluation points
-                alpha = alpha_regression(a, self.covariates[blk],
-                                         self.covariates[i], self.rho_x)[:, None]
-            self.dens[blk], self.u[blk] = update(
-                self.dens[blk], self.u[blk], self.v[i], alpha, self.joint)
+        self.absorb(i, self.v[i], i + 1)
 
     def select(self, idx):
         # rows of v not yet absorbed, and rows of dens/u already absorbed,

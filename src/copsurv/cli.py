@@ -191,8 +191,9 @@ def _read_config_file(path):
 
 def _resolve(args, opts):
     """Merge flag values, config-file values, and defaults, and check
-    each value against its option's range and each bandwidth against
-    its family's."""
+    each value against its option's range (a comma list must be
+    nonempty), each bandwidth against its family's, and the options
+    that need each other."""
     file_values = _read_config_file(args.config) if args.config else {}
     known = {opt.name: opt for opt in opts}
     for key in file_values:
@@ -211,6 +212,9 @@ def _resolve(args, opts):
             value = opt.default
         if value is None and opt.required:
             raise ConfigurationError(f"--{opt.name} is required")
+        lists = value if opt.repeatable else [value]
+        if opt.type is _comma_floats and value is not None and not all(lists):
+            raise ConfigurationError(f"--{opt.name} needs at least one value")
         if value is not None and opt.bounds is not None:
             in_range, rule = opt.bounds
             items = value if isinstance(value, tuple) else (value,)
@@ -228,6 +232,17 @@ def _resolve(args, opts):
                 make_family(resolved["family"], b)
         except ConfigurationError as exc:
             raise ConfigurationError(f"--{name}: {exc}") from None
+    cols = resolved.get("covariate_cols")
+    if resolved.get("rho_x_grid") and not cols:
+        raise ConfigurationError("--rho-x-grid needs --covariate-cols")
+    if "x_target" in resolved:  # regress
+        targets = resolved["x_target"] or []
+        if not targets and resolved["test_split"] is None:
+            raise ConfigurationError("regress needs --x-target or --test-split")
+        for x in targets:
+            if len(x) != len(cols):
+                raise ConfigurationError(f"--x-target dimension {len(x)} "
+                                         f"!= covariate count {len(cols)}")
     return resolved
 
 
@@ -477,14 +492,6 @@ def cmd_regress(cfg, outdir):
     cols = cfg["covariate_cols"]
     raw = dataio.load_csv(cfg["input"], cfg["time_col"], cfg["status_col"], cols)
     targets = cfg.get("x_target") or []
-    if not targets and cfg.get("test_split") is None:
-        raise ConfigurationError("regress needs --x-target or --test-split")
-    for x in targets:
-        if len(x) != len(cols):
-            raise ConfigurationError(
-                f"x-target dimension {len(x)} != covariate count {len(cols)}"
-            )
-
     test = None
     if cfg.get("test_split") is not None:
         raw, test = _split_dataset(raw, cfg["test_split"], cfg["seed"])

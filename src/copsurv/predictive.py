@@ -11,20 +11,20 @@ sweep,
 
 starting from the base measure's (pdf, cdf) at y, where a_j is the update
 weight for step j (covariate-modulated in the regression variant).
-`update` is the only implementation of this step: the SMC pass (which
-also gives the prequential score of fully observed data, see
-`censoring`), the start rows and forward predictive resampling all run
-through it, the latter supplying u values drawn in CDF space.
-`propagate` runs it over an absorbed history, and `step_weights` gives
-the weights a_1..a_n of that history.
+`update` is the only implementation of this step, and
+`RunningPredictive` the only evaluator of a fitted predictive at points:
+the SMC pass (which also gives the prequential score of fully observed
+data, see `censoring`), the start rows and held-out scoring run through
+it, and forward predictive resampling runs `update` on u values drawn in
+CDF space.
 
-Every propagation over many rows (the SMC pass's pending records, the
-start rows and the forward pass over chains) runs in blocks of whole
-rows from `row_blocks`, sized so that each temporary the recursion
-allocates holds at most `BLOCK_ELEMS` float64 values (64 KiB).  That
-keeps temporaries below glibc's 128 KiB mmap threshold: larger ones are
-mapped and page-faulted in afresh on every call, which costs more than
-the arithmetic.  The recursion is elementwise, so blocking changes no
+Every propagation over many rows (the running predictive's points and
+the forward pass's chains) runs in blocks of whole rows from
+`row_blocks`, sized so that each temporary the recursion allocates holds
+at most `BLOCK_ELEMS` float64 values (64 KiB).  That keeps temporaries
+below glibc's 128 KiB mmap threshold: larger ones are mapped and
+page-faulted in afresh on every call, which costs more than the
+arithmetic.  The recursion is elementwise, so blocking changes no
 output bit.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .copulas import alpha_regression, alpha_schedule
 
-__all__ = ["update", "propagate", "step_weights"]
+__all__ = ["update", "RunningPredictive"]
 
 # Elements per propagation block: 64 KiB of float64 per temporary.
 BLOCK_ELEMS = 8192
@@ -59,24 +59,33 @@ def update(dens, u, v, alpha, joint):
     return dens * ((1.0 - alpha) + alpha * d), (1.0 - alpha) * u + alpha * i_part
 
 
-def propagate(dens, u, v_rows, alphas, joint):
-    """Run `update` over an absorbed history, one (v row, alpha) per step."""
-    for v, alpha in zip(v_rows, alphas):
-        dens, u = update(dens, u, v, alpha, joint)
-    return dens, u
-
-
-def step_weights(n: int, x_eval, xseq, rho_x) -> np.ndarray:
-    """Update weights a_1..a_n for evaluating at covariate x_eval; with
-    rho_x set, step j is weighted by its covariate row xseq[j].
-
-    `x_eval` may stack K evaluation rows, shape (K, d), giving a (K, n)
-    matrix: row k holds the weights for evaluating at x_eval[k].  The
-    evaluation point stays `alpha_regression`'s first covariate argument
-    and the absorbed record its second; swapping them moves the last bit.
+class RunningPredictive:
+    """The running predictive at points `times`, one column per particle:
+    `dens` and `u` have shape (points, B), row k starting at the base
+    measure at times[k].  Absorbing record j weights it by a_{j+1}; with
+    covariates, by `alpha_regression` of the point's row `row_x[k]` as
+    the evaluation point and `record_x[j]` as the absorbed record (in
+    that argument order: swapping them moves the last bit), computed per
+    block of rows, so no (points, records) table is held.
     """
-    alphas = alpha_schedule(np.arange(1, n + 1))
-    if rho_x is None:
-        return alphas
-    x = np.asarray(x_eval, dtype=float)
-    return alpha_regression(alphas, x[..., None, :], xseq[:n], rho_x)
+
+    def __init__(self, family, rho_x, times, row_x, record_x, n_particles):
+        self.joint = family.joint
+        self.rho_x = rho_x
+        self.row_x = row_x
+        self.record_x = record_x
+        pdf0, cdf0 = family.base_at(times)
+        self.dens = np.tile(pdf0[:, None], n_particles)
+        self.u = np.tile(cdf0[:, None], n_particles)
+
+    def absorb(self, j, v, lo=0):
+        """Take record j's propagation values v (B,) into rows lo.."""
+        a = alpha_schedule(j + 1)
+        rows, b = self.u.shape
+        for blk in row_blocks(lo, rows, b):
+            alpha = a
+            if self.rho_x is not None:
+                alpha = alpha_regression(a, self.row_x[blk], self.record_x[j],
+                                         self.rho_x)[:, None]
+            self.dens[blk], self.u[blk] = update(
+                self.dens[blk], self.u[blk], v, alpha, self.joint)

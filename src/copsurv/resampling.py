@@ -32,7 +32,7 @@ from .censoring import ParticleEnsemble
 from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError, GridCoverageError
-from .predictive import block_rows, propagate, row_blocks, step_weights, update
+from .predictive import RunningPredictive, block_rows, row_blocks, update
 
 __all__ = [
     "GridSpec",
@@ -241,30 +241,21 @@ def _start_rows(ensemble: ParticleEnsemble, points, x_target):
     absorbed history of every particle: returns (B, len(points)) arrays.
 
     `x_target` is None, one covariate vector, or one covariate row per
-    point ((len(points), d)).  Chains run in blocks of rows with all n
-    steps inside, so every temporary fits one block.  With one covariate
-    row per point, the points go in blocks of `block_rows(n)` too, so
-    their (steps, points) weight table and its covariate temporaries
-    stay bounded instead of growing with n times the number of points.
+    point ((len(points), d)); a single vector is broadcast to one row
+    per point, so both take the same path.
     """
-    n_steps, n_chains = ensemble.v_matrix.shape
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    pdf0, cdf0 = ensemble.family.base_at(points)
-    per_point = ensemble.rho_x is not None and np.ndim(x_target) == 2
-    columns = (row_blocks(0, points.size, n_steps) if per_point
-               else [slice(None)])
-    dens = np.empty((n_chains, points.size))
-    u = np.empty((n_chains, points.size))
-    for col in columns:
-        # step j's weight: a scalar, or a row of one weight per point
-        x = x_target[col] if per_point else x_target
-        alphas = step_weights(n_steps, x, ensemble.covariates,
-                              ensemble.rho_x).T
-        for blk in row_blocks(0, n_chains, pdf0[col].size):
-            dens[blk, col], u[blk, col] = propagate(
-                pdf0[col], cdf0[col], ensemble.v_matrix[:, blk, None],
-                alphas, ensemble.family.joint)
-    return dens, u
+    row_x = None
+    if ensemble.rho_x is not None:
+        x = np.asarray(x_target, dtype=float)
+        row_x = np.broadcast_to(x, (points.size, x.shape[-1]))
+    running = RunningPredictive(ensemble.family, ensemble.rho_x, points,
+                                row_x, ensemble.covariates,
+                                ensemble.v_matrix.shape[1])
+    for j, v in enumerate(ensemble.v_matrix):
+        running.absorb(j, v)
+    return (np.ascontiguousarray(running.dens.T),
+            np.ascontiguousarray(running.u.T))
 
 
 def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,

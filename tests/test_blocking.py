@@ -17,13 +17,7 @@ import pytest
 import copsurv as cs
 from copsurv import copulas, predictive
 from copsurv.censoring import impute_smc
-from copsurv.copulas import (
-    ClaytonFamily,
-    GaussianFamily,
-    alpha_regression,
-    alpha_schedule,
-)
-from copsurv.predictive import step_weights
+from copsurv.copulas import ClaytonFamily, GaussianFamily
 from copsurv.resampling import (
     GridSpec,
     W1_TAIL_STEPS,
@@ -169,22 +163,6 @@ def test_smc_pass_calls_the_kernel_once_per_record(monkeypatch):
     monkeypatch.setattr(copulas, "clayton_density_and_partial", counted)
     impute_smc(data, ClaytonFamily(0.9), n_particles=8, seed=1)
     assert len(calls) <= data.n
-
-
-def test_weights_per_block_equal_the_whole_table():
-    """The SMC engine weights one absorbed record against a block of
-    pending records, and held-out scoring builds its table for a block of
-    points at a time; both equal the whole (K, n) table bit for bit."""
-    x = np.random.default_rng(0).normal(size=(12, 3))
-    whole = step_weights(12, x, x, 0.6)
-    for j in range(12):
-        # pending records j+1.. are the evaluation points, record j absorbed
-        absorbed = alpha_regression(alpha_schedule(j + 1), x[j + 1:], x[j], 0.6)
-        assert np.array_equal(absorbed, whole[j + 1:, j])
-    for k in range(0, 12, 5):
-        assert np.array_equal(step_weights(12, x[k:k + 5], x, 0.6),
-                              whole[k:k + 5])
-        assert np.array_equal(step_weights(12, x[k], x, 0.6), whole[k])
 
 
 def test_covariate_pass_and_heldout_hold_no_pairwise_table():

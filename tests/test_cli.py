@@ -264,6 +264,17 @@ class TestConfigAndErrors:
         ("tune", "--bandwidth-grid", "0,1"),
         ("regress --family gaussian --rho-x 0.5 --x-target 1",
          "--bandwidth", 2),
+        # options that contradict each other
+        ("regress", "--x-target", "1,2"),
+        ("regress --x-target 1", "--x-target", "0.5,1"),
+        ("tune", "--rho-x-grid", "0.3"),
+        # an empty comma list
+        ("fit", "--bandwidth-grid", ","),
+        ("posterior", "--bandwidth-grid", ","),
+        ("tune", "--bandwidth-grid", ","),
+        ("regress --test-split 0.3", "--rho-x-grid", ","),
+        ("regress --test-split 0.3", "--bandwidth-grid", ","),
+        ("regress", "--x-target", ","),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):
@@ -279,6 +290,17 @@ class TestConfigAndErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
         assert flag in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_regress_without_target_or_split_fails_before_input_is_read(
+            self, tmp_path, capsys):
+        assert run("regress", "--seed", 1, "--input", tmp_path / "nope.csv",
+                   "--covariate-cols", "x",
+                   "--output-dir", tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "--x-target" in err["message"]
+        assert "--test-split" in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_bad_rho_x_grid_fails_before_any_cell_is_scored(

@@ -13,7 +13,6 @@ from copsurv.copulas import (
     alpha_schedule,
 )
 from copsurv.errors import ConfigurationError, GridCoverageError
-from copsurv.predictive import propagate, step_weights
 from copsurv.resampling import (
     GridSpec,
     _bootstrap_picks,
@@ -252,7 +251,7 @@ class TestWeightedHelpers:
 
 def reference_grid_rows(ensemble, points, x_target):
     """The recursion written out step by step, one scalar weight per step:
-    the reference that `propagate` with `step_weights` must reproduce."""
+    the reference that `_start_rows` must reproduce."""
     family = ensemble.family
     n_steps, n_chains = ensemble.v_matrix.shape
     pdf0, cdf0 = family.base_at(points)
@@ -304,14 +303,17 @@ class TestOneFitIsOneColumn:
     def test_propagate_matches_reference_loop(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
         ref_dens, ref_cdf = reference_grid_rows(ensemble, grid.points, x)
-        n_steps, n_chains = ensemble.v_matrix.shape
-        pdf0, cdf0 = ensemble.family.base_at(grid.points)
-        dens, cdf = propagate(
-            np.tile(pdf0, (n_chains, 1)),
-            np.tile(cdf0, (n_chains, 1)),
-            ensemble.v_matrix[:, :, None],
-            step_weights(n_steps, x, ensemble.covariates, ensemble.rho_x),
-            ensemble.family.joint,
-        )
+        dens, cdf = _start_rows(ensemble, grid.points, x)
         assert np.array_equal(dens, ref_dens)
         assert np.array_equal(cdf, ref_cdf)
+        if x is None:
+            return
+        # one covariate row per point, each point against its own reference
+        rows = x + np.linspace(-1.0, 1.0, grid.points.size)[:, None]
+        dens, cdf = _start_rows(ensemble, grid.points, rows)
+        for k, point in enumerate(grid.points):
+            ref_dens, ref_cdf = reference_grid_rows(ensemble, [point], rows[k])
+            assert np.array_equal(dens[:, k], ref_dens[:, 0])
+            assert np.array_equal(cdf[:, k], ref_cdf[:, 0])
+        with pytest.raises(ValueError, match="covariate dimension mismatch"):
+            _start_rows(ensemble, grid.points, np.zeros(2))
