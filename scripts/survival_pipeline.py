@@ -75,9 +75,11 @@ def main():
                ["step", "ess", "unique_particles", "resampled"],
                diagnostic_rows(ensemble.ess_trace, ensemble.unique_trace,
                                ensemble.resample_steps))
-    med = weighted_mean(draws.medians, draws.weights)
-    print(f"posterior mean of median survival time: "
-          f"{unscale_times(med, data.scale_factor):.4g} (input units)")
+    lo, med, hi = unscale_times(
+        weighted_quantiles(draws.medians, draws.weights, [0.025, 0.5, 0.975]),
+        data.scale_factor)
+    print(f"median survival time: posterior median {med:.4g}, "
+          f"95% interval {lo:.4g} to {hi:.4g} (input units)")
     print(f"wrote {args.out}/")
 
 

@@ -24,14 +24,16 @@ copy of each particle's history: a censored record's draw lives on only
 as the value the engine absorbed, and resampling re-indexes that state
 and the ancestry, nothing else.  The copula engine is a
 `predictive.RunningPredictive` over the records' own times: besides that
-history it carries, per particle, the running predictive (density, cdf)
-of every record at its own time, so evaluating a record reads its row,
-and absorbing one updates the rows of the records after it, in blocks
-of rows: the recursion costs one kernel evaluation per (pending record,
-particle, absorbed record), not a kernel call per pair of records.  All
-randomness comes from counter-based streams keyed by (seed, stream,
-record index), so a pass is a pure function of (data, particle count,
-seed) and reruns bit-identically.
+history it carries, per particle (one row each), the running predictive
+(density, cdf) of every record at its own time (one column each), so
+evaluating a record reads its column, and absorbing one updates the
+columns of the records after it, in blocks of particle rows, with the
+record's weight computed once: the recursion costs one kernel
+evaluation per (pending record, particle, absorbed record), not a
+kernel call per pair of records.  All randomness comes from
+counter-based streams keyed by (seed, stream, record index), so a pass
+is a pure function of (data, particle count, seed) and reruns
+bit-identically.
 """
 
 from __future__ import annotations
@@ -254,20 +256,21 @@ class _CopulaEngine(RunningPredictive):
     every record at its own time, with the records' own covariate rows
     as both the evaluation points and the absorbed records.
 
-    Evaluating record i reads row i, and absorbing it updates only the
-    rows of the records after it, so a pass over n records costs one
-    sweep over the pending rows per record, not a re-propagation of
+    Evaluating record i reads column i, and absorbing it updates only the
+    columns of the records after it, so a pass over n records costs one
+    sweep over the pending columns per record, not a re-propagation of
     every record through the whole absorbed history.
     """
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
-        super().__init__(family, rho_x, times, covariates, covariates,
-                         n_particles)
+        super().__init__(family, times, n_particles)
+        self.rho_x = rho_x
+        self.covariates = covariates
         self.v = np.empty((len(times), n_particles))
 
     def eval_at(self, i, t):
-        # t is times[i], whose running predictive is row i
-        return self.dens[i], self.u[i]
+        # t is times[i], whose running predictive is column i
+        return self.dens[:, i], self.u[:, i]
 
     def absorb_observed(self, i, t, cdf):
         # an observed record's propagation value is its predictive CDF
@@ -275,14 +278,20 @@ class _CopulaEngine(RunningPredictive):
 
     def absorb_censored(self, i, u):
         self.v[i] = np.clip(u, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        self.absorb(i, self.v[i], i + 1)
+        alpha = copulas.alpha_schedule(i + 1)
+        if self.rho_x is not None:
+            # the pending records are the evaluation points, record i the
+            # absorbed one
+            alpha = copulas.alpha_regression(alpha, self.covariates[i + 1:],
+                                             self.covariates[i], self.rho_x)
+        self.absorb(self.v[i], alpha, i + 1)
 
     def select(self, idx):
-        # rows of v not yet absorbed, and rows of dens/u already absorbed,
-        # are never read, so re-indexing them too is harmless
+        # rows of v not yet absorbed, and columns of dens/u already
+        # absorbed, are never read, so re-indexing them too is harmless
         self.v = self.v[:, idx]
-        self.dens = self.dens[:, idx]
-        self.u = self.u[:, idx]
+        self.dens = self.dens[idx]
+        self.u = self.u[idx]
 
 
 def impute_smc(data: SurvivalDataset, family: CopulaFamily,

@@ -87,10 +87,13 @@ COMMON_OPTS = [
     Opt("output-dir", str, default=".", help="directory for all output files"),
 ]
 
-FIT_CORE_OPTS = [
+INPUT_OPTS = [
     Opt("input", str, required=True, help="input CSV path"),
     Opt("time-col", str, default="time"),
     Opt("status-col", str, default="status"),
+]
+
+FIT_CORE_OPTS = INPUT_OPTS + [
     Opt("family", str, default="clayton", bounds=COPULA_FAMILY,
         help=f"copula kernel: {COPULA_FAMILY[1]}"),
     Opt("bandwidth", float, help="fixed kernel bandwidth (a, or rho for gaussian)"),
@@ -131,20 +134,14 @@ SUBCOMMANDS = {
         Opt("n-extra", int, bounds=NONNEGATIVE,
             help="if set, full posterior bands per x-target"),
     ],
-    "doob": [
-        Opt("input", str, required=True),
-        Opt("time-col", str, default="time"),
-        Opt("status-col", str, default="status"),
+    "doob": INPUT_OPTS + [
         Opt("a0", float, help="prior shape; tuned by marginal likelihood if omitted"),
         Opt("b0", float, default=1.0),
         Opt("n-particles", int, default=2000, bounds=AT_LEAST_2),
         Opt("n-extra", int, default=2000, bounds=NONNEGATIVE),
         Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT),
     ],
-    "tune": [
-        Opt("input", str, required=True),
-        Opt("time-col", str, default="time"),
-        Opt("status-col", str, default="status"),
+    "tune": INPUT_OPTS + [
         Opt("family", str, default="clayton", bounds=COPULA_FAMILY),
         Opt("bandwidth-grid", _comma_floats),
         Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT),
@@ -193,7 +190,7 @@ def _resolve(args, opts):
     """Merge flag values, config-file values, and defaults, and check
     each value against its option's range (a comma list must be
     nonempty), each bandwidth against its family's, and the options
-    that need each other."""
+    that need or exclude each other."""
     file_values = _read_config_file(args.config) if args.config else {}
     known = {opt.name: opt for opt in opts}
     for key in file_values:
@@ -232,6 +229,12 @@ def _resolve(args, opts):
                 make_family(resolved["family"], b)
         except ConfigurationError as exc:
             raise ConfigurationError(f"--{name}: {exc}") from None
+    for name in ("bandwidth", "rho-x"):
+        key = name.replace("-", "_")
+        if resolved.get(key) is not None and resolved.get(f"{key}_grid"):
+            raise ConfigurationError(
+                f"--{name} pins the value that --{name}-grid would tune; "
+                "give one of them")
     cols = resolved.get("covariate_cols")
     if resolved.get("rho_x_grid") and not cols:
         raise ConfigurationError("--rho-x-grid needs --covariate-cols")
@@ -243,6 +246,8 @@ def _resolve(args, opts):
             if len(x) != len(cols):
                 raise ConfigurationError(f"--x-target dimension {len(x)} "
                                          f"!= covariate count {len(cols)}")
+        if not cols:
+            raise ConfigurationError("--covariate-cols needs at least one name")
     return resolved
 
 
@@ -250,36 +255,31 @@ def _resolve(args, opts):
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _resolve_family(cfg, data):
-    """Fixed bandwidth, or grid tuning when a grid was supplied."""
+def _select_family(cfg, data, tune_by_default):
+    """(family, rho_x, tuned) of a run.  A hyperparameter is pinned by
+    its flag or searched on its grid flag; with neither, it is tuned on
+    its default grid when `tune_by_default`, or else takes its family's
+    default.  rho_x exists only with covariates.  `tuned` is the grid
+    search result, None when nothing was searched."""
     kind = cfg["family"]
-    if cfg.get("bandwidth_grid"):
-        grid = tune.TuneGrid(bandwidths=cfg["bandwidth_grid"],
-                             n_particles=cfg["tune_particles"],
-                             seed=cfg["seed"])
-        tuned = tune.grid_search(data, kind, grid)
-        return tuned.family, tuned
-    bandwidth = cfg.get("bandwidth")
-    if bandwidth is None:
-        bandwidth = FAMILIES[kind].default_bandwidth
-    return make_family(kind, bandwidth), None
+    family = FAMILIES[kind]
 
+    def axis(name, default_grid, default):
+        # (values, searched) of one hyperparameter
+        pinned, grid = cfg.get(name), cfg.get(f"{name}_grid")
+        if grid or (pinned is None and tune_by_default):
+            return grid or default_grid, True
+        return (default if pinned is None else pinned,), False
 
-def _resolve_regress_family(cfg, data):
-    """Joint (bandwidth, rho_x) selection for the conditional model:
-    anything not pinned by a flag is tuned on its grid (defaults per
-    family)."""
-    kind = cfg["family"]
-    bandwidth = cfg.get("bandwidth")
-    rho_x = cfg.get("rho_x")
-    if bandwidth is not None and rho_x is not None:
-        return make_family(kind, bandwidth), rho_x, None
-    bandwidths = cfg.get("bandwidth_grid") or (
-        (bandwidth,) if bandwidth is not None else FAMILIES[kind].tuning_grid
-    )
-    rho_x_values = cfg.get("rho_x_grid") or (
-        (rho_x,) if rho_x is not None else DEFAULT_RHO_GRID
-    )
+    bandwidths, searched = axis("bandwidth", family.tuning_grid,
+                                family.default_bandwidth)
+    rho_x_values = None
+    if cfg.get("covariate_cols"):
+        rho_x_values, rho_searched = axis("rho_x", DEFAULT_RHO_GRID, None)
+        searched = searched or rho_searched
+    if not searched:
+        rho_x = None if rho_x_values is None else rho_x_values[0]
+        return make_family(kind, bandwidths[0]), rho_x, None
     grid = tune.TuneGrid(bandwidths=bandwidths, rho_x_values=rho_x_values,
                          n_particles=cfg["tune_particles"], seed=cfg["seed"])
     tuned = tune.grid_search(data, kind, grid)
@@ -390,7 +390,7 @@ def cmd_simulate(cfg, outdir):
 
 def _run_fit(cfg):
     data = _prepared_dataset(cfg)
-    family, tuned = _resolve_family(cfg, data)
+    family, _, tuned = _select_family(cfg, data, tune_by_default=False)
     ensemble = impute_smc(data, family, n_particles=cfg["n_particles"],
                           ess_frac=cfg["ess_frac"], seed=cfg["seed"])
     return data, family, tuned, ensemble
@@ -497,7 +497,7 @@ def cmd_regress(cfg, outdir):
         raw, test = _split_dataset(raw, cfg["test_split"], cfg["seed"])
     train = dataio.permute(dataio.standardize(raw), cfg["seed"])
 
-    family, rho_x, tuned = _resolve_regress_family(cfg, train)
+    family, rho_x, tuned = _select_family(cfg, train, tune_by_default=True)
     ensemble = impute_smc(train, family, rho_x=rho_x,
                           n_particles=cfg["n_particles"],
                           ess_frac=cfg["ess_frac"], seed=cfg["seed"])
@@ -572,14 +572,8 @@ def cmd_doob(cfg, outdir):
 
 
 def cmd_tune(cfg, outdir):
-    cols = cfg["covariate_cols"]
-    data = _prepared_dataset(cfg, cols)
-    kind = cfg["family"]
-    bandwidths = cfg.get("bandwidth_grid") or FAMILIES[kind].tuning_grid
-    grid = tune.TuneGrid(bandwidths=bandwidths,
-                         rho_x_values=cfg.get("rho_x_grid"),
-                         n_particles=cfg["tune_particles"], seed=cfg["seed"])
-    result = tune.grid_search(data, kind, grid)
+    data = _prepared_dataset(cfg, cfg["covariate_cols"])
+    _, _, result = _select_family(cfg, data, tune_by_default=True)
     dataio.write_rows(
         outdir / "tune_table.csv",
         ["bandwidth", "rho_x", "score", "final_ess"],

@@ -11,15 +11,15 @@ sweep,
 
 starting from the base measure's (pdf, cdf) at y, where a_j is the update
 weight for step j (covariate-modulated in the regression variant).
-`update` is the only implementation of this step, and
-`RunningPredictive` the only evaluator of a fitted predictive at points:
-the SMC pass (which also gives the prequential score of fully observed
-data, see `censoring`), the start rows and held-out scoring run through
-it, and forward predictive resampling runs `update` on u values drawn in
-CDF space.
+`update` is the only implementation of this step, and it runs in place
+on the running state; `RunningPredictive.absorb` is its only caller.  A
+running predictive holds one row per particle and one column per point.
+The SMC pass (which also gives the prequential score of fully observed
+data, see `censoring`), the start rows and held-out scoring absorb the
+fitted records through it, and forward predictive resampling absorbs
+its synthetic records, drawn in CDF space, through the same object.
 
-Every propagation over many rows (the running predictive's points and
-the forward pass's chains) runs in blocks of whole rows from
+Every absorption runs in blocks of whole particle rows from
 `row_blocks`, sized so that each temporary the recursion allocates holds
 at most `BLOCK_ELEMS` float64 values (64 KiB).  That keeps temporaries
 below glibc's 128 KiB mmap threshold: larger ones are mapped and
@@ -31,8 +31,6 @@ output bit.
 from __future__ import annotations
 
 import numpy as np
-
-from .copulas import alpha_regression, alpha_schedule
 
 __all__ = ["update", "RunningPredictive"]
 
@@ -53,39 +51,42 @@ def row_blocks(start: int, stop: int, row_elems: int) -> list:
 
 
 def update(dens, u, v, alpha, joint):
-    """One step of the recursion: absorb propagation value(s) v with
-    weight alpha into the running (density, cdf); shapes broadcast."""
+    """One step of the recursion, in place: absorb propagation value(s) v
+    with weight alpha into the running (density, cdf); shapes broadcast
+    to those of dens and u.  The products and sums are those of
+    dens * ((1 - alpha) + alpha * d) and (1 - alpha) * u + alpha * I,
+    reordered only by commutation, so the bits are the same."""
     d, i_part = joint(u, v)
-    return dens * ((1.0 - alpha) + alpha * d), (1.0 - alpha) * u + alpha * i_part
+    d *= alpha
+    d += 1.0 - alpha
+    dens *= d
+    i_part *= alpha
+    u *= 1.0 - alpha
+    u += i_part
 
 
 class RunningPredictive:
-    """The running predictive at points `times`, one column per particle:
-    `dens` and `u` have shape (points, B), row k starting at the base
-    measure at times[k].  Absorbing record j weights it by a_{j+1}; with
-    covariates, by `alpha_regression` of the point's row `row_x[k]` as
-    the evaluation point and `record_x[j]` as the absorbed record (in
-    that argument order: swapping them moves the last bit), computed per
-    block of rows, so no (points, records) table is held.
+    """The running predictive at points `times`, one row per particle:
+    `dens` and `u` have shape (B, points), column k starting at the base
+    measure at times[k].  The caller supplies each absorbed record's
+    weight, because only it knows which covariates are the evaluation
+    points and which belong to the record.
     """
 
-    def __init__(self, family, rho_x, times, row_x, record_x, n_particles):
+    def __init__(self, family, times, n_particles):
         self.joint = family.joint
-        self.rho_x = rho_x
-        self.row_x = row_x
-        self.record_x = record_x
         pdf0, cdf0 = family.base_at(times)
-        self.dens = np.tile(pdf0[:, None], n_particles)
-        self.u = np.tile(cdf0[:, None], n_particles)
+        self.dens = np.tile(pdf0, (n_particles, 1))
+        self.u = np.tile(cdf0, (n_particles, 1))
 
-    def absorb(self, j, v, lo=0):
-        """Take record j's propagation values v (B,) into rows lo.."""
-        a = alpha_schedule(j + 1)
-        rows, b = self.u.shape
-        for blk in row_blocks(lo, rows, b):
-            alpha = a
-            if self.rho_x is not None:
-                alpha = alpha_regression(a, self.row_x[blk], self.record_x[j],
-                                         self.rho_x)[:, None]
-            self.dens[blk], self.u[blk] = update(
-                self.dens[blk], self.u[blk], v, alpha, self.joint)
+    def absorb(self, v, alpha, lo=0):
+        """Take one record's propagation values v (B,) into columns lo..
+        with weight alpha: a scalar, one weight per column
+        (points - lo,), or one weight per particle (B, 1)."""
+        b, points = self.u.shape
+        if lo == points:
+            return
+        per_particle = np.ndim(alpha) == 2
+        for blk in row_blocks(0, b, points - lo):
+            update(self.dens[blk, lo:], self.u[blk, lo:], v[blk, None],
+                   alpha[blk] if per_particle else alpha, self.joint)

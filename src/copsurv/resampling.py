@@ -19,10 +19,14 @@ last `W1_TAIL_STEPS` steps.
 Chains are conceptually independent; the implementation vectorizes
 them, drawing chain j's step-t uniform as element j of one counter-based
 stream, so a chain's draw does not depend on how many other chains run.
+The chains are the rows of one `predictive.RunningPredictive` on the
+grid: the start rows absorb the fitted records into it, and each forward
+step absorbs one synthetic record through the same `absorb`, in place.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ from .censoring import ParticleEnsemble
 from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError, GridCoverageError
-from .predictive import RunningPredictive, block_rows, row_blocks, update
+from .predictive import RunningPredictive, block_rows, row_blocks
 
 __all__ = [
     "GridSpec",
@@ -190,12 +194,6 @@ class PosteriorDraws:
     def n_draws(self) -> int:
         return self.cdf_draws.shape[0]
 
-    def posterior_mean_cdf(self) -> np.ndarray:
-        return weighted_mean(self.cdf_draws, self.weights)
-
-    def posterior_mean_density(self) -> np.ndarray:
-        return weighted_mean(self.density_draws, self.weights)
-
 
 def weighted_mean(values, weights):
     """Weighted average along axis 0, normalized by the weight sum.
@@ -237,48 +235,41 @@ def weighted_quantiles(values, weights, qs):
 # ---------------------------------------------------------------------------
 
 def _start_rows(ensemble: ParticleEnsemble, points, x_target):
-    """Propagate the base (density, cdf) values at `points` through the
-    absorbed history of every particle: returns (B, len(points)) arrays.
+    """The running predictive at `points` after every particle's absorbed
+    history: `.dens` and `.u` have shape (B, len(points)).
 
-    `x_target` is None, one covariate vector, or one covariate row per
-    point ((len(points), d)); a single vector is broadcast to one row
-    per point, so both take the same path.
+    `x_target` is None, one covariate vector (one weight per record), or
+    one covariate row per point ((len(points), d): one weight per record
+    and point).
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    row_x = None
-    if ensemble.rho_x is not None:
-        x = np.asarray(x_target, dtype=float)
-        row_x = np.broadcast_to(x, (points.size, x.shape[-1]))
-    running = RunningPredictive(ensemble.family, ensemble.rho_x, points,
-                                row_x, ensemble.covariates,
+    running = RunningPredictive(ensemble.family, points,
                                 ensemble.v_matrix.shape[1])
     for j, v in enumerate(ensemble.v_matrix):
-        running.absorb(j, v)
-    return (np.ascontiguousarray(running.dens.T),
-            np.ascontiguousarray(running.u.T))
+        alpha = alpha_schedule(j + 1)
+        if ensemble.rho_x is not None:
+            alpha = alpha_regression(alpha, x_target, ensemble.covariates[j],
+                                     ensemble.rho_x)
+        running.absorb(v, alpha)
+    return running
 
 
-def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
+def _forward(ensemble: ParticleEnsemble, running, n_extra, grid, seed,
              x_target, trace_chains):
-    """Advance every chain n_extra steps, overwriting the rows in place;
-    returns the Wasserstein-1 distances from the starting rows that are
-    read: (trace, tail), the whole trajectory of the first
-    min(trace_chains, B) chains and every chain's last
+    """Absorb n_extra synthetic records into `running`, one per step and
+    one value per chain (row); returns the Wasserstein-1 distances from
+    the starting rows that are read: (trace, tail), the whole trajectory
+    of the first min(trace_chains, B) chains and every chain's last
     min(n_extra, W1_TAIL_STEPS) + 1 steps (see `PosteriorDraws`).  No
     other step pays for a W1.
 
-    Steps go in chunks: each chunk draws its uniforms (and, with
-    covariates, its per-chain weights) for all chains into buffers of
-    `chunk` steps, then runs every block of chains through the chunk's
-    steps, so a block stays in cache and no buffer spans all n_extra
-    steps.  `chunk` is chosen so that a block's (steps, chains) slice of
-    a buffer fits one block.  Chain j's step-t uniform is still element
-    j of stream (seed, t), whatever the block and chunk sizes.
+    Chain j's step-t value is element j of stream (seed, t), and with
+    covariates its weight pairs the target with the covariates of chain
+    j's step-t bootstrap pick, whatever the block size.
     """
-    joint = ensemble.family.joint
     rho_x = ensemble.rho_x
-    n_chains, g = u.shape
-    start = u.copy()
+    n_chains, g = running.u.shape
+    start = running.u.copy()
     n_traced = min(trace_chains, n_chains)
     trace = np.zeros((n_traced, n_extra + 1))
     tail = np.zeros((n_chains, min(n_extra, W1_TAIL_STEPS) + 1))
@@ -287,36 +278,26 @@ def _forward(ensemble: ParticleEnsemble, dens, u, n_extra, grid, seed,
     rows = block_rows(g)
     gap = np.empty((min(rows, n_chains), g))
     terms = np.empty((gap.shape[0], g - 1))
-    chunk = block_rows(rows)
     if rho_x is not None:
-        picks = _bootstrap_picks(ensemble.covariates, n_chains, n_extra,
-                                 chunk, seed)
-    for t0 in range(0, n_extra, chunk):
-        steps = range(t0, min(t0 + chunk, n_extra))
-        v = np.stack([rng.uniforms(seed, rng.STREAM_FORWARD, t, n_chains)
-                      for t in steps])
-        v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        step_index = ensemble.n_records + 1 + np.arange(t0, steps.stop)
-        alpha = alpha_schedule(step_index)[:, None]
+        picks = itertools.chain.from_iterable(_bootstrap_picks(
+            ensemble.covariates, n_chains, n_extra, block_rows(rows), seed))
+    for t in range(n_extra):
+        v = np.clip(rng.uniforms(seed, rng.STREAM_FORWARD, t, n_chains),
+                    copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
+        alpha = alpha_schedule(ensemble.n_records + 1 + t)
         if rho_x is not None:
             alpha = alpha_regression(alpha, x_target,
-                                     ensemble.covariates[next(picks)], rho_x)
-        alpha = np.broadcast_to(alpha, v.shape)
-        for blk in row_blocks(0, n_chains, g):
-            d, c, c0 = dens[blk], u[blk], start[blk]
-            # leading rows of this block whose whole trajectory is read
-            traced = max(0, min(blk.stop, n_traced) - blk.start)
-            for k, t in enumerate(steps):
-                d, c = update(d, c, v[k, blk, None], alpha[k, blk, None],
-                              joint)
-                in_tail = t + 1 >= tail_start
-                r = c.shape[0] if in_tail else traced
-                if r:
-                    w1 = _w1_rows(c[:r], c0[:r], dx, gap[:r], terms[:r])
-                    trace[blk.start:blk.start + traced, t + 1] = w1[:traced]
-                    if in_tail:
-                        tail[blk, t + 1 - tail_start] = w1
-            dens[blk], u[blk] = d, c
+                                     ensemble.covariates[next(picks)],
+                                     rho_x)[:, None]
+        running.absorb(v, alpha)
+        in_tail = t + 1 >= tail_start
+        for blk in row_blocks(0, n_chains if in_tail else n_traced, g):
+            r = blk.stop - blk.start
+            w1 = _w1_rows(running.u[blk], start[blk], dx, gap[:r], terms[:r])
+            traced = trace[blk, t + 1]  # the block's traced rows, if any
+            traced[:] = w1[:traced.size]
+            if in_tail:
+                tail[blk, t + 1 - tail_start] = w1
     return trace, tail
 
 
@@ -326,7 +307,8 @@ def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
     grid, shape (B, G) each; the importance-weighted mixture of these is
     the point predictive."""
     _check_target(ensemble.rho_x, x_target)
-    return _start_rows(ensemble, grid.points, x_target)
+    running = _start_rows(ensemble, grid.points, x_target)
+    return running.dens, running.u
 
 
 def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
@@ -339,7 +321,8 @@ def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
     and covariate row.
     """
     x = test.covariates if ensemble.rho_x is not None else None
-    dens, cdf = _start_rows(ensemble, test.times, x)
+    running = _start_rows(ensemble, test.times, x)
+    dens, cdf = running.dens, running.u
     w = ensemble.weights
     total = 0.0
     for i in range(test.n):
@@ -377,10 +360,11 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
     if n_extra < 0:
         raise ConfigurationError("n_extra must be nonnegative")
     weights = ensemble.weights
-    dens, u = _start_rows(ensemble, grid.points, x_target)
+    running = _start_rows(ensemble, grid.points, x_target)
+    dens, u = running.dens, running.u
     predictive_density = weighted_mean(dens, weights)
     predictive_cdf = weighted_mean(u, weights)
-    trace, tail = _forward(ensemble, dens, u, n_extra, grid, seed, x_target,
+    trace, tail = _forward(ensemble, running, n_extra, grid, seed, x_target,
                            trace_chains)
     medians = np.array([median_from_cdf(u[j], grid) for j in range(u.shape[0])])
     return PosteriorDraws(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import copsurv as cs
-from copsurv import copulas, predictive
+from copsurv import copulas, predictive, resampling
 from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily, GaussianFamily
 from copsurv.resampling import (
@@ -116,7 +116,8 @@ def test_heldout_matches_per_record_evaluation(case):
     total = 0.0
     for i in range(data.n):
         x = data.covariates[i] if rho_x is not None else None
-        dens, cdf = (r[:, 0] for r in _start_rows(ens, [data.times[i]], x))
+        running = _start_rows(ens, [data.times[i]], x)
+        dens, cdf = running.dens[:, 0], running.u[:, 0]
         mass = dens if data.status[i] == 1 else 1.0 - cdf
         total += np.log(weighted_mean(mass, ens.weights))
     assert heldout_mean_log_lik(ens, data) == float(total / data.n)
@@ -135,7 +136,8 @@ def test_running_state_matches_repropagation(case):
         head = cs.ParticleEnsemble(**{**vars(ens),
                                       "v_matrix": ens.v_matrix[:i]})
         x = data.covariates[i] if rho_x is not None else None
-        dens, cdf = (r[:, 0] for r in _start_rows(head, [data.times[i]], x))
+        running = _start_rows(head, [data.times[i]], x)
+        dens, cdf = running.dens[:, 0], running.u[:, 0]
         with np.errstate(divide="ignore"):
             if data.status[i] == 1:
                 log_w += np.log(dens)
@@ -204,3 +206,27 @@ def test_forward_pass_holds_no_full_w1_buffer():
         tracemalloc.stop()
     assert draws.w1_tail.shape == (400, W1_TAIL_STEPS + 1)
     assert peak < 8 * 400 * (n_extra + 1)
+
+
+def test_alpha_regression_runs_once_per_absorbed_record(monkeypatch):
+    """With covariates, an absorbed record's weights come from one
+    `alpha_regression` call, however many row blocks its absorption
+    takes: in the SMC pass and in the start rows of a shared target."""
+    original = copulas.alpha_regression
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (copulas, predictive, resampling):
+        if hasattr(module, "alpha_regression"):
+            monkeypatch.setattr(module, "alpha_regression", counted)
+    monkeypatch.setattr(predictive, "BLOCK_ELEMS", 16)
+    data = covariate_data(30, 4)
+    ens = impute_smc(data, GaussianFamily(0.5), rho_x=0.6, n_particles=64,
+                     seed=5)
+    assert len(calls) == data.n
+    calls.clear()
+    _start_rows(ens, np.geomspace(0.01, 8.0, 16), np.array([-1.3]))
+    assert len(calls) == data.n

@@ -219,8 +219,8 @@ class TestImputedDraws:
                 head = dataclasses.replace(
                     ensemble, v_matrix=ensemble.v_matrix[:rec_idx, [j]],
                     log_weights=np.zeros(1))
-                _, cdf_at_c = _start_rows(head, [censored_exp50.times[rec_idx]],
-                                          None)
+                cdf_at_c = _start_rows(head, [censored_exp50.times[rec_idx]],
+                                       None).u
                 assert ensemble.v_matrix[rec_idx, j] > cdf_at_c[0, 0]
 
     def test_particle_views_consistent(self, censored_exp50):

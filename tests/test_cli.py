@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import copsurv as cs
 from copsurv.censoring import impute_smc
 from copsurv.cli import main
-from copsurv.copulas import ClaytonFamily
+from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
 from copsurv.dataio import load_csv, write_rows
 
 
@@ -223,6 +223,18 @@ class TestTuneCommand:
         meta = read_meta(out)
         assert meta["best_bandwidth"] in (0.8, 1.0, 1.2)
 
+    def test_covariates_tune_rho_x_on_the_default_grid(self, reg_csv,
+                                                       tmp_path):
+        # without --rho-x-grid, rho_x is tuned as `regress` tunes it
+        out = tmp_path / "tune"
+        assert run("tune", "--seed", 3, "--input", reg_csv,
+                   "--covariate-cols", "thick", "--bandwidth-grid", "0.8,1.2",
+                   "--tune-particles", 30, "--output-dir", out) == 0
+        table = np.loadtxt(out / "tune_table.csv", delimiter=",", skiprows=1)
+        assert table.shape == (2 * len(DEFAULT_RHO_GRID), 4)
+        assert set(table[:, 1]) == set(DEFAULT_RHO_GRID)
+        assert read_meta(out)["best_rho_x"] in DEFAULT_RHO_GRID
+
 
 class TestConfigAndErrors:
     def test_missing_seed_is_config_error(self, sim_csv, capsys):
@@ -268,6 +280,12 @@ class TestConfigAndErrors:
         ("regress", "--x-target", "1,2"),
         ("regress --x-target 1", "--x-target", "0.5,1"),
         ("tune", "--rho-x-grid", "0.3"),
+        # a pinned value together with its grid
+        ("fit --bandwidth 0.9", "--bandwidth-grid", "0.5,0.7"),
+        ("posterior --bandwidth-grid 0.5,0.7", "--bandwidth", 0.9),
+        ("regress --x-target 1 --rho-x 0.5", "--rho-x-grid", "0.3,0.6"),
+        ("regress --test-split 0.3 --bandwidth 0.9 --rho-x 0.5 "
+         "--rho-x-grid 0.3", "--bandwidth-grid", "0.5,0.7"),
         # an empty comma list
         ("fit", "--bandwidth-grid", ","),
         ("posterior", "--bandwidth-grid", ","),
@@ -275,17 +293,18 @@ class TestConfigAndErrors:
         ("regress --test-split 0.3", "--rho-x-grid", ","),
         ("regress --test-split 0.3", "--bandwidth-grid", ","),
         ("regress", "--x-target", ","),
+        ("regress --test-split 0.3", "--covariate-cols", ""),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):
         # `command` is the subcommand and any options the value needs;
         # the input file does not exist, so reading it first would exit 3
         subcommand, *options = command.split()
+        if subcommand == "regress":  # a row's own flag overrides this
+            options += ["--covariate-cols", "x"]
         args = [subcommand, *options, "--seed", 1,
                 "--input", tmp_path / "nope.csv",
                 flag, value, "--output-dir", tmp_path / "out"]
-        if subcommand == "regress":
-            args += ["--covariate-cols", "x"]
         assert run(*args) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"

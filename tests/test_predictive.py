@@ -37,8 +37,8 @@ def rows(ensemble, points, x=None):
 
 def at(ensemble, y, x=None):
     """Row 0 (density, cdf) of the fit at one time."""
-    dens, cdf = _start_rows(ensemble, [y], x)
-    return dens[0, 0], cdf[0, 0]
+    running = _start_rows(ensemble, [y], x)
+    return running.dens[0, 0], running.u[0, 0]
 
 
 # -- independent scalar oracle: the plain-formula recursion, no log space --

@@ -232,7 +232,8 @@ class TestEnsembleEval:
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=16, seed=3)
         grid = GridSpec(np.array([0.5, 1.5]))
         dens_rows, cdf_rows = ensemble_grid_rows(ensemble, grid)
-        dens, cdf = _start_rows(ensemble, [1.5], None)
+        running = _start_rows(ensemble, [1.5], None)
+        dens, cdf = running.dens, running.u
         assert np.array_equal(dens[:, 0], dens_rows[:, 1])
         assert np.array_equal(cdf[:, 0], cdf_rows[:, 1])
 
@@ -303,14 +304,16 @@ class TestOneFitIsOneColumn:
     def test_propagate_matches_reference_loop(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
         ref_dens, ref_cdf = reference_grid_rows(ensemble, grid.points, x)
-        dens, cdf = _start_rows(ensemble, grid.points, x)
+        running = _start_rows(ensemble, grid.points, x)
+        dens, cdf = running.dens, running.u
         assert np.array_equal(dens, ref_dens)
         assert np.array_equal(cdf, ref_cdf)
         if x is None:
             return
         # one covariate row per point, each point against its own reference
         rows = x + np.linspace(-1.0, 1.0, grid.points.size)[:, None]
-        dens, cdf = _start_rows(ensemble, grid.points, rows)
+        running = _start_rows(ensemble, grid.points, rows)
+        dens, cdf = running.dens, running.u
         for k, point in enumerate(grid.points):
             ref_dens, ref_cdf = reference_grid_rows(ensemble, [point], rows[k])
             assert np.array_equal(dens[:, k], ref_dens[:, 0])
