@@ -263,7 +263,8 @@ class _CopulaEngine(RunningPredictive):
     """
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
-        super().__init__(family, times, n_particles)
+        shape = (n_particles, len(times))
+        super().__init__(family, times, np.empty(shape), np.empty(shape))
         self.rho_x = rho_x
         self.covariates = covariates
         self.v = np.empty((len(times), n_particles))

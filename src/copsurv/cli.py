@@ -433,12 +433,13 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
         ["median", "weight"],
         zip(dataio.unscale_times(draws.medians, scale), w),
     )
-    rows = []
-    for j, trajectory in enumerate(draws.w1_trace):
-        for t, value in enumerate(trajectory):
-            rows.append((j, t, value / scale))
+    # one (chain, step, w1) line per value, formatted as `_format_cell`
+    # formats the tuple
+    trace = (draws.w1_trace / scale).tolist()
     dataio.write_rows(outdir / f"{prefix}w1_trace.csv",
-                      ["chain", "step", "w1"], rows)
+                      ["chain", "step", "w1"],
+                      (f"{j},{t},{w!r}" for j, row in enumerate(trace)
+                       for t, w in enumerate(row)))
     dataio.write_rows(
         outdir / f"{prefix}cdf_draws.csv",
         ["weight"] + [repr(float(t)) for t in grid_orig],
@@ -586,7 +587,9 @@ def cmd_tune(cfg, outdir):
         "best_score": result.score,
         "permutation": data.perm,
     })
-    print(f"selected bandwidth {result.bandwidth!r} (score {result.score!r})")
+    rho_x = "" if result.rho_x is None else f", rho_x {result.rho_x!r}"
+    print(f"selected bandwidth {result.bandwidth!r}{rho_x} "
+          f"(score {result.score!r})")
     return 0
 
 

@@ -216,7 +216,8 @@ def write_rows(path, header, rows) -> None:
 
     A row that is a float64 ndarray (a row of a float matrix) is written
     as the joined reprs of its values: the same bytes as the per-cell
-    path, since no float repr needs quoting, at about half the cost.
+    path, since no float repr needs quoting, at about half the cost.  A
+    row that is a str is one line already formatted, written as it is.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -224,5 +225,7 @@ def write_rows(path, header, rows) -> None:
         for row in rows:
             if isinstance(row, np.ndarray) and row.dtype == np.float64:
                 handle.write(",".join(map(repr, row.tolist())) + "\r\n")
+            elif isinstance(row, str):
+                handle.write(row + "\r\n")
             else:
                 writer.writerow([_format_cell(v) for v in row])

@@ -66,18 +66,18 @@ def update(dens, u, v, alpha, joint):
 
 
 class RunningPredictive:
-    """The running predictive at points `times`, one row per particle:
-    `dens` and `u` have shape (B, points), column k starting at the base
-    measure at times[k].  The caller supplies each absorbed record's
-    weight, because only it knows which covariates are the evaluation
-    points and which belong to the record.
+    """The running predictive at points `times`, one row per particle, in
+    the caller's (B, points) arrays `dens` and `u` (a worker's rows of a
+    shared array), set here to the base measure at times[k] in column k.
+    The caller supplies each absorbed record's weight, because only it
+    knows which covariates are the evaluation points and which belong to
+    the record.
     """
 
-    def __init__(self, family, times, n_particles):
+    def __init__(self, family, times, dens, u):
         self.joint = family.joint
-        pdf0, cdf0 = family.base_at(times)
-        self.dens = np.tile(pdf0, (n_particles, 1))
-        self.u = np.tile(cdf0, (n_particles, 1))
+        self.dens, self.u = dens, u
+        dens[:], u[:] = family.base_at(times)
 
     def absorb(self, v, alpha, lo=0):
         """Take one record's propagation values v (B,) into columns lo..

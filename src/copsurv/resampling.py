@@ -16,17 +16,26 @@ and starting CDF rows, which settles to a constant as the future grows
 whole trajectory of the first `trace_chains` chains, and every chain's
 last `W1_TAIL_STEPS` steps.
 
-Chains are conceptually independent; the implementation vectorizes
-them, drawing chain j's step-t uniform as element j of one counter-based
-stream, so a chain's draw does not depend on how many other chains run.
-The chains are the rows of one `predictive.RunningPredictive` on the
-grid: the start rows absorb the fitted records into it, and each forward
-step absorbs one synthetic record through the same `absorb`, in place.
+Chains are independent: chain j's step-t uniform is element j of one
+counter-based stream, and with covariates its bootstrap picks read
+column j of the pick streams, so a chain's draw does not depend on how
+many other chains run, or where.  The chains are the rows of one
+`predictive.RunningPredictive` on the grid: the start rows absorb the
+fitted records into it, and each forward step absorbs one synthetic
+record through the same `absorb`, in place.  `_run_rows` splits the rows
+into contiguous shards, one per CPU the process may use, and runs each
+shard in its own forked process, writing into one shared anonymous
+mapping.  Each shard draws a whole step's uniforms and picks (O(B)) and
+keeps its own rows; the recursion and W1 are row by row, so the shard
+count moves no output bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +44,7 @@ from . import copulas, rng
 from .censoring import ParticleEnsemble
 from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
-from .errors import ConfigurationError, GridCoverageError
+from .errors import ConfigurationError, CopsurvError, GridCoverageError
 from .predictive import RunningPredictive, block_rows, row_blocks
 
 __all__ = [
@@ -100,21 +109,21 @@ def default_grid(data: SurvivalDataset, size: int = 100,
 
 
 def _bootstrap_picks(pool: np.ndarray, n_chains: int, n_steps: int,
-                     chunk: int, seed: int):
-    """Yield (steps, n_chains) pool indices, `chunk` steps at a time; one
-    Dirichlet weight vector per chain, then per-step categorical picks,
-    all from keyed streams.  The picks do not depend on `chunk`: the
-    chunks are consecutive draws of one stream."""
+                     chunk: int, seed: int, rows: slice = slice(None)):
+    """Yield (steps, chains `rows` of n_chains) pool indices, `chunk` steps
+    at a time; one Dirichlet weight vector per chain, then per-step
+    categorical picks, all from keyed streams.  The picks do not depend on
+    `chunk` or `rows`: the chunks are consecutive draws of one stream."""
     n = pool.shape[0]
     weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
                                     (n_chains, n))
-    cumulative = np.cumsum(weights, axis=1)
+    cumulative = np.cumsum(weights[rows], axis=1)
     cumulative[:, -1] = 1.0
     draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK)
     for t0 in range(0, n_steps, chunk):
-        u = draws.random((min(chunk, n_steps - t0), n_chains))
+        u = draws.random((min(chunk, n_steps - t0), n_chains))[:, rows]
         picks = np.empty(u.shape, dtype=np.int64)
-        for j in range(n_chains):
+        for j in range(u.shape[1]):
             picks[:, j] = np.searchsorted(cumulative[j], u[:, j], side="right")
         yield picks.clip(0, n - 1)
 
@@ -231,59 +240,51 @@ def weighted_quantiles(values, weights, qs):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized forward core
+# Vectorized forward core, run over row shards
 # ---------------------------------------------------------------------------
 
-def _start_rows(ensemble: ParticleEnsemble, points, x_target):
-    """The running predictive at `points` after every particle's absorbed
-    history: `.dens` and `.u` have shape (B, len(points)).
+def _start_rows(ensemble: ParticleEnsemble, running, rows, x_target):
+    """Absorb every particle's fitted history into `running`, whose rows
+    are the particles `rows` (a slice of 0..B-1).
 
     `x_target` is None, one covariate vector (one weight per record), or
-    one covariate row per point ((len(points), d): one weight per record
-    and point).
+    one covariate row per point ((points, d): one weight per record and
+    point).
     """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    running = RunningPredictive(ensemble.family, points,
-                                ensemble.v_matrix.shape[1])
     for j, v in enumerate(ensemble.v_matrix):
         alpha = alpha_schedule(j + 1)
         if ensemble.rho_x is not None:
             alpha = alpha_regression(alpha, x_target, ensemble.covariates[j],
                                      ensemble.rho_x)
-        running.absorb(v, alpha)
-    return running
+        running.absorb(v[rows], alpha)
 
 
-def _forward(ensemble: ParticleEnsemble, running, n_extra, grid, seed,
-             x_target, trace_chains):
-    """Absorb n_extra synthetic records into `running`, one per step and
-    one value per chain (row); returns the Wasserstein-1 distances from
-    the starting rows that are read: (trace, tail), the whole trajectory
-    of the first min(trace_chains, B) chains and every chain's last
-    min(n_extra, W1_TAIL_STEPS) + 1 steps (see `PosteriorDraws`).  No
-    other step pays for a W1.
+def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
+             x_target, start, trace, tail):
+    """Absorb n_extra synthetic records into `running`, whose rows are the
+    chains `rows`, one per step and one value per chain, and write the
+    Wasserstein-1 distances from their starting rows `start` that are
+    read: `trace`, the trajectories of the traced chains among `rows`,
+    and `tail`, their last min(n_extra, W1_TAIL_STEPS) + 1 steps (see
+    `PosteriorDraws`).  No other step pays for a W1.
 
-    Chain j's step-t value is element j of stream (seed, t), and with
+    Each step draws the uniforms of all B chains and keeps its rows:
+    chain j's step-t value is element j of stream (seed, t), and with
     covariates its weight pairs the target with the covariates of chain
-    j's step-t bootstrap pick, whatever the block size.
+    j's step-t bootstrap pick, whatever the shard or block size.
     """
     rho_x = ensemble.rho_x
-    n_chains, g = running.u.shape
-    start = running.u.copy()
-    n_traced = min(trace_chains, n_chains)
-    trace = np.zeros((n_traced, n_extra + 1))
-    tail = np.zeros((n_chains, min(n_extra, W1_TAIL_STEPS) + 1))
+    n_rows, g = running.u.shape
     tail_start = n_extra + 1 - tail.shape[1]  # step of tail column 0
-    dx = np.diff(grid.points)
-    rows = block_rows(g)
-    gap = np.empty((min(rows, n_chains), g))
+    gap = np.empty((min(block_rows(g), n_rows), g))
     terms = np.empty((gap.shape[0], g - 1))
     if rho_x is not None:
         picks = itertools.chain.from_iterable(_bootstrap_picks(
-            ensemble.covariates, n_chains, n_extra, block_rows(rows), seed))
+            ensemble.covariates, ensemble.n_particles, n_extra,
+            block_rows(block_rows(g)), seed, rows))
     for t in range(n_extra):
-        v = np.clip(rng.uniforms(seed, rng.STREAM_FORWARD, t, n_chains),
-                    copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
+        v = rng.uniforms(seed, rng.STREAM_FORWARD, t, ensemble.n_particles)
+        v = np.clip(v[rows], copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
         alpha = alpha_schedule(ensemble.n_records + 1 + t)
         if rho_x is not None:
             alpha = alpha_regression(alpha, x_target,
@@ -291,14 +292,89 @@ def _forward(ensemble: ParticleEnsemble, running, n_extra, grid, seed,
                                      rho_x)[:, None]
         running.absorb(v, alpha)
         in_tail = t + 1 >= tail_start
-        for blk in row_blocks(0, n_chains if in_tail else n_traced, g):
+        for blk in row_blocks(0, n_rows if in_tail else trace.shape[0], g):
             r = blk.stop - blk.start
             w1 = _w1_rows(running.u[blk], start[blk], dx, gap[:r], terms[:r])
             traced = trace[blk, t + 1]  # the block's traced rows, if any
             traced[:] = w1[:traced.size]
             if in_tail:
                 tail[blk, t + 1 - tail_start] = w1
-    return trace, tail
+
+
+def _worker_count(n_rows: int, points: int) -> int:
+    """One process per CPU this process may use, at most one per whole
+    `block_rows(points)` block of rows, and one without `os.fork`."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)),
+                      n_rows // block_rows(points)))
+
+
+def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
+    """The running predictive at `points` after every particle's absorbed
+    history: a dict with "dens" and "u" of shape (B, points).  With
+    `forward = (n_extra, seed, trace_chains)` the rows then run the
+    forward pass: "dens" and "u" are the final rows, "start_dens" and
+    "start_u" the starting ones, and "trace" and "tail" the W1 arrays of
+    `PosteriorDraws`.
+
+    This process runs the first of `_worker_count` row shards and a
+    forked child each other one, all into one shared anonymous mapping,
+    joined once at the end.  A child leaves only through `os._exit`: it
+    runs no exit handler and flushes no inherited buffer.
+    """
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    b, g = ensemble.n_particles, points.size
+    shapes = {"dens": (b, g), "u": (b, g)}
+    if forward is not None:
+        n_extra, seed, trace_chains = forward
+        shapes.update(start_dens=(b, g), start_u=(b, g),
+                      trace=(min(trace_chains, b), n_extra + 1),
+                      tail=(b, min(n_extra, W1_TAIL_STEPS) + 1))
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
+    out = {name: part.reshape(shape) for (name, shape), part in
+           zip(shapes.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
+
+    def run(rows):
+        running = RunningPredictive(ensemble.family, points, out["dens"][rows],
+                                    out["u"][rows])
+        _start_rows(ensemble, running, rows, x_target)
+        if forward is not None:
+            out["start_dens"][rows] = running.dens
+            out["start_u"][rows] = running.u
+            _forward(ensemble, running, rows, np.diff(points), n_extra, seed,
+                     x_target, out["start_u"][rows], out["trace"][rows],
+                     out["tail"][rows])
+
+    n_workers = _worker_count(b, g)
+    edges = [b * k // n_workers for k in range(n_workers + 1)]
+    shards = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    children, codes = {}, {}
+    try:
+        for rows in shards[1:]:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    run(rows)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = rows
+        run(shards[0])
+        for pid in children:
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        # an error or interrupt here ends the children still running
+        for pid in children.keys() - codes.keys():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for pid, code in codes.items():
+        if code:
+            raise CopsurvError(f"the worker for rows {children[pid].start}:"
+                               f"{children[pid].stop} exited with status {code}")
+    return out
 
 
 def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
@@ -307,8 +383,8 @@ def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
     grid, shape (B, G) each; the importance-weighted mixture of these is
     the point predictive."""
     _check_target(ensemble.rho_x, x_target)
-    running = _start_rows(ensemble, grid.points, x_target)
-    return running.dens, running.u
+    out = _run_rows(ensemble, grid.points, x_target)
+    return out["dens"], out["u"]
 
 
 def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
@@ -321,8 +397,8 @@ def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
     and covariate row.
     """
     x = test.covariates if ensemble.rho_x is not None else None
-    running = _start_rows(ensemble, test.times, x)
-    dens, cdf = running.dens, running.u
+    out = _run_rows(ensemble, test.times, x)
+    dens, cdf = out["dens"], out["u"]
     w = ensemble.weights
     total = 0.0
     for i in range(test.n):
@@ -360,21 +436,18 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
     if n_extra < 0:
         raise ConfigurationError("n_extra must be nonnegative")
     weights = ensemble.weights
-    running = _start_rows(ensemble, grid.points, x_target)
-    dens, u = running.dens, running.u
-    predictive_density = weighted_mean(dens, weights)
-    predictive_cdf = weighted_mean(u, weights)
-    trace, tail = _forward(ensemble, running, n_extra, grid, seed, x_target,
-                           trace_chains)
+    out = _run_rows(ensemble, grid.points, x_target,
+                    (n_extra, seed, trace_chains))
+    u = out["u"]
     medians = np.array([median_from_cdf(u[j], grid) for j in range(u.shape[0])])
     return PosteriorDraws(
         grid=grid,
         cdf_draws=u,
-        density_draws=dens,
+        density_draws=out["dens"],
         medians=medians,
         weights=weights,
-        w1_trace=trace,
-        w1_tail=tail,
-        predictive_density=predictive_density,
-        predictive_cdf=predictive_cdf,
+        w1_trace=out["trace"],
+        w1_tail=out["tail"],
+        predictive_density=weighted_mean(out["start_dens"], weights),
+        predictive_cdf=weighted_mean(out["start_u"], weights),
     )

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import copsurv as cs
-from copsurv import predictive
+from copsurv import predictive, resampling
 from copsurv.censoring import impute_smc
 from copsurv.cli import main as cli_main
 from copsurv.copulas import (
@@ -293,8 +293,10 @@ def test_criterion_9_conditional_real_data():
 
 def test_criterion_10_process_determinism(tmp_path, monkeypatch):
     """The same doob and posterior configs, each run in this process, in a
-    fresh interpreter with a different hash seed, and in this process with
-    one-row propagation blocks, write byte-identical directories."""
+    fresh interpreter with a different hash seed pinned to one CPU (so one
+    worker process), in this process with one-row propagation blocks, and
+    in this process with two row workers, write byte-identical
+    directories."""
     start = time.time()
     sim_dir = tmp_path / "sim"
     assert cli_main(["simulate", "--seed", str(SIM_SEED), "--n", "50",
@@ -314,19 +316,29 @@ def test_criterion_10_process_determinism(tmp_path, monkeypatch):
     identical = True
     for name, args in configs.items():
         runs = [tmp_path / name / kind
-                for kind in ("in_process", "fresh", "one_row")]
+                for kind in ("in_process", "fresh", "one_row", "two_workers")]
         assert cli_main(args + ["--output-dir", str(runs[0])]) == 0
         subprocess.run([sys.executable, "-m", "copsurv.cli", *args,
                         "--output-dir", str(runs[1])],
-                       env=env, check=True, capture_output=True)
+                       env=env, check=True, capture_output=True,
+                       preexec_fn=pin_to_one_cpu)
         with monkeypatch.context() as patch:
             patch.setattr(predictive, "BLOCK_ELEMS", 1)
             assert cli_main(args + ["--output-dir", str(runs[2])]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(resampling, "_worker_count",
+                          lambda n_rows, points: 2)
+            assert cli_main(args + ["--output-dir", str(runs[3])]) == 0
         outputs = [{p.name: p.read_bytes() for p in sorted(out.iterdir())}
                    for out in runs]
-        identical &= outputs[0] == outputs[1] == outputs[2]
+        identical &= all(out == outputs[0] for out in outputs[1:])
     elapsed = time.time() - start
     report(10, identical and elapsed < 120.0,
            "doob and posterior outputs byte-identical in-process, in a fresh "
-           "interpreter (PYTHONHASHSEED=12345) and at one-row blocks",
+           "interpreter (PYTHONHASHSEED=12345) on one CPU, at one-row blocks "
+           "and with two row workers",
            elapsed)
+
+
+def pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})

@@ -1,12 +1,14 @@
-"""Blocked propagation changes no output bit, and an SMC pass pays for the
-copula recursion per element.
+"""Blocked and sharded propagation changes no output bit, and an SMC pass
+pays for the copula recursion per element.
 
 Every propagation over many rows runs in blocks of rows sized by
-`predictive.BLOCK_ELEMS`.  Each pipeline stage below is run at a one-row
-block, at a block of a few rows (partial last blocks, several step chunks)
-and with the whole array as one block, and the results are compared with
-`np.array_equal`.  That includes the forward pass's W1 split: the whole
-trajectory of the traced chains and every chain's tail window.
+`predictive.BLOCK_ELEMS`, and the start rows and the forward pass run in
+row shards, one per worker process.  Each pipeline stage below is run at a
+one-row block, at a block of a few rows (partial last blocks, several step
+chunks) and with the whole array as one block, each at 1, 2 and 3
+workers, and the results are compared with `np.array_equal`.  That
+includes the forward pass's W1 split: the whole trajectory of the traced
+chains and every chain's tail window.
 """
 
 import tracemalloc
@@ -21,7 +23,7 @@ from copsurv.copulas import ClaytonFamily, GaussianFamily
 from copsurv.resampling import (
     GridSpec,
     W1_TAIL_STEPS,
-    _start_rows,
+    _run_rows,
     ensemble_grid_rows,
     heldout_mean_log_lik,
     martingale_posterior,
@@ -33,8 +35,11 @@ from conftest import make_dataset
 ONE_ROW = 1
 FEW_ROWS = 200  # 12 rows of a 16-point grid, 3 rows of 64 particles
 WHOLE = 10**12
-# Traced chains: 17 straddles the second 12-row chain block at FEW_ROWS.
-TRACE_CHAINS = 17
+# Worker counts: 64 chains split at 32, and at 21 and 42.
+WORKERS = (1, 2, 3)
+# Traced chains: 40 straddles the shard edges at 32 and 21, the 12-row
+# chain block 36..47 at FEW_ROWS, and its shard's local blocks.
+TRACE_CHAINS = 40
 # Forward horizons: below W1_TAIL_STEPS the tail is the whole run; at 130
 # it starts at step 30, inside the 16-step chunk 16..31 at FEW_ROWS.
 N_EXTRA = (30, 130)
@@ -61,21 +66,36 @@ def case(request, censored_exp50):
 
 
 def run_stages(case, block_elems, monkeypatch):
+    """Every stage's output at this block size, checked equal at each
+    worker count."""
     data, family, rho_x, x_target, grid = case
     monkeypatch.setattr(predictive, "BLOCK_ELEMS", block_elems)
     # ess_frac 0.95 makes the pass resample, so the engine's select runs
     ens = impute_smc(data, family, rho_x=rho_x, n_particles=64,
                      ess_frac=0.95, seed=5)
     assert ens.resample_steps
-    start = ensemble_grid_rows(ens, grid, x_target)
     stages = {
         "v_matrix": ens.v_matrix, "log_weights": ens.log_weights,
         "log_z": ens.log_z, "ess_trace": ens.ess_trace,
         "unique_trace": ens.unique_trace,
         "resample_steps": ens.resample_steps,
-        "start_density": start[0], "start_cdf": start[1],
-        "heldout": heldout_mean_log_lik(ens, data),
     }
+    sharded = []
+    for workers in WORKERS:
+        monkeypatch.setattr(resampling, "_worker_count",
+                            lambda n_rows, points, w=workers: w)
+        sharded.append(row_stages(ens, data, x_target, grid))
+    for workers, other in zip(WORKERS[1:], sharded[1:]):
+        for name, value in sharded[0].items():
+            assert np.array_equal(other[name], value), (workers, name)
+    return {**stages, **sharded[0]}
+
+
+def row_stages(ens, data, x_target, grid):
+    """The outputs of the stages that run the rows in workers."""
+    start = ensemble_grid_rows(ens, grid, x_target)
+    stages = {"start_density": start[0], "start_cdf": start[1],
+              "heldout": heldout_mean_log_lik(ens, data)}
     for n_extra in N_EXTRA:
         draws = martingale_posterior(ens, n_extra, grid, x_target, seed=7,
                                      trace_chains=TRACE_CHAINS)
@@ -116,8 +136,8 @@ def test_heldout_matches_per_record_evaluation(case):
     total = 0.0
     for i in range(data.n):
         x = data.covariates[i] if rho_x is not None else None
-        running = _start_rows(ens, [data.times[i]], x)
-        dens, cdf = running.dens[:, 0], running.u[:, 0]
+        out = _run_rows(ens, [data.times[i]], x)
+        dens, cdf = out["dens"][:, 0], out["u"][:, 0]
         mass = dens if data.status[i] == 1 else 1.0 - cdf
         total += np.log(weighted_mean(mass, ens.weights))
     assert heldout_mean_log_lik(ens, data) == float(total / data.n)
@@ -136,8 +156,8 @@ def test_running_state_matches_repropagation(case):
         head = cs.ParticleEnsemble(**{**vars(ens),
                                       "v_matrix": ens.v_matrix[:i]})
         x = data.covariates[i] if rho_x is not None else None
-        running = _start_rows(head, [data.times[i]], x)
-        dens, cdf = running.dens[:, 0], running.u[:, 0]
+        out = _run_rows(head, [data.times[i]], x)
+        dens, cdf = out["dens"][:, 0], out["u"][:, 0]
         with np.errstate(divide="ignore"):
             if data.status[i] == 1:
                 log_w += np.log(dens)
@@ -167,11 +187,18 @@ def test_smc_pass_calls_the_kernel_once_per_record(monkeypatch):
     assert len(calls) <= data.n
 
 
-def test_covariate_pass_and_heldout_hold_no_pairwise_table():
+def pin_one_worker(monkeypatch):
+    """tracemalloc sees neither a worker process nor the shared mapping
+    of the rows, so a memory test runs its rows in this process."""
+    monkeypatch.setattr(resampling, "_worker_count", lambda n_rows, points: 1)
+
+
+def test_covariate_pass_and_heldout_hold_no_pairwise_table(monkeypatch):
     """With covariates, neither the SMC pass nor held-out scoring holds an
     (n, n) weight table or (n, n, d) temporaries: their peak allocation
     stays below one (n, n) float64 table, at n = 400 about 16 times the
     (n, B) running state of B = 8 particles."""
+    pin_one_worker(monkeypatch)
     data = covariate_data(400, 2)
     table_bytes = 8 * data.n * data.n
     tracemalloc.start()
@@ -188,10 +215,11 @@ def test_covariate_pass_and_heldout_hold_no_pairwise_table():
     assert heldout_peak < table_bytes
 
 
-def test_forward_pass_holds_no_full_w1_buffer():
+def test_forward_pass_holds_no_full_w1_buffer(monkeypatch):
     """W1 is kept only where it is read: at B = 400 chains and 2000
     forward steps, the posterior's peak allocation stays below one
     (B, n_extra + 1) float64 trace."""
+    pin_one_worker(monkeypatch)
     data = cs.permute(cs.standardize(
         cs.simulate_censored_exponential(20, 1.0, 2.0, seed=3)), 3)
     ens = impute_smc(data, ClaytonFamily(0.9), n_particles=400, seed=1)
@@ -228,5 +256,5 @@ def test_alpha_regression_runs_once_per_absorbed_record(monkeypatch):
                      seed=5)
     assert len(calls) == data.n
     calls.clear()
-    _start_rows(ens, np.geomspace(0.01, 8.0, 16), np.array([-1.3]))
+    _run_rows(ens, np.geomspace(0.01, 8.0, 16), np.array([-1.3]))
     assert len(calls) == data.n

@@ -23,7 +23,7 @@ from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError, DegeneracyError
 from copsurv.resampling import (
     GridSpec,
-    _start_rows,
+    _run_rows,
     ensemble_grid_rows,
     weighted_mean,
 )
@@ -219,8 +219,8 @@ class TestImputedDraws:
                 head = dataclasses.replace(
                     ensemble, v_matrix=ensemble.v_matrix[:rec_idx, [j]],
                     log_weights=np.zeros(1))
-                cdf_at_c = _start_rows(head, [censored_exp50.times[rec_idx]],
-                                       None).u
+                cdf_at_c = _run_rows(head, [censored_exp50.times[rec_idx]],
+                                     None)["u"]
                 assert ensemble.v_matrix[rec_idx, j] > cdf_at_c[0, 0]
 
     def test_particle_views_consistent(self, censored_exp50):

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
+from copsurv import copulas, resampling
 from copsurv.censoring import impute_smc
-from copsurv.cli import main
+from copsurv.cli import _write_posterior_summaries, main
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
 from copsurv.dataio import load_csv, write_rows
 
@@ -138,6 +140,49 @@ class TestPosterior:
                        "--output-dir", tmp_path / name) == 0
         assert dir_bytes(tmp_path / "p1") == dir_bytes(tmp_path / "p2")
 
+    def test_w1_trace_writes_the_bytes_of_the_tuple_path(self, tmp_path):
+        data = cs.permute(cs.standardize(
+            cs.simulate_censored_exponential(30, 1.0, 2.0, seed=3)), 3)
+        ensemble = impute_smc(data, ClaytonFamily(1.0), n_particles=16, seed=3)
+        grid = cs.GridSpec(np.geomspace(0.01, 8.0, 12))
+        draws = cs.martingale_posterior(ensemble, 40, grid, seed=2,
+                                        trace_chains=3)
+        scale = 1.7
+        _write_posterior_summaries(tmp_path, draws, scale)
+        write_rows(tmp_path / "tuples.csv", ["chain", "step", "w1"],
+                   [(j, t, value / scale)
+                    for j, trajectory in enumerate(draws.w1_trace)
+                    for t, value in enumerate(trajectory)])
+        written = (tmp_path / "w1_trace.csv").read_bytes()
+        assert written.count(b"\r\n") == 1 + 3 * 41
+        assert written == (tmp_path / "tuples.csv").read_bytes()
+
+    def test_failed_row_worker_exits_1_with_one_json_line(
+            self, mild_csv, tmp_path, monkeypatch, capsys):
+        # the kernel fails only in forked row workers
+        parent = os.getpid()
+        kernel = copulas.clayton_density_and_partial
+
+        def fails_in_workers(u, v, a):
+            if os.getpid() != parent:
+                raise RuntimeError("kernel failure in a worker")
+            return kernel(u, v, a)
+
+        monkeypatch.setattr(copulas, "clayton_density_and_partial",
+                            fails_in_workers)
+        monkeypatch.setattr(resampling, "_worker_count",
+                            lambda n_rows, points: 2)
+        assert run("posterior", "--seed", 7, "--input", mild_csv,
+                   "--bandwidth", 1.0, "--n-particles", 64, "--n-extra", 20,
+                   "--grid-size", 25, "--output-dir", tmp_path / "p") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "error",
+            "message": "the worker for rows 32:64 exited with status 1"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 @pytest.fixture
 def reg_csv(tmp_path):
@@ -213,7 +258,7 @@ class TestDoob:
 
 
 class TestTuneCommand:
-    def test_table_and_best(self, sim_csv, tmp_path):
+    def test_table_and_best(self, sim_csv, tmp_path, capsys):
         out = tmp_path / "tune"
         assert run("tune", "--seed", 11, "--input", sim_csv,
                    "--bandwidth-grid", "0.8,1.0,1.2", "--tune-particles", 100,
@@ -222,9 +267,12 @@ class TestTuneCommand:
         assert len(rows) == 1 + 3
         meta = read_meta(out)
         assert meta["best_bandwidth"] in (0.8, 1.0, 1.2)
+        assert capsys.readouterr().out == (
+            f"selected bandwidth {meta['best_bandwidth']!r} "
+            f"(score {meta['best_score']!r})\n")
 
     def test_covariates_tune_rho_x_on_the_default_grid(self, reg_csv,
-                                                       tmp_path):
+                                                       tmp_path, capsys):
         # without --rho-x-grid, rho_x is tuned as `regress` tunes it
         out = tmp_path / "tune"
         assert run("tune", "--seed", 3, "--input", reg_csv,
@@ -233,7 +281,12 @@ class TestTuneCommand:
         table = np.loadtxt(out / "tune_table.csv", delimiter=",", skiprows=1)
         assert table.shape == (2 * len(DEFAULT_RHO_GRID), 4)
         assert set(table[:, 1]) == set(DEFAULT_RHO_GRID)
-        assert read_meta(out)["best_rho_x"] in DEFAULT_RHO_GRID
+        meta = read_meta(out)
+        assert meta["best_rho_x"] in DEFAULT_RHO_GRID
+        # the stdout line names the tuned rho_x next to the bandwidth
+        assert capsys.readouterr().out == (
+            f"selected bandwidth {meta['best_bandwidth']!r}, "
+            f"rho_x {meta['best_rho_x']!r} (score {meta['best_score']!r})\n")
 
 
 class TestConfigAndErrors:

@@ -16,7 +16,7 @@ from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError
 from copsurv.resampling import (
     GridSpec,
-    _start_rows,
+    _run_rows,
     ensemble_grid_rows,
     martingale_posterior,
 )
@@ -37,8 +37,8 @@ def rows(ensemble, points, x=None):
 
 def at(ensemble, y, x=None):
     """Row 0 (density, cdf) of the fit at one time."""
-    running = _start_rows(ensemble, [y], x)
-    return running.dens[0, 0], running.u[0, 0]
+    out = _run_rows(ensemble, [y], x)
+    return out["dens"][0, 0], out["u"][0, 0]
 
 
 # -- independent scalar oracle: the plain-formula recursion, no log space --

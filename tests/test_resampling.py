@@ -1,10 +1,14 @@
 import dataclasses
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
+from copsurv import copulas, resampling
 from copsurv.censoring import impute_smc
 from copsurv.copulas import (
     ClaytonFamily,
@@ -12,11 +16,11 @@ from copsurv.copulas import (
     alpha_regression,
     alpha_schedule,
 )
-from copsurv.errors import ConfigurationError, GridCoverageError
+from copsurv.errors import ConfigurationError, CopsurvError, GridCoverageError
 from copsurv.resampling import (
     GridSpec,
     _bootstrap_picks,
-    _start_rows,
+    _run_rows,
     default_grid,
     ensemble_grid_rows,
     martingale_posterior,
@@ -232,8 +236,8 @@ class TestEnsembleEval:
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=16, seed=3)
         grid = GridSpec(np.array([0.5, 1.5]))
         dens_rows, cdf_rows = ensemble_grid_rows(ensemble, grid)
-        running = _start_rows(ensemble, [1.5], None)
-        dens, cdf = running.dens, running.u
+        out = _run_rows(ensemble, [1.5], None)
+        dens, cdf = out["dens"], out["u"]
         assert np.array_equal(dens[:, 0], dens_rows[:, 1])
         assert np.array_equal(cdf[:, 0], cdf_rows[:, 1])
 
@@ -252,7 +256,7 @@ class TestWeightedHelpers:
 
 def reference_grid_rows(ensemble, points, x_target):
     """The recursion written out step by step, one scalar weight per step:
-    the reference that `_start_rows` must reproduce."""
+    the reference that `_run_rows` must reproduce."""
     family = ensemble.family
     n_steps, n_chains = ensemble.v_matrix.shape
     pdf0, cdf0 = family.base_at(points)
@@ -304,19 +308,91 @@ class TestOneFitIsOneColumn:
     def test_propagate_matches_reference_loop(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
         ref_dens, ref_cdf = reference_grid_rows(ensemble, grid.points, x)
-        running = _start_rows(ensemble, grid.points, x)
-        dens, cdf = running.dens, running.u
+        out = _run_rows(ensemble, grid.points, x)
+        dens, cdf = out["dens"], out["u"]
         assert np.array_equal(dens, ref_dens)
         assert np.array_equal(cdf, ref_cdf)
         if x is None:
             return
         # one covariate row per point, each point against its own reference
         rows = x + np.linspace(-1.0, 1.0, grid.points.size)[:, None]
-        running = _start_rows(ensemble, grid.points, rows)
-        dens, cdf = running.dens, running.u
+        out = _run_rows(ensemble, grid.points, rows)
+        dens, cdf = out["dens"], out["u"]
         for k, point in enumerate(grid.points):
             ref_dens, ref_cdf = reference_grid_rows(ensemble, [point], rows[k])
             assert np.array_equal(dens[:, k], ref_dens[:, 0])
             assert np.array_equal(cdf[:, k], ref_cdf[:, 0])
         with pytest.raises(ValueError, match="covariate dimension mismatch"):
-            _start_rows(ensemble, grid.points, np.zeros(2))
+            _run_rows(ensemble, grid.points, np.zeros(2))
+
+
+class TestRowWorkers:
+    """The rows run in forked workers: a failure in any of them fails the
+    call, and no worker outlives it."""
+
+    @pytest.mark.parametrize("in_parent, raised, expected, match", [
+        (False, RuntimeError, CopsurvError,
+         "the worker for rows 32:64 exited with status 1"),
+        (True, KeyboardInterrupt, KeyboardInterrupt, None),
+    ])
+    def test_a_failure_fails_the_call_and_reaps_every_worker(
+            self, clayton_case, monkeypatch, in_parent, raised, expected,
+            match):
+        ensemble, grid, _ = clayton_case
+        parent = os.getpid()
+        kernel = copulas.clayton_density_and_partial
+        fork = os.fork
+        forked = []
+
+        def failing(u, v, a):
+            if (os.getpid() == parent) == in_parent:
+                raise raised("kernel failure")
+            return kernel(u, v, a)
+
+        def counted_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(copulas, "clayton_density_and_partial", failing)
+        monkeypatch.setattr(resampling, "_worker_count",
+                            lambda n_rows, points: 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        with pytest.raises(expected, match=match):
+            martingale_posterior(ensemble, 20, grid, seed=1)
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_during_the_join_ends_the_workers(
+            self, clayton_case, monkeypatch):
+        ensemble, grid, _ = clayton_case
+        parent = os.getpid()
+        kernel = copulas.clayton_density_and_partial
+
+        def slow_in_workers(u, v, a):
+            if os.getpid() != parent:
+                time.sleep(60)
+                raise RuntimeError("a worker that was not ended")
+            return kernel(u, v, a)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(copulas, "clayton_density_and_partial",
+                            slow_in_workers)
+        monkeypatch.setattr(resampling, "_worker_count",
+                            lambda n_rows, points: 2)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            # this process finishes its shard, then waits for the worker
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                martingale_posterior(ensemble, 20, grid, seed=1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
