@@ -12,12 +12,9 @@ Writes doob_samples.csv, doob_exact_quantiles.csv, diagnostics.csv.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 import copsurv as cs
-from copsurv.censoring import diagnostic_rows
-from copsurv.dataio import write_rows
-from copsurv.parametric import ConjugateModel, doob_demo, ig_posterior_quantile, tune_a0
+from copsurv.cli import write_doob_tables
+from copsurv.parametric import ConjugateModel, doob_demo, tune_a0
 
 
 def main():
@@ -47,16 +44,7 @@ def main():
     print(f"KS(weighted theta_bar, exact IG posterior) = {result.ks_statistic:.4f}")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    write_rows(args.out / "doob_samples.csv", ["theta_bar", "weight"],
-               zip(result.theta_bar, result.weights))
-    qs = np.linspace(0.005, 0.995, 199)
-    write_rows(args.out / "doob_exact_quantiles.csv", ["q", "theta"],
-               zip(qs, ig_posterior_quantile(result.state, qs)))
-    write_rows(args.out / "diagnostics.csv",
-               ["step", "ess", "unique_particles", "resampled"],
-               diagnostic_rows(result.ensemble.ess_trace,
-                               result.ensemble.unique_trace,
-                               result.ensemble.resample_steps))
+    write_doob_tables(args.out, result)
     print(f"wrote {args.out}/")
 
 

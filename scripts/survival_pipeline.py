@@ -2,8 +2,10 @@
 
 Standardize, permute, select the kernel bandwidth by marginal likelihood,
 impute censored records, and draw the martingale posterior of the survival
-curve and median.  Equivalent to `copsurv tune` + `copsurv posterior`, but
-shows the library API so the stages can be recombined.
+curve and median.  It writes, through the CLI's writers, the files of
+`copsurv posterior --bandwidth-grid <ClaytonFamily.tuning_grid>
+--trace-chains 0` (all but run_meta.json), byte for byte, but shows the
+library API so the stages can be recombined.
 
 Example (PBC-style file with columns time,status):
     python scripts/survival_pipeline.py data.csv --seed 1 --out results/
@@ -13,13 +15,12 @@ import argparse
 from pathlib import Path
 
 import copsurv as cs
-from copsurv.censoring import diagnostic_rows
-from copsurv.dataio import unscale_times, write_rows
+from copsurv.cli import write_diagnostics, write_posterior_summaries
+from copsurv.dataio import unscale_times
 from copsurv.resampling import (
+    DEFAULT_N_EXTRA,
     default_grid,
-    log_grid,
     martingale_posterior,
-    weighted_mean,
     weighted_quantiles,
 )
 from copsurv.tune import TuneGrid, grid_search
@@ -30,7 +31,7 @@ def main():
     ap.add_argument("input", type=Path)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--particles", type=int, default=2000)
-    ap.add_argument("--n-extra", type=int, default=2000)
+    ap.add_argument("--n-extra", type=int, default=DEFAULT_N_EXTRA)
     ap.add_argument("--grid-size", type=int, default=149)
     ap.add_argument("--grid-max", type=float, default=None,
                     help="grid top in input time units (default 1.5x max)")
@@ -54,27 +55,12 @@ def main():
     print(f"final ESS {ensemble.final_ess:.0f}, "
           f"{len(ensemble.resample_steps)} resampling events")
 
-    if args.grid_max is not None:
-        grid = log_grid(args.grid_max * data.scale_factor, args.grid_size)
-    else:
-        grid = default_grid(data, args.grid_size)
+    grid = default_grid(data, args.grid_size, top=args.grid_max)
     draws = martingale_posterior(ensemble, args.n_extra, grid, seed=args.seed)
 
-    survival = 1.0 - draws.cdf_draws
-    mean = weighted_mean(survival, draws.weights)
-    bands = weighted_quantiles(survival, draws.weights, [0.025, 0.975])
     args.out.mkdir(parents=True, exist_ok=True)
-    write_rows(args.out / "survival_summary.csv",
-               ["time", "mean", "q2.5", "q97.5"],
-               zip(unscale_times(grid.points, data.scale_factor),
-                   mean, bands[0], bands[1]))
-    write_rows(args.out / "medians.csv", ["median", "weight"],
-               zip(unscale_times(draws.medians, data.scale_factor),
-                   draws.weights))
-    write_rows(args.out / "diagnostics.csv",
-               ["step", "ess", "unique_particles", "resampled"],
-               diagnostic_rows(ensemble.ess_trace, ensemble.unique_trace,
-                               ensemble.resample_steps))
+    write_posterior_summaries(args.out, draws, data.scale_factor)
+    write_diagnostics(args.out, ensemble)
     lo, med, hi = unscale_times(
         weighted_quantiles(draws.medians, draws.weights, [0.025, 0.5, 0.975]),
         data.scale_factor)

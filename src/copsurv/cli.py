@@ -33,6 +33,13 @@ from .errors import (
 )
 from .resampling import weighted_mean, weighted_quantiles
 
+__all__ = [
+    "main",
+    "write_diagnostics",
+    "write_posterior_summaries",
+    "write_doob_tables",
+]
+
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DEGENERACY = 4
@@ -117,7 +124,8 @@ SUBCOMMANDS = {
     ],
     "fit": FIT_CORE_OPTS,
     "posterior": FIT_CORE_OPTS + [
-        Opt("n-extra", int, default=2000, bounds=NONNEGATIVE),
+        Opt("n-extra", int, default=resampling.DEFAULT_N_EXTRA,
+            bounds=NONNEGATIVE),
         Opt("trace-chains", int, default=DEFAULT_TRACE_CHAINS,
             bounds=NONNEGATIVE,
             help="chains whose full W1 trajectory is written"),
@@ -286,40 +294,19 @@ def _select_family(cfg, data, tune_by_default):
     return tuned.family, tuned.rho_x, tuned
 
 
-def _eval_grid(cfg, data, family):
-    if cfg.get("grid_max") is None:
-        return resampling.default_grid(data, cfg["grid_size"],
-                                       family.grid_from_zero)
-    top = cfg["grid_max"] * data.scale_factor  # to standardized units
-    return resampling.log_grid(top, cfg["grid_size"], family.grid_from_zero)
-
-
 def _write_meta(outdir, command, cfg, extra):
     # output-dir is an execution detail, not result config: with it
     # excluded, reruns into fresh directories stay byte-identical.
+    # numpy floats are floats to json; other numpy values (integers,
+    # arrays) are written as their Python values
     meta = {
         "command": command,
-        "config": {k: _jsonable(v) for k, v in cfg.items()
-                   if k != "output_dir"},
-        **{k: _jsonable(v) for k, v in extra.items()},
+        "config": {k: v for k, v in cfg.items() if k != "output_dir"},
+        **extra,
     }
-    path = outdir / "run_meta.json"
-    path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    (outdir / "run_meta.json").write_text(
+        json.dumps(meta, sort_keys=True, indent=2,
+                   default=lambda o: o.tolist()) + "\n", encoding="utf-8")
 
 
 def _fit_meta(ensemble, data, family, rho_x, tuned):
@@ -346,6 +333,11 @@ def _point_predictive(ensemble, grid, x_target=None):
     return weighted_mean(dens_rows, w), weighted_mean(cdf_rows, w)
 
 
+# ---------------------------------------------------------------------------
+# Output tables of more than one command, each schema spelled once; the
+# experiment scripts write through the public writers too.
+# ---------------------------------------------------------------------------
+
 def _write_predictive(path, grid, density, cdf, scale):
     """A point predictive on the grid, in input units."""
     dataio.write_rows(
@@ -356,62 +348,20 @@ def _write_predictive(path, grid, density, cdf, scale):
     )
 
 
-def _write_diagnostics(outdir, ensemble, name="diagnostics.csv"):
+def write_diagnostics(outdir, ensemble):
+    """`diagnostics.csv`: one row per record of an SMC pass."""
     dataio.write_rows(
-        outdir / name,
+        outdir / "diagnostics.csv",
         ["step", "ess", "unique_particles", "resampled"],
         diagnostic_rows(ensemble.ess_trace, ensemble.unique_trace,
                         ensemble.resample_steps),
     )
 
 
-def _prepared_dataset(cfg, covariate_cols=()):
-    raw = dataio.load_csv(cfg["input"], cfg["time_col"], cfg["status_col"],
-                          covariate_cols)
-    std = dataio.standardize(raw)
-    return dataio.permute(std, cfg["seed"])
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_simulate(cfg, outdir):
-    data = dataio.simulate_censored_exponential(
-        cfg["n"], cfg["rate_y"], cfg["rate_c"], cfg["seed"]
-    )
-    dataio.write_rows(outdir / cfg["out_name"], ["time", "status"],
-                      zip(data.times, data.status))
-    _write_meta(outdir, "simulate", cfg, {
-        "censoring_fraction": data.censoring_fraction,
-    })
-    return 0
-
-
-def _run_fit(cfg):
-    data = _prepared_dataset(cfg)
-    family, _, tuned = _select_family(cfg, data, tune_by_default=False)
-    ensemble = impute_smc(data, family, n_particles=cfg["n_particles"],
-                          ess_frac=cfg["ess_frac"], seed=cfg["seed"])
-    return data, family, tuned, ensemble
-
-
-def cmd_fit(cfg, outdir):
-    data, family, tuned, ensemble = _run_fit(cfg)
-    grid = _eval_grid(cfg, data, family)
-    density, cdf = _point_predictive(ensemble, grid)
-    _write_predictive(outdir / "predictive.csv", grid, density, cdf,
-                      data.scale_factor)
-    _write_diagnostics(outdir, ensemble)
-    _write_meta(outdir, "fit", cfg, {
-        **_fit_meta(ensemble, data, family, None, tuned),
-        "resample_steps": [s + 1 for s in ensemble.resample_steps],
-    })
-    print(f"log marginal likelihood: {ensemble.log_z!r}")
-    return 0
-
-
-def _write_posterior_summaries(outdir, draws, scale, prefix=""):
+def write_posterior_summaries(outdir, draws, scale, prefix=""):
+    """The martingale-posterior tables of `draws`, in input units given
+    the time `scale`: survival and density bands, medians, the W1 trace
+    and the CDF draws, each file name led by `prefix`."""
     grid_orig = dataio.unscale_times(draws.grid.points, scale)
     w = draws.weights
     surv = 1.0 - draws.cdf_draws
@@ -447,14 +397,76 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
     )
 
 
+def write_doob_tables(outdir, result):
+    """A conjugate Doob run's weighted limiting posterior means, the
+    exact posterior's quantiles, and its SMC diagnostics."""
+    dataio.write_rows(outdir / "doob_samples.csv", ["theta_bar", "weight"],
+                      zip(result.theta_bar, result.weights))
+    qs = np.linspace(0.005, 0.995, 199)
+    dataio.write_rows(
+        outdir / "doob_exact_quantiles.csv",
+        ["q", "theta"],
+        zip(qs, parametric.ig_posterior_quantile(result.state, qs)),
+    )
+    write_diagnostics(outdir, result.ensemble)
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+def _prepared_dataset(cfg, covariate_cols=()):
+    raw = dataio.load_csv(cfg["input"], cfg["time_col"], cfg["status_col"],
+                          covariate_cols)
+    std = dataio.standardize(raw)
+    return dataio.permute(std, cfg["seed"])
+
+
+def cmd_simulate(cfg, outdir):
+    data = dataio.simulate_censored_exponential(
+        cfg["n"], cfg["rate_y"], cfg["rate_c"], cfg["seed"]
+    )
+    dataio.write_rows(outdir / cfg["out_name"], ["time", "status"],
+                      zip(data.times, data.status))
+    _write_meta(outdir, "simulate", cfg, {
+        "censoring_fraction": data.censoring_fraction,
+    })
+    return 0
+
+
+def _run_fit(cfg):
+    data = _prepared_dataset(cfg)
+    family, _, tuned = _select_family(cfg, data, tune_by_default=False)
+    ensemble = impute_smc(data, family, n_particles=cfg["n_particles"],
+                          ess_frac=cfg["ess_frac"], seed=cfg["seed"])
+    return data, family, tuned, ensemble
+
+
+def cmd_fit(cfg, outdir):
+    data, family, tuned, ensemble = _run_fit(cfg)
+    grid = resampling.default_grid(data, cfg["grid_size"],
+                                   family.grid_from_zero, cfg["grid_max"])
+    density, cdf = _point_predictive(ensemble, grid)
+    _write_predictive(outdir / "predictive.csv", grid, density, cdf,
+                      data.scale_factor)
+    write_diagnostics(outdir, ensemble)
+    _write_meta(outdir, "fit", cfg, {
+        **_fit_meta(ensemble, data, family, None, tuned),
+        "resample_steps": [s + 1 for s in ensemble.resample_steps],
+    })
+    print(f"log marginal likelihood: {ensemble.log_z!r}")
+    return 0
+
+
 def cmd_posterior(cfg, outdir):
     data, family, tuned, ensemble = _run_fit(cfg)
-    grid = _eval_grid(cfg, data, family)
+    grid = resampling.default_grid(data, cfg["grid_size"],
+                                   family.grid_from_zero, cfg["grid_max"])
     draws = resampling.martingale_posterior(
         ensemble, cfg["n_extra"], grid, seed=cfg["seed"],
         trace_chains=cfg["trace_chains"])
-    _write_posterior_summaries(outdir, draws, data.scale_factor)
-    _write_diagnostics(outdir, ensemble)
+    write_posterior_summaries(outdir, draws, data.scale_factor)
+    write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "posterior", cfg,
                 _fit_meta(ensemble, data, family, None, tuned))
     return 0
@@ -477,18 +489,6 @@ def _split_dataset(raw, frac, seed):
     return subset(train_idx), subset(test_idx)
 
 
-def _apply_train_scaling(test, train):
-    times = test.times * train.scale_factor
-    covariates = test.covariates
-    if covariates is not None and train.covariate_shift_scale is not None:
-        mean = train.covariate_shift_scale[:, 0]
-        sd = train.covariate_shift_scale[:, 1]
-        covariates = (covariates - mean) / sd
-    return dataio.SurvivalDataset(times=times, status=test.status,
-                                  covariates=covariates,
-                                  scale_factor=train.scale_factor)
-
-
 def cmd_regress(cfg, outdir):
     cols = cfg["covariate_cols"]
     raw = dataio.load_csv(cfg["input"], cfg["time_col"], cfg["status_col"], cols)
@@ -502,14 +502,15 @@ def cmd_regress(cfg, outdir):
     ensemble = impute_smc(train, family, rho_x=rho_x,
                           n_particles=cfg["n_particles"],
                           ess_frac=cfg["ess_frac"], seed=cfg["seed"])
-    grid = _eval_grid(cfg, train, family)
+    grid = resampling.default_grid(train, cfg["grid_size"],
+                                   family.grid_from_zero, cfg["grid_max"])
     scale = train.scale_factor
-    shift = train.covariate_shift_scale
+    if targets:  # z-scored as the training covariates were
+        targets = dataio.standardize(dataio.SurvivalDataset(
+            np.ones(len(targets)), np.ones(len(targets)), targets),
+            like=train).covariates
 
-    for idx, x_orig in enumerate(targets):
-        x = np.asarray(x_orig, dtype=float)
-        if shift is not None:
-            x = (x - shift[:, 0]) / shift[:, 1]
+    for idx, x in enumerate(targets):
         draws = None
         if cfg.get("n_extra") is not None:
             # the draws carry the fitted predictive of their start rows
@@ -522,19 +523,19 @@ def cmd_regress(cfg, outdir):
         _write_predictive(outdir / f"conditional_x{idx}.csv", grid, density,
                           cdf, scale)
         if draws is not None:
-            _write_posterior_summaries(outdir, draws, scale,
+            write_posterior_summaries(outdir, draws, scale,
                                        prefix=f"posterior_x{idx}_")
 
     extra = _fit_meta(ensemble, train, family, rho_x, tuned)
     if test is not None:
-        scaled_test = _apply_train_scaling(test, train)
+        scaled_test = dataio.standardize(test, like=train)
         heldout = resampling.heldout_mean_log_lik(ensemble, scaled_test)
         extra["heldout_mean_log_lik"] = heldout
         dataio.write_rows(outdir / "heldout.csv",
                           ["n_test", "mean_log_lik"],
                           [(scaled_test.n, heldout)])
         print(f"held-out mean log-likelihood: {heldout!r}")
-    _write_diagnostics(outdir, ensemble)
+    write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "regress", cfg, extra)
     return 0
 
@@ -549,15 +550,7 @@ def cmd_doob(cfg, outdir):
     result = parametric.doob_demo(model, data, cfg["n_particles"],
                                   cfg["n_extra"], seed=cfg["seed"],
                                   ess_frac=cfg["ess_frac"])
-    dataio.write_rows(outdir / "doob_samples.csv", ["theta_bar", "weight"],
-                      zip(result.theta_bar, result.weights))
-    qs = np.linspace(0.005, 0.995, 199)
-    dataio.write_rows(
-        outdir / "doob_exact_quantiles.csv",
-        ["q", "theta"],
-        zip(qs, parametric.ig_posterior_quantile(result.state, qs)),
-    )
-    _write_diagnostics(outdir, result.ensemble)
+    write_doob_tables(outdir, result)
     ks = result.ks_statistic
     _write_meta(outdir, "doob", cfg, {
         "a0": a0,

@@ -114,7 +114,8 @@ def load_csv(path, time_col="time", status_col="status", covariate_cols=()):
     return SurvivalDataset(np.asarray(times), np.asarray(status), covariates)
 
 
-def standardize(data: SurvivalDataset) -> SurvivalDataset:
+def standardize(data: SurvivalDataset,
+                like: SurvivalDataset | None = None) -> SurvivalDataset:
     """Rescale times so the exponential-rate MLE equals one exactly.
 
     Times are multiplied by theta_hat = (number observed) / (sum of all
@@ -122,19 +123,29 @@ def standardize(data: SurvivalDataset) -> SurvivalDataset:
     can be reported in original units.  Covariates are z-scored per
     column (constant columns get sd 1), with the (mean, sd) pairs
     recorded for back-transformation.
+
+    Given `like`, a dataset standardized from the same input units (a
+    training split), nothing is estimated: times are multiplied by
+    `like.scale_factor` and covariates z-scored with `like`'s (mean, sd),
+    so held-out records or covariate targets land on `like`'s scale,
+    even with no observed event among them.
     """
-    k = data.n_observed
-    if k < 1:
-        raise DataError("standardization needs at least one observed event")
-    theta_hat = k / float(data.times.sum())
     covariates = data.covariates
-    shift_scale = data.covariate_shift_scale
-    if covariates is not None:
-        mean = covariates.mean(axis=0)
-        sd = covariates.std(axis=0)
-        sd = np.where(sd > 0, sd, 1.0)
-        covariates = (covariates - mean) / sd
-        shift_scale = np.column_stack([mean, sd])
+    if like is None:
+        k = data.n_observed
+        if k < 1:
+            raise DataError("standardization needs at least one observed event")
+        theta_hat = k / float(data.times.sum())
+        shift_scale = data.covariate_shift_scale
+        if covariates is not None:
+            sd = covariates.std(axis=0)
+            shift_scale = np.column_stack([covariates.mean(axis=0),
+                                           np.where(sd > 0, sd, 1.0)])
+    else:
+        theta_hat = like.scale_factor
+        shift_scale = like.covariate_shift_scale
+    if covariates is not None and shift_scale is not None:
+        covariates = (covariates - shift_scale[:, 0]) / shift_scale[:, 1]
     return replace(
         data,
         times=data.times * theta_hat,

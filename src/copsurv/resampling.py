@@ -60,12 +60,10 @@ __all__ = [
     "ensemble_grid_rows",
     "heldout_mean_log_lik",
     "DEFAULT_N_EXTRA",
-    "DEFAULT_N_EXTRA_REGRESSION",
     "W1_TAIL_STEPS",
 ]
 
 DEFAULT_N_EXTRA = 2000
-DEFAULT_N_EXTRA_REGRESSION = 10000
 # Forward steps at the end of every chain whose W1 is kept (`w1_tail`).
 W1_TAIL_STEPS = 100
 
@@ -103,9 +101,12 @@ def log_grid(top: float, size: int = 100, include_zero: bool = True) -> GridSpec
 
 
 def default_grid(data: SurvivalDataset, size: int = 100,
-                 include_zero: bool = True) -> GridSpec:
-    """`log_grid` out to 1.5x the largest recorded time."""
-    return log_grid(1.5 * float(data.times.max()), size, include_zero)
+                 include_zero: bool = True, top=None) -> GridSpec:
+    """`log_grid` of `data`'s standardized times out to `top`, given in
+    input units, or by default to 1.5x the largest recorded time."""
+    if top is None:
+        return log_grid(1.5 * float(data.times.max()), size, include_zero)
+    return log_grid(top * data.scale_factor, size, include_zero)
 
 
 def _bootstrap_picks(pool: np.ndarray, n_chains: int, n_steps: int,
@@ -416,23 +417,19 @@ def _check_target(rho_x, x_target):
         raise ConfigurationError("this fit conditions on covariates; pass x_target")
 
 
-def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int | None,
+def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
                          grid: GridSpec, x_target=None, seed: int = 0,
                          trace_chains: int = 0) -> PosteriorDraws:
     """Posterior draws: one forward chain per particle, carrying its
     normalized weight.
 
-    `n_extra = None` picks the standard horizon (2000 without covariates,
-    10000 with).  Chains are driven by counter-based streams, so the
-    result is bit-identical for a given (seed, ensemble), and a chain's
-    draw does not depend on how many other chains run.  The first
-    `trace_chains` chains keep their whole W1 trajectory (`w1_trace`);
-    every chain keeps its last W1_TAIL_STEPS steps (`w1_tail`).
+    Chains are driven by counter-based streams, so the result is
+    bit-identical for a given (seed, ensemble), and a chain's draw does
+    not depend on how many other chains run.  The first `trace_chains`
+    chains keep their whole W1 trajectory (`w1_trace`); every chain
+    keeps its last W1_TAIL_STEPS steps (`w1_tail`).
     """
     _check_target(ensemble.rho_x, x_target)
-    if n_extra is None:
-        n_extra = (DEFAULT_N_EXTRA_REGRESSION if ensemble.rho_x is not None
-                   else DEFAULT_N_EXTRA)
     if n_extra < 0:
         raise ConfigurationError("n_extra must be nonnegative")
     weights = ensemble.weights

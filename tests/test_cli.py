@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import copsurv as cs
 from copsurv import copulas, resampling
 from copsurv.censoring import impute_smc
-from copsurv.cli import _write_posterior_summaries, main
+from copsurv.cli import main, write_posterior_summaries
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
 from copsurv.dataio import load_csv, write_rows
 
@@ -148,7 +148,7 @@ class TestPosterior:
         draws = cs.martingale_posterior(ensemble, 40, grid, seed=2,
                                         trace_chains=3)
         scale = 1.7
-        _write_posterior_summaries(tmp_path, draws, scale)
+        write_posterior_summaries(tmp_path, draws, scale)
         write_rows(tmp_path / "tuples.csv", ["chain", "step", "w1"],
                    [(j, t, value / scale)
                     for j, trajectory in enumerate(draws.w1_trace)
