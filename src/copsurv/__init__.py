@@ -40,7 +40,6 @@ from .errors import (
     CopsurvError,
     DataError,
     DegeneracyError,
-    GridCoverageError,
     TuningError,
 )
 from .parametric import (

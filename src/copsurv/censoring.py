@@ -228,10 +228,11 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
                 diagnostics=diagnostic_rows(ess_trace[:i], unique_trace[:i],
                                             resample_steps),
             )
-        ess_trace[i] = ess_from_log_weights(log_w)
+        ess_trace[i] = ess(np.exp(log_w - m))  # = ess_from_log_weights(log_w)
         if ess_trace[i] < ess_frac * b:
-            log_z += logsumexp(log_w) - np.log(b)
-            shifted = np.exp(log_w - logsumexp(log_w))
+            log_mass = logsumexp(log_w)
+            log_z += log_mass - np.log(b)
+            shifted = np.exp(log_w - log_mass)
             offset = float(rng.uniforms(seed, rng.STREAM_RESAMPLE, i, 1)[0])
             idx = systematic_indices(shifted, offset)
             engine.select(idx)
@@ -265,6 +266,7 @@ class _CopulaEngine(RunningPredictive):
     def __init__(self, family, rho_x, covariates, times, n_particles):
         shape = (n_particles, len(times))
         super().__init__(family, times, np.empty(shape), np.empty(shape))
+        self.alpha = copulas.alpha_schedule(np.arange(1, len(times) + 1))
         self.rho_x = rho_x
         self.covariates = covariates
         self.v = np.empty((len(times), n_particles))
@@ -279,7 +281,7 @@ class _CopulaEngine(RunningPredictive):
 
     def absorb_censored(self, i, u):
         self.v[i] = np.clip(u, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        alpha = copulas.alpha_schedule(i + 1)
+        alpha = self.alpha[i]
         if self.rho_x is not None:
             # the pending records are the evaluation points, record i the
             # absorbed one

@@ -7,8 +7,12 @@ resolved configuration (seed, permutation, selected hyperparameters,
 summary statistics) so the run can be reproduced exactly.
 
 No plotting here: the CSVs are designed to be consumed by any external
-plotter.  Exit codes: 0 success, 2 config error, 3 data error,
-4 weight degeneracy.
+plotter.  This module owns every output schema: each file's header is
+spelled once, in the command or shared writer that writes it, and the
+experiment scripts write through the public writers (`__all__`).  Exit
+codes: 0 success, 2 config error (also: censored medians holding
+MAX_CENSORED_WEIGHT of the posterior weight), 3 data error, 4 weight
+degeneracy.
 """
 
 from __future__ import annotations
@@ -28,17 +32,12 @@ from .errors import (
     CopsurvError,
     DataError,
     DegeneracyError,
-    GridCoverageError,
     TuningError,
 )
 from .resampling import weighted_mean, weighted_quantiles
 
-__all__ = [
-    "main",
-    "write_diagnostics",
-    "write_posterior_summaries",
-    "write_doob_tables",
-]
+__all__ = ["main", "write_diagnostics", "write_posterior_summaries",
+           "write_doob_tables"]
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -71,6 +70,10 @@ COPULA_FAMILY = (lambda v: v in FAMILIES, " or ".join(FAMILIES))
 # Chains whose whole W1 trajectory is written: `posterior --trace-chains`
 # defaults to it, and `regress`, which has no such option, uses it.
 DEFAULT_TRACE_CHAINS = 20
+# A run stops when the chains whose median is censored at the grid top
+# hold this much of the weight: the 97.5% median quantile can then fall
+# on them.
+MAX_CENSORED_WEIGHT = 0.025
 
 
 class Opt:
@@ -297,8 +300,6 @@ def _select_family(cfg, data, tune_by_default):
 def _write_meta(outdir, command, cfg, extra):
     # output-dir is an execution detail, not result config: with it
     # excluded, reruns into fresh directories stay byte-identical.
-    # numpy floats are floats to json; other numpy values (integers,
-    # arrays) are written as their Python values
     meta = {
         "command": command,
         "config": {k: v for k, v in cfg.items() if k != "output_dir"},
@@ -309,8 +310,16 @@ def _write_meta(outdir, command, cfg, extra):
                    default=lambda o: o.tolist()) + "\n", encoding="utf-8")
 
 
-def _fit_meta(ensemble, data, family, rho_x, tuned):
-    """The `run_meta.json` entries common to fit, posterior and regress."""
+def _run_fit(cfg, data, tune_by_default=False):
+    """(ensemble, grid, meta) of the fit on `data`: its particles, its
+    evaluation grid, and the `run_meta.json` entries common to fit,
+    posterior and regress."""
+    family, rho_x, tuned = _select_family(cfg, data, tune_by_default)
+    ensemble = impute_smc(data, family, rho_x=rho_x,
+                          n_particles=cfg["n_particles"],
+                          ess_frac=cfg["ess_frac"], seed=cfg["seed"])
+    grid = resampling.default_grid(data, cfg["grid_size"],
+                                   family.grid_from_zero, cfg["grid_max"])
     meta = {
         "log_marginal_likelihood": ensemble.log_z,
         "final_ess": ensemble.final_ess,
@@ -322,7 +331,7 @@ def _fit_meta(ensemble, data, family, rho_x, tuned):
     }
     if tuned is not None:
         meta["tuned_score"] = tuned.score
-    return meta
+    return ensemble, grid, meta
 
 
 def _point_predictive(ensemble, grid, x_target=None):
@@ -364,24 +373,17 @@ def write_posterior_summaries(outdir, draws, scale, prefix=""):
     and the CDF draws, each file name led by `prefix`."""
     grid_orig = dataio.unscale_times(draws.grid.points, scale)
     w = draws.weights
-    surv = 1.0 - draws.cdf_draws
-    surv_q = weighted_quantiles(surv, w, [0.025, 0.975])
-    dataio.write_rows(
-        outdir / f"{prefix}survival_summary.csv",
-        ["time", "mean", "q2.5", "q97.5"],
-        zip(grid_orig, weighted_mean(surv, w), surv_q[0], surv_q[1]),
-    )
-    dens = dataio.unscale_density(draws.density_draws, scale)
-    dens_q = weighted_quantiles(dens, w, [0.025, 0.975])
-    dataio.write_rows(
-        outdir / f"{prefix}density_summary.csv",
-        ["time", "mean", "q2.5", "q97.5"],
-        zip(grid_orig, weighted_mean(dens, w), dens_q[0], dens_q[1]),
-    )
+    for name, values in (
+            ("survival", 1.0 - draws.cdf_draws),
+            ("density", dataio.unscale_density(draws.density_draws, scale))):
+        q = weighted_quantiles(values, w, [0.025, 0.975])
+        dataio.write_rows(outdir / f"{prefix}{name}_summary.csv",
+                          ["time", "mean", "q2.5", "q97.5"],
+                          zip(grid_orig, weighted_mean(values, w), q[0], q[1]))
     dataio.write_rows(
         outdir / f"{prefix}medians.csv",
-        ["median", "weight"],
-        zip(dataio.unscale_times(draws.medians, scale), w),
+        ["median", "weight", "censored"],
+        zip(dataio.unscale_times(draws.medians, scale), w, draws.censored),
     )
     # one (chain, step, w1) line per value, formatted as `_format_cell`
     # formats the tuple
@@ -418,8 +420,7 @@ def write_doob_tables(outdir, result):
 def _prepared_dataset(cfg, covariate_cols=()):
     raw = dataio.load_csv(cfg["input"], cfg["time_col"], cfg["status_col"],
                           covariate_cols)
-    std = dataio.standardize(raw)
-    return dataio.permute(std, cfg["seed"])
+    return dataio.permute(dataio.standardize(raw), cfg["seed"])
 
 
 def cmd_simulate(cfg, outdir):
@@ -434,41 +435,42 @@ def cmd_simulate(cfg, outdir):
     return 0
 
 
-def _run_fit(cfg):
-    data = _prepared_dataset(cfg)
-    family, _, tuned = _select_family(cfg, data, tune_by_default=False)
-    ensemble = impute_smc(data, family, n_particles=cfg["n_particles"],
-                          ess_frac=cfg["ess_frac"], seed=cfg["seed"])
-    return data, family, tuned, ensemble
-
-
 def cmd_fit(cfg, outdir):
-    data, family, tuned, ensemble = _run_fit(cfg)
-    grid = resampling.default_grid(data, cfg["grid_size"],
-                                   family.grid_from_zero, cfg["grid_max"])
+    data = _prepared_dataset(cfg)
+    ensemble, grid, meta = _run_fit(cfg, data)
     density, cdf = _point_predictive(ensemble, grid)
     _write_predictive(outdir / "predictive.csv", grid, density, cdf,
                       data.scale_factor)
     write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "fit", cfg, {
-        **_fit_meta(ensemble, data, family, None, tuned),
-        "resample_steps": [s + 1 for s in ensemble.resample_steps],
-    })
+        **meta, "resample_steps": [s + 1 for s in ensemble.resample_steps]})
     print(f"log marginal likelihood: {ensemble.log_z!r}")
     return 0
 
 
+def _censored_medians(draws):
+    """(count, weight) of the chains of `draws` whose median is censored;
+    raises the --grid-max hint from MAX_CENSORED_WEIGHT on."""
+    count = int(draws.censored.sum())
+    weight = float(draws.weights[draws.censored].sum())
+    if weight >= MAX_CENSORED_WEIGHT:
+        raise ConfigurationError(
+            f"the CDF of {count} of {draws.n_draws} chains, {weight:.3g} of "
+            "the weight, stays below 0.5 up to the grid top; extend the "
+            "grid upper end (see --grid-max)")
+    return count, weight
+
+
 def cmd_posterior(cfg, outdir):
-    data, family, tuned, ensemble = _run_fit(cfg)
-    grid = resampling.default_grid(data, cfg["grid_size"],
-                                   family.grid_from_zero, cfg["grid_max"])
+    data = _prepared_dataset(cfg)
+    ensemble, grid, meta = _run_fit(cfg, data)
     draws = resampling.martingale_posterior(
         ensemble, cfg["n_extra"], grid, seed=cfg["seed"],
         trace_chains=cfg["trace_chains"])
+    meta["censored_medians"], meta["censored_weight"] = _censored_medians(draws)
     write_posterior_summaries(outdir, draws, data.scale_factor)
     write_diagnostics(outdir, ensemble)
-    _write_meta(outdir, "posterior", cfg,
-                _fit_meta(ensemble, data, family, None, tuned))
+    _write_meta(outdir, "posterior", cfg, meta)
     return 0
 
 
@@ -497,36 +499,35 @@ def cmd_regress(cfg, outdir):
     if cfg.get("test_split") is not None:
         raw, test = _split_dataset(raw, cfg["test_split"], cfg["seed"])
     train = dataio.permute(dataio.standardize(raw), cfg["seed"])
-
-    family, rho_x, tuned = _select_family(cfg, train, tune_by_default=True)
-    ensemble = impute_smc(train, family, rho_x=rho_x,
-                          n_particles=cfg["n_particles"],
-                          ess_frac=cfg["ess_frac"], seed=cfg["seed"])
-    grid = resampling.default_grid(train, cfg["grid_size"],
-                                   family.grid_from_zero, cfg["grid_max"])
+    ensemble, grid, extra = _run_fit(cfg, train, tune_by_default=True)
     scale = train.scale_factor
     if targets:  # z-scored as the training covariates were
         targets = dataio.standardize(dataio.SurvivalDataset(
             np.ones(len(targets)), np.ones(len(targets)), targets),
             like=train).covariates
 
+    # every target's draws are checked before any file is written
+    draws = []
+    if cfg["n_extra"] is not None:
+        draws = [resampling.martingale_posterior(
+            ensemble, cfg["n_extra"], grid, x_target=x, seed=cfg["seed"],
+            trace_chains=DEFAULT_TRACE_CHAINS) for x in targets]
+    censored = [_censored_medians(d) for d in draws]
     for idx, x in enumerate(targets):
-        draws = None
-        if cfg.get("n_extra") is not None:
+        if draws:
             # the draws carry the fitted predictive of their start rows
-            draws = resampling.martingale_posterior(
-                ensemble, cfg["n_extra"], grid, x_target=x, seed=cfg["seed"],
-                trace_chains=DEFAULT_TRACE_CHAINS)
-            density, cdf = draws.predictive_density, draws.predictive_cdf
+            density = draws[idx].predictive_density
+            cdf = draws[idx].predictive_cdf
+            write_posterior_summaries(outdir, draws[idx], scale,
+                                      prefix=f"posterior_x{idx}_")
         else:
             density, cdf = _point_predictive(ensemble, grid, x)
         _write_predictive(outdir / f"conditional_x{idx}.csv", grid, density,
                           cdf, scale)
-        if draws is not None:
-            write_posterior_summaries(outdir, draws, scale,
-                                       prefix=f"posterior_x{idx}_")
 
-    extra = _fit_meta(ensemble, train, family, rho_x, tuned)
+    if draws:
+        extra["censored_medians"] = [count for count, _ in censored]
+        extra["censored_weight"] = [weight for _, weight in censored]
     if test is not None:
         scaled_test = dataio.standardize(test, like=train)
         heldout = resampling.heldout_mean_log_lik(ensemble, scaled_test)
@@ -611,8 +612,6 @@ def main(argv=None) -> int:
         outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         return HANDLERS[args.command](cfg, outdir)
-    except GridCoverageError as exc:
-        return _fail("config", f"{exc} (see --grid-max)", EXIT_CONFIG)
     except ConfigurationError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:

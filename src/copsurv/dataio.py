@@ -5,7 +5,8 @@ optional covariate rows.  Status 1 means the event time was observed,
 status 0 means it is right-censored at the recorded time.  Standardization
 metadata (`scale_factor`, per-column covariate shift/scale) is carried on
 the dataset so every downstream output can be mapped back to the original
-units.
+units; `standardize(data, like=train)` puts held-out records or covariate
+targets on a training split's scale without estimating anything.
 """
 
 from __future__ import annotations
@@ -124,11 +125,9 @@ def standardize(data: SurvivalDataset,
     column (constant columns get sd 1), with the (mean, sd) pairs
     recorded for back-transformation.
 
-    Given `like`, a dataset standardized from the same input units (a
-    training split), nothing is estimated: times are multiplied by
-    `like.scale_factor` and covariates z-scored with `like`'s (mean, sd),
-    so held-out records or covariate targets land on `like`'s scale,
-    even with no observed event among them.
+    Given `like`, a standardized training split in the same input units,
+    nothing is estimated: `like`'s factor and (mean, sd) pairs are
+    applied, so held-out records need no observed event.
     """
     covariates = data.covariates
     if like is None:

@@ -40,7 +40,3 @@ class TuningError(CopsurvError, RuntimeError):
     def __init__(self, message, table=None):
         super().__init__(message)
         self.table = list(table) if table is not None else []
-
-
-class GridCoverageError(CopsurvError, ValueError):
-    """A functional could not be read off the evaluation grid."""

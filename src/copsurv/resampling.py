@@ -44,7 +44,7 @@ from . import copulas, rng
 from .censoring import ParticleEnsemble
 from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
-from .errors import ConfigurationError, CopsurvError, GridCoverageError
+from .errors import ConfigurationError, CopsurvError
 from .predictive import RunningPredictive, block_rows, row_blocks
 
 __all__ = [
@@ -104,9 +104,9 @@ def default_grid(data: SurvivalDataset, size: int = 100,
                  include_zero: bool = True, top=None) -> GridSpec:
     """`log_grid` of `data`'s standardized times out to `top`, given in
     input units, or by default to 1.5x the largest recorded time."""
-    if top is None:
-        return log_grid(1.5 * float(data.times.max()), size, include_zero)
-    return log_grid(top * data.scale_factor, size, include_zero)
+    top = (1.5 * float(data.times.max()) if top is None
+           else top * data.scale_factor)
+    return log_grid(top, size, include_zero)
 
 
 def _bootstrap_picks(pool: np.ndarray, n_chains: int, n_steps: int,
@@ -159,7 +159,12 @@ def _w1_rows(a, b, dx, gap, terms):
 
 
 def median_from_cdf(cdf_row, grid: GridSpec) -> float:
-    """Grid time where the CDF crosses one half, linearly interpolated."""
+    """Grid time where the CDF crosses one half, linearly interpolated.
+
+    A CDF that stays below one half on the whole grid gives the grid top:
+    its median is right-censored there, the "median not reached" of
+    survival practice (Brookmeyer & Crowley 1982).
+    """
     cdf = np.asarray(cdf_row, dtype=float)
     pts = grid.points
     if cdf.shape != pts.shape:
@@ -168,9 +173,7 @@ def median_from_cdf(cdf_row, grid: GridSpec) -> float:
         return float(pts[0])
     hits = np.nonzero(cdf >= 0.5)[0]
     if hits.size == 0:
-        raise GridCoverageError(
-            "CDF never reaches 0.5 on the grid; extend the grid upper end"
-        )
+        return float(pts[-1])
     j = int(hits[0])
     c0, c1 = cdf[j - 1], cdf[j]
     return float(pts[j - 1] + (0.5 - c0) * (pts[j] - pts[j - 1]) / (c1 - c0))
@@ -187,13 +190,15 @@ class PosteriorDraws:
     step n_extra, and `w1_trace[:, -w1_tail.shape[1]:]` equals
     `w1_tail[:k]`.  `predictive_density` and `predictive_cdf` are the
     weighted means of the starting rows: the fitted predictive on the
-    grid, before any forward step.
+    grid, before any forward step.  `censored[j]` flags a chain whose CDF
+    stays below one half on the grid: its median is the grid top.
     """
 
     grid: GridSpec
     cdf_draws: np.ndarray  # (B, G)
     density_draws: np.ndarray  # (B, G)
     medians: np.ndarray  # (B,)
+    censored: np.ndarray  # (B,), bool
     weights: np.ndarray  # (B,), normalized
     w1_trace: np.ndarray  # (min(trace_chains, B), n_extra + 1)
     w1_tail: np.ndarray  # (B, min(n_extra, W1_TAIL_STEPS) + 1)
@@ -252,8 +257,9 @@ def _start_rows(ensemble: ParticleEnsemble, running, rows, x_target):
     one covariate row per point ((points, d): one weight per record and
     point).
     """
+    alphas = alpha_schedule(np.arange(1, ensemble.n_records + 1))
     for j, v in enumerate(ensemble.v_matrix):
-        alpha = alpha_schedule(j + 1)
+        alpha = alphas[j]
         if ensemble.rho_x is not None:
             alpha = alpha_regression(alpha, x_target, ensemble.covariates[j],
                                      ensemble.rho_x)
@@ -283,10 +289,10 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
         picks = itertools.chain.from_iterable(_bootstrap_picks(
             ensemble.covariates, ensemble.n_particles, n_extra,
             block_rows(block_rows(g)), seed, rows))
-    for t in range(n_extra):
+    alphas = alpha_schedule(ensemble.n_records + 1 + np.arange(n_extra))
+    for t, alpha in enumerate(alphas):
         v = rng.uniforms(seed, rng.STREAM_FORWARD, t, ensemble.n_particles)
         v = np.clip(v[rows], copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        alpha = alpha_schedule(ensemble.n_records + 1 + t)
         if rho_x is not None:
             alpha = alpha_regression(alpha, x_target,
                                      ensemble.covariates[next(picks)],
@@ -442,6 +448,7 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
         cdf_draws=u,
         density_draws=out["dens"],
         medians=medians,
+        censored=np.all(u < 0.5, axis=1),
         weights=weights,
         w1_trace=out["trace"],
         w1_tail=out["tail"],

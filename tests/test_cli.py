@@ -132,6 +132,48 @@ class TestPosterior:
         lines = (out / "medians.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 128
 
+    @staticmethod
+    def _censored_run(tmp_path, rate_c, seed):
+        # n = 40, B = 64, 100 forward steps, 30 points on the default grid
+        sim = tmp_path / "sim"
+        assert run("simulate", "--seed", seed, "--n", 40, "--rate-c", rate_c,
+                   "--output-dir", sim) == 0
+        out = tmp_path / "post"
+        code = run("posterior", "--seed", seed, "--input", sim / "data.csv",
+                   "--bandwidth", 0.9, "--n-particles", 64, "--n-extra", 100,
+                   "--grid-size", 30, "--output-dir", out)
+        return code, out
+
+    def test_censored_medians_of_negligible_weight_exit_0(self, tmp_path):
+        # simulate seed 4, n 40: 4 of 64 chains end below 1/2 at the top
+        code, out = self._censored_run(tmp_path, 2.0, 4)
+        assert code == 0
+        medians = np.loadtxt(out / "medians.csv", delimiter=",", skiprows=1)
+        assert (out / "medians.csv").read_bytes().startswith(
+            b"median,weight,censored\r\n")
+        censored = medians[:, 2] == 1
+        top = np.loadtxt(out / "survival_summary.csv", delimiter=",",
+                         skiprows=1)[-1, 0]
+        assert censored.sum() == 4
+        assert_allclose(medians[censored, 0], top, rtol=1e-12)
+        assert np.all(medians[~censored, 0] < top)
+        meta = read_meta(out)
+        assert meta["censored_medians"] == 4
+        assert meta["censored_weight"] == pytest.approx(
+            medians[censored, 1].sum(), rel=1e-12)
+        assert 0 < meta["censored_weight"] < 0.025
+
+    def test_censored_weight_above_limit_exits_2_before_writing(
+            self, tmp_path, capsys):
+        # simulate seed 5, n 40, rate-c 4: 6 censored chains hold 0.128
+        code, out = self._censored_run(tmp_path, 4.0, 5)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "6 of 64 chains, 0.128 of the weight" in err["message"]
+        assert "--grid-max" in err["message"]
+        assert list(out.iterdir()) == []
+
     def test_rerun_byte_identical(self, mild_csv, tmp_path):
         for name in ("p1", "p2"):
             assert run("posterior", "--seed", 7, "--input", mild_csv,
@@ -217,6 +259,26 @@ class TestRegress:
                    "--n-particles", 100, "--output-dir", out) == 0
         meta = read_meta(out)
         assert np.isfinite(meta["heldout_mean_log_lik"])
+
+    def test_censored_medians_per_target(self, reg_csv, tmp_path):
+        args = ["regress", "--seed", 3, "--input", reg_csv,
+                "--covariate-cols", "thick", "--family", "gaussian",
+                "--bandwidth", 0.6, "--rho-x", 0.7, "--x-target", 1.5,
+                "--x-target", 3.0, "--n-extra", 20, "--n-particles", 40,
+                "--grid-size", 20]
+        out = tmp_path / "reg"
+        assert run(*args, "--output-dir", out) == 0
+        meta = read_meta(out)
+        assert len(meta["censored_medians"]) == len(meta["censored_weight"]) == 2
+        for idx in range(2):
+            table = np.loadtxt(out / f"posterior_x{idx}_medians.csv",
+                               delimiter=",", skiprows=1)
+            assert table[:, 2].sum() == meta["censored_medians"][idx]
+        # a grid top far below the data censors every chain of the first
+        # target: the run stops before any file is written
+        short = tmp_path / "short"
+        assert run(*args, "--grid-max", 1e-3, "--output-dir", short) == 2
+        assert list(short.iterdir()) == []
 
     def test_constant_covariate_matches_unconditional(self, tmp_path):
         """With a constant covariate and the degenerate rho_x = 0, the

@@ -115,6 +115,18 @@ class TestStandardize:
         assert_allclose(out.covariates[:, 1], 0.0, atol=1e-12)
         assert out.covariate_shift_scale.shape == (2, 2)
 
+    def test_like_applies_the_training_scale_without_events(self):
+        cov = np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
+        train = standardize(make_dataset([1, 2, 3], [1, 0, 1], covariates=cov))
+        test_cov = np.array([[2.0, 4.0], [7.0, 5.0]])
+        test = make_dataset([0.5, 4.0], [0, 0], covariates=test_cov)
+        out = standardize(test, like=train)
+        mean, sd = train.covariate_shift_scale.T
+        assert np.array_equal(out.times, test.times * train.scale_factor)
+        assert np.array_equal(out.covariates, (test_cov - mean) / sd)
+        assert out.scale_factor == train.scale_factor
+        assert np.array_equal(out.status, [0, 0])
+
     def test_unscale_round_trip(self, censored_exp50):
         out = standardize(censored_exp50)
         back = unscale_times(out.times, out.scale_factor)

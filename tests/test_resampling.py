@@ -16,7 +16,7 @@ from copsurv.copulas import (
     alpha_regression,
     alpha_schedule,
 )
-from copsurv.errors import ConfigurationError, CopsurvError, GridCoverageError
+from copsurv.errors import ConfigurationError, CopsurvError
 from copsurv.resampling import (
     GridSpec,
     _bootstrap_picks,
@@ -55,6 +55,9 @@ class TestGridSpec:
         assert grid.points.size == 100
         assert grid.points[0] == 0.0
         assert_allclose(grid.points[-1], 1.5 * uncensored_exp50.times.max())
+        # a top in input units lands on the data's standardized scale
+        top = default_grid(uncensored_exp50, 100, top=4.0).points[-1]
+        assert_allclose(top, 4.0 * uncensored_exp50.scale_factor, rtol=1e-15)
 
 
 class TestWasserstein:
@@ -97,10 +100,9 @@ class TestMedianFromCdf:
         cell = coarse.points[1] - coarse.points[0]
         assert abs(m_coarse - m_fine) < cell
 
-    def test_coverage_error(self):
+    def test_median_not_reached_is_the_grid_top(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
-        with pytest.raises(GridCoverageError):
-            median_from_cdf(np.array([0.0, 0.1, 0.2]), grid)
+        assert median_from_cdf(np.array([0.0, 0.1, 0.2]), grid) == 2.0
 
 
 class TestBootstrapCovariate:
@@ -213,6 +215,18 @@ class TestMartingalePosterior:
         grid = GridSpec(np.linspace(0.0, 6.0, 30))
         draws = martingale_posterior(ensemble, 200, grid, seed=4)
         assert np.all((draws.medians >= 0) & (draws.medians <= 6.0))
+
+    def test_censored_chains_are_the_ones_below_half_at_the_top(
+            self, uncensored_exp50):
+        ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=32, seed=3)
+        # a grid top near the data's median censors some chains, not all
+        grid = GridSpec(np.linspace(0.0, 0.75, 20))
+        draws = martingale_posterior(ensemble, 50, grid, seed=4)
+        below = draws.cdf_draws[:, -1] < 0.5
+        assert 0 < below.sum() < 32
+        assert np.array_equal(draws.censored, below)
+        assert np.all(draws.medians[below] == 0.75)
+        assert np.all(draws.medians[~below] < 0.75)
 
     def test_covariate_chains_run(self):
         rng = np.random.default_rng(2)

@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts at tiny sizes: each must exit 0
-and write its files."""
+"""Runs of the experiment scripts at tiny sizes: each must exit 0 and
+write its files, and a script that repeats a CLI pipeline must write the
+CLI's bytes."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import copsurv as cs
+from copsurv.cli import main
 from copsurv.dataio import write_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,10 +29,15 @@ def run_script(name, *args, cwd):
     return proc.stdout
 
 
-def assert_written(out, names):
+def assert_same_files(out, cli_out, names):
+    """`out` holds exactly `names`, each byte-equal to the CLI's file."""
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
     for name in names:
-        path = out / name
-        assert path.is_file() and path.stat().st_size > 0, name
+        assert (out / name).read_bytes() == (cli_out / name).read_bytes(), name
+
+
+def run_cli(*args):
+    assert main([str(a) for a in args]) == 0
 
 
 @pytest.fixture
@@ -42,20 +49,35 @@ def data_csv(tmp_path):
 
 
 def test_survival_pipeline(data_csv, tmp_path):
+    # the script tunes the bandwidth on the Clayton grid and traces no
+    # chain: `posterior` given that grid and --trace-chains 0
+    sizes = ["--n-extra", 10, "--grid-size", 20, "--grid-max", 100]
     out = tmp_path / "pipeline"
     run_script("survival_pipeline.py", data_csv, "--seed", 1,
-               "--particles", 50, "--n-extra", 10, "--grid-size", 20,
-               "--grid-max", 100, "--out", out, cwd=tmp_path)
-    assert_written(out, ["survival_summary.csv", "medians.csv",
-                         "diagnostics.csv"])
+               "--particles", 50, *sizes, "--out", out, cwd=tmp_path)
+    cli_out = tmp_path / "cli"
+    grid = ",".join(repr(float(b)) for b in cs.ClaytonFamily.tuning_grid)
+    run_cli("posterior", "--seed", 1, "--input", data_csv,
+            "--bandwidth-grid", grid, "--trace-chains", 0,
+            "--n-particles", 50, *sizes, "--output-dir", cli_out)
+    assert_same_files(out, cli_out, [
+        "survival_summary.csv", "density_summary.csv", "medians.csv",
+        "w1_trace.csv", "cdf_draws.csv", "diagnostics.csv"])
 
 
 def test_doob_consistency(tmp_path):
+    # the script simulates in memory what `simulate` writes to a file
+    sizes = ["--n-extra", 50]
     out = tmp_path / "doob"
-    run_script("doob_consistency.py", "--n", 20, "--particles", 200,
-               "--n-extra", 50, "--out", out, cwd=tmp_path)
-    assert_written(out, ["doob_samples.csv", "doob_exact_quantiles.csv",
-                         "diagnostics.csv"])
+    run_script("doob_consistency.py", "--seed", 106, "--n", 20,
+               "--particles", 200, *sizes, "--out", out, cwd=tmp_path)
+    run_cli("simulate", "--seed", 106, "--n", 20,
+            "--output-dir", tmp_path / "sim")
+    cli_out = tmp_path / "cli"
+    run_cli("doob", "--seed", 106, "--input", tmp_path / "sim" / "data.csv",
+            "--n-particles", 200, *sizes, "--output-dir", cli_out)
+    assert_same_files(out, cli_out, [
+        "doob_samples.csv", "doob_exact_quantiles.csv", "diagnostics.csv"])
 
 
 def test_ordering_ess(tmp_path):
