@@ -448,7 +448,7 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
         cdf_draws=u,
         density_draws=out["dens"],
         medians=medians,
-        censored=np.all(u < 0.5, axis=1),
+        censored=~np.any(u >= 0.5, axis=1),
         weights=weights,
         w1_trace=out["trace"],
         w1_tail=out["tail"],
