@@ -13,20 +13,28 @@ import argparse
 from pathlib import Path
 
 import copsurv as cs
+from copsurv.censoring import DEFAULT_N_PARTICLES
 from copsurv.cli import write_doob_tables
 from copsurv.parametric import ConjugateModel, doob_demo, tune_a0
+from copsurv.resampling import DEFAULT_N_EXTRA
 
 
-def main():
+def build_parser():
+    """The options; --particles and --n-extra default to those of
+    `copsurv doob`."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=106)
     ap.add_argument("--n", type=int, default=50)
     ap.add_argument("--rate-y", type=float, default=1.0)
     ap.add_argument("--rate-c", type=float, default=2.0)
-    ap.add_argument("--particles", type=int, default=2000)
-    ap.add_argument("--n-extra", type=int, default=2000)
+    ap.add_argument("--particles", type=int, default=DEFAULT_N_PARTICLES)
+    ap.add_argument("--n-extra", type=int, default=DEFAULT_N_EXTRA)
     ap.add_argument("--out", type=Path, default=Path("doob_out"))
-    args = ap.parse_args()
+    return ap
+
+
+def main():
+    args = build_parser().parse_args()
 
     data = cs.simulate_censored_exponential(args.n, args.rate_y, args.rate_c,
                                             seed=args.seed)

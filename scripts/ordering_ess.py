@@ -11,17 +11,23 @@ import argparse
 import numpy as np
 
 import copsurv as cs
+from copsurv.censoring import DEFAULT_N_PARTICLES
 from copsurv.dataio import observed_first_order
 from copsurv.parametric import ConjugateModel, conjugate_smc
 
 
-def main():
+def build_parser():
+    """The options; --particles defaults to `copsurv doob --n-particles`."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--n", type=int, default=50)
-    ap.add_argument("--particles", type=int, default=2000)
+    ap.add_argument("--particles", type=int, default=DEFAULT_N_PARTICLES)
     ap.add_argument("--a0", type=float, default=1.2)
-    args = ap.parse_args()
+    return ap
+
+
+def main():
+    args = build_parser().parse_args()
 
     model = ConjugateModel(a0=args.a0, b0=1.0)
     print(f"{'seed':>6} {'cens%':>6} {'random':>8} {'obs-first':>10}")

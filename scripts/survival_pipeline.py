@@ -15,6 +15,7 @@ import argparse
 from pathlib import Path
 
 import copsurv as cs
+from copsurv.censoring import DEFAULT_N_PARTICLES
 from copsurv.cli import write_diagnostics, write_posterior_summaries
 from copsurv.dataio import unscale_times
 from copsurv.resampling import (
@@ -26,17 +27,23 @@ from copsurv.resampling import (
 from copsurv.tune import TuneGrid, grid_search
 
 
-def main():
+def build_parser():
+    """The options; --particles and --n-extra default to those of
+    `copsurv posterior`."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("input", type=Path)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--particles", type=int, default=2000)
+    ap.add_argument("--particles", type=int, default=DEFAULT_N_PARTICLES)
     ap.add_argument("--n-extra", type=int, default=DEFAULT_N_EXTRA)
     ap.add_argument("--grid-size", type=int, default=149)
     ap.add_argument("--grid-max", type=float, default=None,
                     help="grid top in input time units (default 1.5x max)")
     ap.add_argument("--out", type=Path, default=Path("pipeline_out"))
-    args = ap.parse_args()
+    return ap
+
+
+def main():
+    args = build_parser().parse_args()
 
     data = cs.permute(cs.standardize(cs.load_csv(args.input)), args.seed)
     print(f"n={data.n}, censored fraction {data.censoring_fraction:.2f}, "

@@ -57,7 +57,11 @@ __all__ = [
     "ess_from_log_weights",
     "systematic_indices",
     "diagnostic_rows",
+    "DEFAULT_N_PARTICLES",
 ]
+
+# Particles of an SMC pass, and so chains of a posterior, by default.
+DEFAULT_N_PARTICLES = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,11 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
                 diagnostics=diagnostic_rows(ess_trace[:i], unique_trace[:i],
                                             resample_steps),
             )
-        ess_trace[i] = ess(np.exp(log_w - m))  # = ess_from_log_weights(log_w)
+        # ess_from_log_weights(log_w), without its input checks: the
+        # largest shifted weight is 1, so the total is positive
+        w = np.exp(log_w - m)
+        total = w.sum()
+        ess_trace[i] = total * total / np.sum(w * w)
         if ess_trace[i] < ess_frac * b:
             log_mass = logsumexp(log_w)
             log_z += log_mass - np.log(b)
@@ -298,7 +306,8 @@ class _CopulaEngine(RunningPredictive):
 
 
 def impute_smc(data: SurvivalDataset, family: CopulaFamily,
-               rho_x: float | None = None, n_particles: int = 2000,
+               rho_x: float | None = None,
+               n_particles: int = DEFAULT_N_PARTICLES,
                ess_frac: float = 0.5, seed: int = 0) -> ParticleEnsemble:
     """Impute right-censored records under the copula predictive.
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, parametric, resampling, tune
-from .censoring import diagnostic_rows, impute_smc
+from .censoring import DEFAULT_N_PARTICLES, diagnostic_rows, impute_smc
 from .copulas import DEFAULT_RHO_GRID, FAMILIES, make_family
 from .errors import (
     ConfigurationError,
@@ -109,7 +109,7 @@ FIT_CORE_OPTS = INPUT_OPTS + [
     Opt("bandwidth", float, help="fixed kernel bandwidth (a, or rho for gaussian)"),
     Opt("bandwidth-grid", _comma_floats,
         help="comma list; triggers marginal-likelihood tuning"),
-    Opt("n-particles", int, default=2000, bounds=AT_LEAST_2),
+    Opt("n-particles", int, default=DEFAULT_N_PARTICLES, bounds=AT_LEAST_2),
     Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT,
         help="resample when ESS < ess_frac * n_particles; 0 disables"),
     Opt("tune-particles", int, default=1000, bounds=AT_LEAST_2),
@@ -148,8 +148,10 @@ SUBCOMMANDS = {
     "doob": INPUT_OPTS + [
         Opt("a0", float, help="prior shape; tuned by marginal likelihood if omitted"),
         Opt("b0", float, default=1.0),
-        Opt("n-particles", int, default=2000, bounds=AT_LEAST_2),
-        Opt("n-extra", int, default=2000, bounds=NONNEGATIVE),
+        Opt("n-particles", int, default=DEFAULT_N_PARTICLES,
+            bounds=AT_LEAST_2),
+        Opt("n-extra", int, default=resampling.DEFAULT_N_EXTRA,
+            bounds=NONNEGATIVE),
         Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT),
     ],
     "tune": INPUT_OPTS + [
@@ -403,12 +405,13 @@ def write_doob_tables(outdir, result):
     """A conjugate Doob run's weighted limiting posterior means, the
     exact posterior's quantiles, and its SMC diagnostics."""
     dataio.write_rows(outdir / "doob_samples.csv", ["theta_bar", "weight"],
-                      zip(result.theta_bar, result.weights))
+                      np.column_stack([result.theta_bar, result.weights]))
     qs = np.linspace(0.005, 0.995, 199)
     dataio.write_rows(
         outdir / "doob_exact_quantiles.csv",
         ["q", "theta"],
-        zip(qs, parametric.ig_posterior_quantile(result.state, qs)),
+        np.column_stack([qs, parametric.ig_posterior_quantile(result.state,
+                                                              qs)]),
     )
     write_diagnostics(outdir, result.ensemble)
 

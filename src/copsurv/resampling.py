@@ -24,27 +24,25 @@ many other chains run, or where.  The chains are the rows of one
 fitted records into it, and each forward step absorbs one synthetic
 record through the same `absorb`, in place.  `_run_rows` splits the rows
 into contiguous shards, one per CPU the process may use, and runs each
-shard in its own forked process, writing into one shared anonymous
-mapping.  Each shard draws a whole step's uniforms and picks (O(B)) and
-keeps its own rows; the recursion and W1 are row by row, so the shard
-count moves no output bit.
+shard in its own forked process (`shards.run_shards`), writing into
+shared anonymous mappings.  Each shard draws only its own rows' elements
+of a step's uniforms, and a whole step's picks (O(B)) of which it keeps
+its own; the recursion and W1 are row by row, so the shard count moves
+no output bit.
 """
 
 from __future__ import annotations
 
 import itertools
-import mmap
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import copulas, rng
+from . import copulas, rng, shards
 from .censoring import ParticleEnsemble
 from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
-from .errors import ConfigurationError, CopsurvError
+from .errors import ConfigurationError
 from .predictive import RunningPredictive, block_rows, row_blocks
 
 __all__ = [
@@ -275,10 +273,10 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     and `tail`, their last min(n_extra, W1_TAIL_STEPS) + 1 steps (see
     `PosteriorDraws`).  No other step pays for a W1.
 
-    Each step draws the uniforms of all B chains and keeps its rows:
-    chain j's step-t value is element j of stream (seed, t), and with
-    covariates its weight pairs the target with the covariates of chain
-    j's step-t bootstrap pick, whatever the shard or block size.
+    Chain j's step-t value is element j of stream (seed, t), and each
+    step draws only the elements of `rows`; with covariates, chain j's
+    weight pairs the target with the covariates of its step-t bootstrap
+    pick, whatever the shard or block size.
     """
     rho_x = ensemble.rho_x
     n_rows, g = running.u.shape
@@ -291,8 +289,8 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
             block_rows(block_rows(g)), seed, rows))
     alphas = alpha_schedule(ensemble.n_records + 1 + np.arange(n_extra))
     for t, alpha in enumerate(alphas):
-        v = rng.uniforms(seed, rng.STREAM_FORWARD, t, ensemble.n_particles)
-        v = np.clip(v[rows], copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
+        v = rng.uniforms(seed, rng.STREAM_FORWARD, t, n_rows, rows.start)
+        v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
         if rho_x is not None:
             alpha = alpha_regression(alpha, x_target,
                                      ensemble.covariates[next(picks)],
@@ -308,27 +306,14 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
                 tail[blk, t + 1 - tail_start] = w1
 
 
-def _worker_count(n_rows: int, points: int) -> int:
-    """One process per CPU this process may use, at most one per whole
-    `block_rows(points)` block of rows, and one without `os.fork`."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)),
-                      n_rows // block_rows(points)))
-
-
 def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
     """The running predictive at `points` after every particle's absorbed
     history: a dict with "dens" and "u" of shape (B, points).  With
     `forward = (n_extra, seed, trace_chains)` the rows then run the
     forward pass: "dens" and "u" are the final rows, "start_dens" and
     "start_u" the starting ones, and "trace" and "tail" the W1 arrays of
-    `PosteriorDraws`.
-
-    This process runs the first of `_worker_count` row shards and a
-    forked child each other one, all into one shared anonymous mapping,
-    joined once at the end.  A child leaves only through `os._exit`: it
-    runs no exit handler and flushes no inherited buffer.
+    `PosteriorDraws`.  The rows run in `shards.run_shards` row shards of
+    at least one whole row block each, every array in its own mapping.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     b, g = ensemble.n_particles, points.size
@@ -338,12 +323,8 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
         shapes.update(start_dens=(b, g), start_u=(b, g),
                       trace=(min(trace_chains, b), n_extra + 1),
                       tail=(b, min(n_extra, W1_TAIL_STEPS) + 1))
-    sizes = [int(np.prod(shape)) for shape in shapes.values()]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
-    out = {name: part.reshape(shape) for (name, shape), part in
-           zip(shapes.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
 
-    def run(rows):
+    def run(rows, out):
         running = RunningPredictive(ensemble.family, points, out["dens"][rows],
                                     out["u"][rows])
         _start_rows(ensemble, running, rows, x_target)
@@ -354,34 +335,7 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
                      x_target, out["start_u"][rows], out["trace"][rows],
                      out["tail"][rows])
 
-    n_workers = _worker_count(b, g)
-    edges = [b * k // n_workers for k in range(n_workers + 1)]
-    shards = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    children, codes = {}, {}
-    try:
-        for rows in shards[1:]:
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    run(rows)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children[pid] = rows
-        run(shards[0])
-        for pid in children:
-            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    finally:
-        # an error or interrupt here ends the children still running
-        for pid in children.keys() - codes.keys():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for pid, code in codes.items():
-        if code:
-            raise CopsurvError(f"the worker for rows {children[pid].start}:"
-                               f"{children[pid].stop} exited with status {code}")
-    return out
+    return shards.run_shards(b, block_rows(g), shapes, run, "rows")
 
 
 def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,

@@ -4,7 +4,9 @@ Every stochastic step of the samplers draws from a Philox generator keyed
 by (master seed, stream tag, step index); within a stream the counter
 enumerates particles/chains.  A draw therefore depends only on those three
 integers and its position in the stream, so runs are bit-reproducible and
-a chain's draw does not depend on how many other chains run.
+a chain's draw does not depend on how many other chains run.  A shard of
+chains reads its own elements straight from the counter (`uniforms` with
+`start`), so it neither draws nor pays for the other shards' elements.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ _MASK64 = (1 << 64) - 1
 _MASK24 = (1 << 24) - 1
 
 
-def stream(seed: int, tag: int, step: int = 0) -> Generator:
-    """Independent generator for (seed, tag, step).
+def stream(seed: int, tag: int, step: int = 0, counter: int = 0) -> Generator:
+    """Independent generator for (seed, tag, step), started `counter`
+    Philox blocks of four 64-bit outputs in.
 
     The 128-bit Philox key packs the masked master seed in the high word
     and (tag, step) in the low word, so distinct triples give distinct
@@ -33,12 +36,23 @@ def stream(seed: int, tag: int, step: int = 0) -> Generator:
     if step < 0:
         raise ValueError(f"step must be nonnegative, got {step}")
     key = ((seed & _MASK64) << 64) | ((tag & _MASK24) << 40) | (step & ((1 << 40) - 1))
-    return Generator(Philox(key=key))
+    return Generator(Philox(key=key, counter=counter))
 
 
-def uniforms(seed: int, tag: int, step: int, count: int) -> np.ndarray:
-    """`count` uniforms in [0, 1) from the (seed, tag, step) stream."""
-    return stream(seed, tag, step).random(count)
+def uniforms(seed: int, tag: int, step: int, count: int,
+             start: int = 0) -> np.ndarray:
+    """Elements start..start+count-1 of the uniforms in [0, 1) of the
+    (seed, tag, step) stream.
+
+    Each uniform takes one 64-bit Philox output and each counter value
+    gives four, so the draw starts at counter start // 4 and drops the
+    first start % 4 values: a shard of chains pays only for its own
+    elements, and gets the bits of the same slice of the whole draw.
+    """
+    draws = stream(seed, tag, step, start // 4)
+    if start % 4:
+        draws.random(start % 4)
+    return draws.random(count)
 
 
 def dirichlet_uniform(seed: int, tag: int, shape: tuple[int, int]) -> np.ndarray:

@@ -6,6 +6,14 @@ the sampler runs one particle, and the score is the exact prequential
 log-likelihood (deterministic).  All cells share one seed (common random
 numbers), which strips most of the Monte Carlo noise out of the argmax
 comparison.  Ties break toward the smallest bandwidth.
+
+The cells are independent, so they are scored in contiguous shards of
+cells, one per CPU the process may use (`shards.run_shards`): each shard
+writes (score, final ESS) per cell, or (-inf, 0) for a cell whose
+weights degenerate, and the table is built in grid order afterwards, so
+the shard count moves neither the table nor the argmax.  Every cell's
+configuration is checked before the first one is scored, so a
+configuration error is raised here, not in a worker.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import shards
 from .censoring import impute_smc
 from .copulas import CopulaFamily, make_family
 from .dataio import SurvivalDataset
@@ -36,9 +45,11 @@ class TuneGrid:
             raise ConfigurationError("bandwidth grid is empty")
         object.__setattr__(self, "bandwidths", bw)
         if self.rho_x_values is not None:
-            object.__setattr__(
-                self, "rho_x_values", tuple(float(v) for v in self.rho_x_values)
-            )
+            rho = tuple(float(v) for v in self.rho_x_values)
+            if not all(0.0 <= v < 1.0 for v in rho):
+                raise ConfigurationError(
+                    f"rho_x values must lie in [0, 1), got {rho}")
+            object.__setattr__(self, "rho_x_values", rho)
 
 
 class TuneCell(NamedTuple):
@@ -69,25 +80,34 @@ def grid_search(data: SurvivalDataset, family_kind: str,
     # fully observed data is scored exactly by one particle
     n_particles = grid.n_particles if np.any(data.status == 0) else 1
     rho_x_grid = grid.rho_x_values if grid.rho_x_values is not None else (None,)
-    # every cell's family is checked before the first one is scored
-    families = [(bandwidth, make_family(family_kind, bandwidth))
-                for bandwidth in sorted(grid.bandwidths)]
-    table: list = []
-    best = None
-    for bandwidth, family in families:
-        for rho_x in rho_x_grid:
+    # every cell is checked before any is scored or any worker forked
+    if grid.rho_x_values is not None and data.covariates is None:
+        raise ConfigurationError("rho_x grid given but the dataset has no "
+                                 "covariates")
+    cells = [(bandwidth, make_family(family_kind, bandwidth), rho_x)
+             for bandwidth in sorted(grid.bandwidths) for rho_x in rho_x_grid]
+
+    def run(shard, out):
+        for k in range(shard.start, shard.stop):
+            _, family, rho_x = cells[k]
             try:
                 ensemble = impute_smc(data, family, rho_x=rho_x,
                                       n_particles=n_particles, seed=grid.seed)
             except DegeneracyError:
-                table.append(TuneCell(bandwidth, rho_x, -np.inf, 0.0))
+                out["cells"][k] = (-np.inf, 0.0)
                 continue
-            cell = TuneCell(bandwidth, rho_x, ensemble.log_z,
-                            ensemble.final_ess)
-            table.append(cell)
-            if np.isfinite(cell.score) and (best is None
-                                            or cell.score > best.score):
-                best = cell
+            out["cells"][k] = (ensemble.log_z, ensemble.final_ess)
+
+    scores = shards.run_shards(len(cells), 1, {"cells": (len(cells), 2)},
+                               run, "cells")["cells"]
+    table = [TuneCell(bandwidth, rho_x, float(score), float(final_ess))
+             for (bandwidth, _, rho_x), (score, final_ess)
+             in zip(cells, scores)]
+    best = None
+    for cell in table:
+        if np.isfinite(cell.score) and (best is None
+                                        or cell.score > best.score):
+            best = cell
     if best is None:
         raise TuningError("every grid cell degenerated", table=table)
     return TuneResult(

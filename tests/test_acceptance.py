@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import copsurv as cs
-from copsurv import predictive, resampling
+from copsurv import predictive, shards
 from copsurv.censoring import impute_smc
 from copsurv.cli import main as cli_main
 from copsurv.copulas import (
@@ -326,8 +326,8 @@ def test_criterion_10_process_determinism(tmp_path, monkeypatch):
             patch.setattr(predictive, "BLOCK_ELEMS", 1)
             assert cli_main(args + ["--output-dir", str(runs[2])]) == 0
         with monkeypatch.context() as patch:
-            patch.setattr(resampling, "_worker_count",
-                          lambda n_rows, points: 2)
+            patch.setattr(shards, "_worker_count",
+                          lambda n_items, min_items: 2)
             assert cli_main(args + ["--output-dir", str(runs[3])]) == 0
         outputs = [{p.name: p.read_bytes() for p in sorted(out.iterdir())}
                    for out in runs]

@@ -8,7 +8,9 @@ one-row block, at a block of a few rows (partial last blocks, several step
 chunks) and with the whole array as one block, each at 1, 2 and 3
 workers, and the results are compared with `np.array_equal`.  That
 includes the forward pass's W1 split: the whole trajectory of the traced
-chains and every chain's tail window.
+chains and every chain's tail window.  Doob's forward chains and the
+tuning grid's cells run in shards through the same runner, and are
+compared at 1, 2 and 3 workers too.
 """
 
 import tracemalloc
@@ -17,9 +19,11 @@ import numpy as np
 import pytest
 
 import copsurv as cs
-from copsurv import copulas, predictive, resampling
+from copsurv import (copulas, parametric, predictive, resampling, rng,
+                     shards, tune)
 from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily, GaussianFamily
+from copsurv.errors import DegeneracyError
 from copsurv.resampling import (
     GridSpec,
     W1_TAIL_STEPS,
@@ -65,6 +69,12 @@ def case(request, censored_exp50):
             np.array([-1.3]), grid)
 
 
+def at_workers(monkeypatch, workers):
+    """Run every shard loop in `workers` shards, whatever its size."""
+    monkeypatch.setattr(shards, "_worker_count",
+                        lambda n_items, min_items: workers)
+
+
 def run_stages(case, block_elems, monkeypatch):
     """Every stage's output at this block size, checked equal at each
     worker count."""
@@ -82,8 +92,7 @@ def run_stages(case, block_elems, monkeypatch):
     }
     sharded = []
     for workers in WORKERS:
-        monkeypatch.setattr(resampling, "_worker_count",
-                            lambda n_rows, points, w=workers: w)
+        at_workers(monkeypatch, workers)
         sharded.append(row_stages(ens, data, x_target, grid))
     for workers, other in zip(WORKERS[1:], sharded[1:]):
         for name, value in sharded[0].items():
@@ -190,7 +199,7 @@ def test_smc_pass_calls_the_kernel_once_per_record(monkeypatch):
 def pin_one_worker(monkeypatch):
     """tracemalloc sees neither a worker process nor the shared mapping
     of the rows, so a memory test runs its rows in this process."""
-    monkeypatch.setattr(resampling, "_worker_count", lambda n_rows, points: 1)
+    at_workers(monkeypatch, 1)
 
 
 def test_covariate_pass_and_heldout_hold_no_pairwise_table(monkeypatch):
@@ -258,3 +267,75 @@ def test_alpha_regression_runs_once_per_absorbed_record(monkeypatch):
     calls.clear()
     _run_rows(ens, np.geomspace(0.01, 8.0, 16), np.array([-1.3]))
     assert len(calls) == data.n
+
+
+@pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 4999])
+def test_uniforms_from_an_offset_are_the_slice_of_the_whole_draw(start):
+    whole = rng.uniforms(11, rng.STREAM_FORWARD, 7, 5010)
+    for count in (0, 1, 6, 11):
+        part = rng.uniforms(11, rng.STREAM_FORWARD, 7, count, start)
+        assert np.array_equal(part, whole[start:start + count])
+
+
+def reference_doob_forward(ensemble, n_extra, seed, trace_chains):
+    """Doob's forward loop over all chains at once, each step drawing the
+    whole stream: (theta_bar, theta_trace)."""
+    a, b = ensemble.a.copy(), ensemble.b.copy()
+    trace = np.empty((trace_chains, n_extra + 1))
+    trace[:, 0] = b[:trace_chains] / (a[:trace_chains] - 1.0)
+    for step in range(n_extra):
+        u = rng.uniforms(seed, rng.STREAM_FORWARD, step, a.size)
+        parametric._absorb_lomax_draw(a, b, u)
+        trace[:, step + 1] = b[:trace_chains] / (a[:trace_chains] - 1.0)
+    return b / (a - 1.0), trace
+
+
+def test_doob_chain_shards_change_no_bit(censored_exp50, monkeypatch):
+    """theta_bar and the traced chains' trajectories, at 1, 2 and 3
+    chain shards, equal the loop over all chains; the 40 traced chains of
+    64 cross the shard edges at 32, and at 21 and 42."""
+    model = parametric.ConjugateModel(a0=1.5)
+    for workers in WORKERS:
+        at_workers(monkeypatch, workers)
+        result = parametric.doob_demo(model, censored_exp50, 64, 30, seed=3,
+                                      ess_frac=0.95,
+                                      trace_chains=TRACE_CHAINS)
+        theta_bar, trace = reference_doob_forward(result.ensemble, 30, 3,
+                                                  TRACE_CHAINS)
+        assert np.array_equal(result.theta_bar, theta_bar), workers
+        assert np.array_equal(result.theta_trace, trace), workers
+        untraced = parametric.doob_demo(model, censored_exp50, 64, 30, seed=3,
+                                        ess_frac=0.95)
+        assert untraced.theta_trace is None
+        assert np.array_equal(untraced.theta_bar, theta_bar), workers
+
+
+def test_grid_cell_shards_change_no_bit(monkeypatch):
+    """A covariate grid of 3 bandwidths x 2 rho_x values, one bandwidth
+    degenerate, gives the same table and argmax at 1, 2 and 3 cell
+    shards; a degenerate cell scores (-inf, 0)."""
+    data = covariate_data(30, 4)
+    score = tune.impute_smc
+
+    def degenerate_at_0_6(data, family, **kwargs):
+        if family.bandwidth == 0.6:
+            raise DegeneracyError("all particle weights vanished")
+        return score(data, family, **kwargs)
+
+    monkeypatch.setattr(tune, "impute_smc", degenerate_at_0_6)
+    grid = tune.TuneGrid(bandwidths=(0.8, 0.4, 0.6), rho_x_values=(0.3, 0.7),
+                         n_particles=64, seed=6)
+    results = []
+    for workers in WORKERS:
+        at_workers(monkeypatch, workers)
+        results.append(tune.grid_search(data, "gaussian", grid))
+    first = results[0]
+    assert [(c.bandwidth, c.rho_x) for c in first.table] == [
+        (0.4, 0.3), (0.4, 0.7), (0.6, 0.3), (0.6, 0.7), (0.8, 0.3),
+        (0.8, 0.7)]
+    assert [c[2:] for c in first.table[2:4]] == [(-np.inf, 0.0)] * 2
+    assert all(np.isfinite(c.score) for c in first.table if c.bandwidth != 0.6)
+    for other in results[1:]:
+        assert other.table == first.table
+        assert (other.bandwidth, other.rho_x, other.score) == (
+            first.bandwidth, first.rho_x, first.score)

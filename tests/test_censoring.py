@@ -190,6 +190,9 @@ class TestResamplingBehaviour:
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=50,
                               ess_frac=0.0, seed=4)
         assert ensemble.resample_steps == []
+        # the loop's ESS is the checked one's, bit for bit
+        assert ensemble.ess_trace[-1] == ess_from_log_weights(
+            ensemble.log_weights)
 
     def test_bit_reproducible(self, censored_exp50):
         e1 = impute_smc(censored_exp50, FAMILY, n_particles=128, seed=9)

@@ -7,11 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
-from copsurv import copulas, resampling
+from copsurv import copulas, shards
 from copsurv.censoring import impute_smc
-from copsurv.cli import main, write_posterior_summaries
+from copsurv.cli import main, write_doob_tables, write_posterior_summaries
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
 from copsurv.dataio import load_csv, write_rows
+from copsurv.parametric import ConjugateModel, doob_demo, ig_posterior_quantile
 
 
 def run(*args):
@@ -212,8 +213,8 @@ class TestPosterior:
 
         monkeypatch.setattr(copulas, "clayton_density_and_partial",
                             fails_in_workers)
-        monkeypatch.setattr(resampling, "_worker_count",
-                            lambda n_rows, points: 2)
+        monkeypatch.setattr(shards, "_worker_count",
+                            lambda n_items, min_items: 2)
         assert run("posterior", "--seed", 7, "--input", mild_csv,
                    "--bandwidth", 1.0, "--n-particles", 64, "--n-extra", 20,
                    "--grid-size", 25, "--output-dir", tmp_path / "p") == 1
@@ -317,6 +318,25 @@ class TestDoob:
         quantiles = np.loadtxt(out / "doob_exact_quantiles.csv", delimiter=",",
                                skiprows=1)
         assert np.all(np.diff(quantiles[:, 1]) > 0)
+
+    def test_tables_write_the_bytes_of_the_tuple_path(self, tmp_path):
+        data = cs.permute(cs.simulate_censored_exponential(30, 1.0, 2.0,
+                                                           seed=3), 3)
+        result = doob_demo(ConjugateModel(1.5), data, 50, 40, seed=2)
+        write_doob_tables(tmp_path, result)
+        qs = np.linspace(0.005, 0.995, 199)
+        tuples = {
+            "doob_samples.csv": (["theta_bar", "weight"],
+                                 list(zip(result.theta_bar, result.weights))),
+            "doob_exact_quantiles.csv": (
+                ["q", "theta"],
+                list(zip(qs, ig_posterior_quantile(result.state, qs)))),
+        }
+        for name, (header, rows) in tuples.items():
+            write_rows(tmp_path / "tuples.csv", header, rows)
+            written = (tmp_path / name).read_bytes()
+            assert written.count(b"\r\n") == 1 + len(rows)
+            assert written == (tmp_path / "tuples.csv").read_bytes(), name
 
 
 class TestTuneCommand:

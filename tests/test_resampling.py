@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
-from copsurv import copulas, resampling
+from copsurv import copulas, rng, shards, tune
 from copsurv.censoring import impute_smc
 from copsurv.copulas import (
     ClaytonFamily,
@@ -17,6 +17,7 @@ from copsurv.copulas import (
     alpha_schedule,
 )
 from copsurv.errors import ConfigurationError, CopsurvError
+from copsurv.parametric import ConjugateModel, doob_demo
 from copsurv.resampling import (
     GridSpec,
     _bootstrap_picks,
@@ -29,6 +30,8 @@ from copsurv.resampling import (
     weighted_mean,
     weighted_quantiles,
 )
+
+from copsurv.tune import TuneGrid, grid_search
 
 from conftest import make_dataset
 
@@ -162,7 +165,32 @@ class TestPredictiveResample:
         assert not np.array_equal(a.cdf_draws, c.cdf_draws)
 
 
+def buffer_bytes(arrays):
+    """Bytes of the distinct buffers (mappings or owning arrays) behind
+    `arrays`."""
+    roots = {}
+    for array in arrays:
+        while isinstance(array, np.ndarray) and array.base is not None:
+            array = array.base
+        roots[id(array)] = array
+    return sum(memoryview(root).nbytes for root in roots.values())
+
+
 class TestMartingalePosterior:
+    def test_draws_hold_only_the_arrays_they_expose(self, censored_exp50):
+        """Every array of a draw owns its memory or its own mapping: the
+        start rows and the other shared arrays of the forward pass are
+        released with the call."""
+        ensemble = impute_smc(cs.standardize(censored_exp50), FAMILY,
+                              n_particles=64, seed=5)
+        grid = GridSpec(np.geomspace(0.01, 8.0, 40))
+        draws = martingale_posterior(ensemble, 50, grid, seed=2,
+                                     trace_chains=5)
+        arrays = [value for value in vars(draws).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 9
+        assert buffer_bytes(arrays) == sum(a.nbytes for a in arrays)
+
     def test_uncensored_reduces_to_plain_chains(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=32, seed=3)
         grid = GridSpec(np.linspace(0.0, 4.0, 12))
@@ -340,9 +368,93 @@ class TestOneFitIsOneColumn:
             _run_rows(ensemble, grid.points, np.zeros(2))
 
 
+def shard_call(kind, request):
+    """(call, module, name, in_shard, items) of a call that runs `kind`
+    in two shards: the call, the function `module.name` that its shards
+    run, a test of that function's arguments that is true only inside a
+    shard, and the second shard's items."""
+    if kind == "rows":
+        ensemble, grid, _ = request.getfixturevalue("clayton_case")
+        return (lambda: martingale_posterior(ensemble, 20, grid, seed=1),
+                copulas, "clayton_density_and_partial", lambda args: True,
+                "rows 32:64")
+    data = request.getfixturevalue("censored_exp50")
+    if kind == "chains":
+        # the SMC pass draws its uniforms from other streams
+        return (lambda: doob_demo(ConjugateModel(1.5), data, 64, 20, seed=1),
+                rng, "uniforms", lambda args: args[1] == rng.STREAM_FORWARD,
+                "chains 32:64")
+    grid = TuneGrid(bandwidths=(0.6, 0.8, 1.0, 1.2), n_particles=32, seed=1)
+    return (lambda: grid_search(cs.standardize(data), "clayton", grid),
+            tune, "impute_smc", lambda args: True, "cells 2:4")
+
+
+def check_a_failure_fails_the_call(kind, request, monkeypatch, in_parent,
+                                   raised, expected, match):
+    call, module, name, in_shard, _ = shard_call(kind, request)
+    parent = os.getpid()
+    original = getattr(module, name)
+    fork = os.fork
+    forked = []
+
+    def failing(*args, **kwargs):
+        if in_shard(args) and (os.getpid() == parent) == in_parent:
+            raise raised("failure in a shard")
+        return original(*args, **kwargs)
+
+    def counted_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(module, name, failing)
+    monkeypatch.setattr(shards, "_worker_count",
+                        lambda n_items, min_items: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with pytest.raises(expected, match=match):
+        call()
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def check_an_interrupt_during_the_join_ends_the_workers(kind, request,
+                                                        monkeypatch):
+    call, module, name, in_shard, _ = shard_call(kind, request)
+    parent = os.getpid()
+    original = getattr(module, name)
+
+    def slow_in_workers(*args, **kwargs):
+        if in_shard(args) and os.getpid() != parent:
+            time.sleep(60)
+            raise RuntimeError("a worker that was not ended")
+        return original(*args, **kwargs)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(module, name, slow_in_workers)
+    monkeypatch.setattr(shards, "_worker_count",
+                        lambda n_items, min_items: 2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        # this process finishes its shard, then waits for the worker
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRowWorkers:
-    """The rows run in forked workers: a failure in any of them fails the
-    call, and no worker outlives it."""
+    """The rows, doob's forward chains and the tuning grid's cells run in
+    forked workers: a failure in any of them fails the call, and no
+    worker outlives it."""
 
     @pytest.mark.parametrize("in_parent, raised, expected, match", [
         (False, RuntimeError, CopsurvError,
@@ -350,63 +462,31 @@ class TestRowWorkers:
         (True, KeyboardInterrupt, KeyboardInterrupt, None),
     ])
     def test_a_failure_fails_the_call_and_reaps_every_worker(
-            self, clayton_case, monkeypatch, in_parent, raised, expected,
+            self, request, monkeypatch, in_parent, raised, expected,
             match):
-        ensemble, grid, _ = clayton_case
-        parent = os.getpid()
-        kernel = copulas.clayton_density_and_partial
-        fork = os.fork
-        forked = []
-
-        def failing(u, v, a):
-            if (os.getpid() == parent) == in_parent:
-                raise raised("kernel failure")
-            return kernel(u, v, a)
-
-        def counted_fork():
-            pid = fork()
-            forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(copulas, "clayton_density_and_partial", failing)
-        monkeypatch.setattr(resampling, "_worker_count",
-                            lambda n_rows, points: 2)
-        monkeypatch.setattr(os, "fork", counted_fork)
-        with pytest.raises(expected, match=match):
-            martingale_posterior(ensemble, 20, grid, seed=1)
-        assert len(forked) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        check_a_failure_fails_the_call("rows", request, monkeypatch,
+                                       in_parent, raised, expected, match)
 
     def test_an_interrupt_during_the_join_ends_the_workers(
-            self, clayton_case, monkeypatch):
-        ensemble, grid, _ = clayton_case
-        parent = os.getpid()
-        kernel = copulas.clayton_density_and_partial
+            self, request, monkeypatch):
+        check_an_interrupt_during_the_join_ends_the_workers(
+            "rows", request, monkeypatch)
 
-        def slow_in_workers(u, v, a):
-            if os.getpid() != parent:
-                time.sleep(60)
-                raise RuntimeError("a worker that was not ended")
-            return kernel(u, v, a)
+    @pytest.mark.parametrize("kind", ["chains", "cells"])
+    @pytest.mark.parametrize("in_parent, raised, expected", [
+        (False, RuntimeError, CopsurvError),
+        (True, KeyboardInterrupt, KeyboardInterrupt),
+    ])
+    def test_a_failed_chain_or_cell_shard_fails_the_call(
+            self, kind, request, monkeypatch, in_parent, raised, expected):
+        items = shard_call(kind, request)[4]
+        match = (f"the worker for {items} exited with status 1"
+                 if expected is CopsurvError else None)
+        check_a_failure_fails_the_call(kind, request, monkeypatch, in_parent,
+                                       raised, expected, match)
 
-        def interrupt(signum, frame):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(copulas, "clayton_density_and_partial",
-                            slow_in_workers)
-        monkeypatch.setattr(resampling, "_worker_count",
-                            lambda n_rows, points: 2)
-        previous = signal.signal(signal.SIGALRM, interrupt)
-        start = time.monotonic()
-        try:
-            # this process finishes its shard, then waits for the worker
-            signal.setitimer(signal.ITIMER_REAL, 0.5)
-            with pytest.raises(KeyboardInterrupt):
-                martingale_posterior(ensemble, 20, grid, seed=1)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert time.monotonic() - start < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    @pytest.mark.parametrize("kind", ["chains", "cells"])
+    def test_an_interrupt_while_joining_chain_or_cell_workers_ends_them(
+            self, kind, request, monkeypatch):
+        check_an_interrupt_during_the_join_ends_the_workers(
+            kind, request, monkeypatch)

@@ -2,6 +2,7 @@
 write its files, and a script that repeats a CLI pipeline must write the
 CLI's bytes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import copsurv as cs
-from copsurv.cli import main
+from copsurv.cli import SUBCOMMANDS, main
 from copsurv.dataio import write_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +85,21 @@ def test_ordering_ess(tmp_path):
     stdout = run_script("ordering_ess.py", "--seeds", 2, "--n", 20,
                         "--particles", 100, cwd=tmp_path)
     assert "median ESS" in stdout
+
+
+@pytest.mark.parametrize("script, option, command, cli_option", [
+    ("doob_consistency.py", "particles", "doob", "n-particles"),
+    ("doob_consistency.py", "n-extra", "doob", "n-extra"),
+    ("survival_pipeline.py", "particles", "posterior", "n-particles"),
+    ("survival_pipeline.py", "n-extra", "posterior", "n-extra"),
+    ("ordering_ess.py", "particles", "doob", "n-particles"),
+])
+def test_size_defaults_are_those_of_the_cli(script, option, command,
+                                            cli_option):
+    spec = importlib.util.spec_from_file_location(
+        Path(script).stem, ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    default = module.build_parser().get_default(option.replace("-", "_"))
+    cli_defaults = {opt.name: opt.default for opt in SUBCOMMANDS[command]}
+    assert default == cli_defaults[cli_option]

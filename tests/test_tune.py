@@ -84,6 +84,21 @@ class TestGridSearch:
         with pytest.raises(ConfigurationError):
             TuneGrid(bandwidths=())
 
+    def test_bad_rho_x_cell_rejected_with_the_grid(self):
+        with pytest.raises(ConfigurationError, match="rho_x values"):
+            TuneGrid(bandwidths=(0.5,), rho_x_values=(0.3, 1.0))
+
+    def test_rho_x_grid_without_covariates_rejected_before_scoring(
+            self, censored_exp50, monkeypatch):
+        def score(*args, **kwargs):
+            raise AssertionError("a cell was scored")
+
+        monkeypatch.setattr(tune, "impute_smc", score)
+        grid = TuneGrid(bandwidths=(0.5,), rho_x_values=(0.3,),
+                        n_particles=100, seed=1)
+        with pytest.raises(ConfigurationError, match="no covariates"):
+            grid_search(cs.standardize(censored_exp50), "clayton", grid)
+
     def test_joint_rho_x_search(self):
         rng = np.random.default_rng(6)
         n = 40
