@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
-from copsurv import copulas, shards
+from copsurv import copulas, rng, shards
 from copsurv.censoring import impute_smc
 from copsurv.cli import main, write_doob_tables, write_posterior_summaries
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
@@ -337,6 +337,31 @@ class TestDoob:
             written = (tmp_path / name).read_bytes()
             assert written.count(b"\r\n") == 1 + len(rows)
             assert written == (tmp_path / "tuples.csv").read_bytes(), name
+
+    def test_failed_chain_worker_exits_1_with_one_json_line(
+            self, sim_csv, tmp_path, monkeypatch, capsys):
+        # the forward uniforms fail only in the forked chain worker
+        parent = os.getpid()
+        uniforms = rng.uniforms
+
+        def fails_in_workers(seed, tag, *args):
+            if tag == rng.STREAM_FORWARD and os.getpid() != parent:
+                raise RuntimeError("uniforms failure in a worker")
+            return uniforms(seed, tag, *args)
+
+        monkeypatch.setattr(rng, "uniforms", fails_in_workers)
+        monkeypatch.setattr(shards, "_worker_count",
+                            lambda n_items, min_items: 2)
+        assert run("doob", "--seed", 11, "--input", sim_csv,
+                   "--n-particles", 64, "--n-extra", 20,
+                   "--output-dir", tmp_path / "d") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "error",
+            "message": "the worker for chains 32:64 exited with status 1"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTuneCommand:

@@ -30,7 +30,6 @@ from copsurv.resampling import (
     weighted_mean,
     weighted_quantiles,
 )
-
 from copsurv.tune import TuneGrid, grid_search
 
 from conftest import make_dataset
