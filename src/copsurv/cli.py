@@ -112,7 +112,8 @@ FIT_CORE_OPTS = INPUT_OPTS + [
     Opt("n-particles", int, default=DEFAULT_N_PARTICLES, bounds=AT_LEAST_2),
     Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT,
         help="resample when ESS < ess_frac * n_particles; 0 disables"),
-    Opt("tune-particles", int, default=1000, bounds=AT_LEAST_2),
+    Opt("tune-particles", int, default=tune.DEFAULT_TUNE_PARTICLES,
+        bounds=AT_LEAST_2),
     Opt("grid-size", int, default=100, bounds=AT_LEAST_2),
     Opt("grid-max", float, bounds=POSITIVE,
         help="grid upper end in input units (default 1.5x max time)"),
@@ -159,7 +160,8 @@ SUBCOMMANDS = {
         Opt("bandwidth-grid", _comma_floats),
         Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT),
         Opt("covariate-cols", _comma_names, default=()),
-        Opt("tune-particles", int, default=1000, bounds=AT_LEAST_2),
+        Opt("tune-particles", int, default=tune.DEFAULT_TUNE_PARTICLES,
+            bounds=AT_LEAST_2),
     ],
 }
 

@@ -26,7 +26,9 @@ u = 0, so only their upper end is clamped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -46,6 +48,7 @@ __all__ = [
     "ClaytonFamily",
     "GaussianFamily",
     "CopulaFamily",
+    "KernelScratch",
     "FAMILIES",
     "DEFAULT_RHO_GRID",
     "make_family",
@@ -83,9 +86,10 @@ class ClaytonFamily:
         if not self.bandwidth > 0:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth}")
 
-    def joint(self, u, v):
-        """(density, partial) of the kernel, for the update recursion."""
-        return clayton_density_and_partial(u, v, self.bandwidth)
+    def joint(self, u, v, out=None):
+        """(density, partial) of the kernel, for the update recursion, in
+        the `KernelScratch` set `out` (a new one when None)."""
+        return clayton_density_and_partial(u, v, self.bandwidth, out=out)
 
     def base_at(self, y):
         """(pdf, cdf) of the base measure at times y."""
@@ -109,9 +113,10 @@ class GaussianFamily:
         if not 0.0 < self.bandwidth < 1.0:
             raise ConfigurationError(f"rho must lie in (0, 1), got {self.bandwidth}")
 
-    def joint(self, u, v):
-        """(density, partial) of the kernel, for the update recursion."""
-        return gaussian_density_and_partial(u, v, self.bandwidth)
+    def joint(self, u, v, out=None):
+        """(density, partial) of the kernel, for the update recursion, in
+        the `KernelScratch` set `out` (a new one when None)."""
+        return gaussian_density_and_partial(u, v, self.bandwidth, out=out)
 
     def base_at(self, y):
         """(pdf, cdf) of the base measure at times y >= 0.  The pdf takes
@@ -129,14 +134,63 @@ class GaussianFamily:
 CopulaFamily = ClaytonFamily | GaussianFamily
 
 
-def _clamp_upper(u):
+def _clamp_upper(u, out=None):
     # Clayton formulas are regular at u = 0, so only the upper end needs
     # protection; negative inputs are treated as the origin.
-    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0 - CLAMP_EPS)
+    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0 - CLAMP_EPS, out=out)
 
 
-def _clamp(u):
-    return np.clip(np.asarray(u, dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS)
+def _clamp(u, out=None):
+    return np.clip(np.asarray(u, dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS,
+                   out=out)
+
+
+class KernelScratch(NamedTuple):
+    """The work arrays of one kernel call, which also hold its results:
+    `block`, five float64 arrays of the broadcast shape of (u, v);
+    `small`, two float64 arrays of v's shape; `mask`, a bool array of the
+    broadcast shape.
+
+    `flat` makes one-dimensional arrays that a caller keeps across calls
+    (`predictive.RunningPredictive` holds one set), and `view` gives a
+    call its arrays as C-contiguous views of their leading elements.
+    """
+
+    block: tuple
+    small: tuple
+    mask: np.ndarray
+
+    @classmethod
+    def flat(cls, size: int, v_size: int) -> "KernelScratch":
+        """Arrays for calls of up to `size` elements, with v of up to
+        `v_size`."""
+        return cls(tuple(np.empty(size) for _ in range(5)),
+                   tuple(np.empty(v_size) for _ in range(2)),
+                   np.empty(size, dtype=bool))
+
+    def view(self, shape, v_shape) -> "KernelScratch":
+        n, m = math.prod(shape), math.prod(v_shape)
+        return KernelScratch(tuple(a[:n].reshape(shape) for a in self.block),
+                             tuple(a[:m].reshape(v_shape) for a in self.small),
+                             self.mask[:n].reshape(shape))
+
+
+def _scratch_for(u, v, out):
+    """`out`, or a new scratch set of the shapes of a call on (u, v)."""
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        out = KernelScratch.flat(math.prod(shape), np.size(v)).view(
+            shape, np.shape(v))
+    return out
+
+
+def _pin_ends(partial, u, mask):
+    """Set a partial to its analytic limits, 0 at u <= 0 and 1 at u >= 1,
+    through the bool scratch `mask`."""
+    np.less_equal(u, 0.0, out=mask)
+    np.copyto(partial, 0.0, where=mask)
+    np.greater_equal(u, 1.0, out=mask)
+    np.copyto(partial, 1.0, where=mask)
 
 
 def _log_clayton_s(gu, gv, out, work):
@@ -162,12 +216,33 @@ def _log_clayton_s(gu, gv, out, work):
     return out
 
 
-def _gaussian_log_density_z(zu, zv, rho: float):
-    """log c_rho as a function of the normal scores."""
+def _gaussian_log_density_z(zu, zv, rho: float, out=None, work=None):
+    """log c_rho as a function of the normal scores,
+
+        -log(1 - rho^2)/2 - (rho^2 (zu^2 + zv^2) - 2 rho zu zv) / (2 (1 - rho^2)),
+
+    written into `out`, of the broadcast shape of zu and zv; `work` is a
+    scratch pair of zv's shape and of the broadcast shape.  Either is
+    allocated when None.  The steps are those of the formula, reordered
+    only by commutation, so the bits are the same.
+    """
+    shape = np.broadcast_shapes(np.shape(zu), np.shape(zv))
+    if out is None:
+        out = np.empty(shape)
+    if work is None:
+        work = np.empty(np.shape(zv)), np.empty(shape)
+    zv2, cross = work
     r2 = rho * rho
-    return -0.5 * np.log1p(-r2) - (r2 * (zu * zu + zv * zv) - 2.0 * rho * zu * zv) / (
-        2.0 * (1.0 - r2)
-    )
+    np.multiply(zu, zu, out=out)
+    np.multiply(zv, zv, out=zv2)
+    out += zv2
+    out *= r2
+    np.multiply(zu, 2.0 * rho, out=cross)
+    cross *= zv
+    out -= cross
+    out /= 2.0 * (1.0 - r2)
+    np.subtract(-0.5 * np.log1p(-r2), out, out=out)
+    return out
 
 
 def _check_rho(rho: float):
@@ -175,40 +250,41 @@ def _check_rho(rho: float):
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
 
 
-def _clayton_g(p, a: float):
-    """-log(1-p)/a of the upper-clamped p, as a new array."""
-    g = np.asarray(_clamp_upper(p))  # clip returns a fresh array
-    np.negative(g, out=g)
-    np.log1p(g, out=g)
-    g /= -a
-    return g
+def _clayton_g(p, a: float, out):
+    """-log(1-p)/a of the upper-clamped p, written into `out`."""
+    _clamp_upper(p, out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out /= -a
+    return out
 
 
-def clayton_density_and_partial(u, v, a: float):
+def clayton_density_and_partial(u, v, a: float, out=None):
     """(d_a(u, v), I_a(u, v)) from one set of log transforms.
 
     d_a equals (a+1)/a exactly at the origin; I_a(u, v) =
     1 - (1-v)^(-(a+1)/a) / s^(a+1) maps u = 0 -> 0 and u = 1 -> 1.
 
-    The kernel is bound by array passes, not by its transcendentals, so
-    every step after the g transforms runs in place in three arrays of
-    the broadcast shape: the two results and log s.
+    The kernel is bound by array passes and by its fixed cost per call,
+    not by its transcendentals, so it runs every step in place in a
+    `KernelScratch` set: `out`, or a new one when None.  The two results
+    are its first two block arrays.  g(v) is computed at v's shape and
+    then copied out to the full shape once: its four uses then run as
+    same-shape passes, which cost numpy a third of a broadcast one.
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
-    u = np.asarray(u, dtype=float)
-    gu = _clayton_g(u, a)
-    gv = _clayton_g(v, a)
-    shape = np.broadcast_shapes(gu.shape, gv.shape)
-    density, partial, log_s = np.empty(shape), np.empty(shape), np.empty(shape)
+    out = _scratch_for(u, v, out)
+    density, partial, gu, log_s, gv = out.block
+    _clayton_g(u, a, gu)
+    np.copyto(gv, _clayton_g(v, a, out.small[0]))
     _log_clayton_s(gu, gv, log_s, (density, partial))
     # log_s >= gv always, so the exponent is <= 0 and the partial in [0, 1].
     np.subtract(gv, log_s, out=partial)
     partial *= a + 1.0
     np.expm1(partial, out=partial)
     np.negative(partial, out=partial)
-    np.copyto(partial, 0.0, where=u <= 0.0)
-    np.copyto(partial, 1.0, where=u >= 1.0)
+    _pin_ends(partial, u, out.mask)
     np.add(gu, gv, out=density)
     density *= a + 1.0
     log_s *= a + 2.0
@@ -218,19 +294,26 @@ def clayton_density_and_partial(u, v, a: float):
     return density, partial
 
 
-def gaussian_density_and_partial(u, v, rho: float):
+def gaussian_density_and_partial(u, v, rho: float, out=None):
     """(c_rho(u, v), H_rho(u, v)) from one pair of normal scores.
 
     H_rho(u, v) = Phi({Phi^-1(u) - rho Phi^-1(v)} / sqrt(1 - rho^2)); rho = 0
-    gives the independence copula (density exactly 1).
+    gives the independence copula (density exactly 1).  Runs in place in
+    a `KernelScratch` set like `clayton_density_and_partial`.
     """
     _check_rho(rho)
-    u = np.asarray(u, dtype=float)
-    zu = ndtri(_clamp(u))
-    zv = ndtri(_clamp(v))
-    density = np.exp(_gaussian_log_density_z(zu, zv, rho))
-    inner = ndtr((zu - rho * zv) / np.sqrt(1.0 - rho * rho))
-    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
+    out = _scratch_for(u, v, out)
+    density, partial, zu = out.block[:3]
+    zv, work = out.small
+    ndtri(_clamp(u, zu), out=zu)
+    ndtri(_clamp(v, zv), out=zv)
+    _gaussian_log_density_z(zu, zv, rho, density, (work, partial))
+    np.exp(density, out=density)
+    np.multiply(zv, rho, out=work)
+    np.subtract(zu, work, out=partial)
+    partial /= np.sqrt(1.0 - rho * rho)
+    ndtr(partial, out=partial)
+    _pin_ends(partial, u, out.mask)
     return density, partial
 
 

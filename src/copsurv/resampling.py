@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 DEFAULT_N_EXTRA = 2000
+# Fewest elements (particles x points) a row shard runs: a smaller run
+# stays in fewer processes, where a fork would cost more than it saves.
+ROW_SHARD_ELEMS = 8192
 # Forward steps at the end of every chain whose W1 is kept (`w1_tail`).
 W1_TAIL_STEPS = 100
 
@@ -313,7 +316,8 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
     forward pass: "dens" and "u" are the final rows, "start_dens" and
     "start_u" the starting ones, and "trace" and "tail" the W1 arrays of
     `PosteriorDraws`.  The rows run in `shards.run_shards` row shards of
-    at least one whole row block each, every array in its own mapping.
+    at least `ROW_SHARD_ELEMS` elements each, every array in its own
+    mapping.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     b, g = ensemble.n_particles, points.size
@@ -335,7 +339,8 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
                      x_target, out["start_u"][rows], out["trace"][rows],
                      out["tail"][rows])
 
-    return shards.run_shards(b, block_rows(g), shapes, run, "rows")
+    return shards.run_shards(b, max(1, ROW_SHARD_ELEMS // g), shapes, run,
+                             "rows")
 
 
 def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,

@@ -29,14 +29,18 @@ from .copulas import CopulaFamily, make_family
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError, DegeneracyError, TuningError
 
-__all__ = ["TuneGrid", "TuneCell", "TuneResult", "grid_search"]
+__all__ = ["TuneGrid", "TuneCell", "TuneResult", "grid_search",
+           "DEFAULT_TUNE_PARTICLES"]
+
+# Particles of the imputation run that scores a cell with censored data.
+DEFAULT_TUNE_PARTICLES = 1000
 
 
 @dataclass(frozen=True)
 class TuneGrid:
     bandwidths: tuple  # kernel bandwidth a, or rho for the Gaussian kernel
     rho_x_values: tuple | None = None  # covariate kernel grid (regression)
-    n_particles: int = 1000
+    n_particles: int = DEFAULT_TUNE_PARTICLES
     seed: int = 0
 
     def __post_init__(self):

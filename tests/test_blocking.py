@@ -187,9 +187,9 @@ def test_smc_pass_calls_the_kernel_once_per_record(monkeypatch):
     calls = []
     kernel = copulas.clayton_density_and_partial
 
-    def counted(u, v, a):
+    def counted(u, v, a, **kwargs):
         calls.append(np.size(u))
-        return kernel(u, v, a)
+        return kernel(u, v, a, **kwargs)
 
     monkeypatch.setattr(copulas, "clayton_density_and_partial", counted)
     impute_smc(data, ClaytonFamily(0.9), n_particles=8, seed=1)
@@ -200,6 +200,54 @@ def pin_one_worker(monkeypatch):
     """tracemalloc sees neither a worker process nor the shared mapping
     of the rows, so a memory test runs its rows in this process."""
     at_workers(monkeypatch, 1)
+
+
+@pytest.mark.parametrize("family", [ClaytonFamily(0.9), GaussianFamily(0.6)])
+def test_absorb_allocates_no_block_array(family):
+    """The recursion runs its kernel in the running predictive's scratch
+    set: a sweep over four blocks' worth of rows, with a scalar weight
+    and with per-particle weights, peaks below one block-shaped float64
+    array.  (What it does allocate is numpy's ufunc buffer, of
+    np.getbufsize() values; a sweep into the columns after the first
+    adds one such buffer per strided operand.)"""
+    points = 64
+    b = 4 * predictive.BLOCK_ELEMS // points
+    shape = (b, points)
+    running = predictive.RunningPredictive(
+        family, np.geomspace(0.01, 8.0, points), np.empty(shape),
+        np.empty(shape))
+    v = np.random.default_rng(3).uniform(0.01, 0.99, b)
+    per_particle = np.full((b, 1), 0.2)
+    tracemalloc.start()
+    try:
+        running.absorb(v, 0.3)
+        _, scalar_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        running.absorb(v, per_particle)
+        _, per_particle_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scalar_peak < 8 * predictive.BLOCK_ELEMS
+    assert per_particle_peak < 8 * predictive.BLOCK_ELEMS
+
+
+def test_row_shards_keep_their_own_minimum(censored_exp50, monkeypatch):
+    """The row-shard minimum is resampling.ROW_SHARD_ELEMS, not a row
+    block: at B = 500 particles and G = 100 points, a process that may
+    use two CPUs runs the start rows in two shards."""
+    worker_count = shards._worker_count
+    counts = []
+
+    def counted(n_items, min_items):
+        counts.append(worker_count(n_items, min_items))
+        return counts[-1]
+
+    monkeypatch.setattr(shards.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(shards, "_worker_count", counted)
+    ens = impute_smc(censored_exp50, ClaytonFamily(1.0), n_particles=500,
+                     seed=1)
+    _run_rows(ens, np.geomspace(0.01, 8.0, 100), None)
+    assert counts == [2]
 
 
 def test_covariate_pass_and_heldout_hold_no_pairwise_table(monkeypatch):

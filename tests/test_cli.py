@@ -206,10 +206,10 @@ class TestPosterior:
         parent = os.getpid()
         kernel = copulas.clayton_density_and_partial
 
-        def fails_in_workers(u, v, a):
+        def fails_in_workers(u, v, a, **kwargs):
             if os.getpid() != parent:
                 raise RuntimeError("kernel failure in a worker")
-            return kernel(u, v, a)
+            return kernel(u, v, a, **kwargs)
 
         monkeypatch.setattr(copulas, "clayton_density_and_partial",
                             fails_in_workers)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm
 
 from copsurv import cli
@@ -12,6 +15,7 @@ from copsurv.copulas import (
     FAMILIES,
     ClaytonFamily,
     GaussianFamily,
+    KernelScratch,
     alpha_regression,
     alpha_schedule,
     make_family,
@@ -164,6 +168,125 @@ class TestClaytonMatchesReference:
         edges = np.array(EDGE_PROBS)
         assert_matches_reference(edges, edges[:, None], a)
         assert_matches_reference(edges[:, None], edges, a)
+
+
+# The two kernels and their helpers as written before the kernels took a
+# KernelScratch set, copied statement for statement (names changed,
+# argument checks and most docstrings left out): they allocate every
+# array they use.  The reference for bitwise equality.
+
+def alloc_clamp_upper(u):
+    # Clayton formulas are regular at u = 0, so only the upper end needs
+    # protection; negative inputs are treated as the origin.
+    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0 - CLAMP_EPS)
+
+
+def alloc_clamp(u):
+    return np.clip(np.asarray(u, dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS)
+
+
+def alloc_log_clayton_s(gu, gv, out, work):
+    m, e = work
+    np.maximum(gu, gv, out=m)
+    np.minimum(gu, gv, out=out)
+    out -= m
+    np.exp(out, out=out)
+    out += 1.0
+    np.negative(m, out=e)
+    np.exp(e, out=e)
+    out -= e
+    np.log(out, out=out)
+    out += m
+    return out
+
+
+def alloc_gaussian_log_density_z(zu, zv, rho: float):
+    """log c_rho as a function of the normal scores."""
+    r2 = rho * rho
+    return -0.5 * np.log1p(-r2) - (r2 * (zu * zu + zv * zv) - 2.0 * rho * zu * zv) / (
+        2.0 * (1.0 - r2)
+    )
+
+
+def alloc_clayton_g(p, a: float):
+    """-log(1-p)/a of the upper-clamped p, as a new array."""
+    g = np.asarray(alloc_clamp_upper(p))  # clip returns a fresh array
+    np.negative(g, out=g)
+    np.log1p(g, out=g)
+    g /= -a
+    return g
+
+
+def alloc_clayton(u, v, a: float):
+    u = np.asarray(u, dtype=float)
+    gu = alloc_clayton_g(u, a)
+    gv = alloc_clayton_g(v, a)
+    shape = np.broadcast_shapes(gu.shape, gv.shape)
+    density, partial, log_s = np.empty(shape), np.empty(shape), np.empty(shape)
+    alloc_log_clayton_s(gu, gv, log_s, (density, partial))
+    # log_s >= gv always, so the exponent is <= 0 and the partial in [0, 1].
+    np.subtract(gv, log_s, out=partial)
+    partial *= a + 1.0
+    np.expm1(partial, out=partial)
+    np.negative(partial, out=partial)
+    np.copyto(partial, 0.0, where=u <= 0.0)
+    np.copyto(partial, 1.0, where=u >= 1.0)
+    np.add(gu, gv, out=density)
+    density *= a + 1.0
+    log_s *= a + 2.0
+    density -= log_s
+    np.exp(density, out=density)
+    density *= (a + 1.0) / a
+    return density, partial
+
+
+def alloc_gaussian(u, v, rho: float):
+    u = np.asarray(u, dtype=float)
+    zu = ndtri(alloc_clamp(u))
+    zv = ndtri(alloc_clamp(v))
+    density = np.exp(alloc_gaussian_log_density_z(zu, zv, rho))
+    inner = ndtr((zu - rho * zv) / np.sqrt(1.0 - rho * rho))
+    partial = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
+    return density, partial
+
+
+# u at the exact ends, the clamp edges, a subnormal-scale value and the
+# float64 just below 1; v adds three interior values.
+SCRATCH_U = [0.0, 1.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1e-300, 1.0 - 2.0**-53]
+SCRATCH_V = SCRATCH_U + [0.3, 0.5, 0.7]
+
+
+def nan_scratch(shape, v_shape):
+    """Views of a scratch set larger than the call needs, every float
+    pre-filled with NaN and the mask with True."""
+    flat = KernelScratch.flat(2 * math.prod(shape) + 3,
+                              2 * math.prod(v_shape) + 1)
+    for array in flat.block + flat.small:
+        array.fill(np.nan)
+    flat.mask.fill(True)
+    return flat.view(shape, v_shape)
+
+
+@pytest.mark.parametrize("kernel, reference, params", [
+    (clayton, alloc_clayton, (0.05, 0.9, 5.0)),
+    (gaussian, alloc_gaussian, (0.1, 0.9)),
+])
+def test_scratch_kernels_match_the_allocating_ones_bitwise(kernel, reference,
+                                                           params):
+    """Each row of u holds every SCRATCH_U value against one (r, 1) v: the
+    kernel returns the allocating kernel's bits with `out=None` and in a
+    NaN-filled scratch set, where its results are the first two arrays."""
+    v = np.array(SCRATCH_V)[:, None]
+    u = np.tile(SCRATCH_U, (v.shape[0], 1))
+    for param in params:
+        want = reference(u, v, param)
+        for out in (None, nan_scratch(u.shape, v.shape)):
+            got = kernel(u, v, param, out=out)
+            if out is not None:
+                assert got[0] is out.block[0] and got[1] is out.block[1]
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == np.ascontiguousarray(w).tobytes(), param
 
 
 class TestGaussian:

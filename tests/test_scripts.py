@@ -92,6 +92,7 @@ def test_ordering_ess(tmp_path):
     ("doob_consistency.py", "n-extra", "doob", "n-extra"),
     ("survival_pipeline.py", "particles", "posterior", "n-particles"),
     ("survival_pipeline.py", "n-extra", "posterior", "n-extra"),
+    ("survival_pipeline.py", "tune-particles", "posterior", "tune-particles"),
     ("ordering_ess.py", "particles", "doob", "n-particles"),
 ])
 def test_size_defaults_are_those_of_the_cli(script, option, command,
