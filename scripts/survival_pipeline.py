@@ -24,19 +24,17 @@ from copsurv.resampling import (
     martingale_posterior,
     weighted_quantiles,
 )
-from copsurv.tune import DEFAULT_TUNE_PARTICLES, TuneGrid, grid_search
+from copsurv.tune import TuneGrid, grid_search
 
 
 def build_parser():
-    """The options; --particles, --n-extra and --tune-particles default
-    to those of `copsurv posterior`."""
+    """The options; --particles and --n-extra default to those of
+    `copsurv posterior`."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("input", type=Path)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--particles", type=int, default=DEFAULT_N_PARTICLES)
     ap.add_argument("--n-extra", type=int, default=DEFAULT_N_EXTRA)
-    ap.add_argument("--tune-particles", type=int,
-                    default=DEFAULT_TUNE_PARTICLES)
     ap.add_argument("--grid-size", type=int, default=149)
     ap.add_argument("--grid-max", type=float, default=None,
                     help="grid top in input time units (default 1.5x max)")
@@ -53,8 +51,7 @@ def main():
 
     tuned = grid_search(
         data, "clayton",
-        TuneGrid(bandwidths=cs.ClaytonFamily.tuning_grid,
-                 n_particles=args.tune_particles, seed=args.seed),
+        TuneGrid(bandwidths=cs.ClaytonFamily.tuning_grid, seed=args.seed),
     )
     print(f"selected bandwidth {tuned.bandwidth:g} "
           f"(log marginal {tuned.score:.2f})")

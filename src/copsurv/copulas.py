@@ -65,6 +65,10 @@ CLAMP_EPS = 1e-10
 # the covariate kernel's rho_x, 0.1..0.9 step 0.1.
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
 
+# Block-shaped scratch arrays each kernel uses (`KernelScratch.block`).
+CLAYTON_BLOCKS = 5
+GAUSSIAN_BLOCKS = 3
+
 
 @dataclass(frozen=True)
 class ClaytonFamily:
@@ -78,6 +82,7 @@ class ClaytonFamily:
     bandwidth: float  # a > 0
 
     kind = "clayton"
+    scratch_blocks = CLAYTON_BLOCKS
     default_bandwidth = 1.0
     tuning_grid = tuple(np.round(np.arange(0.5, 1.51, 0.1), 10))
     grid_from_zero = True
@@ -105,6 +110,7 @@ class GaussianFamily:
     bandwidth: float  # the correlation rho, in (0, 1)
 
     kind = "gaussian"
+    scratch_blocks = GAUSSIAN_BLOCKS
     default_bandwidth = 0.5
     tuning_grid = DEFAULT_RHO_GRID
     grid_from_zero = False
@@ -147,7 +153,8 @@ def _clamp(u, out):
 
 class KernelScratch(NamedTuple):
     """The work arrays of one kernel call, which also hold its results:
-    `block`, five float64 arrays of the broadcast shape of (u, v);
+    `block`, float64 arrays of the broadcast shape of (u, v), as many as
+    the kernel uses (its family's `scratch_blocks`);
     `small`, two float64 arrays of v's shape; `mask`, a bool array of the
     broadcast shape.
 
@@ -161,10 +168,10 @@ class KernelScratch(NamedTuple):
     mask: np.ndarray
 
     @classmethod
-    def flat(cls, size: int, v_size: int) -> "KernelScratch":
-        """Arrays for calls of up to `size` elements, with v of up to
-        `v_size`."""
-        return cls(tuple(np.empty(size) for _ in range(5)),
+    def flat(cls, size: int, v_size: int, n_block: int) -> "KernelScratch":
+        """`n_block` block arrays for calls of up to `size` elements, with
+        v of up to `v_size`."""
+        return cls(tuple(np.empty(size) for _ in range(n_block)),
                    tuple(np.empty(v_size) for _ in range(2)),
                    np.empty(size, dtype=bool))
 
@@ -177,11 +184,12 @@ class KernelScratch(NamedTuple):
                              self.mask[:n].reshape(shape))
 
 
-def _scratch_for(u, v, out):
-    """`out`, or a new scratch set of the shapes of a call on (u, v)."""
+def _scratch_for(u, v, out, n_block):
+    """`out`, or a new scratch set of `n_block` block arrays, of the
+    shapes of a call on (u, v)."""
     if out is None:
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-        out = KernelScratch.flat(math.prod(shape), np.size(v)).view(
+        out = KernelScratch.flat(math.prod(shape), np.size(v), n_block).view(
             shape, np.shape(v))
     return out
 
@@ -277,8 +285,8 @@ def clayton_density_and_partial(u, v, a: float, out=None):
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
-    out = _scratch_for(u, v, out)
-    density, partial, gu, log_s, gv = out.block
+    out = _scratch_for(u, v, out, CLAYTON_BLOCKS)
+    density, partial, gu, log_s, gv = out.block[:CLAYTON_BLOCKS]
     _clayton_g(u, a, gu)
     np.copyto(gv, _clayton_g(v, a, out.small[0]))
     _log_clayton_s(gu, gv, log_s, (density, partial))
@@ -305,8 +313,8 @@ def gaussian_density_and_partial(u, v, rho: float, out=None):
     a `KernelScratch` set like `clayton_density_and_partial`.
     """
     _check_rho(rho)
-    out = _scratch_for(u, v, out)
-    density, partial, zu = out.block[:3]
+    out = _scratch_for(u, v, out, GAUSSIAN_BLOCKS)
+    density, partial, zu = out.block[:GAUSSIAN_BLOCKS]
     zv, work = out.small
     ndtri(_clamp(u, zu), out=zu)
     ndtri(_clamp(v, zv), out=zv)

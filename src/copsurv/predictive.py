@@ -81,8 +81,9 @@ class RunningPredictive:
     shared array), set here to the base measure at times[k] in column k.
     The caller supplies each absorbed record's weight, because only it
     knows which covariates are the evaluation points and which belong to
-    the record.  The kernel's scratch set is sized for the largest block
-    an absorption can take.
+    the record.  The kernel's scratch set holds the family's
+    `scratch_blocks` arrays, sized for the largest block an absorption
+    can take.
     """
 
     def __init__(self, family, times, dens, u):
@@ -91,7 +92,8 @@ class RunningPredictive:
         dens[:], u[:] = family.base_at(times)
         b, points = u.shape
         self.scratch = KernelScratch.flat(
-            min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS))
+            min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS),
+            family.scratch_blocks)
 
     def absorb(self, v, alpha, lo=0):
         """Take one record's propagation values v (B,) into columns lo..

@@ -256,23 +256,23 @@ SCRATCH_U = [0.0, 1.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1e-300, 1.0 - 2.0**-53]
 SCRATCH_V = SCRATCH_U + [0.3, 0.5, 0.7]
 
 
-def nan_scratch(shape, v_shape):
+def nan_scratch(shape, v_shape, n_block):
     """Views of a scratch set larger than the call needs, every float
     pre-filled with NaN and the mask with True."""
     flat = KernelScratch.flat(2 * math.prod(shape) + 3,
-                              2 * math.prod(v_shape) + 1)
+                              2 * math.prod(v_shape) + 1, n_block)
     for array in flat.block + flat.small:
         array.fill(np.nan)
     flat.mask.fill(True)
     return flat.view(shape, v_shape)
 
 
-@pytest.mark.parametrize("kernel, reference, params", [
-    (clayton, alloc_clayton, (0.05, 0.9, 5.0)),
-    (gaussian, alloc_gaussian, (0.1, 0.9)),
+@pytest.mark.parametrize("kernel, reference, params, family", [
+    (clayton, alloc_clayton, (0.05, 0.9, 5.0), ClaytonFamily),
+    (gaussian, alloc_gaussian, (0.1, 0.9), GaussianFamily),
 ])
 def test_scratch_kernels_match_the_allocating_ones_bitwise(kernel, reference,
-                                                           params):
+                                                           params, family):
     """Each row of u holds every SCRATCH_U value against one (r, 1) v: the
     kernel returns the allocating kernel's bits with `out=None` and in a
     NaN-filled scratch set, where its results are the first two arrays."""
@@ -280,7 +280,8 @@ def test_scratch_kernels_match_the_allocating_ones_bitwise(kernel, reference,
     u = np.tile(SCRATCH_U, (v.shape[0], 1))
     for param in params:
         want = reference(u, v, param)
-        for out in (None, nan_scratch(u.shape, v.shape)):
+        for out in (None, nan_scratch(u.shape, v.shape,
+                                      family.scratch_blocks)):
             got = kernel(u, v, param, out=out)
             if out is not None:
                 assert got[0] is out.block[0] and got[1] is out.block[1]

@@ -13,6 +13,7 @@ import pytest
 import copsurv as cs
 from copsurv.cli import SUBCOMMANDS, main
 from copsurv.dataio import write_rows
+from copsurv.tune import DEFAULT_TUNE_PARTICLES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,7 +93,6 @@ def test_ordering_ess(tmp_path):
     ("doob_consistency.py", "n-extra", "doob", "n-extra"),
     ("survival_pipeline.py", "particles", "posterior", "n-particles"),
     ("survival_pipeline.py", "n-extra", "posterior", "n-extra"),
-    ("survival_pipeline.py", "tune-particles", "posterior", "tune-particles"),
     ("ordering_ess.py", "particles", "doob", "n-particles"),
 ])
 def test_size_defaults_are_those_of_the_cli(script, option, command,
@@ -104,3 +104,12 @@ def test_size_defaults_are_those_of_the_cli(script, option, command,
     default = module.build_parser().get_default(option.replace("-", "_"))
     cli_defaults = {opt.name: opt.default for opt in SUBCOMMANDS[command]}
     assert default == cli_defaults[cli_option]
+
+
+def test_tune_particle_defaults_are_the_tuning_default():
+    """Every --tune-particles option defaults to the particle count a
+    `TuneGrid` takes when none is given, as survival_pipeline.py does."""
+    defaults = {command: opt.default for command, opts in SUBCOMMANDS.items()
+                for opt in opts if opt.name == "tune-particles"}
+    assert defaults.keys() == {"fit", "posterior", "regress", "tune"}
+    assert set(defaults.values()) == {DEFAULT_TUNE_PARTICLES}
