@@ -315,6 +315,37 @@ def reference_grid_rows(ensemble, points, x_target):
     return dens, u
 
 
+def reference_forward(ensemble, grid, x_target, n_extra, seed):
+    """The forward pass written out step by step over all chains at once:
+    every step draws its whole stream of uniforms, and with covariates
+    chain j's picks are a per-chain searchsorted of column j of one
+    (n_extra, B) draw of the pick stream.  (dens, cdf) after n_extra
+    steps: the reference that `martingale_posterior` must reproduce."""
+    n, b = ensemble.v_matrix.shape
+    dens, u = reference_grid_rows(ensemble, grid.points, x_target)
+    if ensemble.rho_x is not None:
+        pool = ensemble.covariates
+        weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
+                                        (b, pool.shape[0]))
+        cumulative = np.cumsum(weights, axis=1)
+        cumulative[:, -1] = 1.0
+        draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK).random((n_extra, b))
+        picks = np.stack([np.searchsorted(cumulative[j], draws[:, j],
+                                          side="right") for j in range(b)],
+                         axis=1)
+    for t in range(n_extra):
+        v = np.clip(rng.uniforms(seed, rng.STREAM_FORWARD, t, b),
+                    copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)[:, None]
+        alpha = float(alpha_schedule(n + 1 + t))
+        if ensemble.rho_x is not None:
+            alpha = alpha_regression(alpha, x_target, pool[picks[t]],
+                                     ensemble.rho_x)[:, None]
+        d, i_part = ensemble.family.joint(u, v)
+        dens = dens * ((1.0 - alpha) + alpha * d)
+        u = (1.0 - alpha) * u + alpha * i_part
+    return dens, u
+
+
 @pytest.fixture
 def clayton_case(censored_exp50):
     ensemble = impute_smc(censored_exp50, FAMILY, n_particles=64, seed=5)
@@ -365,6 +396,13 @@ class TestOneFitIsOneColumn:
             assert np.array_equal(cdf[:, k], ref_cdf[:, 0])
         with pytest.raises(ValueError, match="covariate dimension mismatch"):
             _run_rows(ensemble, grid.points, np.zeros(2))
+
+    def test_forward_pass_matches_reference_loop(self, case, request):
+        ensemble, grid, x = request.getfixturevalue(case)
+        draws = martingale_posterior(ensemble, 40, grid, x, seed=9)
+        ref_dens, ref_cdf = reference_forward(ensemble, grid, x, 40, 9)
+        assert np.array_equal(draws.cdf_draws, ref_cdf)
+        assert np.array_equal(draws.density_draws, ref_dens)
 
 
 def shard_call(kind, request):
