@@ -46,7 +46,7 @@ def main():
     model = ConjugateModel(a0=a0, b0=1.0)
 
     result = doob_demo(model, data, args.particles, args.n_extra,
-                       seed=args.seed, trace_chains=10)
+                       seed=args.seed)
     print(f"resampling events at steps {result.ensemble.resample_steps}, "
           f"final ESS {result.ensemble.final_ess:.0f}")
     print(f"KS(weighted theta_bar, exact IG posterior) = {result.ks_statistic:.4f}")

@@ -28,7 +28,8 @@ history it carries, per particle (one row each), the running predictive
 (density, cdf) of every record at its own time (one column each), so
 evaluating a record reads its column, and absorbing one updates the
 columns of the records after it, in blocks of particle rows, with the
-record's weight computed once: the recursion costs one kernel
+weight that the running predictive computes once per record from its
+count and the records' covariates: the recursion costs one kernel
 evaluation per (pending record, particle, absorbed record), not a
 kernel call per pair of records.  All randomness comes from
 counter-based streams keyed by (seed, stream, record index), so a pass
@@ -273,10 +274,8 @@ class _CopulaEngine(RunningPredictive):
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
         shape = (n_particles, len(times))
-        super().__init__(family, times, np.empty(shape), np.empty(shape))
-        self.alpha = copulas.alpha_schedule(np.arange(1, len(times) + 1))
-        self.rho_x = rho_x
-        self.covariates = covariates
+        super().__init__(family, times, np.empty(shape), np.empty(shape),
+                         rho_x, covariates)
         self.v = np.empty((len(times), n_particles))
 
     def eval_at(self, i, t):
@@ -289,13 +288,10 @@ class _CopulaEngine(RunningPredictive):
 
     def absorb_censored(self, i, u):
         self.v[i] = np.clip(u, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        alpha = self.alpha[i]
-        if self.rho_x is not None:
-            # the pending records are the evaluation points, record i the
-            # absorbed one
-            alpha = copulas.alpha_regression(alpha, self.covariates[i + 1:],
-                                             self.covariates[i], self.rho_x)
-        self.absorb(self.v[i], alpha, i + 1)
+        # the pending records are the evaluation points, record i the
+        # absorbed one
+        x = self.x_points
+        self.absorb(self.v[i], None if x is None else x[i], i + 1)
 
     def select(self, idx):
         # rows of v not yet absorbed, and columns of dens/u already

@@ -221,7 +221,6 @@ class DoobResult:
     weights: np.ndarray  # (B,) normalized importance weights
     ensemble: ConjugateEnsemble
     state: ConjugateState  # exact posterior for comparison
-    theta_trace: np.ndarray | None  # (trace_chains, n_extra + 1)
 
     @property
     def ks_statistic(self) -> float:
@@ -230,8 +229,8 @@ class DoobResult:
 
 
 def doob_demo(model: ConjugateModel, data: SurvivalDataset, n_particles: int,
-              n_extra: int, seed: int = 0, ess_frac: float = 0.5,
-              trace_chains: int = 0) -> DoobResult:
+              n_extra: int, seed: int = 0,
+              ess_frac: float = 0.5) -> DoobResult:
     """Impute censored records, then extend each particle with n_extra
     future draws from its running Lomax predictive and record the
     posterior mean b_N / (a_N - 1).
@@ -244,32 +243,23 @@ def doob_demo(model: ConjugateModel, data: SurvivalDataset, n_particles: int,
     ensemble = conjugate_smc(model, data, n_particles, ess_frac, seed)
     if n_extra == 0 and np.any(ensemble.a <= 1):
         raise ConfigurationError("posterior mean needs a_n > 1; increase n_extra")
-    trace_chains = min(trace_chains, n_particles)
 
     def run(chains, out):
         a = ensemble.a[chains].copy()
         b = ensemble.b[chains].copy()
-        traced = out["trace"][chains]  # the shard's traced chains, if any
-        k = traced.shape[0]
-        traced[:, 0] = b[:k] / (a[:k] - 1.0)
         for step in range(n_extra):
             u = rng.uniforms(seed, rng.STREAM_FORWARD, step, a.size,
                              chains.start)
             _absorb_lomax_draw(a, b, u)
-            if k:
-                traced[:, step + 1] = b[:k] / (a[:k] - 1.0)
         out["theta_bar"][chains] = b / (a - 1.0)
 
-    out = shards.run_shards(
-        n_particles, DOOB_SHARD_CHAINS,
-        {"theta_bar": (n_particles,), "trace": (trace_chains, n_extra + 1)},
-        run, "chains")
+    out = shards.run_shards(n_particles, DOOB_SHARD_CHAINS,
+                            {"theta_bar": (n_particles,)}, run, "chains")
     return DoobResult(
         theta_bar=out["theta_bar"],
         weights=ensemble.weights,
         ensemble=ensemble,
         state=posterior_update(model, data),
-        theta_trace=out["trace"] if trace_chains else None,
     )
 
 

@@ -12,8 +12,10 @@ sweep,
 starting from the base measure's (pdf, cdf) at y, where a_j is the update
 weight for step j (covariate-modulated in the regression variant).
 `update` is the only implementation of this step, and it runs in place
-on the running state; `RunningPredictive.absorb` is its only caller.  A
-running predictive holds one row per particle and one column per point.
+on the running state; `RunningPredictive.absorb` is its only caller, and
+the only place that computes a_j: a running predictive counts the records
+it absorbs, and knows its points' covariates.  It holds one row per
+particle and one column per point.
 The SMC pass (which also gives the prequential score of fully observed
 data, see `censoring`), the start rows and held-out scoring absorb the
 fitted records through it, and forward predictive resampling absorbs
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copulas import KernelScratch
+from .copulas import KernelScratch, alpha_regression, alpha_schedule
 
 __all__ = ["update", "RunningPredictive"]
 
@@ -79,26 +81,39 @@ class RunningPredictive:
     """The running predictive at points `times`, one row per particle, in
     the caller's (B, points) arrays `dens` and `u` (a worker's rows of a
     shared array), set here to the base measure at times[k] in column k.
-    The caller supplies each absorbed record's weight, because only it
-    knows which covariates are the evaluation points and which belong to
-    the record.  The kernel's scratch set holds the family's
-    `scratch_blocks` arrays, sized for the largest block an absorption
-    can take.
+    The k-th record it absorbs has weight `alpha_schedule(k)`, read from
+    a table grown as needed, modulated when `rho_x` is set by
+    `alpha_regression` between the points' covariates `x_points` (None,
+    one shared vector, or one row per point) and the record's.  The
+    kernel's scratch set holds the family's `scratch_blocks` arrays,
+    sized for the largest block an absorption can take.
     """
 
-    def __init__(self, family, times, dens, u):
+    def __init__(self, family, times, dens, u, rho_x=None, x_points=None):
         self.joint = family.joint
         self.dens, self.u = dens, u
         dens[:], u[:] = family.base_at(times)
+        self.rho_x, self.x_points = rho_x, x_points
+        self.n_absorbed, self.alphas = 0, np.empty(0)
         b, points = u.shape
         self.scratch = KernelScratch.flat(
             min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS),
             family.scratch_blocks)
 
-    def absorb(self, v, alpha, lo=0):
-        """Take one record's propagation values v (B,) into columns lo..
-        with weight alpha: a scalar, one weight per column
-        (points - lo,), or one weight per particle (B, 1)."""
+    def absorb(self, v, x_record=None, lo=0):
+        """Take the next record, with propagation values v (B,) and
+        covariates `x_record` (one vector, or one row per particle, (B, d),
+        for one weight per particle), into columns lo.. (lo > 0 needs one
+        covariate row per point)."""
+        k = self.n_absorbed = self.n_absorbed + 1
+        if k > self.alphas.size:
+            self.alphas = alpha_schedule(np.arange(1, 2 * k + 1))
+        alpha = self.alphas[k - 1]
+        if self.rho_x is not None:
+            alpha = alpha_regression(alpha, self.x_points[lo:], x_record,
+                                     self.rho_x)
+            if np.ndim(x_record) == 2:
+                alpha = alpha[:, None]
         b, points = self.u.shape
         cols = points - lo
         if cols == 0:

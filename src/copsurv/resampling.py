@@ -17,30 +17,29 @@ whole trajectory of the first `trace_chains` chains, and every chain's
 last `W1_TAIL_STEPS` steps.
 
 Chains are independent: chain j's step-t uniform is element j of one
-counter-based stream, and with covariates its bootstrap picks read
-column j of the pick streams, so a chain's draw does not depend on how
-many other chains run, or where.  The chains are the rows of one
-`predictive.RunningPredictive` on the grid: the start rows absorb the
-fitted records into it, and each forward step absorbs one synthetic
-record through the same `absorb`, in place.  `_run_rows` splits the rows
-into contiguous shards, one per CPU the process may use, and runs each
-shard in its own forked process (`shards.run_shards`), writing into
-shared anonymous mappings.  Each shard draws only its own rows' elements
-of a step's uniforms, and a whole step's picks (O(B)) of which it keeps
-its own; the recursion and W1 are row by row, so the shard count moves
-no output bit.
+counter-based stream, and with covariates its step-t bootstrap pick
+reads element t * B + j of the pick stream, so a chain's draw does not
+depend on how many other chains run, or where.  The chains are the rows
+of one `predictive.RunningPredictive` on the grid, which weighs every
+record it absorbs: the start rows absorb the fitted records into it,
+each with its own covariates, and each forward step absorbs one
+synthetic record through the same `absorb`, in place, with each chain's
+picked covariate row.  `_run_rows` splits the rows into contiguous
+shards, one per CPU the process may use, and runs each shard in its own
+forked process (`shards.run_shards`), writing into shared anonymous
+mappings.  Each shard reads only its own rows' elements of a step's
+uniforms and picks from the counter; the recursion and W1 are row by
+row, so the shard count moves no output bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import copulas, rng, shards
 from .censoring import ParticleEnsemble
-from .copulas import alpha_regression, alpha_schedule
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError
 from .predictive import RunningPredictive, block_rows, row_blocks
@@ -110,24 +109,25 @@ def default_grid(data: SurvivalDataset, size: int = 100,
     return log_grid(top, size, include_zero)
 
 
-def _bootstrap_picks(pool: np.ndarray, n_chains: int, n_steps: int,
-                     chunk: int, seed: int, rows: slice = slice(None)):
-    """Yield (steps, chains `rows` of n_chains) pool indices, `chunk` steps
-    at a time; one Dirichlet weight vector per chain, then per-step
-    categorical picks, all from keyed streams.  The picks do not depend on
-    `chunk` or `rows`: the chunks are consecutive draws of one stream."""
-    n = pool.shape[0]
+def _pick_weights(n_pool: int, n_chains: int, seed: int) -> np.ndarray:
+    """Each chain's cumulated Bayesian-bootstrap weights over n_pool rows,
+    (n_chains, n_pool), one Dirichlet(1, ..., 1) row per chain, ending at 1."""
     weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
-                                    (n_chains, n))
-    cumulative = np.cumsum(weights[rows], axis=1)
+                                    (n_chains, n_pool))
+    cumulative = np.cumsum(weights, axis=1)
     cumulative[:, -1] = 1.0
-    draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK)
-    for t0 in range(0, n_steps, chunk):
-        u = draws.random((min(chunk, n_steps - t0), n_chains))[:, rows]
-        picks = np.empty(u.shape, dtype=np.int64)
-        for j in range(u.shape[1]):
-            picks[:, j] = np.searchsorted(cumulative[j], u[:, j], side="right")
-        yield picks.clip(0, n - 1)
+    return cumulative
+
+
+def _step_picks(cumulative: np.ndarray, seed: int, step: int,
+                rows: slice) -> np.ndarray:
+    """Pool indices of chains `rows`' step-`step` picks, given every chain's
+    `_pick_weights`: chain j's pick counts its weights at or below element
+    step * B + j of the pick stream, read from the counter.  The last
+    weight, 1, exceeds every uniform, so a pick is at most n_pool - 1."""
+    u = rng.uniforms(seed, rng.STREAM_BOOTSTRAP_PICK, 0, rows.stop - rows.start,
+                     step * cumulative.shape[0] + rows.start)
+    return np.count_nonzero(cumulative[rows] <= u[:, None], axis=1)
 
 
 def wasserstein1(cdf_a, cdf_b, grid: GridSpec):
@@ -250,25 +250,17 @@ def weighted_quantiles(values, weights, qs):
 # Vectorized forward core, run over row shards
 # ---------------------------------------------------------------------------
 
-def _start_rows(ensemble: ParticleEnsemble, running, rows, x_target):
-    """Absorb every particle's fitted history into `running`, whose rows
-    are the particles `rows` (a slice of 0..B-1).
-
-    `x_target` is None, one covariate vector (one weight per record), or
-    one covariate row per point ((points, d): one weight per record and
-    point).
-    """
-    alphas = alpha_schedule(np.arange(1, ensemble.n_records + 1))
+def _start_rows(ensemble: ParticleEnsemble, running, rows):
+    """Absorb every particle's fitted history, each record with its own
+    covariates, into `running`, whose rows are the particles `rows` (a
+    slice of 0..B-1)."""
+    x = ensemble.covariates
     for j, v in enumerate(ensemble.v_matrix):
-        alpha = alphas[j]
-        if ensemble.rho_x is not None:
-            alpha = alpha_regression(alpha, x_target, ensemble.covariates[j],
-                                     ensemble.rho_x)
-        running.absorb(v[rows], alpha)
+        running.absorb(v[rows], None if x is None else x[j])
 
 
 def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
-             x_target, start, trace, tail):
+             start, trace, tail):
     """Absorb n_extra synthetic records into `running`, whose rows are the
     chains `rows`, one per step and one value per chain, and write the
     Wasserstein-1 distances from their starting rows `start` that are
@@ -277,28 +269,24 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     `PosteriorDraws`).  No other step pays for a W1.
 
     Chain j's step-t value is element j of stream (seed, t), and each
-    step draws only the elements of `rows`; with covariates, chain j's
-    weight pairs the target with the covariates of its step-t bootstrap
+    step draws only the elements of `rows`; with covariates, the step-t
+    record of chain j carries the covariates of its step-t bootstrap
     pick, whatever the shard or block size.
     """
-    rho_x = ensemble.rho_x
+    x = ensemble.covariates
     n_rows, g = running.u.shape
     tail_start = n_extra + 1 - tail.shape[1]  # step of tail column 0
     gap = np.empty((min(block_rows(g), n_rows), g))
     terms = np.empty((gap.shape[0], g - 1))
-    if rho_x is not None:
-        picks = itertools.chain.from_iterable(_bootstrap_picks(
-            ensemble.covariates, ensemble.n_particles, n_extra,
-            block_rows(block_rows(g)), seed, rows))
-    alphas = alpha_schedule(ensemble.n_records + 1 + np.arange(n_extra))
-    for t, alpha in enumerate(alphas):
+    if ensemble.rho_x is not None:
+        cumulative = _pick_weights(x.shape[0], ensemble.n_particles, seed)
+    for t in range(n_extra):
         v = rng.uniforms(seed, rng.STREAM_FORWARD, t, n_rows, rows.start)
         v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        if rho_x is not None:
-            alpha = alpha_regression(alpha, x_target,
-                                     ensemble.covariates[next(picks)],
-                                     rho_x)[:, None]
-        running.absorb(v, alpha)
+        picked = None
+        if ensemble.rho_x is not None:
+            picked = x[_step_picks(cumulative, seed, t, rows)]
+        running.absorb(v, picked)
         in_tail = t + 1 >= tail_start
         for blk in row_blocks(0, n_rows if in_tail else trace.shape[0], g):
             r = blk.stop - blk.start
@@ -330,13 +318,13 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
 
     def run(rows, out):
         running = RunningPredictive(ensemble.family, points, out["dens"][rows],
-                                    out["u"][rows])
-        _start_rows(ensemble, running, rows, x_target)
+                                    out["u"][rows], ensemble.rho_x, x_target)
+        _start_rows(ensemble, running, rows)
         if forward is not None:
             out["start_dens"][rows] = running.dens
             out["start_u"][rows] = running.u
             _forward(ensemble, running, rows, np.diff(points), n_extra, seed,
-                     x_target, out["start_u"][rows], out["trace"][rows],
+                     out["start_u"][rows], out["trace"][rows],
                      out["tail"][rows])
 
     return shards.run_shards(b, max(1, ROW_SHARD_ELEMS // g), shapes, run,
@@ -362,8 +350,7 @@ def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
     All records are evaluated in one propagation, each at its own time
     and covariate row.
     """
-    x = test.covariates if ensemble.rho_x is not None else None
-    out = _run_rows(ensemble, test.times, x)
+    out = _run_rows(ensemble, test.times, test.covariates)
     dens, cdf = out["dens"], out["u"]
     w = ensemble.weights
     total = 0.0

@@ -4,9 +4,8 @@ pays for the copula recursion per element.
 Every propagation over many rows runs in blocks of rows sized by
 `predictive.BLOCK_ELEMS`, and the start rows and the forward pass run in
 row shards, one per worker process.  Each pipeline stage below is run at a
-one-row block, at a block of a few rows (partial last blocks, several step
-chunks) and with the whole array as one block, each at 1, 2 and 3
-workers, and the results are compared with `np.array_equal`.  That
+one-row block, at a block of a few rows (partial last blocks) and with
+the whole array as one block, each at 1, 2 and 3 workers, and the results are compared with `np.array_equal`.  That
 includes the forward pass's W1 split: the whole trajectory of the traced
 chains and every chain's tail window.  Doob's forward chains and the
 tuning grid's cells run in shards through the same runner, and are
@@ -45,7 +44,7 @@ WORKERS = (1, 2, 3)
 # chain block 36..47 at FEW_ROWS, and its shard's local blocks.
 TRACE_CHAINS = 40
 # Forward horizons: below W1_TAIL_STEPS the tail is the whole run; at 130
-# it starts at step 30, inside the 16-step chunk 16..31 at FEW_ROWS.
+# it starts at step 30.
 N_EXTRA = (30, 130)
 
 
@@ -205,22 +204,24 @@ def pin_one_worker(monkeypatch):
 @pytest.mark.parametrize("family", [ClaytonFamily(0.9), GaussianFamily(0.6)])
 def test_absorb_allocates_no_block_array(family):
     """The recursion runs its kernel in the running predictive's scratch
-    set: a sweep over four blocks' worth of rows, with a scalar weight
-    and with per-particle weights, peaks below one block-shaped float64
-    array.  (What it does allocate is numpy's ufunc buffer, of
-    np.getbufsize() values; a sweep into the columns after the first
-    adds one such buffer per strided operand.)"""
+    set: a sweep over four blocks' worth of rows of a shared covariate
+    target, absorbing a record of one covariate vector (a scalar weight)
+    and one of a covariate row per particle (per-particle weights), peaks
+    below one block-shaped float64 array.  (What it does allocate is
+    numpy's ufunc buffer, of np.getbufsize() values; a sweep into the
+    columns after the first adds one such buffer per strided operand.)"""
     points = 64
     b = 4 * predictive.BLOCK_ELEMS // points
     shape = (b, points)
     running = predictive.RunningPredictive(
         family, np.geomspace(0.01, 8.0, points), np.empty(shape),
-        np.empty(shape))
-    v = np.random.default_rng(3).uniform(0.01, 0.99, b)
-    per_particle = np.full((b, 1), 0.2)
+        np.empty(shape), rho_x=0.6, x_points=np.array([0.3, -1.2]))
+    draws = np.random.default_rng(3)
+    v = draws.uniform(0.01, 0.99, b)
+    per_particle = draws.normal(size=(b, 2))
     tracemalloc.start()
     try:
-        running.absorb(v, 0.3)
+        running.absorb(v, np.array([0.5, 0.1]))
         _, scalar_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         running.absorb(v, per_particle)
@@ -325,37 +326,26 @@ def test_uniforms_from_an_offset_are_the_slice_of_the_whole_draw(start):
         assert np.array_equal(part, whole[start:start + count])
 
 
-def reference_doob_forward(ensemble, n_extra, seed, trace_chains):
+def reference_doob_forward(ensemble, n_extra, seed):
     """Doob's forward loop over all chains at once, each step drawing the
-    whole stream: (theta_bar, theta_trace)."""
+    whole stream: theta_bar."""
     a, b = ensemble.a.copy(), ensemble.b.copy()
-    trace = np.empty((trace_chains, n_extra + 1))
-    trace[:, 0] = b[:trace_chains] / (a[:trace_chains] - 1.0)
     for step in range(n_extra):
         u = rng.uniforms(seed, rng.STREAM_FORWARD, step, a.size)
         parametric._absorb_lomax_draw(a, b, u)
-        trace[:, step + 1] = b[:trace_chains] / (a[:trace_chains] - 1.0)
-    return b / (a - 1.0), trace
+    return b / (a - 1.0)
 
 
 def test_doob_chain_shards_change_no_bit(censored_exp50, monkeypatch):
-    """theta_bar and the traced chains' trajectories, at 1, 2 and 3
-    chain shards, equal the loop over all chains; the 40 traced chains of
-    64 cross the shard edges at 32, and at 21 and 42."""
+    """theta_bar, at 1, 2 and 3 chain shards, equals the loop over all
+    chains."""
     model = parametric.ConjugateModel(a0=1.5)
     for workers in WORKERS:
         at_workers(monkeypatch, workers)
         result = parametric.doob_demo(model, censored_exp50, 64, 30, seed=3,
-                                      ess_frac=0.95,
-                                      trace_chains=TRACE_CHAINS)
-        theta_bar, trace = reference_doob_forward(result.ensemble, 30, 3,
-                                                  TRACE_CHAINS)
+                                      ess_frac=0.95)
+        theta_bar = reference_doob_forward(result.ensemble, 30, 3)
         assert np.array_equal(result.theta_bar, theta_bar), workers
-        assert np.array_equal(result.theta_trace, trace), workers
-        untraced = parametric.doob_demo(model, censored_exp50, 64, 30, seed=3,
-                                        ess_frac=0.95)
-        assert untraced.theta_trace is None
-        assert np.array_equal(untraced.theta_bar, theta_bar), workers
 
 
 def test_grid_cell_shards_change_no_bit(monkeypatch):

@@ -20,8 +20,9 @@ from copsurv.errors import ConfigurationError, CopsurvError
 from copsurv.parametric import ConjugateModel, doob_demo
 from copsurv.resampling import (
     GridSpec,
-    _bootstrap_picks,
+    _pick_weights,
     _run_rows,
+    _step_picks,
     default_grid,
     ensemble_grid_rows,
     martingale_posterior,
@@ -110,8 +111,9 @@ class TestMedianFromCdf:
 class TestBootstrapCovariate:
     def test_single_row_pool(self):
         pool = np.array([[3.0, 1.0]])
-        picks = np.concatenate(list(_bootstrap_picks(pool, n_chains=5, n_steps=4,
-                                                     chunk=3, seed=0)))
+        cumulative = _pick_weights(1, 5, seed=0)
+        picks = np.stack([_step_picks(cumulative, 0, t, slice(0, 5))
+                          for t in range(4)])
         assert np.array_equal(pool[picks], np.broadcast_to(pool[0], (4, 5, 2)))
 
     def test_chain_weights_sum_to_one(self):
@@ -122,11 +124,32 @@ class TestBootstrapCovariate:
         assert np.all(w >= 0)
 
     def test_marginal_uniformity(self):
-        pool = np.arange(4.0)[:, None]
-        picks = next(_bootstrap_picks(pool, n_chains=100_000, n_steps=1,
-                                      chunk=1, seed=3))
-        freq = np.bincount(picks[0], minlength=4) / 100_000
+        cumulative = _pick_weights(4, 100_000, seed=3)
+        picks = _step_picks(cumulative, 3, 0, slice(0, 100_000))
+        freq = np.bincount(picks, minlength=4) / 100_000
         assert np.all(np.abs(freq - 0.25) < 0.02)
+
+    @pytest.mark.parametrize("rows", [slice(0, 12), slice(3, 12),
+                                      slice(5, 6)])
+    def test_shard_picks_are_the_slice_of_the_whole_stream(self, rows):
+        """A shard's step-t picks, read from the counter, equal its chains'
+        per-chain searchsorted picks over one (steps, B) draw of the whole
+        pick stream."""
+        n_chains, n_pool, n_steps, seed = 12, 9, 6, 2
+        weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
+                                        (n_chains, n_pool))
+        cumulative = np.cumsum(weights, axis=1)
+        cumulative[:, -1] = 1.0
+        draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK).random(
+            (n_steps, n_chains))
+        whole = np.stack([np.searchsorted(cumulative[j], draws[:, j],
+                                          side="right")
+                          for j in range(n_chains)], axis=1)
+        ours = _pick_weights(n_pool, n_chains, seed)
+        assert np.array_equal(ours, cumulative)
+        for t in range(n_steps):
+            assert np.array_equal(_step_picks(ours, seed, t, rows),
+                                  whole[t, rows])
 
 
 @pytest.fixture
