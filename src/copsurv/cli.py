@@ -204,8 +204,8 @@ def _read_config_file(path):
 def _resolve(args, opts):
     """Merge flag values, config-file values, and defaults, and check
     each value against its option's range (a comma list must be
-    nonempty), each bandwidth against its family's, and the options
-    that need or exclude each other."""
+    nonempty, and every float finite), each bandwidth against its
+    family's, and the options that need or exclude each other."""
     file_values = _read_config_file(args.config) if args.config else {}
     known = {opt.name: opt for opt in opts}
     for key in file_values:
@@ -227,6 +227,9 @@ def _resolve(args, opts):
         lists = value if opt.repeatable else [value]
         if opt.type is _comma_floats and value is not None and not all(lists):
             raise ConfigurationError(f"--{opt.name} needs at least one value")
+        if (opt.type in (float, _comma_floats) and value is not None
+                and not all(np.isfinite(item).all() for item in lists)):
+            raise ConfigurationError(f"--{opt.name} must be finite, got {value!r}")
         if value is not None and opt.bounds is not None:
             in_range, rule = opt.bounds
             items = value if isinstance(value, tuple) else (value,)

@@ -75,8 +75,8 @@ class ClaytonFamily:
     """Clayton-mixture kernel with the Lomax(a, 1) base; smaller
     bandwidth = sharper updates.
 
-    Any positive bandwidth is accepted; below roughly 0.05 the kernel's
-    (1-u)^(-1/a) terms push float64 to its limits near u = 1.
+    Any positive finite bandwidth is accepted; below roughly 0.05 the
+    kernel's (1-u)^(-1/a) terms push float64 to its limits near u = 1.
     """
 
     bandwidth: float  # a > 0
@@ -88,8 +88,9 @@ class ClaytonFamily:
     grid_from_zero = True
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ConfigurationError(
+                f"bandwidth must be positive and finite, got {self.bandwidth}")
 
     def joint(self, u, v, out=None):
         """(density, partial) of the kernel, for the update recursion, in

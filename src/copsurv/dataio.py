@@ -12,6 +12,7 @@ targets on a training split's scale without estimating anything.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,8 +76,8 @@ class SurvivalDataset:
 def load_csv(path, time_col="time", status_col="status", covariate_cols=()):
     """Read a dataset from a comma-separated file with a header row.
 
-    Required columns: `time_col` (positive decimal) and `status_col`
-    (0/1).  Covariate columns are optional and selected by name.  Parse
+    Required columns: `time_col` (positive finite decimal) and
+    `status_col` (0/1).  Covariate values must be finite.  Covariate columns are optional and selected by name.  Parse
     failures report the offending row number (1-based, excluding the
     header).
     """
@@ -98,15 +99,20 @@ def load_csv(path, time_col="time", status_col="status", covariate_cols=()):
                 t = float(record[time_col])
             except (TypeError, ValueError):
                 raise DataError(f"{path} row {i}: unparsable time {record[time_col]!r}")
-            if not t > 0:
-                raise DataError(f"{path} row {i}: time must be positive, got {t}")
+            if not 0 < t < math.inf:
+                raise DataError(f"{path} row {i}: time must be positive and "
+                                f"finite, got {t}")
             s = (record[status_col] or "").strip()
             if s not in ("0", "1"):
                 raise DataError(f"{path} row {i}: status must be 0 or 1, got {s!r}")
             try:
-                rows.append([float(record[c]) for c in covariate_cols])
+                row = [float(record[c]) for c in covariate_cols]
             except (TypeError, ValueError):
                 raise DataError(f"{path} row {i}: unparsable covariate value")
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{path} row {i}: covariate values must be "
+                                f"finite, got {row}")
+            rows.append(row)
             times.append(t)
             status.append(int(s))
     if not times:

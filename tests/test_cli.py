@@ -454,6 +454,10 @@ class TestConfigAndErrors:
         ("regress --test-split 0.3", "--bandwidth-grid", ","),
         ("regress", "--x-target", ","),
         ("regress --test-split 0.3", "--covariate-cols", ""),
+        # a float that is not finite
+        ("regress", "--x-target", "nan"),
+        ("posterior", "--grid-max", "inf"),
+        ("fit", "--bandwidth", "inf"),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):

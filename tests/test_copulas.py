@@ -442,5 +442,8 @@ def test_cli_family_bound_is_the_table():
 def test_family_validation():
     with pytest.raises(ConfigurationError):
         ClaytonFamily(0.0)
+    for bandwidth in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            ClaytonFamily(bandwidth)
     with pytest.raises(ConfigurationError):
         GaussianFamily(1.0)

@@ -59,6 +59,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
+    def test_row_addressed_infinite_time(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "time,status\n1.0,1\ninf,1\n")
+        with pytest.raises(DataError, match="row 2: time must be positive "
+                                            "and finite, got inf"):
+            load_csv(path)
+
+    def test_row_addressed_nonfinite_covariate(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv",
+                         "time,status,x\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,nan\n")
+        with pytest.raises(DataError, match="row 3: covariate values must be "
+                                            "finite, got \\[nan\\]"):
+            load_csv(path, covariate_cols=["x"])
+
     def test_row_addressed_bad_status(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "time,status\n1.0,2\n")
         with pytest.raises(DataError, match="row 1"):
