@@ -136,19 +136,10 @@ class TestBootstrapCovariate:
         per-chain searchsorted picks over one (steps, B) draw of the whole
         pick stream."""
         n_chains, n_pool, n_steps, seed = 12, 9, 6, 2
-        weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
-                                        (n_chains, n_pool))
-        cumulative = np.cumsum(weights, axis=1)
-        cumulative[:, -1] = 1.0
-        draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK).random(
-            (n_steps, n_chains))
-        whole = np.stack([np.searchsorted(cumulative[j], draws[:, j],
-                                          side="right")
-                          for j in range(n_chains)], axis=1)
-        ours = _pick_weights(n_pool, n_chains, seed)
-        assert np.array_equal(ours, cumulative)
+        whole = reference_picks(seed, n_chains, n_pool, n_steps)
+        cumulative = _pick_weights(n_pool, n_chains, seed)
         for t in range(n_steps):
-            assert np.array_equal(_step_picks(ours, seed, t, rows),
+            assert np.array_equal(_step_picks(cumulative, seed, t, rows),
                                   whole[t, rows])
 
 
@@ -338,24 +329,31 @@ def reference_grid_rows(ensemble, points, x_target):
     return dens, u
 
 
+def reference_picks(seed, n_chains, n_pool, n_steps):
+    """(n_steps, n_chains) bootstrap picks: chain j's are a searchsorted of
+    its cumulative Dirichlet weights at column j of one (n_steps,
+    n_chains) draw of the whole pick stream."""
+    weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
+                                    (n_chains, n_pool))
+    cumulative = np.cumsum(weights, axis=1)
+    cumulative[:, -1] = 1.0
+    draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK).random(
+        (n_steps, n_chains))
+    return np.stack([np.searchsorted(cumulative[j], draws[:, j], side="right")
+                     for j in range(n_chains)], axis=1)
+
+
 def reference_forward(ensemble, grid, x_target, n_extra, seed):
     """The forward pass written out step by step over all chains at once:
     every step draws its whole stream of uniforms, and with covariates
-    chain j's picks are a per-chain searchsorted of column j of one
-    (n_extra, B) draw of the pick stream.  (dens, cdf) after n_extra
-    steps: the reference that `martingale_posterior` must reproduce."""
+    takes each chain's pick from `reference_picks`.  (dens, cdf) after
+    n_extra steps: the reference that `martingale_posterior` must
+    reproduce."""
     n, b = ensemble.v_matrix.shape
     dens, u = reference_grid_rows(ensemble, grid.points, x_target)
     if ensemble.rho_x is not None:
         pool = ensemble.covariates
-        weights = rng.dirichlet_uniform(seed, rng.STREAM_BOOTSTRAP_DIR,
-                                        (b, pool.shape[0]))
-        cumulative = np.cumsum(weights, axis=1)
-        cumulative[:, -1] = 1.0
-        draws = rng.stream(seed, rng.STREAM_BOOTSTRAP_PICK).random((n_extra, b))
-        picks = np.stack([np.searchsorted(cumulative[j], draws[:, j],
-                                          side="right") for j in range(b)],
-                         axis=1)
+        picks = reference_picks(seed, b, pool.shape[0], n_extra)
     for t in range(n_extra):
         v = np.clip(rng.uniforms(seed, rng.STREAM_FORWARD, t, b),
                     copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)[:, None]
