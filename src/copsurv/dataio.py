@@ -77,9 +77,9 @@ def load_csv(path, time_col="time", status_col="status", covariate_cols=()):
     """Read a dataset from a comma-separated file with a header row.
 
     Required columns: `time_col` (positive finite decimal) and
-    `status_col` (0/1).  Covariate values must be finite.  Covariate columns are optional and selected by name.  Parse
-    failures report the offending row number (1-based, excluding the
-    header).
+    `status_col` (0/1).  Covariate columns are optional and selected by
+    name; their values must be finite.  Parse failures report the
+    offending row number (1-based, excluding the header).
     """
     covariate_cols = list(covariate_cols)
     times, status, rows = [], [], []
