@@ -24,7 +24,6 @@ from .copulas import (
 from .dataio import (
     SurvivalDataset,
     load_csv,
-    observed_first_order,
     permute,
     simulate_censored_exponential,
     standardize,

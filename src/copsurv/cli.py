@@ -8,8 +8,7 @@ summary statistics) so the run can be reproduced exactly.
 
 No plotting here: the CSVs are designed to be consumed by any external
 plotter.  This module owns every output schema: each file's header is
-spelled once, in the command or shared writer that writes it, and the
-experiment scripts write through the public writers (`__all__`).  Exit
+spelled once, in the command or shared writer that writes it.  Exit
 codes: 0 success, 2 config error (also: censored medians holding
 MAX_CENSORED_WEIGHT of the posterior weight), 3 data error, 4 weight
 degeneracy.
@@ -36,8 +35,7 @@ from .errors import (
 )
 from .resampling import weighted_mean, weighted_quantiles
 
-__all__ = ["main", "write_diagnostics", "write_posterior_summaries",
-           "write_doob_tables"]
+__all__ = ["main"]
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -66,6 +64,9 @@ IN_CLOSED_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 IN_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 IN_HALF_OPEN_UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
 COPULA_FAMILY = (lambda v: v in FAMILIES, " or ".join(FAMILIES))
+# `rng.stream` keys on the seed's low 64 bits, so a seed of 2**64 would
+# reuse seed 0's streams.
+SEED_RANGE = (lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 # Chains whose whole W1 trajectory is written: `posterior --trace-chains`
 # defaults to it, and `regress`, which has no such option, uses it.
@@ -93,7 +94,8 @@ class Opt:
 
 
 COMMON_OPTS = [
-    Opt("seed", int, required=True, help="master seed (mandatory; no wall-clock default)"),
+    Opt("seed", int, required=True, bounds=SEED_RANGE,
+        help="master seed (mandatory; no wall-clock default)"),
     Opt("output-dir", str, default=".", help="directory for all output files"),
 ]
 
@@ -350,8 +352,7 @@ def _point_predictive(ensemble, grid, x_target=None):
 
 
 # ---------------------------------------------------------------------------
-# Output tables of more than one command, each schema spelled once; the
-# experiment scripts write through the public writers too.
+# Output tables of more than one command, each schema spelled once.
 # ---------------------------------------------------------------------------
 
 def _write_predictive(path, grid, density, cdf, scale):
@@ -364,7 +365,7 @@ def _write_predictive(path, grid, density, cdf, scale):
     )
 
 
-def write_diagnostics(outdir, ensemble):
+def _write_diagnostics(outdir, ensemble):
     """`diagnostics.csv`: one row per record of an SMC pass."""
     dataio.write_rows(
         outdir / "diagnostics.csv",
@@ -374,7 +375,7 @@ def write_diagnostics(outdir, ensemble):
     )
 
 
-def write_posterior_summaries(outdir, draws, scale, prefix=""):
+def _write_posterior_summaries(outdir, draws, scale, prefix=""):
     """The martingale-posterior tables of `draws`, in input units given
     the time `scale`: survival and density bands, medians, the W1 trace
     and the CDF draws, each file name led by `prefix`."""
@@ -406,7 +407,7 @@ def write_posterior_summaries(outdir, draws, scale, prefix=""):
     )
 
 
-def write_doob_tables(outdir, result):
+def _write_doob_tables(outdir, result):
     """A conjugate Doob run's weighted limiting posterior means, the
     exact posterior's quantiles, and its SMC diagnostics."""
     dataio.write_rows(outdir / "doob_samples.csv", ["theta_bar", "weight"],
@@ -418,7 +419,7 @@ def write_doob_tables(outdir, result):
         np.column_stack([qs, parametric.ig_posterior_quantile(result.state,
                                                               qs)]),
     )
-    write_diagnostics(outdir, result.ensemble)
+    _write_diagnostics(outdir, result.ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,7 @@ def cmd_fit(cfg, outdir):
     density, cdf = _point_predictive(ensemble, grid)
     _write_predictive(outdir / "predictive.csv", grid, density, cdf,
                       data.scale_factor)
-    write_diagnostics(outdir, ensemble)
+    _write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "fit", cfg, {
         **meta, "resample_steps": [s + 1 for s in ensemble.resample_steps]})
     print(f"log marginal likelihood: {ensemble.log_z!r}")
@@ -476,8 +477,8 @@ def cmd_posterior(cfg, outdir):
         ensemble, cfg["n_extra"], grid, seed=cfg["seed"],
         trace_chains=cfg["trace_chains"])
     meta["censored_medians"], meta["censored_weight"] = _censored_medians(draws)
-    write_posterior_summaries(outdir, draws, data.scale_factor)
-    write_diagnostics(outdir, ensemble)
+    _write_posterior_summaries(outdir, draws, data.scale_factor)
+    _write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "posterior", cfg, meta)
     return 0
 
@@ -526,8 +527,8 @@ def cmd_regress(cfg, outdir):
             # the draws carry the fitted predictive of their start rows
             density = draws[idx].predictive_density
             cdf = draws[idx].predictive_cdf
-            write_posterior_summaries(outdir, draws[idx], scale,
-                                      prefix=f"posterior_x{idx}_")
+            _write_posterior_summaries(outdir, draws[idx], scale,
+                                       prefix=f"posterior_x{idx}_")
         else:
             density, cdf = _point_predictive(ensemble, grid, x)
         _write_predictive(outdir / f"conditional_x{idx}.csv", grid, density,
@@ -544,7 +545,7 @@ def cmd_regress(cfg, outdir):
                           ["n_test", "mean_log_lik"],
                           [(scaled_test.n, heldout)])
         print(f"held-out mean log-likelihood: {heldout!r}")
-    write_diagnostics(outdir, ensemble)
+    _write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "regress", cfg, extra)
     return 0
 
@@ -559,7 +560,7 @@ def cmd_doob(cfg, outdir):
     result = parametric.doob_demo(model, data, cfg["n_particles"],
                                   cfg["n_extra"], seed=cfg["seed"],
                                   ess_frac=cfg["ess_frac"])
-    write_doob_tables(outdir, result)
+    _write_doob_tables(outdir, result)
     ks = result.ks_statistic
     _write_meta(outdir, "doob", cfg, {
         "a0": a0,

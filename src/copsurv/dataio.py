@@ -24,7 +24,6 @@ __all__ = [
     "load_csv",
     "standardize",
     "permute",
-    "observed_first_order",
     "simulate_censored_exponential",
     "unscale_times",
     "unscale_density",
@@ -160,28 +159,16 @@ def standardize(data: SurvivalDataset,
     )
 
 
-def _reorder(data: SurvivalDataset, order: np.ndarray) -> SurvivalDataset:
-    perm = order if data.perm is None else data.perm[order]
+def permute(data: SurvivalDataset, seed: int) -> SurvivalDataset:
+    """Uniform random reordering of the records, seed-reproducible."""
+    order = np.random.default_rng(seed).permutation(data.n)
     return replace(
         data,
         times=data.times[order],
         status=data.status[order],
         covariates=None if data.covariates is None else data.covariates[order],
-        perm=perm,
+        perm=order if data.perm is None else data.perm[order],
     )
-
-
-def permute(data: SurvivalDataset, seed: int) -> SurvivalDataset:
-    """Uniform random reordering of the records, seed-reproducible."""
-    order = np.random.default_rng(seed).permutation(data.n)
-    return _reorder(data, order)
-
-
-def observed_first_order(data: SurvivalDataset) -> SurvivalDataset:
-    """Reorder with all observed records before all censored ones
-    (stable within each group)."""
-    order = np.argsort(1 - data.status, kind="stable")
-    return _reorder(data, order)
 
 
 def simulate_censored_exponential(n, rate_y=1.0, rate_c=2.0, seed=0) -> SurvivalDataset:

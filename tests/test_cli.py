@@ -9,10 +9,16 @@ from numpy.testing import assert_allclose
 import copsurv as cs
 from copsurv import copulas, rng, shards
 from copsurv.censoring import impute_smc
-from copsurv.cli import main, write_doob_tables, write_posterior_summaries
+from copsurv.cli import (
+    SUBCOMMANDS,
+    _write_doob_tables,
+    _write_posterior_summaries,
+    main,
+)
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
 from copsurv.dataio import load_csv, write_rows
 from copsurv.parametric import ConjugateModel, doob_demo, ig_posterior_quantile
+from copsurv.tune import DEFAULT_TUNE_PARTICLES
 
 
 def run(*args):
@@ -106,6 +112,21 @@ class TestPosterior:
                      "cdf_draws.csv", "diagnostics.csv", "run_meta.json"):
             assert (out / name).exists()
 
+    def test_tuned_on_the_clayton_grid_with_no_traced_chain(self, mild_csv,
+                                                            tmp_path):
+        out = tmp_path / "post"
+        grid = ",".join(repr(float(b)) for b in ClaytonFamily.tuning_grid)
+        assert run("posterior", "--seed", 1, "--input", mild_csv,
+                   "--bandwidth-grid", grid, "--trace-chains", 0,
+                   "--tune-particles", 20, "--n-particles", 50,
+                   "--n-extra", 10, "--grid-size", 20,
+                   "--output-dir", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "survival_summary.csv", "density_summary.csv", "medians.csv",
+            "w1_trace.csv", "cdf_draws.csv", "diagnostics.csv",
+            "run_meta.json"])
+        assert (out / "w1_trace.csv").read_bytes() == b"chain,step,w1\r\n"
+
     def test_band_contains_mean(self, mild_csv, tmp_path):
         out = tmp_path / "post"
         assert run("posterior", "--seed", 7, "--input", mild_csv,
@@ -191,7 +212,7 @@ class TestPosterior:
         draws = cs.martingale_posterior(ensemble, 40, grid, seed=2,
                                         trace_chains=3)
         scale = 1.7
-        write_posterior_summaries(tmp_path, draws, scale)
+        _write_posterior_summaries(tmp_path, draws, scale)
         write_rows(tmp_path / "tuples.csv", ["chain", "step", "w1"],
                    [(j, t, value / scale)
                     for j, trajectory in enumerate(draws.w1_trace)
@@ -323,7 +344,7 @@ class TestDoob:
         data = cs.permute(cs.simulate_censored_exponential(30, 1.0, 2.0,
                                                            seed=3), 3)
         result = doob_demo(ConjugateModel(1.5), data, 50, 40, seed=2)
-        write_doob_tables(tmp_path, result)
+        _write_doob_tables(tmp_path, result)
         qs = np.linspace(0.005, 0.995, 199)
         tuples = {
             "doob_samples.csv": (["theta_bar", "weight"],
@@ -395,6 +416,15 @@ class TestTuneCommand:
             f"selected bandwidth {meta['best_bandwidth']!r}, "
             f"rho_x {meta['best_rho_x']!r} (score {meta['best_score']!r})\n")
 
+    def test_tune_particle_defaults_are_the_tuning_default(self):
+        """Every --tune-particles option defaults to the particle count a
+        `TuneGrid` takes when none is given."""
+        defaults = {command: opt.default
+                    for command, opts in SUBCOMMANDS.items()
+                    for opt in opts if opt.name == "tune-particles"}
+        assert defaults.keys() == {"fit", "posterior", "regress", "tune"}
+        assert set(defaults.values()) == {DEFAULT_TUNE_PARTICLES}
+
 
 class TestConfigAndErrors:
     def test_missing_seed_is_config_error(self, sim_csv, capsys):
@@ -458,6 +488,9 @@ class TestConfigAndErrors:
         ("regress", "--x-target", "nan"),
         ("posterior", "--grid-max", "inf"),
         ("fit", "--bandwidth", "inf"),
+        # a seed outside the 64 bits that key the streams
+        ("fit", "--seed", -1),
+        ("fit", "--seed", 2**64),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):

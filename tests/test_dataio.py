@@ -6,7 +6,6 @@ from copsurv import dataio
 from copsurv.dataio import (
     SurvivalDataset,
     load_csv,
-    observed_first_order,
     permute,
     simulate_censored_exponential,
     standardize,
@@ -179,14 +178,6 @@ class TestPermute:
         twice = permute(permute(raw, 1), 2)
         assert np.array_equal(twice.times, raw.times[twice.perm])
         assert np.array_equal(twice.status, raw.status[twice.perm])
-
-    def test_observed_first(self):
-        raw = simulate_censored_exponential(40, seed=8)
-        ordered = observed_first_order(raw)
-        k = ordered.n_observed
-        assert np.all(ordered.status[:k] == 1)
-        assert np.all(ordered.status[k:] == 0)
-        assert np.array_equal(ordered.times, raw.times[ordered.perm])
 
 
 class TestSimulate:

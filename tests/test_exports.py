@@ -15,9 +15,9 @@ MODULES = ["copsurv"] + [f"copsurv.{info.name}"
 SUBMODULES = MODULES[1:]
 
 ROOT = Path(__file__).resolve().parents[1]
-# The program: the package, the scripts and the benchmark harness.  The
-# package's __init__ only re-exports, so it is an export list too.
-PROGRAM = [p for d in ("src", "scripts", "perfbench")
+# The program: the package and the benchmark harness.  The package's
+# __init__ only re-exports, so it is an export list too.
+PROGRAM = [p for d in ("src", "perfbench")
            for p in sorted((ROOT / d).rglob("*.py"))
            if p != ROOT / "src" / "copsurv" / "__init__.py"]
 EXPORT_LIST = re.compile(r"^__all__\s*=\s*\[.*?\]", re.S | re.M)
