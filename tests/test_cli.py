@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,12 @@ class TestSimulate:
             assert run("simulate", "--seed", 3, "--n", 10,
                        "--output-dir", tmp_path / name) == 0
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_run(self, tmp_path, seed):
+        assert run("simulate", "--seed", seed, "--n", 10,
+                   "--output-dir", tmp_path / "out") == 0
+        assert load_csv(tmp_path / "out" / "data.csv").n == 10
 
 
 class TestFit:
@@ -426,6 +433,40 @@ class TestTuneCommand:
         assert set(defaults.values()) == {DEFAULT_TUNE_PARTICLES}
 
 
+def readme_experiment_commands():
+    """The `copsurv` command lines of README's "Experiments" section, in
+    order, as argument lists without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Experiments", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("copsurv ")]
+
+
+class TestExperiments:
+    # README's lines at tiny sizes: each size option added after the
+    # line's own, and with argparse the last value wins
+    SIZES = {"doob": ["--n-particles", 100, "--n-extra", 20],
+             "posterior": ["--tune-particles", 20, "--n-particles", 50,
+                           "--n-extra", 10, "--grid-size", 20]}
+
+    def test_readme_lists_the_experiment_commands(self):
+        assert [args[0] for args in readme_experiment_commands()] == [
+            "simulate", "doob", "posterior"]
+
+    def test_readme_experiment_lines_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # the pipeline line reads the quick-start's data/data.csv
+        assert run("simulate", "--seed", 1, "--n", 30,
+                   "--output-dir", "data") == 0
+        for args in readme_experiment_commands():
+            assert run(*args, *self.SIZES.get(args[0], [])) == 0, args
+        assert (tmp_path / "doob" / "doob_samples.csv").exists()
+        assert (tmp_path / "pipeline" / "w1_trace.csv").read_bytes() == (
+            b"chain,step,w1\r\n")
+
+
 class TestConfigAndErrors:
     def test_missing_seed_is_config_error(self, sim_csv, capsys):
         code = run("fit", "--input", sim_csv, "--bandwidth", 1.0)
@@ -491,6 +532,8 @@ class TestConfigAndErrors:
         # a seed outside the 64 bits that key the streams
         ("fit", "--seed", -1),
         ("fit", "--seed", 2**64),
+        ("doob", "--seed", -1),
+        ("tune", "--seed", 2**64),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):
@@ -506,6 +549,16 @@ class TestConfigAndErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
         assert flag in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_simulate_seed_out_of_range_is_config_error(self, tmp_path,
+                                                        capsys, seed):
+        assert run("simulate", "--seed", seed, "--n", 10,
+                   "--output-dir", tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "--seed" in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_regress_without_target_or_split_fails_before_input_is_read(
