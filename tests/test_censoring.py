@@ -11,11 +11,14 @@ from copsurv.censoring import (
     ess,
     ess_from_log_weights,
     impute_smc,
+    run_smc_loop,
     systematic_indices,
 )
 from copsurv.copulas import (
+    CLAMP_EPS,
     ClaytonFamily,
     GaussianFamily,
+    alpha_regression,
     alpha_schedule,
     clayton_density_and_partial,
 )
@@ -210,6 +213,74 @@ class TestResamplingBehaviour:
         for i in range(1, len(unique)):
             if i not in fired:
                 assert unique[i] == unique[i - 1]
+
+
+class ReferenceEngine:
+    """The copula SMC engine written out: the whole (B, n) running state of
+    every record at its own time, record i's clipped value absorbed into
+    columns i+1.. by `family.joint`, `alpha_schedule` and
+    `alpha_regression`.  It counts its records itself."""
+
+    def __init__(self, family, rho_x, covariates, times, n_particles):
+        pdf, cdf = family.base_at(times)
+        self.dens = np.tile(pdf, (n_particles, 1))
+        self.u = np.tile(cdf, (n_particles, 1))
+        self.family, self.rho_x, self.x = family, rho_x, covariates
+        self.v = np.empty((len(times), n_particles))
+        self.i = 0
+
+    def eval_at(self, i, t):
+        return self.dens[:, self.i], self.u[:, self.i]
+
+    def absorb_observed(self, i, t, cdf):
+        self.absorb_censored(i, cdf)
+
+    def absorb_censored(self, i, u):
+        i, rest = self.i, slice(self.i + 1, None)
+        v = self.v[i] = np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        alpha = float(alpha_schedule(i + 1))
+        if self.rho_x is not None:
+            alpha = alpha_regression(alpha, self.x[rest], self.x[i],
+                                     self.rho_x)
+        d, i_part = self.family.joint(self.u[:, rest], v[:, None])
+        self.dens[:, rest] = self.dens[:, rest] * ((1.0 - alpha) + alpha * d)
+        self.u[:, rest] = (1.0 - alpha) * self.u[:, rest] + alpha * i_part
+        self.i += 1
+
+    def select(self, idx):
+        self.v, self.dens, self.u = self.v[:, idx], self.dens[idx], self.u[idx]
+
+
+def two_covariate_data(n, seed):
+    draws = np.random.default_rng(seed)
+    x = draws.normal(size=(n, 2))
+    y = np.exp(0.4 * x[:, 0] - 0.3 * x[:, 1]) * draws.exponential(1.0, n)
+    s = (draws.random(n) > 0.3).astype(int)
+    return cs.permute(cs.standardize(make_dataset(y, s, covariates=x)), seed)
+
+
+@pytest.mark.parametrize("case", ["clayton", "gaussian"])
+def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
+    """A pass that resamples, driven by `run_smc_loop` through the written
+    out engine, gives `impute_smc`'s weights, traces and clipped
+    propagation values bit for bit: Clayton without covariates, and
+    Gaussian with two covariates and rho_x."""
+    if case == "clayton":
+        data, family, rho_x = censored_exp50, ClaytonFamily(1.0), None
+    else:
+        data, family, rho_x = two_covariate_data(30, 4), GaussianFamily(0.5), 0.6
+    ens = impute_smc(data, family, rho_x=rho_x, n_particles=64,
+                     ess_frac=0.95, seed=5)
+    assert ens.resample_steps
+    engine = ReferenceEngine(family, rho_x, data.covariates, data.times, 64)
+    ref = run_smc_loop(engine, data.times, data.status, 64, 0.95, 5)
+    assert np.array_equal(ref.log_weights, ens.log_weights)
+    assert ref.log_z == ens.log_z
+    assert np.array_equal(ref.ess_trace, ens.ess_trace)
+    assert np.array_equal(ref.unique_trace, ens.unique_trace)
+    assert ref.resample_steps == ens.resample_steps
+    assert np.array_equal(
+        engine.v, np.clip(ens.v_matrix, CLAMP_EPS, 1.0 - CLAMP_EPS))
 
 
 class TestImputedDraws:

@@ -310,8 +310,9 @@ class TestWeightedHelpers:
 
 
 def reference_grid_rows(ensemble, points, x_target):
-    """The recursion written out step by step, one scalar weight per step:
-    the reference that `_run_rows` must reproduce."""
+    """The recursion written out step by step, one scalar weight per step,
+    each value clipped to [CLAMP_EPS, 1 - CLAMP_EPS]: the reference that
+    `_run_rows` must reproduce."""
     family = ensemble.family
     n_steps, n_chains = ensemble.v_matrix.shape
     pdf0, cdf0 = family.base_at(points)
@@ -322,7 +323,8 @@ def reference_grid_rows(ensemble, points, x_target):
         if ensemble.rho_x is not None:
             alpha = alpha_regression(alpha, x_target, ensemble.covariates[j],
                                      ensemble.rho_x)
-        v = ensemble.v_matrix[j][:, None]
+        v = np.clip(ensemble.v_matrix[j], copulas.CLAMP_EPS,
+                    1.0 - copulas.CLAMP_EPS)[:, None]
         d, i_part = family.joint(u, v)
         dens = dens * ((1.0 - alpha) + alpha * d)
         u = (1.0 - alpha) * u + alpha * i_part
