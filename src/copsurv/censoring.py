@@ -23,18 +23,18 @@ path as the copula predictive; both ensembles extend the pass result
 copy of each particle's history: a censored record's draw lives on only
 as the value the engine absorbed, and resampling re-indexes that state
 and the ancestry, nothing else.  The copula engine is a
-`predictive.RunningPredictive` over the records' own times: besides that
-history it carries, per particle (one row each), the running predictive
-(density, cdf) of every record at its own time (one column each), so
-evaluating a record reads its column, and absorbing one updates the
-columns of the records after it, in blocks of particle rows, with the
-weight that the running predictive computes once per record from its
-count and the records' covariates: the recursion costs one kernel
-evaluation per (pending record, particle, absorbed record), not a
-kernel call per pair of records.  All randomness comes from
-counter-based streams keyed by (seed, stream, record index), so a pass
-is a pure function of (data, particle count, seed) and reruns
-bit-identically.
+`predictive.RunningPredictive` whose points are the records still to
+come, at their own times: besides that history it carries, per particle
+(one row each), the running predictive (density, cdf) of every pending
+record (one column each).  The next record is column 0, so evaluating it
+reads that column, and absorbing it drops the column and updates the
+columns left, in blocks of particle rows, with the weight that the
+running predictive computes once per record from its count and the
+records' covariates: the recursion costs one kernel evaluation per
+(pending record, particle, absorbed record), not a kernel call per pair
+of records.  All randomness comes from counter-based streams keyed by
+(seed, stream, record index), so a pass is a pure function of (data,
+particle count, seed) and reruns bit-identically.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class ParticleEnsemble(SmcPass):
     `v_matrix[i, j]` is particle j's propagation value for record i, so a
     column is one fitted predictive: a single fit is a one-column
     ensemble with unit weight.  For a censored record the value is the
-    particle's draw above P(c), clipped to [CLAMP_EPS, 1 - CLAMP_EPS].
+    particle's draw above P(c), as drawn (`absorb` clamps what it takes).
     """
 
     family: CopulaFamily
@@ -177,15 +177,15 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     """Drive an engine through the records with IS weighting and
     ESS-triggered systematic resampling.
 
-    The engine contract, with i the 0-based record index and every array
-    of shape (B,): eval_at(i, t) -> (density, cdf), the predictive at t
-    given records 0..i-1; absorb_observed(i, t, cdf) takes record i as
-    observed at t, where the predictive CDF was `cdf`; absorb_censored(i, u)
+    The engine contract, with every array of shape (B,): eval_at(t) ->
+    (density, cdf), the predictive at the next record's time t given the
+    records absorbed so far; absorb_observed(t, cdf) takes that record as
+    observed at t, where the predictive CDF was `cdf`; absorb_censored(u)
     takes it as censored, with each particle's draw u above P(c) in CDF
     space; select(idx) re-indexes the particle state by ancestor indices.
     Records are visited in order, each evaluated once and then absorbed,
-    so an engine may keep the predictive of the records still to come
-    and return it as a view; the loop only reads what eval_at returns.
+    so an engine counts them itself, and may return the predictive of the
+    records to come as a view: the loop only reads what eval_at returns.
 
     One particle is enough when no record is censored (the pass is then
     deterministic); imputing a censored record needs at least two.
@@ -209,11 +209,11 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
 
     for i in range(n):
         t = float(times[i])
-        dens, cdf = engine.eval_at(i, t)
+        dens, cdf = engine.eval_at(t)
         if status[i] == 1:
             with np.errstate(divide="ignore"):
                 log_w += np.log(dens)
-            engine.absorb_observed(i, t, cdf)
+            engine.absorb_observed(t, cdf)
         else:
             dead = cdf >= 1.0 - copulas.CLAMP_EPS
             unif = rng.uniforms(seed, rng.STREAM_IMPUTE, i, b)
@@ -225,7 +225,7 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
             u = np.where(dead, 1.0 - 1e-12, u)
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_w += np.where(dead, -np.inf, np.log1p(-np.minimum(cdf, 1.0)))
-            engine.absorb_censored(i, u)
+            engine.absorb_censored(u)
         m = np.max(log_w)
         if not np.isfinite(m):
             raise DegeneracyError(
@@ -262,14 +262,14 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
 
 class _CopulaEngine(RunningPredictive):
     """Vectorized particle state for the copula predictive: per-particle
-    propagation values `v`, and the running predictive (density, cdf) of
-    every record at its own time, with the records' own covariate rows
-    as both the evaluation points and the absorbed records.
+    propagation values `v`, one row per record as drawn, and the running
+    predictive whose points are the records still to come, at their own
+    times and covariate rows.
 
-    Evaluating record i reads column i, and absorbing it updates only the
-    columns of the records after it, so a pass over n records costs one
-    sweep over the pending columns per record, not a re-propagation of
-    every record through the whole absorbed history.
+    The next record is column 0: evaluating it reads that column, and
+    absorbing it drops it (views, so nothing is copied) and updates the
+    columns left: one sweep over the pending records per record, not a
+    re-propagation of every record through the whole absorbed history.
     """
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
@@ -278,25 +278,24 @@ class _CopulaEngine(RunningPredictive):
                          rho_x, covariates)
         self.v = np.empty((len(times), n_particles))
 
-    def eval_at(self, i, t):
-        # t is times[i], whose running predictive is column i
-        return self.dens[:, i], self.u[:, i]
+    def eval_at(self, t):
+        # t is the next record's time, whose running predictive is column 0
+        return self.dens[:, 0], self.u[:, 0]
 
-    def absorb_observed(self, i, t, cdf):
+    def absorb_observed(self, t, cdf):
         # an observed record's propagation value is its predictive CDF
-        self.absorb_censored(i, cdf)
+        self.absorb_censored(cdf)
 
-    def absorb_censored(self, i, u):
-        self.v[i] = np.clip(u, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
-        # the pending records are the evaluation points, record i the
-        # absorbed one
+    def absorb_censored(self, u):
+        self.v[self.n_absorbed] = u
+        self.dens, self.u = self.dens[:, 1:], self.u[:, 1:]
         x = self.x_points
-        self.absorb(self.v[i], None if x is None else x[i], i + 1)
+        if x is not None:
+            x, self.x_points = x[0], x[1:]
+        self.absorb(u, x)
 
     def select(self, idx):
-        # rows of v not yet absorbed, and columns of dens/u already
-        # absorbed, are never read, so re-indexing them too is harmless
-        self.v = self.v[:, idx]
+        self.v[:self.n_absorbed] = self.v[:self.n_absorbed, idx]
         self.dens = self.dens[idx]
         self.u = self.u[idx]
 

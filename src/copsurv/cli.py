@@ -168,8 +168,16 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are configuration errors, so
+    they print the JSON error line; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="copsurv",
         description="Predictive survival analysis with copula updates",
     )
@@ -613,11 +621,9 @@ def _fail(category, message, code):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    opts = COMMON_OPTS + SUBCOMMANDS[args.command]
     try:
-        cfg = _resolve(args, opts)
+        args = _build_parser().parse_args(argv)
+        cfg = _resolve(args, COMMON_OPTS + SUBCOMMANDS[args.command])
         outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         return HANDLERS[args.command](cfg, outdir)

@@ -169,15 +169,15 @@ class _ConjugateEngine:
         self.a = np.full(n_particles, float(model.a0))
         self.b = np.full(n_particles, float(model.b0))
 
-    def eval_at(self, i, t):
+    def eval_at(self, t):
         predictive = LomaxParams(self.a, self.b)
         return lomax_pdf(t, predictive), lomax_cdf(t, predictive)
 
-    def absorb_observed(self, i, t, cdf):
+    def absorb_observed(self, t, cdf):
         self.a += 1.0
         self.b += t
 
-    def absorb_censored(self, i, u):
+    def absorb_censored(self, u):
         _absorb_lomax_draw(self.a, self.b, u)
 
     def select(self, idx):

@@ -11,15 +11,15 @@ sweep,
 
 starting from the base measure's (pdf, cdf) at y, where a_j is the update
 weight for step j (covariate-modulated in the regression variant).
-`update` is the only implementation of this step, and it runs in place
-on the running state; `RunningPredictive.absorb` is its only caller, and
-the only place that computes a_j: a running predictive counts the records
-it absorbs, and knows its points' covariates.  It holds one row per
-particle and one column per point.
-The SMC pass (which also gives the prequential score of fully observed
-data, see `censoring`), the start rows and held-out scoring absorb the
-fitted records through it, and forward predictive resampling absorbs
-its synthetic records, drawn in CDF space, through the same object.
+`RunningPredictive.absorb` runs this step, in place, for every point a
+running predictive holds; no other code computes a_j, clamps v_j to
+[CLAMP_EPS, 1 - CLAMP_EPS] or picks the points a record updates.  It
+counts the records it absorbs and knows its points' covariates, and it
+holds one row per particle and one column per point.
+The SMC pass (also the prequential score of fully observed data, see
+`censoring`) runs one over the records still to come; the start rows,
+held-out scoring and forward predictive resampling, with synthetic
+records drawn in CDF space, run one over their own points.
 
 Every absorption runs in blocks of whole particle rows from
 `row_blocks`, of at most `BLOCK_ELEMS` elements each, and the kernel
@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copulas import KernelScratch, alpha_regression, alpha_schedule
+from .copulas import (CLAMP_EPS, KernelScratch, alpha_regression,
+                      alpha_schedule)
 
-__all__ = ["update", "RunningPredictive"]
+__all__ = ["RunningPredictive"]
 
 # Elements per propagation block: 256 KiB of float64 per scratch array.
 BLOCK_ELEMS = 32768
@@ -59,22 +60,6 @@ def row_blocks(start: int, stop: int, row_elems: int) -> list:
     each (the last may be shorter)."""
     step = block_rows(row_elems)
     return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-
-
-def update(dens, u, v, alpha, joint, scratch):
-    """One step of the recursion, in place: absorb propagation value(s) v
-    with weight alpha into the running (density, cdf); shapes broadcast
-    to those of dens and u, and `scratch` is a `KernelScratch` set of
-    those shapes.  The products and sums are those of
-    dens * ((1 - alpha) + alpha * d) and (1 - alpha) * u + alpha * I,
-    reordered only by commutation, so the bits are the same."""
-    d, i_part = joint(u, v, out=scratch)
-    d *= alpha
-    d += 1.0 - alpha
-    dens *= d
-    i_part *= alpha
-    u *= 1.0 - alpha
-    u += i_part
 
 
 class RunningPredictive:
@@ -100,27 +85,32 @@ class RunningPredictive:
             min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS),
             family.scratch_blocks)
 
-    def absorb(self, v, x_record=None, lo=0):
-        """Take the next record, with propagation values v (B,) and
-        covariates `x_record` (one vector, or one row per particle, (B, d),
-        for one weight per particle), into columns lo.. (lo > 0 needs one
-        covariate row per point)."""
+    def absorb(self, v, x_record=None):
+        """Take the next record, with propagation values v (B,), clamped
+        here to [CLAMP_EPS, 1 - CLAMP_EPS], and covariates `x_record` (one
+        vector, or one row per particle, (B, d), for one weight per
+        particle), into every point, in the recursion's bits: its steps
+        only commute the products and sums of the formula."""
         k = self.n_absorbed = self.n_absorbed + 1
         if k > self.alphas.size:
             self.alphas = alpha_schedule(np.arange(1, 2 * k + 1))
         alpha = self.alphas[k - 1]
         if self.rho_x is not None:
-            alpha = alpha_regression(alpha, self.x_points[lo:], x_record,
+            alpha = alpha_regression(alpha, self.x_points, x_record,
                                      self.rho_x)
             if np.ndim(x_record) == 2:
                 alpha = alpha[:, None]
-        b, points = self.u.shape
-        cols = points - lo
-        if cols == 0:
+        if self.u.size == 0:  # no point left to update
             return
-        per_particle = np.ndim(alpha) == 2
-        for blk in row_blocks(0, b, cols):
-            rows = blk.stop - blk.start
-            update(self.dens[blk, lo:], self.u[blk, lo:], v[blk, None],
-                   alpha[blk] if per_particle else alpha, self.joint,
-                   self.scratch.view((rows, cols), (rows, 1)))
+        v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[:, None]
+        for blk in row_blocks(0, *self.u.shape):
+            a = alpha[blk] if np.ndim(alpha) == 2 else alpha
+            dens, u = self.dens[blk], self.u[blk]
+            d, i_part = self.joint(u, v[blk], out=self.scratch.view(
+                u.shape, v[blk].shape))
+            d *= a
+            d += 1.0 - a
+            dens *= d
+            i_part *= a
+            u *= 1.0 - a
+            u += i_part

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import copulas, rng, shards
+from . import rng, shards
 from .censoring import ParticleEnsemble
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError
@@ -159,25 +159,26 @@ def _w1_rows(a, b, dx, gap, terms):
     return terms.sum(axis=-1)
 
 
-def median_from_cdf(cdf_row, grid: GridSpec) -> float:
-    """Grid time where the CDF crosses one half, linearly interpolated.
+def median_from_cdf(cdf_rows, grid: GridSpec):
+    """Grid time where each CDF row (..., G) crosses one half, linearly
+    interpolated: an array, or a float for one row.
 
     A CDF that stays below one half on the whole grid gives the grid top:
     its median is right-censored there, the "median not reached" of
     survival practice (Brookmeyer & Crowley 1982).
     """
-    cdf = np.asarray(cdf_row, dtype=float)
+    cdf = np.asarray(cdf_rows, dtype=float)
     pts = grid.points
-    if cdf.shape != pts.shape:
-        raise ValueError("row must match the grid size")
-    if cdf[0] >= 0.5:
-        return float(pts[0])
-    hits = np.nonzero(cdf >= 0.5)[0]
-    if hits.size == 0:
-        return float(pts[-1])
-    j = int(hits[0])
-    c0, c1 = cdf[j - 1], cdf[j]
-    return float(pts[j - 1] + (0.5 - c0) * (pts[j] - pts[j - 1]) / (c1 - c0))
+    if cdf.shape[-1:] != pts.shape:
+        raise ValueError("rows must match the grid size")
+    hit = cdf >= 0.5
+    j = np.maximum(hit.argmax(axis=-1), 1)  # the first crossing, if any
+    c0, c1 = (np.take_along_axis(cdf, k[..., None], -1)[..., 0]
+              for k in (j - 1, j))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = pts[j - 1] + (0.5 - c0) * (pts[j] - pts[j - 1]) / (c1 - c0)
+    med = np.where(hit[..., 0], pts[0], np.where(hit.any(-1), mid, pts[-1]))
+    return float(med) if med.ndim == 0 else med
 
 
 @dataclass
@@ -268,10 +269,11 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     and `tail`, their last min(n_extra, W1_TAIL_STEPS) + 1 steps (see
     `PosteriorDraws`).  No other step pays for a W1.
 
-    Chain j's step-t value is element j of stream (seed, t), and each
-    step draws only the elements of `rows`; with covariates, the step-t
-    record of chain j carries the covariates of its step-t bootstrap
-    pick, whatever the shard or block size.
+    Chain j's step-t value is element j of stream (seed, t), as drawn
+    (`absorb` clamps it), and each step draws only the elements of
+    `rows`; with covariates, the step-t record of chain j carries the
+    covariates of its step-t bootstrap pick, whatever the shard or block
+    size.
     """
     x = ensemble.covariates
     n_rows, g = running.u.shape
@@ -281,12 +283,11 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     if ensemble.rho_x is not None:
         cumulative = _pick_weights(x.shape[0], ensemble.n_particles, seed)
     for t in range(n_extra):
-        v = rng.uniforms(seed, rng.STREAM_FORWARD, t, n_rows, rows.start)
-        v = np.clip(v, copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)
         picked = None
         if ensemble.rho_x is not None:
             picked = x[_step_picks(cumulative, seed, t, rows)]
-        running.absorb(v, picked)
+        running.absorb(rng.uniforms(seed, rng.STREAM_FORWARD, t, n_rows,
+                                    rows.start), picked)
         in_tail = t + 1 >= tail_start
         for blk in row_blocks(0, n_rows if in_tail else trace.shape[0], g):
             r = blk.stop - blk.start
@@ -388,12 +389,11 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
     out = _run_rows(ensemble, grid.points, x_target,
                     (n_extra, seed, trace_chains))
     u = out["u"]
-    medians = np.array([median_from_cdf(u[j], grid) for j in range(u.shape[0])])
     return PosteriorDraws(
         grid=grid,
         cdf_draws=u,
         density_draws=out["dens"],
-        medians=medians,
+        medians=median_from_cdf(u, grid),
         censored=~np.any(u >= 0.5, axis=1),
         weights=weights,
         w1_trace=out["trace"],

@@ -229,13 +229,13 @@ class ReferenceEngine:
         self.v = np.empty((len(times), n_particles))
         self.i = 0
 
-    def eval_at(self, i, t):
+    def eval_at(self, t):
         return self.dens[:, self.i], self.u[:, self.i]
 
-    def absorb_observed(self, i, t, cdf):
-        self.absorb_censored(i, cdf)
+    def absorb_observed(self, t, cdf):
+        self.absorb_censored(cdf)
 
-    def absorb_censored(self, i, u):
+    def absorb_censored(self, u):
         i, rest = self.i, slice(self.i + 1, None)
         v = self.v[i] = np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
         alpha = float(alpha_schedule(i + 1))

@@ -534,6 +534,11 @@ class TestConfigAndErrors:
         ("fit", "--seed", 2**64),
         ("doob", "--seed", -1),
         ("tune", "--seed", 2**64),
+        # what argparse itself rejects: an unknown flag, a value that
+        # reads as a flag, a value of the wrong type
+        ("fit", "--bogus", 1),
+        ("regress", "--x-target", "-1,1"),
+        ("fit", "--n-particles", "abc"),
     ])
     def test_out_of_range_value_fails_before_input_is_read(
             self, tmp_path, capsys, command, flag, value):

@@ -7,6 +7,7 @@ from scipy.stats import lomax
 
 from copsurv.censoring import impute_smc
 from copsurv.copulas import (
+    CLAMP_EPS,
     ClaytonFamily,
     GaussianFamily,
     alpha_schedule,
@@ -14,6 +15,7 @@ from copsurv.copulas import (
 )
 from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError
+from copsurv.predictive import RunningPredictive
 from copsurv.resampling import (
     GridSpec,
     _run_rows,
@@ -124,6 +126,28 @@ class TestAbsorbEvaluate:
         dens_oracle, cdf_oracle = oracle_two_step(grid, y1, y2, a)
         assert_allclose(dens, dens_oracle, rtol=1e-10)
         assert_allclose(cdf, cdf_oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize("family", [ClaytonFamily(0.9),
+                                        GaussianFamily(0.6)],
+                             ids=["clayton", "gaussian"])
+    def test_absorb_clamps_the_values_it_takes(self, family):
+        """The running predictive clamps what it absorbs: v = 0 and v = 1
+        give the bits of CLAMP_EPS and 1 - CLAMP_EPS, in either order."""
+        points = np.geomspace(0.01, 8.0, 12)
+
+        def absorbed(values):
+            shape = (2, points.size)
+            running = RunningPredictive(family, points, np.empty(shape),
+                                        np.empty(shape))
+            for v in values:
+                running.absorb(np.array(v))
+            return running.dens, running.u
+
+        raw = absorbed([[0.0, 1.0], [1.0, 0.0]])
+        clamped = absorbed([[CLAMP_EPS, 1.0 - CLAMP_EPS],
+                            [1.0 - CLAMP_EPS, CLAMP_EPS]])
+        assert np.array_equal(raw[0], clamped[0])
+        assert np.array_equal(raw[1], clamped[1])
 
 
 class TestFitUncensored:

@@ -107,6 +107,26 @@ class TestMedianFromCdf:
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
         assert median_from_cdf(np.array([0.0, 0.1, 0.2]), grid) == 2.0
 
+    def test_stacked_rows_give_each_rows_median(self):
+        """Rows that cross inside the grid, exactly at one half, at the
+        first point or never: a (2, 3, G) stack gives each row's median,
+        bit for bit, as an array of the stack's shape."""
+        grid = GridSpec(np.geomspace(0.01, 8.0, 9))
+        draws = np.random.default_rng(2)
+        cdf = np.sort(draws.uniform(0.0, 1.0, (6, 9)), axis=1)
+        cdf[1] = np.linspace(0.0, 1.0, 9)
+        cdf[2] = np.linspace(0.5, 0.9, 9)
+        cdf[3] = np.linspace(0.0, 0.4, 9)
+        cdf[4, 5:] = 0.5
+        cdf[4, :5] = np.linspace(0.0, 0.2, 5)
+        stacked = median_from_cdf(cdf.reshape(2, 3, 9), grid)
+        assert stacked.shape == (2, 3)
+        one = [median_from_cdf(row, grid) for row in cdf]
+        assert all(isinstance(m, float) for m in one)
+        assert np.array_equal(stacked.ravel(), one)
+        assert one[1] == grid.points[4] and one[2] == grid.points[0]
+        assert one[3] == grid.points[-1] and one[4] == grid.points[5]
+
 
 class TestBootstrapCovariate:
     def test_single_row_pool(self):
