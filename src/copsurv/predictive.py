@@ -100,7 +100,7 @@ class RunningPredictive:
                                      self.rho_x)
             if np.ndim(x_record) == 2:
                 alpha = alpha[:, None]
-        if self.u.size == 0:  # no point left to update
+        if self.u.size == 0:  # e.g. the SMC pass's last record
             return
         v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[:, None]
         for blk in row_blocks(0, *self.u.shape):

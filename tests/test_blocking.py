@@ -208,8 +208,9 @@ def test_absorb_allocates_no_block_array(family):
     target, absorbing a record of one covariate vector (a scalar weight)
     and one of a covariate row per particle (per-particle weights), peaks
     below one block-shaped float64 array.  (What it does allocate is
-    numpy's ufunc buffer, of np.getbufsize() values; a sweep into the
-    columns after the first adds one such buffer per strided operand.)"""
+    numpy's ufunc buffer, of np.getbufsize() values; a sweep over a
+    column view, as in the SMC pass, adds one such buffer per strided
+    operand.)"""
     points = 64
     b = 4 * predictive.BLOCK_ELEMS // points
     shape = (b, points)

@@ -107,11 +107,24 @@ class TestMedianFromCdf:
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
         assert median_from_cdf(np.array([0.0, 0.1, 0.2]), grid) == 2.0
 
-    def test_stacked_rows_give_each_rows_median(self):
+    def test_stacked_rows_match_the_row_by_row_rule(self):
         """Rows that cross inside the grid, exactly at one half, at the
-        first point or never: a (2, 3, G) stack gives each row's median,
-        bit for bit, as an array of the stack's shape."""
+        first point or never: a (2, 3, G) stack gives, bit for bit, the
+        median of the rule written out for one row, and one row gives a
+        float."""
         grid = GridSpec(np.geomspace(0.01, 8.0, 9))
+        pts = grid.points
+
+        def one_row(cdf):
+            if cdf[0] >= 0.5:
+                return pts[0]
+            hits = np.nonzero(cdf >= 0.5)[0]
+            if hits.size == 0:
+                return pts[-1]
+            j = hits[0]
+            c0, c1 = cdf[j - 1], cdf[j]
+            return pts[j - 1] + (0.5 - c0) * (pts[j] - pts[j - 1]) / (c1 - c0)
+
         draws = np.random.default_rng(2)
         cdf = np.sort(draws.uniform(0.0, 1.0, (6, 9)), axis=1)
         cdf[1] = np.linspace(0.0, 1.0, 9)
@@ -121,11 +134,9 @@ class TestMedianFromCdf:
         cdf[4, :5] = np.linspace(0.0, 0.2, 5)
         stacked = median_from_cdf(cdf.reshape(2, 3, 9), grid)
         assert stacked.shape == (2, 3)
-        one = [median_from_cdf(row, grid) for row in cdf]
-        assert all(isinstance(m, float) for m in one)
-        assert np.array_equal(stacked.ravel(), one)
-        assert one[1] == grid.points[4] and one[2] == grid.points[0]
-        assert one[3] == grid.points[-1] and one[4] == grid.points[5]
+        assert np.array_equal(stacked.ravel(), [one_row(row) for row in cdf])
+        assert list(stacked.ravel()[1:5]) == [pts[4], pts[0], pts[-1], pts[5]]
+        assert isinstance(median_from_cdf(cdf[0], grid), float)
 
 
 class TestBootstrapCovariate:
