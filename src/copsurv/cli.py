@@ -270,6 +270,9 @@ def _resolve(args, opts):
         targets = resolved["x_target"] or []
         if not targets and resolved["test_split"] is None:
             raise ConfigurationError("regress needs --x-target or --test-split")
+        if not targets and resolved["n_extra"] is not None:
+            raise ConfigurationError("--n-extra needs --x-target: the "
+                                     "posterior is drawn per target")
         for x in targets:
             if len(x) != len(cols):
                 raise ConfigurationError(f"--x-target dimension {len(x)} "
@@ -625,7 +628,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _resolve(args, COMMON_OPTS + SUBCOMMANDS[args.command])
         outdir = Path(cfg["output_dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"--output-dir {outdir}: {exc.strerror}") from None
         return HANDLERS[args.command](cfg, outdir)
     except ConfigurationError as exc:
         return _fail("config", exc, EXIT_CONFIG)

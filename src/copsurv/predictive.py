@@ -55,11 +55,11 @@ def block_rows(row_elems: int) -> int:
     return max(1, BLOCK_ELEMS // max(1, row_elems))
 
 
-def row_blocks(start: int, stop: int, row_elems: int) -> list:
-    """Slices covering rows start..stop-1, `block_rows(row_elems)` rows
-    each (the last may be shorter)."""
+def row_blocks(stop: int, row_elems: int) -> list:
+    """Slices covering rows 0..stop-1, `block_rows(row_elems)` rows each
+    (the last may be shorter)."""
     step = block_rows(row_elems)
-    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+    return [slice(lo, min(lo + step, stop)) for lo in range(0, stop, step)]
 
 
 class RunningPredictive:
@@ -103,7 +103,7 @@ class RunningPredictive:
         if self.u.size == 0:  # e.g. the SMC pass's last record
             return
         v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[:, None]
-        for blk in row_blocks(0, *self.u.shape):
+        for blk in row_blocks(*self.u.shape):
             a = alpha[blk] if np.ndim(alpha) == 2 else alpha
             dens, u = self.dens[blk], self.u[blk]
             d, i_part = self.joint(u, v[blk], out=self.scratch.view(

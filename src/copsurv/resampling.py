@@ -13,8 +13,8 @@ sample.
 Convergence is tracked by the Wasserstein-1 distance between the running
 and starting CDF rows, which settles to a constant as the future grows
 (Fong, Holmes & Walker 2023).  It is computed only where it is read: the
-whole trajectory of the first `trace_chains` chains, and every chain's
-last `W1_TAIL_STEPS` steps.
+whole trajectory of the first `trace_chains` chains; the other chains
+compute none.
 
 Chains are independent: chain j's step-t uniform is element j of one
 counter-based stream, and with covariates its step-t bootstrap pick
@@ -57,15 +57,12 @@ __all__ = [
     "ensemble_grid_rows",
     "heldout_mean_log_lik",
     "DEFAULT_N_EXTRA",
-    "W1_TAIL_STEPS",
 ]
 
 DEFAULT_N_EXTRA = 2000
 # Fewest elements (particles x points) a row shard runs: a smaller run
 # stays in fewer processes, where a fork would cost more than it saves.
 ROW_SHARD_ELEMS = 8192
-# Forward steps at the end of every chain whose W1 is kept (`w1_tail`).
-W1_TAIL_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -88,16 +85,15 @@ class GridSpec:
 
 
 def log_grid(top: float, size: int = 100, include_zero: bool = True) -> GridSpec:
-    """`size` points log-spaced from top * 1e-4 to `top`.
+    """`size` points ending at `top`, log-spaced from top * 1e-4.
 
     `include_zero` makes the origin the first point (skip it for the
-    log-normal base, whose density lives on the open half-line).
+    log-normal base, whose density lives on the open half-line); at
+    size 2 the grid is then [0, top].
     """
-    if include_zero:
-        pts = np.concatenate([[0.0], np.geomspace(top * 1e-4, top, size - 1)])
-    else:
-        pts = np.geomspace(top * 1e-4, top, size)
-    return GridSpec(points=pts)
+    pts = np.geomspace(top * 1e-4, top, size - 1 if include_zero else size)
+    pts[-1:] = top  # np.geomspace puts a lone point at its start
+    return GridSpec(np.concatenate([[0.0], pts]) if include_zero else pts)
 
 
 def default_grid(data: SurvivalDataset, size: int = 100,
@@ -186,14 +182,11 @@ class PosteriorDraws:
     """Weighted martingale-posterior sample of grid-evaluated functionals.
 
     `w1_trace[j, t]` is chain j's Wasserstein-1 distance from its starting
-    CDF after t forward steps, for the first k = min(trace_chains, B)
-    chains.  `w1_tail[j, s]` is that distance for every chain j over the
-    last min(n_extra, W1_TAIL_STEPS) + 1 steps, so its last column is
-    step n_extra, and `w1_trace[:, -w1_tail.shape[1]:]` equals
-    `w1_tail[:k]`.  `predictive_density` and `predictive_cdf` are the
-    weighted means of the starting rows: the fitted predictive on the
-    grid, before any forward step.  `censored[j]` flags a chain whose CDF
-    stays below one half on the grid: its median is the grid top.
+    CDF after t forward steps, for the first min(trace_chains, B) chains.
+    `predictive_density` and `predictive_cdf` are the weighted means of
+    the starting rows: the fitted predictive on the grid, before any
+    forward step.  `censored[j]` flags a chain whose CDF stays below one
+    half on the grid: its median is the grid top.
     """
 
     grid: GridSpec
@@ -203,7 +196,6 @@ class PosteriorDraws:
     censored: np.ndarray  # (B,), bool
     weights: np.ndarray  # (B,), normalized
     w1_trace: np.ndarray  # (min(trace_chains, B), n_extra + 1)
-    w1_tail: np.ndarray  # (B, min(n_extra, W1_TAIL_STEPS) + 1)
     predictive_density: np.ndarray  # (G,)
     predictive_cdf: np.ndarray  # (G,)
 
@@ -261,13 +253,12 @@ def _start_rows(ensemble: ParticleEnsemble, running, rows):
 
 
 def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
-             start, trace, tail):
+             start, trace):
     """Absorb n_extra synthetic records into `running`, whose rows are the
-    chains `rows`, one per step and one value per chain, and write the
-    Wasserstein-1 distances from their starting rows `start` that are
-    read: `trace`, the trajectories of the traced chains among `rows`,
-    and `tail`, their last min(n_extra, W1_TAIL_STEPS) + 1 steps (see
-    `PosteriorDraws`).  No other step pays for a W1.
+    chains `rows`, one per step and one value per chain, and write into
+    `trace` the Wasserstein-1 trajectories, from their starting rows
+    `start`, of the traced chains: the leading rows of `rows`, if any.
+    A chain that is not traced pays for no W1.
 
     Chain j's step-t value is element j of stream (seed, t), as drawn
     (`absorb` clamps it), and each step draws only the elements of
@@ -277,8 +268,8 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     """
     x = ensemble.covariates
     n_rows, g = running.u.shape
-    tail_start = n_extra + 1 - tail.shape[1]  # step of tail column 0
-    gap = np.empty((min(block_rows(g), n_rows), g))
+    n_traced = trace.shape[0]
+    gap = np.empty((min(block_rows(g), n_traced), g))
     terms = np.empty((gap.shape[0], g - 1))
     if ensemble.rho_x is not None:
         cumulative = _pick_weights(x.shape[0], ensemble.n_particles, seed)
@@ -288,14 +279,10 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
             picked = x[_step_picks(cumulative, seed, t, rows)]
         running.absorb(rng.uniforms(seed, rng.STREAM_FORWARD, t, n_rows,
                                     rows.start), picked)
-        in_tail = t + 1 >= tail_start
-        for blk in row_blocks(0, n_rows if in_tail else trace.shape[0], g):
+        for blk in row_blocks(n_traced, g):
             r = blk.stop - blk.start
-            w1 = _w1_rows(running.u[blk], start[blk], dx, gap[:r], terms[:r])
-            traced = trace[blk, t + 1]  # the block's traced rows, if any
-            traced[:] = w1[:traced.size]
-            if in_tail:
-                tail[blk, t + 1 - tail_start] = w1
+            trace[blk, t + 1] = _w1_rows(running.u[blk], start[blk], dx,
+                                         gap[:r], terms[:r])
 
 
 def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
@@ -303,7 +290,7 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
     history: a dict with "dens" and "u" of shape (B, points).  With
     `forward = (n_extra, seed, trace_chains)` the rows then run the
     forward pass: "dens" and "u" are the final rows, "start_dens" and
-    "start_u" the starting ones, and "trace" and "tail" the W1 arrays of
+    "start_u" the starting ones, and "trace" the `w1_trace` of
     `PosteriorDraws`.  The rows run in `shards.run_shards` row shards of
     at least `ROW_SHARD_ELEMS` elements each, every array in its own
     mapping.
@@ -314,8 +301,7 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
     if forward is not None:
         n_extra, seed, trace_chains = forward
         shapes.update(start_dens=(b, g), start_u=(b, g),
-                      trace=(min(trace_chains, b), n_extra + 1),
-                      tail=(b, min(n_extra, W1_TAIL_STEPS) + 1))
+                      trace=(min(trace_chains, b), n_extra + 1))
 
     def run(rows, out):
         running = RunningPredictive(ensemble.family, points, out["dens"][rows],
@@ -325,8 +311,7 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
             out["start_dens"][rows] = running.dens
             out["start_u"][rows] = running.u
             _forward(ensemble, running, rows, np.diff(points), n_extra, seed,
-                     out["start_u"][rows], out["trace"][rows],
-                     out["tail"][rows])
+                     out["start_u"][rows], out["trace"][rows])
 
     return shards.run_shards(b, max(1, ROW_SHARD_ELEMS // g), shapes, run,
                              "rows")
@@ -379,8 +364,8 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
     Chains are driven by counter-based streams, so the result is
     bit-identical for a given (seed, ensemble), and a chain's draw does
     not depend on how many other chains run.  The first `trace_chains`
-    chains keep their whole W1 trajectory (`w1_trace`); every chain
-    keeps its last W1_TAIL_STEPS steps (`w1_tail`).
+    chains keep their whole W1 trajectory (`w1_trace`); no other chain
+    computes a W1.
     """
     _check_target(ensemble.rho_x, x_target)
     if n_extra < 0:
@@ -397,7 +382,6 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
         censored=~np.any(u >= 0.5, axis=1),
         weights=weights,
         w1_trace=out["trace"],
-        w1_tail=out["tail"],
         predictive_density=weighted_mean(out["start_dens"], weights),
         predictive_cdf=weighted_mean(out["start_u"], weights),
     )

@@ -5,9 +5,9 @@ Every propagation over many rows runs in blocks of rows sized by
 `predictive.BLOCK_ELEMS`, and the start rows and the forward pass run in
 row shards, one per worker process.  Each pipeline stage below is run at a
 one-row block, at a block of a few rows (partial last blocks) and with
-the whole array as one block, each at 1, 2 and 3 workers, and the results are compared with `np.array_equal`.  That
-includes the forward pass's W1 split: the whole trajectory of the traced
-chains and every chain's tail window.  Doob's forward chains and the
+the whole array as one block, each at 1, 2 and 3 workers, and the
+results are compared with `np.array_equal`.  That includes the W1
+trajectories of the traced chains.  Doob's forward chains and the
 tuning grid's cells run in shards through the same runner, and are
 compared at 1, 2 and 3 workers too.
 """
@@ -25,7 +25,6 @@ from copsurv.copulas import ClaytonFamily, GaussianFamily
 from copsurv.errors import DegeneracyError
 from copsurv.resampling import (
     GridSpec,
-    W1_TAIL_STEPS,
     _run_rows,
     ensemble_grid_rows,
     heldout_mean_log_lik,
@@ -43,9 +42,7 @@ WORKERS = (1, 2, 3)
 # Traced chains: 40 straddles the shard edges at 32 and 21, the 12-row
 # chain block 36..47 at FEW_ROWS, and its shard's local blocks.
 TRACE_CHAINS = 40
-# Forward horizons: below W1_TAIL_STEPS the tail is the whole run; at 130
-# it starts at step 30.
-N_EXTRA = (30, 130)
+N_EXTRA = (30, 130)  # forward horizons
 
 
 def covariate_data(n, seed):
@@ -107,24 +104,21 @@ def row_stages(ens, data, x_target, grid):
     for n_extra in N_EXTRA:
         draws = martingale_posterior(ens, n_extra, grid, x_target, seed=7,
                                      trace_chains=TRACE_CHAINS)
-        check_w1_split(draws, start[1], n_extra)
+        check_w1_trace(draws, start[1], n_extra)
         for name in ("cdf_draws", "density_draws", "medians", "w1_trace",
-                     "w1_tail", "predictive_density", "predictive_cdf"):
+                     "predictive_density", "predictive_cdf"):
             stages[f"{name}@{n_extra}"] = getattr(draws, name)
     return stages
 
 
-def check_w1_split(draws, start_cdf, n_extra):
-    """The traced chains' trajectories end in their tail windows, and the
-    tail's last column is np.trapezoid of the final rows, bit for bit."""
-    tail_cols = min(n_extra, W1_TAIL_STEPS) + 1
+def check_w1_trace(draws, start_cdf, n_extra):
+    """The traced chains' trajectories start at 0 and end at np.trapezoid
+    of their final rows, bit for bit."""
     assert draws.w1_trace.shape == (TRACE_CHAINS, n_extra + 1)
-    assert draws.w1_tail.shape == (draws.n_draws, tail_cols)
-    assert np.array_equal(draws.w1_trace[:, -tail_cols:],
-                          draws.w1_tail[:TRACE_CHAINS])
-    final = np.trapezoid(np.abs(draws.cdf_draws - start_cdf),
+    traced = slice(TRACE_CHAINS)
+    final = np.trapezoid(np.abs(draws.cdf_draws[traced] - start_cdf[traced]),
                          draws.grid.points, axis=-1)
-    assert np.array_equal(draws.w1_tail[:, -1], final)
+    assert np.array_equal(draws.w1_trace[:, -1], final)
     assert np.all(draws.w1_trace[:, 0] == 0.0)
 
 
@@ -286,13 +280,33 @@ def test_forward_pass_holds_no_full_w1_buffer(monkeypatch):
     n_extra = 2000
     tracemalloc.start()
     try:
-        draws = martingale_posterior(ens, n_extra, grid, seed=2,
-                                     trace_chains=20)
+        martingale_posterior(ens, n_extra, grid, seed=2, trace_chains=20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert draws.w1_tail.shape == (400, W1_TAIL_STEPS + 1)
     assert peak < 8 * 400 * (n_extra + 1)
+
+
+@pytest.mark.parametrize("trace_chains", [0, 5, 64])
+def test_forward_pass_computes_w1_of_traced_chains_only(case, monkeypatch,
+                                                        trace_chains):
+    """Of B = 64 chains over 30 forward steps, only the first
+    `trace_chains` compute a W1, one row per chain and step; an untraced
+    chain pays for none."""
+    pin_one_worker(monkeypatch)
+    data, family, rho_x, x_target, grid = case
+    ens = impute_smc(data, family, rho_x=rho_x, n_particles=64, seed=5)
+    w1_rows = resampling._w1_rows
+    rows = []
+
+    def counted(a, *args):
+        rows.append(a.shape[0])
+        return w1_rows(a, *args)
+
+    monkeypatch.setattr(resampling, "_w1_rows", counted)
+    martingale_posterior(ens, 30, grid, x_target, seed=7,
+                         trace_chains=trace_chains)
+    assert sum(rows) == trace_chains * 30
 
 
 def test_alpha_regression_runs_once_per_absorbed_record(monkeypatch):

@@ -525,6 +525,8 @@ class TestConfigAndErrors:
         ("regress --test-split 0.3", "--bandwidth-grid", ","),
         ("regress", "--x-target", ","),
         ("regress --test-split 0.3", "--covariate-cols", ""),
+        # an option without the option it needs
+        ("regress --test-split 0.3", "--n-extra", 50),
         # a float that is not finite
         ("regress", "--x-target", "nan"),
         ("posterior", "--grid-max", "inf"),
@@ -555,6 +557,18 @@ class TestConfigAndErrors:
         assert err["error"] == "config"
         assert flag in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output_dir", ["taken", "taken/sub"])
+    def test_unusable_output_dir_is_config_error(self, tmp_path, capsys,
+                                                 output_dir):
+        """An output directory that is a file, or lies under one, is one
+        JSON config line, not a traceback."""
+        (tmp_path / "taken").write_text("")
+        assert run("simulate", "--seed", 1, "--n", 10,
+                   "--output-dir", tmp_path / output_dir) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "--output-dir" in err["message"]
 
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_simulate_seed_out_of_range_is_config_error(self, tmp_path,

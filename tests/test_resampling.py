@@ -25,6 +25,7 @@ from copsurv.resampling import (
     _step_picks,
     default_grid,
     ensemble_grid_rows,
+    log_grid,
     martingale_posterior,
     median_from_cdf,
     wasserstein1,
@@ -61,6 +62,16 @@ class TestGridSpec:
         # a top in input units lands on the data's standardized scale
         top = default_grid(uncensored_exp50, 100, top=4.0).points[-1]
         assert_allclose(top, 4.0 * uncensored_exp50.scale_factor, rtol=1e-15)
+
+    @pytest.mark.parametrize("include_zero", [True, False])
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_log_grid_ends_at_top(self, size, include_zero):
+        """Every size ends at the top, two points from the origin too:
+        np.geomspace puts a lone point at its start."""
+        points = log_grid(7.5, size, include_zero).points
+        assert points.size == size
+        assert points[-1] == 7.5
+        assert (points[0] == 0.0) == include_zero
 
 
 class TestWasserstein:
@@ -188,9 +199,8 @@ class TestPredictiveResample:
         dens, cdf = ensemble_grid_rows(uncensored_fit, grid)
         assert np.array_equal(out.cdf_draws, cdf)
         assert np.array_equal(out.density_draws, dens)
-        assert out.w1_trace.shape == out.w1_tail.shape == (1, 1)
+        assert out.w1_trace.shape == (1, 1)
         assert np.all(out.w1_trace == 0.0)
-        assert np.all(out.w1_tail == 0.0)
 
     def test_rows_stay_monotone_probabilities(self, uncensored_fit):
         grid = GridSpec(np.linspace(0.0, 4.0, 25))
@@ -232,7 +242,7 @@ class TestMartingalePosterior:
                                      trace_chains=5)
         arrays = [value for value in vars(draws).values()
                   if isinstance(value, np.ndarray)]
-        assert len(arrays) == 9
+        assert len(arrays) == 8
         assert buffer_bytes(arrays) == sum(a.nbytes for a in arrays)
 
     def test_uncensored_reduces_to_plain_chains(self, uncensored_exp50):
@@ -276,9 +286,8 @@ class TestMartingalePosterior:
         d2 = martingale_posterior(ensemble, 40, grid, seed=4, trace_chains=16)
         assert np.array_equal(d1.cdf_draws, d2.cdf_draws)
         assert np.array_equal(d1.medians, d2.medians)
-        assert d1.w1_trace.shape == d1.w1_tail.shape == (16, 41)
+        assert d1.w1_trace.shape == (16, 41)
         assert np.array_equal(d1.w1_trace, d2.w1_trace)
-        assert np.array_equal(d1.w1_tail, d2.w1_tail)
         d3 = martingale_posterior(ensemble, 40, grid, seed=8)
         assert not np.array_equal(d1.cdf_draws, d3.cdf_draws)
 
