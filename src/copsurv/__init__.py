@@ -28,12 +28,6 @@ from .dataio import (
     simulate_censored_exponential,
     standardize,
 )
-from .distributions import (
-    LogNormalBaseParams,
-    LomaxParams,
-    lomax_cdf,
-    lomax_pdf,
-)
 from .errors import (
     ConfigurationError,
     CopsurvError,

@@ -123,9 +123,9 @@ FIT_CORE_OPTS = INPUT_OPTS + [
 
 SUBCOMMANDS = {
     "simulate": [
-        Opt("n", int, required=True),
-        Opt("rate-y", float, default=1.0),
-        Opt("rate-c", float, default=2.0),
+        Opt("n", int, required=True, bounds=POSITIVE),
+        Opt("rate-y", float, default=1.0, bounds=POSITIVE),
+        Opt("rate-c", float, default=2.0, bounds=POSITIVE),
         Opt("out-name", str, default="data.csv"),
     ],
     "fit": FIT_CORE_OPTS,
@@ -149,8 +149,9 @@ SUBCOMMANDS = {
             help="if set, full posterior bands per x-target"),
     ],
     "doob": INPUT_OPTS + [
-        Opt("a0", float, help="prior shape; tuned by marginal likelihood if omitted"),
-        Opt("b0", float, default=1.0),
+        Opt("a0", float, bounds=POSITIVE,
+            help="prior shape; tuned by marginal likelihood if omitted"),
+        Opt("b0", float, default=1.0, bounds=POSITIVE),
         Opt("n-particles", int, default=DEFAULT_N_PARTICLES,
             bounds=AT_LEAST_2),
         Opt("n-extra", int, default=resampling.DEFAULT_N_EXTRA,
@@ -226,10 +227,13 @@ def _resolve(args, opts):
         value = getattr(args, opt.dest)
         if value is None and opt.name in file_values:
             raw = file_values[opt.name]
-            if opt.repeatable:
-                value = [opt.type(part) for part in raw.split(";")]
-            else:
-                value = opt.type(raw)
+            try:
+                value = ([opt.type(part) for part in raw.split(";")]
+                         if opt.repeatable else opt.type(raw))
+            except ValueError:
+                raise ConfigurationError(
+                    f"--{opt.name} in {args.config}: invalid value {raw!r}"
+                ) from None
         if value is None:
             value = opt.default
         if value is None and opt.required:

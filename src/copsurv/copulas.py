@@ -10,10 +10,13 @@ returns the copula density together with its partial integral in u,
 which is what propagates the predictive CDF.
 
 `ClaytonFamily` and `GaussianFamily` are the only code that knows a
-family: its bandwidth, kernel (`joint`), base measure (`base_at`) and
-defaults; `FAMILIES` maps each `kind` name to its class.  `joint` looks
-its kernel up in this module's globals at each call, so a wrapper put
-there (perfbench's tracer) sees every kernel call.
+family: its bandwidth, kernel (`joint`), base measure (`base_at`, whose
+formulas each family holds) and defaults; `FAMILIES` maps each `kind`
+name to its class.  `lomax` evaluates the Clayton family's Lomax(a, 1)
+base and also the conjugate model's Lomax(a_n, b_n) predictive
+(`parametric`).  `joint` looks its kernel up in this module's globals at
+each call, so a wrapper put there (perfbench's tracer) sees every kernel
+call.
 
 Numerics: the Clayton kernel is evaluated in log space, since
 (1 - u)^(-1/a) explodes for small bandwidths as u -> 1.  Probability
@@ -33,14 +36,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .distributions import (
-    LogNormalBaseParams,
-    LomaxParams,
-    lognormal_base_cdf,
-    lognormal_base_pdf,
-    lomax_cdf,
-    lomax_pdf,
-)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -52,6 +47,7 @@ __all__ = [
     "FAMILIES",
     "DEFAULT_RHO_GRID",
     "make_family",
+    "lomax",
     "clayton_density_and_partial",
     "gaussian_density_and_partial",
     "alpha_schedule",
@@ -68,6 +64,22 @@ DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
 # Block-shaped scratch arrays each kernel uses (`KernelScratch.block`).
 CLAYTON_BLOCKS = 5
 GAUSSIAN_BLOCKS = 3
+
+
+def _times(y):
+    """y as a float array, after checking that no time is negative."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0):
+        raise ValueError("time values must be nonnegative")
+    return y
+
+
+def lomax(y, a, b):
+    """(pdf, cdf) of Lomax(a, b), density (a/b) (1 + y/b)^-(a+1), at
+    times y >= 0; y < 0 raises ValueError.  a and b may be arrays that
+    broadcast against y."""
+    log1p_y = np.log1p(_times(y) / b)
+    return (a / b) * np.exp(-(a + 1.0) * log1p_y), -np.expm1(-a * log1p_y)
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,7 @@ class ClaytonFamily:
 
     def base_at(self, y):
         """(pdf, cdf) of the base measure at times y."""
-        base = LomaxParams(shape=self.bandwidth, scale=1.0)
-        return lomax_pdf(y, base), lomax_cdf(y, base)
+        return lomax(y, self.bandwidth, 1.0)
 
 
 @dataclass(frozen=True)
@@ -126,15 +137,17 @@ class GaussianFamily:
         return gaussian_density_and_partial(u, v, self.bandwidth, out=out)
 
     def base_at(self, y):
-        """(pdf, cdf) of the base measure at times y >= 0.  The pdf takes
-        its continuous limit 0 at y = 0, so evaluation grids may start at
-        the origin; y < 0 raises ValueError."""
-        base = LogNormalBaseParams(self.bandwidth)
-        y = np.asarray(y, dtype=float)
-        cdf = lognormal_base_cdf(y, base)
+        """(pdf, cdf) of the base measure at times y >= 0, log-normal with
+        log-scale sd s = 1/sqrt(1 - rho).  The pdf takes its continuous
+        limit 0 at y = 0, so evaluation grids may start at the origin;
+        y < 0 raises ValueError."""
+        y = _times(y)
+        s = 1.0 / np.sqrt(1.0 - self.bandwidth)
+        cdf = ndtr(np.where(y > 0, np.log(np.maximum(y, 1e-300)) / s, -np.inf))
         pdf = np.zeros(y.shape)
         pos = y > 0
-        pdf[pos] = lognormal_base_pdf(y[pos], base)
+        z = np.log(y[pos]) / s
+        pdf[pos] = np.exp(-0.5 * z * z) / (y[pos] * s * np.sqrt(2.0 * np.pi))
         return pdf, cdf
 
 

@@ -26,8 +26,8 @@ from scipy.special import gammaincc, gammainccinv, gammaln
 
 from . import rng, shards
 from .censoring import DEFAULT_N_PARTICLES, SmcPass, run_smc_loop
+from .copulas import lomax
 from .dataio import SurvivalDataset
-from .distributions import LomaxParams, lomax_cdf, lomax_pdf
 from .errors import ConfigurationError
 
 __all__ = [
@@ -170,8 +170,7 @@ class _ConjugateEngine:
         self.b = np.full(n_particles, float(model.b0))
 
     def eval_at(self, t):
-        predictive = LomaxParams(self.a, self.b)
-        return lomax_pdf(t, predictive), lomax_cdf(t, predictive)
+        return lomax(t, self.a, self.b)
 
     def absorb_observed(self, t, cdf):
         self.a += 1.0

@@ -21,8 +21,8 @@ from copsurv.copulas import (
     alpha_regression,
     alpha_schedule,
     clayton_density_and_partial,
+    lomax,
 )
-from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError, DegeneracyError
 from copsurv.resampling import (
     GridSpec,
@@ -129,7 +129,7 @@ class TestSingleCensoredRecord:
         c = 0.8
         data = make_dataset([c], [0])
         ensemble = impute_smc(data, FAMILY, n_particles=256, seed=5)
-        p0c = float(lomax_cdf(c, LomaxParams(1.0, 1.0)))
+        p0c = float(lomax(c, 1.0, 1.0)[1])
         assert_allclose(ensemble.log_z, np.log1p(-p0c),
                         rtol=1e-12)
         assert ensemble.final_ess == 256.0
@@ -144,13 +144,13 @@ class TestQuadratureOracle:
         c, then observed y2)."""
         a = 1.0
         c, y2 = 0.6, 1.1
-        base = LomaxParams(a, 1.0)
-        p0c = float(lomax_cdf(c, base))
+        p0c = float(lomax(c, a, 1.0)[1])
         alpha1 = float(alpha_schedule(1))
 
         def integrand(u):
-            d, _ = clayton_density_and_partial(float(lomax_cdf(y2, base)), u, a)
-            return (1 - alpha1 + alpha1 * d) * float(lomax_pdf(y2, base))
+            pdf, cdf = lomax(y2, a, 1.0)
+            d, _ = clayton_density_and_partial(float(cdf), u, a)
+            return (1 - alpha1 + alpha1 * d) * float(pdf)
 
         z_exact, _ = quad(integrand, p0c, 1.0, limit=200)
 
@@ -164,14 +164,14 @@ class TestQuadratureOracle:
         p_0(y1) (1 - P_1(c))."""
         a = 1.0
         y1, c = 0.9, 1.3
-        base = LomaxParams(a, 1.0)
         data = make_dataset([y1, c], [1, 0])
         ensemble = impute_smc(data, FAMILY, n_particles=128, seed=2)
-        v1 = float(lomax_cdf(y1, base))
+        pdf1, v1 = lomax(y1, a, 1.0)
+        p0c = float(lomax(c, a, 1.0)[1])
         alpha1 = float(alpha_schedule(1))
-        _, partial = clayton_density_and_partial(float(lomax_cdf(c, base)), v1, a)
-        p1c = (1 - alpha1) * float(lomax_cdf(c, base)) + alpha1 * partial
-        expected = np.log(lomax_pdf(y1, base)) + np.log1p(-p1c)
+        _, partial = clayton_density_and_partial(p0c, float(v1), a)
+        p1c = (1 - alpha1) * p0c + alpha1 * partial
+        expected = np.log(pdf1) + np.log1p(-p1c)
         assert_allclose(ensemble.log_z, expected, rtol=1e-12)
 
 

@@ -498,6 +498,9 @@ class TestConfigAndErrors:
         ("doob", "--n-particles", 1),
         ("doob", "--n-extra", -1),
         ("doob", "--ess-frac", 1.5),
+        ("doob", "--a0", -1),
+        ("doob", "--a0", 0),
+        ("doob", "--b0", 0),
         ("tune", "--tune-particles", 1),
         ("fit", "--family", "frank"),
         ("tune", "--family", "frank"),
@@ -570,14 +573,17 @@ class TestConfigAndErrors:
         assert err["error"] == "config"
         assert "--output-dir" in err["message"]
 
-    @pytest.mark.parametrize("seed", [-3, 2**64])
-    def test_simulate_seed_out_of_range_is_config_error(self, tmp_path,
-                                                        capsys, seed):
-        assert run("simulate", "--seed", seed, "--n", 10,
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", -3), ("--seed", 2**64), ("--n", 0), ("--rate-y", 0),
+        ("--rate-c", -1)])
+    def test_simulate_value_out_of_range_is_config_error(self, tmp_path,
+                                                         capsys, flag, value):
+        # with argparse the last value of a repeated flag wins
+        assert run("simulate", "--seed", 1, "--n", 10, flag, value,
                    "--output-dir", tmp_path / "out") == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
-        assert "--seed" in err["message"]
+        assert flag in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_regress_without_target_or_split_fails_before_input_is_read(
@@ -634,6 +640,28 @@ class TestConfigAndErrors:
         assert run("fit", "--config", config, "--bandwidth", 1.2,
                    "--output-dir", out_flag) == 0
         assert read_meta(out_flag)["config"]["bandwidth"] == 1.2
+
+    @pytest.mark.parametrize("command, line", [
+        ("fit --seed 1", "n-particles=abc"),
+        ("fit", "seed=1.5"),
+        ("fit --seed 1", "bandwidth-grid=0.5,x"),
+        ("regress --seed 1 --covariate-cols x", "x-target=1;a"),
+    ])
+    def test_config_value_of_the_wrong_type_fails_before_input_is_read(
+            self, tmp_path, capsys, command, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n")
+        subcommand, *options = command.split()
+        assert run(subcommand, *options, "--config", config,
+                   "--input", tmp_path / "nope.csv",
+                   "--output-dir", tmp_path / "out") == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert f"--{line.split('=')[0]}" in err["message"]
+        assert str(config) in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key(self, sim_csv, tmp_path):
         config = tmp_path / "run.cfg"

@@ -18,19 +18,12 @@ from copsurv.copulas import (
     KernelScratch,
     alpha_regression,
     alpha_schedule,
+    lomax,
     make_family,
 )
 from copsurv.copulas import _clamp_upper, _log_clayton_s
 from copsurv.copulas import clayton_density_and_partial as clayton
 from copsurv.copulas import gaussian_density_and_partial as gaussian
-from copsurv.distributions import (
-    LogNormalBaseParams,
-    LomaxParams,
-    lognormal_base_cdf,
-    lognormal_base_pdf,
-    lomax_cdf,
-    lomax_pdf,
-)
 from copsurv.errors import ConfigurationError
 from copsurv.resampling import log_grid
 
@@ -401,18 +394,46 @@ class TestAlphaRegression:
         assert 0.0 < out < 1.0
 
 
-def test_default_base_pairing():
+# The base measures' formulas written out operation by operation (the
+# Lomax one with its log1p twice): `lomax` and the families' `base_at`
+# must reproduce their bits.
+def reference_lomax(y, a, b):
+    y = np.asarray(y, dtype=float)
+    pdf = (a / b) * np.exp(-(a + 1.0) * np.log1p(y / b))
+    return pdf, -np.expm1(-a * np.log1p(y / b))
+
+
+def reference_lognormal(y, rho):
+    y = np.asarray(y, dtype=float)
+    s = 1.0 / np.sqrt(1.0 - rho)
+    cdf = ndtr(np.where(y > 0, np.log(np.maximum(y, 1e-300)) / s, -np.inf))
+    pdf = np.zeros(y.shape)
+    pos = y > 0
+    z = np.log(y[pos]) / s
+    pdf[pos] = np.exp(-0.5 * z * z) / (y[pos] * s * np.sqrt(2.0 * np.pi))
+    return pdf, cdf
+
+
+def test_base_measures_match_the_reference_bit_for_bit():
     # Lomax(a, 1) with the Clayton kernel, log-normal(0, 1/(1-rho)) with
-    # the Gaussian one
-    y = np.array([0.5, 1.0, 3.0])
-    lomax = LomaxParams(1.3, 1.0)
-    pdf, cdf = ClaytonFamily(1.3).base_at(y)
-    assert np.array_equal(pdf, lomax_pdf(y, lomax))
-    assert np.array_equal(cdf, lomax_cdf(y, lomax))
-    lognormal = LogNormalBaseParams(0.4)
-    pdf, cdf = GaussianFamily(0.4).base_at(y)
-    assert np.array_equal(pdf, lognormal_base_pdf(y, lognormal))
-    assert np.array_equal(cdf, lognormal_base_cdf(y, lognormal))
+    # the Gaussian one, Lomax(a, b) per particle for the conjugate model
+    rng = np.random.default_rng(3)
+    ends = [0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e300]
+    y = np.concatenate([ends, rng.exponential(2.0, 2000 - len(ends))])
+
+    def same(got, want):
+        return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    for a in np.linspace(0.02, 5.0, 50):
+        assert same(ClaytonFamily(a).base_at(y), reference_lomax(y, a, 1.0))
+    for rho in np.linspace(0.02, 0.98, 50):
+        assert same(GaussianFamily(rho).base_at(y),
+                    reference_lognormal(y, rho))
+    a = rng.uniform(0.02, 5.0, y.size)
+    b = rng.uniform(0.1, 50.0, y.size)
+    assert same(lomax(y, a, b), reference_lomax(y, a, b))
+    for t in (0.0, 5e-324, 0.3, 1e300):
+        assert same(lomax(t, a, b), reference_lomax(t, a, b))
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))

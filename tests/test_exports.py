@@ -1,5 +1,6 @@
 """The hand-written export lists name only what their modules define, and
-only what the program itself uses."""
+only what the program itself uses; the code names README.md gives
+resolve."""
 
 import importlib
 import pkgutil
@@ -55,3 +56,26 @@ def test_exported_names_are_used_by_the_program(name):
                    for line in lines):
             unused.append(export)
     assert unused == []
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("dotted", sorted(set(
+    re.findall(r"\bcopsurv(?:\.[A-Za-z_]\w*)+", README))))
+def test_readme_code_name_resolves(dotted):
+    pkgutil.resolve_name(dotted)
+
+
+def test_readme_sketch_names_resolve():
+    """Without running the sketch: every `cs.<name>` is an attribute of
+    the package root, and every name it imports from a module exists."""
+    section = README.split("## Library sketch", 1)[1]
+    sketch = section.split("```python", 1)[1].split("```", 1)[0]
+    names = set(re.findall(r"\bcs\.([A-Za-z_]\w*)", sketch))
+    assert names
+    assert sorted(n for n in names if not hasattr(copsurv, n)) == []
+    for module, imported in re.findall(r"^from (copsurv[\w.]*) import (.+)$",
+                                       sketch, re.M):
+        for name in imported.split(","):
+            pkgutil.resolve_name(f"{module}.{name.strip()}")

@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import gammaln
-from scipy.stats import lomax
+from scipy.stats import lomax as scipy_lomax
 
 import copsurv as cs
-from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
+from copsurv.copulas import lomax
 from copsurv.errors import ConfigurationError
 from copsurv.parametric import (
     ConjugateModel,
@@ -48,22 +48,22 @@ class TestPosteriorPredictive:
 
     def test_unit_state(self):
         state = ConjugateState(1.0, 1.0)
-        assert lomax_pdf(0.0, LomaxParams(state.a_n, state.b_n)) == 1.0
+        assert lomax(0.0, state.a_n, state.b_n)[0] == 1.0
 
     def test_mean_matches_quadrature(self):
         state = ConjugateState(3.0, 2.0)
-        params = LomaxParams(state.a_n, state.b_n)
-        mean, _ = quad(lambda y: y * lomax_pdf(y, params), 0, np.inf)
+        mean, _ = quad(lambda y: y * lomax(y, state.a_n, state.b_n)[0], 0,
+                       np.inf)
         assert_allclose(mean, state.b_n / (state.a_n - 1.0), rtol=1e-8)
 
     def test_cdf_monotone_and_invertible(self):
         state = ConjugateState(2.2, 1.7)
-        params = LomaxParams(state.a_n, state.b_n)
         grid = np.linspace(0.0, 20.0, 200)
-        vals = lomax_cdf(grid, params)
+        vals = lomax(grid, state.a_n, state.b_n)[1]
         assert np.all(np.diff(vals) >= 0)
-        assert_allclose(lomax.ppf(lomax_cdf(1.3, params), c=state.a_n,
-                                  scale=state.b_n), 1.3, rtol=1e-10)
+        u = lomax(1.3, state.a_n, state.b_n)[1]
+        assert_allclose(scipy_lomax.ppf(u, c=state.a_n, scale=state.b_n),
+                        1.3, rtol=1e-10)
 
 
 class TestExactLogMarginal:
@@ -163,11 +163,11 @@ class TestConjugateSmc:
         # b sums b0, the observed times and the particle's imputed time
         draws = ensemble.b - (model.b0 + y1 + y3)
         state = posterior_update(model, make_dataset([y1, y3], [1, 1]))
-        others = LomaxParams(state.a_n, state.b_n)
-        tail = 1.0 - lomax_cdf(c, others)
+        p_c = lomax(c, state.a_n, state.b_n)[1]
 
         def oracle_cdf(y):
-            return (lomax_cdf(np.maximum(y, c), others) - lomax_cdf(c, others)) / tail
+            p_y = lomax(np.maximum(y, c), state.a_n, state.b_n)[1]
+            return (p_y - p_c) / (1.0 - p_c)
 
         ks = weighted_ks(draws, ensemble.weights, oracle_cdf)
         assert ks <= 0.05

@@ -13,7 +13,6 @@ from copsurv.copulas import (
     alpha_schedule,
     clayton_density_and_partial,
 )
-from copsurv.distributions import LomaxParams, lomax_cdf, lomax_pdf
 from copsurv.errors import ConfigurationError
 from copsurv.predictive import RunningPredictive
 from copsurv.resampling import (
@@ -59,8 +58,7 @@ def oracle_clayton_partial(u, v, a):
 def oracle_running_cdf(y, previous, a):
     """Running CDF of y after absorbing `previous` in order, rebuilt with
     the plain formulas."""
-    base = LomaxParams(a, 1.0)
-    u = float(lomax_cdf(y, base))
+    u = float(ClaytonFamily(a).base_at(y)[1])
     for k, y_prev in enumerate(previous, start=1):
         alpha_k = (2 - 1 / k) / (k + 1)
         v_k = oracle_running_cdf(y_prev, previous[: k - 1], a)
@@ -70,9 +68,9 @@ def oracle_running_cdf(y, previous, a):
 
 def oracle_two_step(y_grid, y1, y2, a):
     """Hand evaluation of the density/CDF recursion applied twice."""
-    base = LomaxParams(a, 1.0)
-    dens = [float(lomax_pdf(y, base)) for y in y_grid]
-    u = [float(lomax_cdf(y, base)) for y in y_grid]
+    family = ClaytonFamily(a)
+    dens = [float(family.base_at(y)[0]) for y in y_grid]
+    u = [float(family.base_at(y)[1]) for y in y_grid]
     observations = [y1, y2]
     for i, y_obs in enumerate(observations, start=1):
         alpha = (2 - 1 / i) / (i + 1)
@@ -89,23 +87,22 @@ class TestAbsorbEvaluate:
         empty = fit(make_dataset([0.4], [1]), ClaytonFamily(1.2))
         empty = dataclasses.replace(empty, v_matrix=empty.v_matrix[:0])
         dens, cdf = at(empty, 0.7)
-        base = LomaxParams(1.2, 1.0)
-        assert dens == lomax_pdf(0.7, base)
-        assert cdf == lomax_cdf(0.7, base)
+        base_pdf, base_cdf = ClaytonFamily(1.2).base_at(0.7)
+        assert dens == base_pdf
+        assert cdf == base_cdf
 
     def test_single_absorb_density_formula(self):
         a = 2.0
-        base = LomaxParams(a, 1.0)
         y1 = float(lomax.ppf(0.5, c=a, scale=1.0))
         one = fit(make_dataset([y1], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
         density, _ = clayton_density_and_partial(0.5, 0.5, a)
-        expected = (1 - alpha1 + alpha1 * density) * lomax_pdf(y1, base)
+        base_pdf = ClaytonFamily(a).base_at(y1)[0]
+        expected = (1 - alpha1 + alpha1 * density) * base_pdf
         assert_allclose(at(one, y1)[0], expected, rtol=1e-12)
 
     def test_single_absorb_cdf_formula(self):
         a = 1.5
-        base = LomaxParams(a, 1.0)
         median = float(lomax.ppf(0.5, c=a, scale=1.0))
         one = fit(make_dataset([median], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
@@ -155,15 +152,14 @@ class TestFitUncensored:
         data = make_dataset([0.8], [1])
         vseq = fit(data, ClaytonFamily(1.1)).v_matrix[:, 0]
         assert vseq.size == 1
-        assert_allclose(vseq[0], lomax_cdf(0.8, LomaxParams(1.1, 1.0)))
+        assert_allclose(vseq[0], ClaytonFamily(1.1).base_at(0.8)[1])
 
     def test_identical_points_second_v_is_updated_cdf(self):
         a = 1.0
         y = 0.9
         data = make_dataset([y, y], [1, 1])
         vseq = fit(data, ClaytonFamily(a)).v_matrix[:, 0]
-        base = LomaxParams(a, 1.0)
-        v1 = float(lomax_cdf(y, base))
+        v1 = float(ClaytonFamily(a).base_at(y)[1])
         alpha1 = float(alpha_schedule(1))
         v2_expected = (1 - alpha1) * v1 + alpha1 * oracle_clayton_partial(v1, v1, a)
         assert_allclose(vseq, [v1, v2_expected], rtol=1e-12)
@@ -181,7 +177,7 @@ class TestPrequential:
     def test_single_point(self):
         data = make_dataset([1.4], [1])
         got = fit(data, ClaytonFamily(0.9)).log_z
-        assert got == np.log(lomax_pdf(1.4, LomaxParams(0.9, 1.0)))
+        assert got == np.log(ClaytonFamily(0.9).base_at(1.4)[0])
 
     def test_additivity(self, uncensored_exp50):
         family = ClaytonFamily(1.0)

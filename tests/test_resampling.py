@@ -104,13 +104,12 @@ class TestMedianFromCdf:
         assert median_from_cdf(np.array([0.0, 0.25, 0.75, 1.0]), grid) == 1.5
 
     def test_refinement_oracle(self):
-        from copsurv.distributions import LomaxParams, lomax_cdf
+        from copsurv.copulas import lomax
 
-        params = LomaxParams(1.4, 1.0)
         coarse = GridSpec(np.linspace(0.0, 6.0, 40))
         fine = GridSpec(np.linspace(0.0, 6.0, 400))
-        m_coarse = median_from_cdf(lomax_cdf(coarse.points, params), coarse)
-        m_fine = median_from_cdf(lomax_cdf(fine.points, params), fine)
+        m_coarse = median_from_cdf(lomax(coarse.points, 1.4, 1.0)[1], coarse)
+        m_fine = median_from_cdf(lomax(fine.points, 1.4, 1.0)[1], fine)
         cell = coarse.points[1] - coarse.points[0]
         assert abs(m_coarse - m_fine) < cell
 
