@@ -49,7 +49,7 @@ from .resampling import (
     PosteriorDraws,
     default_grid,
     martingale_posterior,
-    median_from_cdf,
+    median_from_survival,
     wasserstein1,
 )
 from .tune import TuneGrid, TuneResult, grid_search

@@ -3,10 +3,12 @@
 The sampler walks the dataset in its stored order keeping B particles.  An
 observed record multiplies each particle's weight by its current predictive
 density there and absorbs the propagation value; a right-censored record
-draws U ~ Uniform(P(c), 1) in CDF space per particle, multiplies the weight
-by the predictive survival mass 1 - P(c), and absorbs U.  Whenever the
-effective sample size of the weights drops below `ess_frac * B`, the
-ensemble is systematically resampled and weights reset to uniform.
+draws its propagation value V ~ Uniform(P(c), 1) in CDF space per
+particle, as V = 1 - S(c)(1 - U) from the predictive survival S(c) =
+1 - P(c) and a uniform U, multiplies the weight by S(c), and absorbs V.
+Whenever the effective sample size of the weights drops below
+`ess_frac * B`, the ensemble is systematically resampled and weights
+reset to uniform.
 
 Weights are accumulated in log space (products of hundreds of densities
 underflow otherwise).  The running marginal-likelihood estimate is the sum
@@ -25,12 +27,12 @@ as the value the engine absorbed, and resampling re-indexes that state
 and the ancestry, nothing else.  The copula engine is a
 `predictive.RunningPredictive` whose points are the records still to
 come, at their own times: besides that history it carries, per particle
-(one row each), the running predictive (density, cdf) of every pending
-record (one column each).  The next record is column 0, so evaluating it
-reads that column, and absorbing it drops the column and updates the
-columns left, in blocks of particle rows, with the weight that the
-running predictive computes once per record from its count and the
-records' covariates: the recursion costs one kernel evaluation per
+(one row each), the running predictive (density, survival) of every
+pending record (one column each).  The next record is column 0, so
+evaluating it reads that column, and absorbing it drops the column and
+updates the columns left, in blocks of particle rows, with the weight
+that the running predictive computes once per record from its count and
+the records' covariates: the recursion costs one kernel evaluation per
 (pending record, particle, absorbed record), not a kernel call per pair
 of records.  All randomness comes from counter-based streams keyed by
 (seed, stream, record index), so a pass is a pure function of (data,
@@ -178,11 +180,13 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     ESS-triggered systematic resampling.
 
     The engine contract, with every array of shape (B,): eval_at(t) ->
-    (density, cdf), the predictive at the next record's time t given the
-    records absorbed so far; absorb_observed(t, cdf) takes that record as
-    observed at t, where the predictive CDF was `cdf`; absorb_censored(u)
-    takes it as censored, with each particle's draw u above P(c) in CDF
-    space; select(idx) re-indexes the particle state by ancestor indices.
+    (density, survival), the predictive at the next record's time t given
+    the records absorbed so far; absorb_observed(t, surv) takes that
+    record as observed at t, where the predictive survival was `surv`;
+    absorb_censored(v) takes it as censored, with each particle's draw v
+    above P(c) = 1 - S(c) in CDF space; select(idx) re-indexes the
+    particle state by ancestor indices.  A particle whose survival at a
+    censoring time is at most CLAMP_EPS is dead: its weight is zero.
     Records are visited in order, each evaluated once and then absorbed,
     so an engine counts them itself, and may return the predictive of the
     records to come as a view: the loop only reads what eval_at returns.
@@ -209,23 +213,23 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
 
     for i in range(n):
         t = float(times[i])
-        dens, cdf = engine.eval_at(t)
+        dens, surv = engine.eval_at(t)
         if status[i] == 1:
             with np.errstate(divide="ignore"):
                 log_w += np.log(dens)
-            engine.absorb_observed(t, cdf)
+            engine.absorb_observed(t, surv)
         else:
-            dead = cdf >= 1.0 - copulas.CLAMP_EPS
+            dead = surv <= copulas.CLAMP_EPS
             unif = rng.uniforms(seed, rng.STREAM_IMPUTE, i, b)
-            u = cdf + (1.0 - cdf) * unif
+            v = 1.0 - surv * (1.0 - unif)
             # keep draws strictly above P(c) and strictly below 1; dead
             # particles get a finite placeholder (their weight is zero)
-            u = np.maximum(u, np.nextafter(cdf, 1.0))
-            u = np.minimum(u, 1.0 - 1e-12)
-            u = np.where(dead, 1.0 - 1e-12, u)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_w += np.where(dead, -np.inf, np.log1p(-np.minimum(cdf, 1.0)))
-            engine.absorb_censored(u)
+            v = np.maximum(v, np.nextafter(1.0 - surv, 1.0))
+            v = np.minimum(v, 1.0 - 1e-12)
+            v = np.where(dead, 1.0 - 1e-12, v)
+            with np.errstate(divide="ignore"):
+                log_w += np.where(dead, -np.inf, np.log(surv))
+            engine.absorb_censored(v)
         m = np.max(log_w)
         if not np.isfinite(m):
             raise DegeneracyError(
@@ -280,24 +284,24 @@ class _CopulaEngine(RunningPredictive):
 
     def eval_at(self, t):
         # t is the next record's time, whose running predictive is column 0
-        return self.dens[:, 0], self.u[:, 0]
+        return self.dens[:, 0], self.surv[:, 0]
 
-    def absorb_observed(self, t, cdf):
+    def absorb_observed(self, t, surv):
         # an observed record's propagation value is its predictive CDF
-        self.absorb_censored(cdf)
+        self.absorb_censored(1.0 - surv)
 
-    def absorb_censored(self, u):
-        self.v[self.n_absorbed] = u
-        self.dens, self.u = self.dens[:, 1:], self.u[:, 1:]
+    def absorb_censored(self, v):
+        self.v[self.n_absorbed] = v
+        self.dens, self.surv = self.dens[:, 1:], self.surv[:, 1:]
         x = self.x_points
         if x is not None:
             x, self.x_points = x[0], x[1:]
-        self.absorb(u, x)
+        self.absorb(v, x)
 
     def select(self, idx):
         self.v[:self.n_absorbed] = self.v[:self.n_absorbed, idx]
         self.dens = self.dens[idx]
-        self.u = self.u[idx]
+        self.surv = self.surv[idx]
 
 
 def impute_smc(data: SurvivalDataset, family: CopulaFamily,

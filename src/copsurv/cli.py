@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -64,6 +65,11 @@ IN_CLOSED_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 IN_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 IN_HALF_OPEN_UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
 COPULA_FAMILY = (lambda v: v in FAMILIES, " or ".join(FAMILIES))
+# A name for a file in --output-dir: no directory part, and not "" or a
+# name of a directory.
+FILE_NAME = (lambda v: v not in ("", ".", "..")
+             and not any(sep and sep in v for sep in (os.sep, os.altsep)),
+             "a file name without a directory part")
 # `rng.stream` keys on the seed's low 64 bits, so a seed of 2**64 would
 # reuse seed 0's streams.
 SEED_RANGE = (lambda v: 0 <= v < 2**64, "in [0, 2**64)")
@@ -126,7 +132,7 @@ SUBCOMMANDS = {
         Opt("n", int, required=True, bounds=POSITIVE),
         Opt("rate-y", float, default=1.0, bounds=POSITIVE),
         Opt("rate-c", float, default=2.0, bounds=POSITIVE),
-        Opt("out-name", str, default="data.csv"),
+        Opt("out-name", str, default="data.csv", bounds=FILE_NAME),
     ],
     "fit": FIT_CORE_OPTS,
     "posterior": FIT_CORE_OPTS + [
@@ -359,24 +365,26 @@ def _run_fit(cfg, data, tune_by_default=False):
 
 
 def _point_predictive(ensemble, grid, x_target=None):
-    """Importance-weighted mixture (density, cdf) of the fit on the grid."""
-    dens_rows, cdf_rows = resampling.ensemble_grid_rows(ensemble, grid,
-                                                        x_target)
+    """Importance-weighted mixture (density, survival) of the fit on the
+    grid."""
+    dens_rows, surv_rows = resampling.ensemble_grid_rows(ensemble, grid,
+                                                         x_target)
     w = ensemble.weights
-    return weighted_mean(dens_rows, w), weighted_mean(cdf_rows, w)
+    return weighted_mean(dens_rows, w), weighted_mean(surv_rows, w)
 
 
 # ---------------------------------------------------------------------------
 # Output tables of more than one command, each schema spelled once.
 # ---------------------------------------------------------------------------
 
-def _write_predictive(path, grid, density, cdf, scale):
+def _write_predictive(path, grid, density, survival, scale):
     """A point predictive on the grid, in input units."""
     dataio.write_rows(
         path,
         ["time", "density", "cdf", "survival"],
         zip(dataio.unscale_times(grid.points, scale),
-            dataio.unscale_density(density, scale), cdf, 1.0 - cdf),
+            dataio.unscale_density(density, scale), 1.0 - survival,
+            survival),
     )
 
 
@@ -397,7 +405,7 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
     grid_orig = dataio.unscale_times(draws.grid.points, scale)
     w = draws.weights
     for name, values in (
-            ("survival", 1.0 - draws.cdf_draws),
+            ("survival", draws.survival_draws),
             ("density", dataio.unscale_density(draws.density_draws, scale))):
         q = weighted_quantiles(values, w, [0.025, 0.975])
         dataio.write_rows(outdir / f"{prefix}{name}_summary.csv",
@@ -418,8 +426,19 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
     dataio.write_rows(
         outdir / f"{prefix}cdf_draws.csv",
         ["weight"] + [repr(float(t)) for t in grid_orig],
-        (np.column_stack([w, draws.cdf_draws])),
+        _cdf_rows(w, draws.survival_draws),
     )
+
+
+def _cdf_rows(weights, survival):
+    """Each draw's row of `cdf_draws.csv`, its weight and 1 - S, in one
+    buffer reused for every row (`write_rows` writes a row before it
+    takes the next)."""
+    row = np.empty(survival.shape[1] + 1)
+    for w, surv in zip(weights, survival):
+        row[0] = w
+        np.subtract(1.0, surv, out=row[1:])
+        yield row
 
 
 def _write_doob_tables(outdir, result):
@@ -462,8 +481,8 @@ def cmd_simulate(cfg, outdir):
 def cmd_fit(cfg, outdir):
     data = _prepared_dataset(cfg)
     ensemble, grid, meta = _run_fit(cfg, data)
-    density, cdf = _point_predictive(ensemble, grid)
-    _write_predictive(outdir / "predictive.csv", grid, density, cdf,
+    density, survival = _point_predictive(ensemble, grid)
+    _write_predictive(outdir / "predictive.csv", grid, density, survival,
                       data.scale_factor)
     _write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "fit", cfg, {
@@ -541,13 +560,13 @@ def cmd_regress(cfg, outdir):
         if draws:
             # the draws carry the fitted predictive of their start rows
             density = draws[idx].predictive_density
-            cdf = draws[idx].predictive_cdf
+            survival = draws[idx].predictive_survival
             _write_posterior_summaries(outdir, draws[idx], scale,
                                        prefix=f"posterior_x{idx}_")
         else:
-            density, cdf = _point_predictive(ensemble, grid, x)
+            density, survival = _point_predictive(ensemble, grid, x)
         _write_predictive(outdir / f"conditional_x{idx}.csv", grid, density,
-                          cdf, scale)
+                          survival, scale)
 
     if draws:
         extra["censored_medians"] = [count for count, _ in censored]

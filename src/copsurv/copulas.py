@@ -2,29 +2,36 @@
 
 Two families drive the sequential predictive update: the Clayton-mixture
 kernel d_a / I_a on positive-support data and the Gaussian kernel
-c_rho / H_rho paired with the log-normal base.  Each family's kernel
-returns the copula density together with its partial integral in u,
+c_rho / H_rho paired with the log-normal base.  The state of the
+recursion is the predictive survival S = 1 - F (see `predictive`), so
+each family's kernel takes S and the propagation value v (a CDF value,
+as drawn) and returns the copula density together with the complement
+of its partial integral in u = 1 - S,
 
-    I(u, v) = int_0^u density(u', v) du',
+    1 - I(u, v) = 1 - int_0^u density(u', v) du',
 
-which is what propagates the predictive CDF.
+which is what propagates the predictive survival.
 
 `ClaytonFamily` and `GaussianFamily` are the only code that knows a
 family: its bandwidth, kernel (`joint`), base measure (`base_at`, whose
-formulas each family holds) and defaults; `FAMILIES` maps each `kind`
-name to its class.  `lomax` evaluates the Clayton family's Lomax(a, 1)
-base and also the conjugate model's Lomax(a_n, b_n) predictive
-(`parametric`).  `joint` looks its kernel up in this module's globals at
-each call, so a wrapper put there (perfbench's tracer) sees every kernel
-call.
+(pdf, survival) formulas each family holds) and defaults; `FAMILIES`
+maps each `kind` name to its class.  `lomax` evaluates the Clayton
+family's Lomax(a, 1) base and also the conjugate model's Lomax(a_n, b_n)
+predictive (`parametric`).  `joint` looks its kernel up in this module's
+globals at each call, so a wrapper put there (perfbench's tracer) sees
+every kernel call.
 
-Numerics: the Clayton kernel is evaluated in log space, since
-(1 - u)^(-1/a) explodes for small bandwidths as u -> 1.  Probability
-arguments are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before use, except
-that the partials map exact-0 and exact-1 inputs to exactly 0 and 1 (the
-analytic limits), which keeps a CDF pinned at 0 on the time origin
-through arbitrarily many updates.  The Clayton formulas are regular at
-u = 0, so only their upper end is clamped.
+Numerics: the Clayton kernel is evaluated in log space on S.  Its u-space
+form needs (1 - u)^(-1/a), which overflows for small bandwidths as
+u -> 1, and 1 - u itself, which keeps only about 1e-16 absolute
+precision; on S it needs S^(1/a) = exp(log S / a) <= 1, with no
+cancellation, so a survival near 0 keeps its relative precision, and
+that upper tail is the part survival analysis reads.  Probability
+arguments are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before use (only the
+lower end of S for the Clayton formulas, which are regular at S = 1),
+except that 1 - I maps S = 0 and S = 1 to exactly 0 and 1 (the analytic
+limits), which keeps a survival pinned at 1 on the time origin, and so a
+CDF pinned at 0, through arbitrarily many updates.
 """
 
 from __future__ import annotations
@@ -62,8 +69,11 @@ CLAMP_EPS = 1e-10
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
 
 # Block-shaped scratch arrays each kernel uses (`KernelScratch.block`).
-CLAYTON_BLOCKS = 5
+CLAYTON_BLOCKS = 3
 GAUSSIAN_BLOCKS = 3
+# exp(-CLAYTON_LOG_FLOOR) is a normal float64, far from underflow; see
+# `clayton_density_and_partial`.
+CLAYTON_LOG_FLOOR = 600.0
 
 
 def _times(y):
@@ -75,11 +85,11 @@ def _times(y):
 
 
 def lomax(y, a, b):
-    """(pdf, cdf) of Lomax(a, b), density (a/b) (1 + y/b)^-(a+1), at
-    times y >= 0; y < 0 raises ValueError.  a and b may be arrays that
-    broadcast against y."""
+    """(pdf, survival) of Lomax(a, b), density (a/b) (1 + y/b)^-(a+1) and
+    survival (1 + y/b)^-a, at times y >= 0; y < 0 raises ValueError.  a
+    and b may be arrays that broadcast against y."""
     log1p_y = np.log1p(_times(y) / b)
-    return (a / b) * np.exp(-(a + 1.0) * log1p_y), -np.expm1(-a * log1p_y)
+    return (a / b) * np.exp(-(a + 1.0) * log1p_y), np.exp(-a * log1p_y)
 
 
 @dataclass(frozen=True)
@@ -87,8 +97,9 @@ class ClaytonFamily:
     """Clayton-mixture kernel with the Lomax(a, 1) base; smaller
     bandwidth = sharper updates.
 
-    Any positive finite bandwidth is accepted; below roughly 0.05 the
-    kernel's (1-u)^(-1/a) terms push float64 to its limits near u = 1.
+    Any positive finite bandwidth is accepted; below about 0.038 the
+    kernel's S^(1/a) and (1-v)^(1/a) terms can leave float64's range,
+    and it shifts the rows that need it (`_clayton_row_terms`).
     """
 
     bandwidth: float  # a > 0
@@ -104,13 +115,14 @@ class ClaytonFamily:
             raise ConfigurationError(
                 f"bandwidth must be positive and finite, got {self.bandwidth}")
 
-    def joint(self, u, v, out=None):
-        """(density, partial) of the kernel, for the update recursion, in
-        the `KernelScratch` set `out` (a new one when None)."""
-        return clayton_density_and_partial(u, v, self.bandwidth, out=out)
+    def joint(self, s, v, out=None):
+        """(density, 1 - partial) of the kernel at survival s, for the
+        update recursion, in the `KernelScratch` set `out` (a new one
+        when None)."""
+        return clayton_density_and_partial(s, v, self.bandwidth, out=out)
 
     def base_at(self, y):
-        """(pdf, cdf) of the base measure at times y."""
+        """(pdf, survival) of the base measure at times y."""
         return lomax(y, self.bandwidth, 1.0)
 
 
@@ -131,45 +143,42 @@ class GaussianFamily:
         if not 0.0 < self.bandwidth < 1.0:
             raise ConfigurationError(f"rho must lie in (0, 1), got {self.bandwidth}")
 
-    def joint(self, u, v, out=None):
-        """(density, partial) of the kernel, for the update recursion, in
-        the `KernelScratch` set `out` (a new one when None)."""
-        return gaussian_density_and_partial(u, v, self.bandwidth, out=out)
+    def joint(self, s, v, out=None):
+        """(density, 1 - partial) of the kernel at survival s, for the
+        update recursion, in the `KernelScratch` set `out` (a new one
+        when None)."""
+        return gaussian_density_and_partial(s, v, self.bandwidth, out=out)
 
     def base_at(self, y):
-        """(pdf, cdf) of the base measure at times y >= 0, log-normal with
-        log-scale sd s = 1/sqrt(1 - rho).  The pdf takes its continuous
+        """(pdf, survival) of the base measure at times y >= 0, log-normal
+        with log-scale sd s = 1/sqrt(1 - rho): the survival is ndtr(-z),
+        z = log(y) / s, exactly 1 at y = 0.  The pdf takes its continuous
         limit 0 at y = 0, so evaluation grids may start at the origin;
         y < 0 raises ValueError."""
         y = _times(y)
         s = 1.0 / np.sqrt(1.0 - self.bandwidth)
-        cdf = ndtr(np.where(y > 0, np.log(np.maximum(y, 1e-300)) / s, -np.inf))
+        surv = ndtr(np.where(y > 0, -np.log(np.maximum(y, 1e-300)) / s,
+                             np.inf))
         pdf = np.zeros(y.shape)
         pos = y > 0
         z = np.log(y[pos]) / s
         pdf[pos] = np.exp(-0.5 * z * z) / (y[pos] * s * np.sqrt(2.0 * np.pi))
-        return pdf, cdf
+        return pdf, surv
 
 
 CopulaFamily = ClaytonFamily | GaussianFamily
 
 
-def _clamp_upper(u, out=None):
-    # Clayton formulas are regular at u = 0, so only the upper end needs
-    # protection; negative inputs are treated as the origin.
-    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0 - CLAMP_EPS, out=out)
-
-
-def _clamp(u, out):
-    return np.clip(np.asarray(u, dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS,
+def _clamp(p, out):
+    return np.clip(np.asarray(p, dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS,
                    out=out)
 
 
 class KernelScratch(NamedTuple):
     """The work arrays of one kernel call, which also hold its results:
-    `block`, float64 arrays of the broadcast shape of (u, v), as many as
+    `block`, float64 arrays of the broadcast shape of (s, v), as many as
     the kernel uses (its family's `scratch_blocks`);
-    `small`, two float64 arrays of v's shape; `mask`, a bool array of the
+    `small`, three float64 arrays of v's shape; `mask`, a bool array of the
     broadcast shape.
 
     `flat` makes one-dimensional arrays that a caller keeps across calls
@@ -186,7 +195,7 @@ class KernelScratch(NamedTuple):
         """`n_block` block arrays for calls of up to `size` elements, with
         v of up to `v_size`."""
         return cls(tuple(np.empty(size) for _ in range(n_block)),
-                   tuple(np.empty(v_size) for _ in range(2)),
+                   tuple(np.empty(v_size) for _ in range(3)),
                    np.empty(size, dtype=bool))
 
     def view(self, shape, v_shape) -> "KernelScratch":
@@ -198,46 +207,23 @@ class KernelScratch(NamedTuple):
                              self.mask[:n].reshape(shape))
 
 
-def _scratch_for(u, v, out, n_block):
+def _scratch_for(s, v, out, n_block):
     """`out`, or a new scratch set of `n_block` block arrays, of the
-    shapes of a call on (u, v)."""
+    shapes of a call on (s, v)."""
     if out is None:
-        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        shape = np.broadcast_shapes(np.shape(s), np.shape(v))
         out = KernelScratch.flat(math.prod(shape), np.size(v), n_block).view(
             shape, np.shape(v))
     return out
 
 
-def _pin_ends(partial, u, mask):
-    """Set a partial to its analytic limits, 0 at u <= 0 and 1 at u >= 1,
-    through the bool scratch `mask`."""
-    np.less_equal(u, 0.0, out=mask)
-    np.copyto(partial, 0.0, where=mask)
-    np.greater_equal(u, 1.0, out=mask)
-    np.copyto(partial, 1.0, where=mask)
-
-
-def _log_clayton_s(gu, gv, out, work):
-    """log{(1-u)^(-1/a) + (1-v)^(-1/a) - 1} from g = -log(1-u)/a terms,
-    written into `out`; `work` is a pair of scratch arrays.  All three
-    have the broadcast shape of gu and gv.
-
-    Shifted by m = max(gu, gv): one of exp(gu - m) and exp(gv - m) is
-    exp(0) = 1 and the other is exp(-|gu - gv|), bit for bit, and
-    -|gu - gv| is min(gu, gv) - m, also bit for bit.
-    """
-    m, e = work
-    np.maximum(gu, gv, out=m)
-    np.minimum(gu, gv, out=out)
-    out -= m
-    np.exp(out, out=out)
-    out += 1.0
-    np.negative(m, out=e)
-    np.exp(e, out=e)
-    out -= e
-    np.log(out, out=out)
-    out += m
-    return out
+def _pin_ends(tail, s, mask):
+    """Set a partial's complement 1 - I to its analytic limits, 0 at
+    s <= 0 and 1 at s >= 1, through the bool scratch `mask`."""
+    np.less_equal(s, 0.0, out=mask)
+    np.copyto(tail, 0.0, where=mask)
+    np.greater_equal(s, 1.0, out=mask)
+    np.copyto(tail, 1.0, where=mask)
 
 
 def _gaussian_log_density_z(zu, zv, rho: float, out=None, work=None):
@@ -274,72 +260,128 @@ def _check_rho(rho: float):
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
 
 
-def _clayton_g(p, a: float, out):
-    """-log(1-p)/a of the upper-clamped p, written into `out`."""
-    _clamp_upper(p, out)
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    out /= -a
-    return out
+def _clayton_row_terms(v, a: float, q, one_minus_q, factor):
+    """The Clayton kernel's terms of v, written at v's shape: q =
+    (1 - v)^(1/a) (v clipped to [0, 1 - CLAMP_EPS]), 1 - q and the
+    density's factor ((a+1)/a) q.  Returns the row shift m, or None when
+    the bandwidth lets no row need one.
+
+    A row whose log q = log(1 - v)/a falls below -CLAYTON_LOG_FLOOR is
+    shifted by m = log q + CLAYTON_LOG_FLOOR (m = 0 in the other rows),
+    so t never underflows: the kernel carries q e^-m, t e^-m and
+    min(e^(L-m), e^700) in place of q, t and e^L, and the factor becomes
+    ((a+1)/a) q e^(-(a+1) m).  The cap acts only where e^L (1 - q)
+    exceeds q by far more than float64 resolves; the kernel then pins
+    1 - I to 1 at s >= 1, which a shifted row no longer gives exactly.
+    """
+    np.clip(v, 0.0, 1.0 - CLAMP_EPS, out=q)
+    np.subtract(1.0, q, out=q)
+    np.log(q, out=q)
+    q /= a
+    if a * CLAYTON_LOG_FLOOR >= -math.log(CLAMP_EPS):
+        np.exp(q, out=q)
+        np.subtract(1.0, q, out=one_minus_q)
+        np.multiply(q, (a + 1.0) / a, out=factor)
+        return None
+    shift = np.minimum(q + CLAYTON_LOG_FLOOR, 0.0)
+    np.exp(q, out=one_minus_q)
+    np.subtract(1.0, one_minus_q, out=one_minus_q)
+    q -= shift
+    np.exp(q, out=q)
+    np.exp(-a * shift, out=factor)
+    factor *= q
+    factor *= (a + 1.0) / a
+    return shift
 
 
-def clayton_density_and_partial(u, v, a: float, out=None):
-    """(d_a(u, v), I_a(u, v)) from one set of log transforms.
+def clayton_density_and_partial(s, v, a: float, out=None):
+    """(d_a, 1 - I_a) at survival s = 1 - u and propagation value v.
 
-    d_a equals (a+1)/a exactly at the origin; I_a(u, v) =
-    1 - (1-v)^(-(a+1)/a) / s^(a+1) maps u = 0 -> 0 and u = 1 -> 1.
+    With L = log(max(s, CLAMP_EPS)) / a, q = (1 - v)^(1/a) (v clipped to
+    [0, 1 - CLAMP_EPS]) and t = q + e^L (1 - q),
 
-    The kernel is bound by array passes and by its fixed cost per call,
-    not by its transcendentals, so it runs every step in place in a
-    `KernelScratch` set: `out`, or a new one when None.  The two results
-    are its first two block arrays.  g(v) is computed at v's shape and
-    then copied out to the full shape once: its four uses then run as
-    same-shape passes, which numpy runs in about a third of the time of
-    a pass that broadcasts a (rows, 1) column.
+        1 - I_a = exp((a+1) (L - log t)),
+        d_a     = ((a+1)/a) q exp(L - (a+2) log t).
+
+    q + (1 - q) == 1 holds exactly in float64, so s = 1 (the time origin)
+    gives 1 - I_a = 1 and d_a = ((a+1)/a) q exactly, and a survival of 1
+    stays 1 through any number of updates; s <= 0 gives 1 - I_a = 0.
+
+    Range: e^L and q both lie in [CLAMP_EPS^(1/a), 1], and t >= q.  Only
+    a bandwidth below -log(CLAMP_EPS) / CLAYTON_LOG_FLOOR (about 0.038)
+    lets q fall below exp(-CLAYTON_LOG_FLOOR), where t could underflow;
+    `_clayton_row_terms` then shifts those rows.
+
+    The kernel is bound by array passes and by its fixed cost per call
+    (numpy dispatch, about a microsecond a call), not by its
+    transcendentals, so it makes few calls and runs every step in place
+    in a `KernelScratch` set: `out`, or a new one when None.  The two
+    results are its first two block arrays; the terms of v are computed
+    at v's shape.
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
-    out = _scratch_for(u, v, out, CLAYTON_BLOCKS)
-    density, partial, gu, log_s, gv = out.block[:CLAYTON_BLOCKS]
-    _clayton_g(u, a, gu)
-    np.copyto(gv, _clayton_g(v, a, out.small[0]))
-    _log_clayton_s(gu, gv, log_s, (density, partial))
-    # log_s >= gv always, so the exponent is <= 0 and the partial in [0, 1].
-    np.subtract(gv, log_s, out=partial)
-    partial *= a + 1.0
-    np.expm1(partial, out=partial)
-    np.negative(partial, out=partial)
-    _pin_ends(partial, u, out.mask)
-    np.add(gu, gv, out=density)
-    density *= a + 1.0
-    log_s *= a + 2.0
-    density -= log_s
+    out = _scratch_for(s, v, out, CLAYTON_BLOCKS)
+    density, tail, log_r = out.block[:CLAYTON_BLOCKS]
+    q, one_minus_q, factor = out.small
+    shift = _clayton_row_terms(v, a, q, one_minus_q, factor)
+    np.maximum(s, CLAMP_EPS, out=log_r)
+    np.log(log_r, out=log_r)
+    log_r /= a
+    if shift is not None:
+        log_r -= shift
+        np.minimum(log_r, 700.0, out=log_r)
+    # log t into `tail`
+    np.exp(log_r, out=tail)
+    tail *= one_minus_q
+    tail += q
+    np.log(tail, out=tail)
+    np.multiply(tail, a + 2.0, out=density)
+    np.subtract(log_r, density, out=density)
     np.exp(density, out=density)
-    density *= (a + 1.0) / a
-    return density, partial
+    density *= factor
+    # log t >= L, so the exponent is <= 0 and 1 - I_a in [0, 1].
+    np.subtract(log_r, tail, out=tail)
+    tail *= a + 1.0
+    np.exp(tail, out=tail)
+    if shift is None:  # s = 1 gives 1 - I_a = 1 exactly (see above)
+        np.less_equal(s, 0.0, out=out.mask)
+        np.copyto(tail, 0.0, where=out.mask)
+    else:
+        _pin_ends(tail, s, out.mask)
+    return density, tail
 
 
-def gaussian_density_and_partial(u, v, rho: float, out=None):
-    """(c_rho(u, v), H_rho(u, v)) from one pair of normal scores.
+def gaussian_density_and_partial(s, v, rho: float, out=None):
+    """(c_rho, 1 - H_rho) at survival s = 1 - u and propagation value v,
+    from one pair of normal scores.
 
-    H_rho(u, v) = Phi({Phi^-1(u) - rho Phi^-1(v)} / sqrt(1 - rho^2)); rho = 0
-    gives the independence copula (density exactly 1).  Runs in place in
-    a `KernelScratch` set like `clayton_density_and_partial`.
+    Phi^-1(u) = -Phi^-1(s), and c_rho is even in the pair of scores, so
+    with zs = Phi^-1(s) and zn = -Phi^-1(v),
+
+        1 - H_rho = Phi({zs - rho zn} / sqrt(1 - rho^2)),
+
+    the u-space formula of H_rho on (zs, zn).  rho = 0 gives the
+    independence copula (density exactly 1).  Probabilities are clamped
+    to [CLAMP_EPS, 1 - CLAMP_EPS], and 1 - H_rho is pinned to 0 at s <= 0
+    and to 1 at s >= 1.  Runs in place in a `KernelScratch` set like
+    `clayton_density_and_partial`.
     """
     _check_rho(rho)
-    out = _scratch_for(u, v, out, GAUSSIAN_BLOCKS)
-    density, partial, zu = out.block[:GAUSSIAN_BLOCKS]
-    zv, work = out.small
-    ndtri(_clamp(u, zu), out=zu)
-    ndtri(_clamp(v, zv), out=zv)
-    _gaussian_log_density_z(zu, zv, rho, density, (work, partial))
+    out = _scratch_for(s, v, out, GAUSSIAN_BLOCKS)
+    density, tail, zs = out.block[:GAUSSIAN_BLOCKS]
+    zn, work = out.small[:2]
+    ndtri(_clamp(s, zs), out=zs)
+    ndtri(_clamp(v, zn), out=zn)
+    np.negative(zn, out=zn)
+    _gaussian_log_density_z(zs, zn, rho, density, (work, tail))
     np.exp(density, out=density)
-    np.multiply(zv, rho, out=work)
-    np.subtract(zu, work, out=partial)
-    partial /= np.sqrt(1.0 - rho * rho)
-    ndtr(partial, out=partial)
-    _pin_ends(partial, u, out.mask)
-    return density, partial
+    np.multiply(zn, rho, out=work)
+    np.subtract(zs, work, out=tail)
+    tail /= np.sqrt(1.0 - rho * rho)
+    ndtr(tail, out=tail)
+    _pin_ends(tail, s, out.mask)
+    return density, tail
 
 
 # ---------------------------------------------------------------------------

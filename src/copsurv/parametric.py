@@ -160,9 +160,9 @@ def _absorb_lomax_draw(a, b, u):
 class _ConjugateEngine:
     """Per-particle (a, b) state under the Lomax posterior predictive.
 
-    Censored absorption inverts the drawn u through the particle's own
-    current predictive CDF, so the imputed time always exceeds the
-    censoring time pathwise.
+    `eval_at` returns the Lomax (pdf, survival).  Censored absorption
+    inverts the drawn u through the particle's own current predictive
+    CDF, so the imputed time always exceeds the censoring time pathwise.
     """
 
     def __init__(self, model: ConjugateModel, n_particles: int):
@@ -172,7 +172,7 @@ class _ConjugateEngine:
     def eval_at(self, t):
         return lomax(t, self.a, self.b)
 
-    def absorb_observed(self, t, cdf):
+    def absorb_observed(self, t, surv):
         self.a += 1.0
         self.b += t
 

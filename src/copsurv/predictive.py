@@ -1,16 +1,21 @@
-"""Sequential copula predictive recursion.
+"""Sequential copula predictive recursion, carried on the survival.
 
 The running predictive after absorbing i observations is determined by the
 family's base measure and the sequence of propagation values
-v_j = P_{j-1}(y_j), one per absorbed datum; raw times never enter the
-recursion.  Density and CDF at a point y are recovered jointly in one O(i)
-sweep,
+v_j = P_{j-1}(y_j), one per absorbed datum (a CDF value, as drawn); raw
+times never enter the recursion.  Its state at a point y is the density
+and the survival S = 1 - P(y), recovered jointly in one O(i) sweep,
 
-    dens <- dens * [1 - a_j + a_j * density(u, v_j)]
-    u    <- (1 - a_j) * u + a_j * partial(u, v_j)
+    dens <- dens * [1 - a_j + a_j * density(S, v_j)]
+    S    <- (1 - a_j) * S + a_j * (1 - partial)(S, v_j)
 
-starting from the base measure's (pdf, cdf) at y, where a_j is the update
-weight for step j (covariate-modulated in the regression variant).
+starting from the base measure's (pdf, survival) at y, where a_j is the
+update weight for step j (covariate-modulated in the regression variant)
+and the kernel returns the copula density and the complement 1 - I of
+its partial (`copulas`).  This is the CDF recursion u <- (1 - a_j) u +
+a_j I(u, v_j) subtracted from 1, so it holds the same predictive; on S
+the upper tail, where S is small, keeps its relative precision, and a
+survival of exactly 1 at the time origin stays exactly 1.
 `RunningPredictive.absorb` runs this step, in place, for every point a
 running predictive holds; no other code computes a_j, clamps v_j to
 [CLAMP_EPS, 1 - CLAMP_EPS] or picks the points a record updates.  It
@@ -28,13 +33,14 @@ predictive owns: each block gets contiguous views of its leading
 elements, so the recursion allocates no block-shaped array after
 construction.  The fixed cost of a kernel call (numpy dispatch, tens of
 microseconds) is paid per block, so blocks are as large as the cache
-allows: at 32768 elements an array is 256 KiB, and a block's roughly
-seven live arrays (the running rows and the kernel's scratch) fit a
-2 MiB per-core L2 cache.  On a 2-vCPU Xeon host with 2 MiB of L2 per
-core, one-CPU seconds of the benchmark's `posterior` call (median over
-three rounds of the best of three calls) measured 3.25, 3.00, 2.88, 2.89
-and 3.26 at 8k, 16k, 32k, 64k and 128k elements per block.  The
-recursion is elementwise, so blocking changes no output bit.
+allows: at 32768 elements an array is 256 KiB, and a block's five
+live arrays (the two running rows and the kernel's three scratch
+arrays) fit a 2 MiB per-core L2 cache.  On a 2-vCPU Xeon host with
+2 MiB of L2 per core, one-CPU seconds of the benchmark's `posterior`
+call (median over three rounds of the best of three calls) measured
+3.25, 3.00, 2.88, 2.89 and 3.26 at 8k, 16k, 32k, 64k and 128k elements
+per block, with the kernel on the CDF.  The recursion is elementwise,
+so blocking changes no output bit.
 """
 
 from __future__ import annotations
@@ -64,8 +70,9 @@ def row_blocks(stop: int, row_elems: int) -> list:
 
 class RunningPredictive:
     """The running predictive at points `times`, one row per particle, in
-    the caller's (B, points) arrays `dens` and `u` (a worker's rows of a
-    shared array), set here to the base measure at times[k] in column k.
+    the caller's (B, points) arrays `dens` and `surv` (a worker's rows of
+    a shared array): density and survival, set here to the base measure
+    at times[k] in column k.
     The k-th record it absorbs has weight `alpha_schedule(k)`, read from
     a table grown as needed, modulated when `rho_x` is set by
     `alpha_regression` between the points' covariates `x_points` (None,
@@ -74,13 +81,14 @@ class RunningPredictive:
     sized for the largest block an absorption can take.
     """
 
-    def __init__(self, family, times, dens, u, rho_x=None, x_points=None):
+    def __init__(self, family, times, dens, surv, rho_x=None,
+                 x_points=None):
         self.joint = family.joint
-        self.dens, self.u = dens, u
-        dens[:], u[:] = family.base_at(times)
+        self.dens, self.surv = dens, surv
+        dens[:], surv[:] = family.base_at(times)
         self.rho_x, self.x_points = rho_x, x_points
         self.n_absorbed, self.alphas = 0, np.empty(0)
-        b, points = u.shape
+        b, points = surv.shape
         self.scratch = KernelScratch.flat(
             min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS),
             family.scratch_blocks)
@@ -100,17 +108,17 @@ class RunningPredictive:
                                      self.rho_x)
             if np.ndim(x_record) == 2:
                 alpha = alpha[:, None]
-        if self.u.size == 0:  # e.g. the SMC pass's last record
+        if self.surv.size == 0:  # e.g. the SMC pass's last record
             return
         v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[:, None]
-        for blk in row_blocks(*self.u.shape):
+        for blk in row_blocks(*self.surv.shape):
             a = alpha[blk] if np.ndim(alpha) == 2 else alpha
-            dens, u = self.dens[blk], self.u[blk]
-            d, i_part = self.joint(u, v[blk], out=self.scratch.view(
-                u.shape, v[blk].shape))
+            dens, surv = self.dens[blk], self.surv[blk]
+            d, tail = self.joint(surv, v[blk], out=self.scratch.view(
+                surv.shape, v[blk].shape))
             d *= a
             d += 1.0 - a
             dens *= d
-            i_part *= a
-            u *= 1.0 - a
-            u += i_part
+            tail *= a
+            surv *= 1.0 - a
+            surv += tail

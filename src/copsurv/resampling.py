@@ -3,18 +3,20 @@
 A posterior draw of the unknown distribution is produced by extending a
 fitted predictive with a long synthetic future: at forward step t the value
 P(Y_new) is itself uniform, so one uniform draw u per step updates the
-grid-evaluated (density, cdf) rows directly through the copula recursion,
-no inverse CDF needed.  The final CDF row is the draw of the limiting
-distribution; functionals (survival curve, density, median) are read off
-the grid.  Starting the chains from the particles of a censored-data
+grid-evaluated (density, survival) rows directly through the copula
+recursion, no inverse CDF needed.  The final survival row is the draw of
+the limiting distribution; functionals (survival curve, density, median)
+are read off the grid.  The rows hold the survival S = 1 - F, the state
+of the recursion (`predictive`); only `cdf_draws.csv` (`cli`) writes
+1 - S.  Starting the chains from the particles of a censored-data
 imputation run and carrying their weights gives the weighted posterior
 sample.
 
 Convergence is tracked by the Wasserstein-1 distance between the running
-and starting CDF rows, which settles to a constant as the future grows
-(Fong, Holmes & Walker 2023).  It is computed only where it is read: the
-whole trajectory of the first `trace_chains` chains; the other chains
-compute none.
+and starting rows, computed on the survival since |dS| = |dF|, which
+settles to a constant as the future grows (Fong, Holmes & Walker 2023).
+It is computed only where it is read: the whole trajectory of the first
+`trace_chains` chains; the other chains compute none.
 
 Chains are independent: chain j's step-t uniform is element j of one
 counter-based stream, and with covariates its step-t bootstrap pick
@@ -50,7 +52,7 @@ __all__ = [
     "default_grid",
     "PosteriorDraws",
     "martingale_posterior",
-    "median_from_cdf",
+    "median_from_survival",
     "wasserstein1",
     "weighted_mean",
     "weighted_quantiles",
@@ -63,6 +65,11 @@ DEFAULT_N_EXTRA = 2000
 # Fewest elements (particles x points) a row shard runs: a smaller run
 # stays in fewer processes, where a fork would cost more than it saves.
 ROW_SHARD_ELEMS = 8192
+# Rows of `weighted_mean`'s products held at once.  Its (B, G + 1)
+# temporaries, once freed, raised glibc's dynamic mmap threshold above
+# the (B, G) arrays that followed, which then stayed on the heap: 3 MiB
+# more peak memory in the benchmark's `posterior` call.
+MEAN_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -126,14 +133,15 @@ def _step_picks(cumulative: np.ndarray, seed: int, step: int,
     return np.count_nonzero(cumulative[rows] <= u[:, None], axis=1)
 
 
-def wasserstein1(cdf_a, cdf_b, grid: GridSpec):
-    """Trapezoidal L1 distance between two CDF rows on the grid.
+def wasserstein1(rows_a, rows_b, grid: GridSpec):
+    """Trapezoidal L1 distance between two CDF rows on the grid, or
+    equally between their survival rows.
 
     Rows may be stacked (..., grid size); the distance is computed along
     the last axis.
     """
-    a = np.asarray(cdf_a, dtype=float)
-    b = np.asarray(cdf_b, dtype=float)
+    a = np.asarray(rows_a, dtype=float)
+    b = np.asarray(rows_b, dtype=float)
     if a.shape[-1] != grid.points.size or b.shape[-1] != grid.points.size:
         raise ValueError("rows must match the grid size")
     shape = np.broadcast_shapes(a.shape, b.shape)
@@ -155,24 +163,24 @@ def _w1_rows(a, b, dx, gap, terms):
     return terms.sum(axis=-1)
 
 
-def median_from_cdf(cdf_rows, grid: GridSpec):
-    """Grid time where each CDF row (..., G) crosses one half, linearly
-    interpolated: an array, or a float for one row.
+def median_from_survival(surv_rows, grid: GridSpec):
+    """Grid time where each survival row (..., G) falls to one half,
+    linearly interpolated: an array, or a float for one row.
 
-    A CDF that stays below one half on the whole grid gives the grid top:
-    its median is right-censored there, the "median not reached" of
+    A survival that stays above one half on the whole grid gives the grid
+    top: its median is right-censored there, the "median not reached" of
     survival practice (Brookmeyer & Crowley 1982).
     """
-    cdf = np.asarray(cdf_rows, dtype=float)
+    surv = np.asarray(surv_rows, dtype=float)
     pts = grid.points
-    if cdf.shape[-1:] != pts.shape:
+    if surv.shape[-1:] != pts.shape:
         raise ValueError("rows must match the grid size")
-    hit = cdf >= 0.5
+    hit = surv <= 0.5
     j = np.maximum(hit.argmax(axis=-1), 1)  # the first crossing, if any
-    c0, c1 = (np.take_along_axis(cdf, k[..., None], -1)[..., 0]
+    s0, s1 = (np.take_along_axis(surv, k[..., None], -1)[..., 0]
               for k in (j - 1, j))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mid = pts[j - 1] + (0.5 - c0) * (pts[j] - pts[j - 1]) / (c1 - c0)
+        mid = pts[j - 1] + (s0 - 0.5) * (pts[j] - pts[j - 1]) / (s0 - s1)
     med = np.where(hit[..., 0], pts[0], np.where(hit.any(-1), mid, pts[-1]))
     return float(med) if med.ndim == 0 else med
 
@@ -181,27 +189,28 @@ def median_from_cdf(cdf_rows, grid: GridSpec):
 class PosteriorDraws:
     """Weighted martingale-posterior sample of grid-evaluated functionals.
 
+    Each chain's draw is its final (survival, density) row on the grid.
     `w1_trace[j, t]` is chain j's Wasserstein-1 distance from its starting
-    CDF after t forward steps, for the first min(trace_chains, B) chains.
-    `predictive_density` and `predictive_cdf` are the weighted means of
-    the starting rows: the fitted predictive on the grid, before any
-    forward step.  `censored[j]` flags a chain whose CDF stays below one
-    half on the grid: its median is the grid top.
+    row after t forward steps, for the first min(trace_chains, B) chains.
+    `predictive_density` and `predictive_survival` are the weighted means
+    of the starting rows: the fitted predictive on the grid, before any
+    forward step.  `censored[j]` flags a chain whose survival stays above
+    one half on the grid: its median is the grid top.
     """
 
     grid: GridSpec
-    cdf_draws: np.ndarray  # (B, G)
+    survival_draws: np.ndarray  # (B, G)
     density_draws: np.ndarray  # (B, G)
     medians: np.ndarray  # (B,)
     censored: np.ndarray  # (B,), bool
     weights: np.ndarray  # (B,), normalized
     w1_trace: np.ndarray  # (min(trace_chains, B), n_extra + 1)
     predictive_density: np.ndarray  # (G,)
-    predictive_cdf: np.ndarray  # (G,)
+    predictive_survival: np.ndarray  # (G,)
 
     @property
     def n_draws(self) -> int:
-        return self.cdf_draws.shape[0]
+        return self.survival_draws.shape[0]
 
 
 def weighted_mean(values, weights):
@@ -210,14 +219,28 @@ def weighted_mean(values, weights):
     The weight sum is accumulated through the same reduction as the
     numerator (a ones column ride-along), so a column of exact ones
     averages to exactly 1.0: a survival curve pinned at the origin stays
-    pinned.
+    pinned.  The rows are reduced `MEAN_CHUNK_ROWS` at a time, each chunk
+    led by the sums so far: numpy reduces axis 0 row after row, so the
+    bits are those of one reduction over all rows, and no temporary is
+    the size of `values`.
     """
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
     single = v.ndim == 1
     vv = v[:, None] if single else v
-    aug = np.concatenate([vv, np.ones((vv.shape[0], 1))], axis=1)
-    sums = (w[:, None] * aug).sum(axis=0)
+    n, g = vv.shape
+    work = np.empty((min(n, MEAN_CHUNK_ROWS) + 1, g + 1))
+    sums = None
+    for lo in range(0, n, MEAN_CHUNK_ROWS):
+        k = min(MEAN_CHUNK_ROWS, n - lo)
+        part = work[1:k + 1]
+        part[:, :g] = vv[lo:lo + k]
+        part[:, g] = 1.0
+        part *= w[lo:lo + k, None]
+        if sums is not None:
+            work[0] = sums
+            part = work[:k + 1]
+        sums = part.sum(axis=0)
     out = sums[:-1] / sums[-1]
     return float(out[0]) if single else out
 
@@ -267,7 +290,7 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     size.
     """
     x = ensemble.covariates
-    n_rows, g = running.u.shape
+    n_rows, g = running.surv.shape
     n_traced = trace.shape[0]
     gap = np.empty((min(block_rows(g), n_traced), g))
     terms = np.empty((gap.shape[0], g - 1))
@@ -281,37 +304,38 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
                                     rows.start), picked)
         for blk in row_blocks(n_traced, g):
             r = blk.stop - blk.start
-            trace[blk, t + 1] = _w1_rows(running.u[blk], start[blk], dx,
+            trace[blk, t + 1] = _w1_rows(running.surv[blk], start[blk], dx,
                                          gap[:r], terms[:r])
 
 
 def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
     """The running predictive at `points` after every particle's absorbed
-    history: a dict with "dens" and "u" of shape (B, points).  With
-    `forward = (n_extra, seed, trace_chains)` the rows then run the
-    forward pass: "dens" and "u" are the final rows, "start_dens" and
-    "start_u" the starting ones, and "trace" the `w1_trace` of
-    `PosteriorDraws`.  The rows run in `shards.run_shards` row shards of
-    at least `ROW_SHARD_ELEMS` elements each, every array in its own
-    mapping.
+    history: a dict with "dens" and "surv" (the survival) of shape
+    (B, points).  With `forward = (n_extra, seed, trace_chains)` the rows
+    then run the forward pass: "dens" and "surv" are the final rows,
+    "start_dens" and "start_surv" the starting ones, and "trace" the
+    `w1_trace` of `PosteriorDraws`.  The rows run in `shards.run_shards`
+    row shards of at least `ROW_SHARD_ELEMS` elements each, every array
+    in its own mapping.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     b, g = ensemble.n_particles, points.size
-    shapes = {"dens": (b, g), "u": (b, g)}
+    shapes = {"dens": (b, g), "surv": (b, g)}
     if forward is not None:
         n_extra, seed, trace_chains = forward
-        shapes.update(start_dens=(b, g), start_u=(b, g),
+        shapes.update(start_dens=(b, g), start_surv=(b, g),
                       trace=(min(trace_chains, b), n_extra + 1))
 
     def run(rows, out):
         running = RunningPredictive(ensemble.family, points, out["dens"][rows],
-                                    out["u"][rows], ensemble.rho_x, x_target)
+                                    out["surv"][rows], ensemble.rho_x,
+                                    x_target)
         _start_rows(ensemble, running, rows)
         if forward is not None:
             out["start_dens"][rows] = running.dens
-            out["start_u"][rows] = running.u
+            out["start_surv"][rows] = running.surv
             _forward(ensemble, running, rows, np.diff(points), n_extra, seed,
-                     out["start_u"][rows], out["trace"][rows])
+                     out["start_surv"][rows], out["trace"][rows])
 
     return shards.run_shards(b, max(1, ROW_SHARD_ELEMS // g), shapes, run,
                              "rows")
@@ -319,12 +343,12 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
 
 def ensemble_grid_rows(ensemble: ParticleEnsemble, grid: GridSpec,
                        x_target=None):
-    """Per-particle (density, cdf) rows of the fitted predictive on the
-    grid, shape (B, G) each; the importance-weighted mixture of these is
-    the point predictive."""
+    """Per-particle (density, survival) rows of the fitted predictive on
+    the grid, shape (B, G) each; the importance-weighted mixture of these
+    is the point predictive."""
     _check_target(ensemble.rho_x, x_target)
     out = _run_rows(ensemble, grid.points, x_target)
-    return out["dens"], out["u"]
+    return out["dens"], out["surv"]
 
 
 def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
@@ -337,14 +361,12 @@ def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
     and covariate row.
     """
     out = _run_rows(ensemble, test.times, test.covariates)
-    dens, cdf = out["dens"], out["u"]
+    dens, surv = out["dens"], out["surv"]
     w = ensemble.weights
     total = 0.0
     for i in range(test.n):
-        if test.status[i] == 1:
-            total += np.log(weighted_mean(dens[:, i], w))
-        else:
-            total += np.log(weighted_mean(1.0 - cdf[:, i], w))
+        mass = dens if test.status[i] == 1 else surv
+        total += np.log(weighted_mean(mass[:, i], w))
     return float(total / test.n)
 
 
@@ -373,15 +395,15 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
     weights = ensemble.weights
     out = _run_rows(ensemble, grid.points, x_target,
                     (n_extra, seed, trace_chains))
-    u = out["u"]
+    surv = out["surv"]
     return PosteriorDraws(
         grid=grid,
-        cdf_draws=u,
+        survival_draws=surv,
         density_draws=out["dens"],
-        medians=median_from_cdf(u, grid),
-        censored=~np.any(u >= 0.5, axis=1),
+        medians=median_from_survival(surv, grid),
+        censored=~np.any(surv <= 0.5, axis=1),
         weights=weights,
         w1_trace=out["trace"],
         predictive_density=weighted_mean(out["start_dens"], weights),
-        predictive_cdf=weighted_mean(out["start_u"], weights),
+        predictive_survival=weighted_mean(out["start_surv"], weights),
     )

@@ -100,36 +100,53 @@ def test_criterion_2_conjugate_marginal_oracle():
 
 
 def test_criterion_3_copula_kernel_identities():
+    """The kernels take the survival s = 1 - u and return (density,
+    1 - partial): d(1 - I)/ds is the density, and the density integrates
+    to one over s."""
     start = time.time()
     ok = True
-    def clayton(u, v):
-        return clayton_density_and_partial(u, v, 1.1)
+    def clayton(s, v):
+        return clayton_density_and_partial(s, v, 1.1)
 
-    def gaussian(u, v):
-        return gaussian_density_and_partial(u, v, 0.6)
+    def gaussian(s, v):
+        return gaussian_density_and_partial(s, v, 0.6)
 
     for a in (0.5, 0.8, 1.2, 2.0, 3.0):
-        ok &= clayton_density_and_partial(0.0, 0.0, a)[0] == (a + 1.0) / a
-    uv = np.linspace(0.1, 0.9, 5)
-    uu, vv = np.meshgrid(uv, uv)
-    ok &= bool(np.all(gaussian_density_and_partial(uu, vv, 0.0)[0] == 1.0))
+        # the origin: u = 0 is s = 1
+        density, tail = clayton_density_and_partial(1.0, 0.0, a)
+        ok &= density == (a + 1.0) / a and tail == 1.0
+    sv = np.linspace(0.1, 0.9, 5)
+    ss, vv = np.meshgrid(sv, sv)
+    ok &= bool(np.all(gaussian_density_and_partial(ss, vv, 0.0)[0] == 1.0))
     h = 1e-6
-    for u in uv:
-        for v in uv:
-            num_c = (clayton(u + h, v)[1] - clayton(u - h, v)[1]) / (2 * h)
-            num_g = (gaussian(u + h, v)[1] - gaussian(u - h, v)[1]) / (2 * h)
-            ok &= abs(num_c / clayton(u, v)[0] - 1.0) < 1e-4
-            ok &= abs(num_g / gaussian(u, v)[0] - 1.0) < 1e-4
+    for s in sv:
+        for v in sv:
+            num_c = (clayton(s + h, v)[1] - clayton(s - h, v)[1]) / (2 * h)
+            num_g = (gaussian(s + h, v)[1] - gaussian(s - h, v)[1]) / (2 * h)
+            ok &= abs(num_c / clayton(s, v)[0] - 1.0) < 1e-4
+            ok &= abs(num_g / gaussian(s, v)[0] - 1.0) < 1e-4
     from scipy.integrate import quad
 
     for v in (0.2, 0.5, 0.8):
         mass_c, _ = quad(lambda x: clayton(x, v)[0], 0, 1, limit=200)
         mass_g, _ = quad(lambda x: gaussian(x, v)[0], 0, 1, limit=200)
         ok &= abs(mass_c - 1.0) < 1e-5 and abs(mass_g - 1.0) < 1e-5
+    # the survival at the time origin stays exactly 1 (the CDF exactly 0)
+    # through 2000 Clayton updates at values across (0, 1)
+    points = np.array([0.0, 0.5, 2.0])
+    shape = (50, points.size)
+    running = predictive.RunningPredictive(ClaytonFamily(0.9), points,
+                                           np.empty(shape), np.empty(shape))
+    draws = np.random.default_rng(3)
+    for _ in range(2000):
+        running.absorb(draws.random(shape[0]))
+    ok &= bool(np.all(running.surv[:, 0] == 1.0))
+    ok &= bool(np.all(1.0 - running.surv[:, 0] == 0.0))
     elapsed = time.time() - start
     report(3, ok and elapsed < 5.0,
            "origin identity exact, independence exact, 25-point "
-           "finite-difference and marginal-mass checks", elapsed)
+           "finite-difference and marginal-mass checks, survival 1 at the "
+           "origin after 2000 updates", elapsed)
 
 
 def test_criterion_4_predictive_normalization():
@@ -152,13 +169,13 @@ def test_criterion_4_predictive_normalization():
 def test_criterion_5_martingale_unbiasedness(unbiasedness_run):
     run = unbiasedness_run
     draws, start_row = run["draws"], run["start"]
-    mean = draws.cdf_draws.mean(axis=0)
-    se = draws.cdf_draws.std(axis=0, ddof=1) / np.sqrt(draws.n_draws)
+    mean = draws.survival_draws.mean(axis=0)
+    se = draws.survival_draws.std(axis=0, ddof=1) / np.sqrt(draws.n_draws)
     gap = np.abs(mean - start_row)
     ok = bool(np.all(gap <= 3 * np.maximum(se, 1e-12)))
     worst = float(np.max(gap / np.maximum(se, 1e-12)))
     report(5, ok and run["elapsed"] < 60.0,
-           f"mean P_N vs P_n over 2000 chains at 10 grid points, "
+           f"mean S_N vs S_n over 2000 chains at 10 grid points, "
            f"worst |z| = {worst:.2f} (limit 3)", run["elapsed"])
 
 

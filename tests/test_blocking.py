@@ -99,25 +99,28 @@ def run_stages(case, block_elems, monkeypatch):
 def row_stages(ens, data, x_target, grid):
     """The outputs of the stages that run the rows in workers."""
     start = ensemble_grid_rows(ens, grid, x_target)
-    stages = {"start_density": start[0], "start_cdf": start[1],
+    stages = {"start_density": start[0], "start_survival": start[1],
               "heldout": heldout_mean_log_lik(ens, data)}
     for n_extra in N_EXTRA:
         draws = martingale_posterior(ens, n_extra, grid, x_target, seed=7,
                                      trace_chains=TRACE_CHAINS)
         check_w1_trace(draws, start[1], n_extra)
-        for name in ("cdf_draws", "density_draws", "medians", "w1_trace",
-                     "predictive_density", "predictive_cdf"):
+        for name in ("survival_draws", "density_draws", "medians",
+                     "w1_trace", "predictive_density",
+                     "predictive_survival"):
             stages[f"{name}@{n_extra}"] = getattr(draws, name)
     return stages
 
 
-def check_w1_trace(draws, start_cdf, n_extra):
+def check_w1_trace(draws, start_surv, n_extra):
     """The traced chains' trajectories start at 0 and end at np.trapezoid
-    of their final rows, bit for bit."""
+    of their final survival rows, bit for bit (W1 is computed on the
+    survival: |dS| = |dF|)."""
     assert draws.w1_trace.shape == (TRACE_CHAINS, n_extra + 1)
     traced = slice(TRACE_CHAINS)
-    final = np.trapezoid(np.abs(draws.cdf_draws[traced] - start_cdf[traced]),
-                         draws.grid.points, axis=-1)
+    final = np.trapezoid(
+        np.abs(draws.survival_draws[traced] - start_surv[traced]),
+        draws.grid.points, axis=-1)
     assert np.array_equal(draws.w1_trace[:, -1], final)
     assert np.all(draws.w1_trace[:, 0] == 0.0)
 
@@ -139,8 +142,8 @@ def test_heldout_matches_per_record_evaluation(case):
     for i in range(data.n):
         x = data.covariates[i] if rho_x is not None else None
         out = _run_rows(ens, [data.times[i]], x)
-        dens, cdf = out["dens"][:, 0], out["u"][:, 0]
-        mass = dens if data.status[i] == 1 else 1.0 - cdf
+        dens, surv = out["dens"][:, 0], out["surv"][:, 0]
+        mass = dens if data.status[i] == 1 else surv
         total += np.log(weighted_mean(mass, ens.weights))
     assert heldout_mean_log_lik(ens, data) == float(total / data.n)
 
@@ -159,14 +162,13 @@ def test_running_state_matches_repropagation(case):
                                       "v_matrix": ens.v_matrix[:i]})
         x = data.covariates[i] if rho_x is not None else None
         out = _run_rows(head, [data.times[i]], x)
-        dens, cdf = out["dens"][:, 0], out["u"][:, 0]
+        dens, surv = out["dens"][:, 0], out["surv"][:, 0]
         with np.errstate(divide="ignore"):
             if data.status[i] == 1:
                 log_w += np.log(dens)
             else:
-                dead = cdf >= 1.0 - copulas.CLAMP_EPS
-                log_w += np.where(dead, -np.inf,
-                                  np.log1p(-np.minimum(cdf, 1.0)))
+                dead = surv <= copulas.CLAMP_EPS
+                log_w += np.where(dead, -np.inf, np.log(surv))
     assert np.array_equal(log_w, ens.log_weights)
 
 
@@ -225,6 +227,53 @@ def test_absorb_allocates_no_block_array(family):
         tracemalloc.stop()
     assert scalar_peak < 8 * predictive.BLOCK_ELEMS
     assert per_particle_peak < 8 * predictive.BLOCK_ELEMS
+
+
+@pytest.mark.parametrize("block_elems", [FEW_ROWS, WHOLE])
+def test_every_absorbed_element_passes_the_kernel_seam(case, monkeypatch,
+                                                       block_elems):
+    """The recursion reaches its kernel through the `copulas` module
+    global, so a wrapper put there (perfbench's tracer counts kernel
+    calls and elements this way) sees the SMC pass, the start rows and
+    the forward pass, and the broadcast shapes of each call's first two
+    arguments add up to the elements absorbed: B times the pending
+    records summed over the records in the pass, and B times G per
+    absorbed record on a grid."""
+    pin_one_worker(monkeypatch)
+    monkeypatch.setattr(predictive, "BLOCK_ELEMS", block_elems)
+    data, family, rho_x, x_target, grid = case
+    b, g, n_extra = 64, grid.points.size, 30
+    seen = {"calls": 0, "elems": 0}
+
+    def counting(kernel):
+        def wrapper(s, v, param, out=None):
+            seen["calls"] += 1
+            seen["elems"] += np.prod(np.broadcast_shapes(np.shape(s),
+                                                         np.shape(v)))
+            return kernel(s, v, param, out=out)
+        return wrapper
+
+    for name in ("clayton_density_and_partial",
+                 "gaussian_density_and_partial"):
+        monkeypatch.setattr(copulas, name, counting(getattr(copulas, name)))
+
+    def counted(call):
+        seen.update(calls=0, elems=0)
+        result = call()
+        return result, seen["calls"], seen["elems"]
+
+    n = data.n
+    ens, calls, elems = counted(lambda: impute_smc(
+        data, family, rho_x=rho_x, n_particles=b, seed=5))
+    assert elems == b * n * (n - 1) // 2
+    assert calls >= n - 1
+    _, calls, elems = counted(lambda: ensemble_grid_rows(ens, grid, x_target))
+    assert elems == b * g * n
+    assert calls >= n
+    _, calls, elems = counted(lambda: martingale_posterior(
+        ens, n_extra, grid, x_target, seed=7))
+    assert elems == b * g * (n + n_extra)
+    assert calls >= n + n_extra
 
 
 def test_row_shards_keep_their_own_minimum(censored_exp50, monkeypatch):

@@ -129,11 +129,10 @@ class TestSingleCensoredRecord:
         c = 0.8
         data = make_dataset([c], [0])
         ensemble = impute_smc(data, FAMILY, n_particles=256, seed=5)
-        p0c = float(lomax(c, 1.0, 1.0)[1])
-        assert_allclose(ensemble.log_z, np.log1p(-p0c),
-                        rtol=1e-12)
+        s0c = float(lomax(c, 1.0, 1.0)[1])
+        assert_allclose(ensemble.log_z, np.log(s0c), rtol=1e-12)
         assert ensemble.final_ess == 256.0
-        assert np.all(ensemble.v_matrix[0] > p0c)
+        assert np.all(ensemble.v_matrix[0] > 1.0 - s0c)
         assert np.all(ensemble.v_matrix[0] < 1.0)
 
 
@@ -144,12 +143,12 @@ class TestQuadratureOracle:
         c, then observed y2)."""
         a = 1.0
         c, y2 = 0.6, 1.1
-        p0c = float(lomax(c, a, 1.0)[1])
+        p0c = 1.0 - float(lomax(c, a, 1.0)[1])
         alpha1 = float(alpha_schedule(1))
 
         def integrand(u):
-            pdf, cdf = lomax(y2, a, 1.0)
-            d, _ = clayton_density_and_partial(float(cdf), u, a)
+            pdf, surv = lomax(y2, a, 1.0)
+            d, _ = clayton_density_and_partial(float(surv), u, a)
             return (1 - alpha1 + alpha1 * d) * float(pdf)
 
         z_exact, _ = quad(integrand, p0c, 1.0, limit=200)
@@ -161,17 +160,17 @@ class TestQuadratureOracle:
 
     def test_observed_then_censored_is_deterministic(self):
         """With the censored record last, the estimate is exact: Z =
-        p_0(y1) (1 - P_1(c))."""
+        p_0(y1) S_1(c)."""
         a = 1.0
         y1, c = 0.9, 1.3
         data = make_dataset([y1, c], [1, 0])
         ensemble = impute_smc(data, FAMILY, n_particles=128, seed=2)
-        pdf1, v1 = lomax(y1, a, 1.0)
-        p0c = float(lomax(c, a, 1.0)[1])
+        pdf1, s1 = lomax(y1, a, 1.0)
+        s0c = float(lomax(c, a, 1.0)[1])
         alpha1 = float(alpha_schedule(1))
-        _, partial = clayton_density_and_partial(p0c, float(v1), a)
-        p1c = (1 - alpha1) * p0c + alpha1 * partial
-        expected = np.log(pdf1) + np.log1p(-p1c)
+        _, tail = clayton_density_and_partial(s0c, 1.0 - float(s1), a)
+        s1c = (1 - alpha1) * s0c + alpha1 * tail
+        expected = np.log(pdf1) + np.log(s1c)
         assert_allclose(ensemble.log_z, expected, rtol=1e-12)
 
 
@@ -216,24 +215,25 @@ class TestResamplingBehaviour:
 
 
 class ReferenceEngine:
-    """The copula SMC engine written out: the whole (B, n) running state of
-    every record at its own time, record i's clipped value absorbed into
-    columns i+1.. by `family.joint`, `alpha_schedule` and
-    `alpha_regression`.  It counts its records itself."""
+    """The copula SMC engine written out: the whole (B, n) running
+    (density, survival) state of every record at its own time, record i's
+    clipped value absorbed into columns i+1.. by `family.joint`,
+    `alpha_schedule` and `alpha_regression`.  It counts its records
+    itself."""
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
-        pdf, cdf = family.base_at(times)
+        pdf, surv = family.base_at(times)
         self.dens = np.tile(pdf, (n_particles, 1))
-        self.u = np.tile(cdf, (n_particles, 1))
+        self.surv = np.tile(surv, (n_particles, 1))
         self.family, self.rho_x, self.x = family, rho_x, covariates
         self.v = np.empty((len(times), n_particles))
         self.i = 0
 
     def eval_at(self, t):
-        return self.dens[:, self.i], self.u[:, self.i]
+        return self.dens[:, self.i], self.surv[:, self.i]
 
-    def absorb_observed(self, t, cdf):
-        self.absorb_censored(cdf)
+    def absorb_observed(self, t, surv):
+        self.absorb_censored(1.0 - surv)
 
     def absorb_censored(self, u):
         i, rest = self.i, slice(self.i + 1, None)
@@ -242,13 +242,14 @@ class ReferenceEngine:
         if self.rho_x is not None:
             alpha = alpha_regression(alpha, self.x[rest], self.x[i],
                                      self.rho_x)
-        d, i_part = self.family.joint(self.u[:, rest], v[:, None])
+        d, tail = self.family.joint(self.surv[:, rest], v[:, None])
         self.dens[:, rest] = self.dens[:, rest] * ((1.0 - alpha) + alpha * d)
-        self.u[:, rest] = (1.0 - alpha) * self.u[:, rest] + alpha * i_part
+        self.surv[:, rest] = (1.0 - alpha) * self.surv[:, rest] + alpha * tail
         self.i += 1
 
     def select(self, idx):
-        self.v, self.dens, self.u = self.v[:, idx], self.dens[idx], self.u[idx]
+        self.v, self.dens = self.v[:, idx], self.dens[idx]
+        self.surv = self.surv[idx]
 
 
 def two_covariate_data(n, seed):
@@ -286,16 +287,17 @@ def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
 class TestImputedDraws:
     def test_strictly_exceed_censoring_cdf(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=64, seed=13)
-        # replay: rebuild each particle's P_{i-1}(c_i) from its own column
+        # replay: rebuild each particle's P_{i-1}(c_i) = 1 - S_{i-1}(c_i)
+        # from its own column
         censored_idx = np.nonzero(censored_exp50.status == 0)[0]
         for j in (0, 17, 51):
             for rec_idx in censored_idx:
                 head = dataclasses.replace(
                     ensemble, v_matrix=ensemble.v_matrix[:rec_idx, [j]],
                     log_weights=np.zeros(1))
-                cdf_at_c = _run_rows(head, [censored_exp50.times[rec_idx]],
-                                     None)["u"]
-                assert ensemble.v_matrix[rec_idx, j] > cdf_at_c[0, 0]
+                surv_at_c = _run_rows(head, [censored_exp50.times[rec_idx]],
+                                      None)["surv"]
+                assert ensemble.v_matrix[rec_idx, j] > 1.0 - surv_at_c[0, 0]
 
     def test_particle_views_consistent(self, censored_exp50):
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=16, seed=13)
@@ -318,8 +320,8 @@ def kaplan_meier(times, status, points):
 
 
 def test_posterior_mean_survival_tracks_kaplan_meier():
-    """By the martingale property the point predictive 1 - P_n is the
-    posterior-mean survival; on 200 records with a third censored it
+    """By the martingale property the point predictive S_n = 1 - P_n is
+    the posterior-mean survival; on 200 records with a third censored it
     should sit near the product-limit estimate (20 seeds gave at most
     0.047)."""
     raw = cs.simulate_censored_exponential(200, 1.0, 0.5, seed=0)
@@ -327,8 +329,8 @@ def test_posterior_mean_survival_tracks_kaplan_meier():
     ensemble = impute_smc(data, ClaytonFamily(0.9), n_particles=500, seed=0)
     top = np.quantile(data.times[data.status == 1], 0.8)
     points = np.linspace(0.0, top, 60)
-    _, cdf_rows = ensemble_grid_rows(ensemble, GridSpec(points))
-    survival = 1.0 - weighted_mean(cdf_rows, ensemble.weights)
+    _, surv_rows = ensemble_grid_rows(ensemble, GridSpec(points))
+    survival = weighted_mean(surv_rows, ensemble.weights)
     km = kaplan_meier(data.times, data.status, points)
     assert np.max(np.abs(survival - km)) <= 0.08
 

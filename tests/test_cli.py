@@ -586,6 +586,20 @@ class TestConfigAndErrors:
         assert flag in err["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["", "nodir/x.csv", ".", ".."])
+    def test_simulate_out_name_must_be_a_file_name(self, tmp_path, capsys,
+                                                   name):
+        """An empty --out-name or one with a directory part exits 2 with
+        one JSON config line, before the output directory is made."""
+        assert run("simulate", "--seed", 1, "--n", 5, "--out-name", name,
+                   "--output-dir", tmp_path / "out") == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert "--out-name" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_regress_without_target_or_split_fails_before_input_is_read(
             self, tmp_path, capsys):
         assert run("regress", "--seed", 1, "--input", tmp_path / "nope.csv",

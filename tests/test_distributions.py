@@ -20,7 +20,7 @@ def lomax_pdf(y, a, b):
     return lomax(y, a, b)[0]
 
 
-def lomax_cdf(y, a, b):
+def lomax_sf(y, a, b):
     return lomax(y, a, b)[1]
 
 
@@ -35,14 +35,14 @@ class TestLomax:
         mass, _ = quad(lambda y: lomax_pdf(y, 1.2, 1.0), 0, np.inf)
         assert_allclose(mass, 1.0, atol=1e-6)
 
-    def test_cdf_values(self):
-        assert lomax_cdf(0.0, 3.0, 2.0) == 0.0
-        assert_allclose(lomax_cdf(1.0, 1.0, 1.0), 0.5, rtol=1e-15)
+    def test_survival_values(self):
+        assert lomax_sf(0.0, 3.0, 2.0) == 1.0
+        assert_allclose(lomax_sf(1.0, 1.0, 1.0), 0.5, rtol=1e-15)
 
     def test_inverse_is_tight(self):
-        # scipy's Lomax quantile function inverts the CDF
+        # scipy's Lomax inverse survival function inverts the survival
         ys = np.geomspace(1e-3, 1e3, 50)
-        assert_allclose(scipy_lomax.ppf(lomax_cdf(ys, 1.2, 1.0), c=1.2,
+        assert_allclose(scipy_lomax.isf(lomax_sf(ys, 1.2, 1.0), c=1.2,
                                         scale=1.0), ys, rtol=1e-10)
 
     def test_negative_time_rejected(self):
@@ -62,10 +62,10 @@ class TestLomax:
     @given(st.floats(1e-3, 1e3), st.floats(0.2, 5.0), st.floats(0.2, 5.0))
     @settings(max_examples=200, deadline=None)
     def test_roundtrip(self, y, a, b):
-        u = lomax_cdf(y, a, b)
-        # identity only testable while the CDF is representable below 1
-        assume(u < 1.0 - 1e-8)
-        assert_allclose(scipy_lomax.ppf(u, c=a, scale=b), y, rtol=1e-7)
+        s = lomax_sf(y, a, b)
+        # identity only testable while the survival is representable
+        assume(s > 1e-300)
+        assert_allclose(scipy_lomax.isf(s, c=a, scale=b), y, rtol=1e-7)
 
     def test_array_params_broadcast(self):
         assert_allclose(lomax_pdf(0.0, np.array([1.0, 2.0]),
@@ -83,8 +83,8 @@ class TestLogNormalBase:
 
     @given(st.floats(1e-3, 1e3), st.floats(0.05, 0.95))
     @settings(max_examples=200, deadline=None)
-    def test_cdf_matches_scipy(self, y, rho):
-        expected = lognorm(s=1.0 / np.sqrt(1.0 - rho)).cdf(y)
+    def test_survival_matches_scipy(self, y, rho):
+        expected = lognorm(s=1.0 / np.sqrt(1.0 - rho)).sf(y)
         assert_allclose(GaussianFamily(rho).base_at(y)[1], expected,
                         rtol=1e-12, atol=1e-300)
 
@@ -98,27 +98,27 @@ BASES = [
 
 
 @pytest.mark.parametrize("base", BASES)
-def test_pdf_cdf_consistency(base):
+def test_pdf_survival_consistency(base):
     ys = np.geomspace(1e-2, 50.0, 25)
     for y in ys:
         h = 1e-5 * max(1.0, y)
-        numeric = (base(y + h)[1] - base(y - h)[1]) / (2 * h)
+        numeric = (base(y - h)[1] - base(y + h)[1]) / (2 * h)
         assert_allclose(numeric, base(y)[0], rtol=1e-4)
 
 
 @pytest.mark.parametrize("base", BASES)
-def test_cdf_monotone(base):
+def test_survival_monotone(base):
     grid = np.linspace(0.01, 30.0, 400)
     vals = np.array([base(y)[1] for y in grid])
-    assert np.all(np.diff(vals) >= 0)
+    assert np.all(np.diff(vals) <= 0)
 
 
 def test_base_dispatch_matches_families():
     assert ClaytonFamily(1.5).base_at(1.0)[0] == lomax_pdf(1.0, 1.5, 1.0)
-    assert ClaytonFamily(1.5).base_at(1.0)[1] == lomax_cdf(1.0, 1.5, 1.0)
+    assert ClaytonFamily(1.5).base_at(1.0)[1] == lomax_sf(1.0, 1.5, 1.0)
     # grids may include the origin: the log-normal density limit is 0
     assert GaussianFamily(0.5).base_at(0.0)[0] == 0.0
-    pdf, cdf = GaussianFamily(0.5).base_at(np.array([0.0, 1.0]))
+    pdf, surv = GaussianFamily(0.5).base_at(np.array([0.0, 1.0]))
     assert pdf[0] == 0.0
     assert_allclose(pdf[1], lognorm(s=np.sqrt(2.0)).pdf(1.0), rtol=1e-14)
-    assert cdf[0] == 0.0
+    assert surv[0] == 1.0

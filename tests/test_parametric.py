@@ -56,13 +56,13 @@ class TestPosteriorPredictive:
                        np.inf)
         assert_allclose(mean, state.b_n / (state.a_n - 1.0), rtol=1e-8)
 
-    def test_cdf_monotone_and_invertible(self):
+    def test_survival_monotone_and_invertible(self):
         state = ConjugateState(2.2, 1.7)
         grid = np.linspace(0.0, 20.0, 200)
         vals = lomax(grid, state.a_n, state.b_n)[1]
-        assert np.all(np.diff(vals) >= 0)
-        u = lomax(1.3, state.a_n, state.b_n)[1]
-        assert_allclose(scipy_lomax.ppf(u, c=state.a_n, scale=state.b_n),
+        assert np.all(np.diff(vals) <= 0)
+        s = lomax(1.3, state.a_n, state.b_n)[1]
+        assert_allclose(scipy_lomax.isf(s, c=state.a_n, scale=state.b_n),
                         1.3, rtol=1e-10)
 
 
@@ -163,11 +163,11 @@ class TestConjugateSmc:
         # b sums b0, the observed times and the particle's imputed time
         draws = ensemble.b - (model.b0 + y1 + y3)
         state = posterior_update(model, make_dataset([y1, y3], [1, 1]))
-        p_c = lomax(c, state.a_n, state.b_n)[1]
+        s_c = lomax(c, state.a_n, state.b_n)[1]
 
         def oracle_cdf(y):
-            p_y = lomax(np.maximum(y, c), state.a_n, state.b_n)[1]
-            return (p_y - p_c) / (1.0 - p_c)
+            s_y = lomax(np.maximum(y, c), state.a_n, state.b_n)[1]
+            return (s_c - s_y) / s_c
 
         ks = weighted_ks(draws, ensemble.weights, oracle_cdf)
         assert ks <= 0.05

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -31,15 +32,15 @@ def fit(data, family, rho_x=None):
 
 
 def rows(ensemble, points, x=None):
-    """Row 0 (density, cdf) of the fit at increasing times."""
-    dens, cdf = ensemble_grid_rows(ensemble, GridSpec(points), x)
-    return dens[0], cdf[0]
+    """Row 0 (density, survival) of the fit at increasing times."""
+    dens, surv = ensemble_grid_rows(ensemble, GridSpec(points), x)
+    return dens[0], surv[0]
 
 
 def at(ensemble, y, x=None):
-    """Row 0 (density, cdf) of the fit at one time."""
+    """Row 0 (density, survival) of the fit at one time."""
     out = _run_rows(ensemble, [y], x)
-    return out["dens"][0, 0], out["u"][0, 0]
+    return out["dens"][0, 0], out["surv"][0, 0]
 
 
 # -- independent scalar oracle: the plain-formula recursion, no log space --
@@ -58,7 +59,7 @@ def oracle_clayton_partial(u, v, a):
 def oracle_running_cdf(y, previous, a):
     """Running CDF of y after absorbing `previous` in order, rebuilt with
     the plain formulas."""
-    u = float(ClaytonFamily(a).base_at(y)[1])
+    u = 1.0 - float(ClaytonFamily(a).base_at(y)[1])
     for k, y_prev in enumerate(previous, start=1):
         alpha_k = (2 - 1 / k) / (k + 1)
         v_k = oracle_running_cdf(y_prev, previous[: k - 1], a)
@@ -70,7 +71,7 @@ def oracle_two_step(y_grid, y1, y2, a):
     """Hand evaluation of the density/CDF recursion applied twice."""
     family = ClaytonFamily(a)
     dens = [float(family.base_at(y)[0]) for y in y_grid]
-    u = [float(family.base_at(y)[1]) for y in y_grid]
+    u = [1.0 - float(family.base_at(y)[1]) for y in y_grid]
     observations = [y1, y2]
     for i, y_obs in enumerate(observations, start=1):
         alpha = (2 - 1 / i) / (i + 1)
@@ -86,10 +87,10 @@ class TestAbsorbEvaluate:
     def test_empty_fit_is_base_measure(self):
         empty = fit(make_dataset([0.4], [1]), ClaytonFamily(1.2))
         empty = dataclasses.replace(empty, v_matrix=empty.v_matrix[:0])
-        dens, cdf = at(empty, 0.7)
-        base_pdf, base_cdf = ClaytonFamily(1.2).base_at(0.7)
+        dens, surv = at(empty, 0.7)
+        base_pdf, base_surv = ClaytonFamily(1.2).base_at(0.7)
         assert dens == base_pdf
-        assert cdf == base_cdf
+        assert surv == base_surv
 
     def test_single_absorb_density_formula(self):
         a = 2.0
@@ -101,28 +102,28 @@ class TestAbsorbEvaluate:
         expected = (1 - alpha1 + alpha1 * density) * base_pdf
         assert_allclose(at(one, y1)[0], expected, rtol=1e-12)
 
-    def test_single_absorb_cdf_formula(self):
+    def test_single_absorb_survival_formula(self):
         a = 1.5
         median = float(lomax.ppf(0.5, c=a, scale=1.0))
         one = fit(make_dataset([median], [1]), ClaytonFamily(a))
         alpha1 = float(alpha_schedule(1))
-        _, partial = clayton_density_and_partial(0.5, 0.5, a)
-        expected = (1 - alpha1) * 0.5 + alpha1 * partial
+        _, tail = clayton_density_and_partial(0.5, 0.5, a)
+        expected = (1 - alpha1) * 0.5 + alpha1 * tail
         assert_allclose(at(one, median)[1], expected, rtol=1e-12)
 
-    def test_cdf_approaches_one(self):
+    def test_survival_approaches_zero(self):
         data = make_dataset([0.5, 1.2, 0.9], [1, 1, 1])
-        assert at(fit(data, ClaytonFamily(1.0)), 1e12)[1] >= 1.0 - 1e-6
+        assert at(fit(data, ClaytonFamily(1.0)), 1e12)[1] <= 1e-6
 
     def test_two_absorbs_match_hand_recursion(self):
         a = 1.3
         y1, y2 = 0.6, 1.7
         data = make_dataset([y1, y2], [1, 1])
         grid = np.array([0.3, 1.0, 2.5])
-        dens, cdf = rows(fit(data, ClaytonFamily(a)), grid)
+        dens, surv = rows(fit(data, ClaytonFamily(a)), grid)
         dens_oracle, cdf_oracle = oracle_two_step(grid, y1, y2, a)
         assert_allclose(dens, dens_oracle, rtol=1e-10)
-        assert_allclose(cdf, cdf_oracle, rtol=1e-10)
+        assert_allclose(surv, 1.0 - cdf_oracle, rtol=1e-10)
 
     @pytest.mark.parametrize("family", [ClaytonFamily(0.9),
                                         GaussianFamily(0.6)],
@@ -138,7 +139,7 @@ class TestAbsorbEvaluate:
                                         np.empty(shape))
             for v in values:
                 running.absorb(np.array(v))
-            return running.dens, running.u
+            return running.dens, running.surv
 
         raw = absorbed([[0.0, 1.0], [1.0, 0.0]])
         clamped = absorbed([[CLAMP_EPS, 1.0 - CLAMP_EPS],
@@ -147,19 +148,60 @@ class TestAbsorbEvaluate:
         assert np.array_equal(raw[1], clamped[1])
 
 
+def mp_running_survival(y, values, a):
+    """The Clayton running survival at time y after absorbing `values`,
+    in mpmath at 50 digits: S <- (1 - a_k) S + a_k (1 - I) with
+    1 - I = (r/t)^(a+1), r = S^(1/a), q = (1 - v)^(1/a), t = q + r(1 - q).
+    Every survival it passes through stays above the kernel's clamp, so
+    the clamp need not be modelled."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+        surv = (1 + mpmath.mpf(float(y))) ** -a
+        for k, v in enumerate(values, start=1):
+            assert surv > CLAMP_EPS
+            alpha = (2 - mpmath.mpf(1) / k) / (k + 1)
+            r = surv ** (1 / a)
+            q = (1 - mpmath.mpf(float(v))) ** (1 / a)
+            tail = (r / (q + r * (1 - q))) ** (a + 1)
+            surv = (1 - alpha) * surv + alpha * tail
+        return surv
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_upper_tail_survival_matches_mpmath(a):
+    """Where the running survival lies between 1e-9 and 1e-8, above the
+    1e-10 clamp, it agrees with a 50-digit recursion to 1e-10 relative:
+    the state is the survival, not 1 - CDF, whose 1e-16 absolute error
+    is 1e-8 to 1e-7 relative there."""
+    values = [0.3, 0.8, 0.55, 0.95, 0.1, 0.7]
+    # base survivals from 2e-9 to 1e-6: the six records lower the upper
+    # tail about tenfold
+    times = np.geomspace(2e-9, 1e-6, 40) ** (-1.0 / a) - 1.0
+    shape = (1, times.size)
+    running = RunningPredictive(ClaytonFamily(a), times, np.empty(shape),
+                                np.empty(shape))
+    for v in values:
+        running.absorb(np.array([v]))
+    exact = np.array([float(mp_running_survival(y, values, a))
+                      for y in times])
+    read = (exact >= 1e-9) & (exact <= 1e-8)
+    assert read.sum() >= 5
+    assert_allclose(running.surv[0, read], exact[read], rtol=1e-10)
+
+
 class TestFitUncensored:
     def test_single_point_vseq(self):
         data = make_dataset([0.8], [1])
         vseq = fit(data, ClaytonFamily(1.1)).v_matrix[:, 0]
         assert vseq.size == 1
-        assert_allclose(vseq[0], ClaytonFamily(1.1).base_at(0.8)[1])
+        assert_allclose(vseq[0], 1.0 - ClaytonFamily(1.1).base_at(0.8)[1])
 
     def test_identical_points_second_v_is_updated_cdf(self):
         a = 1.0
         y = 0.9
         data = make_dataset([y, y], [1, 1])
         vseq = fit(data, ClaytonFamily(a)).v_matrix[:, 0]
-        v1 = float(ClaytonFamily(a).base_at(y)[1])
+        v1 = 1.0 - float(ClaytonFamily(a).base_at(y)[1])
         alpha1 = float(alpha_schedule(1))
         v2_expected = (1 - alpha1) * v1 + alpha1 * oracle_clayton_partial(v1, v1, a)
         assert_allclose(vseq, [v1, v2_expected], rtol=1e-12)
@@ -203,22 +245,22 @@ class TestDensityProperties:
         mass = np.trapezoid(dens, grid)
         assert_allclose(mass, 1.0, atol=1e-3)
 
-    def test_cdf_monotone_density_nonnegative(self, uncensored_exp50):
+    def test_survival_monotone_density_nonnegative(self, uncensored_exp50):
         grid = np.geomspace(1e-3, 50, 300)
-        dens, cdf = rows(fit(uncensored_exp50, ClaytonFamily(0.7)), grid)
-        assert np.all(np.diff(cdf) >= 0)
+        dens, surv = rows(fit(uncensored_exp50, ClaytonFamily(0.7)), grid)
+        assert np.all(np.diff(surv) <= 0)
         assert np.all(dens >= 0)
 
-    def test_cdf_density_finite_difference(self, uncensored_exp50):
+    def test_survival_density_finite_difference(self, uncensored_exp50):
         one = fit(uncensored_exp50, ClaytonFamily(1.1))
         for y in np.linspace(0.2, 3.0, 10):
             h = 1e-5 * max(1.0, y)
-            dens, cdf = rows(one, [y - h, y, y + h])
-            assert_allclose((cdf[2] - cdf[0]) / (2 * h), dens[1], rtol=1e-3)
+            dens, surv = rows(one, [y - h, y, y + h])
+            assert_allclose((surv[0] - surv[2]) / (2 * h), dens[1], rtol=1e-3)
 
     def test_martingale_unbiasedness(self, uncensored_exp50):
-        # absorbing one draw from the current predictive leaves the CDF
-        # unchanged in expectation
+        # absorbing one draw from the current predictive leaves the
+        # survival unchanged in expectation
         head = make_dataset(uncensored_exp50.times[:15],
                             uncensored_exp50.status[:15])
         one = fit(head, ClaytonFamily(1.0))
@@ -261,7 +303,8 @@ class TestConditionalVariant:
                                           trace_chains=3)
         post_cond = martingale_posterior(cond, 60, spec, x_target=x0, seed=5,
                                          trace_chains=3)
-        for field in ("cdf_draws", "density_draws", "medians", "w1_trace"):
+        for field in ("survival_draws", "density_draws", "medians",
+                      "w1_trace"):
             assert np.array_equal(getattr(post_plain, field),
                                   getattr(post_cond, field)), field
 

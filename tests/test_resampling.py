@@ -27,7 +27,7 @@ from copsurv.resampling import (
     ensemble_grid_rows,
     log_grid,
     martingale_posterior,
-    median_from_cdf,
+    median_from_survival,
     wasserstein1,
     weighted_mean,
     weighted_quantiles,
@@ -94,28 +94,30 @@ class TestWasserstein:
         assert wasserstein1(a, b, grid) == wasserstein1(b, a, grid)
 
 
-class TestMedianFromCdf:
+class TestMedianFromSurvival:
     def test_exact_grid_point(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
-        assert median_from_cdf(np.array([0.0, 0.5, 1.0]), grid) == 1.0
+        assert median_from_survival(np.array([1.0, 0.5, 0.0]), grid) == 1.0
 
     def test_interpolation(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0, 3.0]))
-        assert median_from_cdf(np.array([0.0, 0.25, 0.75, 1.0]), grid) == 1.5
+        surv = np.array([1.0, 0.75, 0.25, 0.0])
+        assert median_from_survival(surv, grid) == 1.5
 
     def test_refinement_oracle(self):
         from copsurv.copulas import lomax
 
         coarse = GridSpec(np.linspace(0.0, 6.0, 40))
         fine = GridSpec(np.linspace(0.0, 6.0, 400))
-        m_coarse = median_from_cdf(lomax(coarse.points, 1.4, 1.0)[1], coarse)
-        m_fine = median_from_cdf(lomax(fine.points, 1.4, 1.0)[1], fine)
+        m_coarse = median_from_survival(lomax(coarse.points, 1.4, 1.0)[1],
+                                        coarse)
+        m_fine = median_from_survival(lomax(fine.points, 1.4, 1.0)[1], fine)
         cell = coarse.points[1] - coarse.points[0]
         assert abs(m_coarse - m_fine) < cell
 
     def test_median_not_reached_is_the_grid_top(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
-        assert median_from_cdf(np.array([0.0, 0.1, 0.2]), grid) == 2.0
+        assert median_from_survival(np.array([1.0, 0.9, 0.8]), grid) == 2.0
 
     def test_stacked_rows_match_the_row_by_row_rule(self):
         """Rows that cross inside the grid, exactly at one half, at the
@@ -125,28 +127,28 @@ class TestMedianFromCdf:
         grid = GridSpec(np.geomspace(0.01, 8.0, 9))
         pts = grid.points
 
-        def one_row(cdf):
-            if cdf[0] >= 0.5:
+        def one_row(surv):
+            if surv[0] <= 0.5:
                 return pts[0]
-            hits = np.nonzero(cdf >= 0.5)[0]
+            hits = np.nonzero(surv <= 0.5)[0]
             if hits.size == 0:
                 return pts[-1]
             j = hits[0]
-            c0, c1 = cdf[j - 1], cdf[j]
-            return pts[j - 1] + (0.5 - c0) * (pts[j] - pts[j - 1]) / (c1 - c0)
+            s0, s1 = surv[j - 1], surv[j]
+            return pts[j - 1] + (s0 - 0.5) * (pts[j] - pts[j - 1]) / (s0 - s1)
 
         draws = np.random.default_rng(2)
-        cdf = np.sort(draws.uniform(0.0, 1.0, (6, 9)), axis=1)
-        cdf[1] = np.linspace(0.0, 1.0, 9)
-        cdf[2] = np.linspace(0.5, 0.9, 9)
-        cdf[3] = np.linspace(0.0, 0.4, 9)
-        cdf[4, 5:] = 0.5
-        cdf[4, :5] = np.linspace(0.0, 0.2, 5)
-        stacked = median_from_cdf(cdf.reshape(2, 3, 9), grid)
+        surv = np.sort(draws.uniform(0.0, 1.0, (6, 9)), axis=1)[:, ::-1]
+        surv[1] = np.linspace(1.0, 0.0, 9)
+        surv[2] = np.linspace(0.5, 0.1, 9)
+        surv[3] = np.linspace(1.0, 0.6, 9)
+        surv[4, 5:] = 0.5
+        surv[4, :5] = np.linspace(1.0, 0.8, 5)
+        stacked = median_from_survival(surv.reshape(2, 3, 9), grid)
         assert stacked.shape == (2, 3)
-        assert np.array_equal(stacked.ravel(), [one_row(row) for row in cdf])
+        assert np.array_equal(stacked.ravel(), [one_row(row) for row in surv])
         assert list(stacked.ravel()[1:5]) == [pts[4], pts[0], pts[-1], pts[5]]
-        assert isinstance(median_from_cdf(cdf[0], grid), float)
+        assert isinstance(median_from_survival(surv[0], grid), float)
 
 
 class TestBootstrapCovariate:
@@ -195,8 +197,8 @@ class TestPredictiveResample:
         grid = GridSpec(np.linspace(0.0, 4.0, 25))
         out = martingale_posterior(uncensored_fit, 0, grid, seed=1,
                                    trace_chains=1)
-        dens, cdf = ensemble_grid_rows(uncensored_fit, grid)
-        assert np.array_equal(out.cdf_draws, cdf)
+        dens, surv = ensemble_grid_rows(uncensored_fit, grid)
+        assert np.array_equal(out.survival_draws, surv)
         assert np.array_equal(out.density_draws, dens)
         assert out.w1_trace.shape == (1, 1)
         assert np.all(out.w1_trace == 0.0)
@@ -204,9 +206,9 @@ class TestPredictiveResample:
     def test_rows_stay_monotone_probabilities(self, uncensored_fit):
         grid = GridSpec(np.linspace(0.0, 4.0, 25))
         out = martingale_posterior(uncensored_fit, 2000, grid, seed=99)
-        cdf, dens = out.cdf_draws[0], out.density_draws[0]
-        assert np.all(np.diff(cdf) >= 0)
-        assert np.all((cdf >= 0) & (cdf <= 1))
+        surv, dens = out.survival_draws[0], out.density_draws[0]
+        assert np.all(np.diff(surv) <= 0)
+        assert np.all((surv >= 0) & (surv <= 1))
         assert np.all(dens >= 0)
 
     def test_deterministic_in_seed(self, uncensored_fit):
@@ -214,8 +216,8 @@ class TestPredictiveResample:
         a = martingale_posterior(uncensored_fit, 50, grid, seed=7)
         b = martingale_posterior(uncensored_fit, 50, grid, seed=7)
         c = martingale_posterior(uncensored_fit, 50, grid, seed=8)
-        assert np.array_equal(a.cdf_draws, b.cdf_draws)
-        assert not np.array_equal(a.cdf_draws, c.cdf_draws)
+        assert np.array_equal(a.survival_draws, b.survival_draws)
+        assert not np.array_equal(a.survival_draws, c.survival_draws)
 
 
 def buffer_bytes(arrays):
@@ -251,15 +253,16 @@ class TestMartingalePosterior:
         assert_allclose(draws.weights, 1.0 / 32, rtol=1e-12)
         # chain 0 must equal a single-fit forward run with the same seed
         single = martingale_posterior(column(ensemble, 0), 100, grid, seed=3)
-        assert np.array_equal(draws.cdf_draws[0], single.cdf_draws[0])
+        assert np.array_equal(draws.survival_draws[0],
+                              single.survival_draws[0])
 
     def test_forward_mean_preserves_start(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=500, seed=3)
         grid = GridSpec(np.linspace(0.0, 4.0, 10))
         draws = martingale_posterior(ensemble, 500, grid, seed=11)
         _, start = ensemble_grid_rows(ensemble, grid)
-        mean = draws.cdf_draws.mean(axis=0)
-        se = draws.cdf_draws.std(axis=0, ddof=1) / np.sqrt(draws.n_draws)
+        mean = draws.survival_draws.mean(axis=0)
+        se = draws.survival_draws.std(axis=0, ddof=1) / np.sqrt(draws.n_draws)
         gap = np.abs(mean - start[0])
         assert np.all(gap <= 3 * np.maximum(se, 1e-12))
 
@@ -272,9 +275,9 @@ class TestMartingalePosterior:
         draws = martingale_posterior(ensemble, 400, grid, seed=6)
         _, start_rows = ensemble_grid_rows(ensemble, grid)
         is_estimate = weighted_mean(start_rows, ensemble.weights)
-        mean_n = weighted_mean(draws.cdf_draws, draws.weights)
+        mean_n = weighted_mean(draws.survival_draws, draws.weights)
         w = draws.weights / draws.weights.sum()
-        diff = draws.cdf_draws - start_rows
+        diff = draws.survival_draws - start_rows
         se = np.sqrt(np.sum((w[:, None] * diff) ** 2, axis=0))
         assert np.all(np.abs(mean_n - is_estimate) <= 3 * np.maximum(se, 1e-12))
 
@@ -283,12 +286,12 @@ class TestMartingalePosterior:
         grid = GridSpec(np.linspace(0.0, 4.0, 6))
         d1 = martingale_posterior(ensemble, 40, grid, seed=4, trace_chains=16)
         d2 = martingale_posterior(ensemble, 40, grid, seed=4, trace_chains=16)
-        assert np.array_equal(d1.cdf_draws, d2.cdf_draws)
+        assert np.array_equal(d1.survival_draws, d2.survival_draws)
         assert np.array_equal(d1.medians, d2.medians)
         assert d1.w1_trace.shape == (16, 41)
         assert np.array_equal(d1.w1_trace, d2.w1_trace)
         d3 = martingale_posterior(ensemble, 40, grid, seed=8)
-        assert not np.array_equal(d1.cdf_draws, d3.cdf_draws)
+        assert not np.array_equal(d1.survival_draws, d3.survival_draws)
 
     def test_medians_within_grid(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=32, seed=3)
@@ -302,7 +305,7 @@ class TestMartingalePosterior:
         # a grid top near the data's median censors some chains, not all
         grid = GridSpec(np.linspace(0.0, 0.75, 20))
         draws = martingale_posterior(ensemble, 50, grid, seed=4)
-        below = draws.cdf_draws[:, -1] < 0.5
+        below = draws.survival_draws[:, -1] > 0.5
         assert 0 < below.sum() < 32
         assert np.array_equal(draws.censored, below)
         assert np.all(draws.medians[below] == 0.75)
@@ -320,20 +323,68 @@ class TestMartingalePosterior:
         grid = GridSpec(np.concatenate([[0.0], np.geomspace(0.01, 8.0, 24)]))
         draws = martingale_posterior(ensemble, 150, grid,
                                      x_target=np.array([0.5]), seed=2)
-        assert np.all(np.diff(draws.cdf_draws, axis=1) >= -1e-12)
+        assert np.all(np.diff(draws.survival_draws, axis=1) <= 1e-12)
         with pytest.raises(ConfigurationError):
             martingale_posterior(ensemble, 10, grid, seed=2)  # missing target
+
+
+def martingale_gap_z(seed):
+    """Largest |gap/se| over the grid of the weighted mean increment of
+    the survival, final row minus start row, over the chains of a forward
+    pass: the README data (`simulate --seed 1 --n 200`, a third
+    censored), Clayton 0.9, B = 500, G = 60, n_extra = 300.  The
+    martingale posterior keeps every chain's expected increment at zero
+    (Fong, Holmes & Walker 2023), so the gap is Monte Carlo noise."""
+    data = cs.permute(cs.standardize(
+        cs.simulate_censored_exponential(200, 1.0, 2.0, seed=1)), 1)
+    grid = default_grid(data, 60)
+    ensemble = impute_smc(data, ClaytonFamily(0.9), n_particles=500,
+                          seed=seed)
+    # the start rows of the forward pass, through their own call
+    _, start = ensemble_grid_rows(ensemble, grid)
+    draws = martingale_posterior(ensemble, 300, grid, seed=seed)
+    w = draws.weights
+    inc = draws.survival_draws - start
+    gap = w @ inc
+    se = np.sqrt(np.sum(w[:, None] ** 2 * (inc - gap) ** 2, axis=0))
+    moved = se > 0  # the origin, where every survival is exactly 1
+    return float(np.max(np.abs(gap[moved] / se[moved])))
+
+
+# Over seeds 0..19 honest forward passes scored 0.30 to 2.33, the same
+# on the CDF state and on the survival; over seeds 0..7 a forward stream
+# bent to v^1.1 scored 20.3 to 26.6.
+MARTINGALE_Z_MAX = 4.0
+
+
+class TestMartingaleGuard:
+    """Criterion 5 checks the unweighted mean on uncensored data; this
+    guard checks the weighted one on censored data, where a bias in the
+    imputation or forward step would show."""
+
+    def test_honest_forward_pass_keeps_the_gap_small(self):
+        assert martingale_gap_z(3) < MARTINGALE_Z_MAX
+
+    def test_bent_forward_stream_trips_the_guard(self, monkeypatch):
+        uniforms = rng.uniforms
+
+        def bent(seed, tag, step, count, start=0):
+            u = uniforms(seed, tag, step, count, start)
+            return u ** 1.1 if tag == rng.STREAM_FORWARD else u
+
+        monkeypatch.setattr(rng, "uniforms", bent)
+        assert martingale_gap_z(3) > MARTINGALE_Z_MAX
 
 
 class TestEnsembleEval:
     def test_matches_grid_rows(self, uncensored_exp50):
         ensemble = impute_smc(uncensored_exp50, FAMILY, n_particles=16, seed=3)
         grid = GridSpec(np.array([0.5, 1.5]))
-        dens_rows, cdf_rows = ensemble_grid_rows(ensemble, grid)
+        dens_rows, surv_rows = ensemble_grid_rows(ensemble, grid)
         out = _run_rows(ensemble, [1.5], None)
-        dens, cdf = out["dens"], out["u"]
+        dens, surv = out["dens"], out["surv"]
         assert np.array_equal(dens[:, 0], dens_rows[:, 1])
-        assert np.array_equal(cdf[:, 0], cdf_rows[:, 1])
+        assert np.array_equal(surv[:, 0], surv_rows[:, 1])
 
 
 class TestWeightedHelpers:
@@ -347,16 +398,31 @@ class TestWeightedHelpers:
         w = np.random.default_rng(1).random(999)
         assert weighted_mean(np.ones(999), w) == 1.0
 
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 2000])
+    def test_weighted_mean_in_chunks_is_one_reduction(self, rows):
+        """The chunked mean has the bits of one reduction over all rows
+        with the ones column alongside, on either side of a chunk edge."""
+        draws = np.random.default_rng(rows)
+        values = draws.random((rows, 7))
+        values[:, 0] = 1.0
+        w = draws.random(rows)
+        aug = np.concatenate([values, np.ones((rows, 1))], axis=1)
+        sums = (w[:, None] * aug).sum(axis=0)
+        got = weighted_mean(values, w)
+        assert np.array_equal(got, sums[:-1] / sums[-1])
+        assert got[0] == 1.0
+        assert weighted_mean(values[:, 3], w) == got[3]
+
 
 def reference_grid_rows(ensemble, points, x_target):
-    """The recursion written out step by step, one scalar weight per step,
-    each value clipped to [CLAMP_EPS, 1 - CLAMP_EPS]: the reference that
-    `_run_rows` must reproduce."""
+    """The recursion on (density, survival) written out step by step, one
+    scalar weight per step, each value clipped to [CLAMP_EPS,
+    1 - CLAMP_EPS]: the reference that `_run_rows` must reproduce."""
     family = ensemble.family
     n_steps, n_chains = ensemble.v_matrix.shape
-    pdf0, cdf0 = family.base_at(points)
+    pdf0, surv0 = family.base_at(points)
     dens = np.tile(pdf0, (n_chains, 1))
-    u = np.tile(cdf0, (n_chains, 1))
+    surv = np.tile(surv0, (n_chains, 1))
     for j in range(n_steps):
         alpha = float(alpha_schedule(j + 1))
         if ensemble.rho_x is not None:
@@ -364,10 +430,10 @@ def reference_grid_rows(ensemble, points, x_target):
                                      ensemble.rho_x)
         v = np.clip(ensemble.v_matrix[j], copulas.CLAMP_EPS,
                     1.0 - copulas.CLAMP_EPS)[:, None]
-        d, i_part = family.joint(u, v)
+        d, tail = family.joint(surv, v)
         dens = dens * ((1.0 - alpha) + alpha * d)
-        u = (1.0 - alpha) * u + alpha * i_part
-    return dens, u
+        surv = (1.0 - alpha) * surv + alpha * tail
+    return dens, surv
 
 
 def reference_picks(seed, n_chains, n_pool, n_steps):
@@ -387,11 +453,11 @@ def reference_picks(seed, n_chains, n_pool, n_steps):
 def reference_forward(ensemble, grid, x_target, n_extra, seed):
     """The forward pass written out step by step over all chains at once:
     every step draws its whole stream of uniforms, and with covariates
-    takes each chain's pick from `reference_picks`.  (dens, cdf) after
-    n_extra steps: the reference that `martingale_posterior` must
+    takes each chain's pick from `reference_picks`.  (dens, survival)
+    after n_extra steps: the reference that `martingale_posterior` must
     reproduce."""
     n, b = ensemble.v_matrix.shape
-    dens, u = reference_grid_rows(ensemble, grid.points, x_target)
+    dens, surv = reference_grid_rows(ensemble, grid.points, x_target)
     if ensemble.rho_x is not None:
         pool = ensemble.covariates
         picks = reference_picks(seed, b, pool.shape[0], n_extra)
@@ -402,10 +468,10 @@ def reference_forward(ensemble, grid, x_target, n_extra, seed):
         if ensemble.rho_x is not None:
             alpha = alpha_regression(alpha, x_target, pool[picks[t]],
                                      ensemble.rho_x)[:, None]
-        d, i_part = ensemble.family.joint(u, v)
+        d, tail = ensemble.family.joint(surv, v)
         dens = dens * ((1.0 - alpha) + alpha * d)
-        u = (1.0 - alpha) * u + alpha * i_part
-    return dens, u
+        surv = (1.0 - alpha) * surv + alpha * tail
+    return dens, surv
 
 
 @pytest.fixture
@@ -433,37 +499,38 @@ def gaussian_case():
 class TestOneFitIsOneColumn:
     def test_column_fit_matches_grid_row(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
-        dens_rows, cdf_rows = ensemble_grid_rows(ensemble, grid, x)
+        dens_rows, surv_rows = ensemble_grid_rows(ensemble, grid, x)
         for j in (0, 7, ensemble.n_particles - 1):
-            dens, cdf = ensemble_grid_rows(column(ensemble, j), grid, x)
+            dens, surv = ensemble_grid_rows(column(ensemble, j), grid, x)
             assert np.array_equal(dens[0], dens_rows[j])
-            assert np.array_equal(cdf[0], cdf_rows[j])
+            assert np.array_equal(surv[0], surv_rows[j])
 
     def test_propagate_matches_reference_loop(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
-        ref_dens, ref_cdf = reference_grid_rows(ensemble, grid.points, x)
+        ref_dens, ref_surv = reference_grid_rows(ensemble, grid.points, x)
         out = _run_rows(ensemble, grid.points, x)
-        dens, cdf = out["dens"], out["u"]
+        dens, surv = out["dens"], out["surv"]
         assert np.array_equal(dens, ref_dens)
-        assert np.array_equal(cdf, ref_cdf)
+        assert np.array_equal(surv, ref_surv)
         if x is None:
             return
         # one covariate row per point, each point against its own reference
         rows = x + np.linspace(-1.0, 1.0, grid.points.size)[:, None]
         out = _run_rows(ensemble, grid.points, rows)
-        dens, cdf = out["dens"], out["u"]
+        dens, surv = out["dens"], out["surv"]
         for k, point in enumerate(grid.points):
-            ref_dens, ref_cdf = reference_grid_rows(ensemble, [point], rows[k])
+            ref_dens, ref_surv = reference_grid_rows(ensemble, [point],
+                                                     rows[k])
             assert np.array_equal(dens[:, k], ref_dens[:, 0])
-            assert np.array_equal(cdf[:, k], ref_cdf[:, 0])
+            assert np.array_equal(surv[:, k], ref_surv[:, 0])
         with pytest.raises(ValueError, match="covariate dimension mismatch"):
             _run_rows(ensemble, grid.points, np.zeros(2))
 
     def test_forward_pass_matches_reference_loop(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
         draws = martingale_posterior(ensemble, 40, grid, x, seed=9)
-        ref_dens, ref_cdf = reference_forward(ensemble, grid, x, 40, 9)
-        assert np.array_equal(draws.cdf_draws, ref_cdf)
+        ref_dens, ref_surv = reference_forward(ensemble, grid, x, 40, 9)
+        assert np.array_equal(draws.survival_draws, ref_surv)
         assert np.array_equal(draws.density_draws, ref_dens)
 
 
