@@ -59,7 +59,6 @@ __all__ = [
     "ess",
     "ess_from_log_weights",
     "systematic_indices",
-    "diagnostic_rows",
     "DEFAULT_N_PARTICLES",
 ]
 
@@ -109,14 +108,6 @@ def systematic_indices(weights, offset: float) -> np.ndarray:
     return np.searchsorted(cumulative, positions, side="right").clip(0, b - 1)
 
 
-def diagnostic_rows(ess_trace, unique_trace, resample_steps):
-    """(step, ess, unique_particles, resampled) per processed record,
-    1-based, from a pass's traces and 0-based resampling steps."""
-    fired = set(resample_steps)
-    return [(i + 1, float(ess_trace[i]), int(unique_trace[i]), i in fired)
-            for i in range(len(ess_trace))]
-
-
 # ---------------------------------------------------------------------------
 # Pass results
 # ---------------------------------------------------------------------------
@@ -164,10 +155,6 @@ class ParticleEnsemble(SmcPass):
     rho_x: float | None
     covariates: np.ndarray | None
     v_matrix: np.ndarray  # (n, B)
-
-    @property
-    def n_records(self) -> int:
-        return self.v_matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +217,10 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
             with np.errstate(divide="ignore"):
                 log_w += np.where(dead, -np.inf, np.log(surv))
             engine.absorb_censored(v)
-        m = np.max(log_w)
-        if not np.isfinite(m):
+        if not np.isfinite(np.max(log_w)):
             raise DegeneracyError(
-                f"all {b} particle weights vanished at record {i + 1}",
-                diagnostics=diagnostic_rows(ess_trace[:i], unique_trace[:i],
-                                            resample_steps),
-            )
-        # ess_from_log_weights(log_w), without its input checks: the
-        # largest shifted weight is 1, so the total is positive
-        w = np.exp(log_w - m)
-        total = w.sum()
-        ess_trace[i] = total * total / np.sum(w * w)
+                f"all {b} particle weights vanished at record {i + 1}")
+        ess_trace[i] = ess_from_log_weights(log_w)
         if ess_trace[i] < ess_frac * b:
             log_mass = logsumexp(log_w)
             log_z += log_mass - np.log(b)

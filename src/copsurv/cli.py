@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, parametric, resampling, tune
-from .censoring import DEFAULT_N_PARTICLES, diagnostic_rows, impute_smc
+from .censoring import DEFAULT_N_PARTICLES, impute_smc
 from .copulas import DEFAULT_RHO_GRID, FAMILIES, make_family
 from .errors import (
     ConfigurationError,
@@ -382,19 +382,19 @@ def _write_predictive(path, grid, density, survival, scale):
     dataio.write_rows(
         path,
         ["time", "density", "cdf", "survival"],
-        zip(dataio.unscale_times(grid.points, scale),
-            dataio.unscale_density(density, scale), 1.0 - survival,
-            survival),
+        zip(grid.points / scale, density * scale, 1.0 - survival, survival),
     )
 
 
 def _write_diagnostics(outdir, ensemble):
-    """`diagnostics.csv`: one row per record of an SMC pass."""
+    """`diagnostics.csv`: one row per record of an SMC pass, 1-based,
+    with its ESS, unique ancestries and whether it resampled."""
+    fired = set(ensemble.resample_steps)
     dataio.write_rows(
         outdir / "diagnostics.csv",
         ["step", "ess", "unique_particles", "resampled"],
-        diagnostic_rows(ensemble.ess_trace, ensemble.unique_trace,
-                        ensemble.resample_steps),
+        [(i + 1, float(ess), int(unique), i in fired) for i, (ess, unique)
+         in enumerate(zip(ensemble.ess_trace, ensemble.unique_trace))],
     )
 
 
@@ -402,11 +402,11 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
     """The martingale-posterior tables of `draws`, in input units given
     the time `scale`: survival and density bands, medians, the W1 trace
     and the CDF draws, each file name led by `prefix`."""
-    grid_orig = dataio.unscale_times(draws.grid.points, scale)
+    grid_orig = draws.grid.points / scale
     w = draws.weights
     for name, values in (
             ("survival", draws.survival_draws),
-            ("density", dataio.unscale_density(draws.density_draws, scale))):
+            ("density", draws.density_draws * scale)):
         q = weighted_quantiles(values, w, [0.025, 0.975])
         dataio.write_rows(outdir / f"{prefix}{name}_summary.csv",
                           ["time", "mean", "q2.5", "q97.5"],
@@ -414,7 +414,7 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
     dataio.write_rows(
         outdir / f"{prefix}medians.csv",
         ["median", "weight", "censored"],
-        zip(dataio.unscale_times(draws.medians, scale), w, draws.censored),
+        zip(draws.medians / scale, w, draws.censored),
     )
     # one (chain, step, w1) line per value, formatted as `_format_cell`
     # formats the tuple

@@ -68,9 +68,9 @@ CLAMP_EPS = 1e-10
 # the covariate kernel's rho_x, 0.1..0.9 step 0.1.
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
 
-# Block-shaped scratch arrays each kernel uses (`KernelScratch.block`).
-CLAYTON_BLOCKS = 3
-GAUSSIAN_BLOCKS = 3
+# Block-shaped scratch arrays of a kernel call (`KernelScratch.block`):
+# each kernel's two results and one work array.
+SCRATCH_BLOCKS = 3
 # exp(-CLAYTON_LOG_FLOOR) is a normal float64, far from underflow; see
 # `clayton_density_and_partial`.
 CLAYTON_LOG_FLOOR = 600.0
@@ -105,7 +105,6 @@ class ClaytonFamily:
     bandwidth: float  # a > 0
 
     kind = "clayton"
-    scratch_blocks = CLAYTON_BLOCKS
     default_bandwidth = 1.0
     tuning_grid = tuple(np.round(np.arange(0.5, 1.51, 0.1), 10))
     grid_from_zero = True
@@ -134,7 +133,6 @@ class GaussianFamily:
     bandwidth: float  # the correlation rho, in (0, 1)
 
     kind = "gaussian"
-    scratch_blocks = GAUSSIAN_BLOCKS
     default_bandwidth = 0.5
     tuning_grid = DEFAULT_RHO_GRID
     grid_from_zero = False
@@ -176,10 +174,9 @@ def _clamp(p, out):
 
 class KernelScratch(NamedTuple):
     """The work arrays of one kernel call, which also hold its results:
-    `block`, float64 arrays of the broadcast shape of (s, v), as many as
-    the kernel uses (its family's `scratch_blocks`);
-    `small`, three float64 arrays of v's shape; `mask`, a bool array of the
-    broadcast shape.
+    `block`, SCRATCH_BLOCKS float64 arrays of the broadcast shape of
+    (s, v), the same set for both kernels; `small`, three float64 arrays
+    of v's shape; `mask`, a bool array of the broadcast shape.
 
     `flat` makes one-dimensional arrays that a caller keeps across calls
     (`predictive.RunningPredictive` holds one set), and `view` gives a
@@ -191,10 +188,10 @@ class KernelScratch(NamedTuple):
     mask: np.ndarray
 
     @classmethod
-    def flat(cls, size: int, v_size: int, n_block: int) -> "KernelScratch":
-        """`n_block` block arrays for calls of up to `size` elements, with
-        v of up to `v_size`."""
-        return cls(tuple(np.empty(size) for _ in range(n_block)),
+    def flat(cls, size: int, v_size: int) -> "KernelScratch":
+        """A set for calls of up to `size` elements, with v of up to
+        `v_size`."""
+        return cls(tuple(np.empty(size) for _ in range(SCRATCH_BLOCKS)),
                    tuple(np.empty(v_size) for _ in range(3)),
                    np.empty(size, dtype=bool))
 
@@ -207,12 +204,11 @@ class KernelScratch(NamedTuple):
                              self.mask[:n].reshape(shape))
 
 
-def _scratch_for(s, v, out, n_block):
-    """`out`, or a new scratch set of `n_block` block arrays, of the
-    shapes of a call on (s, v)."""
+def _scratch_for(s, v, out):
+    """`out`, or a new scratch set of the shapes of a call on (s, v)."""
     if out is None:
         shape = np.broadcast_shapes(np.shape(s), np.shape(v))
-        out = KernelScratch.flat(math.prod(shape), np.size(v), n_block).view(
+        out = KernelScratch.flat(math.prod(shape), np.size(v)).view(
             shape, np.shape(v))
     return out
 
@@ -321,8 +317,8 @@ def clayton_density_and_partial(s, v, a: float, out=None):
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
-    out = _scratch_for(s, v, out, CLAYTON_BLOCKS)
-    density, tail, log_r = out.block[:CLAYTON_BLOCKS]
+    out = _scratch_for(s, v, out)
+    density, tail, log_r = out.block
     q, one_minus_q, factor = out.small
     shift = _clayton_row_terms(v, a, q, one_minus_q, factor)
     np.maximum(s, CLAMP_EPS, out=log_r)
@@ -368,8 +364,8 @@ def gaussian_density_and_partial(s, v, rho: float, out=None):
     `clayton_density_and_partial`.
     """
     _check_rho(rho)
-    out = _scratch_for(s, v, out, GAUSSIAN_BLOCKS)
-    density, tail, zs = out.block[:GAUSSIAN_BLOCKS]
+    out = _scratch_for(s, v, out)
+    density, tail, zs = out.block
     zn, work = out.small[:2]
     ndtri(_clamp(s, zs), out=zs)
     ndtri(_clamp(v, zn), out=zn)

@@ -5,7 +5,8 @@ optional covariate rows.  Status 1 means the event time was observed,
 status 0 means it is right-censored at the recorded time.  Standardization
 metadata (`scale_factor`, per-column covariate shift/scale) is carried on
 the dataset so every downstream output can be mapped back to the original
-units; `standardize(data, like=train)` puts held-out records or covariate
+units (a time divides by `scale_factor`, a density multiplies by it);
+`standardize(data, like=train)` puts held-out records or covariate
 targets on a training split's scale without estimating anything.
 """
 
@@ -25,8 +26,6 @@ __all__ = [
     "standardize",
     "permute",
     "simulate_censored_exponential",
-    "unscale_times",
-    "unscale_density",
     "write_rows",
 ]
 
@@ -191,18 +190,8 @@ def simulate_censored_exponential(n, rate_y=1.0, rate_c=2.0, seed=0) -> Survival
 
 
 # ---------------------------------------------------------------------------
-# Unit back-transformation and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-def unscale_times(values, scale_factor: float):
-    """Map times/quantiles from the standardized scale back to input units."""
-    return np.asarray(values, dtype=float) / scale_factor
-
-
-def unscale_density(values, scale_factor: float):
-    """Map density values back to input units (densities scale inversely)."""
-    return np.asarray(values, dtype=float) * scale_factor
-
 
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):

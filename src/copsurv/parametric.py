@@ -239,9 +239,10 @@ def doob_demo(model: ConjugateModel, data: SurvivalDataset, n_particles: int,
     """
     if n_extra < 0:
         raise ConfigurationError("n_extra must be nonnegative")
-    ensemble = conjugate_smc(model, data, n_particles, ess_frac, seed)
-    if n_extra == 0 and np.any(ensemble.a <= 1):
+    # every record adds 1 to every particle's a, so each a_n is a0 + n
+    if n_extra == 0 and model.a0 + data.n <= 1:
         raise ConfigurationError("posterior mean needs a_n > 1; increase n_extra")
+    ensemble = conjugate_smc(model, data, n_particles, ess_frac, seed)
 
     def run(chains, out):
         a = ensemble.a[chains].copy()

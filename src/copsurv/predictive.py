@@ -73,12 +73,12 @@ class RunningPredictive:
     the caller's (B, points) arrays `dens` and `surv` (a worker's rows of
     a shared array): density and survival, set here to the base measure
     at times[k] in column k.
-    The k-th record it absorbs has weight `alpha_schedule(k)`, read from
-    a table grown as needed, modulated when `rho_x` is set by
-    `alpha_regression` between the points' covariates `x_points` (None,
-    one shared vector, or one row per point) and the record's.  The
-    kernel's scratch set holds the family's `scratch_blocks` arrays,
-    sized for the largest block an absorption can take.
+    The k-th record it absorbs has weight `alpha_schedule(k)`, modulated
+    when `rho_x` is set by `alpha_regression` between the points'
+    covariates `x_points` (None, one shared vector, or one row per point)
+    and the record's.  The kernel's scratch set, the same three block
+    arrays for either family, is sized for the largest block an
+    absorption can take.
     """
 
     def __init__(self, family, times, dens, surv, rho_x=None,
@@ -87,11 +87,10 @@ class RunningPredictive:
         self.dens, self.surv = dens, surv
         dens[:], surv[:] = family.base_at(times)
         self.rho_x, self.x_points = rho_x, x_points
-        self.n_absorbed, self.alphas = 0, np.empty(0)
+        self.n_absorbed = 0
         b, points = surv.shape
         self.scratch = KernelScratch.flat(
-            min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS),
-            family.scratch_blocks)
+            min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS))
 
     def absorb(self, v, x_record=None):
         """Take the next record, with propagation values v (B,), clamped
@@ -99,10 +98,8 @@ class RunningPredictive:
         vector, or one row per particle, (B, d), for one weight per
         particle), into every point, in the recursion's bits: its steps
         only commute the products and sums of the formula."""
-        k = self.n_absorbed = self.n_absorbed + 1
-        if k > self.alphas.size:
-            self.alphas = alpha_schedule(np.arange(1, 2 * k + 1))
-        alpha = self.alphas[k - 1]
+        self.n_absorbed += 1
+        alpha = alpha_schedule(self.n_absorbed)
         if self.rho_x is not None:
             alpha = alpha_regression(alpha, self.x_points, x_record,
                                      self.rho_x)

@@ -86,10 +86,6 @@ class GridSpec:
         if pts[0] < 0 or np.any(np.diff(pts) <= 0):
             raise ConfigurationError("grid must be strictly increasing from >= 0")
 
-    @property
-    def span(self) -> float:
-        return float(self.points[-1] - self.points[0])
-
 
 def log_grid(top: float, size: int = 100, include_zero: bool = True) -> GridSpec:
     """`size` points ending at `top`, log-spaced from top * 1e-4.

@@ -14,7 +14,10 @@ output bit.
 
 Children are forked, not spawned, so they inherit the caller's state
 without pickling; they leave only through `os._exit`, running no exit
-handler and flushing no inherited buffer.
+handler and flushing no inherited buffer.  A child whose shard raises
+writes "{type}: {message}" of the exception, cut to `CAUSE_BYTES` bytes
+of UTF-8, into its own slot of one more shared mapping, so the error this
+process raises names the cause.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ import numpy as np
 from .errors import CopsurvError
 
 __all__ = ["run_shards"]
+
+# Bytes of a failed child's cause that reach the caller's error.
+CAUSE_BYTES = 512
 
 
 def _worker_count(n_items: int, min_items: int) -> int:
@@ -57,25 +63,31 @@ def run_shards(n_items: int, min_items: int, shapes: dict, run,
     The shard count is `_worker_count(n_items, min_items)`.  An error or
     interrupt in this process, or while it waits, ends and reaps every
     child still running before it propagates; a child that fails makes
-    this call raise CopsurvError, naming the child's items ("the worker
-    for `label` lo:hi").
+    this call raise CopsurvError, naming the child's items and the
+    exception it raised ("the worker for `label` lo:hi exited with status
+    1: RuntimeError: ...").
     """
     out = {name: _shared(shape) for name, shape in shapes.items()}
     n_workers = _worker_count(n_items, min_items)
     edges = [n_items * k // n_workers for k in range(n_workers + 1)]
     shards = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    causes = mmap.mmap(-1, CAUSE_BYTES * n_workers)
     children, codes = {}, {}
     try:
-        for shard in shards[1:]:
+        for k, shard in enumerate(shards[1:], start=1):
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
                     run(shard, out)
                     status = 0
+                except Exception as exc:
+                    causes.seek(CAUSE_BYTES * k)
+                    causes.write(f"{type(exc).__name__}: {exc}".encode(
+                        errors="replace")[:CAUSE_BYTES])
                 finally:
                     os._exit(status)
-            children[pid] = shard
+            children[pid] = k, shard
         run(shards[0], out)
         for pid in children:
             codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -86,6 +98,10 @@ def run_shards(n_items: int, min_items: int, shapes: dict, run,
             os.waitpid(pid, 0)
     for pid, code in codes.items():
         if code:
-            raise CopsurvError(f"the worker for {label} {children[pid].start}:"
-                               f"{children[pid].stop} exited with status {code}")
+            k, shard = children[pid]
+            cause = causes[CAUSE_BYTES * k:CAUSE_BYTES * (k + 1)].rstrip(
+                b"\0").decode(errors="ignore")
+            raise CopsurvError(
+                f"the worker for {label} {shard.start}:{shard.stop} exited "
+                f"with status {code}" + (f": {cause}" if cause else ""))
     return out

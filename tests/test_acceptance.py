@@ -225,7 +225,8 @@ def test_criterion_8_convergence_diagnostic(unbiasedness_run):
     draws, grid = run["draws"], run["grid"]
     window = draws.w1_trace[:, -(CONVERGENCE_STEPS + 1):]
     increments = np.abs(np.diff(window, axis=1))
-    frac = float(np.mean((increments < 1e-3 * grid.span).all(axis=1)))
+    span = grid.points[-1] - grid.points[0]
+    frac = float(np.mean((increments < 1e-3 * span).all(axis=1)))
     report(8, frac >= 0.95,
            f"{frac:.1%} of chains have every last-{CONVERGENCE_STEPS}-step W1 "
            f"increment below 1e-3 of the grid span (required 95%)",

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
-from copsurv import copulas, rng, shards
+from copsurv import copulas, rng, shards, tune
 from copsurv.censoring import impute_smc
 from copsurv.cli import (
     SUBCOMMANDS,
@@ -18,6 +18,7 @@ from copsurv.cli import (
 )
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
 from copsurv.dataio import load_csv, write_rows
+from copsurv.errors import DegeneracyError
 from copsurv.parametric import ConjugateModel, doob_demo, ig_posterior_quantile
 from copsurv.tune import DEFAULT_TUNE_PARTICLES
 
@@ -94,6 +95,21 @@ class TestFit:
             _step, ess, _unique, resampled = row.split(",")
             assert float(ess) == pytest.approx(64.0, rel=1e-9)
             assert resampled == "0"
+
+    def test_every_tuning_cell_degenerate_exits_4(self, sim_csv, tmp_path,
+                                                  monkeypatch, capsys):
+        def degenerate(*args, **kwargs):
+            raise DegeneracyError("all particle weights vanished")
+
+        monkeypatch.setattr(tune, "impute_smc", degenerate)
+        out = tmp_path / "fit"
+        assert run("fit", "--seed", 11, "--input", sim_csv,
+                   "--bandwidth-grid", "0.5,0.9", "--output-dir", out) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "degeneracy",
+                                   "message": "every grid cell degenerated"}
+        assert list(out.iterdir()) == []
 
     def test_rerun_byte_identical(self, sim_csv, tmp_path):
         for name in ("f1", "f2"):
@@ -250,7 +266,8 @@ class TestPosterior:
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "error": "error",
-            "message": "the worker for rows 32:64 exited with status 1"}
+            "message": "the worker for rows 32:64 exited with status 1: "
+                       "RuntimeError: kernel failure in a worker"}
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -387,7 +404,8 @@ class TestDoob:
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "error": "error",
-            "message": "the worker for chains 32:64 exited with status 1"}
+            "message": "the worker for chains 32:64 exited with status 1: "
+                       "RuntimeError: uniforms failure in a worker"}
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

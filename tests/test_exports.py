@@ -58,6 +58,27 @@ def test_exported_names_are_used_by_the_program(name):
     assert unused == []
 
 
+SOURCES = sorted((ROOT / "src" / "copsurv").glob("*.py"))
+# A module-level `def _x`, `class _X` or `_X =`; group 1 or 2 is the name.
+PRIVATE_DEFINITION = re.compile(
+    r"(?:def|class)\s+(_[^\W_]\w*)|(_[^\W_]\w*)\s*(?::[^=]*)?=")
+
+
+def test_private_module_names_are_used():
+    """A private helper that nothing calls is dead code too: every
+    private module-level name in the package must appear in src/ on a
+    line other than one that defines it."""
+    lines = [line for path in SOURCES
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    defines = [(m := PRIVATE_DEFINITION.match(line)) and (m[1] or m[2])
+               for line in lines]
+    unused = sorted(
+        name for name in set(defines) - {None}
+        if not any(re.search(rf"\b{name}\b", line) and defined != name
+                   for line, defined in zip(lines, defines)))
+    assert unused == []
+
+
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 

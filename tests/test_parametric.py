@@ -6,6 +6,7 @@ from scipy.special import gammaln
 from scipy.stats import lomax as scipy_lomax
 
 import copsurv as cs
+from copsurv import parametric
 from copsurv.copulas import lomax
 from copsurv.errors import ConfigurationError
 from copsurv.parametric import (
@@ -232,6 +233,15 @@ class TestDoobDemo:
     def test_negative_n_extra_rejected(self, censored_exp50):
         with pytest.raises(ConfigurationError):
             doob_demo(ConjugateModel(1.0), censored_exp50, 16, -1, seed=0)
+
+    def test_no_posterior_mean_fails_before_the_pass(self, monkeypatch):
+        # a0 + 1.0 rounds to 1: after one record no a_n exceeds 1
+        def smc(*args, **kwargs):
+            raise AssertionError("the SMC pass ran")
+
+        monkeypatch.setattr(parametric, "conjugate_smc", smc)
+        with pytest.raises(ConfigurationError, match="a_n > 1"):
+            doob_demo(ConjugateModel(1e-17), make_dataset([1.0], [1]), 16, 0)
 
 
 class TestWeightedKs:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 import copsurv as cs
-from copsurv import tune
+from copsurv import shards, tune
 from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily
-from copsurv.errors import ConfigurationError
+from copsurv.errors import ConfigurationError, DegeneracyError, TuningError
 from copsurv.tune import TuneGrid, grid_search
 
 
@@ -45,6 +45,20 @@ class TestGridSearch:
         grid = TuneGrid(bandwidths=(0.5, 1.2), n_particles=100, seed=1)
         with pytest.raises(ConfigurationError):
             grid_search(cs.standardize(censored_exp50), "gaussian", grid)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_every_cell_degenerate_raises(self, censored_exp50, monkeypatch,
+                                          n_shards):
+        def degenerate(*args, **kwargs):
+            raise DegeneracyError("all particle weights vanished")
+
+        monkeypatch.setattr(tune, "impute_smc", degenerate)
+        monkeypatch.setattr(shards, "_worker_count",
+                            lambda n_items, min_items: n_shards)
+        grid = TuneGrid(bandwidths=(0.5, 0.9), n_particles=100, seed=1)
+        with pytest.raises(TuningError,
+                           match="^every grid cell degenerated$"):
+            grid_search(cs.standardize(censored_exp50), "clayton", grid)
 
     def test_bit_reproducible(self, censored_exp50):
         data = cs.standardize(censored_exp50)
