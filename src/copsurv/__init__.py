@@ -33,7 +33,6 @@ from .errors import (
     CopsurvError,
     DataError,
     DegeneracyError,
-    TuningError,
 )
 from .parametric import (
     ConjugateModel,
@@ -50,7 +49,6 @@ from .resampling import (
     default_grid,
     martingale_posterior,
     median_from_survival,
-    wasserstein1,
 )
 from .tune import TuneGrid, TuneResult, grid_search
 

@@ -18,13 +18,14 @@ every particle carries the same history, so one particle suffices: its
 estimate is the prequential log-likelihood sum(log p_{i-1}(y_i)), exact,
 and it is how the tuning grid scores fully observed data.
 
-The loop is generic over a small particle-state "engine" so that the exact
-conjugate predictive (see `parametric`) runs through the identical code
-path as the copula predictive; both ensembles extend the pass result
-`SmcPass` with their own particle state.  The engine's state is the only
-copy of each particle's history: a censored record's draw lives on only
-as the value the engine absorbed, and resampling re-indexes that state
-and the ancestry, nothing else.  The copula engine is a
+The loop computes both propagation values and is generic over a small
+particle-state "engine" (evaluate, absorb a record, select) so that the
+exact conjugate predictive (see `parametric`) runs through the identical
+code path as the copula predictive; both ensembles extend `SmcPass` with
+their own particle state.  The engine's state is the only copy of each
+particle's history: a censored record's draw lives on only as the value
+the engine absorbed, and resampling re-indexes that state and the
+ancestry, nothing else.  The copula engine is a
 `predictive.RunningPredictive` whose points are the records still to
 come, at their own times: besides that history it carries, per particle
 (one row each), the running predictive (density, survival) of every
@@ -161,28 +162,29 @@ class ParticleEnsemble(SmcPass):
 # Generic SMC loop
 # ---------------------------------------------------------------------------
 
-def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
-                 seed: int) -> SmcPass:
-    """Drive an engine through the records with IS weighting and
-    ESS-triggered systematic resampling.
+def run_smc_loop(engine, data: SurvivalDataset, n_particles: int,
+                 ess_frac: float, seed: int) -> SmcPass:
+    """Drive an engine through the records of `data` with IS weighting
+    and ESS-triggered systematic resampling.
 
     The engine contract, with every array of shape (B,): eval_at(t) ->
     (density, survival), the predictive at the next record's time t given
-    the records absorbed so far; absorb_observed(t, surv) takes that
-    record as observed at t, where the predictive survival was `surv`;
-    absorb_censored(v) takes it as censored, with each particle's draw v
-    above P(c) = 1 - S(c) in CDF space; select(idx) re-indexes the
-    particle state by ancestor indices.  A particle whose survival at a
-    censoring time is at most CLAMP_EPS is dead: its weight is zero.
-    Records are visited in order, each evaluated once and then absorbed,
-    so an engine counts them itself, and may return the predictive of the
-    records to come as a view: the loop only reads what eval_at returns.
+    the records absorbed so far; absorb_record(t, v, observed) takes that
+    record, at time t, with each particle's propagation value v in CDF
+    space: P(t) = 1 - S(t) when `observed`, else its draw above P(c) =
+    1 - S(c); select(idx) re-indexes the particle state by ancestor
+    indices.  A particle whose survival at a censoring time is at most
+    CLAMP_EPS is dead: its weight is zero.  Records are visited in order,
+    each evaluated once and then absorbed, so an engine counts them
+    itself, and may return the predictive of the records to come as a
+    view: the loop only reads what eval_at returns.
 
     One particle is enough when no record is censored (the pass is then
     deterministic); imputing a censored record needs at least two.
     """
     if n_particles < 1:
         raise ConfigurationError("need at least 1 particle")
+    times, status = data.times, data.status
     if n_particles < 2 and np.any(status == 0):
         raise ConfigurationError(
             "need at least 2 particles to impute censored records")
@@ -201,10 +203,11 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
     for i in range(n):
         t = float(times[i])
         dens, surv = engine.eval_at(t)
-        if status[i] == 1:
+        observed = status[i] == 1
+        if observed:
             with np.errstate(divide="ignore"):
                 log_w += np.log(dens)
-            engine.absorb_observed(t, surv)
+            v = 1.0 - surv
         else:
             dead = surv <= copulas.CLAMP_EPS
             unif = rng.uniforms(seed, rng.STREAM_IMPUTE, i, b)
@@ -216,10 +219,11 @@ def run_smc_loop(engine, times, status, n_particles: int, ess_frac: float,
             v = np.where(dead, 1.0 - 1e-12, v)
             with np.errstate(divide="ignore"):
                 log_w += np.where(dead, -np.inf, np.log(surv))
-            engine.absorb_censored(v)
+        engine.absorb_record(t, v, observed)
         if not np.isfinite(np.max(log_w)):
-            raise DegeneracyError(
-                f"all {b} particle weights vanished at record {i + 1}")
+            row = i if data.perm is None else data.perm[i]
+            raise DegeneracyError(f"all {b} particle weights vanished at "
+                                  f"record {i + 1} (input row {row + 1})")
         ess_trace[i] = ess_from_log_weights(log_w)
         if ess_trace[i] < ess_frac * b:
             log_mass = logsumexp(log_w)
@@ -265,11 +269,7 @@ class _CopulaEngine(RunningPredictive):
         # t is the next record's time, whose running predictive is column 0
         return self.dens[:, 0], self.surv[:, 0]
 
-    def absorb_observed(self, t, surv):
-        # an observed record's propagation value is its predictive CDF
-        self.absorb_censored(1.0 - surv)
-
-    def absorb_censored(self, v):
+    def absorb_record(self, t, v, observed):
         self.v[self.n_absorbed] = v
         self.dens, self.surv = self.dens[:, 1:], self.surv[:, 1:]
         x = self.x_points
@@ -298,8 +298,7 @@ def impute_smc(data: SurvivalDataset, family: CopulaFamily,
         raise ConfigurationError("rho_x given but the dataset has no covariates")
     engine = _CopulaEngine(family, rho_x, data.covariates, data.times,
                            n_particles)
-    result = run_smc_loop(engine, data.times, data.status, n_particles,
-                          ess_frac, seed)
+    result = run_smc_loop(engine, data, n_particles, ess_frac, seed)
     return ParticleEnsemble(family=family, rho_x=rho_x,
                             covariates=data.covariates, v_matrix=engine.v,
                             **vars(result))

@@ -27,13 +27,7 @@ import numpy as np
 from . import dataio, parametric, resampling, tune
 from .censoring import DEFAULT_N_PARTICLES, impute_smc
 from .copulas import DEFAULT_RHO_GRID, FAMILIES, make_family
-from .errors import (
-    ConfigurationError,
-    CopsurvError,
-    DataError,
-    DegeneracyError,
-    TuningError,
-)
+from .errors import ConfigurationError, CopsurvError, DataError, DegeneracyError
 from .resampling import weighted_mean, weighted_quantiles
 
 __all__ = ["main"]
@@ -204,7 +198,7 @@ def _build_parser():
 def _read_config_file(path):
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}")
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -518,20 +512,14 @@ def cmd_posterior(cfg, outdir):
 
 
 def _split_dataset(raw, frac, seed):
-    """Random train/test split before any scaling; test inherits the
-    training standardization."""
+    """Random (train, test) split before any scaling; test inherits the
+    training standardization, and each side's `perm` names CSV rows."""
     n = raw.n
     n_test = int(round(frac * n))
     if not 0 < n_test < n:
         raise ConfigurationError("test split leaves an empty side")
     order = np.random.default_rng(seed + 1).permutation(n)
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    def subset(idx):
-        return dataio.SurvivalDataset(
-            times=raw.times[idx], status=raw.status[idx],
-            covariates=None if raw.covariates is None else raw.covariates[idx],
-        )
-    return subset(train_idx), subset(test_idx)
+    return dataio.take(raw, order[n_test:]), dataio.take(raw, order[:n_test])
 
 
 def cmd_regress(cfg, outdir):
@@ -661,7 +649,7 @@ def main(argv=None) -> int:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:
         return _fail("data", exc, EXIT_DATA)
-    except (DegeneracyError, TuningError) as exc:
+    except DegeneracyError as exc:
         return _fail("degeneracy", exc, EXIT_DEGENERACY)
     except CopsurvError as exc:
         return _fail("error", exc, 1)

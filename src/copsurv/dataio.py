@@ -24,6 +24,7 @@ __all__ = [
     "SurvivalDataset",
     "load_csv",
     "standardize",
+    "take",
     "permute",
     "simulate_censored_exponential",
     "write_rows",
@@ -82,7 +83,7 @@ def load_csv(path, time_col="time", status_col="status", covariate_cols=()):
     covariate_cols = list(covariate_cols)
     times, status, rows = [], [], []
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
@@ -158,16 +159,21 @@ def standardize(data: SurvivalDataset,
     )
 
 
-def permute(data: SurvivalDataset, seed: int) -> SurvivalDataset:
-    """Uniform random reordering of the records, seed-reproducible."""
-    order = np.random.default_rng(seed).permutation(data.n)
+def take(data: SurvivalDataset, rows) -> SurvivalDataset:
+    """The records `rows` of `data`, in that order; `perm` keeps naming
+    the input rows they came from."""
     return replace(
         data,
-        times=data.times[order],
-        status=data.status[order],
-        covariates=None if data.covariates is None else data.covariates[order],
-        perm=order if data.perm is None else data.perm[order],
+        times=data.times[rows],
+        status=data.status[rows],
+        covariates=None if data.covariates is None else data.covariates[rows],
+        perm=rows if data.perm is None else data.perm[rows],
     )
+
+
+def permute(data: SurvivalDataset, seed: int) -> SurvivalDataset:
+    """Uniform random reordering of the records, seed-reproducible."""
+    return take(data, np.random.default_rng(seed).permutation(data.n))
 
 
 def simulate_censored_exponential(n, rate_y=1.0, rate_c=2.0, seed=0) -> SurvivalDataset:

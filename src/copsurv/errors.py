@@ -21,8 +21,5 @@ class DataError(CopsurvError, ValueError):
 
 
 class DegeneracyError(CopsurvError, RuntimeError):
-    """All importance weights collapsed to zero."""
-
-
-class TuningError(CopsurvError, RuntimeError):
-    """Every grid cell degenerated during hyperparameter search."""
+    """All importance weights collapsed to zero, in one pass or in every
+    cell of a tuning grid."""

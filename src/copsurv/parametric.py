@@ -100,16 +100,15 @@ def exact_log_marginal(model: ConjugateModel, data: SurvivalDataset) -> float:
     )
 
 
-def tune_a0(data: SurvivalDataset, b0: float = 1.0,
-            bounds: tuple = (0.1, 100.0), tol: float = 1e-4) -> float:
+def tune_a0(data: SurvivalDataset, b0: float = 1.0) -> float:
     """Maximize the exact log marginal over a0 by golden-section search.
 
     The objective is concave in a0 (digamma differences are decreasing),
-    so the derivative-free bracket shrink converges to the global optimum
-    to `tol` absolute.
+    so the derivative-free bracket shrink over [0.1, 100] converges to
+    the global optimum to 1e-4 absolute.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = bounds
+    lo, hi, tol = 0.1, 100.0, 1e-4
 
     def score(a0):
         return exact_log_marginal(ConjugateModel(a0=a0, b0=b0), data)
@@ -161,7 +160,7 @@ class _ConjugateEngine:
     """Per-particle (a, b) state under the Lomax posterior predictive.
 
     `eval_at` returns the Lomax (pdf, survival).  Censored absorption
-    inverts the drawn u through the particle's own current predictive
+    inverts the drawn v through the particle's own current predictive
     CDF, so the imputed time always exceeds the censoring time pathwise.
     """
 
@@ -172,12 +171,12 @@ class _ConjugateEngine:
     def eval_at(self, t):
         return lomax(t, self.a, self.b)
 
-    def absorb_observed(self, t, surv):
-        self.a += 1.0
-        self.b += t
-
-    def absorb_censored(self, u):
-        _absorb_lomax_draw(self.a, self.b, u)
+    def absorb_record(self, t, v, observed):
+        if observed:
+            self.a += 1.0
+            self.b += t
+        else:
+            _absorb_lomax_draw(self.a, self.b, v)
 
     def select(self, idx):
         self.a = self.a[idx]
@@ -204,8 +203,7 @@ def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
                   seed: int = 0) -> ConjugateEnsemble:
     """Run the censored-data sampler with the exact conjugate predictive."""
     engine = _ConjugateEngine(model, n_particles)
-    result = run_smc_loop(engine, data.times, data.status, n_particles,
-                          ess_frac, seed)
+    result = run_smc_loop(engine, data, n_particles, ess_frac, seed)
     return ConjugateEnsemble(model=model, a=engine.a, b=engine.b,
                              **vars(result))
 

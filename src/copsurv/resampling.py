@@ -53,7 +53,6 @@ __all__ = [
     "PosteriorDraws",
     "martingale_posterior",
     "median_from_survival",
-    "wasserstein1",
     "weighted_mean",
     "weighted_quantiles",
     "ensemble_grid_rows",
@@ -129,26 +128,12 @@ def _step_picks(cumulative: np.ndarray, seed: int, step: int,
     return np.count_nonzero(cumulative[rows] <= u[:, None], axis=1)
 
 
-def wasserstein1(rows_a, rows_b, grid: GridSpec):
-    """Trapezoidal L1 distance between two CDF rows on the grid, or
-    equally between their survival rows.
-
-    Rows may be stacked (..., grid size); the distance is computed along
-    the last axis.
-    """
-    a = np.asarray(rows_a, dtype=float)
-    b = np.asarray(rows_b, dtype=float)
-    if a.shape[-1] != grid.points.size or b.shape[-1] != grid.points.size:
-        raise ValueError("rows must match the grid size")
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    return _w1_rows(a, b, np.diff(grid.points), np.empty(shape),
-                    np.empty(shape[:-1] + (shape[-1] - 1,)))
-
-
 def _w1_rows(a, b, dx, gap, terms):
-    """`wasserstein1` of rows a and b given dx = np.diff(grid.points),
-    with its temporaries in `gap` (the shape of a - b) and `terms` (one
-    column less, C-contiguous).  The arithmetic is np.trapezoid's,
+    """Wasserstein-1 distance between CDF rows a and b (..., G) on a
+    grid, or equally between their survival rows: the trapezoidal L1
+    distance along the last axis, given dx = np.diff(grid.points), with
+    its temporaries in `gap` (the shape of a - b) and `terms` (one column
+    less, C-contiguous).  The arithmetic is np.trapezoid's,
     (dx * (y[1:] + y[:-1]) / 2).sum() on y = |a - b|, so the bits match
     np.trapezoid(np.abs(a - b), grid.points, axis=-1)."""
     np.subtract(a, b, out=gap)

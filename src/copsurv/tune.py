@@ -27,7 +27,7 @@ from . import shards
 from .censoring import impute_smc
 from .copulas import CopulaFamily, make_family
 from .dataio import SurvivalDataset
-from .errors import ConfigurationError, DegeneracyError, TuningError
+from .errors import ConfigurationError, DegeneracyError
 
 __all__ = ["TuneGrid", "TuneCell", "TuneResult", "grid_search",
            "DEFAULT_TUNE_PARTICLES"]
@@ -79,8 +79,8 @@ def grid_search(data: SurvivalDataset, family_kind: str,
                 grid: TuneGrid) -> TuneResult:
     """Score every grid cell and return the argmax with the full table.
 
-    Raises TuningError if every cell degenerates: no cell has a finite
-    score to select.
+    Raises DegeneracyError if every cell degenerates: no cell has a
+    finite score to select.
     """
     # fully observed data is scored exactly by one particle
     n_particles = grid.n_particles if np.any(data.status == 0) else 1
@@ -114,7 +114,7 @@ def grid_search(data: SurvivalDataset, family_kind: str,
                                         or cell.score > best.score):
             best = cell
     if best is None:
-        raise TuningError("every grid cell degenerated")
+        raise DegeneracyError("every grid cell degenerated")
     return TuneResult(
         family=make_family(family_kind, best.bandwidth),
         rho_x=best.rho_x,

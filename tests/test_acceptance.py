@@ -25,6 +25,7 @@ from copsurv.copulas import (
     clayton_density_and_partial,
     gaussian_density_and_partial,
 )
+from copsurv.dataio import take
 from copsurv.parametric import (
     ConjugateModel,
     conjugate_smc,
@@ -236,25 +237,7 @@ def test_criterion_8_convergence_diagnostic(unbiasedness_run):
 def _split_heldout(raw, seed):
     order = np.random.default_rng(seed).permutation(raw.n)
     half = raw.n // 2
-    test_idx, train_idx = order[:half], order[half:]
-
-    def subset(idx):
-        return cs.SurvivalDataset(
-            times=raw.times[idx], status=raw.status[idx],
-            covariates=None if raw.covariates is None else raw.covariates[idx],
-        )
-
-    return subset(train_idx), subset(test_idx)
-
-
-def _scaled_to_train(test, train):
-    covariates = test.covariates
-    if covariates is not None and train.covariate_shift_scale is not None:
-        mean = train.covariate_shift_scale[:, 0]
-        sd = train.covariate_shift_scale[:, 1]
-        covariates = (covariates - mean) / sd
-    return cs.SurvivalDataset(times=test.times * train.scale_factor,
-                              status=test.status, covariates=covariates)
+    return take(raw, order[half:]), take(raw, order[:half])
 
 
 def _heldout_over_splits(raw, family_kind, bandwidths, rho_x_values, n_splits=10):
@@ -270,7 +253,7 @@ def _heldout_over_splits(raw, family_kind, bandwidths, rho_x_values, n_splits=10
         ensemble = impute_smc(train, tuned.family, rho_x=tuned.rho_x,
                               n_particles=1000, seed=split)
         scores.append(heldout_mean_log_lik(
-            ensemble, _scaled_to_train(test_raw, train)))
+            ensemble, cs.standardize(test_raw, like=train)))
     return float(np.mean(scores)), float(np.std(scores, ddof=1) / np.sqrt(n_splits))
 
 

@@ -234,10 +234,7 @@ class ReferenceEngine:
     def eval_at(self, t):
         return self.dens[:, self.i], self.surv[:, self.i]
 
-    def absorb_observed(self, t, surv):
-        self.absorb_censored(1.0 - surv)
-
-    def absorb_censored(self, u):
+    def absorb_record(self, t, u, observed):
         i, rest = self.i, slice(self.i + 1, None)
         v = self.v[i] = np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
         alpha = float(alpha_schedule(i + 1))
@@ -276,7 +273,7 @@ def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
                      ess_frac=0.95, seed=5)
     assert ens.resample_steps
     engine = ReferenceEngine(family, rho_x, data.covariates, data.times, 64)
-    ref = run_smc_loop(engine, data.times, data.status, 64, 0.95, 5)
+    ref = run_smc_loop(engine, data, 64, 0.95, 5)
     assert np.array_equal(ref.log_weights, ens.log_weights)
     assert ref.log_z == ens.log_z
     assert np.array_equal(ref.ess_trace, ens.ess_trace)
@@ -340,7 +337,8 @@ def test_posterior_mean_survival_tracks_kaplan_meier():
 class TestDegeneracy:
     def test_all_dead_raises_naming_the_record(self):
         data = make_dataset([1e14, 1.0], [0, 1])
-        with pytest.raises(DegeneracyError, match=r"vanished at record 1$"):
+        with pytest.raises(DegeneracyError,
+                           match=r"vanished at record 1 \(input row 1\)$"):
             impute_smc(data, FAMILY, n_particles=16, seed=0)
 
     def test_partial_death_is_soft(self):

@@ -118,6 +118,16 @@ class TestFit:
                        "--output-dir", tmp_path / name) == 0
         assert dir_bytes(tmp_path / "f1") == dir_bytes(tmp_path / "f2")
 
+    def test_byte_order_mark_changes_no_output(self, sim_csv, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8")
+        fits to the same bytes as the file without one."""
+        args = ("fit", "--seed", 11, "--input", sim_csv, "--bandwidth", 1.0,
+                "--n-particles", 100, "--output-dir")
+        assert run(*args, tmp_path / "plain") == 0
+        sim_csv.write_bytes(b"\xef\xbb\xbf" + sim_csv.read_bytes())
+        assert run(*args, tmp_path / "bom") == 0
+        assert dir_bytes(tmp_path / "plain") == dir_bytes(tmp_path / "bom")
+
 
 class TestPosterior:
     def test_outputs_and_survival_at_origin(self, mild_csv, tmp_path):
@@ -305,6 +315,23 @@ class TestRegress:
                    "--n-particles", 100, "--output-dir", out) == 0
         meta = read_meta(out)
         assert np.isfinite(meta["heldout_mean_log_lik"])
+
+    def test_split_permutation_names_the_training_rows_of_the_csv(
+            self, reg_csv, tmp_path):
+        out = tmp_path / "reg"
+        assert run("regress", "--seed", 3, "--input", reg_csv,
+                   "--covariate-cols", "thick", "--bandwidth", 0.9,
+                   "--rho-x", 0.5, "--test-split", 0.3,
+                   "--n-particles", 40, "--output-dir", out) == 0
+        meta = read_meta(out)
+        raw = load_csv(reg_csv)
+        perm = meta["permutation"]
+        assert len(perm) == len(set(perm)) == raw.n - round(0.3 * raw.n)
+        assert min(perm) >= 0 and max(perm) < raw.n
+        # the training scale is estimated from exactly these CSV rows
+        train = raw.times[perm]
+        assert meta["scale_factor"] == pytest.approx(
+            np.sum(raw.status[perm]) / train.sum(), rel=1e-12)
 
     def test_censored_medians_per_target(self, reg_csv, tmp_path):
         args = ["regress", "--seed", 3, "--input", reg_csv,
@@ -651,6 +678,18 @@ class TestConfigAndErrors:
                    "--output-dir", tmp_path / "o")
         assert code == 4
 
+    def test_degeneracy_names_the_input_row(self, tmp_path, capsys):
+        """The record that kills every weight is the second of the
+        permuted order, and the message names its CSV row too."""
+        path = tmp_path / "bad.csv"
+        path.write_text("time,status\n1e300,0\n1.0,1\n0.5,1\n")
+        assert run("doob", "--seed", 16, "--input", path, "--a0", 1.0,
+                   "--n-particles", 100, "--n-extra", 10,
+                   "--output-dir", tmp_path / "o") == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "degeneracy"
+        assert err["message"].endswith("at record 2 (input row 1)")
+
     def test_time_standardization_defuses_extreme_censoring(self, tmp_path):
         # the copula pipeline rescales times first, which keeps the same
         # record set well-conditioned
@@ -694,6 +733,14 @@ class TestConfigAndErrors:
         assert f"--{line.split('=')[0]}" in err["message"]
         assert str(config) in err["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_config_file_with_byte_order_mark(self, sim_csv, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("bandwidth=0.8\nn-particles=64\n",
+                          encoding="utf-8-sig")
+        assert run("fit", "--config", config, "--seed", 11, "--input",
+                   sim_csv, "--output-dir", tmp_path / "out") == 0
+        assert read_meta(tmp_path / "out")["config"]["bandwidth"] == 0.8
 
     def test_unknown_config_key(self, sim_csv, tmp_path):
         config = tmp_path / "run.cfg"

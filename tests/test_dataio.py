@@ -9,6 +9,7 @@ from copsurv.dataio import (
     permute,
     simulate_censored_exponential,
     standardize,
+    take,
     write_rows,
 )
 from copsurv.errors import ConfigurationError, DataError
@@ -170,6 +171,16 @@ class TestPermute:
         twice = permute(permute(raw, 1), 2)
         assert np.array_equal(twice.times, raw.times[twice.perm])
         assert np.array_equal(twice.status, raw.status[twice.perm])
+
+    def test_take_keeps_naming_input_rows(self):
+        raw = make_dataset([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1],
+                           covariates=[[0.0], [1.0], [2.0], [3.0]])
+        sub = take(raw, np.array([3, 1]))
+        assert np.array_equal(sub.times, [4.0, 2.0])
+        assert np.array_equal(sub.status, [1, 0])
+        assert np.array_equal(sub.covariates, [[3.0], [1.0]])
+        assert np.array_equal(sub.perm, [3, 1])
+        assert np.array_equal(take(sub, np.array([1])).perm, [1])
 
 
 class TestSimulate:

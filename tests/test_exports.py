@@ -3,8 +3,10 @@ only what the program itself uses; the code names README.md gives
 resolve."""
 
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -32,28 +34,32 @@ def test_export_list_resolves(name):
     exec(f"from {name} import *", {})
 
 
-def _program_lines():
-    lines = []
+def _program_names():
+    """(name, line) of every NAME token of the program outside its export
+    lists: a string, comment or docstring holds no NAME token."""
+    names = []
     for path in PROGRAM:
         text = EXPORT_LIST.sub("", path.read_text(encoding="utf-8"))
-        lines += text.splitlines()
-    return lines
+        names += [(tok.string, tok.line) for tok
+                  in tokenize.generate_tokens(io.StringIO(text).readline)
+                  if tok.type == tokenize.NAME]
+    return names
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_exported_names_are_used_by_the_program(name):
     """A public name that only tests call is dead code: every name in a
-    submodule's __all__ must appear in the program somewhere other than
-    the line that defines it (a def, class or module-level assignment)."""
-    lines = _program_lines()
+    submodule's __all__ must appear as code in the program somewhere
+    other than the line that defines it (a def, class or module-level
+    assignment)."""
+    names = _program_names()
     unused = []
     for export in getattr(importlib.import_module(name), "__all__", ()):
-        word = re.compile(rf"\b{re.escape(export)}\b")
         definition = re.compile(
             rf"^(?:def|class)\s+{re.escape(export)}\b"
             rf"|^{re.escape(export)}\s*(?::[^=]*)?=")
-        if not any(word.search(line) and not definition.match(line)
-                   for line in lines):
+        if not any(token == export and not definition.match(line)
+                   for token, line in names):
             unused.append(export)
     assert unused == []
 

@@ -4,7 +4,7 @@ import copsurv as cs
 from copsurv import shards, tune
 from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily
-from copsurv.errors import ConfigurationError, DegeneracyError, TuningError
+from copsurv.errors import ConfigurationError, DegeneracyError
 from copsurv.tune import TuneGrid, grid_search
 
 
@@ -56,7 +56,7 @@ class TestGridSearch:
         monkeypatch.setattr(shards, "_worker_count",
                             lambda n_items, min_items: n_shards)
         grid = TuneGrid(bandwidths=(0.5, 0.9), n_particles=100, seed=1)
-        with pytest.raises(TuningError,
+        with pytest.raises(DegeneracyError,
                            match="^every grid cell degenerated$"):
             grid_search(cs.standardize(censored_exp50), "clayton", grid)
 
