@@ -11,7 +11,6 @@ hyperparameters by marginal likelihood.
 
 from .censoring import (
     ParticleEnsemble,
-    ess,
     impute_smc,
 )
 from .copulas import (
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .parametric import (
     ConjugateModel,
-    ConjugateState,
     conjugate_smc,
     doob_demo,
     exact_log_marginal,
@@ -50,7 +48,7 @@ from .resampling import (
     martingale_posterior,
     median_from_survival,
 )
-from .tune import TuneGrid, TuneResult, grid_search
+from .tune import TuneResult, grid_search
 
 __version__ = "0.1.0"
 

@@ -57,42 +57,33 @@ __all__ = [
     "SmcPass",
     "ParticleEnsemble",
     "impute_smc",
-    "ess",
     "ess_from_log_weights",
     "systematic_indices",
     "DEFAULT_N_PARTICLES",
+    "DEFAULT_ESS_FRAC",
 ]
 
 # Particles of an SMC pass, and so chains of a posterior, by default.
 DEFAULT_N_PARTICLES = 2000
+# A pass resamples when the ESS falls below this fraction of its particles.
+DEFAULT_ESS_FRAC = 0.5
 
 
 # ---------------------------------------------------------------------------
 # Weight diagnostics and resampling primitives
 # ---------------------------------------------------------------------------
 
-def ess(weights) -> float:
-    """Effective sample size (sum w)^2 / sum w^2 of nonnegative weights.
-
-    Exactly B for uniform weights and 1 when a single weight carries all
-    the mass.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w < 0):
-        raise ValueError("weights must be nonnegative and nonempty")
-    total = w.sum()
-    if not total > 0:
-        raise DegeneracyError("all weights are zero")
-    return float(total * total / np.sum(w * w))
-
-
 def ess_from_log_weights(log_weights) -> float:
-    """ESS from unnormalized log weights (max-shifted for stability)."""
+    """Effective sample size (sum w)^2 / sum w^2 of the weights
+    w = exp(lw - max lw), max-shifted for stability: exactly B for equal
+    weights and 1 when a single weight carries all the mass."""
     lw = np.asarray(log_weights, dtype=float)
     m = np.max(lw)
     if not np.isfinite(m):
         raise DegeneracyError("all weights are zero")
-    return ess(np.exp(lw - m))
+    w = np.exp(lw - m)
+    total = w.sum()
+    return float(total * total / np.sum(w * w))
 
 
 def systematic_indices(weights, offset: float) -> np.ndarray:
@@ -286,7 +277,8 @@ class _CopulaEngine(RunningPredictive):
 def impute_smc(data: SurvivalDataset, family: CopulaFamily,
                rho_x: float | None = None,
                n_particles: int = DEFAULT_N_PARTICLES,
-               ess_frac: float = 0.5, seed: int = 0) -> ParticleEnsemble:
+               ess_frac: float = DEFAULT_ESS_FRAC,
+               seed: int = 0) -> ParticleEnsemble:
     """Impute right-censored records under the copula predictive.
 
     Processes records in the dataset's stored order.  Returns the full

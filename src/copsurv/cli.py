@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, parametric, resampling, tune
-from .censoring import DEFAULT_N_PARTICLES, impute_smc
+from .censoring import DEFAULT_ESS_FRAC, DEFAULT_N_PARTICLES, impute_smc
 from .copulas import DEFAULT_RHO_GRID, FAMILIES, make_family
 from .errors import ConfigurationError, CopsurvError, DataError, DegeneracyError
 from .resampling import weighted_mean, weighted_quantiles
@@ -112,7 +112,7 @@ FIT_CORE_OPTS = INPUT_OPTS + [
     Opt("bandwidth-grid", _comma_floats,
         help="comma list; triggers marginal-likelihood tuning"),
     Opt("n-particles", int, default=DEFAULT_N_PARTICLES, bounds=AT_LEAST_2),
-    Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT,
+    Opt("ess-frac", float, default=DEFAULT_ESS_FRAC, bounds=IN_CLOSED_UNIT,
         help="resample when ESS < ess_frac * n_particles; 0 disables"),
     Opt("tune-particles", int, default=tune.DEFAULT_TUNE_PARTICLES,
         bounds=AT_LEAST_2),
@@ -156,7 +156,7 @@ SUBCOMMANDS = {
             bounds=AT_LEAST_2),
         Opt("n-extra", int, default=resampling.DEFAULT_N_EXTRA,
             bounds=NONNEGATIVE),
-        Opt("ess-frac", float, default=0.5, bounds=IN_CLOSED_UNIT),
+        Opt("ess-frac", float, default=DEFAULT_ESS_FRAC, bounds=IN_CLOSED_UNIT),
     ],
     "tune": INPUT_OPTS + [
         Opt("family", str, default="clayton", bounds=COPULA_FAMILY),
@@ -315,9 +315,8 @@ def _select_family(cfg, data, tune_by_default):
     if not searched:
         rho_x = None if rho_x_values is None else rho_x_values[0]
         return make_family(kind, bandwidths[0]), rho_x, None
-    grid = tune.TuneGrid(bandwidths=bandwidths, rho_x_values=rho_x_values,
-                         n_particles=cfg["tune_particles"], seed=cfg["seed"])
-    tuned = tune.grid_search(data, kind, grid)
+    tuned = tune.grid_search(data, kind, bandwidths, rho_x_values,
+                             cfg["tune_particles"], cfg["seed"])
     return tuned.family, tuned.rho_x, tuned
 
 
@@ -439,13 +438,14 @@ def _write_doob_tables(outdir, result):
     """A conjugate Doob run's weighted limiting posterior means, the
     exact posterior's quantiles, and its SMC diagnostics."""
     dataio.write_rows(outdir / "doob_samples.csv", ["theta_bar", "weight"],
-                      np.column_stack([result.theta_bar, result.weights]))
+                      np.column_stack([result.theta_bar,
+                                       result.ensemble.weights]))
     qs = np.linspace(0.005, 0.995, 199)
     dataio.write_rows(
         outdir / "doob_exact_quantiles.csv",
         ["q", "theta"],
-        np.column_stack([qs, parametric.ig_posterior_quantile(result.state,
-                                                              qs)]),
+        np.column_stack([qs, parametric.ig_posterior_quantile(
+            result.posterior, qs)]),
     )
     _write_diagnostics(outdir, result.ensemble)
 
@@ -587,8 +587,8 @@ def cmd_doob(cfg, outdir):
     _write_meta(outdir, "doob", cfg, {
         "a0": a0,
         "ks_statistic": ks,
-        "posterior_a_n": result.state.a_n,
-        "posterior_b_n": result.state.b_n,
+        "posterior_a_n": result.posterior.a0,
+        "posterior_b_n": result.posterior.b0,
         "log_marginal_likelihood": result.ensemble.log_z,
         "final_ess": result.ensemble.final_ess,
         "permutation": data.perm,

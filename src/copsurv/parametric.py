@@ -25,14 +25,14 @@ import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln
 
 from . import rng, shards
-from .censoring import DEFAULT_N_PARTICLES, SmcPass, run_smc_loop
+from .censoring import (DEFAULT_ESS_FRAC, DEFAULT_N_PARTICLES, SmcPass,
+                        run_smc_loop)
 from .copulas import lomax
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError
 
 __all__ = [
     "ConjugateModel",
-    "ConjugateState",
     "posterior_update",
     "exact_log_marginal",
     "tune_a0",
@@ -54,6 +54,9 @@ DOOB_SHARD_CHAINS = 4096
 
 @dataclass(frozen=True)
 class ConjugateModel:
+    """IG(a0, b0) on the exponential mean: the prior, or, by conjugacy,
+    the posterior that `posterior_update` returns."""
+
     a0: float
     b0: float = 1.0
 
@@ -61,30 +64,18 @@ class ConjugateModel:
         if not (self.a0 > 0 and self.b0 > 0):
             raise ConfigurationError("hyperparameters must be positive")
 
-
-@dataclass(frozen=True)
-class ConjugateState:
-    a_n: float
-    b_n: float
-
-    def __post_init__(self):
-        if not (self.a_n > 0 and self.b_n > 0):
-            raise ConfigurationError("state parameters must be positive")
-
     @property
     def mean(self) -> float:
-        """Posterior mean b_n / (a_n - 1); requires a_n > 1."""
-        if not self.a_n > 1:
-            raise ConfigurationError("posterior mean needs a_n > 1")
-        return self.b_n / (self.a_n - 1.0)
+        """Mean b0 / (a0 - 1); requires a0 > 1."""
+        if not self.a0 > 1:
+            raise ConfigurationError("mean needs a0 > 1")
+        return self.b0 / (self.a0 - 1.0)
 
 
-def posterior_update(model: ConjugateModel, data: SurvivalDataset) -> ConjugateState:
+def posterior_update(model: ConjugateModel, data: SurvivalDataset) -> ConjugateModel:
     """a_n = a0 + (observed count), b_n = b0 + (sum of all recorded times)."""
-    return ConjugateState(
-        a_n=model.a0 + data.n_observed,
-        b_n=model.b0 + float(data.times.sum()),
-    )
+    return ConjugateModel(a0=model.a0 + data.n_observed,
+                          b0=model.b0 + float(data.times.sum()))
 
 
 def exact_log_marginal(model: ConjugateModel, data: SurvivalDataset) -> float:
@@ -128,20 +119,20 @@ def tune_a0(data: SurvivalDataset, b0: float = 1.0) -> float:
     return float(0.5 * (lo + hi))
 
 
-def ig_posterior_cdf(state: ConjugateState, theta):
+def ig_posterior_cdf(posterior: ConjugateModel, theta):
     """CDF of IG(a_n, b_n) at theta: P(Theta <= t) = Q(a_n, b_n / t)."""
     arr = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(arr)
     out = np.zeros_like(flat)
     pos = flat > 0
-    out[pos] = gammaincc(state.a_n, state.b_n / flat[pos])
+    out[pos] = gammaincc(posterior.a0, posterior.b0 / flat[pos])
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def ig_posterior_quantile(state: ConjugateState, q):
+def ig_posterior_quantile(posterior: ConjugateModel, q):
     """Quantiles of IG(a_n, b_n): theta_q = b_n / Q^-1(a_n, q)."""
     q = np.asarray(q, dtype=float)
-    return state.b_n / gammainccinv(state.a_n, q)
+    return posterior.b0 / gammainccinv(posterior.a0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +190,7 @@ class ConjugateEnsemble(SmcPass):
 
 def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
                   n_particles: int = DEFAULT_N_PARTICLES,
-                  ess_frac: float = 0.5,
+                  ess_frac: float = DEFAULT_ESS_FRAC,
                   seed: int = 0) -> ConjugateEnsemble:
     """Run the censored-data sampler with the exact conjugate predictive."""
     engine = _ConjugateEngine(model, n_particles)
@@ -215,19 +206,18 @@ def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
 @dataclass
 class DoobResult:
     theta_bar: np.ndarray  # (B,) posterior-mean draws at the horizon
-    weights: np.ndarray  # (B,) normalized importance weights
-    ensemble: ConjugateEnsemble
-    state: ConjugateState  # exact posterior for comparison
+    ensemble: ConjugateEnsemble  # weighted by ensemble.weights
+    posterior: ConjugateModel  # exact posterior for comparison
 
     @property
     def ks_statistic(self) -> float:
-        return weighted_ks(self.theta_bar, self.weights,
-                           lambda t: ig_posterior_cdf(self.state, t))
+        return weighted_ks(self.theta_bar, self.ensemble.weights,
+                           lambda t: ig_posterior_cdf(self.posterior, t))
 
 
 def doob_demo(model: ConjugateModel, data: SurvivalDataset, n_particles: int,
               n_extra: int, seed: int = 0,
-              ess_frac: float = 0.5) -> DoobResult:
+              ess_frac: float = DEFAULT_ESS_FRAC) -> DoobResult:
     """Impute censored records, then extend each particle with n_extra
     future draws from its running Lomax predictive and record the
     posterior mean b_N / (a_N - 1).
@@ -253,12 +243,8 @@ def doob_demo(model: ConjugateModel, data: SurvivalDataset, n_particles: int,
 
     out = shards.run_shards(n_particles, DOOB_SHARD_CHAINS,
                             {"theta_bar": (n_particles,)}, run, "chains")
-    return DoobResult(
-        theta_bar=out["theta_bar"],
-        weights=ensemble.weights,
-        ensemble=ensemble,
-        state=posterior_update(model, data),
-    )
+    return DoobResult(theta_bar=out["theta_bar"], ensemble=ensemble,
+                      posterior=posterior_update(model, data))
 
 
 def weighted_ks(values, weights, cdf_fn) -> float:

@@ -29,31 +29,10 @@ from .copulas import CopulaFamily, make_family
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError, DegeneracyError
 
-__all__ = ["TuneGrid", "TuneCell", "TuneResult", "grid_search",
-           "DEFAULT_TUNE_PARTICLES"]
+__all__ = ["TuneCell", "TuneResult", "grid_search", "DEFAULT_TUNE_PARTICLES"]
 
 # Particles of the imputation run that scores a cell with censored data.
 DEFAULT_TUNE_PARTICLES = 1000
-
-
-@dataclass(frozen=True)
-class TuneGrid:
-    bandwidths: tuple  # kernel bandwidth a, or rho for the Gaussian kernel
-    rho_x_values: tuple | None = None  # covariate kernel grid (regression)
-    n_particles: int = DEFAULT_TUNE_PARTICLES
-    seed: int = 0
-
-    def __post_init__(self):
-        bw = tuple(float(v) for v in self.bandwidths)
-        if not bw:
-            raise ConfigurationError("bandwidth grid is empty")
-        object.__setattr__(self, "bandwidths", bw)
-        if self.rho_x_values is not None:
-            rho = tuple(float(v) for v in self.rho_x_values)
-            if not all(0.0 <= v < 1.0 for v in rho):
-                raise ConfigurationError(
-                    f"rho_x values must lie in [0, 1), got {rho}")
-            object.__setattr__(self, "rho_x_values", rho)
 
 
 class TuneCell(NamedTuple):
@@ -75,29 +54,42 @@ class TuneResult:
         return self.family.bandwidth
 
 
-def grid_search(data: SurvivalDataset, family_kind: str,
-                grid: TuneGrid) -> TuneResult:
-    """Score every grid cell and return the argmax with the full table.
+def grid_search(data: SurvivalDataset, family_kind: str, bandwidths,
+                rho_x_values=None, n_particles: int = DEFAULT_TUNE_PARTICLES,
+                seed: int = 0) -> TuneResult:
+    """Score every (bandwidth, rho_x) cell and return the argmax with the
+    full table.  A bandwidth is the kernel's a, or rho for the Gaussian
+    kernel; rho_x_values=None searches no covariate kernel.
 
     Raises DegeneracyError if every cell degenerates: no cell has a
     finite score to select.
     """
-    # fully observed data is scored exactly by one particle
-    n_particles = grid.n_particles if np.any(data.status == 0) else 1
-    rho_x_grid = grid.rho_x_values if grid.rho_x_values is not None else (None,)
     # every cell is checked before any is scored or any worker forked
-    if grid.rho_x_values is not None and data.covariates is None:
-        raise ConfigurationError("rho_x grid given but the dataset has no "
-                                 "covariates")
+    bandwidths = [float(v) for v in bandwidths]
+    if not bandwidths:
+        raise ConfigurationError("bandwidth grid is empty")
+    rho_x_grid = [None]
+    if rho_x_values is not None:
+        rho_x_grid = [float(v) for v in rho_x_values]
+        if not rho_x_grid:
+            raise ConfigurationError("rho_x grid is empty")
+        if not all(0.0 <= v < 1.0 for v in rho_x_grid):
+            raise ConfigurationError(
+                f"rho_x values must lie in [0, 1), got {tuple(rho_x_grid)}")
+        if data.covariates is None:
+            raise ConfigurationError("rho_x grid given but the dataset has "
+                                     "no covariates")
+    # fully observed data is scored exactly by one particle
+    n_particles = n_particles if np.any(data.status == 0) else 1
     cells = [(bandwidth, make_family(family_kind, bandwidth), rho_x)
-             for bandwidth in sorted(grid.bandwidths) for rho_x in rho_x_grid]
+             for bandwidth in sorted(bandwidths) for rho_x in rho_x_grid]
 
     def run(shard, out):
         for k in range(shard.start, shard.stop):
             _, family, rho_x = cells[k]
             try:
                 ensemble = impute_smc(data, family, rho_x=rho_x,
-                                      n_particles=n_particles, seed=grid.seed)
+                                      n_particles=n_particles, seed=seed)
             except DegeneracyError:
                 out["cells"][k] = (-np.inf, 0.0)
                 continue

@@ -39,7 +39,7 @@ from copsurv.resampling import (
     heldout_mean_log_lik,
     martingale_posterior,
 )
-from copsurv.tune import TuneGrid, grid_search
+from copsurv.tune import grid_search
 
 SIM_SEED = 106  # simulated regime draw with censoring fraction in-band
 # Criterion 8 reads every chain's W1 over the last this many forward steps.
@@ -154,8 +154,7 @@ def test_criterion_4_predictive_normalization():
     start = time.time()
     data = cs.simulate_censored_exponential(50, 1.0, 1e-12, seed=21)
     data = cs.permute(cs.standardize(data), 21)
-    tuned = grid_search(data, "clayton",
-                        TuneGrid(bandwidths=ClaytonFamily.tuning_grid, seed=0))
+    tuned = grid_search(data, "clayton", ClaytonFamily.tuning_grid, seed=0)
     # uncensored: every particle carries the same sequential fit
     fit = impute_smc(data, tuned.family, n_particles=2, seed=0)
     grid = GridSpec(np.concatenate([[0.0], np.geomspace(1e-8, 1e5, 4000)]))
@@ -246,10 +245,8 @@ def _heldout_over_splits(raw, family_kind, bandwidths, rho_x_values, n_splits=10
         train_raw, test_raw = _split_heldout(raw, seed=split)
         train = cs.permute(cs.standardize(train_raw), split)
         rho_grid = rho_x_values if train.covariates is not None else None
-        tuned = grid_search(train, family_kind,
-                            TuneGrid(bandwidths=bandwidths,
-                                     rho_x_values=rho_grid,
-                                     n_particles=500, seed=split))
+        tuned = grid_search(train, family_kind, bandwidths, rho_grid,
+                            n_particles=500, seed=split)
         ensemble = impute_smc(train, tuned.family, rho_x=tuned.rho_x,
                               n_particles=1000, seed=split)
         scores.append(heldout_mean_log_lik(

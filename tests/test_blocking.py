@@ -425,12 +425,11 @@ def test_grid_cell_shards_change_no_bit(monkeypatch):
         return score(data, family, **kwargs)
 
     monkeypatch.setattr(tune, "impute_smc", degenerate_at_0_6)
-    grid = tune.TuneGrid(bandwidths=(0.8, 0.4, 0.6), rho_x_values=(0.3, 0.7),
-                         n_particles=64, seed=6)
     results = []
     for workers in WORKERS:
         at_workers(monkeypatch, workers)
-        results.append(tune.grid_search(data, "gaussian", grid))
+        results.append(tune.grid_search(data, "gaussian", (0.8, 0.4, 0.6),
+                                        (0.3, 0.7), n_particles=64, seed=6))
     first = results[0]
     assert [(c.bandwidth, c.rho_x) for c in first.table] == [
         (0.4, 0.3), (0.4, 0.7), (0.6, 0.3), (0.6, 0.7), (0.8, 0.3),

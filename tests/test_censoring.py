@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 import copsurv as cs
 from copsurv.censoring import (
-    ess,
     ess_from_log_weights,
     impute_smc,
     run_smc_loop,
@@ -45,19 +44,23 @@ def _rows(ensemble):
 
 class TestEss:
     def test_uniform_weights_exact(self):
-        assert ess(np.ones(2000)) == 2000.0
+        assert ess_from_log_weights(np.zeros(2000)) == 2000.0
 
-    def test_single_positive_weight(self):
-        w = np.zeros(50)
-        w[7] = 3.0
-        assert ess(w) == 1.0
+    def test_single_finite_weight(self):
+        lw = np.full(50, -np.inf)
+        lw[7] = np.log(3.0)
+        assert ess_from_log_weights(lw) == 1.0
 
     def test_direct_formula(self):
-        assert_allclose(ess([0.5, 0.25, 0.25]), 1.0 / (0.25 + 0.0625 + 0.0625))
+        w = np.array([0.5, 0.25, 0.25])
+        assert_allclose(ess_from_log_weights(np.log(w)),
+                        1.0 / (0.25 + 0.0625 + 0.0625))
 
     def test_all_zero_degenerate(self):
+        with np.errstate(divide="ignore"):
+            lw = np.log(np.zeros(5))
         with pytest.raises(DegeneracyError):
-            ess(np.zeros(5))
+            ess_from_log_weights(lw)
 
     def test_log_weights_shift_invariant(self):
         lw = np.array([-1000.0, -1001.0, -999.5])

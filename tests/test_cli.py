@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shlex
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import copsurv as cs
 from copsurv import copulas, rng, shards, tune
-from copsurv.censoring import impute_smc
+from copsurv.censoring import DEFAULT_ESS_FRAC, impute_smc
 from copsurv.cli import (
     SUBCOMMANDS,
     _write_doob_tables,
@@ -19,7 +20,12 @@ from copsurv.cli import (
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
 from copsurv.dataio import load_csv, write_rows
 from copsurv.errors import DegeneracyError
-from copsurv.parametric import ConjugateModel, doob_demo, ig_posterior_quantile
+from copsurv.parametric import (
+    ConjugateModel,
+    conjugate_smc,
+    doob_demo,
+    ig_posterior_quantile,
+)
 from copsurv.tune import DEFAULT_TUNE_PARTICLES
 
 
@@ -399,10 +405,11 @@ class TestDoob:
         qs = np.linspace(0.005, 0.995, 199)
         tuples = {
             "doob_samples.csv": (["theta_bar", "weight"],
-                                 list(zip(result.theta_bar, result.weights))),
+                                 list(zip(result.theta_bar,
+                                          result.ensemble.weights))),
             "doob_exact_quantiles.csv": (
                 ["q", "theta"],
-                list(zip(qs, ig_posterior_quantile(result.state, qs)))),
+                list(zip(qs, ig_posterior_quantile(result.posterior, qs)))),
         }
         for name, (header, rows) in tuples.items():
             write_rows(tmp_path / "tuples.csv", header, rows)
@@ -469,13 +476,25 @@ class TestTuneCommand:
             f"rho_x {meta['best_rho_x']!r} (score {meta['best_score']!r})\n")
 
     def test_tune_particle_defaults_are_the_tuning_default(self):
-        """Every --tune-particles option defaults to the particle count a
-        `TuneGrid` takes when none is given."""
+        """Every --tune-particles option defaults to the particle count
+        `grid_search` takes when none is given."""
         defaults = {command: opt.default
                     for command, opts in SUBCOMMANDS.items()
                     for opt in opts if opt.name == "tune-particles"}
         assert defaults.keys() == {"fit", "posterior", "regress", "tune"}
         assert set(defaults.values()) == {DEFAULT_TUNE_PARTICLES}
+
+    def test_ess_frac_defaults_are_the_sampler_default(self):
+        """Every --ess-frac option, and every sampler that takes an
+        ess_frac, defaults to the one resampling threshold."""
+        defaults = {command: opt.default
+                    for command, opts in SUBCOMMANDS.items()
+                    for opt in opts if opt.name == "ess-frac"}
+        assert defaults.keys() == {"fit", "posterior", "regress", "doob"}
+        for sampler in (impute_smc, conjugate_smc, doob_demo):
+            params = inspect.signature(sampler).parameters
+            defaults[sampler.__name__] = params["ess_frac"].default
+        assert set(defaults.values()) == {DEFAULT_ESS_FRAC}
 
 
 def readme_experiment_commands():

@@ -11,7 +11,6 @@ from copsurv.copulas import lomax
 from copsurv.errors import ConfigurationError
 from copsurv.parametric import (
     ConjugateModel,
-    ConjugateState,
     conjugate_smc,
     doob_demo,
     exact_log_marginal,
@@ -32,9 +31,9 @@ def ig_pdf(theta, a, b):
 class TestPosteriorUpdate:
     def test_worked_example(self):
         data = make_dataset([1.0, 2.0, 3.0], [1, 1, 0])
-        state = posterior_update(ConjugateModel(1.2, 1.0), data)
-        assert_allclose(state.a_n, 3.2)
-        assert_allclose(state.b_n, 7.0)
+        posterior = posterior_update(ConjugateModel(1.2, 1.0), data)
+        assert_allclose(posterior.a0, 3.2)
+        assert_allclose(posterior.b0, 7.0)
 
     def test_order_invariance(self):
         model = ConjugateModel(0.8, 2.0)
@@ -45,25 +44,25 @@ class TestPosteriorUpdate:
 
 
 class TestPosteriorPredictive:
-    """The posterior predictive of state IG(a_n, b_n) is Lomax(a_n, b_n)."""
+    """The posterior predictive of IG(a_n, b_n) is Lomax(a_n, b_n)."""
 
     def test_unit_state(self):
-        state = ConjugateState(1.0, 1.0)
-        assert lomax(0.0, state.a_n, state.b_n)[0] == 1.0
+        posterior = ConjugateModel(1.0, 1.0)
+        assert lomax(0.0, posterior.a0, posterior.b0)[0] == 1.0
 
     def test_mean_matches_quadrature(self):
-        state = ConjugateState(3.0, 2.0)
-        mean, _ = quad(lambda y: y * lomax(y, state.a_n, state.b_n)[0], 0,
+        posterior = ConjugateModel(3.0, 2.0)
+        mean, _ = quad(lambda y: y * lomax(y, posterior.a0, posterior.b0)[0], 0,
                        np.inf)
-        assert_allclose(mean, state.b_n / (state.a_n - 1.0), rtol=1e-8)
+        assert_allclose(mean, posterior.b0 / (posterior.a0 - 1.0), rtol=1e-8)
 
     def test_survival_monotone_and_invertible(self):
-        state = ConjugateState(2.2, 1.7)
+        posterior = ConjugateModel(2.2, 1.7)
         grid = np.linspace(0.0, 20.0, 200)
-        vals = lomax(grid, state.a_n, state.b_n)[1]
+        vals = lomax(grid, posterior.a0, posterior.b0)[1]
         assert np.all(np.diff(vals) <= 0)
-        s = lomax(1.3, state.a_n, state.b_n)[1]
-        assert_allclose(scipy_lomax.isf(s, c=state.a_n, scale=state.b_n),
+        s = lomax(1.3, posterior.a0, posterior.b0)[1]
+        assert_allclose(scipy_lomax.isf(s, c=posterior.a0, scale=posterior.b0),
                         1.3, rtol=1e-10)
 
 
@@ -103,8 +102,7 @@ class TestExactLogMarginal:
         d2 = make_dataset([1.0, 0.6, 3.0], [0, 1, 1])
         both = make_dataset(np.concatenate([d1.times, d2.times]),
                             np.concatenate([d1.status, d2.status]))
-        state1 = posterior_update(model, d1)
-        updated = ConjugateModel(a0=state1.a_n, b0=state1.b_n)
+        updated = posterior_update(model, d1)
         assert_allclose(
             exact_log_marginal(model, both),
             exact_log_marginal(model, d1) + exact_log_marginal(updated, d2),
@@ -134,15 +132,15 @@ class TestTuneA0:
 
 class TestIgPosterior:
     def test_cdf_quantile_roundtrip(self):
-        state = ConjugateState(5.0, 4.0)
+        posterior = ConjugateModel(5.0, 4.0)
         qs = np.array([0.05, 0.5, 0.95])
-        thetas = ig_posterior_quantile(state, qs)
-        assert_allclose(ig_posterior_cdf(state, thetas), qs, rtol=1e-10)
+        thetas = ig_posterior_quantile(posterior, qs)
+        assert_allclose(ig_posterior_cdf(posterior, thetas), qs, rtol=1e-10)
 
     def test_cdf_matches_quadrature(self):
-        state = ConjugateState(3.5, 2.0)
-        mass, _ = quad(lambda t: ig_pdf(t, state.a_n, state.b_n), 0, 1.0)
-        assert_allclose(ig_posterior_cdf(state, 1.0), mass, rtol=1e-8)
+        posterior = ConjugateModel(3.5, 2.0)
+        mass, _ = quad(lambda t: ig_pdf(t, posterior.a0, posterior.b0), 0, 1.0)
+        assert_allclose(ig_posterior_cdf(posterior, 1.0), mass, rtol=1e-8)
 
 
 class TestConjugateSmc:
@@ -163,11 +161,11 @@ class TestConjugateSmc:
         ensemble = conjugate_smc(model, data, n_particles=10_000, seed=7)
         # b sums b0, the observed times and the particle's imputed time
         draws = ensemble.b - (model.b0 + y1 + y3)
-        state = posterior_update(model, make_dataset([y1, y3], [1, 1]))
-        s_c = lomax(c, state.a_n, state.b_n)[1]
+        posterior = posterior_update(model, make_dataset([y1, y3], [1, 1]))
+        s_c = lomax(c, posterior.a0, posterior.b0)[1]
 
         def oracle_cdf(y):
-            s_y = lomax(np.maximum(y, c), state.a_n, state.b_n)[1]
+            s_y = lomax(np.maximum(y, c), posterior.a0, posterior.b0)[1]
             return (s_c - s_y) / s_c
 
         ks = weighted_ks(draws, ensemble.weights, oracle_cdf)
@@ -199,9 +197,9 @@ class TestDoobDemo:
         model = ConjugateModel(1.5, 1.0)
         result = doob_demo(model, uncensored_exp50, n_particles=32, n_extra=0,
                            seed=2)
-        state = posterior_update(model, uncensored_exp50)
-        assert_allclose(result.theta_bar, state.mean, rtol=1e-12)
-        assert_allclose(result.weights, 1.0 / 32, rtol=1e-12)
+        posterior = posterior_update(model, uncensored_exp50)
+        assert_allclose(result.theta_bar, posterior.mean, rtol=1e-12)
+        assert_allclose(result.ensemble.weights, 1.0 / 32, rtol=1e-12)
 
     def test_trajectories_converge(self, censored_exp50):
         model = ConjugateModel(tune_a0(censored_exp50), 1.0)

@@ -21,6 +21,7 @@ from copsurv.resampling import (
     _run_rows,
     ensemble_grid_rows,
     martingale_posterior,
+    weighted_mean,
 )
 
 from conftest import make_dataset
@@ -318,6 +319,50 @@ class TestConditionalVariant:
         lo, _ = rows(cond, grid, x=np.array([-1.5]))
         hi, _ = rows(cond, grid, x=np.array([1.5]))
         assert np.max(np.abs(lo - hi)) > 1e-3
+
+    @staticmethod
+    def _two_groups(other_seed):
+        """40 records in a fixed order alternating x = +3 and x = -3:
+        group +3 about half censored, group -3 fully observed with times
+        drawn from `other_seed`."""
+        rng = np.random.default_rng(11)
+        y, c = rng.exponential(1.0, 20), rng.exponential(1.0, 20)
+        times = np.empty(40)
+        times[0::2] = np.minimum(y, c)
+        times[1::2] = np.random.default_rng(other_seed).exponential(1.0, 20)
+        status = np.ones(40, dtype=int)
+        status[0::2] = y <= c
+        x = np.tile([[3.0], [-3.0]], (20, 1))
+        return make_dataset(times, status, covariates=x)
+
+    def _at_plus_3(self, data, rho_x):
+        """Point predictive (density, survival) and posterior survival
+        draws at x = +3 of an unresampled fit kept in record order."""
+        ens = impute_smc(data, ClaytonFamily(0.9), rho_x=rho_x,
+                         n_particles=300, ess_frac=0.0, seed=2)
+        spec = GridSpec(np.geomspace(0.01, 5.0, 30))
+        x_target = np.array([3.0])
+        point = [weighted_mean(r, ens.weights)
+                 for r in ensemble_grid_rows(ens, spec, x_target)]
+        draws = martingale_posterior(ens, 100, spec, x_target=x_target,
+                                     seed=2)
+        return np.concatenate(point), draws.survival_draws
+
+    def test_far_group_decouples(self):
+        """At rho_x = 0.9 a record at x = -3 weighs below e^-80 at +3, and
+        a fully observed group's weight factor is the same for every
+        particle: redrawing group -3's times moves nothing at +3."""
+        first, second = self._two_groups(21), self._two_groups(22)
+        assert 5 <= np.count_nonzero(first.status == 0) <= 15
+        assert not np.array_equal(first.times, second.times)
+        point_1, draws_1 = self._at_plus_3(first, 0.9)
+        point_2, draws_2 = self._at_plus_3(second, 0.9)
+        assert np.max(np.abs(point_1 - point_2)) <= 1e-12
+        assert np.max(np.abs(draws_1 - draws_2)) <= 1e-12
+        # control: at rho_x = 0.1 the groups share their strength
+        point_1, _ = self._at_plus_3(first, 0.1)
+        point_2, _ = self._at_plus_3(second, 0.1)
+        assert np.max(np.abs(point_1 - point_2)) > 1e-3
 
     def test_missing_x_rejected(self):
         rng = np.random.default_rng(4)

@@ -32,7 +32,7 @@ from copsurv.resampling import (
     weighted_mean,
     weighted_quantiles,
 )
-from copsurv.tune import TuneGrid, grid_search
+from copsurv.tune import grid_search
 
 from conftest import make_dataset
 
@@ -565,8 +565,8 @@ def shard_call(kind, request):
         return (lambda: doob_demo(ConjugateModel(1.5), data, 64, 20, seed=1),
                 rng, "uniforms", lambda args: args[1] == rng.STREAM_FORWARD,
                 "chains 32:64")
-    grid = TuneGrid(bandwidths=(0.6, 0.8, 1.0, 1.2), n_particles=32, seed=1)
-    return (lambda: grid_search(cs.standardize(data), "clayton", grid),
+    return (lambda: grid_search(cs.standardize(data), "clayton",
+                                (0.6, 0.8, 1.0, 1.2), n_particles=32, seed=1),
             tune, "impute_smc", lambda args: True, "cells 2:4")
 
 
