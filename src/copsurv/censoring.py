@@ -27,13 +27,14 @@ particle's history: a censored record's draw lives on only as the value
 the engine absorbed, and resampling re-indexes that state and the
 ancestry, nothing else.  The copula engine is a
 `predictive.RunningPredictive` whose points are the records still to
-come, at their own times: besides that history it carries, per particle
-(one row each), the running predictive (density, survival) of every
-pending record (one column each).  The next record is column 0, so
-evaluating it reads that column, and absorbing it drops the column and
-updates the columns left, in blocks of particle rows, with the weight
-that the running predictive computes once per record from its count and
-the records' covariates: the recursion costs one kernel evaluation per
+come, at their own times: besides that history it carries the running
+predictive (density, survival) of every pending record (one row each)
+under every particle (one column each).  The next record is row 0, so
+evaluating it reads that row, and absorbing it steps to the contiguous
+slab of the rows after it and updates them, in blocks of whole records,
+with the weight that the running predictive computes once per record
+from its count and the records' covariates; resampling gathers the
+columns.  The recursion costs one kernel evaluation per
 (pending record, particle, absorbed record), not a kernel call per pair
 of records.  All randomness comes from counter-based streams keyed by
 (seed, stream, record index), so a pass is a pure function of (data,
@@ -244,34 +245,35 @@ class _CopulaEngine(RunningPredictive):
     predictive whose points are the records still to come, at their own
     times and covariate rows.
 
-    The next record is column 0: evaluating it reads that column, and
-    absorbing it drops it (views, so nothing is copied) and updates the
-    columns left: one sweep over the pending records per record, not a
-    re-propagation of every record through the whole absorbed history.
+    The next record is row 0: evaluating it reads that row, and absorbing
+    it steps to the contiguous slab of the rows after it (a view, so
+    nothing is copied) and updates them: one sweep over the pending
+    records per record, not a re-propagation of every record through the
+    whole absorbed history.
     """
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
-        shape = (n_particles, len(times))
-        super().__init__(family, times, np.empty(shape), np.empty(shape),
-                         rho_x, covariates)
+        super().__init__(family, times, n_particles, rho_x, covariates)
         self.v = np.empty((len(times), n_particles))
 
     def eval_at(self, t):
-        # t is the next record's time, whose running predictive is column 0
-        return self.dens[:, 0], self.surv[:, 0]
+        # t is the next record's time, whose running predictive is row 0
+        return self.dens[0], self.surv[0]
 
     def absorb_record(self, t, v, observed):
         self.v[self.n_absorbed] = v
-        self.dens, self.surv = self.dens[:, 1:], self.surv[:, 1:]
+        self.dens, self.surv = self.dens[1:], self.surv[1:]
         x = self.x_points
         if x is not None:
             x, self.x_points = x[0], x[1:]
         self.absorb(v, x)
 
     def select(self, idx):
+        # np.take gathers the columns into a C-contiguous array (fancy
+        # indexing on the last axis would return a Fortran-ordered one)
         self.v[:self.n_absorbed] = self.v[:self.n_absorbed, idx]
-        self.dens = self.dens[idx]
-        self.surv = self.surv[idx]
+        self.dens = np.take(self.dens, idx, axis=1)
+        self.surv = np.take(self.surv, idx, axis=1)
 
 
 def impute_smc(data: SurvivalDataset, family: CopulaFamily,

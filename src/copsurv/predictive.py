@@ -20,27 +20,30 @@ survival of exactly 1 at the time origin stays exactly 1.
 running predictive holds; no other code computes a_j, clamps v_j to
 [CLAMP_EPS, 1 - CLAMP_EPS] or picks the points a record updates.  It
 counts the records it absorbs and knows its points' covariates, and it
-holds one row per particle and one column per point.
+holds one row per point and one column per particle, in C-contiguous
+arrays of its own.
 The SMC pass (also the prequential score of fully observed data, see
 `censoring`) runs one over the records still to come; the start rows,
 held-out scoring and forward predictive resampling, with synthetic
 records drawn in CDF space, run one over their own points.
 
-Every absorption runs in blocks of whole particle rows from
-`row_blocks`, of at most `BLOCK_ELEMS` elements each, and the kernel
-works in place in one `copulas.KernelScratch` set that the running
-predictive owns: each block gets contiguous views of its leading
+Every absorption runs in blocks of whole points from `row_blocks`,
+`block_rows(B)` points of at most `BLOCK_ELEMS` elements each, so a
+block is a contiguous slab; v and per-particle weights broadcast along
+it as (1, B) rows, and per-point weights as (points, 1) columns.  The
+kernel works in place in one `copulas.KernelScratch` set that the
+running predictive owns: each block gets contiguous views of its leading
 elements, so the recursion allocates no block-shaped array after
-construction.  The fixed cost of a kernel call (numpy dispatch, tens of
-microseconds) is paid per block, so blocks are as large as the cache
-allows: at 32768 elements an array is 256 KiB, and a block's five
-live arrays (the two running rows and the kernel's three scratch
-arrays) fit a 2 MiB per-core L2 cache.  On a 2-vCPU Xeon host with
-2 MiB of L2 per core, one-CPU seconds of the benchmark's `posterior`
-call (median over three rounds of the best of three calls) measured
-3.25, 3.00, 2.88, 2.89 and 3.26 at 8k, 16k, 32k, 64k and 128k elements
-per block, with the kernel on the CDF.  The recursion is elementwise,
-so blocking changes no output bit.
+construction.  The fixed cost of a kernel call (numpy dispatch: on one
+CPU of a 2-vCPU Xeon host, about 2 us a ufunc call and 30 to 45 us a
+kernel call) is paid per block, so blocks are as large as the cache
+allows: at 32768 elements an array is 256 KiB, and a block's five live
+arrays (the two running rows and the kernel's three scratch arrays) fit
+a 2 MiB per-core L2 cache.  On that host, one-CPU calls of the
+benchmark's `posterior` at 8k, 16k, 32k, 64k and 128k elements per
+block did not differ beyond the shared host's noise (fastest of 15
+calls: 1.73, 1.58, 1.48, 1.60 and 1.88 s).  The recursion is
+elementwise, so blocking changes no output bit.
 """
 
 from __future__ import annotations
@@ -63,16 +66,17 @@ def block_rows(row_elems: int) -> int:
 
 def row_blocks(stop: int, row_elems: int) -> list:
     """Slices covering rows 0..stop-1, `block_rows(row_elems)` rows each
-    (the last may be shorter)."""
+    (the last may be shorter): of points in a running predictive, of
+    traced chains in the forward pass's W1."""
     step = block_rows(row_elems)
     return [slice(lo, min(lo + step, stop)) for lo in range(0, stop, step)]
 
 
 class RunningPredictive:
-    """The running predictive at points `times`, one row per particle, in
-    the caller's (B, points) arrays `dens` and `surv` (a worker's rows of
-    a shared array): density and survival, set here to the base measure
-    at times[k] in column k.
+    """The running predictive at points `times` under `n_particles`
+    particles (or chains): density and survival in C-contiguous
+    (points, n_particles) arrays `dens` and `surv` that it allocates,
+    set here to the base measure at times[k] in row k.
     The k-th record it absorbs has weight `alpha_schedule(k)`, modulated
     when `rho_x` is set by `alpha_regression` between the points'
     covariates `x_points` (None, one shared vector, or one row per point)
@@ -81,16 +85,18 @@ class RunningPredictive:
     absorption can take.
     """
 
-    def __init__(self, family, times, dens, surv, rho_x=None,
+    def __init__(self, family, times, n_particles, rho_x=None,
                  x_points=None):
         self.joint = family.joint
-        self.dens, self.surv = dens, surv
-        dens[:], surv[:] = family.base_at(times)
+        pdf, surv = family.base_at(times)
+        shape = (np.size(times), n_particles)
+        self.dens, self.surv = np.empty(shape), np.empty(shape)
+        self.dens[:], self.surv[:] = pdf[:, None], surv[:, None]
         self.rho_x, self.x_points = rho_x, x_points
         self.n_absorbed = 0
-        b, points = surv.shape
+        points, b = shape
         self.scratch = KernelScratch.flat(
-            min(b * points, max(BLOCK_ELEMS, points)), min(b, BLOCK_ELEMS))
+            min(points * b, max(BLOCK_ELEMS, b)), b)
 
     def absorb(self, v, x_record=None):
         """Take the next record, with propagation values v (B,), clamped
@@ -100,19 +106,22 @@ class RunningPredictive:
         only commute the products and sums of the formula."""
         self.n_absorbed += 1
         alpha = alpha_schedule(self.n_absorbed)
+        per_point = False
         if self.rho_x is not None:
             alpha = alpha_regression(alpha, self.x_points, x_record,
                                      self.rho_x)
-            if np.ndim(x_record) == 2:
-                alpha = alpha[:, None]
+            if np.ndim(x_record) == 2:  # one weight per particle: a row
+                alpha = alpha[None, :]
+            elif np.ndim(alpha) == 1:  # one weight per point: a column
+                alpha, per_point = alpha[:, None], True
         if self.surv.size == 0:  # e.g. the SMC pass's last record
             return
-        v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[:, None]
+        v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[None, :]
         for blk in row_blocks(*self.surv.shape):
-            a = alpha[blk] if np.ndim(alpha) == 2 else alpha
+            a = alpha[blk] if per_point else alpha
             dens, surv = self.dens[blk], self.surv[blk]
-            d, tail = self.joint(surv, v[blk], out=self.scratch.view(
-                surv.shape, v[blk].shape))
+            d, tail = self.joint(surv, v, out=self.scratch.view(
+                surv.shape, v.shape))
             d *= a
             d += 1.0 - a
             dens *= d

@@ -21,17 +21,18 @@ It is computed only where it is read: the whole trajectory of the first
 Chains are independent: chain j's step-t uniform is element j of one
 counter-based stream, and with covariates its step-t bootstrap pick
 reads element t * B + j of the pick stream, so a chain's draw does not
-depend on how many other chains run, or where.  The chains are the rows
-of one `predictive.RunningPredictive` on the grid, which weighs every
-record it absorbs: the start rows absorb the fitted records into it,
-each with its own covariates, and each forward step absorbs one
-synthetic record through the same `absorb`, in place, with each chain's
-picked covariate row.  `_run_rows` splits the rows into contiguous
-shards, one per CPU the process may use, and runs each shard in its own
-forked process (`shards.run_shards`), writing into shared anonymous
-mappings.  Each shard reads only its own rows' elements of a step's
-uniforms and picks from the counter; the recursion and W1 are row by
-row, so the shard count moves no output bit.
+depend on how many other chains run, or where.  `_run_rows` splits the
+chains into contiguous shards, one per CPU the process may use, and runs
+each shard in its own forked process (`shards.run_shards`).  A shard's
+chains are the columns of its own `predictive.RunningPredictive` on the
+grid, which weighs every record it absorbs: the start rows absorb the
+fitted records into it, each with its own covariates, and each forward
+step absorbs one synthetic record through the same `absorb`, in place,
+with each chain's picked covariate row.  The shard then copies its
+chains, one row each, into the shared anonymous mappings of the (B, G)
+outputs.  Each shard reads only its own chains' elements of a step's
+uniforms and picks from the counter; the recursion and W1 are chain by
+chain, so the shard count moves no output bit.
 """
 
 from __future__ import annotations
@@ -258,11 +259,12 @@ def _start_rows(ensemble: ParticleEnsemble, running, rows):
 
 def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
              start, trace):
-    """Absorb n_extra synthetic records into `running`, whose rows are the
-    chains `rows`, one per step and one value per chain, and write into
-    `trace` the Wasserstein-1 trajectories, from their starting rows
-    `start`, of the traced chains: the leading rows of `rows`, if any.
-    A chain that is not traced pays for no W1.
+    """Absorb n_extra synthetic records into `running`, whose columns are
+    the chains `rows`, one per step and one value per chain, and write
+    into `trace` the Wasserstein-1 trajectories, from their starting rows
+    `start` (one row per chain), of the traced chains: the leading
+    columns of `running`, if any.  A chain that is not traced pays for no
+    W1.
 
     Chain j's step-t value is element j of stream (seed, t), as drawn
     (`absorb` clamps it), and each step draws only the elements of
@@ -271,7 +273,7 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     size.
     """
     x = ensemble.covariates
-    n_rows, g = running.surv.shape
+    g, n_rows = running.surv.shape
     n_traced = trace.shape[0]
     gap = np.empty((min(block_rows(g), n_traced), g))
     terms = np.empty((gap.shape[0], g - 1))
@@ -283,10 +285,12 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
             picked = x[_step_picks(cumulative, seed, t, rows)]
         running.absorb(rng.uniforms(seed, rng.STREAM_FORWARD, t, n_rows,
                                     rows.start), picked)
+        # each traced chain's column, transposed into the rows of `gap`,
+        # so W1 sums along a contiguous last axis, as np.trapezoid does
         for blk in row_blocks(n_traced, g):
             r = blk.stop - blk.start
-            trace[blk, t + 1] = _w1_rows(running.surv[blk], start[blk], dx,
-                                         gap[:r], terms[:r])
+            trace[blk, t + 1] = _w1_rows(running.surv[:, blk].T, start[blk],
+                                         dx, gap[:r], terms[:r])
 
 
 def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
@@ -297,7 +301,10 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
     "start_dens" and "start_surv" the starting ones, and "trace" the
     `w1_trace` of `PosteriorDraws`.  The rows run in `shards.run_shards`
     row shards of at least `ROW_SHARD_ELEMS` elements each, every array
-    in its own mapping.
+    in its own mapping; a shard runs a (points, rows) running predictive
+    of its own and copies it, transposed, into its rows.  (A shard's
+    columns of one shared (points, B) array would be strided blocks, and
+    ran slower than either layout.)
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     b, g = ensemble.n_particles, points.size
@@ -308,15 +315,17 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
                       trace=(min(trace_chains, b), n_extra + 1))
 
     def run(rows, out):
-        running = RunningPredictive(ensemble.family, points, out["dens"][rows],
-                                    out["surv"][rows], ensemble.rho_x,
+        running = RunningPredictive(ensemble.family, points,
+                                    rows.stop - rows.start, ensemble.rho_x,
                                     x_target)
         _start_rows(ensemble, running, rows)
         if forward is not None:
-            out["start_dens"][rows] = running.dens
-            out["start_surv"][rows] = running.surv
+            out["start_dens"][rows] = running.dens.T
+            out["start_surv"][rows] = running.surv.T
             _forward(ensemble, running, rows, np.diff(points), n_extra, seed,
                      out["start_surv"][rows], out["trace"][rows])
+        out["dens"][rows] = running.dens.T
+        out["surv"][rows] = running.surv.T
 
     return shards.run_shards(b, max(1, ROW_SHARD_ELEMS // g), shapes, run,
                              "rows")

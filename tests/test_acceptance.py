@@ -135,14 +135,12 @@ def test_criterion_3_copula_kernel_identities():
     # the survival at the time origin stays exactly 1 (the CDF exactly 0)
     # through 2000 Clayton updates at values across (0, 1)
     points = np.array([0.0, 0.5, 2.0])
-    shape = (50, points.size)
-    running = predictive.RunningPredictive(ClaytonFamily(0.9), points,
-                                           np.empty(shape), np.empty(shape))
+    running = predictive.RunningPredictive(ClaytonFamily(0.9), points, 50)
     draws = np.random.default_rng(3)
     for _ in range(2000):
-        running.absorb(draws.random(shape[0]))
-    ok &= bool(np.all(running.surv[:, 0] == 1.0))
-    ok &= bool(np.all(1.0 - running.surv[:, 0] == 0.0))
+        running.absorb(draws.random(50))
+    ok &= bool(np.all(running.surv[0] == 1.0))
+    ok &= bool(np.all(1.0 - running.surv[0] == 0.0))
     elapsed = time.time() - start
     report(3, ok and elapsed < 5.0,
            "origin identity exact, independence exact, 25-point "

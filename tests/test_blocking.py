@@ -1,12 +1,13 @@
 """Blocked and sharded propagation changes no output bit, and an SMC pass
 pays for the copula recursion per element.
 
-Every propagation over many rows runs in blocks of rows sized by
-`predictive.BLOCK_ELEMS`, and the start rows and the forward pass run in
-row shards, one per worker process.  Each pipeline stage below is run at a
-one-row block, at a block of a few rows (partial last blocks) and with
-the whole array as one block, each at 1, 2 and 3 workers, and the
-results are compared with `np.array_equal`.  That includes the W1
+The running predictive holds one row per point and one column per
+particle, and every propagation runs in blocks of whole points sized by
+`predictive.BLOCK_ELEMS`; the start rows and the forward pass run in
+chain shards, one per worker process.  Each pipeline stage below is run
+at one point per block, at a few points per block (partial last blocks)
+and with the whole array as one block, each at 1, 2 and 3 workers, and
+the results are compared with `np.array_equal`.  That includes the W1
 trajectories of the traced chains.  Doob's forward chains and the
 tuning grid's cells run in shards through the same runner, and are
 compared at 1, 2 and 3 workers too.
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 import copsurv as cs
-from copsurv import (copulas, parametric, predictive, resampling, rng,
-                     shards, tune)
+from copsurv import (censoring, copulas, parametric, predictive, resampling,
+                     rng, shards, tune)
 from copsurv.censoring import impute_smc
 from copsurv.copulas import ClaytonFamily, GaussianFamily
 from copsurv.errors import DegeneracyError
@@ -35,12 +36,17 @@ from copsurv.resampling import (
 from conftest import make_dataset
 
 ONE_ROW = 1
-FEW_ROWS = 200  # 12 rows of a 16-point grid, 3 rows of 64 particles
+# 7 points of 64 particles, so every stage cuts a few points per block
+# and ends on a partial one: the SMC pass's pending records, with
+# per-point covariate weights in the Gaussian case; the 16 grid points
+# (7 + 7 + 2 at one shard, 14 + 2 in 32-chain shards); and the 30 or 50
+# held-out records.  The W1 trace takes 28 traced chains per block.
+FEW_ROWS = 448
 WHOLE = 10**12
 # Worker counts: 64 chains split at 32, and at 21 and 42.
 WORKERS = (1, 2, 3)
-# Traced chains: 40 straddles the shard edges at 32 and 21, the 12-row
-# chain block 36..47 at FEW_ROWS, and its shard's local blocks.
+# Traced chains: 40 straddles the shard edges at 32 and 21, the 28-chain
+# W1 block 28..55 at FEW_ROWS, and its shard's local blocks.
 TRACE_CHAINS = 40
 N_EXTRA = (30, 130)  # forward horizons
 
@@ -200,19 +206,17 @@ def pin_one_worker(monkeypatch):
 @pytest.mark.parametrize("family", [ClaytonFamily(0.9), GaussianFamily(0.6)])
 def test_absorb_allocates_no_block_array(family):
     """The recursion runs its kernel in the running predictive's scratch
-    set: a sweep over four blocks' worth of rows of a shared covariate
+    set: a sweep over four blocks' worth of points of a shared covariate
     target, absorbing a record of one covariate vector (a scalar weight)
     and one of a covariate row per particle (per-particle weights), peaks
     below one block-shaped float64 array.  (What it does allocate is
-    numpy's ufunc buffer, of np.getbufsize() values; a sweep over a
-    column view, as in the SMC pass, adds one such buffer per strided
-    operand.)"""
+    numpy's ufunc buffer, of np.getbufsize() values, and the clamped
+    values; a strided operand would add one such buffer each.)"""
     points = 64
     b = 4 * predictive.BLOCK_ELEMS // points
-    shape = (b, points)
     running = predictive.RunningPredictive(
-        family, np.geomspace(0.01, 8.0, points), np.empty(shape),
-        np.empty(shape), rho_x=0.6, x_points=np.array([0.3, -1.2]))
+        family, np.geomspace(0.01, 8.0, points), b, rho_x=0.6,
+        x_points=np.array([0.3, -1.2]))
     draws = np.random.default_rng(3)
     v = draws.uniform(0.01, 0.99, b)
     per_particle = draws.normal(size=(b, 2))
@@ -227,6 +231,54 @@ def test_absorb_allocates_no_block_array(family):
         tracemalloc.stop()
     assert scalar_peak < 8 * predictive.BLOCK_ELEMS
     assert per_particle_peak < 8 * predictive.BLOCK_ELEMS
+
+
+@pytest.mark.parametrize("family", [ClaytonFamily(0.9), GaussianFamily(0.6)])
+def test_smc_engine_absorbs_a_record_without_a_block_array(family):
+    """The SMC engine steps to the contiguous slab of the records after
+    the one it absorbs: absorbing its third record, two rows into its
+    state, peaks below one block-shaped float64 array.  (A sweep over
+    strided column views would add one ufunc buffer per strided
+    operand.)"""
+    points = 64
+    b = 4 * predictive.BLOCK_ELEMS // points
+    times = np.geomspace(0.01, 8.0, points)
+    engine = censoring._CopulaEngine(family, None, None, times, b)
+    v = np.random.default_rng(3).uniform(0.01, 0.99, b)
+    for t in times[:2]:
+        engine.absorb_record(t, v, True)
+    tracemalloc.start()
+    try:
+        engine.absorb_record(times[2], v, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * predictive.BLOCK_ELEMS
+
+
+def test_smc_pass_hands_the_kernel_contiguous_survival_blocks(case,
+                                                              monkeypatch):
+    """Every survival block the SMC pass hands the kernel is C-contiguous:
+    the pending records are a slab of whole rows of the point-major state,
+    also after `select` has gathered its columns (ess_frac 0.95 makes the
+    pass resample)."""
+    data, family, rho_x, _, _ = case
+    monkeypatch.setattr(predictive, "BLOCK_ELEMS", FEW_ROWS)
+    contiguous = []
+
+    def checking(kernel):
+        def wrapper(s, v, param, out=None):
+            contiguous.append(s.flags.c_contiguous)
+            return kernel(s, v, param, out=out)
+        return wrapper
+
+    for name in ("clayton_density_and_partial",
+                 "gaussian_density_and_partial"):
+        monkeypatch.setattr(copulas, name, checking(getattr(copulas, name)))
+    ens = impute_smc(data, family, rho_x=rho_x, n_particles=64,
+                     ess_frac=0.95, seed=5)
+    assert ens.resample_steps
+    assert len(contiguous) > data.n and all(contiguous)
 
 
 @pytest.mark.parametrize("block_elems", [FEW_ROWS, WHOLE])

@@ -224,7 +224,8 @@ class ReferenceEngine:
     (density, survival) state of every record at its own time, record i's
     clipped value absorbed into columns i+1.. by `family.joint`,
     `alpha_schedule` and `alpha_regression`.  It counts its records
-    itself."""
+    itself.  Its particle-major layout is the transpose of the engine's
+    point-major one, so a bitwise match checks the layout too."""
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
         pdf, surv = family.base_at(times)

@@ -135,9 +135,7 @@ class TestAbsorbEvaluate:
         points = np.geomspace(0.01, 8.0, 12)
 
         def absorbed(values):
-            shape = (2, points.size)
-            running = RunningPredictive(family, points, np.empty(shape),
-                                        np.empty(shape))
+            running = RunningPredictive(family, points, 2)
             for v in values:
                 running.absorb(np.array(v))
             return running.dens, running.surv
@@ -178,16 +176,14 @@ def test_upper_tail_survival_matches_mpmath(a):
     # base survivals from 2e-9 to 1e-6: the six records lower the upper
     # tail about tenfold
     times = np.geomspace(2e-9, 1e-6, 40) ** (-1.0 / a) - 1.0
-    shape = (1, times.size)
-    running = RunningPredictive(ClaytonFamily(a), times, np.empty(shape),
-                                np.empty(shape))
+    running = RunningPredictive(ClaytonFamily(a), times, 1)
     for v in values:
         running.absorb(np.array([v]))
     exact = np.array([float(mp_running_survival(y, values, a))
                       for y in times])
     read = (exact >= 1e-9) & (exact <= 1e-8)
     assert read.sum() >= 5
-    assert_allclose(running.surv[0, read], exact[read], rtol=1e-10)
+    assert_allclose(running.surv[read, 0], exact[read], rtol=1e-10)
 
 
 class TestFitUncensored:
