@@ -49,14 +49,16 @@ class SurvivalDataset:
             raise DataError("times and status must be equal-length vectors")
         if times.size == 0:
             raise DataError("dataset is empty")
-        if np.any(times <= 0):
-            raise DataError("all times must be strictly positive")
+        if not np.all((times > 0) & np.isfinite(times)):
+            raise DataError("all times must be positive and finite")
         if not np.all((status == 0) | (status == 1)):
             raise DataError("status must be 0 (censored) or 1 (observed)")
         if self.covariates is not None:
             cov = np.atleast_2d(np.asarray(self.covariates, dtype=float))
             if cov.shape[0] != times.size:
                 raise DataError("covariate matrix must have one row per record")
+            if not np.all(np.isfinite(cov)):
+                raise DataError("covariate values must be finite")
             object.__setattr__(self, "covariates", cov)
 
     @property

@@ -27,8 +27,8 @@ The SMC pass (also the prequential score of fully observed data, see
 held-out scoring and forward predictive resampling, with synthetic
 records drawn in CDF space, run one over their own points.
 
-Every absorption runs in blocks of whole points from `row_blocks`,
-`block_rows(B)` points of at most `BLOCK_ELEMS` elements each, so a
+Every absorption runs in blocks of whole points, `BLOCK_ELEMS // B`
+points (at least one) of at most `BLOCK_ELEMS` elements each, so a
 block is a contiguous slab; v and per-particle weights broadcast along
 it as (1, B) rows, and per-point weights as (points, 1) columns.  The
 kernel works in place in one `copulas.KernelScratch` set that the
@@ -59,19 +59,6 @@ __all__ = ["RunningPredictive"]
 BLOCK_ELEMS = 32768
 
 
-def block_rows(row_elems: int) -> int:
-    """Rows of `row_elems` elements that fit one block (at least one)."""
-    return max(1, BLOCK_ELEMS // max(1, row_elems))
-
-
-def row_blocks(stop: int, row_elems: int) -> list:
-    """Slices covering rows 0..stop-1, `block_rows(row_elems)` rows each
-    (the last may be shorter): of points in a running predictive, of
-    traced chains in the forward pass's W1."""
-    step = block_rows(row_elems)
-    return [slice(lo, min(lo + step, stop)) for lo in range(0, stop, step)]
-
-
 class RunningPredictive:
     """The running predictive at points `times` under `n_particles`
     particles (or chains): density and survival in C-contiguous
@@ -80,9 +67,10 @@ class RunningPredictive:
     The k-th record it absorbs has weight `alpha_schedule(k)`, modulated
     when `rho_x` is set by `alpha_regression` between the points'
     covariates `x_points` (None, one shared vector, or one row per point)
-    and the record's.  The kernel's scratch set, the same three block
-    arrays for either family, is sized for the largest block an
-    absorption can take.
+    and the record's.  It absorbs in blocks of `block` whole points, the
+    most that fit `BLOCK_ELEMS` elements (at least one); the kernel's
+    scratch set, the same three block arrays for either family, is sized
+    for the largest block an absorption can take.
     """
 
     def __init__(self, family, times, n_particles, rho_x=None,
@@ -95,8 +83,8 @@ class RunningPredictive:
         self.rho_x, self.x_points = rho_x, x_points
         self.n_absorbed = 0
         points, b = shape
-        self.scratch = KernelScratch.flat(
-            min(points * b, max(BLOCK_ELEMS, b)), b)
+        self.block = max(1, BLOCK_ELEMS // max(1, b))
+        self.scratch = KernelScratch.flat(min(points, self.block) * b, b)
 
     def absorb(self, v, x_record=None):
         """Take the next record, with propagation values v (B,), clamped
@@ -114,10 +102,9 @@ class RunningPredictive:
                 alpha = alpha[None, :]
             elif np.ndim(alpha) == 1:  # one weight per point: a column
                 alpha, per_point = alpha[:, None], True
-        if self.surv.size == 0:  # e.g. the SMC pass's last record
-            return
         v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[None, :]
-        for blk in row_blocks(*self.surv.shape):
+        for lo in range(0, self.surv.shape[0], self.block):
+            blk = slice(lo, lo + self.block)
             a = alpha[blk] if per_point else alpha
             dens, surv = self.dens[blk], self.surv[blk]
             d, tail = self.joint(surv, v, out=self.scratch.view(

@@ -45,7 +45,7 @@ from . import rng, shards
 from .censoring import ParticleEnsemble
 from .dataio import SurvivalDataset
 from .errors import ConfigurationError
-from .predictive import RunningPredictive, block_rows, row_blocks
+from .predictive import RunningPredictive
 
 __all__ = [
     "GridSpec",
@@ -129,20 +129,11 @@ def _step_picks(cumulative: np.ndarray, seed: int, step: int,
     return np.count_nonzero(cumulative[rows] <= u[:, None], axis=1)
 
 
-def _w1_rows(a, b, dx, gap, terms):
-    """Wasserstein-1 distance between CDF rows a and b (..., G) on a
-    grid, or equally between their survival rows: the trapezoidal L1
-    distance along the last axis, given dx = np.diff(grid.points), with
-    its temporaries in `gap` (the shape of a - b) and `terms` (one column
-    less, C-contiguous).  The arithmetic is np.trapezoid's,
-    (dx * (y[1:] + y[:-1]) / 2).sum() on y = |a - b|, so the bits match
-    np.trapezoid(np.abs(a - b), grid.points, axis=-1)."""
-    np.subtract(a, b, out=gap)
-    np.abs(gap, out=gap)
-    np.add(gap[..., 1:], gap[..., :-1], out=terms)
-    terms *= dx
-    terms /= 2.0
-    return terms.sum(axis=-1)
+def _w1_rows(a, b, points):
+    """Wasserstein-1 distance between CDF rows a and b (..., G) on the
+    grid `points`, or equally between their survival rows: the
+    trapezoidal L1 distance along the last axis."""
+    return np.trapezoid(np.abs(a - b), points, axis=-1)
 
 
 def median_from_survival(surv_rows, grid: GridSpec):
@@ -257,14 +248,14 @@ def _start_rows(ensemble: ParticleEnsemble, running, rows):
         running.absorb(v[rows], None if x is None else x[j])
 
 
-def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
-             start, trace):
+def _forward(ensemble: ParticleEnsemble, running, rows, points, n_extra,
+             seed, start, trace):
     """Absorb n_extra synthetic records into `running`, whose columns are
     the chains `rows`, one per step and one value per chain, and write
-    into `trace` the Wasserstein-1 trajectories, from their starting rows
-    `start` (one row per chain), of the traced chains: the leading
-    columns of `running`, if any.  A chain that is not traced pays for no
-    W1.
+    into `trace` the Wasserstein-1 trajectories on the grid `points`, from
+    their starting rows `start` (one row per chain), of the traced chains:
+    the leading columns of `running`, if any.  Each step takes one W1 call
+    over the traced chains, and a chain that is not traced pays for none.
 
     Chain j's step-t value is element j of stream (seed, t), as drawn
     (`absorb` clamps it), and each step draws only the elements of
@@ -273,10 +264,8 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
     size.
     """
     x = ensemble.covariates
-    g, n_rows = running.surv.shape
+    n_rows = running.surv.shape[1]
     n_traced = trace.shape[0]
-    gap = np.empty((min(block_rows(g), n_traced), g))
-    terms = np.empty((gap.shape[0], g - 1))
     if ensemble.rho_x is not None:
         cumulative = _pick_weights(x.shape[0], ensemble.n_particles, seed)
     for t in range(n_extra):
@@ -285,12 +274,13 @@ def _forward(ensemble: ParticleEnsemble, running, rows, dx, n_extra, seed,
             picked = x[_step_picks(cumulative, seed, t, rows)]
         running.absorb(rng.uniforms(seed, rng.STREAM_FORWARD, t, n_rows,
                                     rows.start), picked)
-        # each traced chain's column, transposed into the rows of `gap`,
-        # so W1 sums along a contiguous last axis, as np.trapezoid does
-        for blk in row_blocks(n_traced, g):
-            r = blk.stop - blk.start
-            trace[blk, t + 1] = _w1_rows(running.surv[:, blk].T, start[blk],
-                                         dx, gap[:r], terms[:r])
+        if n_traced:
+            # the traced columns, copied as rows, so each chain's terms
+            # sum along a contiguous last axis whatever layout numpy
+            # picks: the bits of np.trapezoid on the chain's own row
+            trace[:, t + 1] = _w1_rows(
+                np.ascontiguousarray(running.surv[:, :n_traced].T),
+                start[:n_traced], points)
 
 
 def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
@@ -302,9 +292,10 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
     `w1_trace` of `PosteriorDraws`.  The rows run in `shards.run_shards`
     row shards of at least `ROW_SHARD_ELEMS` elements each, every array
     in its own mapping; a shard runs a (points, rows) running predictive
-    of its own and copies it, transposed, into its rows.  (A shard's
-    columns of one shared (points, B) array would be strided blocks, and
-    ran slower than either layout.)
+    of its own, takes the W1 of its traced chains from its columns, and
+    copies it, transposed, into its rows.  (A shard's columns of one
+    shared (points, B) array would be strided blocks, and ran slower than
+    either layout.)
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     b, g = ensemble.n_particles, points.size
@@ -322,7 +313,7 @@ def _run_rows(ensemble: ParticleEnsemble, points, x_target, forward=None):
         if forward is not None:
             out["start_dens"][rows] = running.dens.T
             out["start_surv"][rows] = running.surv.T
-            _forward(ensemble, running, rows, np.diff(points), n_extra, seed,
+            _forward(ensemble, running, rows, points, n_extra, seed,
                      out["start_surv"][rows], out["trace"][rows])
         out["dens"][rows] = running.dens.T
         out["surv"][rows] = running.surv.T
@@ -351,13 +342,11 @@ def heldout_mean_log_lik(ensemble: ParticleEnsemble, test) -> float:
     and covariate row.
     """
     out = _run_rows(ensemble, test.times, test.covariates)
-    dens, surv = out["dens"], out["surv"]
     w = ensemble.weights
-    total = 0.0
-    for i in range(test.n):
-        mass = dens if test.status[i] == 1 else surv
-        total += np.log(weighted_mean(mass[:, i], w))
-    return float(total / test.n)
+    mass = np.where(test.status == 1, weighted_mean(out["dens"], w),
+                    weighted_mean(out["surv"], w))
+    # summed in record order, as a running total sums (np.sum is pairwise)
+    return float(np.add.accumulate(np.log(mass))[-1] / test.n)
 
 
 def _check_target(rho_x, x_target):

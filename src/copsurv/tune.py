@@ -100,13 +100,11 @@ def grid_search(data: SurvivalDataset, family_kind: str, bandwidths,
     table = [TuneCell(bandwidth, rho_x, float(score), float(final_ess))
              for (bandwidth, _, rho_x), (score, final_ess)
              in zip(cells, scores)]
-    best = None
-    for cell in table:
-        if np.isfinite(cell.score) and (best is None
-                                        or cell.score > best.score):
-            best = cell
-    if best is None:
+    finite = [cell for cell in table if np.isfinite(cell.score)]
+    if not finite:
         raise DegeneracyError("every grid cell degenerated")
+    # the first maximum in grid order: ties go to the smallest bandwidth
+    best = max(finite, key=lambda cell: cell.score)
     return TuneResult(
         family=make_family(family_kind, best.bandwidth),
         rho_x=best.rho_x,

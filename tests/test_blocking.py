@@ -40,13 +40,12 @@ ONE_ROW = 1
 # and ends on a partial one: the SMC pass's pending records, with
 # per-point covariate weights in the Gaussian case; the 16 grid points
 # (7 + 7 + 2 at one shard, 14 + 2 in 32-chain shards); and the 30 or 50
-# held-out records.  The W1 trace takes 28 traced chains per block.
+# held-out records.
 FEW_ROWS = 448
 WHOLE = 10**12
 # Worker counts: 64 chains split at 32, and at 21 and 42.
 WORKERS = (1, 2, 3)
-# Traced chains: 40 straddles the shard edges at 32 and 21, the 28-chain
-# W1 block 28..55 at FEW_ROWS, and its shard's local blocks.
+# Traced chains: 40 straddles the shard edges at 32 and 21.
 TRACE_CHAINS = 40
 N_EXTRA = (30, 130)  # forward horizons
 
@@ -129,6 +128,26 @@ def check_w1_trace(draws, start_surv, n_extra):
         draws.grid.points, axis=-1)
     assert np.array_equal(draws.w1_trace[:, -1], final)
     assert np.all(draws.w1_trace[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_w1_trace_is_trapezoid_at_every_step(case, monkeypatch, workers):
+    """Every chain traced, at each worker count: column t of the trace is
+    np.trapezoid of the chains' step-t survival rows against their start
+    rows, bit for bit.  A chain's forward draws depend only on (seed,
+    step, chain), so a run of horizon t ends on the rows at step t of a
+    longer run."""
+    data, family, rho_x, x_target, grid = case
+    at_workers(monkeypatch, workers)
+    ens = impute_smc(data, family, rho_x=rho_x, n_particles=64, seed=5)
+    long = martingale_posterior(ens, 30, grid, x_target, seed=7,
+                                trace_chains=ens.n_particles)
+    start = ensemble_grid_rows(ens, grid, x_target)[1]
+    for t in (1, 2, 17, 30):
+        rows = martingale_posterior(ens, t, grid, x_target,
+                                    seed=7).survival_draws
+        expected = np.trapezoid(np.abs(rows - start), grid.points, axis=-1)
+        assert np.array_equal(long.w1_trace[:, t], expected), t
 
 
 def test_block_size_changes_no_bit(case, monkeypatch):
@@ -392,8 +411,8 @@ def test_forward_pass_holds_no_full_w1_buffer(monkeypatch):
 def test_forward_pass_computes_w1_of_traced_chains_only(case, monkeypatch,
                                                         trace_chains):
     """Of B = 64 chains over 30 forward steps, only the first
-    `trace_chains` compute a W1, one row per chain and step; an untraced
-    chain pays for none."""
+    `trace_chains` compute a W1, in one call of `trace_chains` rows per
+    step; an untraced chain pays for none."""
     pin_one_worker(monkeypatch)
     data, family, rho_x, x_target, grid = case
     ens = impute_smc(data, family, rho_x=rho_x, n_particles=64, seed=5)
@@ -407,7 +426,7 @@ def test_forward_pass_computes_w1_of_traced_chains_only(case, monkeypatch,
     monkeypatch.setattr(resampling, "_w1_rows", counted)
     martingale_posterior(ens, 30, grid, x_target, seed=7,
                          trace_chains=trace_chains)
-    assert sum(rows) == trace_chains * 30
+    assert rows == ([trace_chains] * 30 if trace_chains else [])
 
 
 def test_alpha_regression_runs_once_per_absorbed_record(monkeypatch):

@@ -285,3 +285,16 @@ class TestDatasetValidation:
     def test_covariate_row_mismatch(self):
         with pytest.raises(DataError):
             make_dataset([1.0, 2.0], [1, 1], covariates=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_times(self, bad):
+        """NaN compares False with 0, so a positivity check alone lets it
+        through to a NaN scale factor."""
+        with pytest.raises(DataError, match="positive and finite"):
+            SurvivalDataset([1.0, bad, 2.0, 0.5], [1, 1, 0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_covariates(self, bad):
+        with pytest.raises(DataError, match="covariate values must be finite"):
+            SurvivalDataset([1.0, 2.0], [1, 0],
+                            covariates=np.array([[0.5], [bad]]))

@@ -76,13 +76,25 @@ class TestGridSearch:
                             n_particles=150, seed=2)
         assert large.score >= small.score
 
-    def test_ties_break_to_smallest_bandwidth(self, uncensored_exp50):
+    def test_ties_break_to_smallest_bandwidth(self, uncensored_exp50,
+                                              monkeypatch):
         # duplicated cells give identical deterministic scores
         result = grid_search(uncensored_exp50, "clayton", (1.3, 0.9, 0.9, 1.3),
                              n_particles=50, seed=0)
         best_score = max(c.score for c in result.table)
         candidates = [c.bandwidth for c in result.table if c.score == best_score]
         assert result.bandwidth == min(candidates)
+        # distinct bandwidths that score the same, after a degenerate one
+        def flat(data, family, **kwargs):
+            if family.bandwidth == 0.5:
+                raise DegeneracyError("all particle weights vanished")
+            return dataclasses.replace(impute_smc(data, ClaytonFamily(1.0),
+                                                  **kwargs), log_z=-3.0)
+
+        monkeypatch.setattr(tune, "impute_smc", flat)
+        result = grid_search(uncensored_exp50, "clayton", (1.3, 0.5, 0.9),
+                             n_particles=50, seed=0)
+        assert (result.bandwidth, result.score) == (0.9, -3.0)
 
     def test_argmax_stable_across_seeds(self, censored_exp50):
         """The selected cell is a Monte Carlo argmax: re-estimating under
