@@ -91,13 +91,14 @@ def systematic_indices(weights, offset: float) -> np.ndarray:
     """Ancestor indices from one uniform offset and stride 1/B.
 
     Expected offspring count of particle j is B * w_j; uniform weights
-    reproduce every particle exactly once.
+    reproduce every particle exactly once.  The running sums are used as
+    they round: a position above the last one finds no sum above it, and
+    the clip gives it the last particle.
     """
     w = np.asarray(weights, dtype=float)
     b = w.size
     positions = (offset + np.arange(b)) / b
     cumulative = np.cumsum(w)
-    cumulative[-1] = 1.0  # guard rounding at the top end
     return np.searchsorted(cumulative, positions, side="right").clip(0, b - 1)
 
 

@@ -74,6 +74,12 @@ SCRATCH_BLOCKS = 3
 # exp(-CLAYTON_LOG_FLOOR) is a normal float64, far from underflow; see
 # `clayton_density_and_partial`.
 CLAYTON_LOG_FLOOR = 600.0
+# The Clayton density's exponent reaches -(a+1) log(CLAMP_EPS) / a, which
+# stays below log of float32's largest value only above this bandwidth
+# (about 0.3505): 87.0 at a = 0.36, 90.7 at 0.34.  `ClaytonFamily` runs
+# its forward pass in float32 only above it.
+CLAYTON_FLOAT32_MIN_BANDWIDTH = -math.log(CLAMP_EPS) / (
+    math.log(np.finfo(np.float32).max) + math.log(CLAMP_EPS))
 
 
 def _times(y):
@@ -99,7 +105,10 @@ class ClaytonFamily:
 
     Any positive finite bandwidth is accepted; below about 0.038 the
     kernel's S^(1/a) and (1-v)^(1/a) terms can leave float64's range,
-    and it shifts the rows that need it (`_clayton_row_terms`).
+    and it shifts the rows that need it (`_clayton_row_terms`).  The
+    forward pass runs in float32 above CLAYTON_FLOAT32_MIN_BANDWIDTH,
+    where no exponent of the kernel leaves float32's range, and in
+    float64 below it (`forward_dtype`).
     """
 
     bandwidth: float  # a > 0
@@ -113,6 +122,12 @@ class ClaytonFamily:
         if not 0 < self.bandwidth < math.inf:
             raise ConfigurationError(
                 f"bandwidth must be positive and finite, got {self.bandwidth}")
+
+    @property
+    def forward_dtype(self):
+        """The dtype of the forward pass's rows (`resampling`)."""
+        return (np.float32 if self.bandwidth > CLAYTON_FLOAT32_MIN_BANDWIDTH
+                else np.float64)
 
     def joint(self, s, v, out=None):
         """(density, 1 - partial) of the kernel at survival s, for the
@@ -136,6 +151,9 @@ class GaussianFamily:
     default_bandwidth = 0.5
     tuning_grid = DEFAULT_RHO_GRID
     grid_from_zero = False
+    # scipy's ndtri and ndtr compute in double whatever their input, so a
+    # float32 state would save the kernel nothing
+    forward_dtype = np.float64
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth < 1.0:
@@ -174,9 +192,10 @@ def _clamp(p, out):
 
 class KernelScratch(NamedTuple):
     """The work arrays of one kernel call, which also hold its results:
-    `block`, SCRATCH_BLOCKS float64 arrays of the broadcast shape of
-    (s, v), the same set for both kernels; `small`, three float64 arrays
-    of v's shape; `mask`, a bool array of the broadcast shape.
+    `block`, SCRATCH_BLOCKS arrays of the broadcast shape of (s, v), the
+    same set for both kernels, in the dtype the kernel computes in (that
+    of s); `small`, three float64 arrays of v's shape; `mask`, a bool
+    array of the broadcast shape.
 
     `flat` makes one-dimensional arrays that a caller keeps across calls
     (`predictive.RunningPredictive` holds one set), and `view` gives a
@@ -188,10 +207,12 @@ class KernelScratch(NamedTuple):
     mask: np.ndarray
 
     @classmethod
-    def flat(cls, size: int, v_size: int) -> "KernelScratch":
-        """A set for calls of up to `size` elements, with v of up to
-        `v_size`."""
-        return cls(tuple(np.empty(size) for _ in range(SCRATCH_BLOCKS)),
+    def flat(cls, size: int, v_size: int,
+             dtype=np.float64) -> "KernelScratch":
+        """A set for calls of up to `size` elements of `dtype`, with v of
+        up to `v_size`."""
+        return cls(tuple(np.empty(size, dtype)
+                         for _ in range(SCRATCH_BLOCKS)),
                    tuple(np.empty(v_size) for _ in range(3)),
                    np.empty(size, dtype=bool))
 
@@ -205,10 +226,12 @@ class KernelScratch(NamedTuple):
 
 
 def _scratch_for(s, v, out):
-    """`out`, or a new scratch set of the shapes of a call on (s, v)."""
+    """`out`, or a new scratch set of the shapes of a call on (s, v), in
+    s's dtype (float64 unless s is float32)."""
     if out is None:
         shape = np.broadcast_shapes(np.shape(s), np.shape(v))
-        out = KernelScratch.flat(math.prod(shape), np.size(v)).view(
+        dtype = np.promote_types(np.asarray(s).dtype, np.float32)
+        out = KernelScratch.flat(math.prod(shape), np.size(v), dtype).view(
             shape, np.shape(v))
     return out
 
@@ -256,11 +279,17 @@ def _check_rho(rho: float):
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
 
 
-def _clayton_row_terms(v, a: float, q, one_minus_q, factor):
-    """The Clayton kernel's terms of v, written at v's shape: q =
+def _clayton_row_terms(v, a: float, dtype, q, one_minus_q, factor):
+    """The Clayton kernel's terms of v at v's shape, in `dtype`: q =
     (1 - v)^(1/a) (v clipped to [0, 1 - CLAMP_EPS]), 1 - q and the
     density's factor ((a+1)/a) q.  Returns the row shift m, or None when
-    the bandwidth lets no row need one.
+    the bandwidth lets no row need one, and the three terms.
+
+    The terms are computed in float64 in the scratch arrays q,
+    one_minus_q and factor, then rounded to `dtype` (a float32 v would
+    round 1 - CLAMP_EPS to 1); without a shift, 1 - q is formed in
+    `dtype` from the rounded q, so q + (1 - q) == 1 holds there too.  In
+    float64 the scratch arrays are the terms.
 
     A row whose log q = log(1 - v)/a falls below -CLAYTON_LOG_FLOOR is
     shifted by m = log q + CLAYTON_LOG_FLOOR (m = 0 in the other rows),
@@ -274,20 +303,23 @@ def _clayton_row_terms(v, a: float, q, one_minus_q, factor):
     np.subtract(1.0, q, out=q)
     np.log(q, out=q)
     q /= a
+    shift = None
     if a * CLAYTON_LOG_FLOOR >= -math.log(CLAMP_EPS):
         np.exp(q, out=q)
-        np.subtract(1.0, q, out=one_minus_q)
         np.multiply(q, (a + 1.0) / a, out=factor)
-        return None
-    shift = np.minimum(q + CLAYTON_LOG_FLOOR, 0.0)
-    np.exp(q, out=one_minus_q)
-    np.subtract(1.0, one_minus_q, out=one_minus_q)
-    q -= shift
-    np.exp(q, out=q)
-    np.exp(-a * shift, out=factor)
-    factor *= q
-    factor *= (a + 1.0) / a
-    return shift
+        q = q.astype(dtype, copy=False)
+        np.subtract(1.0, q, out=one_minus_q)
+    else:
+        shift = np.minimum(q + CLAYTON_LOG_FLOOR, 0.0)
+        np.exp(q, out=one_minus_q)
+        np.subtract(1.0, one_minus_q, out=one_minus_q)
+        q -= shift
+        np.exp(q, out=q)
+        np.exp(-a * shift, out=factor)
+        factor *= q
+        factor *= (a + 1.0) / a
+    return shift, tuple(term.astype(dtype, copy=False)
+                        for term in (q, one_minus_q, factor))
 
 
 def clayton_density_and_partial(s, v, a: float, out=None):
@@ -299,28 +331,35 @@ def clayton_density_and_partial(s, v, a: float, out=None):
         1 - I_a = exp((a+1) (L - log t)),
         d_a     = ((a+1)/a) q exp(L - (a+2) log t).
 
-    q + (1 - q) == 1 holds exactly in float64, so s = 1 (the time origin)
-    gives 1 - I_a = 1 and d_a = ((a+1)/a) q exactly, and a survival of 1
-    stays 1 through any number of updates; s <= 0 gives 1 - I_a = 0.
+    q + (1 - q) == 1 holds exactly in the dtype the kernel computes in,
+    so s = 1 (the time origin) gives 1 - I_a = 1 and d_a = ((a+1)/a) q
+    exactly, and a survival of 1 stays 1 through any number of updates;
+    s <= 0 gives 1 - I_a = 0.
 
     Range: e^L and q both lie in [CLAMP_EPS^(1/a), 1], and t >= q.  Only
     a bandwidth below -log(CLAMP_EPS) / CLAYTON_LOG_FLOOR (about 0.038)
     lets q fall below exp(-CLAYTON_LOG_FLOOR), where t could underflow;
-    `_clayton_row_terms` then shifts those rows.
+    `_clayton_row_terms` then shifts those rows.  log t >= L, so the
+    density's exponent is at most -(a+1) L <= -(a+1) log(CLAMP_EPS) / a:
+    float32 holds it above CLAYTON_FLOAT32_MIN_BANDWIDTH.
 
-    The kernel is bound by array passes and by its fixed cost per call
-    (numpy dispatch, about 2 us a ufunc call and 30 us a kernel call on
-    one CPU), not by its transcendentals, so it makes few calls and runs
-    every step in place in a `KernelScratch` set: `out`, or a new one
-    when None.  The two results are its first two block arrays; the
-    terms of v are computed at v's shape.
+    The kernel computes in the dtype of its scratch set's block arrays:
+    `out`, or a new set in s's dtype when None.  Its scalars are Python
+    floats, which take that dtype (NEP 50), and the terms of v are
+    computed in float64 at v's shape and then rounded to it.  The kernel
+    is bound by array passes and by its fixed cost per call (numpy
+    dispatch, about 2 us a ufunc call and 30 us a kernel call on one
+    CPU), not by its transcendentals, so it makes few calls and runs
+    every step in place in that set.  The two results are its first two
+    block arrays.
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
+    a = float(a)
     out = _scratch_for(s, v, out)
     density, tail, log_r = out.block
-    q, one_minus_q, factor = out.small
-    shift = _clayton_row_terms(v, a, q, one_minus_q, factor)
+    shift, (q, one_minus_q, factor) = _clayton_row_terms(
+        v, a, density.dtype, *out.small)
     np.maximum(s, CLAMP_EPS, out=log_r)
     np.log(log_r, out=log_r)
     log_r /= a

@@ -21,7 +21,9 @@ running predictive holds; no other code computes a_j, clamps v_j to
 [CLAMP_EPS, 1 - CLAMP_EPS] or picks the points a record updates.  It
 counts the records it absorbs and knows its points' covariates, and it
 holds one row per point and one column per particle, in C-contiguous
-arrays of its own.
+arrays of its own: float64, or the dtype `round_to` gives them (the
+float32 forward pass of the Clayton family, `resampling`), which the
+update and the kernel then compute in.
 The SMC pass (also the prequential score of fully observed data, see
 `censoring`) runs one over the records still to come; the start rows,
 held-out scoring and forward predictive resampling, with synthetic
@@ -70,7 +72,9 @@ class RunningPredictive:
     and the record's.  It absorbs in blocks of `block` whole points, the
     most that fit `BLOCK_ELEMS` elements (at least one); the kernel's
     scratch set, the same three block arrays for either family, is sized
-    for the largest block an absorption can take.
+    for the largest block an absorption can take.  The rows start in
+    float64; `round_to` moves them to another dtype, and the update and
+    the kernel follow the rows' dtype.
     """
 
     def __init__(self, family, times, n_particles, rho_x=None,
@@ -82,16 +86,30 @@ class RunningPredictive:
         self.dens[:], self.surv[:] = pdf[:, None], surv[:, None]
         self.rho_x, self.x_points = rho_x, x_points
         self.n_absorbed = 0
-        points, b = shape
-        self.block = max(1, BLOCK_ELEMS // max(1, b))
-        self.scratch = KernelScratch.flat(min(points, self.block) * b, b)
+        self.block = max(1, BLOCK_ELEMS // max(1, n_particles))
+        self._allocate_scratch()
+
+    def _allocate_scratch(self):
+        points, b = self.surv.shape
+        self.scratch = KernelScratch.flat(min(points, self.block) * b, b,
+                                          self.surv.dtype)
+
+    def round_to(self, dtype):
+        """Carry the rows in `dtype` from here on, rounded once from the
+        current rows, with a kernel scratch set in that dtype; nothing
+        changes when they are in it already."""
+        if self.surv.dtype != dtype:
+            self.dens = self.dens.astype(dtype)
+            self.surv = self.surv.astype(dtype)
+            self._allocate_scratch()
 
     def absorb(self, v, x_record=None):
         """Take the next record, with propagation values v (B,), clamped
         here to [CLAMP_EPS, 1 - CLAMP_EPS], and covariates `x_record` (one
         vector, or one row per particle, (B, d), for one weight per
         particle), into every point, in the recursion's bits: its steps
-        only commute the products and sums of the formula."""
+        only commute the products and sums of the formula, in the rows'
+        dtype (`_weights`)."""
         self.n_absorbed += 1
         alpha = alpha_schedule(self.n_absorbed)
         per_point = False
@@ -102,16 +120,40 @@ class RunningPredictive:
                 alpha = alpha[None, :]
             elif np.ndim(alpha) == 1:  # one weight per point: a column
                 alpha, per_point = alpha[:, None], True
+        alpha, keep = _weights(alpha, self.surv.dtype)
         v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[None, :]
         for lo in range(0, self.surv.shape[0], self.block):
             blk = slice(lo, lo + self.block)
-            a = alpha[blk] if per_point else alpha
+            a, c = (alpha[blk], keep[blk]) if per_point else (alpha, keep)
             dens, surv = self.dens[blk], self.surv[blk]
             d, tail = self.joint(surv, v, out=self.scratch.view(
                 surv.shape, v.shape))
             d *= a
-            d += 1.0 - a
+            d += c
             dens *= d
             tail *= a
-            surv *= 1.0 - a
+            surv *= c
             surv += tail
+
+
+def _weights(alpha, dtype):
+    """The record's weight alpha and the kept weight c = 1 - alpha, as
+    numpy values of `dtype` (scalars for a scalar weight), for an update
+    in that dtype.
+
+    c is rounded from its float64 value, and alpha is moved by what that
+    rounding moved c, the other way, before its own rounding.  In float64
+    nothing moves: the pair is (alpha, 1 - alpha) as computed.  In
+    float32 alpha becomes exactly 1 - c wherever the schedule puts it
+    (Sterbenz's lemma: c >= 1/2, and alpha is far above float32's spacing
+    near 1), and a covariate weight above 1/2 comes within half a spacing
+    of it; either way float32 rounds alpha + c to exactly 1.  So a
+    survival of 1 stays 1, and no chain drifts by the rounding of a
+    weight that every chain shares, as rounding alpha and 1 - alpha each
+    on its own would make them.  Both are typed: a numpy.float64 is not a
+    weak scalar (NEP 50), and it would run the update in float64 loops.
+    """
+    alpha = np.float64(alpha)  # a scalar stays scalar: cheaper than 0-d
+    keep = 1.0 - alpha
+    rounded = keep.astype(dtype, copy=False)
+    return (alpha + (keep - rounded)).astype(dtype, copy=False), rounded

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import copsurv as cs
+from copsurv import censoring
 from copsurv.censoring import (
     ess_from_log_weights,
     impute_smc,
@@ -91,6 +92,57 @@ class TestSystematicResample:
             idx = systematic_indices(w, off)
             counts += np.bincount(idx, minlength=b)
         assert_allclose(counts / reps, b * w, rtol=0.01)
+
+    def test_last_sum_rounded_below_a_position_picks_the_last_particle(self):
+        """Ten weights of 0.1 sum to 1 - 2^-53, and an offset just below 1
+        puts the last position at 1.0, above every running sum: the clip
+        gives it the last particle."""
+        w = np.full(10, 0.1)
+        offset = np.nextafter(1.0, 0.0)
+        assert np.cumsum(w)[-1] < 1.0
+        assert (offset + 9) / 10 == 1.0
+        idx = systematic_indices(w, offset)
+        assert idx[-1] == 9
+        assert np.array_equal(idx, [0, 2, 2, 4, 5, 6, 7, 8, 9, 9])
+
+    def test_sums_rounded_above_one_never_pick_a_zero_weight(self):
+        """Here the sum of the first five weights rounds above 1 and the
+        last weight is 0, and the last position is 1.0.  The running sums
+        stay sorted, so that position goes to particle 4; pinning the last
+        sum to 1 would leave them unsorted and hand it to particle 5."""
+        w = np.array([0.27670425415157746, 0.10673114276353252,
+                      0.0726387303062863, 0.3288447931136854,
+                      0.21508107966491843, 0.0])
+        offset = np.nextafter(1.0, 0.0)
+        assert np.cumsum(w)[-2] > 1.0
+        assert (offset + 5) / 6 == 1.0
+        idx = systematic_indices(w, offset)
+        assert np.array_equal(idx, [0, 1, 3, 3, 4, 4])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_smc_pass_needs_no_top_guard(self, censored_exp50, monkeypatch,
+                                         seed):
+        """A pass that resamples after every record but the first (whose
+        weights are all equal) has the bits of one whose resampler pins
+        the last running sum to 1."""
+        def pinned(weights, offset):
+            b = weights.size
+            cumulative = np.cumsum(weights)
+            cumulative[-1] = 1.0
+            positions = (offset + np.arange(b)) / b
+            return np.searchsorted(cumulative, positions,
+                                   side="right").clip(0, b - 1)
+
+        def run():
+            return impute_smc(censored_exp50, FAMILY, n_particles=64,
+                              ess_frac=1.0, seed=seed)
+
+        ensemble = run()
+        monkeypatch.setattr(censoring, "systematic_indices", pinned)
+        reference = run()
+        assert len(ensemble.resample_steps) == censored_exp50.n - 1
+        for name, value in vars(reference).items():
+            assert np.array_equal(getattr(ensemble, name), value), name
 
     def test_final_resample_resets_weights(self, censored_exp50):
         # ess_frac = 1 resamples after the last record too

@@ -12,6 +12,7 @@ from scipy.stats import multivariate_normal, norm
 from copsurv import cli
 from copsurv.copulas import (
     CLAMP_EPS,
+    CLAYTON_FLOAT32_MIN_BANDWIDTH,
     CLAYTON_LOG_FLOOR,
     FAMILIES,
     ClaytonFamily,
@@ -355,6 +356,58 @@ def test_scratch_kernels_read_nothing_left_in_their_scratch(kernel, params):
             assert g.shape == w.shape
             assert not np.any(np.isnan(w))
             assert g.tobytes() == w.tobytes(), param
+
+
+# s and v at the clamp edges, where the density's exponent peaks, and
+# inside; a v of 1 - CLAMP_EPS rounds to 1 in float32.
+FLOAT32_S = [0.0, CLAMP_EPS, 2 * CLAMP_EPS, 1e-6, 0.3, 1.0 - 1e-7, 1.0]
+FLOAT32_V = [0.0, CLAMP_EPS, 0.3, 0.5, 1.0 - 1e-6, 1.0 - 2 * CLAMP_EPS,
+             1.0 - CLAMP_EPS, 1.0]
+
+
+class TestFloat32Clayton:
+    """The kernel computes in the dtype of s (of its scratch set), with the
+    terms of v taken in float64 and rounded."""
+
+    def grid(self):
+        v = np.array(FLOAT32_V)[:, None]
+        return np.tile(FLOAT32_S, (v.shape[0], 1)), v
+
+    @pytest.mark.parametrize("a", [
+        np.nextafter(CLAYTON_FLOAT32_MIN_BANDWIDTH, 1.0), 0.36, 0.9, 5.0])
+    def test_float32_kernel_tracks_float64_above_the_bound(self, a):
+        s, v = self.grid()
+        d32, tail32 = clayton(s.astype(np.float32), v, a)
+        d64, tail64 = clayton(s, v, a)
+        assert d32.dtype == tail32.dtype == np.float32
+        assert np.all(np.isfinite(d32))
+        assert_allclose(d32, d64, rtol=1e-4)
+        assert_allclose(tail32, tail64, rtol=0, atol=1e-5)
+        # q + (1 - q) == 1 in float32 too: the origin maps to 1 exactly
+        assert np.all(tail32[:, -1] == 1.0) and np.all(tail32[:, 0] == 0.0)
+
+    def test_a_numpy_bandwidth_keeps_float32_loops(self):
+        """The tuning grid's bandwidths are numpy.float64 values, which
+        are not weak scalars (NEP 50): the kernel gives the bits of a
+        Python float, the loops of the array's dtype."""
+        s, v = self.grid()
+        a = ClaytonFamily.tuning_grid[4]
+        assert isinstance(a, np.float64)
+        s32 = s.astype(np.float32)
+        for got, want in zip(clayton(s32, v, a), clayton(s32, v, float(a))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_float32_density_overflows_below_the_bound(self):
+        """At a = 0.34 the density's exponent passes float32's range at
+        the clamp edges: the bound is needed, and about 1.5% above where
+        overflow begins."""
+        s, v = self.grid()
+        with np.errstate(over="ignore", invalid="ignore"):
+            d32, _ = clayton(s.astype(np.float32), v, 0.34)
+        assert not np.all(np.isfinite(d32))
+        assert 0.34 < CLAYTON_FLOAT32_MIN_BANDWIDTH < 0.36
+        assert ClaytonFamily(0.34).forward_dtype == np.float64
+        assert GaussianFamily(0.9).forward_dtype == np.float64
 
 
 class TestGaussian:

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
-from copsurv import copulas, rng, shards, tune
+from copsurv import copulas, predictive, rng, shards, tune
 from copsurv.censoring import impute_smc
 from copsurv.copulas import (
     ClaytonFamily,
@@ -114,6 +114,14 @@ class TestMedianFromSurvival:
         m_fine = median_from_survival(lomax(fine.points, 1.4, 1.0)[1], fine)
         cell = coarse.points[1] - coarse.points[0]
         assert abs(m_coarse - m_fine) < cell
+
+    def test_crossing_in_the_first_interval(self):
+        """S falls from 1 to 0.4 between the first two points: the median
+        interpolates there, at 5/6, not in a later interval."""
+        grid = GridSpec(np.array([0.0, 1.0, 2.0]))
+        surv = np.array([1.0, 0.4, 0.2])
+        assert median_from_survival(surv, grid) == pytest.approx(5 / 6,
+                                                                 rel=1e-15)
 
     def test_median_not_reached_is_the_grid_top(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
@@ -453,24 +461,32 @@ def reference_picks(seed, n_chains, n_pool, n_steps):
 def reference_forward(ensemble, grid, x_target, n_extra, seed):
     """The forward pass written out step by step over all chains at once:
     every step draws its whole stream of uniforms, and with covariates
-    takes each chain's pick from `reference_picks`.  (dens, survival)
-    after n_extra steps: the reference that `martingale_posterior` must
-    reproduce."""
+    takes each chain's pick from `reference_picks`.  The rows run in the
+    family's forward dtype, rounded from the start rows at the first
+    step; in float32 each step's kept weight c = 1 - alpha is rounded
+    and the weight is 1 - c, so the two sum to exactly 1.  (dens,
+    survival) after n_extra steps: the reference that
+    `martingale_posterior` must reproduce."""
     n, b = ensemble.v_matrix.shape
     dens, surv = reference_grid_rows(ensemble, grid.points, x_target)
+    dtype = ensemble.family.forward_dtype
+    if n_extra:
+        dens, surv = dens.astype(dtype), surv.astype(dtype)
     if ensemble.rho_x is not None:
         pool = ensemble.covariates
         picks = reference_picks(seed, b, pool.shape[0], n_extra)
     for t in range(n_extra):
         v = np.clip(rng.uniforms(seed, rng.STREAM_FORWARD, t, b),
                     copulas.CLAMP_EPS, 1.0 - copulas.CLAMP_EPS)[:, None]
-        alpha = float(alpha_schedule(n + 1 + t))
+        alpha = np.asarray(alpha_schedule(n + 1 + t))
         if ensemble.rho_x is not None:
             alpha = alpha_regression(alpha, x_target, pool[picks[t]],
                                      ensemble.rho_x)[:, None]
+        keep = (1.0 - alpha).astype(dtype)
+        alpha = alpha if dtype == np.float64 else 1 - keep
         d, tail = ensemble.family.joint(surv, v)
-        dens = dens * ((1.0 - alpha) + alpha * d)
-        surv = (1.0 - alpha) * surv + alpha * tail
+        dens = dens * (keep + alpha * d)
+        surv = keep * surv + alpha * tail
     return dens, surv
 
 
@@ -481,21 +497,35 @@ def clayton_case(censored_exp50):
     return ensemble, grid, None
 
 
-@pytest.fixture
-def gaussian_case():
+def covariate_data():
     rng = np.random.default_rng(4)
     n = 30
     x = rng.normal(size=(n, 1))
     y = np.exp(0.4 * x[:, 0]) * rng.exponential(1.0, n)
     s = (rng.random(n) > 0.3).astype(int)
-    data = cs.permute(cs.standardize(make_dataset(y, s, covariates=x)), 4)
-    ensemble = impute_smc(data, GaussianFamily(0.5), rho_x=0.6,
+    return cs.permute(cs.standardize(make_dataset(y, s, covariates=x)), 4)
+
+
+@pytest.fixture
+def gaussian_case():
+    ensemble = impute_smc(covariate_data(), GaussianFamily(0.5), rho_x=0.6,
                           n_particles=48, seed=4)
     grid = GridSpec(np.geomspace(0.01, 8.0, 15))
     return ensemble, grid, np.array([-1.3])
 
 
-@pytest.mark.parametrize("case", ["clayton_case", "gaussian_case"])
+@pytest.fixture
+def clayton_covariate_case():
+    """A Clayton fit with one covariate, whose forward pass runs in
+    float32 with one weight per chain."""
+    ensemble = impute_smc(covariate_data(), FAMILY, rho_x=0.6,
+                          n_particles=48, seed=4)
+    grid = GridSpec(np.concatenate([[0.0], np.geomspace(0.01, 8.0, 15)]))
+    return ensemble, grid, np.array([-1.3])
+
+
+@pytest.mark.parametrize("case", ["clayton_case", "gaussian_case",
+                                  "clayton_covariate_case"])
 class TestOneFitIsOneColumn:
     def test_column_fit_matches_grid_row(self, case, request):
         ensemble, grid, x = request.getfixturevalue(case)
@@ -532,6 +562,147 @@ class TestOneFitIsOneColumn:
         ref_dens, ref_surv = reference_forward(ensemble, grid, x, 40, 9)
         assert np.array_equal(draws.survival_draws, ref_surv)
         assert np.array_equal(draws.density_draws, ref_dens)
+
+
+def separately_rounded(alpha, dtype):
+    """alpha and 1 - alpha each rounded to `dtype` on its own: the rule
+    that `predictive._weights` replaces."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return alpha.astype(dtype), (1.0 - alpha).astype(dtype)
+
+
+def forward_in_each_rule(ensemble, grid, x_target, n_extra, seed):
+    """The forward pass of `ensemble` three ways on the same uniforms: in
+    float32 ("float32"), in float32 with separately rounded weights
+    ("separate") and in float64 ("float64"), this last with the float32
+    bound raised above every bandwidth.  The first 20 chains are
+    traced."""
+    def run():
+        return martingale_posterior(ensemble, n_extra, grid, x_target,
+                                    seed=seed, trace_chains=20)
+
+    runs = {"float32": run()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predictive, "_weights", separately_rounded)
+        runs["separate"] = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(copulas, "CLAYTON_FLOAT32_MIN_BANDWIDTH", np.inf)
+        runs["float64"] = run()
+    return runs
+
+
+def float32_changes(runs):
+    """(largest |dS|, largest relative density change, largest relative
+    change of the traced chains' final W1) of the float32 pass against
+    the float64 one."""
+    f32, f64 = runs["float32"], runs["float64"]
+    d_surv = np.abs(f32.survival_draws - f64.survival_draws).max()
+    d_dens = np.max(np.abs(f32.density_draws / f64.density_draws - 1.0))
+    w1_32, w1_64 = f32.w1_trace[:, -1], f64.w1_trace[:, -1]
+    return d_surv, d_dens, np.max(np.abs(w1_32 / w1_64 - 1.0))
+
+
+# Bounds on the float32 forward pass against the float64 one.  Over
+# seeds 1-8 of `benchmark_size_runs`, |dS| reached 1.76e-6, the
+# relative density change 5.84e-6, the relative final W1 change of 20
+# traced chains 5.4e-5 and the weighted mean increment's change 2.9e-8
+# (2.94e-7 to 2.97e-7 with separately rounded weights).  Over forward
+# seeds 3-6 of the covariate case they reached 1.25e-6, 1.25e-5 and
+# 1.8e-5.
+MAX_SURV_CHANGE = 1e-5
+MAX_DENSITY_CHANGE = 5e-5
+MAX_W1_CHANGE = 3e-4
+MAX_MEAN_INCREMENT_CHANGE = 1e-7
+
+
+@pytest.fixture(scope="module")
+def benchmark_size_runs():
+    """`forward_in_each_rule` on the benchmark's `posterior` sizes of
+    n = 100 records (a third censored) and 200 forward steps, at
+    B = 4000 chains on a 30-point default grid, with each chain's start
+    rows."""
+    data = cs.permute(cs.standardize(
+        cs.simulate_censored_exponential(100, 1.0, 2.0, seed=1)), 1)
+    ensemble = impute_smc(data, ClaytonFamily(0.9), n_particles=4000, seed=1)
+    grid = default_grid(data, 30)
+    runs = forward_in_each_rule(ensemble, grid, None, 200, 1)
+    return runs, ensemble_grid_rows(ensemble, grid)[1]
+
+
+class TestFloat32Forward:
+    """A Clayton forward pass carries its rows in float32; the start rows,
+    the weights and the W1 sums stay float64.  These tests bound what that
+    moves against the float64 recursion on the same uniforms."""
+
+    def test_float32_pass_tracks_float64(self, benchmark_size_runs):
+        runs, _ = benchmark_size_runs
+        assert ClaytonFamily(0.9).forward_dtype == np.float32
+        assert not np.array_equal(runs["float32"].survival_draws,
+                                  runs["float64"].survival_draws)
+        d_surv, d_dens, d_w1 = float32_changes(runs)
+        assert d_surv <= MAX_SURV_CHANGE
+        assert d_dens <= MAX_DENSITY_CHANGE
+        assert d_w1 <= MAX_W1_CHANGE
+
+    def test_origin_stays_exactly_one(self, benchmark_size_runs):
+        runs, _ = benchmark_size_runs
+        assert np.all(runs["float32"].survival_draws[:, 0] == 1.0)
+
+    def test_weights_summing_to_one_keep_the_mean_increment(
+            self, benchmark_size_runs):
+        """The weighted mean increment of the survival, final row minus
+        start row, is the martingale guard's gap.  Weights that sum to
+        exactly 1 in float32 keep it within MAX_MEAN_INCREMENT_CHANGE of
+        float64's; rounding the weight and its complement each on its own
+        moves every chain the same way and pushes it outside."""
+        runs, start = benchmark_size_runs
+        weights = runs["float64"].weights
+
+        def gap(rule):
+            return weights @ (runs[rule].survival_draws - start)
+
+        exact = np.abs(gap("float32") - gap("float64")).max()
+        separate = np.abs(gap("separate") - gap("float64")).max()
+        assert exact <= MAX_MEAN_INCREMENT_CHANGE < separate
+
+    def test_covariate_pass_tracks_float64(self, clayton_covariate_case):
+        """The Clayton pass with one weight per chain: the same bounds."""
+        runs = forward_in_each_rule(*clayton_covariate_case, 200, 3)
+        d_surv, d_dens, d_w1 = float32_changes(runs)
+        assert d_surv <= MAX_SURV_CHANGE
+        assert d_dens <= MAX_DENSITY_CHANGE
+        assert d_w1 <= MAX_W1_CHANGE
+        assert np.all(runs["float32"].survival_draws[:, 0] == 1.0)
+
+    def test_bandwidth_below_the_bound_runs_in_float64(self, censored_exp50):
+        """0.35 lies just below the float32 bound, about 0.3505: its pass
+        keeps the float64 recursion's bits."""
+        bound = copulas.CLAYTON_FLOAT32_MIN_BANDWIDTH
+        below, above = np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)
+        assert ClaytonFamily(below).forward_dtype == np.float64
+        assert ClaytonFamily(above).forward_dtype == np.float32
+        family = ClaytonFamily(0.35)
+        assert family.forward_dtype == np.float64
+        ensemble = impute_smc(censored_exp50, family, n_particles=64, seed=5)
+        grid = GridSpec(np.concatenate([[0.0], np.geomspace(0.01, 8.0, 15)]))
+        draws = martingale_posterior(ensemble, 40, grid, seed=9)
+        ref_dens, ref_surv = reference_forward(ensemble, grid, None, 40, 9)
+        assert ref_surv.dtype == np.float64
+        assert np.array_equal(draws.survival_draws, ref_surv)
+        assert np.array_equal(draws.density_draws, ref_dens)
+
+    def test_chains_stay_non_increasing_at_readme_size(self):
+        """The README data and horizon (n = 200, 2000 forward steps) on a
+        400-point default grid: every chain's survival is non-increasing.
+        Over seeds 1-3 at 100 chains the smallest step was 1.1e-6, about
+        18 float32 spacings near 1."""
+        data = cs.permute(cs.standardize(
+            cs.simulate_censored_exponential(200, 1.0, 2.0, seed=1)), 1)
+        ensemble = impute_smc(data, ClaytonFamily(0.9), n_particles=100,
+                              seed=2)
+        draws = martingale_posterior(ensemble, 2000, default_grid(data, 400),
+                                     seed=2)
+        assert np.all(np.diff(draws.survival_draws, axis=1) <= 0.0)
 
 
 def shard_call(kind, request):
