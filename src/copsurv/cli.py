@@ -416,32 +416,22 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
                       ["chain", "step", "w1"],
                       (f"{j},{t},{w!r}" for j, row in enumerate(trace)
                        for t, w in enumerate(row)))
-    dataio.write_rows(
-        outdir / f"{prefix}cdf_draws.csv",
-        ["weight"] + [repr(float(t)) for t in grid_orig],
-        _cdf_rows(w, draws.survival_draws),
-    )
-
-
-def _cdf_rows(weights, survival):
-    """Each draw's row of `cdf_draws.csv`, its weight and 1 - S, in one
-    buffer reused for every row (`write_rows` writes a row before it
-    takes the next)."""
-    row = np.empty(survival.shape[1] + 1)
-    for w, surv in zip(weights, survival):
-        row[0] = w
-        np.subtract(1.0, surv, out=row[1:])
-        yield row
+    # each draw's weight, then its CDF 1 - S, built once
+    cdf = np.empty((draws.n_draws, grid_orig.size + 1))
+    cdf[:, 0] = w
+    np.subtract(1.0, draws.survival_draws, out=cdf[:, 1:])
+    dataio.write_matrix(outdir / f"{prefix}cdf_draws.csv",
+                        ["weight"] + [repr(float(t)) for t in grid_orig], cdf)
 
 
 def _write_doob_tables(outdir, result):
     """A conjugate Doob run's weighted limiting posterior means, the
     exact posterior's quantiles, and its SMC diagnostics."""
-    dataio.write_rows(outdir / "doob_samples.csv", ["theta_bar", "weight"],
-                      np.column_stack([result.theta_bar,
-                                       result.ensemble.weights]))
+    dataio.write_matrix(outdir / "doob_samples.csv", ["theta_bar", "weight"],
+                        np.column_stack([result.theta_bar,
+                                         result.ensemble.weights]))
     qs = np.linspace(0.005, 0.995, 199)
-    dataio.write_rows(
+    dataio.write_matrix(
         outdir / "doob_exact_quantiles.csv",
         ["q", "theta"],
         np.column_stack([qs, parametric.ig_posterior_quantile(

@@ -8,16 +8,23 @@ the dataset so every downstream output can be mapped back to the original
 units (a time divides by `scale_factor`, a density multiplies by it);
 `standardize(data, like=train)` puts held-out records or covariate
 targets on a training split's scale without estimating anything.
+
+Outputs are CSVs with shortest-roundtrip float reprs: `write_rows` writes
+rows given cell by cell, and `write_matrix` a float matrix, formatted in
+row shards on every CPU (`shards.run_shards`) with the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import shards
 from .errors import ConfigurationError, DataError
 
 __all__ = [
@@ -28,7 +35,18 @@ __all__ = [
     "permute",
     "simulate_censored_exponential",
     "write_rows",
+    "write_matrix",
 ]
+
+# Bytes a value takes in a `write_matrix` row slot: the longest float repr
+# has 24 characters ("-2.2250738585072014e-308"), and a comma, or the CR
+# of the row's CRLF, follows each value; the LF is the slot's last byte.
+VALUE_SLOT_BYTES = 25
+# Fewest values a `write_matrix` shard formats.  On a 2-vCPU Xeon VM a
+# value's repr took about 0.5 us, and forking a process of the benchmark
+# `posterior` call's size (about 100 MiB) took 2.6-2.9 ms, the time of
+# about 6000 reprs: a smaller shard saves less than its fork costs.
+MATRIX_SHARD_VALUES = 6000
 
 
 @dataclass(frozen=True)
@@ -214,18 +232,53 @@ def _format_cell(value) -> str:
 def write_rows(path, header, rows) -> None:
     """Write a CSV with deterministic shortest-roundtrip float formatting.
 
-    A row that is a float64 ndarray (a row of a float matrix) is written
-    as the joined reprs of its values: the same bytes as the per-cell
-    path, since no float repr needs quoting, at about half the cost.  A
-    row that is a str is one line already formatted, written as it is.
+    A row that is a str is one line already formatted, written as it is;
+    any other row is formatted cell by cell (`write_matrix` writes a
+    float matrix with the same bytes).
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            if isinstance(row, np.ndarray) and row.dtype == np.float64:
-                handle.write(",".join(map(repr, row.tolist())) + "\r\n")
-            elif isinstance(row, str):
+            if isinstance(row, str):
                 handle.write(row + "\r\n")
             else:
                 writer.writerow([_format_cell(v) for v in row])
+
+
+def write_matrix(path, header, matrix) -> None:
+    """Write a float64 matrix (rows, cols) as a CSV under `header`, with
+    the bytes `write_rows` gives its rows cell by cell: the joined reprs
+    of each row's values, since no float repr needs quoting.
+
+    The rows are formatted in `shards.run_shards` row shards of at least
+    MATRIX_SHARD_VALUES values, one shard per CPU: a shard writes each of
+    its rows into the row's fixed-width slot of VALUE_SLOT_BYTES bytes
+    per value plus one, in one shared mapping, and its byte count into
+    another.  This process then writes the header (through `csv.writer`)
+    and the rows, in order.  A failed shard raises CopsurvError naming
+    the file's rows it held, before the file is opened.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n_rows, n_cols = matrix.shape
+    width = VALUE_SLOT_BYTES * n_cols + 1
+
+    def fill(shard, out):
+        slots, counts = memoryview(out["slots"]).cast("B"), out["counts"]
+        for i, row in enumerate(matrix[shard].tolist(), start=shard.start):
+            line = (",".join(map(repr, row)) + "\r\n").encode()
+            slots[i * width:i * width + len(line)] = line
+            counts[i] = len(line)
+
+    # the slots are float64 words (what run_shards maps), used as bytes
+    out = shards.run_shards(
+        n_rows, max(1, MATRIX_SHARD_VALUES // n_cols),
+        {"slots": (-(-n_rows * width // 8),), "counts": (n_rows,)}, fill,
+        f"{os.path.basename(path)} rows")
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    slots = memoryview(out["slots"]).cast("B")
+    with open(path, "wb") as handle:
+        handle.write(head.getvalue().encode())
+        for i, count in enumerate(out["counts"].astype(int).tolist()):
+            handle.write(slots[i * width:i * width + count])

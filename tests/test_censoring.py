@@ -215,6 +215,40 @@ class TestQuadratureOracle:
         z_smc = np.exp(ensemble.log_z)
         assert_allclose(z_smc, z_exact, rtol=0.02)
 
+    def test_marginal_likelihood_is_unbiased_through_resampling(self):
+        """exp(log_z) is unbiased for Z at any particle count, adaptive
+        resampling included (Whiteley, Lee & Heine 2016).  Records
+        (censored at c, observed y2, observed y3), B = 4 and ess_frac = 1:
+        every pass resamples at y2 and at y3, and the mean of exp(log_z)
+        over 200 seeds matches the quadrature Z = int_{P0(c)}^1
+        p_1^{(u)}(y2) p_2^{(u, v2)}(y3) du, v2 = P_1^{(u)}(y2).  Over 20
+        disjoint blocks of 200 seeds the relative error had sd 0.011 and
+        at most 0.022; dividing each event's mass by B - 1, not B, moves
+        the mean by (4/3)^2 (+78%)."""
+        a = 1.0
+        c, y2, y3 = 0.6, 1.1, 0.4
+        alpha1, alpha2 = (float(alpha_schedule(k)) for k in (1, 2))
+
+        def step(pdf, surv, v, alpha):
+            d, tail = clayton_density_and_partial(surv, v, a)
+            return pdf * (1 - alpha + alpha * d), (1 - alpha) * surv + alpha * tail
+
+        def integrand(u):
+            p2, s2 = step(*lomax(y2, a, 1.0), u, alpha1)
+            p3, _ = step(*step(*lomax(y3, a, 1.0), u, alpha1), 1.0 - s2,
+                         alpha2)
+            return float(p2) * float(p3)
+
+        p0c = 1.0 - float(lomax(c, a, 1.0)[1])
+        z_exact, _ = quad(integrand, p0c, 1.0, limit=200)
+
+        data = make_dataset([c, y2, y3], [0, 1, 1])
+        passes = [impute_smc(data, FAMILY, n_particles=4, ess_frac=1.0,
+                             seed=seed) for seed in range(200)]
+        assert all(e.resample_steps == [1, 2] for e in passes)
+        z_mean = np.mean([np.exp(e.log_z) for e in passes])
+        assert_allclose(z_mean, z_exact, rtol=0.05)
+
     def test_observed_then_censored_is_deterministic(self):
         """With the censored record last, the estimate is exact: Z =
         p_0(y1) S_1(c)."""

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
-from copsurv import copulas, rng, shards, tune
+from copsurv import copulas, dataio, rng, shards, tune
 from copsurv.censoring import DEFAULT_ESS_FRAC, impute_smc
 from copsurv.cli import (
     SUBCOMMANDS,
@@ -165,6 +165,33 @@ class TestPosterior:
             "w1_trace.csv", "cdf_draws.csv", "diagnostics.csv",
             "run_meta.json"])
         assert (out / "w1_trace.csv").read_bytes() == b"chain,step,w1\r\n"
+
+    def test_failed_writer_shard_exits_1_with_one_json_line(
+            self, mild_csv, tmp_path, monkeypatch, capsys):
+        # a value's repr fails only in the forked shard of cdf_draws.csv
+        parent = os.getpid()
+
+        def fails_in_workers(value):
+            if os.getpid() != parent:
+                raise RuntimeError("repr failure in a worker")
+            return repr(value)
+
+        monkeypatch.setattr(dataio, "repr", fails_in_workers, raising=False)
+        monkeypatch.setattr(shards, "_worker_count",
+                            lambda n_items, min_items: 2)
+        out = tmp_path / "post"
+        assert run("posterior", "--seed", 7, "--input", mild_csv,
+                   "--bandwidth", 1.0, "--n-particles", 64, "--n-extra", 20,
+                   "--grid-size", 30, "--output-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "error",
+            "message": "the worker for cdf_draws.csv rows 32:64 exited with "
+                       "status 1: RuntimeError: repr failure in a worker"}
+        assert not (out / "cdf_draws.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_band_contains_mean(self, mild_csv, tmp_path):
         out = tmp_path / "post"

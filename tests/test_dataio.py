@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from copsurv import dataio
+from copsurv import dataio, shards
 from copsurv.dataio import (
     SurvivalDataset,
     load_csv,
@@ -10,6 +10,7 @@ from copsurv.dataio import (
     simulate_censored_exponential,
     standardize,
     take,
+    write_matrix,
     write_rows,
 )
 from copsurv.errors import ConfigurationError, DataError
@@ -264,9 +265,59 @@ class TestWriteRows:
         assert len(cells) == 9
         assert path.read_bytes() == (b"k,x,flag\r\n1,0.5,1\r\n2,1e-07,s\r\n"
                                      b"3,4,5\r\n")
-        cells.clear()
-        write_rows(path, ["a", "b"], np.ones((4, 2)))
+
+
+class TestWriteMatrix:
+    @staticmethod
+    def per_cell(tmp_path, header, m):
+        write_rows(tmp_path / "cells.csv", header, [tuple(r) for r in m])
+        return (tmp_path / "cells.csv").read_bytes()
+
+    @staticmethod
+    def longest_reprs():
+        """4 rows of distinct values whose reprs all have the longest
+        length, VALUE_SLOT_BYTES - 1 characters: a row fills its slot."""
+        values = -np.random.default_rng(2).uniform(1, 9, 200) * 1e-300
+        values = values[[len(repr(v)) == dataio.VALUE_SLOT_BYTES - 1
+                         for v in values.tolist()]]
+        return values[:24].reshape(4, 6)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["specials", "one_row", "seven_rows",
+                                      "longest_reprs"])
+    def test_bytes_match_the_per_cell_path(self, tmp_path, monkeypatch,
+                                           n_shards, case):
+        """At 1, 2 and 3 row shards, the bytes of `write_rows` given the
+        rows cell by cell: TestWriteRows' matrix with its specials row (5
+        rows, which 2 and 3 shards do not divide), one row, 7 rows of
+        float32-rounded CDF values, and rows that fill their slots."""
+        m = {"specials": TestWriteRows().matrix(),
+             "one_row": np.array([TestWriteRows.SPECIALS]),
+             "seven_rows": 1.0 - np.random.default_rng(3).random(
+                 (7, 150)).astype(np.float32),
+             "longest_reprs": self.longest_reprs()}[case]
+        monkeypatch.setattr(shards, "_worker_count",
+                            lambda n_items, min_items: n_shards)
+        header = ["weight"] + [repr(0.5 * j) for j in range(m.shape[1] - 1)]
+        write_matrix(tmp_path / "m.csv", header, m)
+        assert (tmp_path / "m.csv").read_bytes() == self.per_cell(
+            tmp_path, header, m)
+
+    def test_sharded_at_the_process_cpu_count(self, tmp_path):
+        """A table large enough to shard on every CPU of the process."""
+        m = np.random.default_rng(5).normal(size=(401, 31)) * 1e-3
+        header = [f"c{j}" for j in range(31)]
+        write_matrix(tmp_path / "m.csv", header, m)
+        assert (tmp_path / "m.csv").read_bytes() == self.per_cell(
+            tmp_path, header, m)
+
+    def test_no_cell_goes_through_format_cell(self, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(dataio, "_format_cell", cells.append)
+        path = tmp_path / "m.csv"
+        write_matrix(path, ["a", "b"], np.ones((4, 2)))
         assert cells == []
+        assert path.read_bytes() == b"a,b\r\n" + b"1.0,1.0\r\n" * 4
 
 
 class TestDatasetValidation:

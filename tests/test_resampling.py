@@ -180,6 +180,22 @@ class TestBootstrapCovariate:
         freq = np.bincount(picks, minlength=4) / 100_000
         assert np.all(np.abs(freq - 0.25) < 0.02)
 
+    def test_last_weight_rounded_down_still_bounds_every_pick(
+            self, monkeypatch):
+        """Ten weights of 0.1 cumulate to 0.9999999999999999, the largest
+        uniform: the last cumulated weight is set to 1, so that uniform
+        still picks the last row, not index n_pool."""
+        n_pool, n_chains = 10, 3
+        assert np.cumsum(np.full(n_pool, 0.1))[-1] == np.nextafter(1.0, 0.0)
+        monkeypatch.setattr(rng, "dirichlet_uniform",
+                            lambda seed, tag, shape: np.full(shape, 0.1))
+        monkeypatch.setattr(rng, "uniforms",
+                            lambda seed, tag, step, count, start=0:
+                            np.full(count, np.nextafter(1.0, 0.0)))
+        cumulative = _pick_weights(n_pool, n_chains, seed=0)
+        picks = _step_picks(cumulative, 0, 0, slice(0, n_chains))
+        assert np.array_equal(picks, [n_pool - 1] * n_chains)
+
     @pytest.mark.parametrize("rows", [slice(0, 12), slice(3, 12),
                                       slice(5, 6)])
     def test_shard_picks_are_the_slice_of_the_whole_stream(self, rows):
