@@ -105,17 +105,29 @@ INPUT_OPTS = [
     Opt("status-col", str, default="status"),
 ]
 
+# Options of more than one subcommand, each defined once.
+FAMILY = Opt("family", str, default="clayton", bounds=COPULA_FAMILY,
+             help=f"copula kernel: {COPULA_FAMILY[1]}")
+BANDWIDTH_GRID = Opt("bandwidth-grid", _comma_floats,
+                     help="comma list; triggers marginal-likelihood tuning")
+N_PARTICLES = Opt("n-particles", int, default=DEFAULT_N_PARTICLES,
+                  bounds=AT_LEAST_2)
+ESS_FRAC = Opt("ess-frac", float, default=DEFAULT_ESS_FRAC,
+               bounds=IN_CLOSED_UNIT,
+               help="resample when ESS < ess_frac * n_particles; 0 disables")
+TUNE_PARTICLES = Opt("tune-particles", int,
+                     default=tune.DEFAULT_TUNE_PARTICLES, bounds=AT_LEAST_2)
+N_EXTRA = Opt("n-extra", int, default=resampling.DEFAULT_N_EXTRA,
+              bounds=NONNEGATIVE)
+RHO_X_GRID = Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT)
+
 FIT_CORE_OPTS = INPUT_OPTS + [
-    Opt("family", str, default="clayton", bounds=COPULA_FAMILY,
-        help=f"copula kernel: {COPULA_FAMILY[1]}"),
+    FAMILY,
     Opt("bandwidth", float, help="fixed kernel bandwidth (a, or rho for gaussian)"),
-    Opt("bandwidth-grid", _comma_floats,
-        help="comma list; triggers marginal-likelihood tuning"),
-    Opt("n-particles", int, default=DEFAULT_N_PARTICLES, bounds=AT_LEAST_2),
-    Opt("ess-frac", float, default=DEFAULT_ESS_FRAC, bounds=IN_CLOSED_UNIT,
-        help="resample when ESS < ess_frac * n_particles; 0 disables"),
-    Opt("tune-particles", int, default=tune.DEFAULT_TUNE_PARTICLES,
-        bounds=AT_LEAST_2),
+    BANDWIDTH_GRID,
+    N_PARTICLES,
+    ESS_FRAC,
+    TUNE_PARTICLES,
     Opt("grid-size", int, default=100, bounds=AT_LEAST_2),
     Opt("grid-max", float, bounds=POSITIVE,
         help="grid upper end in input units (default 1.5x max time)"),
@@ -130,8 +142,7 @@ SUBCOMMANDS = {
     ],
     "fit": FIT_CORE_OPTS,
     "posterior": FIT_CORE_OPTS + [
-        Opt("n-extra", int, default=resampling.DEFAULT_N_EXTRA,
-            bounds=NONNEGATIVE),
+        N_EXTRA,
         Opt("trace-chains", int, default=DEFAULT_TRACE_CHAINS,
             bounds=NONNEGATIVE,
             help="chains whose full W1 trajectory is written"),
@@ -142,7 +153,7 @@ SUBCOMMANDS = {
             help="covariate vector (comma list); repeatable"),
         Opt("rho-x", float, bounds=IN_HALF_OPEN_UNIT,
             help="fixed covariate-kernel correlation"),
-        Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT),
+        RHO_X_GRID,
         Opt("test-split", float, bounds=IN_OPEN_UNIT,
             help="held-out fraction; censored test records score log survival mass"),
         Opt("n-extra", int, bounds=NONNEGATIVE,
@@ -152,19 +163,16 @@ SUBCOMMANDS = {
         Opt("a0", float, bounds=POSITIVE,
             help="prior shape; tuned by marginal likelihood if omitted"),
         Opt("b0", float, default=1.0, bounds=POSITIVE),
-        Opt("n-particles", int, default=DEFAULT_N_PARTICLES,
-            bounds=AT_LEAST_2),
-        Opt("n-extra", int, default=resampling.DEFAULT_N_EXTRA,
-            bounds=NONNEGATIVE),
-        Opt("ess-frac", float, default=DEFAULT_ESS_FRAC, bounds=IN_CLOSED_UNIT),
+        N_PARTICLES,
+        N_EXTRA,
+        ESS_FRAC,
     ],
     "tune": INPUT_OPTS + [
-        Opt("family", str, default="clayton", bounds=COPULA_FAMILY),
-        Opt("bandwidth-grid", _comma_floats),
-        Opt("rho-x-grid", _comma_floats, bounds=IN_HALF_OPEN_UNIT),
+        FAMILY,
+        BANDWIDTH_GRID,
+        RHO_X_GRID,
         Opt("covariate-cols", _comma_names, default=()),
-        Opt("tune-particles", int, default=tune.DEFAULT_TUNE_PARTICLES,
-            bounds=AT_LEAST_2),
+        TUNE_PARTICLES,
     ],
 }
 
@@ -372,22 +380,22 @@ def _point_predictive(ensemble, grid, x_target=None):
 
 def _write_predictive(path, grid, density, survival, scale):
     """A point predictive on the grid, in input units."""
-    dataio.write_rows(
+    dataio.write_table(
         path,
         ["time", "density", "cdf", "survival"],
-        zip(grid.points / scale, density * scale, 1.0 - survival, survival),
+        [grid.points / scale, density * scale, 1.0 - survival, survival],
     )
 
 
 def _write_diagnostics(outdir, ensemble):
     """`diagnostics.csv`: one row per record of an SMC pass, 1-based,
     with its ESS, unique ancestries and whether it resampled."""
-    fired = set(ensemble.resample_steps)
-    dataio.write_rows(
+    steps = np.arange(len(ensemble.ess_trace))
+    dataio.write_table(
         outdir / "diagnostics.csv",
         ["step", "ess", "unique_particles", "resampled"],
-        [(i + 1, float(ess), int(unique), i in fired) for i, (ess, unique)
-         in enumerate(zip(ensemble.ess_trace, ensemble.unique_trace))],
+        [steps + 1, ensemble.ess_trace, ensemble.unique_trace,
+         np.isin(steps, ensemble.resample_steps)],
     )
 
 
@@ -401,41 +409,36 @@ def _write_posterior_summaries(outdir, draws, scale, prefix=""):
             ("survival", draws.survival_draws),
             ("density", draws.density_draws * scale)):
         q = weighted_quantiles(values, w, [0.025, 0.975])
-        dataio.write_rows(outdir / f"{prefix}{name}_summary.csv",
-                          ["time", "mean", "q2.5", "q97.5"],
-                          zip(grid_orig, weighted_mean(values, w), q[0], q[1]))
-    dataio.write_rows(
+        dataio.write_table(outdir / f"{prefix}{name}_summary.csv",
+                           ["time", "mean", "q2.5", "q97.5"],
+                           [grid_orig, weighted_mean(values, w), *q])
+    dataio.write_table(
         outdir / f"{prefix}medians.csv",
         ["median", "weight", "censored"],
-        zip(draws.medians / scale, w, draws.censored),
+        [draws.medians / scale, w, draws.censored],
     )
-    # one (chain, step, w1) line per value, formatted as `_format_cell`
-    # formats the tuple
-    trace = (draws.w1_trace / scale).tolist()
-    dataio.write_rows(outdir / f"{prefix}w1_trace.csv",
-                      ["chain", "step", "w1"],
-                      (f"{j},{t},{w!r}" for j, row in enumerate(trace)
-                       for t, w in enumerate(row)))
-    # each draw's weight, then its CDF 1 - S, built once
-    cdf = np.empty((draws.n_draws, grid_orig.size + 1))
-    cdf[:, 0] = w
-    np.subtract(1.0, draws.survival_draws, out=cdf[:, 1:])
-    dataio.write_matrix(outdir / f"{prefix}cdf_draws.csv",
-                        ["weight"] + [repr(float(t)) for t in grid_orig], cdf)
+    # one (chain, step, w1) row per value
+    chain, step = np.indices(draws.w1_trace.shape)
+    dataio.write_table(outdir / f"{prefix}w1_trace.csv",
+                       ["chain", "step", "w1"],
+                       [chain.ravel(), step.ravel(),
+                        (draws.w1_trace / scale).ravel()])
+    # each draw's weight, then its CDF 1 - S
+    dataio.write_table(outdir / f"{prefix}cdf_draws.csv",
+                       ["weight"] + [repr(float(t)) for t in grid_orig],
+                       [w, 1.0 - draws.survival_draws])
 
 
 def _write_doob_tables(outdir, result):
     """A conjugate Doob run's weighted limiting posterior means, the
     exact posterior's quantiles, and its SMC diagnostics."""
-    dataio.write_matrix(outdir / "doob_samples.csv", ["theta_bar", "weight"],
-                        np.column_stack([result.theta_bar,
-                                         result.ensemble.weights]))
+    dataio.write_table(outdir / "doob_samples.csv", ["theta_bar", "weight"],
+                       [result.theta_bar, result.ensemble.weights])
     qs = np.linspace(0.005, 0.995, 199)
-    dataio.write_matrix(
+    dataio.write_table(
         outdir / "doob_exact_quantiles.csv",
         ["q", "theta"],
-        np.column_stack([qs, parametric.ig_posterior_quantile(
-            result.posterior, qs)]),
+        [qs, parametric.ig_posterior_quantile(result.posterior, qs)],
     )
     _write_diagnostics(outdir, result.ensemble)
 
@@ -454,8 +457,8 @@ def cmd_simulate(cfg, outdir):
     data = dataio.simulate_censored_exponential(
         cfg["n"], cfg["rate_y"], cfg["rate_c"], cfg["seed"]
     )
-    dataio.write_rows(outdir / cfg["out_name"], ["time", "status"],
-                      zip(data.times, data.status))
+    dataio.write_table(outdir / cfg["out_name"], ["time", "status"],
+                       [data.times, data.status])
     _write_meta(outdir, "simulate", cfg, {
         "censoring_fraction": data.censoring_fraction,
     })
@@ -553,9 +556,9 @@ def cmd_regress(cfg, outdir):
         scaled_test = dataio.standardize(test, like=train)
         heldout = resampling.heldout_mean_log_lik(ensemble, scaled_test)
         extra["heldout_mean_log_lik"] = heldout
-        dataio.write_rows(outdir / "heldout.csv",
-                          ["n_test", "mean_log_lik"],
-                          [(scaled_test.n, heldout)])
+        dataio.write_table(outdir / "heldout.csv",
+                           ["n_test", "mean_log_lik"],
+                           [[scaled_test.n], [heldout]])
         print(f"held-out mean log-likelihood: {heldout!r}")
     _write_diagnostics(outdir, ensemble)
     _write_meta(outdir, "regress", cfg, extra)
@@ -590,11 +593,12 @@ def cmd_doob(cfg, outdir):
 def cmd_tune(cfg, outdir):
     data = _prepared_dataset(cfg, cfg["covariate_cols"])
     _, _, result = _select_family(cfg, data, tune_by_default=True)
-    dataio.write_rows(
+    bandwidth, rho_x, score, final_ess = zip(*result.table)
+    dataio.write_table(
         outdir / "tune_table.csv",
         ["bandwidth", "rho_x", "score", "final_ess"],
-        [(c.bandwidth, "" if c.rho_x is None else c.rho_x, c.score, c.final_ess)
-         for c in result.table],
+        [bandwidth, ["" if r is None else repr(r) for r in rho_x], score,
+         final_ess],
     )
     _write_meta(outdir, "tune", cfg, {
         "best_bandwidth": result.bandwidth,

@@ -9,9 +9,9 @@ units (a time divides by `scale_factor`, a density multiplies by it);
 `standardize(data, like=train)` puts held-out records or covariate
 targets on a training split's scale without estimating anything.
 
-Outputs are CSVs with shortest-roundtrip float reprs: `write_rows` writes
-rows given cell by cell, and `write_matrix` a float matrix, formatted in
-row shards on every CPU (`shards.run_shards`) with the same bytes.
+Outputs are CSVs with shortest-roundtrip float reprs, written by one
+writer, `write_table`, from the table's columns; it formats the rows in
+row shards on every CPU (`shards.run_shards`).
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ __all__ = [
     "take",
     "permute",
     "simulate_censored_exponential",
-    "write_rows",
-    "write_matrix",
+    "write_table",
 ]
 
-# Bytes a value takes in a `write_matrix` row slot: the longest float repr
-# has 24 characters ("-2.2250738585072014e-308"), and a comma, or the CR
-# of the row's CRLF, follows each value; the LF is the slot's last byte.
+# Bytes a value takes in a `write_table` row slot: the longest float repr
+# has 24 characters ("-2.2250738585072014e-308"), an int64 at most 20, and
+# a comma, or the CR of the row's CRLF, follows each value; the LF is the
+# slot's last byte.
 VALUE_SLOT_BYTES = 25
-# Fewest values a `write_matrix` shard formats.  On a 2-vCPU Xeon VM a
+# Fewest values a `write_table` shard formats.  On a 2-vCPU Xeon VM a
 # value's repr took about 0.5 us, and forking a process of the benchmark
 # `posterior` call's size (about 100 MiB) took 2.6-2.9 ms, the time of
 # about 6000 reprs: a smaller shard saves less than its fork costs.
@@ -219,37 +219,24 @@ def simulate_censored_exponential(n, rate_y=1.0, rate_c=2.0, seed=0) -> Survival
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _cells(column):
+    """An iterator over the text of each row of `column`: a float's
+    repr, another value's str (a bool is viewed as its 1 or 0), and a
+    2-D column's row of values joined by commas."""
+    text = repr if column.dtype.kind == "f" else str
+    if column.ndim == 1:
+        return map(text, column.tolist())
+    return (",".join(map(text, row)) for row in column.tolist())
 
 
-def write_rows(path, header, rows) -> None:
-    """Write a CSV with deterministic shortest-roundtrip float formatting.
-
-    A row that is a str is one line already formatted, written as it is;
-    any other row is formatted cell by cell (`write_matrix` writes a
-    float matrix with the same bytes).
-    """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            if isinstance(row, str):
-                handle.write(row + "\r\n")
-            else:
-                writer.writerow([_format_cell(v) for v in row])
-
-
-def write_matrix(path, header, matrix) -> None:
-    """Write a float64 matrix (rows, cols) as a CSV under `header`, with
-    the bytes `write_rows` gives its rows cell by cell: the joined reprs
-    of each row's values, since no float repr needs quoting.
+def write_table(path, header, columns) -> None:
+    """Write `columns` as a CSV under `header`: a column is a 1-D
+    sequence of one value per row (float, int, bool or str), or a 2-D
+    float array that stands for several adjacent columns.  A float is
+    written as its shortest-roundtrip repr, a bool as 1 or 0 and any
+    other value as its str, which must need no CSV quoting.  Columns of
+    unequal length, or a row longer than its slot (below), raise
+    ValueError.
 
     The rows are formatted in `shards.run_shards` row shards of at least
     MATRIX_SHARD_VALUES values, one shard per CPU: a shard writes each of
@@ -259,20 +246,27 @@ def write_matrix(path, header, matrix) -> None:
     and the rows, in order.  A failed shard raises CopsurvError naming
     the file's rows it held, before the file is opened.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n_rows, n_cols = matrix.shape
-    width = VALUE_SLOT_BYTES * n_cols + 1
+    columns = [c.view(np.uint8) if c.dtype == bool else c
+               for c in map(np.asarray, columns)]
+    n_rows = len(columns[0])
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("the columns of a table differ in length")
+    n_values = sum(math.prod(c.shape[1:]) for c in columns)
+    width = VALUE_SLOT_BYTES * n_values + 1
 
     def fill(shard, out):
         slots, counts = memoryview(out["slots"]).cast("B"), out["counts"]
-        for i, row in enumerate(matrix[shard].tolist(), start=shard.start):
-            line = (",".join(map(repr, row)) + "\r\n").encode()
+        rows = zip(*(_cells(c[shard]) for c in columns))
+        for i, row in enumerate(rows, start=shard.start):
+            line = (",".join(row) + "\r\n").encode()
+            if len(line) > width:
+                raise ValueError(f"row {i} does not fit its {width}-byte slot")
             slots[i * width:i * width + len(line)] = line
             counts[i] = len(line)
 
     # the slots are float64 words (what run_shards maps), used as bytes
     out = shards.run_shards(
-        n_rows, max(1, MATRIX_SHARD_VALUES // n_cols),
+        n_rows, max(1, MATRIX_SHARD_VALUES // n_values),
         {"slots": (-(-n_rows * width // 8),), "counts": (n_rows,)}, fill,
         f"{os.path.basename(path)} rows")
     head = io.StringIO()

@@ -64,13 +64,6 @@ class ConjugateModel:
         if not (self.a0 > 0 and self.b0 > 0):
             raise ConfigurationError("hyperparameters must be positive")
 
-    @property
-    def mean(self) -> float:
-        """Mean b0 / (a0 - 1); requires a0 > 1."""
-        if not self.a0 > 1:
-            raise ConfigurationError("mean needs a0 > 1")
-        return self.b0 / (self.a0 - 1.0)
-
 
 def posterior_update(model: ConjugateModel, data: SurvivalDataset) -> ConjugateModel:
     """a_n = a0 + (observed count), b_n = b0 + (sum of all recorded times)."""

@@ -196,7 +196,8 @@ class PosteriorDraws:
 
 
 def weighted_mean(values, weights):
-    """Weighted average along axis 0, normalized by the weight sum.
+    """Weighted average of the rows of a (n, g) array, normalized by the
+    weight sum.
 
     The weight sum is accumulated through the same reduction as the
     numerator (a ones column ride-along), so a column of exact ones
@@ -208,23 +209,20 @@ def weighted_mean(values, weights):
     """
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
-    single = v.ndim == 1
-    vv = v[:, None] if single else v
-    n, g = vv.shape
+    n, g = v.shape
     work = np.empty((min(n, MEAN_CHUNK_ROWS) + 1, g + 1))
     sums = None
     for lo in range(0, n, MEAN_CHUNK_ROWS):
         k = min(MEAN_CHUNK_ROWS, n - lo)
         part = work[1:k + 1]
-        part[:, :g] = vv[lo:lo + k]
+        part[:, :g] = v[lo:lo + k]
         part[:, g] = 1.0
         part *= w[lo:lo + k, None]
         if sums is not None:
             work[0] = sums
             part = work[:k + 1]
         sums = part.sum(axis=0)
-    out = sums[:-1] / sums[-1]
-    return float(out[0]) if single else out
+    return sums[:-1] / sums[-1]
 
 
 def weighted_quantiles(values, weights, qs):

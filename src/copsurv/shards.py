@@ -2,7 +2,7 @@
 
 The start rows and forward pass (`resampling`), doob's forward chains
 (`parametric`), the tuning grid's cells (`tune`) and the formatting of a
-float table's rows (`dataio.write_matrix`) are loops whose items read
+CSV table's rows (`dataio.write_table`) are loops whose items read
 nothing from one another.  `run_shards` splits such a loop into one
 contiguous shard of items per CPU the process may use, runs the first
 shard in the calling process and each other one in a forked child, and

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,20 @@ def make_dataset(times, status, covariates=None):
         status=np.asarray(status, dtype=int),
         covariates=covariates,
     )
+
+
+def write_cells(path, header, rows):
+    """The per-cell CSV reference for `dataio.write_table`: each row
+    through `csv.writer`, a bool as 1 or 0, a float as the repr of its
+    float64 value and any other value as its str."""
+    def text(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([text(v) for v in row] for row in rows)

@@ -167,9 +167,8 @@ def test_heldout_matches_per_record_evaluation(case):
     for i in range(data.n):
         x = data.covariates[i] if rho_x is not None else None
         out = _run_rows(ens, [data.times[i]], x)
-        dens, surv = out["dens"][:, 0], out["surv"][:, 0]
-        mass = dens if data.status[i] == 1 else surv
-        total += np.log(weighted_mean(mass, ens.weights))
+        mass = out["dens"] if data.status[i] == 1 else out["surv"]
+        total += np.log(weighted_mean(mass, ens.weights)[0])
     assert heldout_mean_log_lik(ens, data) == float(total / data.n)
 
 

@@ -18,7 +18,7 @@ from copsurv.cli import (
     main,
 )
 from copsurv.copulas import DEFAULT_RHO_GRID, ClaytonFamily
-from copsurv.dataio import load_csv, write_rows
+from copsurv.dataio import load_csv
 from copsurv.errors import DegeneracyError
 from copsurv.parametric import (
     ConjugateModel,
@@ -27,6 +27,8 @@ from copsurv.parametric import (
     ig_posterior_quantile,
 )
 from copsurv.tune import DEFAULT_TUNE_PARTICLES
+
+from conftest import write_cells
 
 
 def run(*args):
@@ -92,7 +94,7 @@ class TestFit:
     def test_fully_observed_diagnostics(self, tmp_path):
         data = cs.simulate_censored_exponential(20, 1.0, 1e-9, seed=2)
         path = tmp_path / "obs.csv"
-        write_rows(path, ["time", "status"], zip(data.times, data.status))
+        write_cells(path, ["time", "status"], zip(data.times, data.status))
         out = tmp_path / "fit"
         assert run("fit", "--seed", 1, "--input", path, "--bandwidth", 1.0,
                    "--n-particles", 64, "--output-dir", out) == 0
@@ -168,7 +170,8 @@ class TestPosterior:
 
     def test_failed_writer_shard_exits_1_with_one_json_line(
             self, mild_csv, tmp_path, monkeypatch, capsys):
-        # a value's repr fails only in the forked shard of cdf_draws.csv
+        # a value's repr fails only in a forked shard, first in that of
+        # survival_summary.csv, the first table written
         parent = os.getpid()
 
         def fails_in_workers(value):
@@ -187,9 +190,9 @@ class TestPosterior:
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "error": "error",
-            "message": "the worker for cdf_draws.csv rows 32:64 exited with "
-                       "status 1: RuntimeError: repr failure in a worker"}
-        assert not (out / "cdf_draws.csv").exists()
+            "message": "the worker for survival_summary.csv rows 15:30 exited "
+                       "with status 1: RuntimeError: repr failure in a worker"}
+        assert not (out / "survival_summary.csv").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -279,10 +282,10 @@ class TestPosterior:
                                         trace_chains=3)
         scale = 1.7
         _write_posterior_summaries(tmp_path, draws, scale)
-        write_rows(tmp_path / "tuples.csv", ["chain", "step", "w1"],
-                   [(j, t, value / scale)
-                    for j, trajectory in enumerate(draws.w1_trace)
-                    for t, value in enumerate(trajectory)])
+        write_cells(tmp_path / "tuples.csv", ["chain", "step", "w1"],
+                    [(j, t, value / scale)
+                     for j, trajectory in enumerate(draws.w1_trace)
+                     for t, value in enumerate(trajectory)])
         written = (tmp_path / "w1_trace.csv").read_bytes()
         assert written.count(b"\r\n") == 1 + 3 * 41
         assert written == (tmp_path / "tuples.csv").read_bytes()
@@ -324,8 +327,8 @@ def reg_csv(tmp_path):
     y = np.exp(0.3 * (x - 2.0)) * rng.exponential(1.0, n)
     c = rng.exponential(2.0, n)
     path = tmp_path / "reg.csv"
-    write_rows(path, ["time", "status", "thick"],
-               zip(np.minimum(y, c), (y < c).astype(int), x))
+    write_cells(path, ["time", "status", "thick"],
+                zip(np.minimum(y, c), (y < c).astype(int), x))
     return path
 
 
@@ -392,8 +395,8 @@ class TestRegress:
         byte."""
         data = cs.simulate_censored_exponential(40, 1.0, 0.5, seed=9)
         path = tmp_path / "const.csv"
-        write_rows(path, ["time", "status", "z"],
-                   zip(data.times, data.status, np.full(data.n, 3.7)))
+        write_cells(path, ["time", "status", "z"],
+                    zip(data.times, data.status, np.full(data.n, 3.7)))
         out_cond = tmp_path / "cond"
         assert run("regress", "--seed", 2, "--input", path,
                    "--covariate-cols", "z", "--family", "clayton",
@@ -439,7 +442,7 @@ class TestDoob:
                 list(zip(qs, ig_posterior_quantile(result.posterior, qs)))),
         }
         for name, (header, rows) in tuples.items():
-            write_rows(tmp_path / "tuples.csv", header, rows)
+            write_cells(tmp_path / "tuples.csv", header, rows)
             written = (tmp_path / name).read_bytes()
             assert written.count(b"\r\n") == 1 + len(rows)
             assert written == (tmp_path / "tuples.csv").read_bytes(), name
@@ -718,7 +721,7 @@ class TestConfigAndErrors:
         # the conjugate pipeline works on raw times, so an absurd
         # censoring time kills every particle's weight
         path = tmp_path / "bad.csv"
-        write_rows(path, ["time", "status"], [(0.5, 1), (1e14, 0)])
+        write_cells(path, ["time", "status"], [(0.5, 1), (1e14, 0)])
         code = run("doob", "--seed", 1, "--input", path, "--a0", 1.0,
                    "--n-particles", 16, "--n-extra", 10,
                    "--output-dir", tmp_path / "o")
@@ -740,7 +743,7 @@ class TestConfigAndErrors:
         # the copula pipeline rescales times first, which keeps the same
         # record set well-conditioned
         path = tmp_path / "bad.csv"
-        write_rows(path, ["time", "status"], [(0.5, 1), (1e14, 0)])
+        write_cells(path, ["time", "status"], [(0.5, 1), (1e14, 0)])
         code = run("fit", "--seed", 1, "--input", path, "--bandwidth", 1.0,
                    "--n-particles", 16, "--output-dir", tmp_path / "o")
         assert code == 0
@@ -805,7 +808,7 @@ class TestUnitRoundTrip:
         for name, times in (("raw", raw.times),
                             ("scaled", raw.times * theta_hat)):
             path = tmp_path / f"{name}.csv"
-            write_rows(path, ["time", "status"], zip(times, raw.status))
+            write_cells(path, ["time", "status"], zip(times, raw.status))
             out = tmp_path / f"out_{name}"
             assert run("fit", "--seed", 2, "--input", path,
                        "--bandwidth", 1.0, "--n-particles", 32,

@@ -10,12 +10,11 @@ from copsurv.dataio import (
     simulate_censored_exponential,
     standardize,
     take,
-    write_matrix,
-    write_rows,
+    write_table,
 )
 from copsurv.errors import ConfigurationError, DataError
 
-from conftest import make_dataset
+from conftest import make_dataset, write_cells
 
 
 def write_csv(path, text):
@@ -85,9 +84,9 @@ class TestLoadCsv:
         rng = np.random.default_rng(0)
         arms = np.array([1] * 158 + [2] * 154)
         path = tmp_path / "trial.csv"
-        write_rows(path, ["time", "status", "trt"],
-                   zip(rng.exponential(1000.0, 312),
-                       rng.integers(0, 2, 312), arms))
+        write_table(path, ["time", "status", "trt"],
+                    [rng.exponential(1000.0, 312), rng.integers(0, 2, 312),
+                     arms])
         data = load_csv(path, covariate_cols=["trt"])
         assert data.n == 312
         assert int((data.covariates[:, 0] == 1).sum()) == 158
@@ -198,7 +197,7 @@ class TestSimulate:
     def test_round_trips_through_csv(self, tmp_path):
         data = simulate_censored_exponential(15, seed=2)
         path = tmp_path / "sim.csv"
-        write_rows(path, ["time", "status"], zip(data.times, data.status))
+        write_table(path, ["time", "status"], [data.times, data.status])
         loaded = load_csv(path)
         assert np.array_equal(loaded.times, data.times)
         assert np.array_equal(loaded.status, data.status)
@@ -210,7 +209,7 @@ class TestSimulate:
             simulate_censored_exponential(5, rate_y=-1.0)
 
 
-class TestWriteRows:
+class TestWriteTable:
     SPECIALS = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, np.inf, -np.inf, np.nan]
 
     def matrix(self):
@@ -219,59 +218,6 @@ class TestWriteRows:
             -300, 300, size=(5, len(self.SPECIALS)))
         m[0] = self.SPECIALS
         return m
-
-    def test_float_matrix_matches_per_cell_path(self, tmp_path):
-        """A float64 matrix (fast path) writes the same bytes as its rows
-        given cell by cell, as numpy scalars or as Python floats."""
-        m = self.matrix()
-        header = ["w"] + [f"c{j}" for j in range(m.shape[1] - 1)]
-        variants = {"matrix": m, "rows": iter(list(m)),
-                    "np_cells": [tuple(r) for r in m], "floats": m.tolist()}
-        written = {}
-        for name, rows in variants.items():
-            write_rows(tmp_path / f"{name}.csv", header, rows)
-            written[name] = (tmp_path / f"{name}.csv").read_bytes()
-        assert len(set(written.values())) == 1
-        first = written["matrix"].split(b"\r\n")[1]
-        assert first == b"-0.0,5e-324,1e+300,0.1,3.0,-2.0,inf,-inf,nan"
-
-    def test_float_matrix_round_trips(self, tmp_path):
-        m = self.matrix()
-        write_rows(tmp_path / "m.csv", [str(j) for j in range(m.shape[1])], m)
-        back = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(back, m, equal_nan=True)
-        assert np.signbit(back[0, 0])
-
-    def test_line_terminator_is_crlf(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_rows(path, ["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
-        write_rows(tmp_path / "u.csv", ["a", "b"], [(1, 2.5)])
-        assert path.read_bytes() == b"a,b\r\n1.0,2.0\r\n3.0,4.0\r\n"
-        assert (tmp_path / "u.csv").read_bytes() == b"a,b\r\n1,2.5\r\n"
-
-    def test_mixed_rows_go_through_format_cell(self, tmp_path, monkeypatch):
-        cells = []
-        format_cell = dataio._format_cell
-
-        def counted(value):
-            cells.append(value)
-            return format_cell(value)
-
-        monkeypatch.setattr(dataio, "_format_cell", counted)
-        path = tmp_path / "mixed.csv"
-        write_rows(path, ["k", "x", "flag"],
-                   [(1, 0.5, True), (np.int64(2), np.float64(1e-7), "s"),
-                    np.array([3, 4, 5])])
-        assert len(cells) == 9
-        assert path.read_bytes() == (b"k,x,flag\r\n1,0.5,1\r\n2,1e-07,s\r\n"
-                                     b"3,4,5\r\n")
-
-
-class TestWriteMatrix:
-    @staticmethod
-    def per_cell(tmp_path, header, m):
-        write_rows(tmp_path / "cells.csv", header, [tuple(r) for r in m])
-        return (tmp_path / "cells.csv").read_bytes()
 
     @staticmethod
     def longest_reprs():
@@ -282,42 +228,110 @@ class TestWriteMatrix:
                          for v in values.tolist()]]
         return values[:24].reshape(4, 6)
 
+    @staticmethod
+    def mixed():
+        """7 rows of an int, a float, a bool, a str and a 2-D float
+        column; the ints and floats include ones of the longest text."""
+        ints = np.arange(7) * 10**17
+        ints[0] = np.iinfo(np.int64).min
+        floats = np.random.default_rng(4).normal(size=7) * 1e-300
+        flags = np.array([True, False, False, True, True, False, True])
+        names = ["", "a", "0.3", "x_y", "", "-1e-07", "nan"]
+        block = 1.0 - np.random.default_rng(6).random((7, 3)).astype(
+            np.float32)
+        return [ints, floats, flags, names, block]
+
+    def case(self, name):
+        """(header, columns, rows) of a test table: `columns` as
+        `write_table` takes them, `rows` as the per-cell reference."""
+        columns = {
+            "specials": lambda: [self.matrix()],
+            "one_row": lambda: [np.array([self.SPECIALS])],
+            "seven_rows": lambda: [1.0 - np.random.default_rng(3).random(
+                (7, 150)).astype(np.float32)],
+            "longest_reprs": lambda: [self.longest_reprs()],
+            "ints": lambda: self.mixed()[:1],
+            "bools": lambda: self.mixed()[2:3],
+            "strs": lambda: [self.mixed()[3], self.mixed()[3]],
+            "mixed": self.mixed,
+        }[name]()
+        rows = [sum((list(c[i]) if np.ndim(c) == 2 else [c[i]]
+                     for c in columns), []) for i in range(len(columns[0]))]
+        header = ["weight"] + [repr(0.5 * j) for j in range(len(rows[0]) - 1)]
+        return header, columns, rows
+
     @pytest.mark.parametrize("n_shards", [1, 2, 3])
-    @pytest.mark.parametrize("case", ["specials", "one_row", "seven_rows",
-                                      "longest_reprs"])
-    def test_bytes_match_the_per_cell_path(self, tmp_path, monkeypatch,
-                                           n_shards, case):
-        """At 1, 2 and 3 row shards, the bytes of `write_rows` given the
-        rows cell by cell: TestWriteRows' matrix with its specials row (5
+    @pytest.mark.parametrize("name", ["specials", "one_row", "seven_rows",
+                                      "longest_reprs", "ints", "bools",
+                                      "strs", "mixed"])
+    def test_bytes_match_the_per_cell_reference(self, tmp_path, monkeypatch,
+                                                n_shards, name):
+        """At 1, 2 and 3 row shards, the bytes of `csv.writer` given the
+        rows cell by cell: a float matrix with a row of specials (5
         rows, which 2 and 3 shards do not divide), one row, 7 rows of
-        float32-rounded CDF values, and rows that fill their slots."""
-        m = {"specials": TestWriteRows().matrix(),
-             "one_row": np.array([TestWriteRows.SPECIALS]),
-             "seven_rows": 1.0 - np.random.default_rng(3).random(
-                 (7, 150)).astype(np.float32),
-             "longest_reprs": self.longest_reprs()}[case]
+        float32-rounded CDF values, rows that fill their slots, and int,
+        bool, str and mixed 1-D and 2-D columns."""
+        header, columns, rows = self.case(name)
         monkeypatch.setattr(shards, "_worker_count",
                             lambda n_items, min_items: n_shards)
-        header = ["weight"] + [repr(0.5 * j) for j in range(m.shape[1] - 1)]
-        write_matrix(tmp_path / "m.csv", header, m)
-        assert (tmp_path / "m.csv").read_bytes() == self.per_cell(
-            tmp_path, header, m)
+        write_table(tmp_path / "t.csv", header, columns)
+        write_cells(tmp_path / "cells.csv", header, rows)
+        assert ((tmp_path / "t.csv").read_bytes()
+                == (tmp_path / "cells.csv").read_bytes())
+
+    def test_a_block_and_its_columns_write_the_same_bytes(self, tmp_path):
+        """A float matrix given as one 2-D column, as split blocks, as
+        1-D columns or as lists of Python floats."""
+        m = self.matrix()
+        header = ["w"] + [f"c{j}" for j in range(m.shape[1] - 1)]
+        variants = {"block": [m], "blocks": [m[:, :1], m[:, 1:]],
+                    "columns": list(m.T), "floats": m.T.tolist()}
+        written = {}
+        for name, columns in variants.items():
+            write_table(tmp_path / f"{name}.csv", header, columns)
+            written[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert len(set(written.values())) == 1
+        first = written["block"].split(b"\r\n")[1]
+        assert first == b"-0.0,5e-324,1e+300,0.1,3.0,-2.0,inf,-inf,nan"
+
+    def test_float_matrix_round_trips(self, tmp_path):
+        m = self.matrix()
+        write_table(tmp_path / "m.csv", [str(j) for j in range(m.shape[1])],
+                    [m])
+        back = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(back, m, equal_nan=True)
+        assert np.signbit(back[0, 0])
+
+    def test_line_terminator_is_crlf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [np.array([[1.0, 2.0], [3.0, 4.0]])])
+        write_table(tmp_path / "u.csv", ["a", "b"], [[1], [2.5]])
+        assert path.read_bytes() == b"a,b\r\n1.0,2.0\r\n3.0,4.0\r\n"
+        assert (tmp_path / "u.csv").read_bytes() == b"a,b\r\n1,2.5\r\n"
 
     def test_sharded_at_the_process_cpu_count(self, tmp_path):
         """A table large enough to shard on every CPU of the process."""
         m = np.random.default_rng(5).normal(size=(401, 31)) * 1e-3
         header = [f"c{j}" for j in range(31)]
-        write_matrix(tmp_path / "m.csv", header, m)
-        assert (tmp_path / "m.csv").read_bytes() == self.per_cell(
-            tmp_path, header, m)
+        write_table(tmp_path / "m.csv", header, [m[:, 0], m[:, 1:]])
+        write_cells(tmp_path / "cells.csv", header, m.tolist())
+        assert ((tmp_path / "m.csv").read_bytes()
+                == (tmp_path / "cells.csv").read_bytes())
 
-    def test_no_cell_goes_through_format_cell(self, tmp_path, monkeypatch):
-        cells = []
-        monkeypatch.setattr(dataio, "_format_cell", cells.append)
-        path = tmp_path / "m.csv"
-        write_matrix(path, ["a", "b"], np.ones((4, 2)))
-        assert cells == []
-        assert path.read_bytes() == b"a,b\r\n" + b"1.0,1.0\r\n" * 4
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["chain", "step", "w1"],
+                    [np.arange(0), np.arange(0), np.empty(0)])
+        assert path.read_bytes() == b"chain,step,w1\r\n"
+
+    def test_a_row_longer_than_its_slot_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="row 1 does not fit its 26-byte"):
+            write_table(tmp_path / "t.csv", ["name"], [["a", "b" * 25]])
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestDatasetValidation:

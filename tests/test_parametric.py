@@ -198,7 +198,9 @@ class TestDoobDemo:
         result = doob_demo(model, uncensored_exp50, n_particles=32, n_extra=0,
                            seed=2)
         posterior = posterior_update(model, uncensored_exp50)
-        assert_allclose(result.theta_bar, posterior.mean, rtol=1e-12)
+        # the posterior mean b_n / (a_n - 1)
+        assert_allclose(result.theta_bar, posterior.b0 / (posterior.a0 - 1.0),
+                        rtol=1e-12)
         assert_allclose(result.ensemble.weights, 1.0 / 32, rtol=1e-12)
 
     def test_trajectories_converge(self, censored_exp50):
