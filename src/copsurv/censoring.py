@@ -28,17 +28,21 @@ the engine absorbed, and resampling re-indexes that state and the
 ancestry, nothing else.  The copula engine is a
 `predictive.RunningPredictive` whose points are the records still to
 come, at their own times: besides that history it carries the running
-predictive (density, survival) of every pending record (one row each)
-under every particle (one column each).  The next record is row 0, so
-evaluating it reads that row, and absorbing it steps to the contiguous
-slab of the rows after it and updates them, in blocks of whole records,
-with the weight that the running predictive computes once per record
-from its count and the records' covariates; resampling gathers the
-columns.  The recursion costs one kernel evaluation per
-(pending record, particle, absorbed record), not a kernel call per pair
-of records.  All randomness comes from counter-based streams keyed by
-(seed, stream, record index), so a pass is a pure function of (data,
-particle count, seed) and reruns bit-identically.
+predictive survival of every pending record (one row each) under every
+particle (one column each), and the density only of the pending
+observed records, the only ones whose density the pass reads.  Its
+rows are the observed records in record order, then the censored ones
+in reverse, so the next record is the first row or the last: evaluating
+it reads that row, and absorbing it steps to the contiguous slab of the
+other rows and updates them, in blocks of whole records, with the
+weight that the running predictive computes once per record from its
+count and the records' covariates; resampling gathers the columns.  The
+recursion costs one survival-kernel evaluation per (pending record,
+particle, absorbed record), and the density's share of it only at the
+pending observed records, not a kernel call per pair of records.  All
+randomness comes from counter-based streams keyed by (seed, stream,
+record index), so a pass is a pure function of (data, particle count,
+seed) and reruns bit-identically.
 """
 
 from __future__ import annotations
@@ -162,15 +166,17 @@ def run_smc_loop(engine, data: SurvivalDataset, n_particles: int,
 
     The engine contract, with every array of shape (B,): eval_at(t) ->
     (density, survival), the predictive at the next record's time t given
-    the records absorbed so far; absorb_record(t, v, observed) takes that
-    record, at time t, with each particle's propagation value v in CDF
-    space: P(t) = 1 - S(t) when `observed`, else its draw above P(c) =
-    1 - S(c); select(idx) re-indexes the particle state by ancestor
-    indices.  A particle whose survival at a censoring time is at most
-    CLAMP_EPS is dead: its weight is zero.  Records are visited in order,
-    each evaluated once and then absorbed, so an engine counts them
-    itself, and may return the predictive of the records to come as a
-    view: the loop only reads what eval_at returns.
+    the records absorbed so far (the density may be None when the record
+    is censored: the loop reads it only for an observed one);
+    absorb_record(t, v, observed) takes that record, at time t, with
+    each particle's propagation value v in CDF space: P(t) = 1 - S(t)
+    when `observed`, else its draw above P(c) = 1 - S(c); select(idx)
+    re-indexes the particle state by ancestor indices.  A particle whose
+    survival at a censoring time is at most CLAMP_EPS is dead: its weight
+    is zero.  Records are visited in order, each evaluated once and then
+    absorbed, so an engine counts them itself, and may return the
+    predictive of the records to come as a view: the loop only reads
+    what eval_at returns.
 
     One particle is enough when no record is censored (the pass is then
     deterministic); imputing a censored record needs at least two.
@@ -246,27 +252,43 @@ class _CopulaEngine(RunningPredictive):
     predictive whose points are the records still to come, at their own
     times and covariate rows.
 
-    The next record is row 0: evaluating it reads that row, and absorbing
-    it steps to the contiguous slab of the rows after it (a view, so
-    nothing is copied) and updates them: one sweep over the pending
-    records per record, not a re-propagation of every record through the
-    whole absorbed history.
+    The pass reads a record's density only if it is observed (`status`
+    1), so only those points carry one: the points are the observed
+    records in record order, then the censored records in reverse record
+    order, and the leading rows, one per pending observed record, carry
+    the density.  The next record is then row 0 when observed and the
+    last row when censored: evaluating it reads that row (no density for
+    a censored record), and absorbing it steps to the contiguous slab of
+    the other rows (a view, so nothing is copied) and updates them: one
+    sweep over the pending records per record, not a re-propagation of
+    every record through the whole absorbed history.
     """
 
-    def __init__(self, family, rho_x, covariates, times, n_particles):
-        super().__init__(family, times, n_particles, rho_x, covariates)
+    def __init__(self, family, rho_x, covariates, times, status,
+                 n_particles):
+        observed = np.flatnonzero(status == 1)
+        order = np.concatenate([observed, np.flatnonzero(status == 0)[::-1]])
+        super().__init__(family, times[order], n_particles, rho_x,
+                         None if covariates is None else covariates[order],
+                         n_density=observed.size)
+        self.status = status
         self.v = np.empty((len(times), n_particles))
 
     def eval_at(self, t):
-        # t is the next record's time, whose running predictive is row 0
-        return self.dens[0], self.surv[0]
+        # t is the next record's time: row 0 if observed, else the last
+        if self.status[self.n_absorbed] == 1:
+            return self.dens[0], self.surv[0]
+        return None, self.surv[-1]
 
     def absorb_record(self, t, v, observed):
         self.v[self.n_absorbed] = v
-        self.dens, self.surv = self.dens[1:], self.surv[1:]
+        row, rest = (0, slice(1, None)) if observed else (-1, slice(-1))
+        self.surv = self.surv[rest]
+        if observed:
+            self.dens = self.dens[rest]
         x = self.x_points
         if x is not None:
-            x, self.x_points = x[0], x[1:]
+            x, self.x_points = x[row], x[rest]
         self.absorb(v, x)
 
     def select(self, idx):
@@ -292,7 +314,7 @@ def impute_smc(data: SurvivalDataset, family: CopulaFamily,
     if rho_x is not None and data.covariates is None:
         raise ConfigurationError("rho_x given but the dataset has no covariates")
     engine = _CopulaEngine(family, rho_x, data.covariates, data.times,
-                           n_particles)
+                           data.status, n_particles)
     result = run_smc_loop(engine, data, n_particles, ess_frac, seed)
     return ParticleEnsemble(family=family, rho_x=rho_x,
                             covariates=data.covariates, v_matrix=engine.v,

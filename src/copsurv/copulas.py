@@ -19,7 +19,11 @@ maps each `kind` name to its class.  `lomax` evaluates the Clayton
 family's Lomax(a, 1) base and also the conjugate model's Lomax(a_n, b_n)
 predictive (`parametric`).  `joint` looks its kernel up in this module's
 globals at each call, so a wrapper put there (perfbench's tracer) sees
-every kernel call.
+every kernel call, with (s, v, parameter) as its positional arguments.
+A call can leave the density out (`density=False`, for points whose
+density nothing reads) and take the terms of v from the family's
+`row_terms` (`terms=`, computed once for many blocks of s under one v);
+either way 1 - I keeps its bits.
 
 Numerics: the Clayton kernel is evaluated in log space on S.  Its u-space
 form needs (1 - u)^(-1/a), which overflows for small bandwidths as
@@ -129,11 +133,20 @@ class ClaytonFamily:
         return (np.float32 if self.bandwidth > CLAYTON_FLOAT32_MIN_BANDWIDTH
                 else np.float64)
 
-    def joint(self, s, v, out=None):
+    def joint(self, s, v, out=None, density=True, terms=None):
         """(density, 1 - partial) of the kernel at survival s, for the
         update recursion, in the `KernelScratch` set `out` (a new one
-        when None)."""
-        return clayton_density_and_partial(s, v, self.bandwidth, out=out)
+        when None); the density is None when not `density`.  `terms` are
+        v's `row_terms`, computed here when None."""
+        return clayton_density_and_partial(s, v, self.bandwidth, out=out,
+                                           density=density, terms=terms)
+
+    def row_terms(self, v, out):
+        """The kernel's terms of v (`_clayton_row_terms`), in the `small`
+        arrays of the `KernelScratch` set `out` and the dtype of its block
+        arrays: one computation serves every block of a record."""
+        return _clayton_row_terms(v, float(self.bandwidth),
+                                  out.block[0].dtype, *out.small)
 
     def base_at(self, y):
         """(pdf, survival) of the base measure at times y."""
@@ -159,11 +172,19 @@ class GaussianFamily:
         if not 0.0 < self.bandwidth < 1.0:
             raise ConfigurationError(f"rho must lie in (0, 1), got {self.bandwidth}")
 
-    def joint(self, s, v, out=None):
+    def joint(self, s, v, out=None, density=True, terms=None):
         """(density, 1 - partial) of the kernel at survival s, for the
         update recursion, in the `KernelScratch` set `out` (a new one
-        when None)."""
-        return gaussian_density_and_partial(s, v, self.bandwidth, out=out)
+        when None); the density is None when not `density`.  `terms` are
+        v's `row_terms`, computed here when None."""
+        return gaussian_density_and_partial(s, v, self.bandwidth, out=out,
+                                            density=density, terms=terms)
+
+    def row_terms(self, v, out):
+        """The kernel's term of v, -Phi^-1 of v clamped, in the first of
+        the `small` arrays of the `KernelScratch` set `out`: one
+        computation serves every block of a record."""
+        return _gaussian_row_terms(v, out.small[0])
 
     def base_at(self, y):
         """(pdf, survival) of the base measure at times y >= 0, log-normal
@@ -279,6 +300,13 @@ def _check_rho(rho: float):
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
 
 
+def _gaussian_row_terms(v, zn):
+    """The Gaussian kernel's term of v, zn = -Phi^-1(v) with v clamped to
+    [CLAMP_EPS, 1 - CLAMP_EPS], computed in the float64 array zn."""
+    ndtri(_clamp(v, zn), out=zn)
+    return np.negative(zn, out=zn)
+
+
 def _clayton_row_terms(v, a: float, dtype, q, one_minus_q, factor):
     """The Clayton kernel's terms of v at v's shape, in `dtype`: q =
     (1 - v)^(1/a) (v clipped to [0, 1 - CLAMP_EPS]), 1 - q and the
@@ -322,7 +350,8 @@ def _clayton_row_terms(v, a: float, dtype, q, one_minus_q, factor):
                         for term in (q, one_minus_q, factor))
 
 
-def clayton_density_and_partial(s, v, a: float, out=None):
+def clayton_density_and_partial(s, v, a: float, out=None, density=True,
+                                terms=None):
     """(d_a, 1 - I_a) at survival s = 1 - u and propagation value v.
 
     With L = log(max(s, CLAMP_EPS)) / a, q = (1 - v)^(1/a) (v clipped to
@@ -352,14 +381,23 @@ def clayton_density_and_partial(s, v, a: float, out=None):
     CPU), not by its transcendentals, so it makes few calls and runs
     every step in place in that set.  The two results are its first two
     block arrays.
+
+    Called with `density` false, it computes 1 - I_a alone, in the same
+    bits, and returns None for the density: points whose density
+    nothing reads skip the density's four passes.  `terms` are v's terms as
+    `_clayton_row_terms` returns them for this bandwidth and the set's
+    dtype (`ClaytonFamily.row_terms`), so that a caller with many blocks
+    of s under one v computes them once; when None they are computed
+    here, in the set's `small` arrays.
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
     a = float(a)
     out = _scratch_for(s, v, out)
-    density, tail, log_r = out.block
-    shift, (q, one_minus_q, factor) = _clayton_row_terms(
-        v, a, density.dtype, *out.small)
+    dens, tail, log_r = out.block
+    if terms is None:
+        terms = _clayton_row_terms(v, a, dens.dtype, *out.small)
+    shift, (q, one_minus_q, factor) = terms
     np.maximum(s, CLAMP_EPS, out=log_r)
     np.log(log_r, out=log_r)
     log_r /= a
@@ -371,10 +409,13 @@ def clayton_density_and_partial(s, v, a: float, out=None):
     tail *= one_minus_q
     tail += q
     np.log(tail, out=tail)
-    np.multiply(tail, a + 2.0, out=density)
-    np.subtract(log_r, density, out=density)
-    np.exp(density, out=density)
-    density *= factor
+    if density:
+        np.multiply(tail, a + 2.0, out=dens)
+        np.subtract(log_r, dens, out=dens)
+        np.exp(dens, out=dens)
+        dens *= factor
+    else:
+        dens = None
     # log t >= L, so the exponent is <= 0 and 1 - I_a in [0, 1].
     np.subtract(log_r, tail, out=tail)
     tail *= a + 1.0
@@ -384,10 +425,11 @@ def clayton_density_and_partial(s, v, a: float, out=None):
         np.copyto(tail, 0.0, where=out.mask)
     else:
         _pin_ends(tail, s, out.mask)
-    return density, tail
+    return dens, tail
 
 
-def gaussian_density_and_partial(s, v, rho: float, out=None):
+def gaussian_density_and_partial(s, v, rho: float, out=None, density=True,
+                                 terms=None):
     """(c_rho, 1 - H_rho) at survival s = 1 - u and propagation value v,
     from one pair of normal scores.
 
@@ -400,23 +442,27 @@ def gaussian_density_and_partial(s, v, rho: float, out=None):
     independence copula (density exactly 1).  Probabilities are clamped
     to [CLAMP_EPS, 1 - CLAMP_EPS], and 1 - H_rho is pinned to 0 at s <= 0
     and to 1 at s >= 1.  Runs in place in a `KernelScratch` set like
-    `clayton_density_and_partial`.
+    `clayton_density_and_partial`, and takes its `density` and `terms`
+    (here zn, `GaussianFamily.row_terms`) the same way: without the
+    density it skips the log-density and its exp.
     """
     _check_rho(rho)
     out = _scratch_for(s, v, out)
-    density, tail, zs = out.block
-    zn, work = out.small[:2]
+    dens, tail, zs = out.block
+    work = out.small[1]
+    zn = _gaussian_row_terms(v, out.small[0]) if terms is None else terms
     ndtri(_clamp(s, zs), out=zs)
-    ndtri(_clamp(v, zn), out=zn)
-    np.negative(zn, out=zn)
-    _gaussian_log_density_z(zs, zn, rho, density, (work, tail))
-    np.exp(density, out=density)
+    if density:
+        _gaussian_log_density_z(zs, zn, rho, dens, (work, tail))
+        np.exp(dens, out=dens)
+    else:
+        dens = None
     np.multiply(zn, rho, out=work)
     np.subtract(zs, work, out=tail)
     tail /= np.sqrt(1.0 - rho * rho)
     ndtr(tail, out=tail)
     _pin_ends(tail, s, out.mask)
-    return density, tail
+    return dens, tail
 
 
 # ---------------------------------------------------------------------------

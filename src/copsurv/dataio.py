@@ -42,10 +42,13 @@ __all__ = [
 # a comma, or the CR of the row's CRLF, follows each value; the LF is the
 # slot's last byte.
 VALUE_SLOT_BYTES = 25
-# Fewest values a `write_table` shard formats.  On a 2-vCPU Xeon VM a
-# value's repr took about 0.5 us, and forking a process of the benchmark
-# `posterior` call's size (about 100 MiB) took 2.6-2.9 ms, the time of
-# about 6000 reprs: a smaller shard saves less than its fork costs.
+# Fewest float values a `write_table` shard formats.  On a 2-vCPU Xeon
+# VM a float's repr took about 0.5 us, and forking a process of the
+# benchmark `posterior` call's size (about 100 MiB) took 2.6-2.9 ms, the
+# time of about 6000 reprs: a smaller shard saves less than its fork
+# costs.  An int or str value (about 0.1 us) is not counted: the
+# `w1_trace.csv` of that call, 4020 floats beside two int columns, took
+# 3.7-5.6 ms in one process and 9-11 ms in two.
 MATRIX_SHARD_VALUES = 6000
 
 
@@ -239,20 +242,23 @@ def write_table(path, header, columns) -> None:
     ValueError.
 
     The rows are formatted in `shards.run_shards` row shards of at least
-    MATRIX_SHARD_VALUES values, one shard per CPU: a shard writes each of
-    its rows into the row's fixed-width slot of VALUE_SLOT_BYTES bytes
-    per value plus one, in one shared mapping, and its byte count into
-    another.  This process then writes the header (through `csv.writer`)
-    and the rows, in order.  A failed shard raises CopsurvError naming
-    the file's rows it held, before the file is opened.
+    MATRIX_SHARD_VALUES float values, one shard per CPU: a shard writes
+    each of its rows into the row's fixed-width slot of VALUE_SLOT_BYTES
+    bytes per value plus one, in one shared mapping, and its byte count
+    into another.  This process then writes the header (through
+    `csv.writer`) and the rows, in order.  A failed shard raises
+    CopsurvError naming the file's rows it held, before the file is
+    opened.
     """
     columns = [c.view(np.uint8) if c.dtype == bool else c
                for c in map(np.asarray, columns)]
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError("the columns of a table differ in length")
-    n_values = sum(math.prod(c.shape[1:]) for c in columns)
-    width = VALUE_SLOT_BYTES * n_values + 1
+    row_values = [math.prod(c.shape[1:]) for c in columns]
+    width = VALUE_SLOT_BYTES * sum(row_values) + 1
+    row_floats = sum(k for k, c in zip(row_values, columns)
+                     if c.dtype.kind == "f")
 
     def fill(shard, out):
         slots, counts = memoryview(out["slots"]).cast("B"), out["counts"]
@@ -266,7 +272,7 @@ def write_table(path, header, columns) -> None:
 
     # the slots are float64 words (what run_shards maps), used as bytes
     out = shards.run_shards(
-        n_rows, max(1, MATRIX_SHARD_VALUES // n_values),
+        n_rows, max(1, MATRIX_SHARD_VALUES // max(1, row_floats)),
         {"slots": (-(-n_rows * width // 8),), "counts": (n_rows,)}, fill,
         f"{os.path.basename(path)} rows")
     head = io.StringIO()

@@ -134,14 +134,16 @@ def ig_posterior_quantile(posterior: ConjugateModel, q):
 
 def _absorb_lomax_draw(a, b, u):
     """Absorb the Lomax(a, b) inverse-CDF draw y = b((1-u)^(-1/a) - 1) at
-    uniforms u into the per-particle state, in place: a += 1, b += y."""
-    y = b * np.expm1(-np.log1p(-u) / a)
-    a += 1.0
-    b += y
+    uniforms u into the per-particle b, in place (b += y), and return the
+    count a + 1 that every particle shares."""
+    b += b * np.expm1(-np.log1p(-u) / a)
+    return a + 1.0
 
 
 class _ConjugateEngine:
-    """Per-particle (a, b) state under the Lomax posterior predictive.
+    """Lomax posterior predictive state: the shape a, which every record
+    raises by 1 in every particle and so is one float, and the
+    per-particle scale b.
 
     `eval_at` returns the Lomax (pdf, survival).  Censored absorption
     inverts the drawn v through the particle's own current predictive
@@ -149,7 +151,7 @@ class _ConjugateEngine:
     """
 
     def __init__(self, model: ConjugateModel, n_particles: int):
-        self.a = np.full(n_particles, float(model.a0))
+        self.a = float(model.a0)
         self.b = np.full(n_particles, float(model.b0))
 
     def eval_at(self, t):
@@ -160,10 +162,9 @@ class _ConjugateEngine:
             self.a += 1.0
             self.b += t
         else:
-            _absorb_lomax_draw(self.a, self.b, v)
+            self.a = _absorb_lomax_draw(self.a, self.b, v)
 
     def select(self, idx):
-        self.a = self.a[idx]
         self.b = self.b[idx]
 
 
@@ -171,13 +172,14 @@ class _ConjugateEngine:
 class ConjugateEnsemble(SmcPass):
     """Weighted conjugate-posterior particles after the imputation pass.
 
-    Particle j's posterior is IG(a[j], b[j]): `a` counts a0 plus every
-    record, and `b` sums b0, the observed times and the particle's own
-    imputed times for the censored records, which are kept nowhere else.
+    Particle j's posterior is IG(a, b[j]): `a`, a0 plus the number of
+    records, is the same for every particle, and `b` sums b0, the
+    observed times and the particle's own imputed times for the censored
+    records, which are kept nowhere else.
     """
 
     model: ConjugateModel
-    a: np.ndarray  # (B,)
+    a: float
     b: np.ndarray  # (B,)
 
 
@@ -226,12 +228,11 @@ def doob_demo(model: ConjugateModel, data: SurvivalDataset, n_particles: int,
     ensemble = conjugate_smc(model, data, n_particles, ess_frac, seed)
 
     def run(chains, out):
-        a = ensemble.a[chains].copy()
-        b = ensemble.b[chains].copy()
+        a, b = ensemble.a, ensemble.b[chains].copy()
         for step in range(n_extra):
-            u = rng.uniforms(seed, rng.STREAM_FORWARD, step, a.size,
+            u = rng.uniforms(seed, rng.STREAM_FORWARD, step, b.size,
                              chains.start)
-            _absorb_lomax_draw(a, b, u)
+            a = _absorb_lomax_draw(a, b, u)
         out["theta_bar"][chains] = b / (a - 1.0)
 
     out = shards.run_shards(n_particles, DOOB_SHARD_CHAINS,

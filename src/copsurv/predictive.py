@@ -25,9 +25,16 @@ arrays of its own: float64, or the dtype `round_to` gives them (the
 float32 forward pass of the Clayton family, `resampling`), which the
 update and the kernel then compute in.
 The SMC pass (also the prequential score of fully observed data, see
-`censoring`) runs one over the records still to come; the start rows,
-held-out scoring and forward predictive resampling, with synthetic
-records drawn in CDF space, run one over their own points.
+`censoring`) runs one over the records still to come, with a density
+only at the observed ones (`n_density`): the rest take the kernel's
+survival-only call.  The start rows, held-out scoring and forward
+predictive resampling, with synthetic records drawn in CDF space, run
+one over their own points, every one with a density.
+
+A record's propagation value enters the kernel through terms of v alone
+(the Clayton kernel's q, 1 - q and factor, the Gaussian kernel's normal
+score), which `absorb` computes once per record, from the family's
+`row_terms`, and hands to the kernel call of every block.
 
 Every absorption runs in blocks of whole points, `BLOCK_ELEMS // B`
 points (at least one) of at most `BLOCK_ELEMS` elements each, so a
@@ -63,9 +70,12 @@ BLOCK_ELEMS = 32768
 
 class RunningPredictive:
     """The running predictive at points `times` under `n_particles`
-    particles (or chains): density and survival in C-contiguous
-    (points, n_particles) arrays `dens` and `surv` that it allocates,
-    set here to the base measure at times[k] in row k.
+    particles (or chains): survival in a C-contiguous (points,
+    n_particles) array `surv`, and density in a (n_density, n_particles)
+    array `dens` for the leading `n_density` points (every point when
+    None), both allocated here and set to the base measure at times[k] in
+    row k.  A point past `n_density` carries no density: absorbing a
+    record computes none there.
     The k-th record it absorbs has weight `alpha_schedule(k)`, modulated
     when `rho_x` is set by `alpha_regression` between the points'
     covariates `x_points` (None, one shared vector, or one row per point)
@@ -78,11 +88,12 @@ class RunningPredictive:
     """
 
     def __init__(self, family, times, n_particles, rho_x=None,
-                 x_points=None):
-        self.joint = family.joint
+                 x_points=None, n_density=None):
+        self.joint, self.row_terms = family.joint, family.row_terms
         pdf, surv = family.base_at(times)
-        shape = (np.size(times), n_particles)
-        self.dens, self.surv = np.empty(shape), np.empty(shape)
+        pdf = pdf[:n_density]
+        self.dens = np.empty((pdf.size, n_particles))
+        self.surv = np.empty((surv.size, n_particles))
         self.dens[:], self.surv[:] = pdf[:, None], surv[:, None]
         self.rho_x, self.x_points = rho_x, x_points
         self.n_absorbed = 0
@@ -109,7 +120,10 @@ class RunningPredictive:
         vector, or one row per particle, (B, d), for one weight per
         particle), into every point, in the recursion's bits: its steps
         only commute the products and sums of the formula, in the rows'
-        dtype (`_weights`)."""
+        dtype (`_weights`).  The kernel's terms of v are computed once,
+        for every block; the points without a density take the kernel's
+        survival-only call, and their update skips the density's three
+        passes."""
         self.n_absorbed += 1
         alpha = alpha_schedule(self.n_absorbed)
         per_point = False
@@ -122,18 +136,23 @@ class RunningPredictive:
                 alpha, per_point = alpha[:, None], True
         alpha, keep = _weights(alpha, self.surv.dtype)
         v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[None, :]
-        for lo in range(0, self.surv.shape[0], self.block):
-            blk = slice(lo, lo + self.block)
-            a, c = (alpha[blk], keep[blk]) if per_point else (alpha, keep)
-            dens, surv = self.dens[blk], self.surv[blk]
-            d, tail = self.joint(surv, v, out=self.scratch.view(
-                surv.shape, v.shape))
-            d *= a
-            d += c
-            dens *= d
-            tail *= a
-            surv *= c
-            surv += tail
+        terms = self.row_terms(v, self.scratch.view(v.shape, v.shape))
+        n_density, n_points = self.dens.shape[0], self.surv.shape[0]
+        for density, start, stop in ((True, 0, n_density),
+                                     (False, n_density, n_points)):
+            for lo in range(start, stop, self.block):
+                blk = slice(lo, min(lo + self.block, stop))
+                a, c = (alpha[blk], keep[blk]) if per_point else (alpha, keep)
+                surv = self.surv[blk]
+                d, tail = self.joint(surv, v, out=self.scratch.view(
+                    surv.shape, v.shape), density=density, terms=terms)
+                if density:
+                    d *= a
+                    d += c
+                    self.dens[blk] *= d
+                tail *= a
+                surv *= c
+                surv += tail
 
 
 def _weights(alpha, dtype):

@@ -197,22 +197,24 @@ def test_running_state_matches_repropagation(case):
 
 
 def test_smc_pass_calls_the_kernel_once_per_record(monkeypatch):
-    """When n * B fits one block, absorbing a record is one kernel call
-    over all pending records; re-propagating each record through the
-    absorbed history would take n(n-1)/2 calls."""
+    """When n * B fits one block, absorbing a record is at most one kernel
+    call with a density, over its pending observed records, and one
+    without, over its pending censored ones; re-propagating each record
+    through the absorbed history would take n(n-1)/2 calls."""
     data = cs.permute(cs.simulate_censored_exponential(20, 1.0, 2.0, seed=3),
                       3)
     assert data.n * 8 <= predictive.BLOCK_ELEMS
-    calls = []
+    calls = {True: [], False: []}
     kernel = copulas.clayton_density_and_partial
 
     def counted(u, v, a, **kwargs):
-        calls.append(np.size(u))
+        calls[kwargs.get("density", True)].append(np.size(u))
         return kernel(u, v, a, **kwargs)
 
     monkeypatch.setattr(copulas, "clayton_density_and_partial", counted)
     impute_smc(data, ClaytonFamily(0.9), n_particles=8, seed=1)
-    assert len(calls) <= data.n
+    assert len(calls[True]) <= data.n
+    assert len(calls[False]) <= data.n
 
 
 def pin_one_worker(monkeypatch):
@@ -261,7 +263,8 @@ def test_smc_engine_absorbs_a_record_without_a_block_array(family):
     points = 64
     b = 4 * predictive.BLOCK_ELEMS // points
     times = np.geomspace(0.01, 8.0, points)
-    engine = censoring._CopulaEngine(family, None, None, times, b)
+    engine = censoring._CopulaEngine(family, None, None, times,
+                                     np.ones(points, dtype=int), b)
     v = np.random.default_rng(3).uniform(0.01, 0.99, b)
     for t in times[:2]:
         engine.absorb_record(t, v, True)
@@ -285,9 +288,9 @@ def test_smc_pass_hands_the_kernel_contiguous_survival_blocks(case,
     contiguous = []
 
     def checking(kernel):
-        def wrapper(s, v, param, out=None):
+        def wrapper(s, v, param, **kwargs):
             contiguous.append(s.flags.c_contiguous)
-            return kernel(s, v, param, out=out)
+            return kernel(s, v, param, **kwargs)
         return wrapper
 
     for name in ("clayton_density_and_partial",
@@ -316,11 +319,11 @@ def test_every_absorbed_element_passes_the_kernel_seam(case, monkeypatch,
     seen = {"calls": 0, "elems": 0}
 
     def counting(kernel):
-        def wrapper(s, v, param, out=None):
+        def wrapper(s, v, param, **kwargs):
             seen["calls"] += 1
             seen["elems"] += np.prod(np.broadcast_shapes(np.shape(s),
                                                          np.shape(v)))
-            return kernel(s, v, param, out=out)
+            return kernel(s, v, param, **kwargs)
         return wrapper
 
     for name in ("clayton_density_and_partial",
@@ -463,10 +466,10 @@ def test_uniforms_from_an_offset_are_the_slice_of_the_whole_draw(start):
 def reference_doob_forward(ensemble, n_extra, seed):
     """Doob's forward loop over all chains at once, each step drawing the
     whole stream: theta_bar."""
-    a, b = ensemble.a.copy(), ensemble.b.copy()
+    a, b = ensemble.a, ensemble.b.copy()
     for step in range(n_extra):
-        u = rng.uniforms(seed, rng.STREAM_FORWARD, step, a.size)
-        parametric._absorb_lomax_draw(a, b, u)
+        u = rng.uniforms(seed, rng.STREAM_FORWARD, step, b.size)
+        a = parametric._absorb_lomax_draw(a, b, u)
     return b / (a - 1.0)
 
 

@@ -349,19 +349,34 @@ def two_covariate_data(n, seed):
     return cs.permute(cs.standardize(make_dataset(y, s, covariates=x)), seed)
 
 
-@pytest.mark.parametrize("case", ["clayton", "gaussian"])
-def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
-    """A pass that resamples, driven by `run_smc_loop` through the written
-    out engine, gives `impute_smc`'s weights, traces and clipped
-    propagation values bit for bit: Clayton without covariates, and
-    Gaussian with two covariates and rho_x."""
+def reference_case(case, censored_exp50):
+    """(data, family, rho_x) of a pass checked against ReferenceEngine."""
     if case == "clayton":
-        data, family, rho_x = censored_exp50, ClaytonFamily(1.0), None
-    else:
-        data, family, rho_x = two_covariate_data(30, 4), GaussianFamily(0.5), 0.6
+        return censored_exp50, ClaytonFamily(1.0), None
+    if case == "all_censored":
+        return (make_dataset(censored_exp50.times,
+                             np.zeros(censored_exp50.n, dtype=int)),
+                ClaytonFamily(1.0), None)
+    data = two_covariate_data(30, 4)
+    if case == "all_observed":
+        data = dataclasses.replace(data, status=np.ones(data.n, dtype=int))
+    return data, GaussianFamily(0.5), 0.6
+
+
+@pytest.mark.parametrize("case", ["clayton", "gaussian", "all_censored",
+                                  "all_observed"])
+def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
+    """A pass driven by `run_smc_loop` through the written out engine,
+    which carries a density at every pending record, gives
+    `impute_smc`'s weights, traces and clipped propagation values bit
+    for bit: Clayton without covariates on mixed and on all-censored
+    records, and Gaussian with two covariates and rho_x on mixed and on
+    all-observed records.  Every pass but the all-observed one (whose
+    particles share one history) resamples."""
+    data, family, rho_x = reference_case(case, censored_exp50)
     ens = impute_smc(data, family, rho_x=rho_x, n_particles=64,
                      ess_frac=0.95, seed=5)
-    assert ens.resample_steps
+    assert bool(ens.resample_steps) == (case != "all_observed")
     engine = ReferenceEngine(family, rho_x, data.covariates, data.times, 64)
     ref = run_smc_loop(engine, data, 64, 0.95, 5)
     assert np.array_equal(ref.log_weights, ens.log_weights)
@@ -371,6 +386,33 @@ def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
     assert ref.resample_steps == ens.resample_steps
     assert np.array_equal(
         engine.v, np.clip(ens.v_matrix, CLAMP_EPS, 1.0 - CLAMP_EPS))
+
+
+@pytest.mark.parametrize("case", ["clayton", "gaussian", "all_censored",
+                                  "all_observed"])
+def test_engine_holds_a_density_row_per_pending_observed_record(
+        censored_exp50, case):
+    """Before each record, the engine's running predictive has one
+    survival row per pending record and one density row per pending
+    observed record, and it evaluates no density for a censored one."""
+    data, family, rho_x = reference_case(case, censored_exp50)
+    engine = censoring._CopulaEngine(family, rho_x, data.covariates,
+                                     data.times, data.status, 16)
+    eval_at, seen = engine.eval_at, []
+
+    def checked(t):
+        pending = data.status[engine.n_absorbed:]
+        assert engine.dens.shape == (np.sum(pending == 1), 16)
+        assert engine.surv.shape == (pending.size, 16)
+        dens, surv = eval_at(t)
+        assert (dens is None) == (pending[0] == 0)
+        seen.append(engine.n_absorbed)
+        return dens, surv
+
+    engine.eval_at = checked
+    run_smc_loop(engine, data, 16, 0.5, 3)
+    assert seen == list(range(data.n))
+    assert engine.dens.shape[0] == engine.surv.shape[0] == 0
 
 
 class TestImputedDraws:

@@ -119,6 +119,41 @@ class TestFit:
                                    "message": "every grid cell degenerated"}
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("grid", [None, "0.8,1.2"])
+    def test_kernel_elements_follow_the_formula(self, sim_csv, tmp_path,
+                                                monkeypatch, grid):
+        """Every element a fit absorbs passes the kernel seam, and their
+        count is the pipeline's formula, exact on any host: per SMC pass
+        of B particles over n records, B n(n-1)/2 survival elements and
+        B times the observed records after each record, summed, with a
+        density; per start row on the G grid points, B G n of each.  A
+        tuning grid adds one pass of `--tune-particles` per cell."""
+        monkeypatch.setattr(shards, "_worker_count",
+                            lambda n_items, min_items: 1)
+        seen = {True: 0, False: 0}
+        kernel = copulas.clayton_density_and_partial
+
+        def counted(s, v, a, **kwargs):
+            seen[kwargs.get("density", True)] += np.size(s)
+            return kernel(s, v, a, **kwargs)
+
+        monkeypatch.setattr(copulas, "clayton_density_and_partial", counted)
+        out = tmp_path / "fit"
+        args = ["fit", "--seed", 11, "--input", sim_csv, "--grid-size", 20,
+                "--n-particles", 64, "--tune-particles", 16]
+        args += ["--bandwidth", 1.0] if grid is None else [
+            "--bandwidth-grid", grid]
+        assert run(*args, "--output-dir", out) == 0
+        status = cs.permute(cs.standardize(load_csv(sim_csv)), 11).status
+        n = status.size
+        g = len((out / "predictive.csv").read_text().splitlines()) - 1
+        passes = 64 + (0 if grid is None else 2 * 16)
+        observed_after = int(np.sum(np.arange(n) * status))
+        start_rows = 64 * g * n
+        assert seen[True] + seen[False] == (passes * n * (n - 1) // 2
+                                            + start_rows)
+        assert seen[True] == passes * observed_after + start_rows
+
     def test_rerun_byte_identical(self, sim_csv, tmp_path):
         for name in ("f1", "f2"):
             assert run("fit", "--seed", 11, "--input", sim_csv,

@@ -410,6 +410,44 @@ class TestFloat32Clayton:
         assert GaussianFamily(0.9).forward_dtype == np.float64
 
 
+class TestSurvivalOnlyCalls:
+    """A call without the density, or in blocks of s with v's terms
+    computed once by the family's `row_terms` (as
+    `RunningPredictive.absorb` makes them), gives the bits of the full
+    call's 1 - I, in either dtype: the shifted Clayton rows (a = 0.02)
+    and the pins at s <= 0 and s >= 1 included."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("family", [
+        ClaytonFamily(0.02), ClaytonFamily(0.9), ClaytonFamily(5.0),
+        GaussianFamily(0.1), GaussianFamily(0.9)])
+    def test_tail_bits_of_the_full_call(self, family, dtype):
+        v = np.array(SCRATCH_V)[None, :]
+        s = np.repeat(np.array(SCRATCH_S + [0.3, 0.7])[:, None], v.size,
+                      axis=1).astype(dtype)
+        # float32 under- and overflows at a = 0.02: the bits still agree
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            density, tail = family.joint(s, v)
+            alone = family.joint(s, v, density=False)
+            flat = KernelScratch.flat(s.size, v.size, dtype)
+            terms = family.row_terms(v, flat.view(v.shape, v.shape))
+            for lo in range(0, s.shape[0], 3):
+                rows = s[lo:lo + 3]
+                out = flat.view(rows.shape, v.shape)
+                got = family.joint(rows, v, out=out, density=False,
+                                   terms=terms)
+                assert got[0] is None
+                assert got[1].tobytes() == tail[lo:lo + 3].tobytes()
+                got = family.joint(rows, v, out=out, terms=terms)
+                assert got[0].tobytes() == density[lo:lo + 3].tobytes()
+                assert got[1].tobytes() == tail[lo:lo + 3].tobytes()
+        assert alone[0] is None
+        assert alone[1].dtype == tail.dtype == dtype
+        assert alone[1].tobytes() == tail.tobytes()
+        assert np.all(alone[1][s <= 0.0] == 0.0)
+        assert np.all(alone[1][s >= 1.0] == 1.0)
+
+
 class TestGaussian:
     def test_independence_exact(self):
         s, v = np.meshgrid(np.linspace(0.05, 0.95, 7),

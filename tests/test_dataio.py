@@ -318,6 +318,29 @@ class TestWriteTable:
         assert ((tmp_path / "m.csv").read_bytes()
                 == (tmp_path / "cells.csv").read_bytes())
 
+    def test_only_float_values_count_toward_a_shard(self, tmp_path,
+                                                     monkeypatch):
+        """A W1 trace of 20 chains over 201 steps, 4020 floats beside two
+        int columns, is formatted in this process on two CPUs; a table
+        of as many values, all floats, is formatted in two shards."""
+        worker_count = shards._worker_count
+        counts = []
+
+        def counted(n_items, min_items):
+            counts.append(worker_count(n_items, min_items))
+            return counts[-1]
+
+        monkeypatch.setattr(shards.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        monkeypatch.setattr(shards, "_worker_count", counted)
+        chain, step = np.indices((20, 201))
+        w1 = np.random.default_rng(8).random(chain.size)
+        write_table(tmp_path / "w1.csv", ["chain", "step", "w1"],
+                    [chain.ravel(), step.ravel(), w1])
+        write_table(tmp_path / "f.csv", ["a", "b", "c"],
+                    [w1, w1 + 1.0, w1 + 2.0])
+        assert counts == [1, 2]
+
     def test_no_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["chain", "step", "w1"],
