@@ -15,8 +15,9 @@ underflow otherwise).  The running marginal-likelihood estimate is the sum
 over resampling segments of log-mean unnormalized weight, which reduces to
 a single log-mean when no resampling fires.  With no censored record
 every particle carries the same history, so one particle suffices: its
-estimate is the prequential log-likelihood sum(log p_{i-1}(y_i)), exact,
-and it is how the tuning grid scores fully observed data.
+estimate is the prequential log-likelihood sum(log p_{i-1}(y_i)), without
+Monte Carlo error, and it is how the tuning grid scores fully observed
+data.
 
 The loop computes both propagation values and is generic over a small
 particle-state "engine" (evaluate, absorb a record, select) so that the
@@ -43,6 +44,20 @@ pending observed records, not a kernel call per pair of records.  All
 randomness comes from counter-based streams keyed by (seed, stream,
 record index), so a pass is a pure function of (data, particle count,
 seed) and reruns bit-identically.
+
+The copula engine's rows are in the family's `pass_dtype`: float32 for
+the Clayton family above `copulas.CLAYTON_FLOAT32_MIN_BANDWIDTH`, whose
+kernel and update then run float32 loops at about half the time of
+float64's, and float64 otherwise.  What the loop keeps stays float64:
+it reads float64 copies of the next record's row, and the log weights,
+`log_z`, the ESS, the dead-particle test, the censored draws and
+`v_matrix` are float64.  On the benchmark's `tune_fit` inputs a float32
+pass moves `log_z` by a few 1e-6, and each particle's log weight by
+about 1e-5 and its propagation values by about 1e-6, while its
+resampling picks the same ancestors; a float32 weight can now and then
+move one systematic index across a running sum, and the pass then
+carries another particle of the same weight in that column.  One
+particle scores fully observed data in the same dtype.
 """
 
 from __future__ import annotations
@@ -165,18 +180,19 @@ def run_smc_loop(engine, data: SurvivalDataset, n_particles: int,
     and ESS-triggered systematic resampling.
 
     The engine contract, with every array of shape (B,): eval_at(t) ->
-    (density, survival), the predictive at the next record's time t given
-    the records absorbed so far (the density may be None when the record
-    is censored: the loop reads it only for an observed one);
+    (density, survival), float64 arrays the loop may keep, the
+    predictive at the next record's time t given the records absorbed
+    so far (the density may be None when the record is censored: the
+    loop reads it only for an observed one);
     absorb_record(t, v, observed) takes that record, at time t, with
     each particle's propagation value v in CDF space: P(t) = 1 - S(t)
     when `observed`, else its draw above P(c) = 1 - S(c); select(idx)
     re-indexes the particle state by ancestor indices.  A particle whose
     survival at a censoring time is at most CLAMP_EPS is dead: its weight
     is zero.  Records are visited in order, each evaluated once and then
-    absorbed, so an engine counts them itself, and may return the
-    predictive of the records to come as a view: the loop only reads
-    what eval_at returns.
+    absorbed, so an engine counts them itself.  The copula engine
+    returns float64 copies of its rows, whatever their dtype, so the
+    weights, draws and ESS are computed in float64 loops.
 
     One particle is enough when no record is censored (the pass is then
     deterministic); imputing a censored record needs at least two.
@@ -250,18 +266,18 @@ class _CopulaEngine(RunningPredictive):
     """Vectorized particle state for the copula predictive: per-particle
     propagation values `v`, one row per record as drawn, and the running
     predictive whose points are the records still to come, at their own
-    times and covariate rows.
+    times and covariate rows, in the family's `pass_dtype`.
 
     The pass reads a record's density only if it is observed (`status`
     1), so only those points carry one: the points are the observed
     records in record order, then the censored records in reverse record
     order, and the leading rows, one per pending observed record, carry
     the density.  The next record is then row 0 when observed and the
-    last row when censored: evaluating it reads that row (no density for
-    a censored record), and absorbing it steps to the contiguous slab of
-    the other rows (a view, so nothing is copied) and updates them: one
-    sweep over the pending records per record, not a re-propagation of
-    every record through the whole absorbed history.
+    last row when censored: evaluating it copies that row to float64 (no
+    density for a censored record), and absorbing it steps to the
+    contiguous slab of the other rows (a view, so nothing is copied) and
+    updates them: one sweep over the pending records per record, not a
+    re-propagation of every record through the whole absorbed history.
     """
 
     def __init__(self, family, rho_x, covariates, times, status,
@@ -270,15 +286,16 @@ class _CopulaEngine(RunningPredictive):
         order = np.concatenate([observed, np.flatnonzero(status == 0)[::-1]])
         super().__init__(family, times[order], n_particles, rho_x,
                          None if covariates is None else covariates[order],
-                         n_density=observed.size)
+                         n_density=observed.size, dtype=family.pass_dtype)
         self.status = status
         self.v = np.empty((len(times), n_particles))
 
     def eval_at(self, t):
-        # t is the next record's time: row 0 if observed, else the last
+        # t is the next record's time: row 0 if observed, else the last,
+        # copied to float64 for the loop's weights and draws
         if self.status[self.n_absorbed] == 1:
-            return self.dens[0], self.surv[0]
-        return None, self.surv[-1]
+            return self.dens[0].astype(float), self.surv[0].astype(float)
+        return None, self.surv[-1].astype(float)
 
     def absorb_record(self, t, v, observed):
         self.v[self.n_absorbed] = v

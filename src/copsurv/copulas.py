@@ -81,7 +81,7 @@ CLAYTON_LOG_FLOOR = 600.0
 # The Clayton density's exponent reaches -(a+1) log(CLAMP_EPS) / a, which
 # stays below log of float32's largest value only above this bandwidth
 # (about 0.3505): 87.0 at a = 0.36, 90.7 at 0.34.  `ClaytonFamily` runs
-# its forward pass in float32 only above it.
+# its SMC and forward passes in float32 only above it.
 CLAYTON_FLOAT32_MIN_BANDWIDTH = -math.log(CLAMP_EPS) / (
     math.log(np.finfo(np.float32).max) + math.log(CLAMP_EPS))
 
@@ -110,9 +110,9 @@ class ClaytonFamily:
     Any positive finite bandwidth is accepted; below about 0.038 the
     kernel's S^(1/a) and (1-v)^(1/a) terms can leave float64's range,
     and it shifts the rows that need it (`_clayton_row_terms`).  The
-    forward pass runs in float32 above CLAYTON_FLOAT32_MIN_BANDWIDTH,
-    where no exponent of the kernel leaves float32's range, and in
-    float64 below it (`forward_dtype`).
+    SMC and forward passes run in float32 above
+    CLAYTON_FLOAT32_MIN_BANDWIDTH, where no exponent of the kernel
+    leaves float32's range, and in float64 below it (`pass_dtype`).
     """
 
     bandwidth: float  # a > 0
@@ -128,8 +128,9 @@ class ClaytonFamily:
                 f"bandwidth must be positive and finite, got {self.bandwidth}")
 
     @property
-    def forward_dtype(self):
-        """The dtype of the forward pass's rows (`resampling`)."""
+    def pass_dtype(self):
+        """The dtype of the running predictive's rows in the SMC pass
+        (`censoring`) and in the forward pass (`resampling`)."""
         return (np.float32 if self.bandwidth > CLAYTON_FLOAT32_MIN_BANDWIDTH
                 else np.float64)
 
@@ -166,7 +167,7 @@ class GaussianFamily:
     grid_from_zero = False
     # scipy's ndtri and ndtr compute in double whatever their input, so a
     # float32 state would save the kernel nothing
-    forward_dtype = np.float64
+    pass_dtype = np.float64
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth < 1.0:

@@ -21,15 +21,18 @@ running predictive holds; no other code computes a_j, clamps v_j to
 [CLAMP_EPS, 1 - CLAMP_EPS] or picks the points a record updates.  It
 counts the records it absorbs and knows its points' covariates, and it
 holds one row per point and one column per particle, in C-contiguous
-arrays of its own: float64, or the dtype `round_to` gives them (the
-float32 forward pass of the Clayton family, `resampling`), which the
-update and the kernel then compute in.
+arrays of its own, in the dtype it is built with or the one `round_to`
+gives them, which the update and the kernel then compute in: float64,
+or float32 in the SMC and forward passes of the Clayton family (its
+`pass_dtype`).
 The SMC pass (also the prequential score of fully observed data, see
-`censoring`) runs one over the records still to come, with a density
-only at the observed ones (`n_density`): the rest take the kernel's
-survival-only call.  The start rows, held-out scoring and forward
-predictive resampling, with synthetic records drawn in CDF space, run
-one over their own points, every one with a density.
+`censoring`) runs one over the records still to come, built in its
+dtype, with a density only at the observed ones (`n_density`): the rest
+take the kernel's survival-only call.  The start rows, held-out scoring
+and forward predictive resampling, with synthetic records drawn in CDF
+space, run one over their own points, every one with a density, in
+float64; the forward pass rounds its rows once at its first step
+(`resampling`).
 
 A record's propagation value enters the kernel through terms of v alone
 (the Clayton kernel's q, 1 - q and factor, the Gaussian kernel's normal
@@ -83,17 +86,18 @@ class RunningPredictive:
     most that fit `BLOCK_ELEMS` elements (at least one); the kernel's
     scratch set, the same three block arrays for either family, is sized
     for the largest block an absorption can take.  The rows start in
-    float64; `round_to` moves them to another dtype, and the update and
-    the kernel follow the rows' dtype.
+    `dtype`, each rounded once from the float64 base measure; `round_to`
+    moves them to another dtype, and the update and the kernel follow
+    the rows' dtype.
     """
 
     def __init__(self, family, times, n_particles, rho_x=None,
-                 x_points=None, n_density=None):
+                 x_points=None, n_density=None, dtype=np.float64):
         self.joint, self.row_terms = family.joint, family.row_terms
         pdf, surv = family.base_at(times)
         pdf = pdf[:n_density]
-        self.dens = np.empty((pdf.size, n_particles))
-        self.surv = np.empty((surv.size, n_particles))
+        self.dens = np.empty((pdf.size, n_particles), dtype)
+        self.surv = np.empty((surv.size, n_particles), dtype)
         self.dens[:], self.surv[:] = pdf[:, None], surv[:, None]
         self.rho_x, self.x_points = rho_x, x_points
         self.n_absorbed = 0

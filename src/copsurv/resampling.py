@@ -34,14 +34,14 @@ outputs.  Each shard reads only its own chains' elements of a step's
 uniforms and picks from the counter; the recursion and W1 are chain by
 chain, so the shard count moves no output bit.
 
-The forward pass carries its rows in the family's `forward_dtype`,
-rounded once from the start rows at its first step: float32 for the
-Clayton family (above `copulas.CLAYTON_FLOAT32_MIN_BANDWIDTH`), float64
-for the Gaussian one, whose kernel gains nothing from float32.  The
-start rows, the chains' weights and the W1 sums stay float64, and a
-pass of no step returns the start rows themselves.  A float32 survival
-draw lies within about 1e-5 of the float64 recursion's on the same
-uniforms.
+The forward pass carries its rows in the family's `pass_dtype`, as the
+SMC pass does (`censoring`), rounded once from the start rows at its
+first step: float32 for the Clayton family (above
+`copulas.CLAYTON_FLOAT32_MIN_BANDWIDTH`), float64 for the Gaussian one,
+whose kernel gains nothing from float32.  The start rows, held-out
+scoring, the chains' weights and the W1 sums stay float64, and a pass
+of no step returns the start rows themselves.  A float32 survival draw
+lies within about 1e-5 of the float64 recursion's on the same uniforms.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def _forward(ensemble: ParticleEnsemble, running, rows, points, n_extra,
     (`absorb` clamps it), and each step draws only the elements of
     `rows`; with covariates, the step-t record of chain j carries the
     covariates of its step-t bootstrap pick, whatever the shard or block
-    size.  The first step rounds the rows to the family's forward dtype;
+    size.  The first step rounds the rows to the family's `pass_dtype`;
     each W1 is summed in float64, from those rows less the float64
     `start`.
     """
@@ -278,7 +278,7 @@ def _forward(ensemble: ParticleEnsemble, running, rows, points, n_extra,
     if ensemble.rho_x is not None:
         cumulative = _pick_weights(x.shape[0], ensemble.n_particles, seed)
     if n_extra:
-        running.round_to(ensemble.family.forward_dtype)
+        running.round_to(ensemble.family.pass_dtype)
     for t in range(n_extra):
         picked = None
         if ensemble.rho_x is not None:

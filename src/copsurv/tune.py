@@ -2,10 +2,12 @@
 
 The score of a cell is the imputation sampler's marginal-likelihood
 estimate of the data under that cell's kernel.  When nothing is censored
-the sampler runs one particle, and the score is the exact prequential
-log-likelihood (deterministic).  All cells share one seed (common random
-numbers), which strips most of the Monte Carlo noise out of the argmax
-comparison.  Ties break toward the smallest bandwidth.
+the sampler runs one particle, and the score is the prequential
+log-likelihood, without Monte Carlo error (deterministic), computed in
+the pass's dtype as any other score is: float32 for a Clayton cell above
+the float32 bound (`censoring`).  All cells share one seed (common
+random numbers), which strips most of the Monte Carlo noise out of the
+argmax comparison.  Ties break toward the smallest bandwidth.
 
 The cells are independent, so they are scored in contiguous shards of
 cells, one per CPU the process may use (`shards.run_shards`): each shard
@@ -79,7 +81,8 @@ def grid_search(data: SurvivalDataset, family_kind: str, bandwidths,
         if data.covariates is None:
             raise ConfigurationError("rho_x grid given but the dataset has "
                                      "no covariates")
-    # fully observed data is scored exactly by one particle
+    # fully observed data is scored by one particle, without Monte Carlo
+    # error
     n_particles = n_particles if np.any(data.status == 0) else 1
     cells = [(bandwidth, make_family(family_kind, bandwidth), rho_x)
              for bandwidth in sorted(bandwidths) for rho_x in rho_x_grid]

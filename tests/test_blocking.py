@@ -172,21 +172,38 @@ def test_heldout_matches_per_record_evaluation(case):
     assert heldout_mean_log_lik(ens, data) == float(total / data.n)
 
 
-def test_running_state_matches_repropagation(case):
+@pytest.mark.parametrize("kind", ["clayton", "clayton_float64",
+                                  "gaussian"])
+def test_running_state_matches_repropagation(kind, censored_exp50):
     """Without resampling, each particle's log weight is the sum over
     records of its predictive score at the record, given the records
-    before it; re-propagating each record through that prefix reproduces
-    the running-state pass bit for bit."""
-    data, family, rho_x, _, _ = case
+    before it; re-propagating each record through that prefix, in the
+    dtype of the pass's rows, reproduces the running-state pass bit for
+    bit.  The Clayton pass runs in float32 at a = 1.0 and in float64 at
+    a = 0.35, below the float32 bound, as the Gaussian one with a
+    covariate does; a float64 prefix runs through the start rows."""
+    data, family, rho_x = censored_exp50, ClaytonFamily(1.0), None
+    if kind == "clayton_float64":
+        family = ClaytonFamily(0.35)
+    elif kind == "gaussian":
+        data, family, rho_x = covariate_data(30, 4), GaussianFamily(0.5), 0.6
     ens = impute_smc(data, family, rho_x=rho_x, n_particles=64,
                      ess_frac=0.0, seed=5)
-    log_w = np.zeros(ens.n_particles)
+    b = ens.n_particles
+    log_w = np.zeros(b)
     for i in range(data.n):
         head = cs.ParticleEnsemble(**{**vars(ens),
                                       "v_matrix": ens.v_matrix[:i]})
         x = data.covariates[i] if rho_x is not None else None
-        out = _run_rows(head, [data.times[i]], x)
-        dens, surv = out["dens"][:, 0], out["surv"][:, 0]
+        if family.pass_dtype == np.float64:
+            out = _run_rows(head, [data.times[i]], x)
+            dens, surv = out["dens"][:, 0], out["surv"][:, 0]
+        else:
+            running = predictive.RunningPredictive(
+                family, [data.times[i]], b, rho_x, x, dtype=family.pass_dtype)
+            resampling._start_rows(head, running, slice(0, b))
+            dens, surv = (running.dens[0].astype(float),
+                          running.surv[0].astype(float))
         with np.errstate(divide="ignore"):
             if data.status[i] == 1:
                 log_w += np.log(dens)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import copsurv as cs
-from copsurv import censoring
+from copsurv import censoring, copulas, rng
 from copsurv.censoring import (
     ess_from_log_weights,
     impute_smc,
@@ -23,12 +23,15 @@ from copsurv.copulas import (
     lomax,
 )
 from copsurv.errors import ConfigurationError, DegeneracyError
+from copsurv.parametric import ConjugateModel, conjugate_smc
 from copsurv.resampling import (
     GridSpec,
     _run_rows,
+    default_grid,
     ensemble_grid_rows,
     weighted_mean,
 )
+from copsurv.tune import grid_search
 
 from conftest import make_dataset
 
@@ -181,12 +184,37 @@ class TestFullyObservedCollapse:
         _assert_collapses_to_prequential(data, family, rho_x=0.6)
 
 
+# Clayton bandwidths whose SMC pass runs in float64 (below
+# CLAYTON_FLOAT32_MIN_BANDWIDTH, about 0.3505) and in float32.
+PASS_DTYPE_BANDWIDTHS = pytest.mark.parametrize(
+    "a", [0.35, 1.0], ids=["float64", "float32"])
+
+
+def in_pass_dtype(family, value):
+    """`value` rounded to the dtype of the family's SMC pass rows, as a
+    float: the pass starts every row from the float64 base measure
+    rounded so."""
+    return float(np.asarray(value).astype(family.pass_dtype))
+
+
+def pass_dtype_weights(alpha, dtype):
+    """The weight alpha and kept weight c = 1 - alpha of an update in
+    `dtype`, as the running predictive takes them: in float32, c is
+    rounded and alpha is 1 - c, so the two sum to exactly 1."""
+    keep = (1.0 - np.asarray(alpha)).astype(dtype)
+    return (alpha if dtype == np.float64 else 1 - keep), keep
+
+
 class TestSingleCensoredRecord:
-    def test_common_weight_and_support(self):
+    @PASS_DTYPE_BANDWIDTHS
+    def test_common_weight_and_support(self, a):
+        """Every particle's weight is S(c), the base survival at c held
+        in the pass's dtype, and every draw lies above 1 - S(c)."""
         c = 0.8
         data = make_dataset([c], [0])
-        ensemble = impute_smc(data, FAMILY, n_particles=256, seed=5)
-        s0c = float(lomax(c, 1.0, 1.0)[1])
+        family = ClaytonFamily(a)
+        ensemble = impute_smc(data, family, n_particles=256, seed=5)
+        s0c = in_pass_dtype(family, lomax(c, a, 1.0)[1])
         assert_allclose(ensemble.log_z, np.log(s0c), rtol=1e-12)
         assert ensemble.final_ess == 256.0
         assert np.all(ensemble.v_matrix[0] > 1.0 - s0c)
@@ -249,19 +277,24 @@ class TestQuadratureOracle:
         z_mean = np.mean([np.exp(e.log_z) for e in passes])
         assert_allclose(z_mean, z_exact, rtol=0.05)
 
-    def test_observed_then_censored_is_deterministic(self):
+    @PASS_DTYPE_BANDWIDTHS
+    def test_observed_then_censored_is_deterministic(self, a):
         """With the censored record last, the estimate is exact: Z =
-        p_0(y1) S_1(c)."""
-        a = 1.0
+        p_0(y1) S_1(c), each row held in the pass's dtype and S_1(c)
+        updated in it."""
         y1, c = 0.9, 1.3
         data = make_dataset([y1, c], [1, 0])
-        ensemble = impute_smc(data, FAMILY, n_particles=128, seed=2)
+        family = ClaytonFamily(a)
+        dtype = family.pass_dtype
+        ensemble = impute_smc(data, family, n_particles=128, seed=2)
         pdf1, s1 = lomax(y1, a, 1.0)
-        s0c = float(lomax(c, a, 1.0)[1])
-        alpha1 = float(alpha_schedule(1))
-        _, tail = clayton_density_and_partial(s0c, 1.0 - float(s1), a)
-        s1c = (1 - alpha1) * s0c + alpha1 * tail
-        expected = np.log(pdf1) + np.log(s1c)
+        s0c = np.asarray(lomax(c, a, 1.0)[1]).astype(dtype)
+        alpha1, keep1 = pass_dtype_weights(float(alpha_schedule(1)), dtype)
+        _, tail = clayton_density_and_partial(
+            s0c, 1.0 - in_pass_dtype(family, s1), a)
+        s1c = keep1 * s0c + alpha1 * tail
+        expected = (np.log(in_pass_dtype(family, pdf1))
+                    + np.log(float(s1c)))
         assert_allclose(ensemble.log_z, expected, rtol=1e-12)
 
 
@@ -307,22 +340,26 @@ class TestResamplingBehaviour:
 
 class ReferenceEngine:
     """The copula SMC engine written out: the whole (B, n) running
-    (density, survival) state of every record at its own time, record i's
-    clipped value absorbed into columns i+1.. by `family.joint`,
-    `alpha_schedule` and `alpha_regression`.  It counts its records
-    itself.  Its particle-major layout is the transpose of the engine's
-    point-major one, so a bitwise match checks the layout too."""
+    (density, survival) state of every record at its own time, in the
+    family's `pass_dtype`, record i's clipped value absorbed into columns
+    i+1.. by `family.joint`, `alpha_schedule` and `alpha_regression`,
+    with the weights of `pass_dtype_weights`.  It counts its records
+    itself, and hands the loop float64 copies of a record's column.  Its
+    particle-major layout is the transpose of the engine's point-major
+    one, so a bitwise match checks the layout too."""
 
     def __init__(self, family, rho_x, covariates, times, n_particles):
+        self.dtype = family.pass_dtype
         pdf, surv = family.base_at(times)
-        self.dens = np.tile(pdf, (n_particles, 1))
-        self.surv = np.tile(surv, (n_particles, 1))
+        self.dens = np.tile(pdf, (n_particles, 1)).astype(self.dtype)
+        self.surv = np.tile(surv, (n_particles, 1)).astype(self.dtype)
         self.family, self.rho_x, self.x = family, rho_x, covariates
         self.v = np.empty((len(times), n_particles))
         self.i = 0
 
     def eval_at(self, t):
-        return self.dens[:, self.i], self.surv[:, self.i]
+        return (self.dens[:, self.i].astype(float),
+                self.surv[:, self.i].astype(float))
 
     def absorb_record(self, t, u, observed):
         i, rest = self.i, slice(self.i + 1, None)
@@ -331,9 +368,10 @@ class ReferenceEngine:
         if self.rho_x is not None:
             alpha = alpha_regression(alpha, self.x[rest], self.x[i],
                                      self.rho_x)
+        alpha, keep = pass_dtype_weights(alpha, self.dtype)
         d, tail = self.family.joint(self.surv[:, rest], v[:, None])
-        self.dens[:, rest] = self.dens[:, rest] * ((1.0 - alpha) + alpha * d)
-        self.surv[:, rest] = (1.0 - alpha) * self.surv[:, rest] + alpha * tail
+        self.dens[:, rest] = self.dens[:, rest] * (keep + alpha * d)
+        self.surv[:, rest] = keep * self.surv[:, rest] + alpha * tail
         self.i += 1
 
     def select(self, idx):
@@ -350,29 +388,39 @@ def two_covariate_data(n, seed):
 
 
 def reference_case(case, censored_exp50):
-    """(data, family, rho_x) of a pass checked against ReferenceEngine."""
-    if case == "clayton":
-        return censored_exp50, ClaytonFamily(1.0), None
-    if case == "all_censored":
+    """(data, family, rho_x) of a pass checked against ReferenceEngine:
+    the Clayton cases run in float32 at a = 1.0, and in float64 at
+    a = 0.35, below the float32 bound, when the case ends in "_float64";
+    the Gaussian ones run in float64."""
+    clayton, dtype = case.partition("_float64")[:2]
+    family = ClaytonFamily(0.35 if dtype else 1.0)
+    if clayton == "clayton":
+        return censored_exp50, family, None
+    if clayton == "all_censored":
         return (make_dataset(censored_exp50.times,
                              np.zeros(censored_exp50.n, dtype=int)),
-                ClaytonFamily(1.0), None)
+                family, None)
     data = two_covariate_data(30, 4)
     if case == "all_observed":
         data = dataclasses.replace(data, status=np.ones(data.n, dtype=int))
     return data, GaussianFamily(0.5), 0.6
 
 
-@pytest.mark.parametrize("case", ["clayton", "gaussian", "all_censored",
-                                  "all_observed"])
+REFERENCE_CASES = pytest.mark.parametrize(
+    "case", ["clayton", "clayton_float64", "gaussian", "all_censored",
+             "all_censored_float64", "all_observed"])
+
+
+@REFERENCE_CASES
 def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
     """A pass driven by `run_smc_loop` through the written out engine,
     which carries a density at every pending record, gives
     `impute_smc`'s weights, traces and clipped propagation values bit
     for bit: Clayton without covariates on mixed and on all-censored
-    records, and Gaussian with two covariates and rho_x on mixed and on
-    all-observed records.  Every pass but the all-observed one (whose
-    particles share one history) resamples."""
+    records, each in float32 and in float64, and Gaussian with
+    two covariates and rho_x on mixed and on all-observed records.
+    Every pass but the all-observed one (whose particles share one
+    history) resamples."""
     data, family, rho_x = reference_case(case, censored_exp50)
     ens = impute_smc(data, family, rho_x=rho_x, n_particles=64,
                      ess_frac=0.95, seed=5)
@@ -388,8 +436,7 @@ def test_resampling_pass_matches_the_written_out_engine(censored_exp50, case):
         engine.v, np.clip(ens.v_matrix, CLAMP_EPS, 1.0 - CLAMP_EPS))
 
 
-@pytest.mark.parametrize("case", ["clayton", "gaussian", "all_censored",
-                                  "all_observed"])
+@REFERENCE_CASES
 def test_engine_holds_a_density_row_per_pending_observed_record(
         censored_exp50, case):
     """Before each record, the engine's running predictive has one
@@ -434,6 +481,193 @@ class TestImputedDraws:
         ensemble = impute_smc(censored_exp50, FAMILY, n_particles=16, seed=13)
         assert ensemble.n_particles == 16
         assert ensemble.v_matrix.shape[0] == censored_exp50.n
+
+
+def impute_uniforms_at(monkeypatch, value):
+    """Make every uniform of the censored draws `value`; the other
+    streams keep their draws."""
+    uniforms = rng.uniforms
+
+    def patched(seed, tag, step, count, start=0):
+        if tag == rng.STREAM_IMPUTE:
+            return np.full(count, value)
+        return uniforms(seed, tag, step, count, start)
+
+    monkeypatch.setattr(rng, "uniforms", patched)
+
+
+class TestCensoredDrawGuards:
+    """The censored draw V = 1 - S(c)(1 - U) at the ends of U's range
+    [0, 1), with S(c) from a float32 row: U = 0 gives P(c) itself, which
+    the floor moves one spacing up, and the top uniform, 1 - 2^-53, rounds
+    V to 1 wherever S(c) <= 1/2, which the cap moves below 1."""
+
+    def test_a_zero_uniform_draws_above_the_censoring_cdf(self,
+                                                          monkeypatch):
+        impute_uniforms_at(monkeypatch, 0.0)
+        c = 0.8
+        ensemble = impute_smc(make_dataset([c, 0.3], [0, 1]), FAMILY,
+                              n_particles=8, seed=1)
+        p_c = 1.0 - in_pass_dtype(FAMILY, lomax(c, 1.0, 1.0)[1])
+        assert FAMILY.pass_dtype == np.float32
+        assert np.all(ensemble.v_matrix[0] == np.nextafter(p_c, 1.0))
+
+    def test_the_top_uniform_draws_below_one(self, monkeypatch):
+        """Below 1, so the conjugate engine's Lomax inversion of the draw
+        stays finite."""
+        top = np.nextafter(1.0, 0.0)
+        impute_uniforms_at(monkeypatch, top)
+        data = make_dataset([1.5, 0.3], [0, 1])
+        s_c = in_pass_dtype(FAMILY, lomax(1.5, 1.0, 1.0)[1])
+        assert s_c <= 0.5 and 1.0 - s_c * (1.0 - top) == 1.0
+        ensemble = impute_smc(data, FAMILY, n_particles=8, seed=1)
+        assert np.all(ensemble.v_matrix[0] < 1.0)
+        conjugate = conjugate_smc(ConjugateModel(1.0, 1.0), data,
+                                  n_particles=8, seed=1)
+        assert np.all(np.isfinite(conjugate.b))
+        assert np.isfinite(conjugate.log_z)
+
+
+def tune_fit_input(seed):
+    """The benchmark's `tune_fit` input at `seed`: 100 Exp(1) times
+    censored by Exp(2) (about a third censored), standardized and
+    permuted by the seed as the CLI does."""
+    draws = np.random.default_rng([2, seed])
+    y, c = draws.exponential(1.0, 100), draws.exponential(0.5, 100)
+    data = make_dataset(np.minimum(y, c), (y < c).astype(int))
+    return cs.permute(cs.standardize(data), seed)
+
+
+def in_float64(call):
+    """`call()` with the float32 bound raised above every bandwidth, so
+    that every pass runs in float64."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(copulas, "CLAYTON_FLOAT32_MIN_BANDWIDTH", np.inf)
+        return call()
+
+
+def replayed_passes(data, family, n_particles, seed):
+    """(float32 pass, float64 pass) of the same data and seed, the float32
+    one resampled with the float64 one's ancestor indices, so that a
+    column is the same particle in both: a float32 weight can move a
+    systematic index across a running sum, and the pass then carries
+    another particle in that column."""
+    picks = []
+
+    def recorded(weights, offset):
+        picks.append(systematic_indices(weights, offset))
+        return picks[-1]
+
+    def run():
+        return impute_smc(data, family, n_particles=n_particles, seed=seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(censoring, "systematic_indices", recorded)
+        f64 = in_float64(run)
+    replay = iter(picks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(censoring, "systematic_indices",
+                      lambda weights, offset: next(replay))
+        f32 = run()
+    assert next(replay, None) is None
+    return f32, f64
+
+
+def point_predictive(ensemble, grid):
+    """`fit`'s point predictive survival on the grid."""
+    return weighted_mean(ensemble_grid_rows(ensemble, grid)[1],
+                         ensemble.weights)
+
+
+# Bounds on a float32 SMC pass against the float64 one, Clayton 0.9 on
+# `tune_fit_input`.  With replayed ancestors, over seeds 1-20 of data and
+# pass at B = 1000, |d log_z| reached 3.1e-6, a log weight's change
+# 2.1e-5 and a propagation value's 1.5e-6.  Without replay, a pass can
+# pick another ancestor at a resampling event: seed 13 did, and moved one
+# column's values by up to 0.67.  Over pass seeds 1-8 at B = 500 on data
+# seeds 1-10 none did, and the point predictive moved by at most 4.2e-5
+# of its seed-to-seed sd (the median pass of an input, 3.3e-6 to
+# 3.3e-5); at B = 1000, pass seed 12 on data seed 1 moved an ancestor,
+# and the predictive by 0.34 sd.  A tuning cell's score (seeds 1-12, the
+# `tune_fit` grid at B = 1000) moved by at most 1.5e-3, where an ancestor
+# moved, against an SMC-seed sd of 0.03-0.07 near the peak.
+MAX_LOG_Z_CHANGE = 1e-5
+MAX_LOG_WEIGHT_CHANGE = 1e-4
+MAX_V_CHANGE = 1e-5
+MAX_PREDICTIVE_CHANGE_SD = 2e-4
+MAX_PREDICTIVE_CHANGE_SD_MOVED_ANCESTOR = 1.0
+MAX_SCORE_CHANGE = 1e-2
+
+
+class TestFloat32SmcPass:
+    """A Clayton SMC pass above the float32 bound carries its running
+    predictive in float32; its weights, log_z, draws and ESS stay
+    float64.  These tests bound what that moves against the float64 pass
+    of the same data and seed."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_replayed_pass_tracks_float64(self, seed):
+        data = tune_fit_input(seed)
+        f32, f64 = replayed_passes(data, ClaytonFamily(0.9), 1000, seed)
+        assert f32.resample_steps == f64.resample_steps
+        assert f32.resample_steps
+        assert not np.array_equal(f32.v_matrix, f64.v_matrix)
+        assert abs(f32.log_z - f64.log_z) <= MAX_LOG_Z_CHANGE
+        assert (np.max(np.abs(f32.log_weights - f64.log_weights))
+                <= MAX_LOG_WEIGHT_CHANGE)
+        assert np.max(np.abs(f32.v_matrix - f64.v_matrix)) <= MAX_V_CHANGE
+
+    def test_point_predictive_moves_far_less_than_its_monte_carlo_sd(self):
+        """Over pass seeds 1-8 on one input, the float32 pass moves `fit`'s
+        point predictive by at most MAX_PREDICTIVE_CHANGE_SD of its
+        seed-to-seed sd in the median pass, and in every pass by less
+        than one sd: a pass whose resampling picked another ancestor
+        carries another particle of the same weight."""
+        data = tune_fit_input(1)
+        grid = default_grid(data, 30)
+        family = ClaytonFamily(0.9)
+        preds = {np.float32: [], np.float64: []}
+        for seed in range(1, 9):
+            def run():
+                return impute_smc(data, family, n_particles=500, seed=seed)
+            preds[np.float32].append(point_predictive(run(), grid))
+            preds[np.float64].append(point_predictive(in_float64(run), grid))
+        f32, f64 = np.array(preds[np.float32]), np.array(preds[np.float64])
+        sd = f64.std(axis=0, ddof=1)
+        varies = sd > 0  # the origin's survival is 1 in every pass
+        change = np.max(np.abs(f32 - f64)[:, varies] / sd[varies], axis=1)
+        assert np.median(change) <= MAX_PREDICTIVE_CHANGE_SD
+        assert np.max(change) <= MAX_PREDICTIVE_CHANGE_SD_MOVED_ANCESTOR
+
+    def test_bandwidth_below_the_bound_keeps_float64_bits(self,
+                                                          censored_exp50):
+        bound = copulas.CLAYTON_FLOAT32_MIN_BANDWIDTH
+        below, above = np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)
+        for a in (below, above):
+            family = ClaytonFamily(a)
+
+            def run():
+                return impute_smc(censored_exp50, family, n_particles=64,
+                                  seed=5)
+            f, f64 = run(), in_float64(run)
+            same = (np.array_equal(f.v_matrix, f64.v_matrix)
+                    and np.array_equal(f.log_weights, f64.log_weights)
+                    and f.log_z == f64.log_z)
+            assert same == (family.pass_dtype == np.float64) == (a == below)
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_tuned_bandwidth_is_unchanged(self, seed):
+        """The `tune_fit` grid search picks the same cell in float32, and
+        every cell's score moves, by at most MAX_SCORE_CHANGE."""
+        data = tune_fit_input(seed)
+
+        def run():
+            return grid_search(data, "clayton", (0.5, 0.7, 0.9, 1.1, 1.3),
+                               n_particles=1000, seed=seed)
+        f32, f64 = run(), in_float64(run)
+        assert f32.bandwidth == f64.bandwidth
+        assert all(0 < abs(c32.score - c64.score) <= MAX_SCORE_CHANGE
+                   for c32, c64 in zip(f32.table, f64.table))
 
 
 def kaplan_meier(times, status, points):

@@ -43,6 +43,39 @@ def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
 
 
+def count_kernel_elements(monkeypatch):
+    """Run every shard loop in this process and count the elements that
+    pass either kernel's seam: {True: with a density, False: without}."""
+    monkeypatch.setattr(shards, "_worker_count",
+                        lambda n_items, min_items: 1)
+    seen = {True: 0, False: 0}
+
+    def counting(kernel):
+        def counted(s, v, parameter, **kwargs):
+            seen[kwargs.get("density", True)] += np.size(s)
+            return kernel(s, v, parameter, **kwargs)
+        return counted
+
+    for name in ("clayton_density_and_partial",
+                 "gaussian_density_and_partial"):
+        monkeypatch.setattr(copulas, name, counting(getattr(copulas, name)))
+    return seen
+
+
+def smc_pass_elements(status, n_particles):
+    """(survival, density) elements of an SMC pass over records of this
+    status in this order: B n(n-1)/2 survival elements, and a density at
+    the observed records after each record."""
+    n = status.size
+    return (n_particles * n * (n - 1) // 2,
+            n_particles * int(np.sum(np.arange(n) * status)))
+
+
+def grid_rows(path):
+    """The grid points of a table with one row per grid point."""
+    return len(Path(path).read_text().splitlines()) - 1
+
+
 @pytest.fixture
 def sim_csv(tmp_path):
     assert run("simulate", "--seed", 11, "--n", 40,
@@ -128,16 +161,7 @@ class TestFit:
         B times the observed records after each record, summed, with a
         density; per start row on the G grid points, B G n of each.  A
         tuning grid adds one pass of `--tune-particles` per cell."""
-        monkeypatch.setattr(shards, "_worker_count",
-                            lambda n_items, min_items: 1)
-        seen = {True: 0, False: 0}
-        kernel = copulas.clayton_density_and_partial
-
-        def counted(s, v, a, **kwargs):
-            seen[kwargs.get("density", True)] += np.size(s)
-            return kernel(s, v, a, **kwargs)
-
-        monkeypatch.setattr(copulas, "clayton_density_and_partial", counted)
+        seen = count_kernel_elements(monkeypatch)
         out = tmp_path / "fit"
         args = ["fit", "--seed", 11, "--input", sim_csv, "--grid-size", 20,
                 "--n-particles", 64, "--tune-particles", 16]
@@ -145,14 +169,11 @@ class TestFit:
             "--bandwidth-grid", grid]
         assert run(*args, "--output-dir", out) == 0
         status = cs.permute(cs.standardize(load_csv(sim_csv)), 11).status
-        n = status.size
-        g = len((out / "predictive.csv").read_text().splitlines()) - 1
-        passes = 64 + (0 if grid is None else 2 * 16)
-        observed_after = int(np.sum(np.arange(n) * status))
-        start_rows = 64 * g * n
-        assert seen[True] + seen[False] == (passes * n * (n - 1) // 2
-                                            + start_rows)
-        assert seen[True] == passes * observed_after + start_rows
+        survival, density = smc_pass_elements(
+            status, 64 + (0 if grid is None else 2 * 16))
+        start_rows = 64 * grid_rows(out / "predictive.csv") * status.size
+        assert seen[True] + seen[False] == survival + start_rows
+        assert seen[True] == density + start_rows
 
     def test_rerun_byte_identical(self, sim_csv, tmp_path):
         for name in ("f1", "f2"):
@@ -300,6 +321,22 @@ class TestPosterior:
         assert "--grid-max" in err["message"]
         assert list(out.iterdir()) == []
 
+    def test_kernel_elements_follow_the_formula(self, mild_csv, tmp_path,
+                                                monkeypatch):
+        """`posterior` absorbs the fit's elements (`TestFit`) and B G
+        n_extra more in the forward pass, each with a density."""
+        seen = count_kernel_elements(monkeypatch)
+        out = tmp_path / "post"
+        assert run("posterior", "--seed", 7, "--input", mild_csv,
+                   "--bandwidth", 1.0, "--n-particles", 48, "--n-extra", 30,
+                   "--grid-size", 20, "--output-dir", out) == 0
+        status = cs.permute(cs.standardize(load_csv(mild_csv)), 7).status
+        survival, density = smc_pass_elements(status, 48)
+        rows = 48 * grid_rows(out / "survival_summary.csv") * (status.size
+                                                               + 30)
+        assert seen[True] + seen[False] == survival + rows
+        assert seen[True] == density + rows
+
     def test_rerun_byte_identical(self, mild_csv, tmp_path):
         for name in ("p1", "p2"):
             assert run("posterior", "--seed", 7, "--input", mild_csv,
@@ -423,6 +460,32 @@ class TestRegress:
         short = tmp_path / "short"
         assert run(*args, "--grid-max", 1e-3, "--output-dir", short) == 2
         assert list(short.iterdir()) == []
+
+    @pytest.mark.parametrize("n_extra", [None, 20])
+    def test_kernel_elements_follow_the_formula(self, reg_csv, tmp_path,
+                                                monkeypatch, n_extra):
+        """`regress` absorbs one SMC pass over the training records, then
+        per target B G (n + n_extra) elements on the grid (B G n, the
+        start rows, without a forward pass), and B n_test n for the
+        held-out records, all of these with a density."""
+        seen = count_kernel_elements(monkeypatch)
+        out = tmp_path / "reg"
+        args = ["regress", "--seed", 3, "--input", reg_csv,
+                "--covariate-cols", "thick", "--bandwidth", 0.9,
+                "--rho-x", 0.5, "--x-target", 1.5, "--x-target", 3.0,
+                "--test-split", 0.3, "--n-particles", 32, "--grid-size", 20]
+        if n_extra is not None:
+            args += ["--n-extra", n_extra]
+        assert run(*args, "--output-dir", out) == 0
+        raw = load_csv(reg_csv, covariate_cols=("thick",))
+        perm = read_meta(out)["permutation"]
+        n, n_test = len(perm), raw.n - len(perm)
+        survival, density = smc_pass_elements(raw.status[perm], 32)
+        rows = 2 * 32 * grid_rows(out / "conditional_x0.csv") * (
+            n + (n_extra or 0))
+        heldout = 32 * n_test * n
+        assert seen[True] + seen[False] == survival + rows + heldout
+        assert seen[True] == density + rows + heldout
 
     def test_constant_covariate_matches_unconditional(self, tmp_path):
         """With a constant covariate and the degenerate rho_x = 0, the

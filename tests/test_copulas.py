@@ -406,8 +406,8 @@ class TestFloat32Clayton:
             d32, _ = clayton(s.astype(np.float32), v, 0.34)
         assert not np.all(np.isfinite(d32))
         assert 0.34 < CLAYTON_FLOAT32_MIN_BANDWIDTH < 0.36
-        assert ClaytonFamily(0.34).forward_dtype == np.float64
-        assert GaussianFamily(0.9).forward_dtype == np.float64
+        assert ClaytonFamily(0.34).pass_dtype == np.float64
+        assert GaussianFamily(0.9).pass_dtype == np.float64
 
 
 class TestSurvivalOnlyCalls:

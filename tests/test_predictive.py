@@ -68,15 +68,18 @@ def oracle_running_cdf(y, previous, a):
     return u
 
 
-def oracle_two_step(y_grid, y1, y2, a):
-    """Hand evaluation of the density/CDF recursion applied twice."""
+def oracle_two_step(y_grid, y1, y2, a, values=None):
+    """Hand evaluation of the density/CDF recursion applied twice, with
+    the propagation values `values`, or those of the plain-formula
+    running CDF when None."""
     family = ClaytonFamily(a)
     dens = [float(family.base_at(y)[0]) for y in y_grid]
     u = [1.0 - float(family.base_at(y)[1]) for y in y_grid]
     observations = [y1, y2]
     for i, y_obs in enumerate(observations, start=1):
         alpha = (2 - 1 / i) / (i + 1)
-        v_i = oracle_running_cdf(y_obs, observations[: i - 1], a)
+        v_i = (oracle_running_cdf(y_obs, observations[: i - 1], a)
+               if values is None else values[i - 1])
         dens = [d * (1 - alpha + alpha * oracle_clayton_density(uu, v_i, a))
                 for d, uu in zip(dens, u)]
         u = [(1 - alpha) * uu + alpha * oracle_clayton_partial(uu, v_i, a)
@@ -117,7 +120,9 @@ class TestAbsorbEvaluate:
         assert at(fit(data, ClaytonFamily(1.0)), 1e12)[1] <= 1e-6
 
     def test_two_absorbs_match_hand_recursion(self):
-        a = 1.3
+        """A fit whose pass runs in float64 (a = 0.35, below the float32
+        bound) gives the hand recursion's grid rows."""
+        a = 0.35
         y1, y2 = 0.6, 1.7
         data = make_dataset([y1, y2], [1, 1])
         grid = np.array([0.3, 1.0, 2.5])
@@ -125,6 +130,25 @@ class TestAbsorbEvaluate:
         dens_oracle, cdf_oracle = oracle_two_step(grid, y1, y2, a)
         assert_allclose(dens, dens_oracle, rtol=1e-10)
         assert_allclose(surv, 1.0 - cdf_oracle, rtol=1e-10)
+
+    def test_two_absorbs_of_a_float32_pass_match_hand_recursion(self):
+        """A fit whose pass runs in float32 draws its propagation values
+        from float32 rows; its float64 grid rows are the hand recursion's
+        on those values, and the values lie within float32 rounding of
+        the plain-formula running CDF."""
+        a = 1.3
+        y1, y2 = 0.6, 1.7
+        data = make_dataset([y1, y2], [1, 1])
+        grid = np.array([0.3, 1.0, 2.5])
+        fitted = fit(data, ClaytonFamily(a))
+        values = fitted.v_matrix[:, 0]
+        dens, surv = rows(fitted, grid)
+        dens_oracle, cdf_oracle = oracle_two_step(grid, y1, y2, a, values)
+        assert_allclose(dens, dens_oracle, rtol=1e-10)
+        assert_allclose(surv, 1.0 - cdf_oracle, rtol=1e-10)
+        exact = [oracle_running_cdf(y1, [], a),
+                 oracle_running_cdf(y2, [y1], a)]
+        assert_allclose(values, exact, rtol=4 * np.finfo(np.float32).eps)
 
     @pytest.mark.parametrize("family", [ClaytonFamily(0.9),
                                         GaussianFamily(0.6)],
@@ -194,7 +218,8 @@ class TestFitUncensored:
         assert_allclose(vseq[0], 1.0 - ClaytonFamily(1.1).base_at(0.8)[1])
 
     def test_identical_points_second_v_is_updated_cdf(self):
-        a = 1.0
+        """In a float64 pass (a = 0.35, below the float32 bound)."""
+        a = 0.35
         y = 0.9
         data = make_dataset([y, y], [1, 1])
         vseq = fit(data, ClaytonFamily(a)).v_matrix[:, 0]
@@ -203,29 +228,67 @@ class TestFitUncensored:
         v2_expected = (1 - alpha1) * v1 + alpha1 * oracle_clayton_partial(v1, v1, a)
         assert_allclose(vseq, [v1, v2_expected], rtol=1e-12)
 
+    def test_identical_points_in_a_float32_pass(self):
+        """In a float32 pass the second value is one minus the updated
+        survival, the base survival held in float32 and updated there,
+        with weights that sum to exactly 1 in float32."""
+        a = 1.0
+        y = 0.9
+        data = make_dataset([y, y], [1, 1])
+        vseq = fit(data, ClaytonFamily(a)).v_matrix[:, 0]
+        s0 = np.float32(ClaytonFamily(a).base_at(y)[1])
+        v1 = 1.0 - float(s0)
+        keep = np.float32(1.0 - float(alpha_schedule(1)))
+        _, tail = clayton_density_and_partial(np.array([s0]), v1, a)
+        s1 = keep * s0 + (1 - keep) * tail[0]
+        assert s1.dtype == np.float32
+        assert_allclose(vseq, [v1, 1.0 - float(s1)], rtol=1e-12)
+
     def test_deterministic(self, uncensored_exp50):
         f1 = fit(uncensored_exp50, ClaytonFamily(0.8))
         f2 = fit(uncensored_exp50, ClaytonFamily(0.8))
         assert np.array_equal(f1.v_matrix[:, 0], f2.v_matrix[:, 0])
 
 
+def pass_density(ensemble, y):
+    """Row 0's density at one time after the fit's absorbed history, in
+    the dtype of the fit's SMC pass: the density that pass reads at a
+    record at y."""
+    family = ensemble.family
+    running = RunningPredictive(family, [y], 1, dtype=family.pass_dtype)
+    for v in ensemble.v_matrix[:, :1]:
+        running.absorb(v)
+    return float(running.dens[0, 0])
+
+
 class TestPrequential:
-    """A one-particle pass over fully observed data scores it exactly:
-    log_z is the prequential sum(log p_{i-1}(y_i))."""
+    """A one-particle pass over fully observed data scores it exactly,
+    without Monte Carlo error: log_z is the prequential sum(log
+    p_{i-1}(y_i)) of the densities the pass holds, in float64 below the
+    float32 bound and in float32 above it."""
 
-    def test_single_point(self):
+    @pytest.mark.parametrize("a", [0.35, 0.9], ids=["float64", "float32"])
+    def test_single_point(self, a):
         data = make_dataset([1.4], [1])
-        got = fit(data, ClaytonFamily(0.9)).log_z
-        assert got == np.log(ClaytonFamily(0.9).base_at(1.4)[0])
+        family = ClaytonFamily(a)
+        got = fit(data, family).log_z
+        pdf = np.asarray(family.base_at(1.4)[0]).astype(family.pass_dtype)
+        assert got == np.log(float(pdf))
 
-    def test_additivity(self, uncensored_exp50):
-        family = ClaytonFamily(1.0)
+    @pytest.mark.parametrize("a", [0.35, 1.0], ids=["float64", "float32"])
+    def test_additivity(self, uncensored_exp50, a):
+        """In float64 the last record's term is the start rows' density
+        there; in either dtype, the density a running predictive in the
+        pass's dtype holds there."""
+        family = ClaytonFamily(a)
         data = uncensored_exp50
         head = make_dataset(data.times[:-1], data.status[:-1])
         full = fit(data, family).log_z
-        partial = fit(head, family).log_z
-        last_term = float(np.log(at(fit(head, family), data.times[-1])[0]))
-        assert full == partial + last_term
+        head_fit = fit(head, family)
+        last_term = float(np.log(pass_density(head_fit, data.times[-1])))
+        assert full == head_fit.log_z + last_term
+        if family.pass_dtype == np.float64:
+            assert last_term == float(np.log(at(head_fit, data.times[-1])[0]))
 
     def test_finite_and_reproducible(self, uncensored_exp50):
         v1 = fit(uncensored_exp50, ClaytonFamily(1.2)).log_z

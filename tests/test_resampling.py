@@ -478,14 +478,14 @@ def reference_forward(ensemble, grid, x_target, n_extra, seed):
     """The forward pass written out step by step over all chains at once:
     every step draws its whole stream of uniforms, and with covariates
     takes each chain's pick from `reference_picks`.  The rows run in the
-    family's forward dtype, rounded from the start rows at the first
+    family's `pass_dtype`, rounded from the start rows at the first
     step; in float32 each step's kept weight c = 1 - alpha is rounded
     and the weight is 1 - c, so the two sum to exactly 1.  (dens,
     survival) after n_extra steps: the reference that
     `martingale_posterior` must reproduce."""
     n, b = ensemble.v_matrix.shape
     dens, surv = reference_grid_rows(ensemble, grid.points, x_target)
-    dtype = ensemble.family.forward_dtype
+    dtype = ensemble.family.pass_dtype
     if n_extra:
         dens, surv = dens.astype(dtype), surv.astype(dtype)
     if ensemble.rho_x is not None:
@@ -652,7 +652,7 @@ class TestFloat32Forward:
 
     def test_float32_pass_tracks_float64(self, benchmark_size_runs):
         runs, _ = benchmark_size_runs
-        assert ClaytonFamily(0.9).forward_dtype == np.float32
+        assert ClaytonFamily(0.9).pass_dtype == np.float32
         assert not np.array_equal(runs["float32"].survival_draws,
                                   runs["float64"].survival_draws)
         d_surv, d_dens, d_w1 = float32_changes(runs)
@@ -695,10 +695,10 @@ class TestFloat32Forward:
         keeps the float64 recursion's bits."""
         bound = copulas.CLAYTON_FLOAT32_MIN_BANDWIDTH
         below, above = np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)
-        assert ClaytonFamily(below).forward_dtype == np.float64
-        assert ClaytonFamily(above).forward_dtype == np.float32
+        assert ClaytonFamily(below).pass_dtype == np.float64
+        assert ClaytonFamily(above).pass_dtype == np.float32
         family = ClaytonFamily(0.35)
-        assert family.forward_dtype == np.float64
+        assert family.pass_dtype == np.float64
         ensemble = impute_smc(censored_exp50, family, n_particles=64, seed=5)
         grid = GridSpec(np.concatenate([[0.0], np.geomspace(0.01, 8.0, 15)]))
         draws = martingale_posterior(ensemble, 40, grid, seed=9)

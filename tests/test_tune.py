@@ -18,7 +18,8 @@ class TestGridSearch:
         assert len(result.table) == 1
 
     def test_uncensored_scores_are_prequential(self, uncensored_exp50):
-        # fully observed data is scored exactly by a one-particle pass
+        # fully observed data is scored by a one-particle pass, without
+        # Monte Carlo error
         result = grid_search(uncensored_exp50, "clayton", (0.6, 1.0, 1.4),
                              n_particles=100, seed=1)
         for cell in result.table:
