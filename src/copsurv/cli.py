@@ -485,9 +485,9 @@ def _censored_medians(draws):
     weight = float(draws.weights[draws.censored].sum())
     if weight >= MAX_CENSORED_WEIGHT:
         raise ConfigurationError(
-            f"the CDF of {count} of {draws.n_draws} chains, {weight:.3g} of "
-            "the weight, stays below 0.5 up to the grid top; extend the "
-            "grid upper end (see --grid-max)")
+            f"the CDF of {count} of {draws.weights.size} chains, "
+            f"{weight:.3g} of the weight, stays below 0.5 up to the grid "
+            "top; extend the grid upper end (see --grid-max)")
     return count, weight
 
 
@@ -511,8 +511,9 @@ def _split_dataset(raw, frac, seed):
     n_test = int(round(frac * n))
     if not 0 < n_test < n:
         raise ConfigurationError("test split leaves an empty side")
-    order = np.random.default_rng(seed + 1).permutation(n)
-    return dataio.take(raw, order[n_test:]), dataio.take(raw, order[:n_test])
+    shuffled = dataio.permute(raw, seed + 1)
+    return (dataio.take(shuffled, slice(n_test, None)),
+            dataio.take(shuffled, slice(n_test)))
 
 
 def cmd_regress(cfg, outdir):

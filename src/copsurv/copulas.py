@@ -142,12 +142,11 @@ class ClaytonFamily:
         return clayton_density_and_partial(s, v, self.bandwidth, out=out,
                                            density=density, terms=terms)
 
-    def row_terms(self, v, out):
-        """The kernel's terms of v (`_clayton_row_terms`), in the `small`
-        arrays of the `KernelScratch` set `out` and the dtype of its block
-        arrays: one computation serves every block of a record."""
-        return _clayton_row_terms(v, float(self.bandwidth),
-                                  out.block[0].dtype, *out.small)
+    def row_terms(self, v, dtype):
+        """The kernel's terms of v (`_clayton_row_terms`), new arrays
+        computed in float64 and rounded to `dtype`, that of the kernel's
+        block arrays: one computation serves every block of a record."""
+        return _clayton_row_terms(v, float(self.bandwidth), dtype)
 
     def base_at(self, y):
         """(pdf, survival) of the base measure at times y."""
@@ -181,11 +180,11 @@ class GaussianFamily:
         return gaussian_density_and_partial(s, v, self.bandwidth, out=out,
                                             density=density, terms=terms)
 
-    def row_terms(self, v, out):
-        """The kernel's term of v, -Phi^-1 of v clamped, in the first of
-        the `small` arrays of the `KernelScratch` set `out`: one
-        computation serves every block of a record."""
-        return _gaussian_row_terms(v, out.small[0])
+    def row_terms(self, v, dtype):
+        """The kernel's term of v, -Phi^-1 of v clamped, a new float64
+        array whatever `dtype` (see `pass_dtype`): one computation serves
+        every block of a record."""
+        return _gaussian_row_terms(v)
 
     def base_at(self, y):
         """(pdf, survival) of the base measure at times y >= 0, log-normal
@@ -207,17 +206,17 @@ class GaussianFamily:
 CopulaFamily = ClaytonFamily | GaussianFamily
 
 
-def _clamp(p, out):
+def _clamp(p, out=None):
     return np.clip(np.asarray(p, dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS,
                    out=out)
 
 
 class KernelScratch(NamedTuple):
-    """The work arrays of one kernel call, which also hold its results:
-    `block`, SCRATCH_BLOCKS arrays of the broadcast shape of (s, v), the
-    same set for both kernels, in the dtype the kernel computes in (that
-    of s); `small`, three float64 arrays of v's shape; `mask`, a bool
-    array of the broadcast shape.
+    """The block-shaped work arrays of one kernel call, which also hold
+    its results: `block`, SCRATCH_BLOCKS arrays of the broadcast shape of
+    (s, v), the same set for both kernels, in the dtype the kernel
+    computes in (that of s), and `mask`, a bool array of that shape.
+    Arrays of v's shape are the kernel's own, made per call.
 
     `flat` makes one-dimensional arrays that a caller keeps across calls
     (`predictive.RunningPredictive` holds one set), and `view` gives a
@@ -225,36 +224,29 @@ class KernelScratch(NamedTuple):
     """
 
     block: tuple
-    small: tuple
     mask: np.ndarray
 
     @classmethod
-    def flat(cls, size: int, v_size: int,
-             dtype=np.float64) -> "KernelScratch":
-        """A set for calls of up to `size` elements of `dtype`, with v of
-        up to `v_size`."""
+    def flat(cls, size: int, dtype=np.float64) -> "KernelScratch":
+        """A set for calls of up to `size` elements of `dtype`."""
         return cls(tuple(np.empty(size, dtype)
                          for _ in range(SCRATCH_BLOCKS)),
-                   tuple(np.empty(v_size) for _ in range(3)),
                    np.empty(size, dtype=bool))
 
-    def view(self, shape, v_shape) -> "KernelScratch":
-        """The set for one call: `block` and `mask` of `shape`, `small`
-        of `v_shape`."""
-        n, m = math.prod(shape), math.prod(v_shape)
+    def view(self, shape) -> "KernelScratch":
+        """The set for one call, of `shape`."""
+        n = math.prod(shape)
         return KernelScratch(tuple(a[:n].reshape(shape) for a in self.block),
-                             tuple(a[:m].reshape(v_shape) for a in self.small),
                              self.mask[:n].reshape(shape))
 
 
 def _scratch_for(s, v, out):
-    """`out`, or a new scratch set of the shapes of a call on (s, v), in
+    """`out`, or a new scratch set of the shape of a call on (s, v), in
     s's dtype (float64 unless s is float32)."""
     if out is None:
         shape = np.broadcast_shapes(np.shape(s), np.shape(v))
         dtype = np.promote_types(np.asarray(s).dtype, np.float32)
-        out = KernelScratch.flat(math.prod(shape), np.size(v), dtype).view(
-            shape, np.shape(v))
+        out = KernelScratch.flat(math.prod(shape), dtype).view(shape)
     return out
 
 
@@ -301,24 +293,22 @@ def _check_rho(rho: float):
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
 
 
-def _gaussian_row_terms(v, zn):
+def _gaussian_row_terms(v):
     """The Gaussian kernel's term of v, zn = -Phi^-1(v) with v clamped to
-    [CLAMP_EPS, 1 - CLAMP_EPS], computed in the float64 array zn."""
-    ndtri(_clamp(v, zn), out=zn)
-    return np.negative(zn, out=zn)
+    [CLAMP_EPS, 1 - CLAMP_EPS], a new float64 array of v's shape."""
+    return np.negative(ndtri(_clamp(v)))
 
 
-def _clayton_row_terms(v, a: float, dtype, q, one_minus_q, factor):
-    """The Clayton kernel's terms of v at v's shape, in `dtype`: q =
-    (1 - v)^(1/a) (v clipped to [0, 1 - CLAMP_EPS]), 1 - q and the
-    density's factor ((a+1)/a) q.  Returns the row shift m, or None when
-    the bandwidth lets no row need one, and the three terms.
+def _clayton_row_terms(v, a: float, dtype):
+    """The Clayton kernel's terms of v, new arrays of v's shape in
+    `dtype`: q = (1 - v)^(1/a) (v clipped to [0, 1 - CLAMP_EPS]), 1 - q
+    and the density's factor ((a+1)/a) q.  Returns the row shift m, or
+    None when the bandwidth lets no row need one, and the three terms.
 
-    The terms are computed in float64 in the scratch arrays q,
-    one_minus_q and factor, then rounded to `dtype` (a float32 v would
-    round 1 - CLAMP_EPS to 1); without a shift, 1 - q is formed in
-    `dtype` from the rounded q, so q + (1 - q) == 1 holds there too.  In
-    float64 the scratch arrays are the terms.
+    The terms are computed in float64, v included, then rounded to
+    `dtype` (a float32 v would round 1 - CLAMP_EPS to 1); without a
+    shift, 1 - q is formed in `dtype` from the rounded q, so
+    q + (1 - q) == 1 holds there too.
 
     A row whose log q = log(1 - v)/a falls below -CLAYTON_LOG_FLOOR is
     shifted by m = log q + CLAYTON_LOG_FLOOR (m = 0 in the other rows),
@@ -328,25 +318,19 @@ def _clayton_row_terms(v, a: float, dtype, q, one_minus_q, factor):
     exceeds q by far more than float64 resolves; the kernel then pins
     1 - I to 1 at s >= 1, which a shifted row no longer gives exactly.
     """
-    np.clip(v, 0.0, 1.0 - CLAMP_EPS, out=q)
-    np.subtract(1.0, q, out=q)
-    np.log(q, out=q)
-    q /= a
+    log_q = np.log(1.0 - np.clip(np.asarray(v, dtype=float), 0.0,
+                                 1.0 - CLAMP_EPS)) / a
     shift = None
     if a * CLAYTON_LOG_FLOOR >= -math.log(CLAMP_EPS):
-        np.exp(q, out=q)
-        np.multiply(q, (a + 1.0) / a, out=factor)
+        q = np.exp(log_q)
+        factor = q * ((a + 1.0) / a)
         q = q.astype(dtype, copy=False)
-        np.subtract(1.0, q, out=one_minus_q)
+        one_minus_q = 1.0 - q
     else:
-        shift = np.minimum(q + CLAYTON_LOG_FLOOR, 0.0)
-        np.exp(q, out=one_minus_q)
-        np.subtract(1.0, one_minus_q, out=one_minus_q)
-        q -= shift
-        np.exp(q, out=q)
-        np.exp(-a * shift, out=factor)
-        factor *= q
-        factor *= (a + 1.0) / a
+        shift = np.minimum(log_q + CLAYTON_LOG_FLOOR, 0.0)
+        one_minus_q = 1.0 - np.exp(log_q)
+        q = np.exp(log_q - shift)
+        factor = np.exp(-a * shift) * q * ((a + 1.0) / a)
     return shift, tuple(term.astype(dtype, copy=False)
                         for term in (q, one_minus_q, factor))
 
@@ -389,7 +373,7 @@ def clayton_density_and_partial(s, v, a: float, out=None, density=True,
     `_clayton_row_terms` returns them for this bandwidth and the set's
     dtype (`ClaytonFamily.row_terms`), so that a caller with many blocks
     of s under one v computes them once; when None they are computed
-    here, in the set's `small` arrays.
+    here.
     """
     if not a > 0:
         raise ConfigurationError(f"bandwidth must be positive, got {a}")
@@ -397,7 +381,7 @@ def clayton_density_and_partial(s, v, a: float, out=None, density=True,
     out = _scratch_for(s, v, out)
     dens, tail, log_r = out.block
     if terms is None:
-        terms = _clayton_row_terms(v, a, dens.dtype, *out.small)
+        terms = _clayton_row_terms(v, a, dens.dtype)
     shift, (q, one_minus_q, factor) = terms
     np.maximum(s, CLAMP_EPS, out=log_r)
     np.log(log_r, out=log_r)
@@ -450,8 +434,8 @@ def gaussian_density_and_partial(s, v, rho: float, out=None, density=True,
     _check_rho(rho)
     out = _scratch_for(s, v, out)
     dens, tail, zs = out.block
-    work = out.small[1]
-    zn = _gaussian_row_terms(v, out.small[0]) if terms is None else terms
+    zn = _gaussian_row_terms(v) if terms is None else terms
+    work = np.empty(np.shape(zn))
     ndtri(_clamp(s, zs), out=zs)
     if density:
         _gaussian_log_density_z(zs, zn, rho, dens, (work, tail))

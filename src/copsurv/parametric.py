@@ -113,13 +113,13 @@ def tune_a0(data: SurvivalDataset, b0: float = 1.0) -> float:
 
 
 def ig_posterior_cdf(posterior: ConjugateModel, theta):
-    """CDF of IG(a_n, b_n) at theta: P(Theta <= t) = Q(a_n, b_n / t)."""
-    arr = np.asarray(theta, dtype=float)
-    flat = np.atleast_1d(arr)
-    out = np.zeros_like(flat)
-    pos = flat > 0
-    out[pos] = gammaincc(posterior.a0, posterior.b0 / flat[pos])
-    return float(out[0]) if arr.ndim == 0 else out
+    """CDF of IG(a_n, b_n) at theta, an array of theta's shape:
+    P(Theta <= t) = Q(a_n, b_n / t)."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros_like(theta)
+    pos = theta > 0
+    out[pos] = gammaincc(posterior.a0, posterior.b0 / theta[pos])
+    return out
 
 
 def ig_posterior_quantile(posterior: ConjugateModel, q):
@@ -178,7 +178,6 @@ class ConjugateEnsemble(SmcPass):
     records, which are kept nowhere else.
     """
 
-    model: ConjugateModel
     a: float
     b: np.ndarray  # (B,)
 
@@ -190,8 +189,7 @@ def conjugate_smc(model: ConjugateModel, data: SurvivalDataset,
     """Run the censored-data sampler with the exact conjugate predictive."""
     engine = _ConjugateEngine(model, n_particles)
     result = run_smc_loop(engine, data, n_particles, ess_frac, seed)
-    return ConjugateEnsemble(model=model, a=engine.a, b=engine.b,
-                             **vars(result))
+    return ConjugateEnsemble(a=engine.a, b=engine.b, **vars(result))
 
 
 # ---------------------------------------------------------------------------

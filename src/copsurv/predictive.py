@@ -106,7 +106,7 @@ class RunningPredictive:
 
     def _allocate_scratch(self):
         points, b = self.surv.shape
-        self.scratch = KernelScratch.flat(min(points, self.block) * b, b,
+        self.scratch = KernelScratch.flat(min(points, self.block) * b,
                                           self.surv.dtype)
 
     def round_to(self, dtype):
@@ -140,7 +140,7 @@ class RunningPredictive:
                 alpha, per_point = alpha[:, None], True
         alpha, keep = _weights(alpha, self.surv.dtype)
         v = np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)[None, :]
-        terms = self.row_terms(v, self.scratch.view(v.shape, v.shape))
+        terms = self.row_terms(v, self.surv.dtype)
         n_density, n_points = self.dens.shape[0], self.surv.shape[0]
         for density, start, stop in ((True, 0, n_density),
                                      (False, n_density, n_points)):
@@ -149,7 +149,7 @@ class RunningPredictive:
                 a, c = (alpha[blk], keep[blk]) if per_point else (alpha, keep)
                 surv = self.surv[blk]
                 d, tail = self.joint(surv, v, out=self.scratch.view(
-                    surv.shape, v.shape), density=density, terms=terms)
+                    surv.shape), density=density, terms=terms)
                 if density:
                     d *= a
                     d += c

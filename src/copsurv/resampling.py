@@ -74,11 +74,6 @@ DEFAULT_N_EXTRA = 2000
 # Fewest elements (particles x points) a row shard runs: a smaller run
 # stays in fewer processes, where a fork would cost more than it saves.
 ROW_SHARD_ELEMS = 8192
-# Rows of `weighted_mean`'s products held at once.  Its (B, G + 1)
-# temporaries, once freed, raised glibc's dynamic mmap threshold above
-# the (B, G) arrays that followed, which then stayed on the heap: 3 MiB
-# more peak memory in the benchmark's `posterior` call.
-MEAN_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -146,25 +141,28 @@ def _w1_rows(a, b, points):
 
 
 def median_from_survival(surv_rows, grid: GridSpec):
-    """Grid time where each survival row (..., G) falls to one half,
-    linearly interpolated: an array, or a float for one row.
+    """(medians, censored) of survival rows (..., G), arrays of shape
+    (...): the grid time where each row falls to one half, linearly
+    interpolated, and whether the row stays above one half on the whole
+    grid.
 
-    A survival that stays above one half on the whole grid gives the grid
-    top: its median is right-censored there, the "median not reached" of
-    survival practice (Brookmeyer & Crowley 1982).
+    Such a row's median is the grid top: it is right-censored there, the
+    "median not reached" of survival practice (Brookmeyer & Crowley
+    1982).
     """
     surv = np.asarray(surv_rows, dtype=float)
     pts = grid.points
     if surv.shape[-1:] != pts.shape:
         raise ValueError("rows must match the grid size")
     hit = surv <= 0.5
+    censored = ~hit.any(-1)
     j = np.maximum(hit.argmax(axis=-1), 1)  # the first crossing, if any
     s0, s1 = (np.take_along_axis(surv, k[..., None], -1)[..., 0]
               for k in (j - 1, j))
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = pts[j - 1] + (s0 - 0.5) * (pts[j] - pts[j - 1]) / (s0 - s1)
-    med = np.where(hit[..., 0], pts[0], np.where(hit.any(-1), mid, pts[-1]))
-    return float(med) if med.ndim == 0 else med
+    med = np.where(hit[..., 0], pts[0], np.where(censored, pts[-1], mid))
+    return med, censored
 
 
 @dataclass
@@ -177,7 +175,8 @@ class PosteriorDraws:
     `predictive_density` and `predictive_survival` are the weighted means
     of the starting rows: the fitted predictive on the grid, before any
     forward step.  `censored[j]` flags a chain whose survival stays above
-    one half on the grid: its median is the grid top.
+    one half on the grid: its median is the grid top.  The number of
+    draws B is `weights.size`.
     """
 
     grid: GridSpec
@@ -190,56 +189,37 @@ class PosteriorDraws:
     predictive_density: np.ndarray  # (G,)
     predictive_survival: np.ndarray  # (G,)
 
-    @property
-    def n_draws(self) -> int:
-        return self.survival_draws.shape[0]
-
 
 def weighted_mean(values, weights):
     """Weighted average of the rows of a (n, g) array, normalized by the
-    weight sum.
+    weight sum: one reduction over the rows of a (n, g + 1) array of the
+    weighted values and weights.
 
     The weight sum is accumulated through the same reduction as the
     numerator (a ones column ride-along), so a column of exact ones
     averages to exactly 1.0: a survival curve pinned at the origin stays
-    pinned.  The rows are reduced `MEAN_CHUNK_ROWS` at a time, each chunk
-    led by the sums so far: numpy reduces axis 0 row after row, so the
-    bits are those of one reduction over all rows, and no temporary is
-    the size of `values`.
+    pinned.
     """
-    w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
-    n, g = v.shape
-    work = np.empty((min(n, MEAN_CHUNK_ROWS) + 1, g + 1))
-    sums = None
-    for lo in range(0, n, MEAN_CHUNK_ROWS):
-        k = min(MEAN_CHUNK_ROWS, n - lo)
-        part = work[1:k + 1]
-        part[:, :g] = v[lo:lo + k]
-        part[:, g] = 1.0
-        part *= w[lo:lo + k, None]
-        if sums is not None:
-            work[0] = sums
-            part = work[:k + 1]
-        sums = part.sum(axis=0)
+    weighted = np.concatenate([v, np.ones((v.shape[0], 1))], axis=1)
+    weighted *= np.asarray(weights, dtype=float)[:, None]
+    sums = weighted.sum(axis=0)
     return sums[:-1] / sums[-1]
 
 
 def weighted_quantiles(values, weights, qs):
-    """Weighted quantiles along axis 0 of `values` ((B,) or (B, G))."""
+    """Weighted quantiles `qs` along axis 0 of the (B, G) `values`, one
+    row per quantile: (len(qs), G)."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    single_col = values.ndim == 1
-    vals = values[:, None] if single_col else values
-    out = np.empty((qs.size, vals.shape[1]))
-    for g in range(vals.shape[1]):
-        order = np.argsort(vals[:, g])
-        v = vals[order, g]
+    out = np.empty((qs.size, values.shape[1]))
+    for g in range(values.shape[1]):
+        order = np.argsort(values[:, g])
         cw = np.cumsum(weights[order])
         cw /= cw[-1]
-        out[:, g] = np.interp(qs, cw, v)
-    return out[:, 0] if single_col else out
+        out[:, g] = np.interp(qs, cw, values[order, g])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +365,13 @@ def martingale_posterior(ensemble: ParticleEnsemble, n_extra: int,
     weights = ensemble.weights
     out = _run_rows(ensemble, grid.points, x_target,
                     (n_extra, seed, trace_chains))
-    surv = out["surv"]
+    medians, censored = median_from_survival(out["surv"], grid)
     return PosteriorDraws(
         grid=grid,
-        survival_draws=surv,
+        survival_draws=out["surv"],
         density_draws=out["dens"],
-        medians=median_from_survival(surv, grid),
-        censored=~np.any(surv <= 0.5, axis=1),
+        medians=medians,
+        censored=censored,
         weights=weights,
         w1_trace=out["trace"],
         predictive_density=weighted_mean(out["start_dens"], weights),

@@ -168,7 +168,7 @@ def test_criterion_5_martingale_unbiasedness(unbiasedness_run):
     run = unbiasedness_run
     draws, start_row = run["draws"], run["start"]
     mean = draws.survival_draws.mean(axis=0)
-    se = draws.survival_draws.std(axis=0, ddof=1) / np.sqrt(draws.n_draws)
+    se = draws.survival_draws.std(axis=0, ddof=1) / np.sqrt(draws.weights.size)
     gap = np.abs(mean - start_row)
     ok = bool(np.all(gap <= 3 * np.maximum(se, 1e-12)))
     worst = float(np.max(gap / np.maximum(se, 1e-12)))

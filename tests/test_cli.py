@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copsurv as cs
-from copsurv import copulas, dataio, rng, shards, tune
+from copsurv import copulas, dataio, parametric, rng, shards, tune
 from copsurv.censoring import DEFAULT_ESS_FRAC, impute_smc
 from copsurv.cli import (
     SUBCOMMANDS,
@@ -436,6 +436,9 @@ class TestRegress:
         perm = meta["permutation"]
         assert len(perm) == len(set(perm)) == raw.n - round(0.3 * raw.n)
         assert min(perm) >= 0 and max(perm) < raw.n
+        # the held-out rows lead the seeded record order of seed + 1
+        n_test = raw.n - len(perm)
+        assert sorted(perm) == sorted(cs.permute(raw, 4).perm[n_test:])
         # the training scale is estimated from exactly these CSV rows
         train = raw.times[perm]
         assert meta["scale_factor"] == pytest.approx(
@@ -524,6 +527,32 @@ class TestDoob:
         quantiles = np.loadtxt(out / "doob_exact_quantiles.csv", delimiter=",",
                                skiprows=1)
         assert np.all(np.diff(quantiles[:, 1]) > 0)
+
+    @pytest.mark.parametrize("a0", [None, 1.5])
+    def test_lomax_draws_follow_the_formula(self, sim_csv, tmp_path,
+                                            monkeypatch, a0):
+        """`doob` inverts B Lomax draws at each censored record of the SMC
+        pass and at each of its n_extra forward steps, one call each in
+        one shard, whether it tunes a0 (which draws none) or is given it."""
+        monkeypatch.setattr(shards, "_worker_count",
+                            lambda n_items, min_items: 1)
+        seen = []
+        absorb = parametric._absorb_lomax_draw
+
+        def counted(a, b, u):
+            seen.append(np.size(u))
+            return absorb(a, b, u)
+
+        monkeypatch.setattr(parametric, "_absorb_lomax_draw", counted)
+        args = ["doob", "--seed", 11, "--input", sim_csv,
+                "--n-particles", 48, "--n-extra", 30]
+        if a0 is not None:
+            args += ["--a0", a0]
+        assert run(*args, "--output-dir", tmp_path / "d") == 0
+        censored = int(np.sum(load_csv(sim_csv).status == 0))
+        assert censored > 0
+        assert len(seen) == censored + 30
+        assert sum(seen) == 48 * censored + 48 * 30
 
     def test_tables_write_the_bytes_of_the_tuple_path(self, tmp_path):
         data = cs.permute(cs.simulate_censored_exponential(30, 1.0, 2.0,

@@ -326,15 +326,14 @@ SCRATCH_S = [0.0, 1.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1e-300, 1.0 - 2.0**-53]
 SCRATCH_V = SCRATCH_S + [0.3, 0.5, 0.7]
 
 
-def nan_scratch(shape, v_shape):
+def nan_scratch(shape):
     """Views of a scratch set larger than the call needs, every float
     pre-filled with NaN and the mask with True."""
-    flat = KernelScratch.flat(2 * math.prod(shape) + 3,
-                              2 * math.prod(v_shape) + 1)
-    for array in flat.block + flat.small:
+    flat = KernelScratch.flat(2 * math.prod(shape) + 3)
+    for array in flat.block:
         array.fill(np.nan)
     flat.mask.fill(True)
-    return flat.view(shape, v_shape)
+    return flat.view(shape)
 
 
 @pytest.mark.parametrize("kernel, params", [
@@ -349,7 +348,7 @@ def test_scratch_kernels_read_nothing_left_in_their_scratch(kernel, params):
     s = np.tile(SCRATCH_S, (v.shape[0], 1))
     for param in params:
         want = kernel(s, v, param)
-        out = nan_scratch(s.shape, v.shape)
+        out = nan_scratch(s.shape)
         got = kernel(s, v, param, out=out)
         assert got[0] is out.block[0] and got[1] is out.block[1]
         for g, w in zip(got, want):
@@ -429,11 +428,11 @@ class TestSurvivalOnlyCalls:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             density, tail = family.joint(s, v)
             alone = family.joint(s, v, density=False)
-            flat = KernelScratch.flat(s.size, v.size, dtype)
-            terms = family.row_terms(v, flat.view(v.shape, v.shape))
+            flat = KernelScratch.flat(s.size, dtype)
+            terms = family.row_terms(v, dtype)
             for lo in range(0, s.shape[0], 3):
                 rows = s[lo:lo + 3]
-                out = flat.view(rows.shape, v.shape)
+                out = flat.view(rows.shape)
                 got = family.joint(rows, v, out=out, density=False,
                                    terms=terms)
                 assert got[0] is None

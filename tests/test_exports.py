@@ -2,6 +2,7 @@
 only what the program itself uses; the code names README.md gives
 resolve."""
 
+import ast
 import importlib
 import io
 import pkgutil
@@ -83,6 +84,45 @@ def test_private_module_names_are_used():
         if not any(re.search(rf"\b{name}\b", line) and defined != name
                    for line, defined in zip(lines, defines)))
     assert unused == []
+
+
+def _record_fields():
+    """(class, field, class node) of every field of a dataclass or
+    NamedTuple in src/: each annotated name of the class body."""
+    fields = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            marks = [ast.unparse(d).split("(")[0] for d in node.decorator_list]
+            marks += [ast.unparse(b) for b in node.bases]
+            if "dataclass" in marks or "NamedTuple" in marks:
+                fields += [(node.name, item.target.id, node)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)]
+    return fields
+
+
+def test_record_fields_are_read_by_the_program():
+    """A field that nothing reads is dead data: every field of a
+    dataclass or NamedTuple in src/ must be read as an attribute
+    (`x.field`) somewhere in the program outside the class that defines
+    it.  It matches by name, so a field read under a name that another
+    object shares passes."""
+    reads = []  # (attribute name, the node it was read in)
+    for path in PROGRAM:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [(node.attr, node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for cls, field, definition in _record_fields():
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(attr == field and id(node) not in inside
+                   for attr, node in reads):
+            unread.append(f"{cls}.{field}")
+    assert unread == []
 
 
 README = (ROOT / "README.md").read_text(encoding="utf-8")

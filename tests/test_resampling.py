@@ -95,23 +95,30 @@ class TestWasserstein:
 
 
 class TestMedianFromSurvival:
+    @staticmethod
+    def median(surv, grid):
+        """The median of one row, after checking its censored flag
+        against the row's own ½-crossing."""
+        med, censored = median_from_survival(surv, grid)
+        assert censored == ~np.any(np.asarray(surv) <= 0.5, axis=-1)
+        return med
+
     def test_exact_grid_point(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
-        assert median_from_survival(np.array([1.0, 0.5, 0.0]), grid) == 1.0
+        assert self.median(np.array([1.0, 0.5, 0.0]), grid) == 1.0
 
     def test_interpolation(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0, 3.0]))
         surv = np.array([1.0, 0.75, 0.25, 0.0])
-        assert median_from_survival(surv, grid) == 1.5
+        assert self.median(surv, grid) == 1.5
 
     def test_refinement_oracle(self):
         from copsurv.copulas import lomax
 
         coarse = GridSpec(np.linspace(0.0, 6.0, 40))
         fine = GridSpec(np.linspace(0.0, 6.0, 400))
-        m_coarse = median_from_survival(lomax(coarse.points, 1.4, 1.0)[1],
-                                        coarse)
-        m_fine = median_from_survival(lomax(fine.points, 1.4, 1.0)[1], fine)
+        m_coarse = self.median(lomax(coarse.points, 1.4, 1.0)[1], coarse)
+        m_fine = self.median(lomax(fine.points, 1.4, 1.0)[1], fine)
         cell = coarse.points[1] - coarse.points[0]
         assert abs(m_coarse - m_fine) < cell
 
@@ -120,18 +127,17 @@ class TestMedianFromSurvival:
         interpolates there, at 5/6, not in a later interval."""
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
         surv = np.array([1.0, 0.4, 0.2])
-        assert median_from_survival(surv, grid) == pytest.approx(5 / 6,
-                                                                 rel=1e-15)
+        assert self.median(surv, grid) == pytest.approx(5 / 6, rel=1e-15)
 
     def test_median_not_reached_is_the_grid_top(self):
         grid = GridSpec(np.array([0.0, 1.0, 2.0]))
-        assert median_from_survival(np.array([1.0, 0.9, 0.8]), grid) == 2.0
+        assert self.median(np.array([1.0, 0.9, 0.8]), grid) == 2.0
 
     def test_stacked_rows_match_the_row_by_row_rule(self):
         """Rows that cross inside the grid, exactly at one half, at the
         first point or never: a (2, 3, G) stack gives, bit for bit, the
-        median of the rule written out for one row, and one row gives a
-        float."""
+        median of the rule written out for one row, and flags as censored
+        the rows that never reach one half."""
         grid = GridSpec(np.geomspace(0.01, 8.0, 9))
         pts = grid.points
 
@@ -152,11 +158,11 @@ class TestMedianFromSurvival:
         surv[3] = np.linspace(1.0, 0.6, 9)
         surv[4, 5:] = 0.5
         surv[4, :5] = np.linspace(1.0, 0.8, 5)
-        stacked = median_from_survival(surv.reshape(2, 3, 9), grid)
-        assert stacked.shape == (2, 3)
+        stacked, censored = median_from_survival(surv.reshape(2, 3, 9), grid)
+        assert stacked.shape == censored.shape == (2, 3)
         assert np.array_equal(stacked.ravel(), [one_row(row) for row in surv])
         assert list(stacked.ravel()[1:5]) == [pts[4], pts[0], pts[-1], pts[5]]
-        assert isinstance(median_from_survival(surv[0], grid), float)
+        assert np.array_equal(censored.ravel(), ~np.any(surv <= 0.5, axis=-1))
 
 
 class TestBootstrapCovariate:
@@ -286,7 +292,8 @@ class TestMartingalePosterior:
         draws = martingale_posterior(ensemble, 500, grid, seed=11)
         _, start = ensemble_grid_rows(ensemble, grid)
         mean = draws.survival_draws.mean(axis=0)
-        se = draws.survival_draws.std(axis=0, ddof=1) / np.sqrt(draws.n_draws)
+        se = (draws.survival_draws.std(axis=0, ddof=1)
+              / np.sqrt(draws.weights.size))
         gap = np.abs(mean - start[0])
         assert np.all(gap <= 3 * np.maximum(se, 1e-12))
 
@@ -415,17 +422,17 @@ class TestWeightedHelpers:
     def test_weighted_quantiles_unweighted_case(self):
         values = np.arange(1.0, 101.0)
         w = np.full(100, 0.01)
-        qs = weighted_quantiles(values, w, [0.5])
-        assert 49.0 <= qs[0] <= 52.0
+        qs = weighted_quantiles(values[:, None], w, [0.5])
+        assert qs.shape == (1, 1) and 49.0 <= qs[0, 0] <= 52.0
 
     def test_weighted_mean_constant_exact(self):
         w = np.random.default_rng(1).random(999)
         assert weighted_mean(np.ones((999, 1)), w)[0] == 1.0
 
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 2000])
-    def test_weighted_mean_in_chunks_is_one_reduction(self, rows):
-        """The chunked mean has the bits of one reduction over all rows
-        with the ones column alongside, on either side of a chunk edge."""
+    def test_weighted_mean_is_one_reduction(self, rows):
+        """The mean has the bits of one reduction over all rows with the
+        ones column alongside, at row counts around 256 and well above."""
         draws = np.random.default_rng(rows)
         values = draws.random((rows, 7))
         values[:, 0] = 1.0
